@@ -20,8 +20,9 @@ Kernels covered:
 * ``crawler_run_faulty`` — the cost of the fault-injection hooks when no
   fault fires: the batched engine plain vs. with a zero-rate fault layer
   and retry policy armed; the runs must be bit-identical and the armed
-  run at most 2% slower (a real chaos run is timed alongside for the
-  record).
+  run at most 2% slower. A real chaos run is timed alongside (µs per
+  fetch and its ratio to the plain run, recorded not gated) and, at the
+  quick sizes, checked against the reference engine.
 * ``incremental_crawler_run_polite`` — the same crawl loop with the
   paper's politeness constraints on (10 s per-site minimum delay plus
   the nightly crawl window) over a multi-site web; the batched engine
@@ -332,7 +333,7 @@ def bench_incremental_crawler(n_pages: int, duration_days: float) -> Dict:
 
 
 def bench_crawler_run_faulty(
-    n_pages: int, duration_days: float, repeats: int = 3
+    n_pages: int, duration_days: float, repeats: int = 3, check_reference: bool = False
 ) -> Dict:
     """No-fault overhead of the fault-injection hooks, gated at < 2%.
 
@@ -342,8 +343,11 @@ def bench_crawler_run_faulty(
     tracker bookkeeping), with no fault ever firing. The two runs must be
     bit-identical and the armed run at most 2% slower (best-of-``repeats``
     wall times); either violation trips the ``max_abs_delta`` sentinel.
-    A real-weather chaos run is timed alongside for the record (its cost
-    is workload-dependent, so it is reported, not gated).
+    A real-weather chaos run (the fault stack of
+    ``examples/specs/chaos_crawl.json``) is timed alongside: its cost per
+    fetch and its ratio to the plain run are recorded, not gated (they are
+    workload-dependent). With ``check_reference`` the same chaos crawl also
+    runs on the reference engine and any difference trips the sentinel.
     """
     zero_models = (
         ("transient", {"rate": 0.0}),
@@ -356,16 +360,17 @@ def bench_crawler_run_faulty(
         ("site_outage", {"rate": 0.2, "period_days": 7.0, "duration_days": 0.5}),
         ("rate_limit", {"rate": 0.03, "retry_after_days": 0.25}),
         ("soft_404", {"rate": 0.03}),
+        ("latency", {"factor": 3.0, "rate": 0.25}),
     )
 
-    def run(fault_models):
+    def run(fault_models, engine="batched"):
         web = _build_synthetic_web(n_pages, horizon=max(duration_days + 20.0, 60.0))
         config = IncrementalCrawlerConfig(
             collection_capacity=n_pages,
             crawl_budget_per_day=2.0 * n_pages,
             revisit_policy="optimal",
             estimator="ep",
-            engine="batched",
+            engine=engine,
             ranking_interval_days=duration_days * 10.0,
             measurement_interval_days=0.5,
             track_quality=False,
@@ -400,8 +405,27 @@ def bench_crawler_run_faulty(
         and all(v == 0 for v in armed_crawler.failure_counters().values())
     )
     overhead = armed_seconds / plain_seconds - 1.0
-    delta = 0.0 if (identical and overhead < 0.02) else 1.0
     chaos_counters = chaos_crawler.failure_counters()
+    chaos_matches_reference = None
+    if check_reference:
+        reference, reference_crawler = run(chaos_models, engine="reference")
+        chaos_matches_reference = (
+            chaos.pages_crawled == reference.pages_crawled
+            and chaos.pages_failed == reference.pages_failed
+            and chaos.changes_detected == reference.changes_detected
+            and chaos.freshness.times == reference.freshness.times
+            and chaos.freshness.freshness == reference.freshness.freshness
+            and chaos_counters == reference_crawler.failure_counters()
+            and chaos_crawler.collurls.snapshot()
+            == reference_crawler.collurls.snapshot()
+        )
+    delta = (
+        0.0
+        if identical and overhead < 0.02 and chaos_matches_reference is not False
+        else 1.0
+    )
+    chaos_us_per_fetch = chaos_seconds / (chaos.pages_crawled + chaos.pages_failed) * 1e6
+    plain_us_per_fetch = plain_seconds / (plain.pages_crawled + plain.pages_failed) * 1e6
     return {
         "kernel": "crawler_run_faulty",
         "params": {
@@ -411,6 +435,9 @@ def bench_crawler_run_faulty(
             "overhead_fraction": overhead,
             "zero_rate_identical": identical,
             "chaos_seconds": chaos_seconds,
+            "chaos_us_per_fetch": chaos_us_per_fetch,
+            "chaos_over_plain": chaos_us_per_fetch / plain_us_per_fetch,
+            "chaos_matches_reference": chaos_matches_reference,
             "chaos_transient_failures": sum(
                 chaos_counters[k]
                 for k in ("timeouts", "server_errors", "rate_limited", "soft_404s")
@@ -921,7 +948,7 @@ def main(argv: List[str] = None) -> int:
             lambda: bench_collection_metrics(n_records=2000, n_instants=5),
             lambda: bench_incremental_crawler(n_pages=1500, duration_days=12.0),
             lambda: bench_crawler_run_faulty(
-                n_pages=1500, duration_days=12.0, repeats=6
+                n_pages=1500, duration_days=12.0, repeats=6, check_reference=True
             ),
             lambda: bench_incremental_crawler_polite(
                 n_pages=1500, duration_days=12.0, n_sites=30

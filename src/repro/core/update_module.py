@@ -389,34 +389,48 @@ class UpdateModule:
 
         With a :class:`~repro.faults.FailureTracker` configured the queue
         dynamics depend on stateful per-fetch decisions (retry backoff,
-        circuit breakers), so phase one runs fully scalar: each slot pops
-        the queue head, predicts the fetch's status — faults are pure
-        functions of ``(url, site, slot_time, seed)`` and success is an
+        circuit breakers), but the *weather* does not: faults are pure
+        functions of ``(url, site, slot_time, seed)`` and entry *j* of a
+        popped run always takes slot *j* (a quarantined entry spends its
+        slot too). So phase one works on popped runs like the plain and
+        polite replays. Each round pops a speculative run with
+        :meth:`~repro.core.collurls.CollUrls.pop_due`, resolves the whole
+        run's fault codes in one :meth:`~repro.faults.FaultLayer.resolve`
+        call (latency factors are time-only and resolve once per window),
+        then walks the run with scalar tracker/breaker/retry logic over
+        plain lists: each entry's status is predicted — success is an
         oracle existence test, so the prediction equals what the batched
-        fetch will resolve — mutates the tracker exactly once, and commits
-        its reschedule (next visit, retry backoff or breaker probe)
-        immediately. That consumes CollUrls sequence numbers in exact fetch
-        order, so the queue is reference-like at every pop and no overtake
-        machinery is needed. Phase two still resolves the accumulated
-        fetches through one :meth:`process_batch` call per region; the
-        frozen per-entry decisions ride along so the tracker is never
-        consulted twice.
+        fetch will resolve — the tracker is mutated exactly once, and the
+        reschedule (next visit, retry backoff or breaker probe) is
+        committed immediately through ``schedule``, consuming CollUrls
+        sequence numbers in exact fetch order. The walk tracks the earliest
+        time committed so far and cuts the run at the first entry it would
+        overtake (strict ``>``: ties go to the older sequence number); the
+        untouched tail is :meth:`~repro.core.collurls.CollUrls.restore`-d
+        and re-popped — against new slots, hence re-resolved — next round.
+        The pop is sized from the previous round: twice its length when it
+        was consumed whole, one more than it consumed when it was cut, so a
+        queue whose reschedules land right behind its head (short rounds)
+        never pays for a wide pop it will not use. Phase two still resolves
+        the accumulated fetches through one :meth:`process_batch` call per
+        region; the predicted statuses and retry decisions ride along so
+        the tracker is never consulted twice.
 
         Reallocation boundaries match :meth:`process_next`: only a
-        *successful* fetch can trigger one, the trigger flushes the pending
-        batch first (the reallocation must see those observations), and the
+        *successful* fetch can trigger one, the trigger restores the run's
+        tail (the reallocation snapshots the whole queue) and flushes the
+        pending batch first (it must see those observations), and the
         triggering entry runs as a single-entry batch so its reschedule
         uses the post-reallocation intervals.
         """
         fetcher = self._crawl_module.fetcher
         politeness = fetcher.politeness
         faults = fetcher.faults
-        latency = fetcher.latency_days
         web = fetcher.web
         horizon = web.horizon_days
         realloc_interval = self._config.reallocation_interval_days
         arrays = web.oracle_arrays()
-        page_index = arrays.index
+        index_get = arrays.index.get
         site_table = arrays.site_ids
         cache = self._existence_cache
         if cache is None or cache[0] is not arrays:
@@ -425,9 +439,16 @@ class UpdateModule:
         created = cache[1]
         deleted = cache[2]
         default_interval = self._config.default_interval_days
-        has_status = faults is not None and faults.has_status_models
-        has_latency = faults is not None and faults.has_latency_models
         use_starts = politeness is not None
+        n_slots = len(slot_times)
+        if faults.has_latency_models:
+            latencies = (
+                fetcher.latency_days * faults.latency_factors(slot_times)
+            ).tolist()
+        else:
+            latencies = [fetcher.latency_days] * n_slots
+        collurls = self._collurls
+        schedule = collurls.schedule
 
         pending_urls: List[str] = []
         pending_times: List[float] = []
@@ -450,87 +471,105 @@ class UpdateModule:
 
         processed = 0
         slot_index = 0
-        n_slots = len(slot_times)
+        speculate = 1
         while slot_index < n_slots:
-            at = slot_times[slot_index]
-            head = self._collurls.pop()
-            if head is None:
+            run = collurls.pop_due(max_n=min(speculate, n_slots - slot_index))
+            if not run:
                 # Empty queue: every remaining slot is a no-op.
                 break
-            url = head[0]
-            page_id = page_index.get(url, -1)
-            site = site_table[page_id] if page_id >= 0 else None
-            if tracker.quarantined(site, at):
-                self._collurls.schedule(url, tracker.defer(url, site, at))
+            base = slot_index
+            urls = [entry[2] for entry in run]
+            page_ids = [index_get(url, -1) for url in urls]
+            sites = [site_table[p] if p >= 0 else None for p in page_ids]
+            codes = hints = None
+            earliest = float("inf")
+            for j, entry in enumerate(run):
+                if entry[0] > earliest:
+                    # A reschedule committed this round overtakes the rest
+                    # of the run: put the tail back untouched.
+                    collurls.restore(run[j:])
+                    break
+                at = slot_times[slot_index]
+                slot_latency = latencies[slot_index]
                 slot_index += 1
-                continue
-            if politeness is not None and site is not None:
-                start = politeness.earliest_allowed(site, at)
-                politeness.record_request(site, start)
-            else:
-                start = at
-            slot_latency = latency
-            if has_latency:
-                slot_latency = latency * faults.latency_factor_one(at)
-            completed = start + slot_latency
-            if completed > horizon:
-                completed = horizon
-            code = STATUS_OK
-            retry_after = 0.0
-            if has_status and page_id >= 0:
-                code, retry_after = faults.resolve_one(url, site, at)
-            if STATUS_TIMEOUT <= code <= STATUS_RATE_LIMITED:
-                status = code
-            else:
-                snapshot_time = start if start < horizon else horizon
-                alive = (
-                    page_id >= 0
-                    and created[page_id] <= snapshot_time < deleted[page_id]
-                )
-                if not alive:
-                    status = STATUS_NOT_FOUND
-                elif code == STATUS_SOFT_404:
-                    status = STATUS_SOFT_404
-                else:
-                    status = STATUS_OK
-            if status == STATUS_OK:
-                tracker.on_success(url, site)
-                last = self._last_reallocation
-                if last is None or completed - last >= realloc_interval:
-                    # Reallocation boundary (only successful fetches can
-                    # trigger one, like process_next's early return).
-                    flush()
-                    self.process_batch(
-                        [url],
-                        [at],
-                        resolved_at=[start] if use_starts else None,
-                        failure_decisions=[("ok",)],
-                    )
-                    processed += 1
-                    slot_index += 1
+                url = urls[j]
+                page_id = page_ids[j]
+                site = sites[j]
+                if tracker.quarantined(site, at):
+                    due = tracker.defer(url, site, at)
+                    schedule(url, due)
+                    if due < earliest:
+                        earliest = due
                     continue
-                interval = self._intervals.get(url)
-                if interval is None or interval <= 0:
-                    interval = default_interval
-                self._collurls.schedule(url, completed + interval)
-                decision = ("ok",)
-            elif status == STATUS_NOT_FOUND:
-                decision = ("gone",)
-            else:
-                retry_at = tracker.on_failure(
-                    url, site, status, completed, retry_after
-                )
-                if retry_at is not None:
-                    self._collurls.schedule(url, retry_at)
-                    decision = ("retry", retry_at)
+                if politeness is not None and site is not None:
+                    start = politeness.earliest_allowed(site, at)
+                    politeness.record_request(site, start)
                 else:
-                    decision = ("drop",)
-            pending_urls.append(url)
-            pending_times.append(at)
-            pending_starts.append(start)
-            pending_decisions.append(decision)
-            processed += 1
-            slot_index += 1
+                    start = at
+                completed = start + slot_latency
+                if completed > horizon:
+                    completed = horizon
+                if codes is None:
+                    # One resolve for the whole run, deferred to the first
+                    # entry that is fetched: a round of breaker skips (one
+                    # quarantined URL spinning at the head of an otherwise
+                    # idle queue) needs no weather at all.
+                    code_array, hint_array = faults.resolve(
+                        urls, sites, slot_times[base : base + len(run)]
+                    )
+                    codes = code_array.tolist()
+                    hints = hint_array.tolist()
+                # Unknown URLs never reach the fault models (fetch_many
+                # masks them the same way).
+                code = codes[j] if page_id >= 0 else STATUS_OK
+                if STATUS_TIMEOUT <= code <= STATUS_RATE_LIMITED:
+                    status = code
+                else:
+                    snapshot_time = start if start < horizon else horizon
+                    alive = (
+                        page_id >= 0
+                        and created[page_id] <= snapshot_time < deleted[page_id]
+                    )
+                    if not alive:
+                        status = STATUS_NOT_FOUND
+                    elif code == STATUS_SOFT_404:
+                        status = STATUS_SOFT_404
+                    else:
+                        status = STATUS_OK
+                due = None
+                if status == STATUS_OK:
+                    tracker.on_success(url, site)
+                    last = self._last_reallocation
+                    if last is None or completed - last >= realloc_interval:
+                        # Reallocation boundary (only successful fetches can
+                        # trigger one, like process_next's early return).
+                        collurls.restore(run[j + 1 :])
+                        flush()
+                        self.process_batch(
+                            [url],
+                            [at],
+                            resolved_at=[start] if use_starts else None,
+                            failure_decisions=[(STATUS_OK, None)],
+                        )
+                        processed += 1
+                        break
+                    interval = self._intervals.get(url)
+                    if interval is None or interval <= 0:
+                        interval = default_interval
+                    due = completed + interval
+                elif status != STATUS_NOT_FOUND:
+                    due = tracker.on_failure(url, site, status, completed, hints[j])
+                if due is not None:
+                    schedule(url, due)
+                    if due < earliest:
+                        earliest = due
+                pending_urls.append(url)
+                pending_times.append(at)
+                pending_starts.append(start)
+                pending_decisions.append((status, due))
+                processed += 1
+            consumed = slot_index - base
+            speculate = 2 * consumed if consumed == len(run) else consumed + 1
         flush()
         return processed
 
@@ -846,13 +885,15 @@ class UpdateModule:
             resolved_at: Optional politeness-resolved start instant per URL
                 (already recorded against the policy state), forwarded to
                 the fetch layer.
-            failure_decisions: Per-URL frozen failure decisions from
-                :meth:`_process_slots_faulty` — ``("ok",)``, ``("gone",)``,
-                ``("retry", retry_at)`` or ``("drop",)``. When given, the
-                failure tracker has already been mutated (once per fetch,
-                in fetch order) and is not consulted again here; when
-                ``None`` with a tracker configured, the tracker is
-                consulted inline per entry.
+            failure_decisions: Per-URL frozen ``(status, due)`` decisions
+                from :meth:`_process_slots_faulty`: the predicted integer
+                status code and the time the URL was rescheduled at
+                (``None`` when it was not — the page is gone or its
+                retries are exhausted). When given, the failure tracker
+                has already been mutated (once per fetch, in fetch order)
+                and is not consulted again here; when ``None`` with a
+                tracker configured, the tracker is consulted inline per
+                entry.
 
         Returns:
             The :class:`BatchCrawlOutcome` from the CrawlModule.
@@ -902,7 +943,7 @@ class UpdateModule:
             if not stored_i:
                 transient = statuses is not None and statuses[i] in TRANSIENT_CODES
                 if failure_decisions is not None:
-                    retry = failure_decisions[i][0] == "retry"
+                    retry = failure_decisions[i][1] is not None
                 elif tracker is not None and transient:
                     # Inline tracker consult (direct process_batch callers):
                     # same decision the failure-aware engine would freeze.

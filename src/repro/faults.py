@@ -64,7 +64,11 @@ TRANSIENT_CODES = (
 )
 
 _MASK = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# splitmix64: the increment and the finalizer's two multipliers.
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLDEN_INT)
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def _hash64(text: str) -> int:
@@ -76,9 +80,17 @@ def _hash64(text: str) -> int:
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
     return z ^ (z >> np.uint64(31))
+
+
+def _splitmix_int(z: int) -> int:
+    """:func:`_splitmix` of one Python int, wrapped to 64 bits."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
+    return z ^ (z >> 31)
 
 
 def _mix(z: np.ndarray, v) -> np.ndarray:
@@ -480,8 +492,13 @@ def _retry_jitter(url: str, attempt: int, seed: int, jitter: float) -> float:
     """Deterministic jitter factor in [1 - jitter, 1 + jitter)."""
     if jitter <= 0.0:
         return 1.0
-    z = _mix(_keyed(np.asarray([_hash64(url)], dtype=np.uint64), seed, _RETRY_SALT), attempt)
-    u = float(_uniform01(z)[0])
+    # _uniform01(_mix(_keyed(hash, seed, salt), attempt)) on Python ints: a
+    # retry is a single draw, and a size-1 array costs ~25 us in NumPy
+    # fixed overhead per call.
+    z = _splitmix_int(_hash64(url) + _GOLDEN_INT + seed)
+    z = _splitmix_int(z + _GOLDEN_INT + _RETRY_SALT)
+    z = _splitmix_int(z + _GOLDEN_INT + attempt)
+    u = (z >> 11) * (2.0 ** -53)
     return 1.0 + jitter * (2.0 * u - 1.0)
 
 

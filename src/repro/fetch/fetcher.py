@@ -197,7 +197,7 @@ class SimulatedFetcher:
     @property
     def faults(self) -> Optional[FaultLayer]:
         """The fault layer, if one is configured (read-only access for the
-        failure-aware crawl engine, which predicts statuses per slot)."""
+        failure-aware crawl engine, which predicts statuses per popped run)."""
         return self._faults
 
     def site_of(self, url: str) -> Optional[str]:

@@ -21,8 +21,11 @@ from hypothesis import strategies as st
 
 from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, RetrySpec
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.core.collurls import CollUrls
 from repro.core.sharded_crawler import ShardedCrawler, ShardRunSpec
+from repro.core.update_module import UpdateModule
 from repro.faults import (
+    _RETRY_SALT,
     HARD_FAULT_CODES,
     STATUS_OK,
     STATUS_RATE_LIMITED,
@@ -33,7 +36,11 @@ from repro.faults import (
     FailureTracker,
     FaultLayer,
     RetryPolicy,
+    _hash64,
+    _keyed,
+    _mix,
     _retry_jitter,
+    _uniform01,
     build_fault_layer,
 )
 from repro.simweb.generator import WebGeneratorConfig, generate_web
@@ -332,6 +339,22 @@ class TestFailureProperties:
         assert a == b
         assert 0.75 <= a < 1.25
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        url=st.text(max_size=40),
+        seed=st.integers(0, 2**64 - 1),
+        attempt=st.integers(1, 2**16),
+        jitter=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_retry_jitter_matches_the_vectorized_hash_chain(
+        self, url, seed, attempt, jitter
+    ):
+        """The Python-int splitmix64 is the fault models' chain, bit for bit."""
+        key = np.asarray([_hash64(url)], dtype=np.uint64)
+        u = float(_uniform01(_mix(_keyed(key, seed, _RETRY_SALT), attempt))[0])
+        expected = 1.0 + jitter * (2.0 * u - 1.0) if jitter > 0.0 else 1.0
+        assert _retry_jitter(url, attempt, seed, jitter) == expected
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32),
@@ -478,7 +501,7 @@ class TestFaultSpecs:
 # --------------------------------------------------------------------------- #
 
 
-def _run_faulty(engine, fault_models, retry=None, fault_seed=5):
+def _run_faulty(engine, fault_models, retry=None, fault_seed=5, **overrides):
     web = generate_web(WEB_CONFIG)
     crawler = IncrementalCrawler(
         web,
@@ -491,25 +514,138 @@ def _run_faulty(engine, fault_models, retry=None, fault_seed=5):
             fault_models=fault_models,
             fault_seed=fault_seed,
             retry=retry,
+            **overrides,
         ),
     )
     result = crawler.run(12.0)
     return result, crawler
 
 
+#: Configurations that put each kind of run cut of the batched faulty replay
+#: inside a tick window (250 slots here).
+CUT_CASES = {
+    "retry_in_window": {
+        "retry": RetryPolicy(max_attempts=4, base_delay_days=0.01, breaker_threshold=4)
+    },
+    "probe_in_window": {
+        "retry": RetryPolicy(breaker_threshold=2, breaker_probe_days=0.02)
+    },
+    "realloc_mid_run": {
+        "retry": RetryPolicy(breaker_threshold=4),
+        "reallocation_interval_days": 0.13,
+    },
+    "polite": {
+        "retry": RetryPolicy(base_delay_days=0.01, breaker_threshold=4),
+        "use_politeness": True,
+        "politeness_min_delay_seconds": 1800.0,
+        "politeness_night_window": True,
+    },
+}
+
+
+def _assert_engines_agree(batched, crawler_b, reference, crawler_r):
+    """Counters, series, failure counters, fetch timestamps and the queue."""
+    assert batched.pages_crawled == reference.pages_crawled
+    assert batched.pages_failed == reference.pages_failed
+    assert batched.changes_detected == reference.changes_detected
+    assert batched.freshness.times == reference.freshness.times
+    assert batched.freshness.freshness == reference.freshness.freshness
+    counters = crawler_b.failure_counters()
+    assert counters == crawler_r.failure_counters()
+    assert counters["retries"] > 0  # the weather actually blew
+    fetched_b = {r.url: r.fetched_at for r in crawler_b.collection.current_records()}
+    fetched_r = {r.url: r.fetched_at for r in crawler_r.collection.current_records()}
+    assert fetched_b == fetched_r
+    assert crawler_b.collurls.snapshot() == crawler_r.collurls.snapshot()
+
+
 class TestEngineParityUnderFaults:
     def test_batched_matches_reference_under_full_weather(self):
         retry = RetryPolicy(max_attempts=3, breaker_threshold=4)
-        batched, crawler_b = _run_faulty("batched", FAULT_MODELS, retry)
-        reference, crawler_r = _run_faulty("reference", FAULT_MODELS, retry)
-        assert batched.pages_crawled == reference.pages_crawled
-        assert batched.pages_failed == reference.pages_failed
-        assert batched.changes_detected == reference.changes_detected
-        assert batched.freshness.times == reference.freshness.times
-        assert batched.freshness.freshness == reference.freshness.freshness
-        counters = crawler_b.failure_counters()
-        assert counters == crawler_r.failure_counters()
-        assert sum(counters.values()) > 0  # the weather actually blew
+        _assert_engines_agree(
+            *_run_faulty("batched", FAULT_MODELS, retry),
+            *_run_faulty("reference", FAULT_MODELS, retry),
+        )
+
+    @pytest.mark.parametrize("policy", ["uniform", "proportional", "optimal"])
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    def test_run_cuts_match_reference(self, case, policy, monkeypatch):
+        """Every way a popped run is cut short leaves no trace.
+
+        Retries and breaker probes that land inside the tick window,
+        reallocation triggers in the middle of a run, and politeness on top
+        of faults: the batched replay must reproduce the reference engine
+        down to every fetch timestamp and queue sequence number.
+        """
+        tails = []
+        restore = CollUrls.restore
+
+        def spy(self, entries):
+            tails.append(len(entries))
+            restore(self, entries)
+
+        monkeypatch.setattr(CollUrls, "restore", spy)
+        config = dict(CUT_CASES[case], revisit_policy=policy)
+        batched = _run_faulty("batched", FAULT_MODELS, **config)
+        assert any(tails)  # runs were cut with entries left to put back
+        _assert_engines_agree(
+            *batched, *_run_faulty("reference", FAULT_MODELS, **config)
+        )
+
+    def test_batched_replay_resolves_weather_per_run(self, monkeypatch):
+        """Active weather never takes the scalar resolvers on the batched path."""
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("scalar fault resolution on the batched engine")
+
+        calls = []
+        resolve = FaultLayer.resolve
+
+        def spy(self, urls, sites, times):
+            calls.append(len(urls))
+            return resolve(self, urls, sites, times)
+
+        monkeypatch.setattr(FaultLayer, "resolve_one", scalar)
+        monkeypatch.setattr(FaultLayer, "latency_factor_one", scalar)
+        monkeypatch.setattr(FaultLayer, "resolve", spy)
+        # A collection that fills and an even revisit policy keep the queue
+        # loaded, so popped runs are long; with one hot page refetched every
+        # slot a round is one entry and resolves are as many as fetches.
+        result, _ = _run_faulty(
+            "batched",
+            FAULT_MODELS,
+            RetryPolicy(max_attempts=3, breaker_threshold=4),
+            revisit_policy="uniform",
+            ranking_interval_days=1.0,
+        )
+        assert sum(calls) >= result.pages_crawled  # the spy saw the weather
+        assert len(calls) * 4 < result.pages_crawled
+
+    def test_replay_predicts_every_fetch_status(self, monkeypatch):
+        """The replay's frozen statuses are what ``fetch_many`` resolves.
+
+        The window's weather is resolved twice — by the replay, to decide
+        the queue dynamics, and independently by ``fetch_many`` — so the
+        fetch layer never has to trust caller-supplied statuses; this pins
+        that the two agree on every entry of a chaos run.
+        """
+        checked = []
+        process_batch = UpdateModule.process_batch
+
+        def spy(self, urls, times, **kwargs):
+            outcome = process_batch(self, urls, times, **kwargs)
+            predicted = [status for status, _due in kwargs["failure_decisions"]]
+            # BatchFetchResult.statuses, as crawl_many hands them on.
+            assert predicted == outcome.statuses
+            checked.append(len(predicted))
+            return outcome
+
+        monkeypatch.setattr(UpdateModule, "process_batch", spy)
+        result, _ = _run_faulty(
+            "batched", FAULT_MODELS, RetryPolicy(max_attempts=3, breaker_threshold=4)
+        )
+        assert sum(checked) == result.pages_crawled + result.pages_failed
+        assert result.pages_failed > 0
 
     def test_zero_rate_faults_are_bit_identical_to_no_faults(self):
         zero = tuple((kind, {**params, "rate": 0.0}) for kind, params in FAULT_MODELS)
