@@ -26,8 +26,8 @@ Kernels covered:
 * ``incremental_crawler_run_polite`` — the same crawl loop with the
   paper's politeness constraints on (10 s per-site minimum delay plus
   the nightly crawl window) over a multi-site web; the batched engine
-  resolves politeness in site-grouped bulk passes and must additionally
-  reproduce every fetch timestamp bit-for-bit.
+  resolves politeness inside its one tick-window replay and must
+  additionally reproduce every fetch timestamp bit-for-bit.
 * ``collection_store_io`` — storage-backend write/scan throughput: the
   columnar backend against SQLite (with the plain in-memory backend's
   time recorded alongside) on a crawl-shaped record/event workload, with
@@ -464,9 +464,10 @@ def bench_incremental_crawler_polite(
     Same end-to-end crawl as :func:`bench_incremental_crawler`, but over a
     multi-site web with the paper's politeness constraints enabled — a
     10-second per-site minimum delay plus the nightly crawl window. The
-    batched engine resolves the per-site delay chains in bulk
-    (site-grouped segmented scans) and must stay bit-identical to the
-    reference engine's one-fetch-at-a-time resolution.
+    batched engine resolves each popped entry's start instant inside its
+    tick-window replay (``UpdateModule.process_slots``) and must stay
+    bit-identical to the reference engine's one-fetch-at-a-time
+    resolution.
     """
 
     def run(engine: str):

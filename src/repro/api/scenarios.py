@@ -230,8 +230,8 @@ def polite_crawl(
     multi-site web — once unconstrained, once with the per-site minimum
     delay and (optionally) the nightly crawl window — so the freshness
     cost of politeness is directly visible. Both runs use the batched
-    tick-window engine; politeness is resolved in site-grouped bulk
-    passes, not by falling back to the per-URL reference path.
+    tick-window engine; politeness is resolved inside its one replay,
+    not by falling back to the per-URL reference path.
 
     Args:
         site_scale: Site-count scale of the generated web.

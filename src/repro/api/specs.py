@@ -385,7 +385,7 @@ class CrawlerSpec(_SpecBase):
         track_quality: Also sample collection quality.
         use_politeness: Apply per-site politeness constraints
             (incremental only). Both engines honour them; the batched
-            engine resolves them in site-grouped bulk passes.
+            engine resolves them inside its one tick-window replay.
         politeness_min_delay_seconds: Minimum (virtual) seconds between two
             requests to one site when politeness is on; the paper used 10.
         politeness_night_window: Also restrict fetching to the recurring

@@ -31,10 +31,10 @@ Two execution engines drive the same architecture:
   produce bit-identical counters and freshness/quality series.
 
 Politeness (the paper's 10-second per-site delay and 9PM-6AM crawl
-window, Section 2.3) runs on the batched engine too: per-site delays
-resolve in bulk through the politeness batch API, with per-site last-fetch
-state carried across tick windows, and remain bit-identical to the
-reference engine's per-fetch resolution.
+window, Section 2.3) runs on the batched engine too: the tick-window
+replay resolves each popped entry's start instant against the per-site
+last-fetch state, which carries across tick windows, and stays
+bit-identical to the reference engine's per-fetch resolution.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ class IncrementalCrawlerConfig:
         track_quality: Also sample collection quality (needs a ground-truth
             PageRank over the whole web, computed once at start-up).
         use_politeness: Apply the per-site politeness delay to fetches.
-            Both engines honour it with bit-identical results; the batched
-            engine resolves the delays in bulk.
+            Both engines honour it with bit-identical results.
         politeness_min_delay_seconds: Minimum (virtual) seconds between two
             requests to one site when politeness is on; the paper used 10.
         politeness_night_window: Also restrict fetching to a recurring

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.api.registry import ESTIMATORS
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import BatchCrawlOutcome, CrawlModule, CrawlOutcome
@@ -32,7 +30,6 @@ from repro.faults import (
     STATUS_RATE_LIMITED,
     STATUS_SOFT_404,
     STATUS_TIMEOUT,
-    TRANSIENT_CODES,
     FailureTracker,
 )
 from repro.fetch.fetcher import STATUS_TO_CODE, FetchStatus
@@ -207,59 +204,93 @@ class UpdateModule:
         Exactly equivalent to calling :meth:`process_next` once per slot
         time, in order — including the subtle cases: a page rescheduled
         early enough to be popped *again* within the same window, the head
-        of the queue changing between slots, and a revisit-interval
-        reallocation falling due mid-window.
+        of the queue changing between slots, a revisit-interval
+        reallocation falling due mid-window, and, with a failure tracker,
+        retries and breaker probes landing inside the window. This is the
+        only replay the batched engine runs: politeness, the fault layer
+        and the failure tracker are optional concerns of one walk, each
+        skipped when it is ``None``.
 
-        The trick is that the *queue dynamics* of a window are decidable
-        without fetching anything: whether a fetch succeeds is an oracle
-        existence test, and a successful fetch reschedules its page at
-        ``completed + interval`` where the interval table is frozen between
-        reallocations. So the window is driven in two phases. Phase one
-        replays the pop/reschedule sequence against the real queue in bulk
-        rounds — :meth:`~repro.core.collurls.CollUrls.pop_due` pops a run,
-        a scan cuts it at the first entry that an earlier reschedule would
-        overtake (ties go to the older sequence number), the tail is
-        :meth:`~repro.core.collurls.CollUrls.restore`-d untouched, and the
-        round's reschedules land through one
-        :meth:`~repro.core.collurls.CollUrls.schedule_many` call, giving
-        every entry the exact sequence number the per-event engine would
-        have assigned. Phase two hands the accumulated ``(url, slot)``
-        assignments — typically a whole tick window — to one
-        :meth:`process_batch` call for the batched fetch/observe/estimate
-        pipeline. Reallocation boundaries interrupt both phases: the
-        triggering entry runs as a single-entry batch because the
-        reallocation must see exactly the observations made before it and
-        its reschedule uses the post-reallocation intervals.
+        The *queue dynamics* of a window are decidable without fetching
+        anything. Whether a fetch succeeds is an oracle existence test at
+        its start instant; fault weather is a pure function of ``(url,
+        site, slot_time, seed)``; entry *j* of a popped run always takes
+        slot *j* (a quarantined entry spends its slot too); and a
+        successful fetch reschedules its page at ``completed + interval``
+        where the interval table is frozen between reallocations. So each
+        round
+
+        1. **pops a run** with :meth:`~repro.core.collurls.CollUrls.pop_due`
+           — sized from the previous round: twice its length when it was
+           consumed whole, one more than it consumed when it was cut, so a
+           queue whose reschedules land right behind its head (short
+           rounds) never pays for a wide pop it will not use;
+        2. **resolves start instants** entry by entry with the scalar
+           politeness recurrence (``earliest_allowed`` + ``record_request``
+           — the state of a site depends on the previous fetch of that
+           site, and runs are too short for bulk passes to pay). Failed
+           fetches advance that state too: the request is recorded before
+           the crawler learns the page is gone;
+        3. **resolves the weather** of the whole run in one
+           :meth:`~repro.faults.FaultLayer.resolve` call, deferred to the
+           first entry that is actually fetched (latency factors are
+           time-only and resolve once per window);
+        4. **walks the run**, predicting each entry's status — the same
+           one the batched fetch will resolve — mutating the tracker
+           exactly once per entry, and collecting the entry's reschedule
+           (next visit, retry backoff or breaker probe). The walk tracks
+           the earliest time rescheduled so far and cuts the run at the
+           first entry that time would overtake (strict ``>``: ties go to
+           the older sequence number), or at a reallocation trigger;
+        5. **commits**: the round's reschedules land through one
+           :meth:`~repro.core.collurls.CollUrls.schedule_many` call, which
+           hands out CollUrls sequence numbers in exact fetch order, and
+           the untouched tail is
+           :meth:`~repro.core.collurls.CollUrls.restore`-d to be re-popped
+           — against new slots, hence re-resolved — next round.
+
+        The accumulated ``(url, slot)`` assignments — typically a whole
+        tick window — then go to one :meth:`process_batch` call for the
+        batched fetch/observe/estimate pipeline; with a tracker the
+        predicted statuses and retry decisions ride along so it is never
+        consulted twice.
+
+        Reallocation boundaries match :meth:`process_next`: only a
+        *successful* fetch can trigger one. The trigger commits the round
+        and restores the tail first (the reallocation snapshots the whole
+        queue), flushes the pending batch (the reallocation must see those
+        observations), and runs as a single-entry batch so its reschedule
+        uses the post-reallocation intervals.
 
         Args:
             slot_times: Virtual times of the crawl slots, ascending.
 
         Returns:
             Number of pages processed (slots with an empty queue are idle,
-            exactly like ``process_next`` returning ``None``).
+            exactly like ``process_next`` returning ``None``; so are slots
+            spent on a quarantined site).
         """
-        if self.failure_tracker is not None:
-            # The failure-aware path is only needed when faults can actually
-            # fire: without active status or latency models no transient
-            # status and no breaker state can ever arise, so the plain (or
-            # polite) engine is bit-identical — and pays nothing for the
-            # armed tracker. This is what keeps a zero-rate fault layer
-            # byte-for-byte equal to no fault layer at all.
-            faults = self._crawl_module.fetcher.faults
-            if faults is not None and (
-                faults.has_status_models or faults.has_latency_models
-            ):
-                return self._process_slots_faulty(slot_times, self.failure_tracker)
-        politeness = self._crawl_module.fetcher.politeness
-        if politeness is not None:
-            return self._process_slots_polite(slot_times, politeness)
         fetcher = self._crawl_module.fetcher
-        latency = fetcher.latency_days
+        politeness = fetcher.politeness
+        faults = fetcher.faults
+        tracker = self.failure_tracker
+        if faults is None or not (
+            faults.has_status_models or faults.has_latency_models
+        ):
+            # Without active weather no transient status and no breaker
+            # state can ever arise, so an armed tracker is a guaranteed
+            # no-op: skipping both is what keeps a zero-rate fault layer
+            # byte-for-byte equal to no fault layer at all, at no cost.
+            faults = tracker = None
+        with_weather = faults is not None and faults.has_status_models
+        with_sites = tracker is not None or politeness is not None or with_weather
         web = fetcher.web
         horizon = web.horizon_days
         realloc_interval = self._config.reallocation_interval_days
+        default_interval = self._config.default_interval_days
         arrays = web.oracle_arrays()
-        page_index = arrays.index
+        index_get = arrays.index.get
+        site_table = arrays.site_ids
         # Plain lists: element access on NumPy arrays boxes a scalar per
         # read, which adds up over hundreds of thousands of slots. The
         # conversion is cached per OracleArrays instance (rebuilt with it
@@ -268,374 +299,20 @@ class UpdateModule:
         if cache is None or cache[0] is not arrays:
             cache = (arrays, arrays.created.tolist(), arrays.deleted.tolist())
             self._existence_cache = cache
-        created = cache[1]
-        deleted = cache[2]
-
-        pending_urls: List[str] = []
-        pending_times: List[float] = []
-
-        def flush() -> None:
-            if pending_urls:
-                self.process_batch(pending_urls, pending_times, reschedule=False)
-                pending_urls.clear()
-                pending_times.clear()
-
-        default_interval = self._config.default_interval_days
-        processed = 0
-        slot_index = 0
+        _, created, deleted = cache
         n_slots = len(slot_times)
-        queue_empty = False
-        while slot_index < n_slots and not queue_empty:
-            last = self._last_reallocation
-            # Re-read after every region: a reallocation rebinds the dict.
-            intervals = self._intervals
-            if last is None:
-                boundary = slot_index
-            else:
-                # First slot whose completion would trigger a reallocation;
-                # scanned once per reallocation region (linear overall).
-                threshold = last + realloc_interval
-                boundary = slot_index
-                while (
-                    boundary < n_slots
-                    and min(slot_times[boundary] + latency, horizon) < threshold
-                ):
-                    boundary += 1
-            if boundary == slot_index:
-                # Reallocation due: flush the window so far (the trigger
-                # must observe those visits' rate estimates), then process
-                # the triggering entry on its own.
-                flush()
-                head = self._collurls.pop()
-                if head is None:
-                    break
-                self.process_batch([head[0]], [slot_times[slot_index]])
-                processed += 1
-                slot_index += 1
-                continue
-            index_get = page_index.get
-            intervals_get = intervals.get
-            append_url = pending_urls.append
-            append_time = pending_times.append
-            pop_due = self._collurls.pop_due
-            while slot_index < boundary:
-                # Serve the head unconditionally (a crawl slot crawls the
-                # earliest entry even when it is scheduled in the future),
-                # then extend the run with pops bounded by the earliest
-                # reschedule produced so far: an entry scheduled later than
-                # that would be overtaken in the queue, ending the run.
-                entries = pop_due(max_n=1)
-                if not entries:
-                    # Empty queue: every remaining slot is a no-op (only
-                    # processing pushes entries back, and none is running).
-                    queue_empty = True
-                    break
-                cut = 0
-                earliest_reschedule = float("inf")
-                reschedule_urls: List[str] = []
-                reschedule_times: List[float] = []
-                j = 0
-                while True:
-                    scheduled_time = entries[j][0]
-                    if scheduled_time > earliest_reschedule:
-                        # An earlier reschedule overtakes this entry (ties
-                        # go to the older sequence number): end the run and
-                        # put the tail back untouched.
-                        self._collurls.restore(entries[j:])
-                        break
-                    url = entries[j][2]
-                    slot_j = slot_times[slot_index + j]
-                    page_id = index_get(url, -1)
-                    snapshot_time = slot_j if slot_j < horizon else horizon
-                    if (
-                        page_id >= 0
-                        and created[page_id] <= snapshot_time < deleted[page_id]
-                    ):
-                        # The fetch will succeed: its reschedule is frozen
-                        # arithmetic. Failed fetches reschedule nothing, so
-                        # they never tighten the run bound.
-                        completed_j = slot_j + latency
-                        if completed_j > horizon:
-                            completed_j = horizon
-                        interval = intervals_get(url)
-                        if interval is None or interval <= 0:
-                            interval = default_interval
-                        next_visit = completed_j + interval
-                        reschedule_urls.append(url)
-                        reschedule_times.append(next_visit)
-                        if next_visit < earliest_reschedule:
-                            earliest_reschedule = next_visit
-                    append_url(url)
-                    append_time(slot_j)
-                    cut = j = j + 1
-                    if j == len(entries):
-                        remaining = boundary - slot_index - j
-                        if remaining <= 0:
-                            break
-                        more = pop_due(until=earliest_reschedule, max_n=remaining)
-                        if not more:
-                            break
-                        entries.extend(more)
-                self._collurls.schedule_many(reschedule_urls, reschedule_times)
-                processed += cut
-                slot_index += cut
-        flush()
-        return processed
-
-    def _process_slots_faulty(
-        self, slot_times: Sequence[float], tracker: FailureTracker
-    ) -> int:
-        """Failure-aware variant of :meth:`process_slots`.
-
-        With a :class:`~repro.faults.FailureTracker` configured the queue
-        dynamics depend on stateful per-fetch decisions (retry backoff,
-        circuit breakers), but the *weather* does not: faults are pure
-        functions of ``(url, site, slot_time, seed)`` and entry *j* of a
-        popped run always takes slot *j* (a quarantined entry spends its
-        slot too). So phase one works on popped runs like the plain and
-        polite replays. Each round pops a speculative run with
-        :meth:`~repro.core.collurls.CollUrls.pop_due`, resolves the whole
-        run's fault codes in one :meth:`~repro.faults.FaultLayer.resolve`
-        call (latency factors are time-only and resolve once per window),
-        then walks the run with scalar tracker/breaker/retry logic over
-        plain lists: each entry's status is predicted — success is an
-        oracle existence test, so the prediction equals what the batched
-        fetch will resolve — the tracker is mutated exactly once, and the
-        reschedule (next visit, retry backoff or breaker probe) is
-        committed immediately through ``schedule``, consuming CollUrls
-        sequence numbers in exact fetch order. The walk tracks the earliest
-        time committed so far and cuts the run at the first entry it would
-        overtake (strict ``>``: ties go to the older sequence number); the
-        untouched tail is :meth:`~repro.core.collurls.CollUrls.restore`-d
-        and re-popped — against new slots, hence re-resolved — next round.
-        The pop is sized from the previous round: twice its length when it
-        was consumed whole, one more than it consumed when it was cut, so a
-        queue whose reschedules land right behind its head (short rounds)
-        never pays for a wide pop it will not use. Phase two still resolves
-        the accumulated fetches through one :meth:`process_batch` call per
-        region; the predicted statuses and retry decisions ride along so
-        the tracker is never consulted twice.
-
-        Reallocation boundaries match :meth:`process_next`: only a
-        *successful* fetch can trigger one, the trigger restores the run's
-        tail (the reallocation snapshots the whole queue) and flushes the
-        pending batch first (it must see those observations), and the
-        triggering entry runs as a single-entry batch so its reschedule
-        uses the post-reallocation intervals.
-        """
-        fetcher = self._crawl_module.fetcher
-        politeness = fetcher.politeness
-        faults = fetcher.faults
-        web = fetcher.web
-        horizon = web.horizon_days
-        realloc_interval = self._config.reallocation_interval_days
-        arrays = web.oracle_arrays()
-        index_get = arrays.index.get
-        site_table = arrays.site_ids
-        cache = self._existence_cache
-        if cache is None or cache[0] is not arrays:
-            cache = (arrays, arrays.created.tolist(), arrays.deleted.tolist())
-            self._existence_cache = cache
-        created = cache[1]
-        deleted = cache[2]
-        default_interval = self._config.default_interval_days
-        use_starts = politeness is not None
-        n_slots = len(slot_times)
-        if faults.has_latency_models:
+        if faults is not None and faults.has_latency_models:
             latencies = (
                 fetcher.latency_days * faults.latency_factors(slot_times)
             ).tolist()
         else:
             latencies = [fetcher.latency_days] * n_slots
         collurls = self._collurls
-        schedule = collurls.schedule
 
         pending_urls: List[str] = []
         pending_times: List[float] = []
-        pending_starts: List[float] = []
-        pending_decisions: List[tuple] = []
-
-        def flush() -> None:
-            if pending_urls:
-                self.process_batch(
-                    pending_urls,
-                    pending_times,
-                    reschedule=False,
-                    resolved_at=pending_starts if use_starts else None,
-                    failure_decisions=pending_decisions,
-                )
-                pending_urls.clear()
-                pending_times.clear()
-                pending_starts.clear()
-                pending_decisions.clear()
-
-        processed = 0
-        slot_index = 0
-        speculate = 1
-        while slot_index < n_slots:
-            run = collurls.pop_due(max_n=min(speculate, n_slots - slot_index))
-            if not run:
-                # Empty queue: every remaining slot is a no-op.
-                break
-            base = slot_index
-            urls = [entry[2] for entry in run]
-            page_ids = [index_get(url, -1) for url in urls]
-            sites = [site_table[p] if p >= 0 else None for p in page_ids]
-            codes = hints = None
-            earliest = float("inf")
-            for j, entry in enumerate(run):
-                if entry[0] > earliest:
-                    # A reschedule committed this round overtakes the rest
-                    # of the run: put the tail back untouched.
-                    collurls.restore(run[j:])
-                    break
-                at = slot_times[slot_index]
-                slot_latency = latencies[slot_index]
-                slot_index += 1
-                url = urls[j]
-                page_id = page_ids[j]
-                site = sites[j]
-                if tracker.quarantined(site, at):
-                    due = tracker.defer(url, site, at)
-                    schedule(url, due)
-                    if due < earliest:
-                        earliest = due
-                    continue
-                if politeness is not None and site is not None:
-                    start = politeness.earliest_allowed(site, at)
-                    politeness.record_request(site, start)
-                else:
-                    start = at
-                completed = start + slot_latency
-                if completed > horizon:
-                    completed = horizon
-                if codes is None:
-                    # One resolve for the whole run, deferred to the first
-                    # entry that is fetched: a round of breaker skips (one
-                    # quarantined URL spinning at the head of an otherwise
-                    # idle queue) needs no weather at all.
-                    code_array, hint_array = faults.resolve(
-                        urls, sites, slot_times[base : base + len(run)]
-                    )
-                    codes = code_array.tolist()
-                    hints = hint_array.tolist()
-                # Unknown URLs never reach the fault models (fetch_many
-                # masks them the same way).
-                code = codes[j] if page_id >= 0 else STATUS_OK
-                if STATUS_TIMEOUT <= code <= STATUS_RATE_LIMITED:
-                    status = code
-                else:
-                    snapshot_time = start if start < horizon else horizon
-                    alive = (
-                        page_id >= 0
-                        and created[page_id] <= snapshot_time < deleted[page_id]
-                    )
-                    if not alive:
-                        status = STATUS_NOT_FOUND
-                    elif code == STATUS_SOFT_404:
-                        status = STATUS_SOFT_404
-                    else:
-                        status = STATUS_OK
-                due = None
-                if status == STATUS_OK:
-                    tracker.on_success(url, site)
-                    last = self._last_reallocation
-                    if last is None or completed - last >= realloc_interval:
-                        # Reallocation boundary (only successful fetches can
-                        # trigger one, like process_next's early return).
-                        collurls.restore(run[j + 1 :])
-                        flush()
-                        self.process_batch(
-                            [url],
-                            [at],
-                            resolved_at=[start] if use_starts else None,
-                            failure_decisions=[(STATUS_OK, None)],
-                        )
-                        processed += 1
-                        break
-                    interval = self._intervals.get(url)
-                    if interval is None or interval <= 0:
-                        interval = default_interval
-                    due = completed + interval
-                elif status != STATUS_NOT_FOUND:
-                    due = tracker.on_failure(url, site, status, completed, hints[j])
-                if due is not None:
-                    schedule(url, due)
-                    if due < earliest:
-                        earliest = due
-                pending_urls.append(url)
-                pending_times.append(at)
-                pending_starts.append(start)
-                pending_decisions.append((status, due))
-                processed += 1
-            consumed = slot_index - base
-            speculate = 2 * consumed if consumed == len(run) else consumed + 1
-        flush()
-        return processed
-
-    def _process_slots_polite(self, slot_times: Sequence[float], politeness) -> int:
-        """Politeness-aware variant of :meth:`process_slots`.
-
-        Politeness shifts every fetch instant by per-site state, which
-        breaks the plain engine's core shortcut: completion times are no
-        longer monotone in pop order (a night-window snap can push one
-        fetch days past its slot), so reallocation boundaries cannot be
-        located by scanning slot times up front. Instead each round pops an
-        optimistic candidate run, resolves the whole run's politeness in
-        one batched peek (:meth:`PolitenessPolicy.earliest_allowed_many`,
-        bit-identical to the sequential recurrence), predicts per-entry
-        completions and reschedules with the frozen interval table, and
-        cuts the run at the first entry that either
-
-        * would be overtaken in the queue by an earlier reschedule of this
-          round (ties go to the older sequence number, as in the plain
-          engine), or
-        * completes past the reallocation threshold — failed fetches never
-          trigger a reallocation, matching :meth:`process_next`'s early
-          return.
-
-        The accepted prefix commits its politeness state
-        (:meth:`PolitenessPolicy.record_requests`) and its reschedules, and
-        joins the pending fetch batch with its resolved start instants; the
-        tail is :meth:`~repro.core.collurls.CollUrls.restore`-d untouched
-        and re-popped next round. A reallocation trigger flushes the
-        pending batch and runs the triggering entry alone, exactly like the
-        plain engine. Failed fetches still advance the per-site politeness
-        state — the scalar fetch path records the request before it learns
-        the page is gone.
-
-        Like the plain engine, each round serves the queue head
-        unconditionally and then extends with pops bounded by the earliest
-        reschedule produced so far (``pop_due(until=...)``), so entries
-        that an earlier reschedule would overtake are mostly never popped
-        at all; the batched politeness peek runs once per extension chunk,
-        not per entry.
-        """
-        fetcher = self._crawl_module.fetcher
-        latency = fetcher.latency_days
-        web = fetcher.web
-        horizon = web.horizon_days
-        realloc_interval = self._config.reallocation_interval_days
-        arrays = web.oracle_arrays()
-        page_index = arrays.index
-        site_table = arrays.site_ids
-        site_index_table = arrays.site_index
-        site_names = arrays.site_names
-        created = arrays.created
-        deleted = arrays.deleted
-        # Plain-list existence columns for the scalar single-entry path
-        # (shared with the plain engine's cache; see process_slots).
-        cache = self._existence_cache
-        if cache is None or cache[0] is not arrays:
-            cache = (arrays, arrays.created.tolist(), arrays.deleted.tolist())
-            self._existence_cache = cache
-        created_list = cache[1]
-        deleted_list = cache[2]
-        default_interval = self._config.default_interval_days
-
-        pending_urls: List[str] = []
-        pending_times: List[float] = []
-        pending_starts: List[float] = []
+        pending_starts: Optional[List[float]] = None if politeness is None else []
+        pending_decisions: Optional[List[tuple]] = None if tracker is None else []
 
         def flush() -> None:
             if pending_urls:
@@ -644,210 +321,141 @@ class UpdateModule:
                     pending_times,
                     reschedule=False,
                     resolved_at=pending_starts,
+                    failure_decisions=pending_decisions,
                 )
                 pending_urls.clear()
                 pending_times.clear()
-                pending_starts.clear()
+                if pending_starts is not None:
+                    pending_starts.clear()
+                if pending_decisions is not None:
+                    pending_decisions.clear()
 
+        # Overwritten per entry when sites / weather are in play.
+        site = None
+        code = STATUS_OK
         processed = 0
         slot_index = 0
-        n_slots = len(slot_times)
+        speculate = 1
         while slot_index < n_slots:
-            if self._last_reallocation is None:
-                # The first stored completion reallocates, whatever it is:
-                # single-step with the scalar politeness resolution until
-                # the first region boundary exists.
-                flush()
-                head = self._collurls.pop()
-                if head is None:
-                    break
-                url = head[0]
-                at = slot_times[slot_index]
-                page_id = page_index.get(url, -1)
-                if page_id >= 0:
-                    site_id = site_table[page_id]
-                    start = politeness.earliest_allowed(site_id, at)
-                    politeness.record_request(site_id, start)
-                else:
-                    start = at
-                self.process_batch([url], [at], resolved_at=[start])
-                processed += 1
-                slot_index += 1
-                continue
-            # One round: serve the queue head unconditionally (a crawl slot
-            # crawls the earliest entry even when scheduled in the future),
-            # then extend with chunks bounded by the earliest reschedule.
-            chunk = self._collurls.pop_due(max_n=1)
-            if not chunk:
-                # Empty queue: every remaining slot is a no-op.
+            run = collurls.pop_due(max_n=min(speculate, n_slots - slot_index))
+            if not run:
+                # Empty queue: every remaining slot is a no-op (only
+                # processing pushes entries back, and none is running).
                 break
-            earliest_reschedule = float("inf")
+            base = slot_index
+            urls = [entry[2] for entry in run]
+            page_ids = [index_get(url, -1) for url in urls]
+            if with_sites:
+                sites = [site_table[p] if p >= 0 else None for p in page_ids]
+            codes = hints = None
+            last = self._last_reallocation
+            # Re-read every round: a reallocation rebinds the dict.
             intervals_get = self._intervals.get
-            while chunk:
-                m = len(chunk)
-                if m == 1:
-                    # Scalar fast path: every round starts with a
-                    # single-entry head pop, and one entry has no
-                    # intra-chunk politeness dependencies, so the scalar
-                    # resolution (the identical float operations) applies
-                    # directly and the NumPy fixed costs are skipped.
-                    entry = chunk[0]
-                    url = entry[2]
-                    slot = slot_times[slot_index]
-                    page_id = page_index.get(url, -1)
-                    if page_id >= 0:
-                        site_id = site_table[page_id]
-                        start = politeness.earliest_allowed(site_id, slot)
-                    else:
-                        site_id = None
-                        start = slot
-                    if entry[0] > earliest_reschedule:
-                        self._collurls.restore(chunk)
-                        break
+            due_urls: List[str] = []
+            due_times: List[float] = []
+            earliest = float("inf")
+            cut = len(run)
+            trigger = False
+            for j, entry in enumerate(run):
+                if entry[0] > earliest:
+                    # A reschedule of this round overtakes the rest of the
+                    # run: the tail goes back untouched.
+                    cut = j
+                    break
+                at = start = slot_times[slot_index]
+                slot_latency = latencies[slot_index]
+                slot_index += 1
+                url = urls[j]
+                page_id = page_ids[j]
+                if with_sites:
+                    site = sites[j]
+                    if tracker is not None and tracker.quarantined(site, at):
+                        # Circuit breaker: the slot is spent but nothing is
+                        # fetched; the URL waits for the quarantine's probe.
+                        due = tracker.defer(url, site, at)
+                        due_urls.append(url)
+                        due_times.append(due)
+                        if due < earliest:
+                            earliest = due
+                        continue
+                    if politeness is not None and site is not None:
+                        start = politeness.earliest_allowed(site, at)
+                        politeness.record_request(site, start)
+                    if with_weather:
+                        if codes is None:
+                            # Deferred to the first fetched entry: a round
+                            # of breaker skips (one quarantined URL spinning
+                            # at the head of an otherwise idle queue) needs
+                            # no weather at all.
+                            code_array, hint_array = faults.resolve(
+                                urls, sites, slot_times[base : base + len(run)]
+                            )
+                            codes = code_array.tolist()
+                            hints = hint_array.tolist()
+                        # Unknown URLs never reach the fault models
+                        # (fetch_many masks them the same way).
+                        code = codes[j] if page_id >= 0 else STATUS_OK
+                completed = start + slot_latency
+                if completed > horizon:
+                    completed = horizon
+                if STATUS_TIMEOUT <= code <= STATUS_RATE_LIMITED:
+                    status = code
+                else:
                     snapshot_time = start if start < horizon else horizon
-                    ok_head = (
+                    if not (
                         page_id >= 0
-                        and created_list[page_id]
-                        <= snapshot_time
-                        < deleted_list[page_id]
-                    )
-                    completed_head = start + latency
-                    if completed_head > horizon:
-                        completed_head = horizon
-                    if site_id is not None:
-                        politeness.record_request(site_id, start)
-                    if ok_head and not (
-                        completed_head - self._last_reallocation < realloc_interval
+                        and created[page_id] <= snapshot_time < deleted[page_id]
                     ):
-                        # Reallocation boundary.
-                        flush()
-                        self.process_batch([url], [slot], resolved_at=[start])
-                        processed += 1
-                        slot_index += 1
+                        status = STATUS_NOT_FOUND
+                    elif code == STATUS_SOFT_404:
+                        status = STATUS_SOFT_404
+                    else:
+                        status = STATUS_OK
+                due = None
+                if status == STATUS_OK:
+                    if tracker is not None:
+                        tracker.on_success(url, site)
+                    if last is None or completed - last >= realloc_interval:
+                        trigger = True
+                        cut = j + 1
                         break
-                    if ok_head:
-                        interval = intervals_get(url)
-                        if interval is None or interval <= 0:
-                            interval = default_interval
-                        next_visit_head = completed_head + interval
-                        self._collurls.schedule(url, next_visit_head)
-                        if next_visit_head < earliest_reschedule:
-                            earliest_reschedule = next_visit_head
-                    pending_urls.append(url)
-                    pending_times.append(slot)
+                    interval = intervals_get(url)
+                    if interval is None or interval <= 0:
+                        interval = default_interval
+                    due = completed + interval
+                elif tracker is not None and status != STATUS_NOT_FOUND:
+                    # Transient failure: the retry policy decides whether
+                    # the URL goes back into the queue. Without a tracker
+                    # it is terminal, as in process_next.
+                    due = tracker.on_failure(url, site, status, completed, hints[j])
+                if due is not None:
+                    due_urls.append(url)
+                    due_times.append(due)
+                    if due < earliest:
+                        earliest = due
+                pending_urls.append(url)
+                pending_times.append(at)
+                if pending_starts is not None:
                     pending_starts.append(start)
-                    processed += 1
-                    slot_index += 1
-                    remaining = n_slots - slot_index
-                    if remaining <= 0:
-                        break
-                    chunk = self._collurls.pop_due(
-                        until=earliest_reschedule, max_n=remaining
-                    )
-                    continue
-                urls = [entry[2] for entry in chunk]
-                ids_arr = np.fromiter(
-                    (page_index.get(url, -1) for url in urls), dtype=np.int64, count=m
+                if pending_decisions is not None:
+                    pending_decisions.append((status, due))
+                processed += 1
+            collurls.schedule_many(due_urls, due_times)
+            if cut < len(run):
+                collurls.restore(run[cut:])
+            if trigger:
+                flush()
+                self.process_batch(
+                    [url],
+                    [at],
+                    resolved_at=None if politeness is None else [start],
+                    failure_decisions=(
+                        None if tracker is None else [(STATUS_OK, None)]
+                    ),
                 )
-                site_idx = np.where(
-                    ids_arr >= 0, site_index_table[np.maximum(ids_arr, 0)], -1
-                )
-                slots = slot_times[slot_index : slot_index + m]
-                starts = politeness.earliest_allowed_many_indexed(
-                    site_idx, site_names, slots
-                )
-                snapshot_times = np.minimum(starts, horizon)
-                ok = ids_arr >= 0
-                known_pos = np.nonzero(ok)[0]
-                if known_pos.size:
-                    known_ids = ids_arr[known_pos]
-                    known_snaps = snapshot_times[known_pos]
-                    ok[known_pos] = (created[known_ids] <= known_snaps) & (
-                        known_snaps < deleted[known_ids]
-                    )
-                completed = np.minimum(starts + latency, horizon)
-                # Predicted reschedules under the frozen intervals; failed
-                # fetches reschedule nothing and never trigger anything.
-                ok_list = ok.tolist()
-                completed_list = completed.tolist()
-                next_visit = np.full(m, np.inf)
-                for j, ok_j in enumerate(ok_list):
-                    if ok_j:
-                        interval = intervals_get(urls[j])
-                        if interval is None or interval <= 0:
-                            interval = default_interval
-                        next_visit[j] = completed_list[j] + interval
-                trigger = ok & (
-                    (completed - self._last_reallocation) >= realloc_interval
-                )
-                # An entry is still the next pop only if no reschedule
-                # produced before it (in this round) lands earlier; ties go
-                # to the older sequence number, hence the strict >.
-                bound = np.empty(m)
-                bound[0] = earliest_reschedule
-                if m > 1:
-                    np.minimum.accumulate(
-                        np.minimum(next_visit[:-1], earliest_reschedule),
-                        out=bound[1:],
-                    )
-                scheduled = np.fromiter(
-                    (entry[0] for entry in chunk), dtype=float, count=m
-                )
-                overtake = scheduled > bound
-                cut_overtake = int(np.argmax(overtake)) if overtake.any() else m
-                cut_realloc = int(np.argmax(trigger)) if trigger.any() else m
-                cut = cut_overtake if cut_overtake < cut_realloc else cut_realloc
-                if cut > 0:
-                    politeness.record_requests_indexed(site_idx[:cut], starts[:cut])
-                    reschedule_urls = [
-                        url for url, ok_j in zip(urls[:cut], ok_list[:cut]) if ok_j
-                    ]
-                    reschedule_times = [
-                        t
-                        for t, ok_j in zip(next_visit[:cut].tolist(), ok_list[:cut])
-                        if ok_j
-                    ]
-                    self._collurls.schedule_many(reschedule_urls, reschedule_times)
-                    pending_urls.extend(urls[:cut])
-                    pending_times.extend(slots[:cut])
-                    pending_starts.extend(starts[:cut].tolist())
-                    processed += cut
-                    slot_index += cut
-                    if reschedule_times:
-                        chunk_min = min(reschedule_times)
-                        if chunk_min < earliest_reschedule:
-                            earliest_reschedule = chunk_min
-                if cut < m:
-                    if cut_overtake <= cut_realloc:
-                        # Overtaken: the queue head changed; end the round
-                        # and re-pop. An entry both overtaken and past the
-                        # reallocation threshold is not actually the next
-                        # pop, so overtake wins the tie.
-                        self._collurls.restore(chunk[cut:])
-                        break
-                    # Reallocation boundary at entry `cut`: everything
-                    # observed so far must fold into the estimates first,
-                    # the rest of the chunk must be back in the queue when
-                    # the reallocation snapshots it, and the triggering
-                    # entry runs as a single-entry batch so its reschedule
-                    # uses the post-reallocation intervals.
-                    politeness.record_requests_indexed(
-                        site_idx[cut : cut + 1], starts[cut : cut + 1]
-                    )
-                    self._collurls.restore(chunk[cut + 1 :])
-                    flush()
-                    self.process_batch(
-                        [urls[cut]], [slots[cut]], resolved_at=[float(starts[cut])]
-                    )
-                    processed += 1
-                    slot_index += 1
-                    break
-                remaining = n_slots - slot_index
-                if remaining <= 0:
-                    break
-                chunk = self._collurls.pop_due(
-                    until=earliest_reschedule, max_n=remaining
-                )
+                processed += 1
+            consumed = slot_index - base
+            speculate = 2 * consumed if consumed == len(run) else consumed + 1
         flush()
         return processed
 
@@ -886,14 +494,12 @@ class UpdateModule:
                 (already recorded against the policy state), forwarded to
                 the fetch layer.
             failure_decisions: Per-URL frozen ``(status, due)`` decisions
-                from :meth:`_process_slots_faulty`: the predicted integer
-                status code and the time the URL was rescheduled at
-                (``None`` when it was not — the page is gone or its
-                retries are exhausted). When given, the failure tracker
-                has already been mutated (once per fetch, in fetch order)
-                and is not consulted again here; when ``None`` with a
-                tracker configured, the tracker is consulted inline per
-                entry.
+                from :meth:`process_slots`, which has already mutated the
+                failure tracker once per fetch, in fetch order: the
+                predicted integer status code and the time the URL was
+                rescheduled at (``None`` when it was not — the page is
+                gone or its retries are exhausted). ``None`` means no
+                tracker is in play and every failed fetch is terminal.
 
         Returns:
             The :class:`BatchCrawlOutcome` from the CrawlModule.
@@ -925,41 +531,14 @@ class UpdateModule:
 
         histories = self._histories
         window_days = self._config.history_window_days
-        tracker = self.failure_tracker
-        if tracker is not None and failure_decisions is None:
-            faults = self._crawl_module.fetcher.faults
-            if faults is None or not (
-                faults.has_status_models or faults.has_latency_models
-            ):
-                # No active fault weather: transient statuses cannot arise
-                # and the tracker holds no per-site state, so the per-page
-                # on_success/on_failure consults are guaranteed no-ops.
-                tracker = None
-        statuses = outcome.statuses
-        retry_after = outcome.retry_after
         for i, (url, stored_i, changed_i, was_new_i, completed_i) in enumerate(
             zip(outcome.urls, stored, changed, was_new, completed)
         ):
             if not stored_i:
-                transient = statuses is not None and statuses[i] in TRANSIENT_CODES
-                if failure_decisions is not None:
-                    retry = failure_decisions[i][1] is not None
-                elif tracker is not None and transient:
-                    # Inline tracker consult (direct process_batch callers):
-                    # same decision the failure-aware engine would freeze.
-                    retry_at = tracker.on_failure(
-                        url,
-                        self._crawl_module.site_of(url),
-                        statuses[i],
-                        completed_i,
-                        0.0 if retry_after is None else retry_after[i],
-                    )
-                    retry = retry_at is not None
-                    if retry and reschedule:
-                        self._collurls.schedule(url, retry_at)
-                else:
-                    retry = False
-                if retry:
+                if (
+                    failure_decisions is not None
+                    and failure_decisions[i][1] is not None
+                ):
                     # Transient failure with a retry scheduled: no
                     # observation was made, so the page's statistics and
                     # queue entry survive untouched. Terminal transient
@@ -976,8 +555,6 @@ class UpdateModule:
                 self._forget(url)
                 self._crawl_module.discard(url)
                 continue
-            if tracker is not None and failure_decisions is None:
-                tracker.on_success(url, self._crawl_module.site_of(url))
             if first_completed is None:
                 first_completed = completed_i
             if reschedule:

@@ -385,7 +385,7 @@ class FaultLayer:
         self.models: List[FaultModel] = list(models)
         # Null models (zero rate, unit latency factor) can never claim a
         # fetch: dropping them here lets every consumer skip the hashing
-        # and the failure-aware engine entirely, so arming a zero-rate
+        # and the replay's failure handling entirely, so arming a zero-rate
         # layer costs nothing and changes nothing.
         active = [m for m in self.models if not m.is_null]
         self._status_models = [m for m in active if not m.is_latency]

@@ -191,13 +191,14 @@ class SimulatedFetcher:
     @property
     def politeness(self) -> Optional[PolitenessPolicy]:
         """The politeness policy, if one is configured (read-only access
-        for the batched crawl engine, which resolves delays in bulk)."""
+        for the batched crawl engine, which resolves the delays itself and
+        passes ``resolved_at`` to :meth:`fetch_many`)."""
         return self._politeness
 
     @property
     def faults(self) -> Optional[FaultLayer]:
         """The fault layer, if one is configured (read-only access for the
-        failure-aware crawl engine, which predicts statuses per popped run)."""
+        batched crawl engine, which predicts statuses per popped run)."""
         return self._faults
 
     def site_of(self, url: str) -> Optional[str]:

@@ -89,15 +89,18 @@ class TestIncrementalEngineParity:
 
 
 POLITE_MODES = {
-    # (min_delay_seconds, night_window)
-    "delay": (1800.0, False),
-    "night": (0.0, True),
-    "both": (1800.0, True),
+    # (min_delay_seconds, night_window, reallocation_interval_days)
+    "delay": (1800.0, False, 1.0),
+    "night": (0.0, True, 1.0),
+    "both": (1800.0, True, 1.0),
+    # Reallocations every ~40 slots: triggers fall in the middle of popped
+    # runs, so the replay must commit, restore the tail and flush first.
+    "realloc": (1800.0, True, 0.13),
 }
 
 
 def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str):
-    delay, night = POLITE_MODES[mode]
+    delay, night, realloc = POLITE_MODES[mode]
     web = generate_web(WEB_CONFIG)
     crawler = IncrementalCrawler(
         web,
@@ -108,7 +111,7 @@ def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str)
             estimator=estimator,
             engine=engine,
             ranking_interval_days=5.0,
-            reallocation_interval_days=1.0,
+            reallocation_interval_days=realloc,
             measurement_interval_days=0.5,
             track_quality=False,
             use_politeness=True,
@@ -121,15 +124,16 @@ def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str)
 
 
 class TestPolitenessEngineParity:
-    """Tentpole: politeness on the batched engine, bit-identical.
+    """Politeness on the batched engine, bit-identical.
 
-    The batched engine resolves per-site politeness chains in bulk
-    (site-grouped segmented scans); every mode — minimum delay only,
-    night window only, both — must reproduce the reference engine's
-    counters, freshness series and every fetch timestamp exactly.
+    The batched replay resolves each popped entry's start instant with the
+    scalar per-site recurrence before it predicts the entry's outcome;
+    every mode — minimum delay only, night window only, both, and both
+    under frequent reallocations — must reproduce the reference engine's
+    counters, freshness series, every fetch timestamp and the queue.
     """
 
-    @pytest.mark.parametrize("mode", ["delay", "night", "both"])
+    @pytest.mark.parametrize("mode", sorted(POLITE_MODES))
     @pytest.mark.parametrize("policy", ["uniform", "proportional", "optimal"])
     @pytest.mark.parametrize("estimator", ["ep", "eb"])
     def test_polite_runs_identical(self, mode, policy, estimator):
@@ -156,6 +160,7 @@ class TestPolitenessEngineParity:
             assert record.checksum == other.checksum
             assert record.visit_count == other.visit_count
             assert record.change_count == other.change_count
+        assert crawler_b.collurls.snapshot() == crawler_r.collurls.snapshot()
 
     def test_polite_rate_estimates_identical(self):
         _, crawler_b = _run_incremental_polite("batched", "optimal", "ep", "both")
@@ -166,21 +171,28 @@ class TestPolitenessEngineParity:
         )
 
     def test_polite_crawl_uses_batched_path(self, monkeypatch):
-        """Politeness no longer forces the reference engine: the batched
-        engine's polite slot processor must actually run."""
+        """Politeness stays on the batched engine: no per-URL fetch or
+        queue step, and the replay hands every batch its start instants."""
         from repro.core.update_module import UpdateModule
+        from repro.fetch.fetcher import SimulatedFetcher
 
-        calls = {"polite": 0}
-        original = UpdateModule._process_slots_polite
+        def scalar(*args, **kwargs):
+            raise AssertionError("per-URL path on the batched engine")
 
-        def spy(self, slot_times, politeness):
-            calls["polite"] += 1
-            return original(self, slot_times, politeness)
+        batches = []
+        process_batch = UpdateModule.process_batch
 
-        monkeypatch.setattr(UpdateModule, "_process_slots_polite", spy)
+        def spy(self, urls, times, **kwargs):
+            assert len(kwargs["resolved_at"]) == len(urls)
+            batches.append(len(urls))
+            return process_batch(self, urls, times, **kwargs)
+
+        monkeypatch.setattr(SimulatedFetcher, "fetch", scalar)
+        monkeypatch.setattr(UpdateModule, "process_next", scalar)
+        monkeypatch.setattr(UpdateModule, "process_batch", spy)
         result, _ = _run_incremental_polite("batched", "optimal", "ep", "both")
         assert result.pages_crawled > 0
-        assert calls["polite"] > 0
+        assert sum(batches) == result.pages_crawled + result.pages_failed
 
 
 class TestPeriodicEngineParity:

@@ -501,7 +501,9 @@ class TestFaultSpecs:
 # --------------------------------------------------------------------------- #
 
 
-def _run_faulty(engine, fault_models, retry=None, fault_seed=5, **overrides):
+def _run_faulty(
+    engine, fault_models, retry=None, fault_seed=5, tracker=True, **overrides
+):
     web = generate_web(WEB_CONFIG)
     crawler = IncrementalCrawler(
         web,
@@ -517,13 +519,18 @@ def _run_faulty(engine, fault_models, retry=None, fault_seed=5, **overrides):
             **overrides,
         ),
     )
+    if not tracker:
+        # Faults without failure handling (an UpdateModule wired by hand):
+        # every transient failure is terminal, on both engines.
+        crawler.update_module.failure_tracker = None
     result = crawler.run(12.0)
     return result, crawler
 
 
-#: Configurations that put each kind of run cut of the batched faulty replay
-#: inside a tick window (250 slots here).
+#: Configurations that put each kind of run cut of the batched replay inside
+#: a tick window (250 slots here).
 CUT_CASES = {
+    "no_tracker": {"tracker": False},
     "retry_in_window": {
         "retry": RetryPolicy(max_attempts=4, base_delay_days=0.01, breaker_threshold=4)
     },
@@ -552,7 +559,11 @@ def _assert_engines_agree(batched, crawler_b, reference, crawler_r):
     assert batched.freshness.freshness == reference.freshness.freshness
     counters = crawler_b.failure_counters()
     assert counters == crawler_r.failure_counters()
-    assert counters["retries"] > 0  # the weather actually blew
+    # The weather actually blew.
+    if crawler_b.update_module.failure_tracker is None:
+        assert batched.pages_failed > 0 and not any(counters.values())
+    else:
+        assert counters["retries"] > 0
     fetched_b = {r.url: r.fetched_at for r in crawler_b.collection.current_records()}
     fetched_r = {r.url: r.fetched_at for r in crawler_r.collection.current_records()}
     assert fetched_b == fetched_r
@@ -573,9 +584,10 @@ class TestEngineParityUnderFaults:
         """Every way a popped run is cut short leaves no trace.
 
         Retries and breaker probes that land inside the tick window,
-        reallocation triggers in the middle of a run, and politeness on top
-        of faults: the batched replay must reproduce the reference engine
-        down to every fetch timestamp and queue sequence number.
+        reallocation triggers in the middle of a run, politeness on top of
+        faults, and faults with no failure tracker at all: the batched
+        replay must reproduce the reference engine down to every fetch
+        timestamp and queue sequence number.
         """
         tails = []
         restore = CollUrls.restore
@@ -649,14 +661,16 @@ class TestEngineParityUnderFaults:
 
     def test_zero_rate_faults_are_bit_identical_to_no_faults(self):
         zero = tuple((kind, {**params, "rate": 0.0}) for kind, params in FAULT_MODELS)
-        plain, _ = _run_faulty("batched", None)
-        armed, crawler = _run_faulty("batched", zero)
-        assert armed.pages_crawled == plain.pages_crawled
-        assert armed.pages_failed == plain.pages_failed
-        assert armed.changes_detected == plain.changes_detected
-        assert armed.freshness.times == plain.freshness.times
-        assert armed.freshness.freshness == plain.freshness.freshness
-        assert all(v == 0 for v in crawler.failure_counters().values())
+        polite = {k: v for k, v in CUT_CASES["polite"].items() if k != "retry"}
+        for config in ({}, polite):
+            plain, _ = _run_faulty("batched", None, **config)
+            armed, crawler = _run_faulty("batched", zero, **config)
+            assert armed.pages_crawled == plain.pages_crawled
+            assert armed.pages_failed == plain.pages_failed
+            assert armed.changes_detected == plain.changes_detected
+            assert armed.freshness.times == plain.freshness.times
+            assert armed.freshness.freshness == plain.freshness.freshness
+            assert all(v == 0 for v in crawler.failure_counters().values())
 
     def test_single_shard_sharded_matches_plain_under_faults(self):
         retry = RetryPolicy(max_attempts=3)
