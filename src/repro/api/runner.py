@@ -192,41 +192,26 @@ def run(
         if backend is not None and resume:
             saved = backend.load_state(RESULT_STATE_KEY)
             if saved is not None:
-                return _result_from_state(spec, saved, time.perf_counter() - started)
+                if saved.get("spec_hash") != spec.spec_hash():
+                    raise ValueError(
+                        "the store holds a result for a different spec "
+                        f"(stored {str(saved.get('spec_hash'))[:12]}..., expected "
+                        f"{spec.spec_hash()[:12]}...)"
+                    )
+                return _result_from_document(saved, time.perf_counter() - started)
         if spec.kind == "crawl":
-            series, summary, tables, artifacts = _run_crawl(
+            payload = _run_crawl(
                 spec, web, backend=backend, resume=resume, store=store
             )
         elif spec.kind == "monitor":
-            series, summary, tables, artifacts = _run_monitor(spec, web)
+            payload = _run_monitor(spec, web)
         elif spec.kind == "scenario":
-            series, summary, tables, artifacts = _run_scenario(spec)
+            payload = _run_scenario(spec)
         else:  # pragma: no cover - ExperimentSpec already validates the kind
             raise ValueError(f"unknown experiment kind {spec.kind!r}")
-        result = ExperimentResult(
-            name=spec.name,
-            kind=spec.kind,
-            spec_hash=spec.spec_hash(),
-            seed=spec.effective_seed(),
-            wall_time_seconds=time.perf_counter() - started,
-            series=series,
-            summary=summary,
-            tables=tables,
-            artifacts=artifacts,
-        )
+        result = _result_for_spec(spec, payload, time.perf_counter() - started)
         if backend is not None:
-            backend.save_state(
-                RESULT_STATE_KEY,
-                {
-                    "name": result.name,
-                    "kind": result.kind,
-                    "spec_hash": result.spec_hash,
-                    "seed": result.seed,
-                    "series": result.series,
-                    "summary": result.summary,
-                    "tables": result.tables,
-                },
-            )
+            backend.save_state(RESULT_STATE_KEY, _result_document(result))
             backend.flush()
         return result
     finally:
@@ -254,27 +239,52 @@ def _open_backend(
     return STORAGE_BACKENDS.create(storage, path=store)
 
 
-def _result_from_state(
-    spec: ExperimentSpec, saved: Dict[str, Any], elapsed: float
+def _result_for_spec(
+    spec: ExperimentSpec, payload: _RunPayload, wall_time_seconds: float
 ) -> ExperimentResult:
-    """Rebuild a completed run's result from its persisted state doc."""
-    stored_hash = saved.get("spec_hash")
-    if stored_hash != spec.spec_hash():
-        raise ValueError(
-            "the store holds a result for a different spec "
-            f"(stored {str(stored_hash)[:12]}..., expected "
-            f"{spec.spec_hash()[:12]}...)"
-        )
+    """The result of running ``spec``: its provenance around a run payload."""
+    series, summary, tables, artifacts = payload
     return ExperimentResult(
-        name=saved["name"],
-        kind=saved["kind"],
-        spec_hash=stored_hash,
-        seed=saved.get("seed"),
-        wall_time_seconds=elapsed,
-        series=dict(saved.get("series", {})),
-        summary=dict(saved.get("summary", {})),
-        tables=dict(saved.get("tables", {})),
-        artifacts={},
+        name=spec.name,
+        kind=spec.kind,
+        spec_hash=spec.spec_hash(),
+        seed=spec.effective_seed(),
+        wall_time_seconds=wall_time_seconds,
+        series=series,
+        summary=summary,
+        tables=tables,
+        artifacts=artifacts,
+    )
+
+
+def _result_document(result: ExperimentResult) -> Dict[str, Any]:
+    """What of a result outlives its process: the document stored under
+    ``RESULT_STATE_KEY`` and shipped back from matrix pool workers. Wall
+    time (a property of one execution) and artifacts stay behind."""
+    return {
+        "name": result.name,
+        "kind": result.kind,
+        "spec_hash": result.spec_hash,
+        "seed": result.seed,
+        "series": result.series,
+        "summary": result.summary,
+        "tables": result.tables,
+    }
+
+
+def _result_from_document(
+    document: Mapping[str, Any], wall_time_seconds: float
+) -> ExperimentResult:
+    """Inverse of :func:`_result_document`; ``artifacts`` come back empty."""
+    return ExperimentResult(
+        name=document["name"],
+        kind=document["kind"],
+        spec_hash=document["spec_hash"],
+        seed=document.get("seed"),
+        wall_time_seconds=wall_time_seconds,
+        series=dict(document.get("series", {})),
+        summary=dict(document.get("summary", {})),
+        tables=dict(document.get("tables", {})),
     )
 
 
@@ -347,6 +357,21 @@ def _run_sharded_crawl(
         start_time=crawler_spec.start_time,
         resume=resume,
     )
+    summary = _crawl_summary(
+        crawler_spec.kind,
+        outcome,
+        len(outcome.records),
+        None if outcome.failures is None else dict(outcome.failures),
+        shards=outcome.shards,
+        workers=outcome.workers,
+    )
+    tables = {"per_shard": outcome.per_shard}
+    artifacts = {"web": web, "crawler": crawler, "outcome": outcome}
+    return _crawl_series(outcome), summary, tables, artifacts
+
+
+def _crawl_series(outcome: Any) -> Dict[str, List[float]]:
+    """The metric time series every crawl result carries."""
     times, freshness = outcome.freshness.as_series()
     series = {
         "times": [float(t) for t in times],
@@ -355,24 +380,36 @@ def _run_sharded_crawl(
     if outcome.quality:
         series["quality_times"] = [float(t) for t in outcome.quality_times]
         series["quality"] = [float(q) for q in outcome.quality]
+    return series
+
+
+def _crawl_summary(
+    mode: str,
+    outcome: Any,
+    collection_size: int,
+    failures: Optional[Dict[str, int]] = None,
+    **engine_extras: Any,
+) -> Dict[str, Any]:
+    """The summary scalars every crawl result carries (``mode`` is the
+    crawler kind; ``failures`` the tracker's counters when one ran)."""
     summary: Dict[str, Any] = {
-        "mode": crawler_spec.kind,
+        "mode": mode,
         "pages_crawled": outcome.pages_crawled,
-        "collection_size": len(outcome.records),
+        "collection_size": collection_size,
         "mean_freshness": outcome.mean_freshness(),
         "final_quality": outcome.final_quality(),
         "duration_days": outcome.duration_days,
-        "pages_failed": outcome.pages_failed,
-        "changes_detected": outcome.changes_detected,
-        "pages_replaced": outcome.pages_replaced,
-        "shards": outcome.shards,
-        "workers": outcome.workers,
     }
-    if outcome.failures is not None:
-        summary["failures"] = dict(outcome.failures)
-    tables = {"per_shard": outcome.per_shard}
-    artifacts = {"web": web, "crawler": crawler, "outcome": outcome}
-    return series, summary, tables, artifacts
+    if mode == "incremental":
+        summary["pages_failed"] = outcome.pages_failed
+        summary["changes_detected"] = outcome.changes_detected
+        summary["pages_replaced"] = outcome.pages_replaced
+    else:
+        summary["cycles_completed"] = outcome.cycles_completed
+    summary.update(engine_extras)
+    if failures is not None:
+        summary["failures"] = failures
+    return summary
 
 
 def _run_crawl(
@@ -438,33 +475,14 @@ def _run_crawl(
             crawler_spec.duration_days, start_time=crawler_spec.start_time
         )
 
-    times, freshness = outcome.freshness.as_series()
-    series = {
-        "times": [float(t) for t in times],
-        "freshness": [float(f) for f in freshness],
-    }
-    if outcome.quality:
-        series["quality_times"] = [float(t) for t in outcome.quality_times]
-        series["quality"] = [float(q) for q in outcome.quality]
-    summary: Dict[str, Any] = {
-        "mode": crawler_spec.kind,
-        "pages_crawled": outcome.pages_crawled,
-        "collection_size": len(crawler.collection.current_records()),
-        "mean_freshness": outcome.mean_freshness(),
-        "final_quality": outcome.final_quality(),
-        "duration_days": outcome.duration_days,
-    }
-    if crawler_spec.kind == "incremental":
-        summary["pages_failed"] = outcome.pages_failed
-        summary["changes_detected"] = outcome.changes_detected
-        summary["pages_replaced"] = outcome.pages_replaced
-        failures = crawler.failure_counters()
-        if failures is not None:
-            summary["failures"] = failures
-    else:
-        summary["cycles_completed"] = outcome.cycles_completed
+    summary = _crawl_summary(
+        crawler_spec.kind,
+        outcome,
+        len(crawler.collection.current_records()),
+        crawler.failure_counters() if crawler_spec.kind == "incremental" else None,
+    )
     artifacts = {"web": web, "crawler": crawler, "outcome": outcome}
-    return series, summary, {}, artifacts
+    return _crawl_series(outcome), summary, {}, artifacts
 
 
 def _run_monitor(spec: ExperimentSpec, web: Optional[SimulatedWeb]) -> _RunPayload:
@@ -722,19 +740,8 @@ def run_matrix(
                 f"{len(values)} values"
             )
         for (index, assignment, spec), cell_payload in zip(remaining, per_cell):
-            series, summary, tables, artifacts = _split_payload(
-                spec.scenario, cell_payload
-            )
-            results[index] = ExperimentResult(
-                name=spec.name,
-                kind=spec.kind,
-                spec_hash=spec.spec_hash(),
-                seed=spec.effective_seed(),
-                wall_time_seconds=0.0,
-                series=series,
-                summary=summary,
-                tables=tables,
-                artifacts=artifacts,
+            results[index] = _result_for_spec(
+                spec, _split_payload(spec.scenario, cell_payload), 0.0
             )
         remaining = []
         flush()
@@ -795,20 +802,8 @@ def _matrix_pool_worker(tasks: Any, results_queue: Any) -> None:
                     webs[cache_key] = web
             result = run(spec, web=web)
             results_queue.put(
-                (
-                    "result",
-                    index,
-                    {
-                        "name": result.name,
-                        "kind": result.kind,
-                        "spec_hash": result.spec_hash,
-                        "seed": result.seed,
-                        "wall_time_seconds": result.wall_time_seconds,
-                        "series": result.series,
-                        "summary": result.summary,
-                        "tables": result.tables,
-                    },
-                )
+                ("result", index,
+                 (_result_document(result), result.wall_time_seconds))
             )
         except BaseException:
             import traceback
@@ -882,17 +877,8 @@ def _run_cells_parallel(
             if kind == "error":
                 raise RuntimeError(f"matrix cell {index} failed:\n{payload}")
             received += 1
-            results[index] = ExperimentResult(
-                name=payload["name"],
-                kind=payload["kind"],
-                spec_hash=payload["spec_hash"],
-                seed=payload["seed"],
-                wall_time_seconds=payload["wall_time_seconds"],
-                series=payload["series"],
-                summary=payload["summary"],
-                tables=payload["tables"],
-                artifacts={},
-            )
+            document, wall_time_seconds = payload
+            results[index] = _result_from_document(document, wall_time_seconds)
             flush()
         for process in processes:
             process.join()

@@ -173,20 +173,3 @@ def page_link_graph(
         for page in pages
     }
 
-
-def page_link_graph_sparse(pages: Sequence[SimulatedPage]) -> "LinkGraph":
-    """:func:`page_link_graph` interned straight into a sparse LinkGraph.
-
-    Skips the intermediate dict-of-tuples, which matters when the page set
-    is large (ground-truth ranking over the full synthetic web, the ranking
-    benchmark kernels).
-    """
-    from repro.ranking.sparse import LinkGraph
-
-    urls = {page.url for page in pages}
-    graph = LinkGraph()
-    for page in pages:
-        graph.set_outlinks(
-            page.url, (link for link in page.outlinks if link in urls)
-        )
-    return graph

@@ -1,5 +1,6 @@
 """Tests for the declarative experiment API (repro.api)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from repro.api import (
     run,
     run_matrix,
 )
+from repro.api.runner import _result_document, _result_from_document
 
 TINY_WEB = WebSpec(site_scale=0.03, pages_per_site=8, horizon_days=30.0, seed=3)
 TINY_CRAWL = ExperimentSpec(
@@ -162,6 +164,22 @@ class TestRunner:
         assert payload["provenance"]["seed"] == TINY_WEB.seed
         assert "artifacts" not in payload
         assert {"web", "crawler", "outcome"} <= set(result.artifacts)
+
+    def test_result_document_round_trip(self):
+        # The one document stored under RESULT_STATE_KEY and shipped back
+        # from matrix pool workers: rebuilding from it loses nothing but
+        # the artifacts, and it survives the store's JSON encoding.
+        result = run(TINY_CRAWL)
+        document = _result_document(result)
+        assert list(document) == [
+            "name", "kind", "spec_hash", "seed", "series", "summary", "tables",
+        ]
+        for source in (document, json.loads(json.dumps(document))):
+            rebuilt = _result_from_document(source, result.wall_time_seconds)
+            assert rebuilt.artifacts == {}
+            for field in dataclasses.fields(result):
+                if field.name != "artifacts":
+                    assert getattr(rebuilt, field.name) == getattr(result, field.name)
 
     def test_run_level_seed_overrides_web_seed(self):
         seeded = run(TINY_CRAWL.replace(seed=41))
