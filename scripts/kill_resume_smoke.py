@@ -23,10 +23,12 @@ checkpoints, and merge to the uninterrupted run's exact result.
 Two failure-injection phases then harden the story further:
 
 * **corrupted checkpoint** — a run is killed after its *second*
-  checkpoint, the latest checkpoint's stored bytes are flipped, and the
-  resume must detect the damage via the integrity checksum, fall back to
-  the demoted previous snapshot, and still reproduce the uninterrupted
-  result exactly;
+  checkpoint and the latest checkpoint's stored text is damaged two ways,
+  each on its own copy of the killed store: one character *flipped*
+  mid-value, and the value *torn* to half its length (a write that never
+  finished). The integrity checksum is the sha256 of the stored bytes, so
+  either way the resume must detect the damage, fall back to the demoted
+  previous snapshot, and still reproduce the uninterrupted result exactly;
 * **worker SIGKILL** — a sharded run loses one of its *worker
   processes* (not the coordinator) to SIGKILL mid-crawl; the coordinator
   must detect the silent death, re-run the shard from its store, and
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import sqlite3
 import subprocess
@@ -333,32 +336,49 @@ def sharded_phase(tmp: str) -> None:
     )
 
 
-def corrupt_state_value(store: str, key: str) -> None:
-    """Flip one byte in the middle of a stored state document."""
+def flipped(value: str) -> str:
+    """``value`` with one character in its middle changed."""
+    mid = len(value) // 2
+    return value[:mid] + ("0" if value[mid] != "0" else "1") + value[mid + 1:]
+
+
+def torn(value: str) -> str:
+    """``value`` cut to half its length: a write that never finished."""
+    return value[: len(value) // 2]
+
+
+def damage_state_value(store: str, key: str, damage) -> None:
+    """Rewrite a stored state document as ``damage(its text)``."""
     conn = sqlite3.connect(store)
     try:
         row = conn.execute(
             "SELECT value FROM state WHERE key = ?", (key,)
         ).fetchone()
-        assert row is not None, f"no state row {key!r} to corrupt"
-        value = row[0]
-        mid = len(value) // 2
-        flipped = value[:mid] + ("0" if value[mid] != "0" else "1") + value[mid + 1:]
-        assert flipped != value
-        conn.execute("UPDATE state SET value = ? WHERE key = ?", (flipped, key))
+        assert row is not None, f"no state row {key!r} to damage"
+        damaged = damage(row[0])
+        assert damaged != row[0]
+        conn.execute("UPDATE state SET value = ? WHERE key = ?", (damaged, key))
         conn.commit()
     finally:
         conn.close()
+
+
+def copy_store(store: str, copy: str) -> None:
+    """Copy a killed run's database with its WAL sidecars (no writer is alive)."""
+    for suffix in ("", "-wal", "-shm"):
+        if os.path.exists(store + suffix):
+            shutil.copyfile(store + suffix, copy + suffix)
 
 
 def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
     """Corrupt the latest checkpoint; the resume must use the previous one.
 
     The run is killed only after ``checkpoint_prev`` exists (the second
-    save demotes the first), then the *current* checkpoint's stored bytes
-    are flipped. The integrity checksum must catch the damage and the
-    resume fall back to the previous snapshot — bit-identical to having
-    crashed one checkpoint earlier, hence to the uninterrupted run.
+    save demotes the first), then the *current* checkpoint's stored text
+    is flipped in one copy of the store and torn in another. The integrity
+    checksum must catch either damage and the resume fall back to the
+    previous snapshot — bit-identical to having crashed one checkpoint
+    earlier, hence to the uninterrupted run.
     """
     spec_path = os.path.join(tmp, "spec.json")  # written by main()
     store = os.path.join(tmp, "corrupted.sqlite")
@@ -394,24 +414,28 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
         proc.wait()
         raise SystemExit("FAIL: no second checkpoint observed before the timeout")
 
-    print("[corrupt 2/3] flip a byte inside the latest checkpoint ...")
-    corrupt_state_value(store, "checkpoint")
-
-    print("[corrupt 3/3] resume; must fall back to the previous snapshot ...")
-    run_spec(spec_path, "--store", store, "--resume", "--out", out, "--compact")
-
     a = result_doc(out_reference)
-    b = result_doc(out)
-    for key in ("name", "kind", "summary", "series"):
-        if a[key] != b[key]:
-            raise SystemExit(
-                "FAIL: resume after checkpoint corruption differs from the "
-                f"uninterrupted run in {key!r}"
-            )
-    print(
-        "PASS: corrupted checkpoint detected, previous snapshot resumed "
-        f"bit-identically (mean freshness {b['summary']['mean_freshness']:.4f})"
-    )
+    for damage in (flipped, torn):
+        label = damage.__name__
+        damaged_store = os.path.join(tmp, f"corrupted_{label}.sqlite")
+        copy_store(store, damaged_store)
+        print(f"[corrupt 2/3] latest checkpoint {label} ...")
+        damage_state_value(damaged_store, "checkpoint", damage)
+
+        print("[corrupt 3/3] resume; must fall back to the previous snapshot ...")
+        run_spec(spec_path, "--store", damaged_store, "--resume", "--out", out, "--compact")
+
+        b = result_doc(out)
+        for key in ("name", "kind", "summary", "series"):
+            if a[key] != b[key]:
+                raise SystemExit(
+                    f"FAIL: resume after a {label} checkpoint differs from the "
+                    f"uninterrupted run in {key!r}"
+                )
+        print(
+            f"PASS: {label} checkpoint detected, previous snapshot resumed "
+            f"bit-identically (mean freshness {b['summary']['mean_freshness']:.4f})"
+        )
 
 
 def worker_pids(coordinator_pid: int) -> list:

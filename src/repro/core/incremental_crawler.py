@@ -671,8 +671,8 @@ class IncrementalCrawler:
         fmt = state.get("format")
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(
-                f"unsupported checkpoint format {fmt!r} "
-                f"(this build reads format {CHECKPOINT_FORMAT})"
+                f"checkpoint format {fmt!r} cannot be resumed: this build "
+                f"reads and writes format {CHECKPOINT_FORMAT} only"
             )
         if float(state["start_time"]) != start_time:
             raise ValueError(

@@ -12,7 +12,7 @@ state lived in Python dicts and died with the process. A
   frequency estimators;
 * **named state blobs** — JSON documents holding checkpointed crawler state
   (queue order, estimator running sums, politeness last-request map — see
-  :mod:`repro.storage.checkpoint`).
+  :mod:`repro.storage.checkpoint`), stored as the text that was written.
 
 Backends are selected by name through the ``STORAGE_BACKENDS`` registry
 (``repro.api.registry``), exactly like revisit policies and estimators:
@@ -118,16 +118,22 @@ class StorageBackend(ABC):
     # Named state blobs
     # ------------------------------------------------------------------ #
     @abstractmethod
+    def save_state_text(self, key: str, text: str) -> None:
+        """Persist ``text`` verbatim under ``key`` (overwrites)."""
+
+    @abstractmethod
+    def load_state_text(self, key: str) -> Optional[str]:
+        """The text stored under ``key``, exactly as written, or ``None``."""
+
     def save_state(self, key: str, payload: dict) -> None:
-        """Persist a JSON-serializable state document under ``key``."""
+        """Persist a JSON-serializable document under ``key``; the one place
+        state is encoded, so a bad payload fails loudly here on every backend."""
+        self.save_state_text(key, json.dumps(payload))
 
-    @abstractmethod
     def load_state(self, key: str) -> Optional[dict]:
-        """The state document stored under ``key``, or ``None``."""
-
-    @abstractmethod
-    def delete_state(self, key: str) -> bool:
-        """Drop the state document under ``key``; False when absent."""
+        """A fresh copy (tuples now lists) of the document at ``key``, or ``None``."""
+        text = self.load_state_text(key)
+        return None if text is None else json.loads(text)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -159,7 +165,7 @@ class MemoryBackend(StorageBackend):
         # construction signature through the registry.
         self._records: Dict[str, PageRecord] = {}
         self._events: List[ChangeEvent] = []
-        self._state: Dict[str, dict] = {}
+        self._state: Dict[str, str] = {}
 
     def put_records(self, records: Iterable[PageRecord]) -> None:
         for record in records:
@@ -195,17 +201,11 @@ class MemoryBackend(StorageBackend):
     def truncate_events(self, count: int) -> None:
         del self._events[max(0, count):]
 
-    def save_state(self, key: str, payload: dict) -> None:
-        # Round-trip through JSON so volatile and persistent backends hand
-        # back structurally identical documents (tuples become lists, keys
-        # become strings) and non-serializable payloads fail loudly here.
-        self._state[key] = json.loads(json.dumps(payload))
+    def save_state_text(self, key: str, text: str) -> None:
+        self._state[key] = text
 
-    def load_state(self, key: str) -> Optional[dict]:
+    def load_state_text(self, key: str) -> Optional[str]:
         return self._state.get(key)
-
-    def delete_state(self, key: str) -> bool:
-        return self._state.pop(key, None) is not None
 
 
 @register_storage_backend("sqlite")
@@ -260,11 +260,6 @@ class SqliteBackend(StorageBackend):
             self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(self._SCHEMA)
         self._conn.commit()
-
-    @property
-    def path(self) -> Optional[str]:
-        """The database file path (``None`` for in-memory)."""
-        return self._path
 
     def put_records(self, records: Iterable[PageRecord]) -> None:
         rows = [
@@ -365,26 +360,19 @@ class SqliteBackend(StorageBackend):
         )
         self._conn.commit()
 
-    def save_state(self, key: str, payload: dict) -> None:
+    def save_state_text(self, key: str, text: str) -> None:
         self._conn.execute(
             "INSERT INTO state (key, value) VALUES (?, ?)"
             " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-            (key, json.dumps(payload)),
+            (key, text),
         )
         self._conn.commit()
 
-    def load_state(self, key: str) -> Optional[dict]:
+    def load_state_text(self, key: str) -> Optional[str]:
         row = self._conn.execute(
             "SELECT value FROM state WHERE key = ?", (key,)
         ).fetchone()
-        if row is None:
-            return None
-        return json.loads(row[0])
-
-    def delete_state(self, key: str) -> bool:
-        cursor = self._conn.execute("DELETE FROM state WHERE key = ?", (key,))
-        self._conn.commit()
-        return cursor.rowcount > 0
+        return None if row is None else row[0]
 
     def flush(self) -> None:
         self._conn.commit()
@@ -450,7 +438,7 @@ class ColumnarBackend(StorageBackend):
         self._event_changed = np.zeros(self._event_cap, dtype=bool)
         self._event_stored = np.zeros(self._event_cap, dtype=bool)
         self._event_url: List[str] = []
-        self._state: Dict[str, dict] = {}
+        self._state: Dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     # Growth
@@ -619,11 +607,8 @@ class ColumnarBackend(StorageBackend):
     # ------------------------------------------------------------------ #
     # State
     # ------------------------------------------------------------------ #
-    def save_state(self, key: str, payload: dict) -> None:
-        self._state[key] = json.loads(json.dumps(payload))
+    def save_state_text(self, key: str, text: str) -> None:
+        self._state[key] = text
 
-    def load_state(self, key: str) -> Optional[dict]:
+    def load_state_text(self, key: str) -> Optional[str]:
         return self._state.get(key)
-
-    def delete_state(self, key: str) -> bool:
-        return self._state.pop(key, None) is not None

@@ -13,6 +13,11 @@ Two cooperating pieces sit between the crawler and a
   ``IncrementalCrawler``) as a named state blob, from which a killed run
   resumes bit-identically.
 
+One rule governs a checkpoint's bytes: the document is serialised **once**;
+``integrity`` is the sha256 **of the stored bytes** that follow its
+fixed-width header; the previous slot receives the **last text this process
+wrote or verified**, never a second dump; a load re-hashes before it parses.
+
 On resume, the journal's event counter is restored from the checkpoint and
 the backend's event log truncated to it, dropping whatever the killed run
 appended after the snapshot; records are resynced wholesale from the
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, List, Mapping, Optional, Tuple, TYPE_CHECKING
+import re
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.storage.backends import ChangeEvent, StorageBackend
 from repro.storage.records import PageRecord
@@ -40,10 +46,13 @@ CHECKPOINT_STATE_KEY = "checkpoint"
 CHECKPOINT_PREV_STATE_KEY = "checkpoint_prev"
 #: Backend state key under which a completed run's result is stored.
 RESULT_STATE_KEY = "result"
-#: Version stamp of the checkpoint document layout. Format 2 added the
-#: RankingModule's link-graph and warm-start state (sparse incremental
-#: ranking); format-1 checkpoints predate it and cannot resume here.
-CHECKPOINT_FORMAT = 2
+#: Version stamp of the checkpoint layout. Format 3 made ``integrity`` the sha256
+#: of the stored bytes (2: of a canonical re-dump); older ones are refused by name.
+CHECKPOINT_FORMAT = 3
+# A stored checkpoint is this header followed by the document's own JSON
+# text minus its opening brace; the digest covers "{" + that remainder.
+_HEADER = '{"integrity": "%s", '
+_HEADER_RE = re.compile(r'\{"integrity": "([0-9a-f]{64})", ')
 
 
 def namespaced_state_key(namespace: Optional[str], key: str) -> str:
@@ -63,18 +72,12 @@ def namespaced_state_key(namespace: Optional[str], key: str) -> str:
     return f"{namespace}/{key}"
 
 
-def checkpoint_integrity(state: Mapping) -> str:
-    """Integrity checksum of a checkpoint document.
-
-    The sha256 of the state's canonical JSON (sorted keys, no whitespace),
-    with the ``integrity`` field itself excluded. Doubles survive a JSON
-    round trip exactly, so a checkpoint saved and reloaded through any
-    backend recomputes to the same digest — any difference means the stored
-    bytes were damaged.
-    """
-    payload = {key: value for key, value in state.items() if key != "integrity"}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _digest(text: str, start: int) -> str:
+    """sha256 of ``"{" + text[start:]``, in 1 MB slices: no second whole copy exists."""
+    digest = hashlib.sha256(b"{")
+    for offset in range(start, len(text), 1 << 20):
+        digest.update(text[offset:offset + (1 << 20)].encode("utf-8"))
+    return digest.hexdigest()
 
 
 class CollectionJournal:
@@ -189,9 +192,8 @@ class CrawlCheckpointer:
         self._prev_key = namespaced_state_key(namespace, CHECKPOINT_PREV_STATE_KEY)
         self.saves = 0
         self._last_saved: Optional[float] = None
-        # The last state this checkpointer saved or loaded; demoted to the
-        # previous-good slot on the next save.
-        self._last_state: Optional[dict] = None
+        # Text of the last checkpoint written or verified; the next save demotes it.
+        self._last_text: Optional[str] = None
         #: Optional test/observer hook called with each saved state dict.
         self.on_save: Optional[Callable[[dict], None]] = None
 
@@ -209,65 +211,78 @@ class CrawlCheckpointer:
         The save is read-only with respect to the crawler: the state dict
         was assembled from snapshots, and flushing the backend has no effect
         on in-memory crawl structures — which is why checkpointing cannot
-        perturb the run.
+        perturb the run. One ``json.dumps``; ``state["integrity"]`` becomes
+        the sha256 of the bytes stored after the integrity header.
         """
         if self.spec_hash is not None:
             state["spec_hash"] = self.spec_hash
-        state["integrity"] = checkpoint_integrity(state)
-        if self._last_state is not None:
-            # Demote the last good snapshot before overwriting the current
-            # slot: whatever instant a crash hits, at least one of the two
-            # slots holds a complete, verified checkpoint.
-            self.backend.save_state(self._prev_key, self._last_state)
-        self.backend.save_state(self._state_key, state)
+        state.pop("integrity", None)
+        if self._last_text is not None:
+            # Demote the last good text before overwriting the current slot:
+            # whenever a crash hits, one slot holds a complete checkpoint this
+            # process wrote or verified. Released before the new text is
+            # built, so two whole documents are never resident at once.
+            self.backend.save_state_text(self._prev_key, self._last_text)
+            self._last_text = None
+        body = json.dumps(state)
+        state["integrity"] = _digest(body, 1)
+        text = body.replace("{", _HEADER % state["integrity"], 1)
+        del body
+        self.backend.save_state_text(self._state_key, text)
         self.backend.flush()
-        self._last_state = state
+        self._last_text = text
         self._last_saved = at
         self.saves += 1
         if self.on_save is not None:
             self.on_save(state)
 
-    def _load_verified(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
-        """Load one checkpoint slot and verify its integrity checksum.
+    def _load_verified(self, key: str) -> Tuple[Optional[str], Optional[str]]:
+        """Read one checkpoint slot's text and verify it by re-hashing.
 
-        Returns ``(state, None)`` for a good checkpoint, ``(None, None)``
-        for an empty slot, and ``(None, reason)`` for a corrupt one
-        (unreadable bytes or checksum mismatch). Checkpoints written before
-        the checksum existed carry no ``integrity`` field and are accepted
-        as-is.
+        Returns ``(text, None)`` when good, ``(None, None)`` when empty and
+        ``(None, reason)`` when damaged (unreadable, torn or altered). A
+        headerless text that parses as another format's document is an older
+        build's: unverifiable, so refused by name, not resumed or called corrupt.
         """
         try:
-            state = self.backend.load_state(key)
+            text = self.backend.load_state_text(key)
         except Exception as error:
             return None, f"unreadable checkpoint state: {error}"
-        if state is None:
+        if text is None:
             return None, None
-        expected = state.get("integrity")
-        if expected is not None and checkpoint_integrity(state) != expected:
-            return None, "integrity checksum mismatch"
-        return state, None
+        header = _HEADER_RE.match(text)
+        if header is not None:
+            good = _digest(text, header.end()) == header.group(1)
+            return (text, None) if good else (None, "integrity checksum mismatch")
+        try:
+            stored_format = json.loads(text).get("format", "none")
+        except (ValueError, AttributeError):  # not JSON, or not an object
+            stored_format = CHECKPOINT_FORMAT
+        if stored_format != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"checkpoint was written in format {stored_format} by an older build; "
+                f"this build reads and writes format {CHECKPOINT_FORMAT} only"
+            )
+        return None, "integrity header is damaged"
 
     def load(self) -> Optional[dict]:
         """The most recent *good* checkpoint, or ``None`` when none exists.
 
-        The current slot is verified against its integrity checksum; on
-        corruption the load falls back to the previous good snapshot
-        (resuming from it is bit-identical to having crashed one
-        checkpoint earlier). Only when both slots are corrupt does the
-        load raise.
+        The current slot's text is re-hashed against its header and parsed
+        only once verified; on damage the load falls back to the previous
+        good snapshot (bit-identical to having crashed one checkpoint earlier)
+        and raises only when both are damaged. Older formats are refused.
         """
-        state, error = self._load_verified(self._state_key)
-        if state is None and error is not None:
-            fallback, fallback_error = self._load_verified(self._prev_key)
-            if fallback is None:
-                detail = f"; previous snapshot: {fallback_error}" if fallback_error \
-                    else "; no previous snapshot is available"
-                raise ValueError(
-                    f"checkpoint is corrupt ({error}){detail}"
-                )
-            state = fallback
-        if state is None:
+        text, error = self._load_verified(self._state_key)
+        if error is not None:
+            text, fallback_error = self._load_verified(self._prev_key)
+            if text is None:
+                detail = f"previous snapshot: {fallback_error}" if fallback_error \
+                    else "no previous snapshot is available"
+                raise ValueError(f"checkpoint is corrupt ({error}); {detail}")
+        if text is None:
             return None
+        state = json.loads(text)
         if self.spec_hash is not None:
             stored_hash = state.get("spec_hash")
             if stored_hash is not None and stored_hash != self.spec_hash:
@@ -275,5 +290,5 @@ class CrawlCheckpointer:
                     "checkpoint was written by a different spec "
                     f"(stored {stored_hash[:12]}..., expected {self.spec_hash[:12]}...)"
                 )
-        self._last_state = state
+        self._last_text = text
         return state

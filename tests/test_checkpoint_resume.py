@@ -20,6 +20,7 @@ from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
 from repro.storage.backends import MemoryBackend, SqliteBackend
 from repro.storage.checkpoint import (
+    CHECKPOINT_PREV_STATE_KEY,
     CHECKPOINT_STATE_KEY,
     RESULT_STATE_KEY,
     CollectionJournal,
@@ -132,6 +133,42 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
             resume_state=copy.deepcopy(state),
         )
         assert result_fingerprint(resumed, outcome) == expected
+
+
+def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):
+    """The regression guard for the one-pass save: counts, which repeat exactly."""
+    calls = {"dumps": 0, "writes": []}
+    real_dumps = json.dumps
+
+    def counting_dumps(*args, **kwargs):
+        calls["dumps"] += 1
+        return real_dumps(*args, **kwargs)
+
+    class CountingBackend(MemoryBackend):
+        def save_state_text(self, key, text):
+            calls["writes"].append(key)
+            super().save_state_text(key, text)
+
+    backend = CountingBackend()
+    checkpointer = CrawlCheckpointer(backend, every_days=7.0)
+
+    def after_save(state):
+        # One whole-document dump and one write per slot touched, per save.
+        assert calls["dumps"] == checkpointer.saves
+        assert len(calls["writes"]) == 2 * checkpointer.saves - 1
+
+    checkpointer.on_save = after_save
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    build_crawler(tiny_web).run(DURATION, checkpointer=checkpointer)
+    assert checkpointer.saves >= 3
+    assert calls["writes"][:3] == [
+        CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY, CHECKPOINT_STATE_KEY
+    ]
+
+    dumps_before = calls["dumps"]
+    state = CrawlCheckpointer(backend, every_days=7.0).load()
+    assert calls["dumps"] == dumps_before
+    assert state["crawl"]["pages_fetched"] > 0
 
 
 def test_resume_rejects_mismatched_run_shape(tiny_web):

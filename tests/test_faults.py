@@ -13,6 +13,8 @@ guarantees the engine relies on.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -46,10 +48,10 @@ from repro.faults import (
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 from repro.storage.backends import MemoryBackend
 from repro.storage.checkpoint import (
+    CHECKPOINT_FORMAT,
     CHECKPOINT_PREV_STATE_KEY,
     CHECKPOINT_STATE_KEY,
     CrawlCheckpointer,
-    checkpoint_integrity,
 )
 
 WEB_CONFIG = WebGeneratorConfig(
@@ -718,12 +720,36 @@ def _checkpointer(backend, **kwargs):
     return CrawlCheckpointer(backend, every_days=1.0, **kwargs)
 
 
+#: ``{"integrity": "<64 hex>", `` — the fixed-width header of a stored checkpoint.
+HEADER_LEN = len('{"integrity": "", ') + 64
+
+
+def _stored_digest(text):
+    """The integrity rule, restated: sha256 of the bytes after the header."""
+    return hashlib.sha256(("{" + text[HEADER_LEN:]).encode("utf-8")).hexdigest()
+
+
+def _two_saves(backend, payload=(0.1, "two", 2.5)):
+    """Two checkpoints of realistic shape; returns the first one's stored text."""
+    saver = _checkpointer(backend)
+    saver.save({"format": CHECKPOINT_FORMAT, "tick": 1, "payload": list(payload)}, at=1.0)
+    first = backend.load_state_text(CHECKPOINT_STATE_KEY)
+    saver.save({"format": CHECKPOINT_FORMAT, "tick": 2, "payload": list(payload)}, at=2.0)
+    return first
+
+
 class TestCheckpointIntegrity:
-    def test_checksum_excludes_itself(self):
+    def test_checksum_covers_the_stored_bytes_and_excludes_itself(self):
+        backend = MemoryBackend()
         state = {"a": 1, "b": [1.5, 2.5]}
-        digest = checkpoint_integrity(state)
-        state["integrity"] = digest
-        assert checkpoint_integrity(state) == digest
+        _checkpointer(backend).save(state, at=1.0)
+        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        assert text == '{"integrity": "%s", "a": 1, "b": [1.5, 2.5]}' % state["integrity"]
+        assert _stored_digest(text) == state["integrity"]
+        # Saving a document that already carries a digest hashes the same bytes.
+        again = dict(state, integrity="stale")
+        _checkpointer(MemoryBackend()).save(again, at=1.0)
+        assert again["integrity"] == state["integrity"]
 
     def test_save_stamps_and_load_verifies(self):
         backend = MemoryBackend()
@@ -731,7 +757,65 @@ class TestCheckpointIntegrity:
         saver.save({"tick": 1}, at=1.0)
         state = _checkpointer(backend).load()
         assert state["tick"] == 1
-        assert state["integrity"] == checkpoint_integrity(state)
+        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        assert state["integrity"] == _stored_digest(text)
+        assert backend.load_state(CHECKPOINT_STATE_KEY) == state
+
+    def test_previous_slot_is_the_last_stored_text_byte_for_byte(self):
+        backend = MemoryBackend()
+        first = _two_saves(backend)
+        assert backend.load_state_text(CHECKPOINT_PREV_STATE_KEY) == first
+        # A loaded (verified) text is demoted the same way, not re-dumped.
+        second = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        resumed = _checkpointer(backend)
+        resumed.load()
+        resumed.save({"format": CHECKPOINT_FORMAT, "tick": 3}, at=3.0)
+        assert backend.load_state_text(CHECKPOINT_PREV_STATE_KEY) == second
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_one_changed_character_falls_back(self, data):
+        backend = MemoryBackend()
+        payload = data.draw(
+            st.lists(st.floats(allow_nan=False) | st.text(max_size=8), max_size=6),
+            label="payload",
+        )
+        first = _two_saves(backend, payload)
+        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        position = data.draw(st.integers(0, len(text) - 1), label="position")
+        char = data.draw(
+            st.sampled_from('0a"{}[],: \tx').filter(lambda c: c != text[position]),
+            label="char",
+        )
+        damaged = text[:position] + char + text[position + 1:]
+        backend.save_state_text(CHECKPOINT_STATE_KEY, damaged)
+        assert _checkpointer(backend).load()["tick"] == 1
+        # ... and with the other slot damaged the same way nothing is resumed.
+        backend.save_state_text(
+            CHECKPOINT_PREV_STATE_KEY, first[:position] + char + first[position + 1:]
+        )
+        with pytest.raises(ValueError, match="corrupt"):
+            _checkpointer(backend).load()
+
+    def test_whitespace_change_a_parser_cannot_see_falls_back(self):
+        backend = MemoryBackend()
+        _two_saves(backend)
+        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        spaces = [at for at, char in enumerate(text) if char == " "]
+        assert spaces[0] < HEADER_LEN < spaces[-1]  # header and body both covered
+        for at in spaces:
+            swapped = text[:at] + "\t" + text[at + 1:]
+            assert json.loads(swapped) == json.loads(text)
+            backend.save_state_text(CHECKPOINT_STATE_KEY, swapped)
+            assert _checkpointer(backend).load()["tick"] == 1
+
+    @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99])
+    def test_torn_current_slot_falls_back_to_previous(self, keep):
+        backend = MemoryBackend()
+        _two_saves(backend)
+        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        backend.save_state_text(CHECKPOINT_STATE_KEY, text[: int(len(text) * keep)])
+        assert _checkpointer(backend).load()["tick"] == 1
 
     def test_corrupt_current_slot_falls_back_to_previous(self):
         backend = MemoryBackend()
@@ -767,10 +851,25 @@ class TestCheckpointIntegrity:
         with pytest.raises(ValueError, match="no previous snapshot"):
             _checkpointer(backend).load()
 
-    def test_checksum_less_legacy_checkpoint_is_accepted(self):
+    def test_checksum_less_legacy_checkpoint_is_refused(self):
         backend = MemoryBackend()
         backend.save_state(CHECKPOINT_STATE_KEY, {"tick": 7})
-        assert _checkpointer(backend).load() == {"tick": 7}
+        with pytest.raises(ValueError, match="format none .* format 3") as refusal:
+            _checkpointer(backend).load()
+        assert "corrupt" not in str(refusal.value)
+
+    def test_format_2_checkpoint_is_refused_naming_both_formats(self):
+        # The parent build's layout: ``integrity`` last, the sha256 of a
+        # canonical re-dump. Both slots are equally old, so no fallback.
+        backend = MemoryBackend()
+        for key, tick in ((CHECKPOINT_PREV_STATE_KEY, 6), (CHECKPOINT_STATE_KEY, 7)):
+            state = {"format": 2, "tick": tick}
+            canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+            state["integrity"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            backend.save_state(key, state)
+        with pytest.raises(ValueError, match="format 2 .* format 3") as refusal:
+            _checkpointer(backend).load()
+        assert "corrupt" not in str(refusal.value)
 
     def test_spec_hash_guard_still_applies_after_fallback(self):
         backend = MemoryBackend()

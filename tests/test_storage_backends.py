@@ -152,7 +152,7 @@ def test_event_times_roundtrip_exact(backend):
 # --------------------------------------------------------------------- #
 # State contract
 # --------------------------------------------------------------------- #
-def test_state_save_load_delete(backend):
+def test_state_save_load_overwrite(backend):
     assert backend.load_state("missing") is None
     payload = {
         "floats": [1.0 / 3.0, 0.1 + 0.2, math.inf],
@@ -167,9 +167,6 @@ def test_state_save_load_delete(backend):
     assert math.isinf(loaded["floats"][2])
     backend.save_state("chk", {"count": 1})
     assert backend.load_state("chk") == {"count": 1}
-    assert backend.delete_state("chk") is True
-    assert backend.delete_state("chk") is False
-    assert backend.load_state("chk") is None
 
 
 def test_state_documents_are_detached_copies(backend):
@@ -177,6 +174,26 @@ def test_state_documents_are_detached_copies(backend):
     backend.save_state("k", payload)
     payload["values"].append(3)
     assert backend.load_state("k") == {"values": [1, 2]}
+    # ... and in the other direction: mutating a loaded document must not
+    # reach the store (memory and columnar once handed out the stored dict).
+    backend.load_state("k")["values"].append(4)
+    assert backend.load_state("k") == {"values": [1, 2]}
+
+
+def test_state_is_stored_as_the_text_written(backend):
+    backend.save_state("k", {"b": [1.5, (2, 3)], "a": None})
+    assert backend.load_state_text("k") == '{"b": [1.5, [2, 3]], "a": null}'
+    backend.save_state_text("k", '{"b":\t1}')
+    assert backend.load_state_text("k") == '{"b":\t1}'
+    assert backend.load_state("k") == {"b": 1}
+    assert backend.load_state_text("missing") is None
+
+
+def test_non_serialisable_state_fails_loudly_in_save_state(backend):
+    backend.save_state("k", {"n": 1})
+    with pytest.raises(TypeError):
+        backend.save_state("k", {"n": object()})
+    assert backend.load_state("k") == {"n": 1}
 
 
 # --------------------------------------------------------------------- #
