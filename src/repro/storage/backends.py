@@ -125,6 +125,10 @@ class StorageBackend(ABC):
     def load_state_text(self, key: str) -> Optional[str]:
         """The text stored under ``key``, exactly as written, or ``None``."""
 
+    @abstractmethod
+    def delete_state(self, key: str) -> bool:
+        """Drop the state document under ``key``; False when absent."""
+
     def save_state(self, key: str, payload: dict) -> None:
         """Persist a JSON-serializable document under ``key``; the one place
         state is encoded, so a bad payload fails loudly here on every backend."""
@@ -207,6 +211,9 @@ class MemoryBackend(StorageBackend):
     def load_state_text(self, key: str) -> Optional[str]:
         return self._state.get(key)
 
+    def delete_state(self, key: str) -> bool:
+        return self._state.pop(key, None) is not None
+
 
 @register_storage_backend("sqlite")
 class SqliteBackend(StorageBackend):
@@ -260,6 +267,11 @@ class SqliteBackend(StorageBackend):
             self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(self._SCHEMA)
         self._conn.commit()
+
+    @property
+    def path(self) -> Optional[str]:
+        """The database file path (``None`` for in-memory)."""
+        return self._path
 
     def put_records(self, records: Iterable[PageRecord]) -> None:
         rows = [
@@ -373,6 +385,11 @@ class SqliteBackend(StorageBackend):
             "SELECT value FROM state WHERE key = ?", (key,)
         ).fetchone()
         return None if row is None else row[0]
+
+    def delete_state(self, key: str) -> bool:
+        cursor = self._conn.execute("DELETE FROM state WHERE key = ?", (key,))
+        self._conn.commit()
+        return cursor.rowcount > 0
 
     def flush(self) -> None:
         self._conn.commit()
@@ -612,3 +629,6 @@ class ColumnarBackend(StorageBackend):
 
     def load_state_text(self, key: str) -> Optional[str]:
         return self._state.get(key)
+
+    def delete_state(self, key: str) -> bool:
+        return self._state.pop(key, None) is not None

@@ -46,13 +46,18 @@ CHECKPOINT_STATE_KEY = "checkpoint"
 CHECKPOINT_PREV_STATE_KEY = "checkpoint_prev"
 #: Backend state key under which a completed run's result is stored.
 RESULT_STATE_KEY = "result"
-#: Version stamp of the checkpoint layout. Format 3 made ``integrity`` the sha256
-#: of the stored bytes (2: of a canonical re-dump); older ones are refused by name.
+#: Version stamp of the checkpoint document layout. Format 2 added the
+#: RankingModule's link-graph and warm-start state (sparse incremental
+#: ranking); format-1 checkpoints predate it and cannot resume here.
+#: Format 3 changed no key but redefined ``integrity`` as the sha256 of the
+#: stored bytes (format 2: of a canonical re-dump of the parsed document),
+#: so an older store cannot be verified and :meth:`CrawlCheckpointer.load`
+#: refuses it by name.
 CHECKPOINT_FORMAT = 3
 # A stored checkpoint is this header followed by the document's own JSON
 # text minus its opening brace; the digest covers "{" + that remainder.
 _HEADER = '{"integrity": "%s", '
-_HEADER_RE = re.compile(r'\{"integrity": "([0-9a-f]{64})", ')
+_HEADER_RE = re.compile(re.escape(_HEADER) % "([0-9a-f]{64})")
 
 
 def namespaced_state_key(namespace: Optional[str], key: str) -> str:
@@ -73,10 +78,17 @@ def namespaced_state_key(namespace: Optional[str], key: str) -> str:
 
 
 def _digest(text: str, start: int) -> str:
-    """sha256 of ``"{" + text[start:]``, in 1 MB slices: no second whole copy exists."""
+    """sha256 of ``"{" + text[start:]``, the body a checkpoint's header vouches for.
+
+    Hashed in 1 MB slices so no second whole copy of an ~8 MB document is
+    ever resident (``json.dumps`` emits pure ASCII, so a character slice is
+    a byte slice). A damaged text may decode to anything, lone surrogates
+    included; ``surrogatepass`` lets those hash to a mismatch instead of
+    raising out of :meth:`CrawlCheckpointer.load` past its fallback.
+    """
     digest = hashlib.sha256(b"{")
     for offset in range(start, len(text), 1 << 20):
-        digest.update(text[offset:offset + (1 << 20)].encode("utf-8"))
+        digest.update(text[offset:offset + (1 << 20)].encode("utf-8", "surrogatepass"))
     return digest.hexdigest()
 
 
@@ -211,17 +223,24 @@ class CrawlCheckpointer:
         The save is read-only with respect to the crawler: the state dict
         was assembled from snapshots, and flushing the backend has no effect
         on in-memory crawl structures — which is why checkpointing cannot
-        perturb the run. One ``json.dumps``; ``state["integrity"]`` becomes
-        the sha256 of the bytes stored after the integrity header.
+        perturb the run.
+
+        The document is serialised exactly once. ``state["integrity"]``
+        becomes the sha256 of those bytes, and the text written is the same
+        bytes behind a fixed-width integrity header — so what a load
+        re-hashes is what this save hashed, with no canonical re-dump on
+        either side. The previous slot receives the text the last save (or
+        load) produced and verified, not a second dump of a dict.
         """
         if self.spec_hash is not None:
             state["spec_hash"] = self.spec_hash
         state.pop("integrity", None)
         if self._last_text is not None:
-            # Demote the last good text before overwriting the current slot:
-            # whenever a crash hits, one slot holds a complete checkpoint this
-            # process wrote or verified. Released before the new text is
-            # built, so two whole documents are never resident at once.
+            # Demote the last good text before overwriting the current
+            # slot: whatever instant a crash hits, at least one of the two
+            # slots holds a complete checkpoint this process wrote or
+            # verified. The text is released before the new one is built, so
+            # two whole documents are never resident at once (peak RSS).
             self.backend.save_state_text(self._prev_key, self._last_text)
             self._last_text = None
         body = json.dumps(state)
@@ -239,10 +258,16 @@ class CrawlCheckpointer:
     def _load_verified(self, key: str) -> Tuple[Optional[str], Optional[str]]:
         """Read one checkpoint slot's text and verify it by re-hashing.
 
-        Returns ``(text, None)`` when good, ``(None, None)`` when empty and
-        ``(None, reason)`` when damaged (unreadable, torn or altered). A
-        headerless text that parses as another format's document is an older
-        build's: unverifiable, so refused by name, not resumed or called corrupt.
+        Returns ``(text, None)`` for a good checkpoint, ``(None, None)``
+        for an empty slot, and ``(None, reason)`` for a damaged one
+        (unreadable bytes, a torn write, or any altered character — the
+        digest covers the bytes, so even whitespace a parser ignores counts).
+
+        A text with no integrity header that still parses as a JSON object
+        of another format is an older build's checkpoint. It cannot be
+        verified under this build's rule, and its previous slot is just as
+        old, so it raises a ``ValueError`` naming both formats rather than
+        being resumed from, called corrupt, or falling back.
         """
         try:
             text = self.backend.load_state_text(key)
@@ -268,10 +293,12 @@ class CrawlCheckpointer:
     def load(self) -> Optional[dict]:
         """The most recent *good* checkpoint, or ``None`` when none exists.
 
-        The current slot's text is re-hashed against its header and parsed
-        only once verified; on damage the load falls back to the previous
-        good snapshot (bit-identical to having crashed one checkpoint earlier)
-        and raises only when both are damaged. Older formats are refused.
+        The current slot's stored text is re-hashed against its integrity
+        header and parsed only once verified (never re-serialised); on
+        damage the load falls back to the previous good snapshot
+        (resuming from it is bit-identical to having crashed one
+        checkpoint earlier). Only when both slots are damaged does the
+        load raise. A store written by an older format is refused by name.
         """
         text, error = self._load_verified(self._state_key)
         if error is not None:

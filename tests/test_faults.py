@@ -783,8 +783,11 @@ class TestCheckpointIntegrity:
         first = _two_saves(backend, payload)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
         position = data.draw(st.integers(0, len(text) - 1), label="position")
+        assert len(first) == len(text)  # the two saves differ in one digit and the digest
         char = data.draw(
-            st.sampled_from('0a"{}[],: \tx').filter(lambda c: c != text[position]),
+            st.sampled_from('0a"{}[],: \tx').filter(
+                lambda c: c not in (text[position], first[position])
+            ),
             label="char",
         )
         damaged = text[:position] + char + text[position + 1:]
@@ -808,6 +811,17 @@ class TestCheckpointIntegrity:
             assert json.loads(swapped) == json.loads(text)
             backend.save_state_text(CHECKPOINT_STATE_KEY, swapped)
             assert _checkpointer(backend).load()["tick"] == 1
+
+    @pytest.mark.parametrize("position", [20, -5])  # inside the header, inside the body
+    def test_unencodable_character_falls_back_instead_of_raising(self, position):
+        # A damaged text may decode to a lone surrogate, which strict UTF-8
+        # cannot encode; it must hash to a mismatch, not escape load().
+        backend = MemoryBackend()
+        _two_saves(backend)
+        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        at = position % len(text)
+        backend.save_state_text(CHECKPOINT_STATE_KEY, text[:at] + "\ud800" + text[at + 1:])
+        assert _checkpointer(backend).load()["tick"] == 1
 
     @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99])
     def test_torn_current_slot_falls_back_to_previous(self, keep):

@@ -152,7 +152,7 @@ def test_event_times_roundtrip_exact(backend):
 # --------------------------------------------------------------------- #
 # State contract
 # --------------------------------------------------------------------- #
-def test_state_save_load_overwrite(backend):
+def test_state_save_load_delete(backend):
     assert backend.load_state("missing") is None
     payload = {
         "floats": [1.0 / 3.0, 0.1 + 0.2, math.inf],
@@ -167,6 +167,9 @@ def test_state_save_load_overwrite(backend):
     assert math.isinf(loaded["floats"][2])
     backend.save_state("chk", {"count": 1})
     assert backend.load_state("chk") == {"count": 1}
+    assert backend.delete_state("chk") is True
+    assert backend.delete_state("chk") is False
+    assert backend.load_state("chk") is None
 
 
 def test_state_documents_are_detached_copies(backend):
