@@ -33,12 +33,42 @@ of NumPy passes instead of a 200-iteration scalar bisection per page. The
 original scalar solver is retained as
 :func:`optimal_revisit_frequencies_reference` for the parity suite and the
 ``benchmarks/bench_perf_hotpaths.py`` speedup trajectory.
+
+Each outer step only asks on which side of the budget the total at ``mu``
+lands, and the inner bisection usually settles that long before its
+brackets collapse, so a step stops as soon as the answer is certain:
+
+* After any number of inner levels, every funded page's final frequency
+  ``0.5 * (low + high)`` lies inside its current bracket ``[low, high]``
+  (brackets only shrink, and a float midpoint never leaves its bracket),
+  so the exact final sum ``S`` lies in ``[sum(low), sum(high)]``.
+* A float sum of ``k`` non-negative terms is within ``k * eps / 2`` of
+  the exact sum, relatively (``eps = 2**-52``). Paying that once for the
+  computed bracket sum and once for the final total ``fl(sum f)``, the
+  final total is at most ``fl(sum(high)) * (1 + 4 k eps)`` and at least
+  ``fl(sum(low)) / (1 + 4 k eps)``, with ``k`` the funded count (unfunded
+  pages add exact zeros); the factor 4 covers second-order terms and the
+  rounding of the scaled bound itself.
+* The outer step's test — ``abs(total - budget) <= slack``, else
+  ``total > budget`` — sorts totals into three ordered bands (under, on,
+  over), because ``fl(total - budget)`` is monotone in ``total``. So when
+  the upper bound already falls in "under", or the lower bound in
+  "over", the finished total would too, and the step returns that side.
+
+Nothing the outer search sees changes — the bracket growth, the
+midpoints and the comparisons are the full-depth ones — so every
+``mu`` decision, the final ``mu`` and the returned frequencies are
+bit-identical to running every step to full depth. Only a step whose
+total is too close to the budget for even collapsed brackets to tell —
+in practice just the one that ends the search inside ``slack`` — runs
+all levels, and its allocation is reused as the final one rather than
+solved again.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +84,10 @@ _FREQ_CAP = 1e12
 #: Iterations of each bisection; 200 halvings drive the bracket far below
 #: any meaningful tolerance.
 _BISECTION_ITERS = 200
+
+#: Relative float-sum error margin, per funded page, of the bracket-sum
+#: bounds that let an outer water-level step stop early (module docstring).
+_SUM_ERROR_PER_TERM = 4 * float(np.finfo(float).eps)
 
 
 def page_freshness(rate: float, frequency: float) -> float:
@@ -182,39 +216,61 @@ def optimal_revisit_frequencies(
     # page to receive bandwidth at all.
     mu_high = float((active_weights / active_rates).max())
     mu_low = 0.0
+    slack = tolerance * max(1.0, budget)
 
-    def allocation_for(mu: float) -> np.ndarray:
+    def budget_side(total: float) -> int:
+        """0 when ``total`` meets the budget, else +1 over / -1 under it."""
+        if abs(total - budget) <= slack:
+            return 0
+        return 1 if total > budget else -1
+
+    def allocation_for(mu: float, side_of: Optional[Callable[[float], int]] = None):
+        """``(side, frequencies)`` at ``mu``; see :func:`_bisect_frequencies`."""
+        side, active = _bisect_frequencies(active_rates, active_weights, mu, side_of)
+        if active is None:
+            return side, None
         frequencies = np.zeros(n)
-        frequencies[changing] = _frequencies_for_marginal_array(
-            active_rates, active_weights, mu
-        )
-        return frequencies
+        frequencies[changing] = active
+        if side_of is not None:
+            side = side_of(float(frequencies.sum()))
+        return side, frequencies
 
     # total is decreasing in mu: bisect for the water level that exhausts
     # the budget. As mu -> 0+ the total grows without bound, so mu_low always
     # ends up on the over-budget side and mu_high on the under-budget side.
+    # A step only needs the side of the budget its total lands on; the
+    # allocation of a step that had to finish is kept for the end.
+    low_allocation = high_allocation = None
     for _ in range(_BISECTION_ITERS):
         mu_mid = 0.5 * (mu_low + mu_high)
         if mu_mid <= 0:
             break
-        total = float(allocation_for(mu_mid).sum())
-        if abs(total - budget) <= tolerance * max(1.0, budget):
+        side, frequencies = allocation_for(mu_mid, budget_side)
+        if side == 0:
             mu_low = mu_high = mu_mid
+            low_allocation = high_allocation = frequencies
             break
-        if total > budget:
-            mu_low = mu_mid
+        if side > 0:
+            mu_low, low_allocation = mu_mid, frequencies
         else:
-            mu_high = mu_mid
+            mu_high, high_allocation = mu_mid, frequencies
 
-    frequencies = allocation_for(mu_high if mu_high > 0 else mu_low)
+    if mu_high > 0:
+        mu_final, frequencies = mu_high, high_allocation
+    else:
+        mu_final, frequencies = mu_low, low_allocation
+    if frequencies is None:
+        frequencies = allocation_for(mu_final)[1]
     leftover = budget - float(frequencies.sum())
-    if leftover > tolerance * max(1.0, budget) and mu_low > 0:
+    if leftover > slack and mu_low > 0:
         # Degenerate (but common) case: some page's marginal freshness is flat
         # at exactly the water level — its frequency jumps discontinuously as
         # mu crosses 1/rate, so bisection alone cannot hit the budget. The
         # KKT-optimal completion gives the leftover budget to exactly those
         # pages, capped at their allocation just below the water level.
-        capacity = allocation_for(mu_low) - frequencies
+        if low_allocation is None:
+            low_allocation = allocation_for(mu_low)[1]
+        capacity = low_allocation - frequencies
         order = np.argsort(-capacity, kind="stable")
         caps = capacity[order]
         already_given = np.cumsum(caps) - caps
@@ -352,22 +408,32 @@ def _marginal_freshness_array(rates: np.ndarray, frequencies: np.ndarray) -> np.
     return (1.0 - decay) / rates - decay / frequencies
 
 
-def _frequencies_for_marginal_array(
-    rates: np.ndarray, weights: np.ndarray, mu: float
-) -> np.ndarray:
+def _bisect_frequencies(
+    rates: np.ndarray,
+    weights: np.ndarray,
+    mu: float,
+    side_of: Optional[Callable[[float], int]] = None,
+) -> Tuple[Optional[int], Optional[np.ndarray]]:
     """Solve ``weight * dF/df(rate, f) = mu`` for every page at once.
 
     Array counterpart of :func:`_frequency_for_marginal`: pages whose first
     marginal unit of bandwidth is already worth less than ``mu`` get 0; the
     rest are solved together by array bisection with the same bracket
     growth and iteration count as the scalar reference.
+
+    Returns ``(None, frequencies)``. Given ``side_of`` (which maps a budget
+    total to -1, 0 or +1 and is monotone in it), it instead returns
+    ``(side, None)`` as soon as the bracket sums prove that the finished
+    allocation's total has side -1 or +1 (the module docstring has the
+    argument); a side still open at full depth gets ``(None,
+    frequencies)`` as usual.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     frequencies = np.zeros(rates.size)
     funded = mu < weights / rates
     if not funded.any():
-        return frequencies
+        return None, frequencies
     rate = rates[funded]
     target = mu / weights[funded]
 
@@ -383,7 +449,13 @@ def _frequencies_for_marginal_array(
             break
         high[need] *= 2.0
         growing &= high <= _FREQ_CAP
+    margin = 1.0 + _SUM_ERROR_PER_TERM * rate.size
     for _ in range(_BISECTION_ITERS):
+        if side_of is not None:
+            if side_of(float(high.sum()) * margin) < 0:
+                return -1, None
+            if side_of(float(low.sum()) / margin) > 0:
+                return 1, None
         mid = 0.5 * (low + high)
         if ((mid == low) | (mid == high)).all():
             # Every bracket has collapsed to adjacent floats: further
@@ -394,7 +466,7 @@ def _frequencies_for_marginal_array(
         low = np.where(above, mid, low)
         high = np.where(above, high, mid)
     frequencies[funded] = 0.5 * (low + high)
-    return frequencies
+    return None, frequencies
 
 
 def _frequency_for_marginal(rate: float, weight: float, mu: float) -> float:
@@ -453,7 +525,7 @@ def _as_rate_and_weight_arrays(
 
 
 def _validate_budget(rates: Sequence[float], budget: float) -> None:
-    if any(rate < 0 for rate in rates):
+    if (np.asarray(rates, dtype=float) < 0).any():
         raise ValueError("rates must be non-negative")
     if len(rates) > 0 and budget <= 0:
         raise ValueError("budget must be positive when pages are present")

@@ -56,6 +56,11 @@ class RevisitPolicy(ABC):
 
         Returns:
             Mapping from URL to revisit frequency.
+
+        Raises:
+            ValueError: If a rate is negative, or the budget is not positive
+                while there are pages (checked once, by the allocation
+                function the policy calls).
         """
 
     def intervals(
@@ -78,13 +83,6 @@ class RevisitPolicy(ABC):
                 intervals[url] = min(MAX_REVISIT_INTERVAL_DAYS, 1.0 / frequency)
         return intervals
 
-    @staticmethod
-    def _validate(rates: Mapping[str, float], budget_per_day: float) -> None:
-        if rates and budget_per_day <= 0:
-            raise ValueError("budget_per_day must be positive")
-        if any(rate < 0 for rate in rates.values()):
-            raise ValueError("change rates must be non-negative")
-
 
 @register_revisit_policy("uniform")
 class UniformRevisitPolicy(RevisitPolicy):
@@ -96,7 +94,6 @@ class UniformRevisitPolicy(RevisitPolicy):
         budget_per_day: float,
         importance: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
-        self._validate(rates, budget_per_day)
         urls = list(rates.keys())
         values = uniform_revisit_frequencies([rates[url] for url in urls], budget_per_day)
         return dict(zip(urls, values))
@@ -112,7 +109,6 @@ class ProportionalRevisitPolicy(RevisitPolicy):
         budget_per_day: float,
         importance: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
-        self._validate(rates, budget_per_day)
         urls = list(rates.keys())
         values = proportional_revisit_frequencies(
             [rates[url] for url in urls], budget_per_day
@@ -141,7 +137,6 @@ class OptimalRevisitPolicy(RevisitPolicy):
         budget_per_day: float,
         importance: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
-        self._validate(rates, budget_per_day)
         urls = list(rates.keys())
         weights = None
         if self.use_importance and importance:
