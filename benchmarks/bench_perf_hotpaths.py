@@ -607,17 +607,15 @@ def bench_ranking_refinement_scan(
     new_targets = dict(deltas)
     counts = np.bincount(src, minlength=n_pages)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    adjacency = [
-        [urls[j] for j in new_targets[i]]
+    adjacency = {
+        urls[i]: [urls[j] for j in new_targets[i]]
         if i in new_targets
         else [urls[j] for j in dst[offsets[i]:offsets[i + 1]]]
         for i in range(n_pages)
-    ]
+    }
 
     def cold_scan() -> tuple:
-        rebuilt = LinkGraph()
-        for url, targets in zip(urls, adjacency):
-            rebuilt.set_outlinks(url, targets)
+        rebuilt = LinkGraph.from_graph(adjacency)
         _, scores = pagerank_scores(rebuilt, tolerance=tolerance)
         return rebuilt, scores
 

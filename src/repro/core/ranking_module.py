@@ -26,6 +26,7 @@ the refinement decisions of both paths identical.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -149,16 +150,13 @@ class RankingModule:
         """
         importance = _clamp_residue(self._compute_importance())
         working = self._collection.working_records()
-        self._store_importance(importance, working)
-
         collected_or_queued = set(self._collurls.urls())
         for record in working:
+            # In place: every score moves each scan, so a copy-on-write
+            # store would rebuild every record.
+            record.importance = importance.get(record.url, 0.0)
             collected_or_queued.add(record.url)
         candidates = self._allurls.candidates(exclude=collected_or_queued)
-        candidate_scores = sorted(
-            ((importance.get(info.url, 0.0), info.url) for info in candidates),
-            reverse=True,
-        )
 
         # Hoisted capacity state: the collected-or-queued set is built once
         # and its cardinality maintained across admissions/replacements
@@ -166,19 +164,28 @@ class RankingModule:
         # victim and adds the newcomer, net zero).
         tracked = len(collected_or_queued)
         at_capacity = self._capacity is not None
+        max_replacements = self._config.max_replacements_per_scan
 
-        # One ascending argsort of collected importance per scan, consumed
-        # as a cursor: each replacement takes the next victim instead of
-        # re-scanning the collection for the minimum.
-        victims = sorted(
-            ((importance.get(record.url, 0.0), record.url) for record in working)
+        # Select, do not sort: the loop below admits at most ``capacity -
+        # tracked`` candidates, takes one victim per replacement and reads
+        # one candidate past its last decision. ``heapq.nlargest``/``nsmallest``
+        # equal ``sorted(...)[:k]``: the loop sees a full sort's prefixes.
+        consumable = len(candidates)
+        if at_capacity:
+            consumable = max(self._capacity - tracked, 0) + max_replacements + 1
+        candidate_scores = heapq.nlargest(
+            consumable,
+            ((importance.get(info.url, 0.0), info.url) for info in candidates),
+        )
+        victims = heapq.nsmallest(
+            max_replacements, ((record.importance, record.url) for record in working)
         )
         victim_cursor = 0
 
         admitted: List[str] = []
         replacements: List[Tuple[str, str]] = []
         for score, url in candidate_scores:
-            if len(replacements) >= self._config.max_replacements_per_scan:
+            if len(replacements) >= max_replacements:
                 break
             if not (at_capacity and tracked >= self._capacity):
                 self._collurls.schedule_front(url, at)
@@ -264,19 +271,21 @@ class RankingModule:
 
         One pass over the working records: pages whose out-links changed
         since the last scan (new pages, changed re-fetches) restate their
-        edges; pages that left the collection drop theirs. Unchanged pages
-        cost a dict lookup and a tuple compare.
+        edges in one bulk append; pages that left the collection drop
+        theirs. Unchanged pages cost a dict lookup and a tuple compare.
         """
         synced = self._graph_outlinks
         graph = self._graph
         present = set()
+        changed = []
         for record in records:
             url = record.url
             present.add(url)
             outlinks = tuple(record.outlinks)
             if synced.get(url) != outlinks:
-                graph.set_outlinks(url, outlinks)
+                changed.append((url, outlinks))
                 synced[url] = outlinks
+        graph.set_outlinks_many(changed)
         if len(present) != len(synced):
             for url in [url for url in synced if url not in present]:
                 graph.remove_page(url)
@@ -333,18 +342,6 @@ class RankingModule:
             _hubs, authorities = hits_reference(graph)
             return authorities
         return pagerank_reference(graph, damping=self._config.damping)
-
-    def _store_importance(
-        self, importance: Dict[str, float], records: Sequence[PageRecord]
-    ) -> None:
-        store = self._collection.store
-        for record in records:
-            score = importance.get(record.url, 0.0)
-            # Skip no-op stores: steady-state scans leave most importance
-            # values untouched, and re-storing them would churn the journal
-            # and any write-behind backend for nothing.
-            if record.importance != score:
-                store(record.with_importance(score))
 
     def _replace(self, victim_url: str, new_url: str, at: float) -> None:
         self._crawl_module.discard(victim_url)
@@ -408,7 +405,8 @@ def _encode_vector(vector: Optional[np.ndarray]) -> Optional[list]:
     """JSON-safe warm vector: NaN travels as ``None``."""
     if vector is None:
         return None
-    return [None if np.isnan(value) else value for value in vector.tolist()]
+    # ``value != value`` is the NaN test, far cheaper than np.isnan per float.
+    return [None if value != value else value for value in vector.tolist()]
 
 
 def _decode_vector(payload: Optional[list]) -> Optional[np.ndarray]:

@@ -112,8 +112,7 @@ class LinkGraph:
     def from_graph(cls, graph: Graph) -> "LinkGraph":
         """Build a graph from a dense adjacency mapping (sources first)."""
         instance = cls()
-        for source, targets in graph.items():
-            instance.set_outlinks(source, targets)
+        instance.set_outlinks_many(graph.items())
         return instance
 
     @classmethod
@@ -218,14 +217,37 @@ class LinkGraph:
         """
         target_ids = self.intern_many(targets)
         node = self.intern(url)
-        self._set_outlinks_ids(node, target_ids)
+        self.set_outlinks_ids(node, target_ids)
         return node
 
     def set_outlinks_ids(self, node: int, target_ids: np.ndarray) -> None:
         """Array-level :meth:`set_outlinks` for pre-interned ids."""
         if node < 0 or node >= len(self._urls):
             raise IndexError(f"unknown node id {node}")
-        self._set_outlinks_ids(node, np.asarray(target_ids, dtype=_INT))
+        targets = np.asarray(target_ids, dtype=_INT)
+        self._append_outlinks(np.array([node]), np.array([len(targets)]), targets)
+
+    def set_outlinks_many(self, pages: Iterable[Tuple[str, Iterable[str]]]) -> None:
+        """:meth:`set_outlinks` for many distinct ``(url, targets)`` pages.
+
+        Interns, and leaves live edges, ids and revisions, exactly as one
+        :meth:`set_outlinks` per page would, with one edge-buffer append.
+        A URL given twice raises ``ValueError`` (after interning).
+        """
+        intern = self.intern
+        nodes, counts, targets = [], [], []
+        for url, page_targets in pages:
+            before = len(targets)
+            targets.extend([intern(target) for target in page_targets])
+            counts.append(len(targets) - before)
+            nodes.append(intern(url))
+        node_ids = np.array(nodes, dtype=_INT)
+        if len(np.unique(node_ids)) != len(node_ids):
+            raise ValueError("set_outlinks_many takes each page at most once")
+        if nodes:
+            self._append_outlinks(
+                node_ids, np.array(counts, dtype=_INT), np.array(targets, dtype=_INT)
+            )
 
     def remove_page(self, url: str) -> None:
         """Drop ``url`` from the source set and delete its out-links.
@@ -322,23 +344,26 @@ class LinkGraph:
             grown[: self._n_edges] = old[: self._n_edges]
             setattr(self, name, grown)
 
-    def _set_outlinks_ids(self, node: int, target_ids: np.ndarray) -> None:
-        self._n_stale += int(self._out_count[node])
-        self._node_rev[node] += 1
-        self._is_source[node] = True
-        self._out_count[node] = len(target_ids)
-        k = len(target_ids)
-        if k:
-            end = self._n_edges + k
-            if end > len(self._edge_src):
-                self._grow_edges(end)
-            self._edge_src[self._n_edges : end] = node
-            self._edge_dst[self._n_edges : end] = target_ids
-            self._edge_rev[self._n_edges : end] = self._node_rev[node]
-            self._n_edges = end
+    def _append_outlinks(
+        self, nodes: np.ndarray, counts: np.ndarray, targets: np.ndarray
+    ) -> None:
+        """Restate distinct ``nodes``; ``targets`` holds their ids back to back."""
+        self._n_stale += int(self._out_count[nodes].sum())
+        self._node_rev[nodes] += 1
+        self._is_source[nodes] = True
+        self._out_count[nodes] = counts
+        start = self._n_edges
+        end = start + len(targets)
+        if end > len(self._edge_src):
+            self._grow_edges(end)
+        self._edge_src[start:end] = np.repeat(nodes, counts)
+        self._edge_dst[start:end] = targets
+        self._edge_rev[start:end] = np.repeat(self._node_rev[nodes], counts)
+        self._n_edges = end
         self._view = None
         # Garbage-collect once stale edges dominate, so the buffers stay
         # proportional to the live graph no matter how much churn happens.
+        # Checked per append, not per page: this moves only when stale edges go.
         if self._n_stale > 64 and self._n_stale > (self._n_edges - self._n_stale):
             self._compact()
 

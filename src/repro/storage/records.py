@@ -74,10 +74,6 @@ class PageRecord:
             change_count=self.change_count + (1 if changed else 0),
         )
 
-    def with_importance(self, importance: float) -> "PageRecord":
-        """Return a copy of the record with an updated importance score."""
-        return replace(self, importance=importance)
-
     @property
     def observed_change_fraction(self) -> float:
         """Fraction of visits at which a change was observed."""

@@ -1,0 +1,142 @@
+"""The refinement scan's decisions and the work it does per scan.
+
+A scan picks its victims and candidates with ``heapq.nsmallest`` /
+``heapq.nlargest`` instead of sorting every one, writes importance onto the
+stored records in place, and restates changed out-links with one bulk edge
+append. The first test holds every decision to a full-sort oracle; the
+second counts, without a stopwatch, that no per-record copy or per-page
+append comes back.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.allurls import AllUrls
+from repro.core.collurls import CollUrls
+from repro.core.crawl_module import CrawlModule
+from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.core.ranking_module import RankingModule, RankingModuleConfig
+from repro.fetch.fetcher import SimulatedFetcher
+from repro.ranking.sparse import LinkGraph
+from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.storage.collection import InPlaceCollection
+from repro.storage.records import PageRecord
+
+
+def _full_sort_decision(tracked, collected, candidates, importance, capacity, config):
+    """The refinement decision taken over full sorts of both sides."""
+    candidate_scores = sorted(
+        ((importance.get(url, 0.0), url) for url in candidates), reverse=True
+    )
+    victims = sorted((importance.get(url, 0.0), url) for url in collected)
+    admitted, replacements = [], []
+    for score, url in candidate_scores:
+        if len(replacements) >= config.max_replacements_per_scan:
+            break
+        if capacity is None or tracked < capacity:
+            tracked += 1
+            admitted.append(url)
+            continue
+        if len(replacements) >= len(victims):
+            break
+        victim_score, victim_url = victims[len(replacements)]
+        if score <= victim_score * (1.0 + config.replacement_margin):
+            break
+        replacements.append((victim_url, url))
+    return tuple(replacements), tuple(admitted)
+
+
+@pytest.mark.parametrize("metric", ["pagerank", "hits"])
+@pytest.mark.parametrize("max_replacements", [0, 1, 10, 10_000])
+@pytest.mark.parametrize("capacity", [None, 60, 12])
+def test_scan_decisions_equal_full_sort_oracle(
+    tiny_web, capacity, max_replacements, metric
+):
+    collection = InPlaceCollection(capacity=capacity)
+    allurls = AllUrls()
+    crawl_module = CrawlModule(
+        SimulatedFetcher(tiny_web, latency_days=0.0), collection, allurls
+    )
+    collurls = CollUrls()
+    config = RankingModuleConfig(
+        importance_metric=metric, max_replacements_per_scan=max_replacements
+    )
+    ranking = RankingModule(
+        allurls, collurls, collection, crawl_module, config, capacity=capacity
+    )
+    for url in tiny_web.seed_urls()[:4]:
+        crawl_module.crawl(url, at=0.5)
+    decisions = 0
+    for scan in range(8):
+        at = 1.0 + scan
+        collected = [record.url for record in collection.working_records()]
+        tracked = set(collurls.urls()).union(collected)
+        candidates = [info.url for info in allurls.candidates(exclude=tracked)]
+        result = ranking.refine(at)
+        assert (result.replacements, result.admitted) == _full_sort_decision(
+            len(tracked), collected, candidates, result.importance, capacity, config
+        )
+        decisions += len(result.replacements) + len(result.admitted)
+        # Crawl what the scan queued, so the next scan ranks a grown graph.
+        while (entry := collurls.pop()) is not None:
+            if collection.get_working(entry[0]) is None:
+                crawl_module.crawl(entry[0], at=at + 0.5)
+    assert decisions > 0 or max_replacements == 0
+
+
+def test_scan_copies_no_record_and_appends_edges_once(monkeypatch):
+    """Inside ``refine``: no PageRecord is built, at most one edge append."""
+    counts = {"records": 0, "appends": 0}
+    per_scan = []
+    scanning = []
+
+    post_init = PageRecord.__post_init__
+    append = LinkGraph._append_outlinks
+    refine = RankingModule.refine
+
+    def counting_post_init(record):
+        if scanning:
+            counts["records"] += 1
+        post_init(record)
+
+    def counting_append(graph, *args):
+        if scanning:
+            counts["appends"] += 1
+        append(graph, *args)
+
+    def counting_refine(module, at):
+        before = dict(counts)
+        scanning.append(True)
+        try:
+            return refine(module, at)
+        finally:
+            scanning.pop()
+            per_scan.append({key: counts[key] - before[key] for key in counts})
+
+    monkeypatch.setattr(PageRecord, "__post_init__", counting_post_init)
+    monkeypatch.setattr(LinkGraph, "_append_outlinks", counting_append)
+    monkeypatch.setattr(RankingModule, "refine", counting_refine)
+    web = generate_web(
+        WebGeneratorConfig(
+            site_scale=0.04,
+            pages_per_site=12,
+            horizon_days=50.0,
+            new_page_fraction=0.25,
+            seed=31,
+        )
+    )
+    result = IncrementalCrawler(
+        web,
+        IncrementalCrawlerConfig(
+            collection_capacity=80,
+            crawl_budget_per_day=300.0,
+            ranking_interval_days=3.0,
+            measurement_interval_days=1.0,
+            track_quality=False,
+        ),
+    ).run(25.0)
+
+    assert len(per_scan) > 3 and result.pages_replaced > 0
+    assert [scan["records"] for scan in per_scan] == [0] * len(per_scan)
+    assert max(scan["appends"] for scan in per_scan) == 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
@@ -78,6 +78,34 @@ def delta_sequence_strategy(draw):
         else:
             ops.append(("remove", url, None))
     return ops
+
+
+@st.composite
+def batch_script_strategy(draw):
+    """Batches of distinct pages; pages recur across batches."""
+    urls = draw(urls_strategy)
+    targets = st.lists(st.sampled_from(urls), max_size=12)
+    return [
+        [(url, draw(targets)) for url in pages]
+        for pages in draw(
+            st.lists(
+                st.lists(st.sampled_from(urls), unique=True),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    ]
+
+
+# Thirty pages of six links restated four times: the stale edges outgrow
+# the live ones mid-script, so both paths compact (at different points).
+_CHURN_SCRIPT = [
+    [
+        (f"http://p{i}/", [f"http://p{(i * 7 + r + round_index) % 30}/" for r in range(6)])
+        for i in range(30)
+    ]
+    for round_index in range(4)
+]
 
 
 def _pagerank_by_url(graph: LinkGraph) -> dict:
@@ -252,6 +280,27 @@ class TestLinkGraphProperties:
         ids_b, scores_b = pagerank_scores(churned)
         assert np.array_equal(ids_a, ids_b)
         assert np.array_equal(scores_a, scores_b)
+
+    @given(batches=batch_script_strategy())
+    @example(batches=_CHURN_SCRIPT)
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_restatement_equals_sequential(self, batches):
+        """``set_outlinks_many`` ≡ one ``set_outlinks`` per page, bit for bit."""
+        bulk, sequential = LinkGraph(), LinkGraph()
+        for batch in batches:
+            bulk.set_outlinks_many(batch)
+            for url, targets in batch:
+                sequential.set_outlinks(url, targets)
+        assert bulk.snapshot() == sequential.snapshot()
+        for kernel in (pagerank_scores, hits_scores):
+            for bulk_array, sequential_array in zip(kernel(bulk), kernel(sequential)):
+                assert np.array_equal(bulk_array, sequential_array)
+
+    def test_bulk_restatement_rejects_a_repeated_page(self):
+        graph = LinkGraph()
+        with pytest.raises(ValueError):
+            graph.set_outlinks_many([("a", ["b"]), ("a", ["c"])])
+        assert graph.edge_count == 0
 
     def test_from_arrays_matches_per_page_statement(self):
         rng = np.random.default_rng(23)

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.core.allurls import AllUrls
+from repro.core.collurls import CollUrls
+from repro.core.crawl_module import CrawlModule
+from repro.core.ranking_module import RankingModule
+from repro.fetch.fetcher import SimulatedFetcher
 from repro.storage.collection import InPlaceCollection, ShadowCollection
 from repro.storage.inverted_index import InvertedIndex, tokenize
 from repro.storage.records import PageRecord
@@ -45,9 +50,24 @@ class TestPageRecord:
         with pytest.raises(ValueError):
             record.refreshed("x", "y", fetched_at=1.0, outlinks=())
 
-    def test_with_importance(self):
-        record = make_record()
-        assert record.with_importance(0.7).importance == 0.7
+    def test_scan_writes_importance_in_place(self, tiny_web):
+        collection = InPlaceCollection(capacity=500)
+        allurls = AllUrls()
+        crawl_module = CrawlModule(
+            SimulatedFetcher(tiny_web, latency_days=0.0), collection, allurls
+        )
+        for url in tiny_web.seed_urls()[:5]:
+            crawl_module.crawl(url, at=0.5)
+        stored = {record.url: record for record in collection.working_records()}
+        result = RankingModule(
+            allurls, CollUrls(), collection, crawl_module, capacity=500
+        ).refine(at=1.0)
+        # Below capacity nothing is replaced: the same record objects stay
+        # stored, each now carrying the scan's score.
+        for record in collection.working_records():
+            assert record is stored[record.url]
+            assert record.importance == result.importance.get(record.url, 0.0)
+        assert any(record.importance > 0 for record in stored.values())
 
     def test_observed_change_fraction(self):
         record = make_record(checksum="a")
