@@ -12,8 +12,11 @@ RankingModule estimate the importance of pages it has not collected yet
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set
+
+from repro.storage.checkpoint import pack_floats, unpack_floats
 
 
 @dataclass
@@ -116,33 +119,34 @@ class AllUrls:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
-        """JSON-serializable registry state in dict-insertion order.
+        """JSON-serializable registry columns in dict-insertion order.
 
         Insertion order is preserved (``candidates`` iterates it); in-link
         sets are serialized sorted, which is safe because in-links are only
-        ever counted or extended, never iterated order-sensitively.
+        ever counted or extended, never iterated order-sensitively. Times
+        are packed, ``last_failed_at`` with NaN for ``None``: a virtual time
+        is never NaN.
         """
+        infos = list(self._urls.values())
         return {
-            "urls": [
-                {
-                    "url": info.url,
-                    "discovered_at": info.discovered_at,
-                    "inlinks": sorted(info.inlinks),
-                    "last_failed_at": info.last_failed_at,
-                }
-                for info in self._urls.values()
-            ]
+            "url": [info.url for info in infos],
+            "discovered_at": pack_floats([info.discovered_at for info in infos]),
+            "inlinks": [sorted(info.inlinks) for info in infos],
+            "last_failed_at": pack_floats([
+                math.nan if info.last_failed_at is None else info.last_failed_at
+                for info in infos
+            ]),
         }
 
     def restore_snapshot(self, state: dict) -> None:
         """Rebuild the registry exactly as captured by :meth:`snapshot`."""
-        self._urls = {}
-        for entry in state["urls"]:
-            url = str(entry["url"])
-            failed = entry["last_failed_at"]
-            self._urls[url] = UrlInfo(
-                url=url,
-                discovered_at=float(entry["discovered_at"]),
-                inlinks=set(entry["inlinks"]),
-                last_failed_at=None if failed is None else float(failed),
+        self._urls = {
+            url: UrlInfo(url, discovered_at, set(inlinks),
+                         None if math.isnan(failed) else failed)
+            for url, discovered_at, inlinks, failed in zip(
+                state["url"],
+                unpack_floats(state["discovered_at"]),
+                state["inlinks"],
+                unpack_floats(state["last_failed_at"]),
             )
+        }

@@ -27,6 +27,8 @@ import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.storage.checkpoint import pack_floats, unpack_floats
+
 #: A queue entry as returned by :meth:`CollUrls.pop_due`:
 #: ``(scheduled_time, sequence, url)`` — the heap's native key layout, so
 #: bulk pops hand entries over without re-packing, and the sequence makes an
@@ -283,12 +285,15 @@ class CollUrls:
     def snapshot(self) -> dict:
         """JSON-serializable queue state: live entries + both counters.
 
-        Entries are emitted in canonical ``(time, sequence)`` order (not
-        dict-insertion order) so the snapshot is a pure function of the
-        queue contents, independent of the operational path taken.
+        Entries are emitted as columns in canonical ``(time, sequence)``
+        order (not dict-insertion order) so the snapshot is a pure function
+        of the queue contents, independent of the operational path taken.
         """
+        entries = sorted(self._scheduled.values())
         return {
-            "entries": [list(entry) for entry in sorted(self._scheduled.values())],
+            "times": pack_floats([entry[0] for entry in entries]),
+            "sequences": [entry[1] for entry in entries],
+            "urls": [entry[2] for entry in entries],
             "next_sequence": self._counter,
             "next_front_sequence": self._front_counter,
         }
@@ -299,12 +304,10 @@ class CollUrls:
         Each entry tuple is built once and shared between the heap and the
         URL map, preserving the identity-based lazy-deletion invariant.
         """
-        heap: List[QueueEntry] = []
-        scheduled: Dict[str, QueueEntry] = {}
-        for time, sequence, url in state["entries"]:
-            entry = (float(time), int(sequence), str(url))
-            scheduled[entry[2]] = entry
-            heap.append(entry)
+        heap: List[QueueEntry] = list(
+            zip(unpack_floats(state["times"]), state["sequences"], state["urls"])
+        )
+        scheduled = {entry[2]: entry for entry in heap}
         heapq.heapify(heap)
         self._heap = heap
         self._scheduled = scheduled

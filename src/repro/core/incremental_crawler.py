@@ -69,7 +69,7 @@ from repro.storage.checkpoint import (
     CrawlCheckpointer,
 )
 from repro.storage.collection import InPlaceCollection
-from repro.storage.records import record_from_dict, record_to_dict
+from repro.storage.records import records_from_columns, records_to_columns
 
 #: Engines :meth:`IncrementalCrawler.run` can execute with.
 CRAWL_ENGINES: Tuple[str, ...] = ("batched", "reference")
@@ -615,9 +615,10 @@ class IncrementalCrawler:
 
         Taken with the head event still pending on the scheduler: restoring
         this state into a freshly constructed crawler replays the run from
-        here bit-identically. Every float travels verbatim (JSON round-trips
-        doubles exactly) and dict insertion order — which feeds ordered
-        float reductions in the UpdateModule — survives serialization.
+        here bit-identically. Every float travels exactly (per-URL columns as
+        packed float64 bytes, the rest as JSON ``repr``) and dict insertion
+        order — which feeds ordered float reductions in the UpdateModule —
+        survives serialization.
         """
         journal = self._crawl_module.journal
         politeness = self._fetcher.politeness
@@ -630,10 +631,7 @@ class IncrementalCrawler:
             "checkpoint_at": at,
             "scheduler": scheduler.snapshot(),
             "collurls": self._collurls.snapshot(),
-            "collection": [
-                record_to_dict(record)
-                for record in self._collection.working_records()
-            ],
+            "collection": records_to_columns(self._collection.working_records()),
             "allurls": self._allurls.snapshot(),
             "update": self._update_module.snapshot(),
             "crawl": self._crawl_module.snapshot(),
@@ -688,8 +686,8 @@ class IncrementalCrawler:
         scheduler = StreamScheduler()
         scheduler.restore_snapshot(state["scheduler"])
         self._collurls.restore_snapshot(state["collurls"])
-        for payload in state["collection"]:
-            self._collection.store(record_from_dict(payload))
+        for record in records_from_columns(state["collection"]):
+            self._collection.store(record)
         self._allurls.restore_snapshot(state["allurls"])
         self._update_module.restore_snapshot(state["update"])
         self._crawl_module.restore_snapshot(state["crawl"])
@@ -721,6 +719,10 @@ class IncrementalCrawler:
         result.quality[:] = [float(v) for v in quality["values"]]
         result.quality_times[:] = [float(t) for t in quality["times"]]
 
-        if journal is not None and state.get("journal") is not None:
-            journal.restore_snapshot(state["journal"])
+        if journal is not None:
+            # The killed run may have put or deleted records after this
+            # checkpoint; the store must mirror the restored collection.
+            journal.backend.replace_records(self._collection.working_records())
+            if state.get("journal") is not None:
+                journal.restore_snapshot(state["journal"])
         return scheduler

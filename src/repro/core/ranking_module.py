@@ -38,6 +38,7 @@ from repro.core.crawl_module import CrawlModule
 from repro.ranking.hits import hits_reference
 from repro.ranking.pagerank import pagerank_reference
 from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
+from repro.storage.checkpoint import pack_floats, unpack_floats
 from repro.storage.collection import Collection
 from repro.storage.records import PageRecord
 
@@ -239,9 +240,12 @@ class RankingModule:
                 url: list(links) for url, links in self._graph_outlinks.items()
             },
             "warm": {
-                "pagerank": _encode_vector(self._warm_pagerank),
-                "hubs": _encode_vector(self._warm_hubs),
-                "authorities": _encode_vector(self._warm_authorities),
+                name: None if vector is None else pack_floats(vector)
+                for name, vector in (
+                    ("pagerank", self._warm_pagerank),
+                    ("hubs", self._warm_hubs),
+                    ("authorities", self._warm_authorities),
+                )
             },
         }
 
@@ -258,10 +262,13 @@ class RankingModule:
             str(url): tuple(links)
             for url, links in state.get("graph_outlinks", {}).items()
         }
-        warm = state.get("warm", {})
-        self._warm_pagerank = _decode_vector(warm.get("pagerank"))
-        self._warm_hubs = _decode_vector(warm.get("hubs"))
-        self._warm_authorities = _decode_vector(warm.get("authorities"))
+        warm = {
+            name: None if packed is None else np.array(unpack_floats(packed))
+            for name, packed in state.get("warm", {}).items()
+        }
+        self._warm_pagerank = warm.get("pagerank")
+        self._warm_hubs = warm.get("hubs")
+        self._warm_authorities = warm.get("authorities")
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -399,19 +406,3 @@ def _absorb_warm(
         warm = grown
     warm[active_ids] = scores
     return warm
-
-
-def _encode_vector(vector: Optional[np.ndarray]) -> Optional[list]:
-    """JSON-safe warm vector: NaN travels as ``None``."""
-    if vector is None:
-        return None
-    # ``value != value`` is the NaN test, far cheaper than np.isnan per float.
-    return [None if value != value else value for value in vector.tolist()]
-
-
-def _decode_vector(payload: Optional[list]) -> Optional[np.ndarray]:
-    if payload is None:
-        return None
-    return np.array(
-        [np.nan if value is None else float(value) for value in payload]
-    )

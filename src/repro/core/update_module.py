@@ -22,7 +22,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.api.registry import ESTIMATORS
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import BatchCrawlOutcome, CrawlModule, CrawlOutcome
-from repro.estimation.change_history import ChangeHistory
+from repro.estimation.change_history import (
+    ChangeHistory,
+    histories_from_columns,
+    histories_to_columns,
+)
 from repro.estimation.rate_estimators import ChangeRateEstimator, build_rate_estimator
 from repro.faults import (
     STATUS_NOT_FOUND,
@@ -34,6 +38,7 @@ from repro.faults import (
 )
 from repro.fetch.fetcher import STATUS_TO_CODE, FetchStatus
 from repro.freshness.policies import RevisitPolicy, UniformRevisitPolicy
+from repro.storage.checkpoint import pack_floats, unpack_floats
 
 #: FetchStatus members that are *no observation* of the page (see
 #: repro.faults.TRANSIENT_CODES): the fetch failed, the page may be fine.
@@ -692,21 +697,17 @@ class UpdateModule:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
-        """JSON-serializable module state.
+        """JSON-serializable module state; URL-keyed tables become columns.
 
-        Dict key order is semantic and survives the JSON round trip (both
-        ``json.dumps`` and ``json.loads`` preserve object member order):
+        Dict key order is semantic and survives as column order:
         ``rate_estimates`` insertion order feeds :meth:`_maybe_reallocate`'s
         float reductions, which are ulp-sensitive to summation order.
         """
         state = {
-            "histories": {
-                url: history.state_dict()
-                for url, history in self._histories.items()
-            },
-            "rate_estimates": dict(self._rate_estimates),
-            "intervals": dict(self._intervals),
-            "importance": dict(self._importance),
+            "histories": histories_to_columns(self._histories),
+            "rate_estimates": _pack_table(self._rate_estimates),
+            "intervals": _pack_table(self._intervals),
+            "importance": _pack_table(self._importance),
             "last_reallocation": self._last_reallocation,
             "estimator": self._estimator.state_dict(),
             "pages_processed": self.pages_processed,
@@ -742,33 +743,31 @@ class UpdateModule:
         if len(snapshots) == 1:
             return snapshots[0]
         merged = {
-            "histories": {},
-            "rate_estimates": {},
-            "intervals": {},
-            "importance": {},
-            "last_reallocation": None,
-            "estimator": None,
-            "pages_processed": 0,
-            "changes_detected": 0,
-            "shards": [],
+            table: _concat_columns([snapshot[table] for snapshot in snapshots])
+            for table in ("histories", "rate_estimates", "intervals")
         }
+        for columns in merged.values():
+            seen = set()
+            for url in columns["urls"]:
+                if url in seen:
+                    raise ValueError(
+                        f"URL {url!r} appears in more than one shard "
+                        "snapshot; shard universes must be disjoint"
+                    )
+                seen.add(url)
+        # Importance is *derived* data — the ranking scan scores every
+        # link-graph node, including foreign-site link targets a shard
+        # discovered but never crawled, so scores for a foreign root can
+        # legitimately appear in several shards. First shard wins
+        # (shard-index order), which keeps the merge deterministic; the
+        # crawled-page tables above stay strictly disjoint.
+        importance: Dict[str, float] = {}
         for snapshot in snapshots:
-            for table in ("histories", "rate_estimates", "intervals"):
-                for url, value in snapshot[table].items():
-                    if url in merged[table]:
-                        raise ValueError(
-                            f"URL {url!r} appears in more than one shard "
-                            "snapshot; shard universes must be disjoint"
-                        )
-                    merged[table][url] = value
-            # Importance is *derived* data — the ranking scan scores every
-            # link-graph node, including foreign-site link targets a shard
-            # discovered but never crawled, so scores for a foreign root can
-            # legitimately appear in several shards. First shard wins
-            # (shard-index order), which keeps the merge deterministic; the
-            # crawled-page tables above stay strictly disjoint.
-            for url, value in snapshot["importance"].items():
-                merged["importance"].setdefault(url, value)
+            for url, score in _unpack_table(snapshot["importance"]).items():
+                importance.setdefault(url, score)
+        merged.update(importance=_pack_table(importance), last_reallocation=None,
+                      estimator=None, pages_processed=0, changes_detected=0, shards=[])
+        for snapshot in snapshots:
             last = snapshot["last_reallocation"]
             if last is not None and (
                 merged["last_reallocation"] is None
@@ -785,20 +784,10 @@ class UpdateModule:
 
     def restore_snapshot(self, state: dict) -> None:
         """Rebuild module state exactly as captured by :meth:`snapshot`."""
-        self._histories = {
-            str(url): ChangeHistory.from_state(history_state)
-            for url, history_state in state["histories"].items()
-        }
-        self._rate_estimates = {
-            str(url): float(rate) for url, rate in state["rate_estimates"].items()
-        }
-        self._intervals = {
-            str(url): float(interval)
-            for url, interval in state["intervals"].items()
-        }
-        self._importance = {
-            str(url): float(score) for url, score in state["importance"].items()
-        }
+        self._histories = histories_from_columns(state["histories"])
+        self._rate_estimates = _unpack_table(state["rate_estimates"])
+        self._intervals = _unpack_table(state["intervals"])
+        self._importance = _unpack_table(state["importance"])
         last = state["last_reallocation"]
         self._last_reallocation = None if last is None else float(last)
         self._estimator.load_state(state["estimator"])
@@ -809,3 +798,22 @@ class UpdateModule:
         self.changes_detected = int(state["changes_detected"])
         if self.failure_tracker is not None and "failures" in state:
             self.failure_tracker.restore_snapshot(state["failures"])
+
+
+def _pack_table(table: Dict[str, float]) -> dict:
+    """A URL-keyed float table as two columns, in dict insertion order."""
+    return {"urls": list(table), "values": pack_floats(list(table.values()))}
+
+
+def _unpack_table(columns: dict) -> Dict[str, float]:
+    return dict(zip(columns["urls"], unpack_floats(columns["values"])))
+
+
+def _concat_columns(parts: Sequence[dict]) -> dict:
+    """Concatenate column documents key by key (packed columns are repacked)."""
+    return {
+        key: pack_floats([v for part in parts for v in unpack_floats(part[key])])
+        if isinstance(first, str)
+        else [v for part in parts for v in part[key]]
+        for key, first in parts[0].items()
+    }

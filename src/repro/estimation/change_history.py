@@ -18,9 +18,12 @@ value is bit-identical to summing the retained intervals directly.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
+
+from repro.storage.checkpoint import pack_floats, unpack_floats
 
 
 @dataclass(frozen=True)
@@ -196,38 +199,54 @@ class ChangeHistory:
             return None
         return self.observation_time / changes
 
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot of every slot, running sums included.
 
-        ``interval_sum`` is serialized verbatim rather than recomputed on
-        restore: it is a left-fold whose value depends on the exact sequence
-        of appends and trims, so recomputing could differ in the last ulp.
-        """
-        return {
-            "first_visit": self.first_visit,
-            "window_days": self.window_days,
-            "last_visit": self._last_visit,
-            "times": list(self._times),
-            "changed": list(self._changed),
-            "intervals": list(self._intervals),
-            "n_changes": self._n_changes,
-            "interval_sum": self._interval_sum,
-        }
+def histories_to_columns(histories: Dict[str, ChangeHistory]) -> dict:
+    """Checkpoint columns for many histories, in dict order, every slot packed.
 
-    @classmethod
-    def from_state(cls, state: dict) -> "ChangeHistory":
-        """Rebuild a history exactly as captured by :meth:`state_dict`."""
-        history = cls(
-            first_visit=float(state["first_visit"]),
-            window_days=state["window_days"],
-        )
-        history._last_visit = float(state["last_visit"])
-        history._times = deque(float(time) for time in state["times"])
-        history._changed = deque(bool(changed) for changed in state["changed"])
-        history._intervals = deque(float(interval) for interval in state["intervals"])
-        history._n_changes = int(state["n_changes"])
-        history._interval_sum = float(state["interval_sum"])
-        return history
+    Observations are concatenated (``counts`` splits them); ``None`` windows
+    pack as NaN. ``interval_sum`` travels verbatim: recomputing its left-fold
+    on restore could differ in the last ulp.
+    """
+    values = list(histories.values())
+    return {
+        "urls": list(histories),
+        "first_visit": pack_floats([h.first_visit for h in values]),
+        "window_days": pack_floats(
+            [math.nan if h.window_days is None else h.window_days for h in values]
+        ),
+        "last_visit": pack_floats([h._last_visit for h in values]),
+        "n_changes": [h._n_changes for h in values],
+        "interval_sum": pack_floats([h._interval_sum for h in values]),
+        "counts": [len(h._times) for h in values],
+        "times": pack_floats([t for h in values for t in h._times]),
+        "changed": [c for h in values for c in h._changed],
+        "intervals": pack_floats([i for h in values for i in h._intervals]),
+    }
+
+
+def histories_from_columns(columns: dict) -> Dict[str, ChangeHistory]:
+    """Rebuild the histories :func:`histories_to_columns` wrote, exactly."""
+    times = unpack_floats(columns["times"])
+    changed = columns["changed"]
+    intervals = unpack_floats(columns["intervals"])
+    histories: Dict[str, ChangeHistory] = {}
+    end = 0
+    for url, first_visit, window_days, last_visit, n_changes, interval_sum, count in zip(
+        columns["urls"],
+        unpack_floats(columns["first_visit"]),
+        unpack_floats(columns["window_days"]),
+        unpack_floats(columns["last_visit"]),
+        columns["n_changes"],
+        unpack_floats(columns["interval_sum"]),
+        columns["counts"],
+    ):
+        start, end = end, end + count
+        history = ChangeHistory(first_visit, None if math.isnan(window_days) else window_days)
+        history._last_visit = last_visit
+        history._times = deque(times[start:end])
+        history._changed = deque(changed[start:end])
+        history._intervals = deque(intervals[start:end])
+        history._n_changes = n_changes
+        history._interval_sum = interval_sum
+        histories[url] = history
+    return histories

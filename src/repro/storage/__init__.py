@@ -23,7 +23,7 @@ This package provides:
   running crawl to a backend.
 """
 
-from repro.storage.records import PageRecord, record_from_dict, record_to_dict
+from repro.storage.records import PageRecord, record_to_dict
 from repro.storage.repository import Repository
 from repro.storage.collection import Collection, InPlaceCollection, ShadowCollection
 from repro.storage.inverted_index import InvertedIndex
@@ -37,7 +37,6 @@ from repro.storage.checkpoint import CollectionJournal, CrawlCheckpointer
 
 __all__ = [
     "PageRecord",
-    "record_from_dict",
     "record_to_dict",
     "Repository",
     "Collection",

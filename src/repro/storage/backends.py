@@ -87,6 +87,10 @@ class StorageBackend(ABC):
         self.clear_records()
         self.put_records(records)
 
+    def update_importance(self, records: Sequence[PageRecord]) -> None:
+        """Rewrite the ``importance`` of stored records (here: re-put them)."""
+        self.put_records(records)
+
     @abstractmethod
     def clear_records(self) -> None:
         """Remove every stored record."""
@@ -311,6 +315,21 @@ class SqliteBackend(StorageBackend):
             rows,
         )
         self._conn.commit()
+
+    def update_importance(self, records: Sequence[PageRecord]) -> None:
+        """One ``UPDATE`` per record in one ``executemany``; every row must exist."""
+        if not records:
+            return
+        cursor = self._conn.executemany(
+            "UPDATE records SET importance = ? WHERE url = ?",
+            [(record.importance, record.url) for record in records],
+        )
+        self._conn.commit()
+        if cursor.rowcount != len(records):
+            raise RuntimeError(
+                f"importance update matched {cursor.rowcount} of {len(records)} "
+                "records: the store no longer mirrors the collection"
+            )
 
     def get_record(self, url: str) -> Optional[PageRecord]:
         row = self._conn.execute(

@@ -26,17 +26,19 @@ checkpoint's collection image.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import re
-from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.storage.backends import ChangeEvent, StorageBackend
-from repro.storage.records import PageRecord
+import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports storage)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (records and core import this)
     from repro.core.crawl_module import BatchCrawlOutcome, CrawlOutcome
+    from repro.storage.backends import ChangeEvent, StorageBackend
     from repro.storage.collection import Collection
+    from repro.storage.records import PageRecord
 
 #: Backend state key under which crawl checkpoints are stored.
 CHECKPOINT_STATE_KEY = "checkpoint"
@@ -52,8 +54,10 @@ RESULT_STATE_KEY = "result"
 #: Format 3 changed no key but redefined ``integrity`` as the sha256 of the
 #: stored bytes (format 2: of a canonical re-dump of the parsed document),
 #: so an older store cannot be verified and :meth:`CrawlCheckpointer.load`
-#: refuses it by name.
-CHECKPOINT_FORMAT = 3
+#: refuses it by name. Format 4 writes every per-URL float column through
+#: :func:`pack_floats`; a format-3 document still verifies (same integrity
+#: rule) but its float lists do not restore, so the crawler refuses it by name.
+CHECKPOINT_FORMAT = 4
 # A stored checkpoint is this header followed by the document's own JSON
 # text minus its opening brace; the digest covers "{" + that remainder.
 _HEADER = '{"integrity": "%s", '
@@ -75,6 +79,20 @@ def namespaced_state_key(namespace: Optional[str], key: str) -> str:
     if "/" in namespace:
         raise ValueError(f"namespace {namespace!r} must not contain '/'")
     return f"{namespace}/{key}"
+
+
+def pack_floats(values: Sequence[float]) -> str:
+    """A float list or ndarray as base64 of its little-endian float64 bytes.
+
+    Exact for every double (NaN payloads, ±inf, −0.0, subnormals) and ~20×
+    cheaper to write than ``json.dumps``'s per-float ``repr``.
+    """
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unpack_floats(text: str) -> List[float]:
+    """The column :func:`pack_floats` packed, as Python floats."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").tolist()
 
 
 def _digest(text: str, start: int) -> str:
@@ -153,8 +171,12 @@ class CollectionJournal:
         self.backend.delete_record(url)
 
     def refresh_records(self, records: List[PageRecord]) -> None:
-        """Re-put many records (after a ranking scan rewrites importance)."""
-        self.backend.put_records(records)
+        """Rewrite the stored importance of ``records`` after a ranking scan.
+
+        A scan moves importance only: every other field was put when its
+        fetch was journaled, and a resume resyncs the whole record set.
+        """
+        self.backend.update_importance(records)
 
     # ------------------------------------------------------------------ #
     # Checkpointing

@@ -9,8 +9,10 @@ has visited and seen the page change (for the frequency estimators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import List, Optional, Sequence
+
+from repro.storage.checkpoint import pack_floats, unpack_floats
 
 
 @dataclass
@@ -106,16 +108,27 @@ def record_to_dict(record: PageRecord) -> dict:
     }
 
 
-def record_from_dict(payload: dict) -> PageRecord:
-    """Rebuild a :class:`PageRecord` from :func:`record_to_dict` output."""
-    return PageRecord(
-        url=payload["url"],
-        content=payload["content"],
-        checksum=payload["checksum"],
-        fetched_at=payload["fetched_at"],
-        first_fetched_at=payload["first_fetched_at"],
-        outlinks=tuple(payload["outlinks"]),
-        importance=payload["importance"],
-        visit_count=payload["visit_count"],
-        change_count=payload["change_count"],
-    )
+#: Every field in constructor order, and the ones a checkpoint packs as floats.
+_FIELDS = tuple(f.name for f in fields(PageRecord))
+_FLOAT_FIELDS = ("fetched_at", "first_fetched_at", "importance")
+
+
+def records_to_columns(records: Sequence[PageRecord]) -> dict:
+    """A checkpoint's collection image: one column per field, in record order.
+
+    The float fields are packed (:func:`~repro.storage.checkpoint.pack_floats`).
+    """
+    columns = {name: [getattr(record, name) for record in records] for name in _FIELDS}
+    for name in _FLOAT_FIELDS:
+        columns[name] = pack_floats(columns[name])
+    return columns
+
+
+def records_from_columns(columns: dict) -> List[PageRecord]:
+    """Rebuild the records :func:`records_to_columns` wrote, in order."""
+    values = {
+        name: unpack_floats(columns[name]) if name in _FLOAT_FIELDS else columns[name]
+        for name in _FIELDS
+    }
+    values["outlinks"] = map(tuple, values["outlinks"])
+    return [PageRecord(*row) for row in zip(*values.values())]

@@ -20,6 +20,7 @@ from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
 from repro.storage.backends import MemoryBackend, SqliteBackend
 from repro.storage.checkpoint import (
+    CHECKPOINT_FORMAT,
     CHECKPOINT_PREV_STATE_KEY,
     CHECKPOINT_STATE_KEY,
     RESULT_STATE_KEY,
@@ -135,6 +136,40 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
         assert result_fingerprint(resumed, outcome) == expected
 
 
+def test_resume_resyncs_the_store_before_the_first_scan(tiny_web):
+    """After a resumed run's first scan the store equals the working collection.
+
+    The killed run got past the checkpoint and discarded pages after it, so
+    its store lacks rows the checkpoint's collection holds; the scan's
+    importance-only update would miss them without the resync on resume.
+    """
+    backend = SqliteBackend()
+    checkpointer = CrawlCheckpointer(backend, every_days=7.0)
+    states = []
+    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
+    build_crawler(tiny_web).run(
+        DURATION, journal=CollectionJournal(backend), checkpointer=checkpointer
+    )
+    stored = {record.url for record in backend.scan_records()}
+    state = next(s for s in states if set(s["collection"]["url"]) - stored)
+
+    scans = []
+
+    class ProbeJournal(CollectionJournal):
+        def refresh_records(self, records):
+            super().refresh_records(records)
+            scans.append((
+                [(r.url, r.importance) for r in self.backend.scan_records()],
+                [(r.url, r.importance) for r in records],
+            ))
+
+    build_crawler(tiny_web).run(
+        DURATION, journal=ProbeJournal(backend), resume_state=state
+    )
+    in_store, working = scans[0]
+    assert in_store == working
+
+
 def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):
     """The regression guard for the one-pass save: counts, which repeat exactly."""
     calls = {"dumps": 0, "writes": []}
@@ -186,8 +221,8 @@ def test_resume_rejects_mismatched_run_shape(tiny_web):
             DURATION, start_time=1.0, resume_state=copy.deepcopy(state)
         )
     bad_format = copy.deepcopy(state)
-    bad_format["format"] = 999
-    with pytest.raises(ValueError, match="format"):
+    bad_format["format"] = 3  # verifies (same header rule) but holds float lists
+    with pytest.raises(ValueError, match=f"format 3 .* format {CHECKPOINT_FORMAT}"):
         build_crawler(tiny_web).run(DURATION, resume_state=bad_format)
     with pytest.raises(ValueError, match="politeness"):
         build_crawler(tiny_web, use_politeness=True).run(

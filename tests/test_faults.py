@@ -868,20 +868,25 @@ class TestCheckpointIntegrity:
     def test_checksum_less_legacy_checkpoint_is_refused(self):
         backend = MemoryBackend()
         backend.save_state(CHECKPOINT_STATE_KEY, {"tick": 7})
-        with pytest.raises(ValueError, match="format none .* format 3") as refusal:
+        with pytest.raises(
+            ValueError, match=f"format none .* format {CHECKPOINT_FORMAT}"
+        ) as refusal:
             _checkpointer(backend).load()
         assert "corrupt" not in str(refusal.value)
 
-    def test_format_2_checkpoint_is_refused_naming_both_formats(self):
-        # The parent build's layout: ``integrity`` last, the sha256 of a
-        # canonical re-dump. Both slots are equally old, so no fallback.
+    @pytest.mark.parametrize("old_format", [2, 3])
+    def test_older_format_checkpoint_is_refused_naming_both_formats(self, old_format):
+        # Format 2's layout: ``integrity`` last, the sha256 of a canonical
+        # re-dump. Both slots are equally old, so no fallback.
         backend = MemoryBackend()
         for key, tick in ((CHECKPOINT_PREV_STATE_KEY, 6), (CHECKPOINT_STATE_KEY, 7)):
-            state = {"format": 2, "tick": tick}
+            state = {"format": old_format, "tick": tick}
             canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
             state["integrity"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
             backend.save_state(key, state)
-        with pytest.raises(ValueError, match="format 2 .* format 3") as refusal:
+        with pytest.raises(
+            ValueError, match=f"format {old_format} .* format {CHECKPOINT_FORMAT}"
+        ) as refusal:
             _checkpointer(backend).load()
         assert "corrupt" not in str(refusal.value)
 

@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 
 from repro.core.collurls import CollUrls
 from repro.core.sharding import ShardView, SitePartitioner, _largest_remainder_split
-from repro.core.update_module import UpdateModule
+from repro.core.update_module import UpdateModule, UpdateModuleConfig
+from repro.estimation.change_history import ChangeHistory
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 from repro.simweb.shared import SharedWeb
 from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     RESULT_STATE_KEY,
     namespaced_state_key,
+    unpack_floats,
 )
 
 site_ids = st.text(
@@ -170,17 +172,23 @@ class TestCollUrlsPartition:
 
 class TestMergeSnapshots:
     @staticmethod
-    def _snapshot(urls, importance, processed=5):
-        return {
-            "histories": {url: {"events": []} for url in urls},
-            "rate_estimates": {url: 0.5 for url in urls},
-            "intervals": {url: 2.0 for url in urls},
-            "importance": dict(importance),
-            "last_reallocation": float(processed),
-            "estimator": {"kind": "stub", "id": processed},
-            "pages_processed": processed,
-            "changes_detected": processed // 2,
-        }
+    def _module():
+        return UpdateModule(CollUrls(), None, UpdateModuleConfig())
+
+    @classmethod
+    def _snapshot(cls, urls, importance, processed=5):
+        module = cls._module()
+        for url in urls:
+            history = ChangeHistory(first_visit=0.0, window_days=180.0)
+            history.record_visit(float(processed), changed=True)
+            module._histories[url] = history
+            module._rate_estimates[url] = 0.5
+            module._intervals[url] = 2.0
+        module.set_importance(importance)
+        module._last_reallocation = float(processed)
+        module.pages_processed = processed
+        module.changes_detected = processed // 2
+        return module.snapshot()
 
     def test_single_snapshot_verbatim(self):
         snap = self._snapshot(["http://a.com/"], {"http://a.com/": 1.0})
@@ -190,7 +198,12 @@ class TestMergeSnapshots:
         a = self._snapshot(["http://a.com/"], {"http://a.com/": 1.0}, processed=4)
         b = self._snapshot(["http://b.com/"], {"http://b.com/": 2.0}, processed=6)
         merged = UpdateModule.merge_snapshots([a, b])
-        assert set(merged["histories"]) == {"http://a.com/", "http://b.com/"}
+        assert merged["histories"]["urls"] == ["http://a.com/", "http://b.com/"]
+        restored = self._module()
+        restored.restore_snapshot(merged)
+        assert restored.history("http://b.com/").last_visit == 6.0
+        assert restored.history("http://a.com/").intervals() == [4.0]
+        assert restored.estimated_rates() == {"http://a.com/": 0.5, "http://b.com/": 0.5}
         assert merged["pages_processed"] == 10
         assert merged["changes_detected"] == 5
         assert merged["last_reallocation"] == 6.0
@@ -209,7 +222,9 @@ class TestMergeSnapshots:
         a = self._snapshot(["http://a.com/"], {"http://x.com/": 1.0})
         b = self._snapshot(["http://b.com/"], {"http://x.com/": 9.0})
         merged = UpdateModule.merge_snapshots([a, b])
-        assert merged["importance"]["http://x.com/"] == 1.0
+        importance = merged["importance"]
+        assert importance["urls"] == ["http://x.com/"]
+        assert unpack_floats(importance["values"]) == [1.0]
 
 
 class TestNamespacedStateKeys:

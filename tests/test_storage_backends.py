@@ -22,9 +22,9 @@ from repro.storage import (
     MemoryBackend,
     PageRecord,
     SqliteBackend,
-    record_from_dict,
     record_to_dict,
 )
+from repro.storage.records import records_from_columns, records_to_columns
 
 BACKEND_NAMES = ("memory", "sqlite", "columnar")
 
@@ -252,13 +252,28 @@ def test_columnar_growth_past_initial_capacity():
 # --------------------------------------------------------------------- #
 # Record serialization
 # --------------------------------------------------------------------- #
-def test_record_dict_roundtrip_through_json():
-    record = make_record("u/x", fetched_at=1.0 / 7.0)
-    payload = json.loads(json.dumps(record_to_dict(record)))
-    rebuilt = record_from_dict(payload)
-    assert record_to_dict(rebuilt) == record_to_dict(record)
-    assert rebuilt.fetched_at == record.fetched_at
-    assert rebuilt.outlinks == record.outlinks
+def test_record_columns_roundtrip_through_json():
+    records = [make_record("u/x", fetched_at=1.0 / 7.0), make_record("u/y", outlinks=())]
+    columns = json.loads(json.dumps(records_to_columns(records)))
+    rebuilt = records_from_columns(columns)
+    assert [record_to_dict(r) for r in rebuilt] == [record_to_dict(r) for r in records]
+    assert rebuilt[0].fetched_at == records[0].fetched_at
+    assert [r.outlinks for r in rebuilt] == [r.outlinks for r in records]
+
+
+def test_update_importance_rewrites_importance(backend):
+    backend.put_records([make_record("a"), make_record("b")])
+    backend.update_importance([make_record("b", importance=0.75)])
+    assert backend.get_record("b").importance == 0.75
+    assert backend.get_record("a").importance == 0.125
+    assert [r.url for r in backend.scan_records()] == ["a", "b"]
+
+
+def test_sqlite_update_importance_requires_every_row():
+    backend = SqliteBackend()
+    backend.put_records([make_record("a")])
+    with pytest.raises(RuntimeError, match="1 of 2"):
+        backend.update_importance([make_record("a"), make_record("b")])
 
 
 # --------------------------------------------------------------------- #
