@@ -103,6 +103,8 @@ SHARDED_SPEC = {
 
 POLL_SECONDS = 0.02
 KILL_TIMEOUT_SECONDS = 120.0
+#: Bound on any one child run; a run past it is killed and its phase fails.
+RUN_TIMEOUT_SECONDS = 300.0
 
 
 def cli_env() -> dict:
@@ -113,14 +115,35 @@ def cli_env() -> dict:
     return env
 
 
-def run_spec(spec_path: str, *extra: str) -> None:
-    subprocess.run(
+def say(message: str) -> None:
+    """Print at once, so a phase that hangs is still named in the log."""
+    print(message, flush=True)
+
+
+def start_spec(spec_path: str, *extra: str) -> subprocess.Popen:
+    return subprocess.Popen(
         [sys.executable, "-m", "repro", "run-spec", spec_path, *extra],
         cwd=REPO,
         env=cli_env(),
-        check=True,
         stdout=subprocess.DEVNULL,
     )
+
+
+def wait(proc: subprocess.Popen, phase: str) -> int:
+    """``proc``'s return code; a child still running after the bound is
+    killed (its workers die with it) and ``phase`` fails."""
+    try:
+        return proc.wait(timeout=RUN_TIMEOUT_SECONDS)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait(timeout=RUN_TIMEOUT_SECONDS)
+        raise SystemExit(f"FAIL: {phase} timed out")
+
+
+def run_spec(phase: str, spec_path: str, *extra: str) -> None:
+    returncode = wait(start_spec(spec_path, *extra), phase)
+    if returncode != 0:
+        raise SystemExit(f"FAIL: {phase} exited with code {returncode}")
 
 
 def state_keys(store: str) -> set:
@@ -164,17 +187,13 @@ def main() -> int:
     out_a = os.path.join(tmp, "a.json")
     out_b = os.path.join(tmp, "b.json")
 
-    print("[1/3] uninterrupted run ...")
-    run_spec(spec_path, "--store", store_a, "--out", out_a, "--compact")
+    phase = "[1/3] uninterrupted run"
+    say(f"{phase} ...")
+    run_spec(phase, spec_path, "--store", store_a, "--out", out_a, "--compact")
 
-    print("[2/3] run to first checkpoint, then SIGKILL ...")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "run-spec", spec_path,
-         "--store", store_b, "--out", out_b, "--compact"],
-        cwd=REPO,
-        env=cli_env(),
-        stdout=subprocess.DEVNULL,
-    )
+    phase = "[2/3] run to first checkpoint, then SIGKILL"
+    say(f"{phase} ...")
+    proc = start_spec(spec_path, "--store", store_b, "--out", out_b, "--compact")
     deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
     killed = False
     while time.monotonic() < deadline:
@@ -191,22 +210,23 @@ def main() -> int:
             )
         if "checkpoint" in keys:
             proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            wait(proc, phase)
             killed = True
             break
         time.sleep(POLL_SECONDS)
     if not killed:
         proc.kill()
-        proc.wait()
+        wait(proc, phase)
         raise SystemExit("FAIL: no checkpoint observed before the timeout")
     assert proc.returncode == -signal.SIGKILL, proc.returncode
     keys_after_kill = state_keys(store_b)
     assert "checkpoint" in keys_after_kill and "result" not in keys_after_kill
     assert not os.path.exists(out_b), "killed run must not have written a result"
-    print(f"      killed mid-run (returncode {proc.returncode})")
+    say(f"      killed mid-run (returncode {proc.returncode})")
 
-    print("[3/3] resume from the checkpoint ...")
-    run_spec(spec_path, "--store", store_b, "--resume", "--out", out_b, "--compact")
+    phase = "[3/3] resume from the checkpoint"
+    say(f"{phase} ...")
+    run_spec(phase, spec_path, "--store", store_b, "--resume", "--out", out_b, "--compact")
 
     a = result_doc(out_a)
     b = result_doc(out_b)
@@ -224,7 +244,7 @@ def main() -> int:
             f"({len(rows_a)} vs {len(rows_b)} rows)"
         )
 
-    print(
+    say(
         f"PASS: resumed run is bit-identical to the uninterrupted run "
         f"({len(rows_a)} records, mean freshness "
         f"{a['summary']['mean_freshness']:.4f})"
@@ -265,17 +285,13 @@ def sharded_phase(tmp: str) -> None:
     out_c = os.path.join(tmp, "c.json")
     out_d = os.path.join(tmp, "d.json")
 
-    print("[1/3] uninterrupted sharded run ...")
-    run_spec(spec_path, "--store", store_c, "--out", out_c, "--compact")
+    phase = "[1/3] uninterrupted sharded run"
+    say(f"{phase} ...")
+    run_spec(phase, spec_path, "--store", store_c, "--out", out_c, "--compact")
 
-    print("[2/3] sharded run to a shard checkpoint, then SIGKILL the coordinator ...")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "run-spec", spec_path,
-         "--store", store_d, "--out", out_d, "--compact"],
-        cwd=REPO,
-        env=cli_env(),
-        stdout=subprocess.DEVNULL,
-    )
+    phase = "[2/3] sharded run to a shard checkpoint, then SIGKILL the coordinator"
+    say(f"{phase} ...")
+    proc = start_spec(spec_path, "--store", store_d, "--out", out_d, "--compact")
     deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
     killed = False
     while time.monotonic() < deadline:
@@ -291,13 +307,13 @@ def sharded_phase(tmp: str) -> None:
             )
         if any_shard_checkpoint(store_d, n_shards):
             proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            wait(proc, phase)
             killed = True
             break
         time.sleep(POLL_SECONDS)
     if not killed:
         proc.kill()
-        proc.wait()
+        wait(proc, phase)
         raise SystemExit("FAIL: no shard checkpoint observed before the timeout")
     assert proc.returncode == -signal.SIGKILL, proc.returncode
     assert "result" not in state_keys(store_d)
@@ -306,10 +322,11 @@ def sharded_phase(tmp: str) -> None:
     # them, so the resumed run never races orphans for the shard stores.
     # Give the kernel a moment to deliver the signal before resuming.
     time.sleep(0.5)
-    print(f"      killed mid-run (returncode {proc.returncode})")
+    say(f"      killed mid-run (returncode {proc.returncode})")
 
-    print("[3/3] resume the sharded run from the per-shard stores ...")
-    run_spec(spec_path, "--store", store_d, "--resume", "--out", out_d, "--compact")
+    phase = "[3/3] resume the sharded run from the per-shard stores"
+    say(f"{phase} ...")
+    run_spec(phase, spec_path, "--store", store_d, "--resume", "--out", out_d, "--compact")
 
     c = result_doc(out_c)
     d = result_doc(out_d)
@@ -329,7 +346,7 @@ def sharded_phase(tmp: str) -> None:
             f"({len(rows_c)} vs {len(rows_d)} rows)"
         )
 
-    print(
+    say(
         f"PASS: resumed sharded run is bit-identical to the uninterrupted "
         f"run ({len(rows_c)} records across {n_shards} shard stores, mean "
         f"freshness {c['summary']['mean_freshness']:.4f})"
@@ -384,14 +401,9 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
     store = os.path.join(tmp, "corrupted.sqlite")
     out = os.path.join(tmp, "corrupted.json")
 
-    print("[corrupt 1/3] run to the second checkpoint, then SIGKILL ...")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "run-spec", spec_path,
-         "--store", store, "--out", out, "--compact"],
-        cwd=REPO,
-        env=cli_env(),
-        stdout=subprocess.DEVNULL,
-    )
+    phase = "[corrupt 1/3] run to the second checkpoint, then SIGKILL"
+    say(f"{phase} ...")
+    proc = start_spec(spec_path, "--store", store, "--out", out, "--compact")
     deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
     killed = False
     while time.monotonic() < deadline:
@@ -405,13 +417,13 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
             raise SystemExit("FAIL: result row appeared before the kill")
         if "checkpoint_prev" in keys:
             proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            wait(proc, phase)
             killed = True
             break
         time.sleep(POLL_SECONDS)
     if not killed:
         proc.kill()
-        proc.wait()
+        wait(proc, phase)
         raise SystemExit("FAIL: no second checkpoint observed before the timeout")
 
     a = result_doc(out_reference)
@@ -419,11 +431,12 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
         label = damage.__name__
         damaged_store = os.path.join(tmp, f"corrupted_{label}.sqlite")
         copy_store(store, damaged_store)
-        print(f"[corrupt 2/3] latest checkpoint {label} ...")
+        say(f"[corrupt 2/3] latest checkpoint {label} ...")
         damage_state_value(damaged_store, "checkpoint", damage)
 
-        print("[corrupt 3/3] resume; must fall back to the previous snapshot ...")
-        run_spec(spec_path, "--store", damaged_store, "--resume", "--out", out, "--compact")
+        phase = f"[corrupt 3/3] resume after a {label} checkpoint"
+        say(f"{phase}; must fall back to the previous snapshot ...")
+        run_spec(phase, spec_path, "--store", damaged_store, "--resume", "--out", out, "--compact")
 
         b = result_doc(out)
         for key in ("name", "kind", "summary", "series"):
@@ -432,7 +445,7 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
                     f"FAIL: resume after a {label} checkpoint differs from the "
                     f"uninterrupted run in {key!r}"
                 )
-        print(
+        say(
             f"PASS: {label} checkpoint detected, previous snapshot resumed "
             f"bit-identically (mean freshness {b['summary']['mean_freshness']:.4f})"
         )
@@ -472,14 +485,9 @@ def worker_kill_phase(tmp: str) -> None:
     store = os.path.join(tmp, "worker_killed.sqlite")
     out = os.path.join(tmp, "worker_killed.json")
 
-    print("[worker-kill 1/2] sharded run; SIGKILL one worker mid-crawl ...")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "run-spec", spec_path,
-         "--store", store, "--out", out, "--compact"],
-        cwd=REPO,
-        env=cli_env(),
-        stdout=subprocess.DEVNULL,
-    )
+    phase = "[worker-kill 1/2] sharded run; SIGKILL one worker mid-crawl"
+    say(f"{phase} ...")
+    proc = start_spec(spec_path, "--store", store, "--out", out, "--compact")
     deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
     victim = None
     while time.monotonic() < deadline:
@@ -501,18 +509,18 @@ def worker_kill_phase(tmp: str) -> None:
         time.sleep(POLL_SECONDS)
     if victim is None:
         proc.kill()
-        proc.wait()
+        wait(proc, phase)
         raise SystemExit("FAIL: no worker process found to kill before the timeout")
-    print(f"      killed worker pid {victim}; waiting for the coordinator ...")
+    say(f"      killed worker pid {victim}; waiting for the coordinator ...")
 
-    returncode = proc.wait()
+    returncode = wait(proc, phase)
     if returncode != 0:
         raise SystemExit(
             f"FAIL: coordinator exited with {returncode} instead of "
             "recovering the killed worker"
         )
 
-    print("[worker-kill 2/2] compare against the uninterrupted sharded run ...")
+    say("[worker-kill 2/2] compare against the uninterrupted sharded run ...")
     c = result_doc(out_reference)
     d = result_doc(out)
     for key in ("name", "kind", "summary", "series"):
@@ -528,7 +536,7 @@ def worker_kill_phase(tmp: str) -> None:
             "FAIL: the sharded stores hold different records after worker-kill "
             f"recovery ({len(rows_c)} vs {len(rows_d)} rows)"
         )
-    print(
+    say(
         "PASS: coordinator recovered the SIGKILLed worker bit-identically "
         f"({len(rows_d)} records, mean freshness "
         f"{d['summary']['mean_freshness']:.4f})"

@@ -32,6 +32,7 @@ from repro.api import scenarios as _scenarios  # noqa: F401  (registration side 
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
 from repro.core.periodic_crawler import PeriodicCrawler, PeriodicCrawlerConfig
 from repro.core.sharded_crawler import ShardedCrawler
+from repro.core.worker_pool import Job, run_jobs
 from repro.storage import backends as _backends  # noqa: F401  (registration side effect)
 from repro.storage.backends import StorageBackend
 from repro.storage.checkpoint import (
@@ -45,6 +46,7 @@ from repro.experiment.monitor import ActiveMonitor
 from repro.experiment.site_selection import select_sites
 from repro.experiment.survival import analyze_survival
 from repro.simweb.generator import generate_web
+from repro.simweb.shared import SharedWeb
 from repro.simweb.web import SimulatedWeb
 
 
@@ -662,12 +664,7 @@ class MatrixResult:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-def run_matrix(
-    matrix: ScenarioMatrix,
-    *,
-    workers: int = 1,
-    on_cell: Optional[Any] = None,
-) -> MatrixResult:
+def run_matrix(matrix: ScenarioMatrix, *, workers: int = 1) -> MatrixResult:
     """Execute every cell of the matrix, batching where possible.
 
     Two batching layers keep sweeps cheap:
@@ -680,18 +677,15 @@ def run_matrix(
 
     Args:
         workers: Number of worker processes to spread the cells over.
-            ``1`` (the default) runs everything in-process, exactly as
-            before. With more, cells run in a process pool; each distinct
-            web is generated once in the parent and shipped to the pool
+            ``1`` (the default) runs everything in-process. With more,
+            cells run in :mod:`repro.core.worker_pool`; each distinct web
+            is generated once in the parent and shipped to the pool
             through shared memory, so workers attach zero-copy instead of
-            re-generating or unpickling it. Per-cell results are identical
-            to a serial sweep except that heavy in-memory ``artifacts``
-            (web, crawler, outcome) cannot cross the process boundary and
-            come back empty.
-        on_cell: Optional ``(index, result)`` callback streamed in
-            deterministic cell order — cell ``i`` is always delivered
-            before cell ``i+1``, regardless of which worker finished
-            first.
+            re-generating or unpickling it. A cell whose worker dies is
+            re-run. Per-cell results are identical to a serial sweep
+            except that heavy in-memory ``artifacts`` (web, crawler,
+            outcome) cannot cross the process boundary and come back
+            empty.
 
     Returns:
         The :class:`MatrixResult`; ``cells`` is ordered by cell index in
@@ -702,13 +696,6 @@ def run_matrix(
     started = time.perf_counter()
     cells = matrix.cells()
     results: Dict[int, ExperimentResult] = {}
-    emitted = 0
-
-    def flush() -> None:
-        nonlocal emitted
-        while on_cell is not None and emitted in results:
-            on_cell(emitted, results[emitted])
-            emitted += 1
 
     # Batched scenario axes.
     remaining: List[Tuple[int, Dict[str, Any], ExperimentSpec]] = []
@@ -744,11 +731,28 @@ def run_matrix(
                 spec, _split_payload(spec.scenario, cell_payload), 0.0
             )
         remaining = []
-        flush()
 
     # Everything else: run per cell with a shared-web cache.
     if workers > 1 and len(remaining) > 1:
-        _run_cells_parallel(remaining, results, workers, flush)
+        shared_webs: Dict[str, SharedWeb] = {}
+        jobs = []
+        try:
+            for index, assignment, spec in remaining:
+                cache_key = _web_cache_key(spec)
+                payload = None
+                if cache_key is not None:
+                    if cache_key not in shared_webs:
+                        shared_webs[cache_key] = SharedWeb(
+                            build_web(spec.web, seed=spec.seed)
+                        )
+                    payload = shared_webs[cache_key].payload
+                jobs.append(Job(_run_cell, spec, payload))
+            documents = run_jobs(jobs, workers)
+        finally:
+            for shared in shared_webs.values():
+                shared.close()
+        for (index, _, _), (document, wall_time_seconds) in zip(remaining, documents):
+            results[index] = _result_from_document(document, wall_time_seconds)
     else:
         web_cache: Dict[str, SimulatedWeb] = {}
         for index, assignment, spec in remaining:
@@ -760,7 +764,6 @@ def run_matrix(
                     web = build_web(spec.web, seed=spec.seed)
                     web_cache[cache_key] = web
             results[index] = run(spec, web=web)
-            flush()
 
     ordered = [results[index] for index in range(len(cells))]
     return MatrixResult(
@@ -777,120 +780,10 @@ def _web_cache_key(spec: ExperimentSpec) -> Optional[str]:
     return None
 
 
-def _matrix_pool_worker(tasks: Any, results_queue: Any) -> None:
-    """Process-pool worker: pull cell jobs until the ``None`` sentinel.
-
-    Webs arrive as :class:`~repro.simweb.shared.SharedWebPayload` names and
-    are materialised zero-copy, then cached per worker by cache key so a
-    worker running several cells over the same web attaches once.
-    """
-    from repro.simweb.shared import install_parent_death_signal
-
-    install_parent_death_signal()
-    webs: Dict[str, SimulatedWeb] = {}
-    while True:
-        job = tasks.get()
-        if job is None:
-            break
-        index, spec, payload, cache_key = job
-        try:
-            web = None
-            if payload is not None:
-                web = webs.get(cache_key)
-                if web is None:
-                    web = payload.materialise()
-                    webs[cache_key] = web
-            result = run(spec, web=web)
-            results_queue.put(
-                ("result", index,
-                 (_result_document(result), result.wall_time_seconds))
-            )
-        except BaseException:
-            import traceback
-
-            try:
-                results_queue.put(("error", index, traceback.format_exc()))
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-            break
-
-
-def _run_cells_parallel(
-    remaining: List[Tuple[int, Dict[str, Any], ExperimentSpec]],
-    results: Dict[int, ExperimentResult],
-    workers: int,
-    flush: Any,
-) -> None:
-    """Run matrix cells on a spawn-based process pool with shared webs.
-
-    Every distinct ``(web spec, seed)`` is generated once here and packed
-    into shared memory; workers attach zero-copy. Cell jobs are enqueued in
-    cell-index order and whichever worker is free takes the next, so the
-    pool stays busy regardless of per-cell cost skew; results are keyed by
-    index, making the outcome independent of scheduling.
-    """
-    import multiprocessing
-    import queue as queue_module
-
-    from repro.simweb.shared import SharedWeb
-
-    ctx = multiprocessing.get_context("spawn")
-    tasks = ctx.Queue()
-    results_queue = ctx.Queue()
-    shared_webs: Dict[str, SharedWeb] = {}
-    processes: List[Any] = []
-    n_workers = min(workers, len(remaining))
-    try:
-        for index, assignment, spec in remaining:
-            cache_key = _web_cache_key(spec)
-            payload = None
-            if cache_key is not None:
-                shared = shared_webs.get(cache_key)
-                if shared is None:
-                    shared = SharedWeb(build_web(spec.web, seed=spec.seed))
-                    shared_webs[cache_key] = shared
-                payload = shared.payload
-            tasks.put((index, spec, payload, cache_key))
-        for _ in range(n_workers):
-            tasks.put(None)
-        for _ in range(n_workers):
-            process = ctx.Process(
-                target=_matrix_pool_worker,
-                args=(tasks, results_queue),
-                daemon=True,
-            )
-            process.start()
-            processes.append(process)
-        received = 0
-        while received < len(remaining):
-            try:
-                message = results_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                dead = [p for p in processes if not p.is_alive() and p.exitcode != 0]
-                if dead and received < len(remaining):
-                    raise RuntimeError(
-                        f"matrix worker exited with code {dead[0].exitcode} "
-                        "without reporting its cell"
-                    )
-                continue
-            kind, index, payload = message
-            if kind == "error":
-                raise RuntimeError(f"matrix cell {index} failed:\n{payload}")
-            received += 1
-            document, wall_time_seconds = payload
-            results[index] = _result_from_document(document, wall_time_seconds)
-            flush()
-        for process in processes:
-            process.join()
-    finally:
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join()
-        tasks.close()
-        results_queue.close()
-        for shared in shared_webs.values():
-            shared.close()
+def _run_cell(spec: ExperimentSpec, web: Optional[SimulatedWeb]) -> tuple:
+    """Pool job of one matrix cell: its result document and wall time."""
+    result = run(spec, web=web)
+    return _result_document(result), result.wall_time_seconds
 
 
 def _single_batchable_axis(

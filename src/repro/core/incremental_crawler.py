@@ -320,10 +320,6 @@ class IncrementalCrawler:
             capacity=self._config.collection_capacity,
         )
         self._quality_cache: Optional[CollectionQualityCache] = None
-        #: Optional hook invoked after every measurement event with
-        #: ``(at, freshness, quality-or-None)``; the sharded coordinator
-        #: uses it to stream per-window results over its queue.
-        self.on_measure = None
 
     def _owns_url(self, url: str) -> bool:
         """Shard link filter: keep only URLs of sites this shard owns.
@@ -528,8 +524,6 @@ class IncrementalCrawler:
             track_quality=self._config.track_quality,
             sample_quality=lambda at: self._sample_quality(result, at),
             refresh_journal=self._refresh_journal_records,
-            on_measure=self.on_measure,
-            view=self._shard_view,
         )
         engine.run(
             start_time,

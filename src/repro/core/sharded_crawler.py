@@ -31,11 +31,8 @@ resume from their checkpoints.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import queue as queue_module
-import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.api.registry import STORAGE_BACKENDS
 from repro.core.incremental_crawler import (
@@ -45,8 +42,9 @@ from repro.core.incremental_crawler import (
 )
 from repro.core.sharding import ShardView
 from repro.core.update_module import UpdateModule
+from repro.core.worker_pool import Job, run_jobs
 from repro.simulation.freshness_tracker import FreshnessTimeSeries
-from repro.simweb.shared import SharedWeb, SharedWebPayload, install_parent_death_signal
+from repro.simweb.shared import SharedWeb
 from repro.simweb.web import SimulatedWeb
 from repro.storage.checkpoint import (
     RESULT_STATE_KEY,
@@ -73,11 +71,10 @@ def shard_store_path(base: Optional[str], index: int) -> Optional[str]:
 class ShardRunSpec:
     """Everything one worker needs to run its shard, picklable.
 
-    The web itself is *not* here — only the :class:`SharedWebPayload`
-    naming the shared-memory blocks all workers attach to.
+    The web itself is *not* here: the pool ships it once, as the shared
+    blocks every worker attaches to.
     """
 
-    payload: Optional[SharedWebPayload]
     view: ShardView
     config: IncrementalCrawlerConfig
     duration_days: float
@@ -87,6 +84,22 @@ class ShardRunSpec:
     checkpoint_every: Optional[float]
     spec_hash: Optional[str]
     resume: bool
+
+    def retried(self) -> "ShardRunSpec":
+        """This job as re-run after its worker died without replying.
+
+        Without a persistent store it re-runs as is; with a checkpointed
+        one it resumes. A store without checkpoints holds a half-written
+        journal nothing can resume from, so the death is fatal.
+        """
+        if self.storage is None or self.store_path is None:
+            return self
+        if self.checkpoint_every is None:
+            raise RuntimeError(
+                f"shard {self.view.index} worker died and its store has no "
+                "checkpoints to resume from (set checkpoint_every)"
+            )
+        return dataclasses.replace(self, resume=True)
 
 
 @dataclass
@@ -115,15 +128,11 @@ class ShardedCrawlResult(CrawlRunResult):
     failures: Optional[Dict[str, int]] = None
 
 
-def _run_shard(
-    job: ShardRunSpec,
-    web: SimulatedWeb,
-    on_measure: Optional[Callable[[float, float, Optional[float]], None]] = None,
-) -> dict:
+def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
     """Run one shard's sub-crawl to completion and package the outcome.
 
-    Shared by the worker processes and (with ``shards=1``) the inline
-    path; everything shard-specific — store path, namespace, resume —
+    The pool job of every shard, also run inline when ``shards=1``;
+    everything shard-specific — store path, namespace, resume —
     comes from the job.
     """
     namespace = shard_namespace(job.view.index)
@@ -175,7 +184,6 @@ def _run_shard(
             )
         else:
             crawler = IncrementalCrawler(web, job.config, shard_view=job.view)
-        crawler.on_measure = on_measure
         outcome = crawler.run(
             job.duration_days,
             start_time=job.start_time,
@@ -222,31 +230,6 @@ def _run_shard(
             backend.close()
 
 
-def _shard_worker(job: ShardRunSpec, results: "multiprocessing.Queue") -> None:
-    """Worker-process entry point: attach the shared web, run, report.
-
-    Every message is ``(kind, shard_index, *rest)``; the coordinator
-    treats ``"error"`` as fatal. Workers die with the coordinator
-    (PDEATHSIG), so a SIGKILLed parent never leaves orphans racing a
-    resumed run for the shard stores.
-    """
-    install_parent_death_signal()
-    try:
-        web = job.payload.materialise()
-        shard = job.view.index
-
-        def stream_window(at, freshness, quality):
-            results.put(("window", shard, at, freshness, quality))
-
-        payload = _run_shard(job, web, on_measure=stream_window)
-        results.put(("result", shard, payload))
-    except BaseException:
-        try:
-            results.put(("error", job.view.index, traceback.format_exc()))
-        except Exception:  # pragma: no cover - queue already broken
-            pass
-
-
 class ShardedCrawler:
     """Coordinator: split, fan out to worker processes, merge deterministically.
 
@@ -268,22 +251,15 @@ class ShardedCrawler:
         checkpoint_every: Optional per-shard checkpoint cadence (days).
         spec_hash: Optional spec hash stamped into shard checkpoints and
             results, so a resume refuses foreign state.
-        worker_retries: How many times a crashed or killed shard worker is
-            re-run before the coordinator gives up and raises (with the
-            worker's traceback or exit code). Recovery requires per-shard
-            persistence (``storage``, ``store_path`` and
-            ``checkpoint_every``): the respawned worker resumes from the
-            shard's last checkpoint — or short-circuits from its stored
-            result if the crash hit after completion — so the merged
-            result stays bit-identical to an uninterrupted run. Without
-            persistence a worker failure is immediately fatal, exactly the
-            pre-retry behaviour.
-    """
 
-    #: Upper bound on a worker join before escalating to terminate/kill;
-    #: generous, because a healthy worker exits within milliseconds of
-    #: reporting its result.
-    JOIN_TIMEOUT_SECONDS: float = 30.0
+    Shards run in :mod:`repro.core.worker_pool`: a worker that dies
+    without replying has its shard re-run up to
+    :data:`~repro.core.worker_pool.RETRIES` times — as is without a
+    persistent store, resumed from the shard's last checkpoint with one
+    (see :meth:`ShardRunSpec.retried`) — so the merged result stays
+    bit-identical to an uninterrupted run. A shard that raises fails the
+    run at once with the worker's traceback.
+    """
 
     def __init__(
         self,
@@ -297,14 +273,11 @@ class ShardedCrawler:
         store_path: Optional[str] = None,
         checkpoint_every: Optional[float] = None,
         spec_hash: Optional[str] = None,
-        worker_retries: int = 2,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be at least 1")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if worker_retries < 0:
-            raise ValueError("worker_retries must be non-negative")
         self._web = web
         self._config = config if config is not None else IncrementalCrawlerConfig()
         if self._config.engine != "batched":
@@ -319,12 +292,6 @@ class ShardedCrawler:
         self._store_path = store_path
         self._checkpoint_every = checkpoint_every
         self._spec_hash = spec_hash
-        self.worker_retries = worker_retries
-        #: Optional live-progress hook ``(shard_index, at, freshness,
-        #: quality)`` invoked as per-window messages arrive. Arrival order
-        #: across shards depends on worker scheduling — consumers must not
-        #: derive results from it (the merge never does).
-        self.on_window: Optional[Callable[[int, float, float, Optional[float]], None]] = None
 
     # ------------------------------------------------------------------ #
     # Running
@@ -368,7 +335,6 @@ class ShardedCrawler:
         )
         jobs = [
             ShardRunSpec(
-                payload=None,  # installed per execution mode below
                 view=view,
                 config=dataclasses.replace(
                     self._config,
@@ -389,165 +355,17 @@ class ShardedCrawler:
         if len(jobs) == 1:
             # Single shard: no processes, no shared memory — the plain
             # batched crawler, run inline. This is the bit-identity anchor.
-            payloads = [self._run_inline(jobs[0])]
+            payloads = [_run_shard(jobs[0], self._web)]
         else:
             payloads = self._run_workers(jobs)
         return self._merge(payloads, duration_days)
 
-    def _run_inline(self, job: ShardRunSpec) -> dict:
-        on_measure = None
-        if self.on_window is not None:
-            shard = job.view.index
-            on_window = self.on_window
-
-            def on_measure(at, freshness, quality):
-                on_window(shard, at, freshness, quality)
-
-        return _run_shard(job, self._web, on_measure=on_measure)
-
-    def _can_recover_workers(self) -> bool:
-        """Whether a crashed worker can be re-run from its shard's store."""
-        return (
-            self.worker_retries > 0
-            and self._storage is not None
-            and self._store_path is not None
-            and self._checkpoint_every is not None
-        )
-
-    def _reap(self, process: multiprocessing.Process) -> None:
-        """Join a worker with a bounded wait, escalating to terminate/kill.
-
-        An indefinite ``join()`` would hang the coordinator forever on a
-        worker stuck in un-interruptible state; every join in this class
-        goes through here so a wedged worker costs at most a few bounded
-        waits before being killed.
-        """
-        process.join(timeout=self.JOIN_TIMEOUT_SECONDS)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=self.JOIN_TIMEOUT_SECONDS)
-        if process.is_alive():  # pragma: no cover - needs an unkillable worker
-            process.kill()
-            process.join(timeout=self.JOIN_TIMEOUT_SECONDS)
-
-    def _handle_worker_failure(
-        self,
-        shard: int,
-        detail: str,
-        pending: List[ShardRunSpec],
-        attempts: Dict[int, int],
-        by_shard: Dict[int, ShardRunSpec],
-    ) -> None:
-        """Requeue a failed shard with resume, or raise once retries run out.
-
-        The respawned job resumes from the shard's last checkpoint (or
-        short-circuits from its stored result when the worker died after
-        finishing but before reporting), so recovery never replays work
-        differently — the merged result is bit-identical either way.
-        """
-        attempts[shard] += 1
-        if self._can_recover_workers() and attempts[shard] <= self.worker_retries:
-            job = dataclasses.replace(by_shard[shard], resume=True)
-            by_shard[shard] = job
-            pending.append(job)
-            return
-        raise RuntimeError(
-            f"shard {shard} worker failed "
-            f"(attempt {attempts[shard]}, retries exhausted):\n{detail}"
-        )
-
     def _run_workers(self, jobs: List[ShardRunSpec]) -> List[dict]:
-        """Fan shard jobs out to at most ``workers`` processes at a time.
-
-        A worker that reports an error or dies silently (killed, OOMed,
-        or exiting cleanly without a result) is re-run up to
-        ``worker_retries`` times when per-shard persistence is configured
-        — resuming from the shard checkpoint — before the failure is
-        raised with the worker's traceback or exit code.
-        """
-        ctx = multiprocessing.get_context("spawn")
-        results_queue = ctx.Queue()
-        payloads: Dict[int, dict] = {}
-        running: Dict[int, multiprocessing.Process] = {}
-        attempts: Dict[int, int] = {job.view.index: 0 for job in jobs}
+        """Run the shard jobs in the worker pool over one shared web."""
         with SharedWeb(self._web) as shared:
-            by_shard = {
-                job.view.index: dataclasses.replace(job, payload=shared.payload)
-                for job in jobs
-            }
-            pending = list(by_shard.values())
-            pending.reverse()  # pop() serves shards in shard-index order
-            try:
-                while pending or running:
-                    while pending and len(running) < self.workers:
-                        job = pending.pop()
-                        process = ctx.Process(
-                            target=_shard_worker,
-                            args=(job, results_queue),
-                            daemon=True,
-                        )
-                        process.start()
-                        running[job.view.index] = process
-                    try:
-                        message = results_queue.get(timeout=1.0)
-                    except queue_module.Empty:
-                        self._check_workers(
-                            running, payloads, pending, attempts, by_shard
-                        )
-                        continue
-                    kind = message[0]
-                    if kind == "window":
-                        _, shard, at, freshness, quality = message
-                        if self.on_window is not None:
-                            self.on_window(shard, at, freshness, quality)
-                    elif kind == "result":
-                        _, shard, payload = message
-                        payloads[shard] = payload
-                        process = running.pop(shard, None)
-                        if process is not None:
-                            self._reap(process)
-                    else:  # "error"
-                        _, shard, trace = message
-                        process = running.pop(shard, None)
-                        if process is not None:
-                            self._reap(process)
-                        self._handle_worker_failure(
-                            shard, trace, pending, attempts, by_shard
-                        )
-            finally:
-                for process in running.values():
-                    if process.is_alive():
-                        process.terminate()
-                    self._reap(process)
-                results_queue.close()
-        return [payloads[job.view.index] for job in jobs]
-
-    def _check_workers(
-        self,
-        running: Dict[int, multiprocessing.Process],
-        payloads: Dict[int, dict],
-        pending: List[ShardRunSpec],
-        attempts: Dict[int, int],
-        by_shard: Dict[int, ShardRunSpec],
-    ) -> None:
-        """Detect workers that died without reporting (e.g. SIGKILL/OOM).
-
-        A clean exit (code 0) without a result is just as fatal as a
-        signal death — the shard has no payload and nobody will deliver
-        one — so both feed the same retry-or-raise path.
-        """
-        for shard, process in list(running.items()):
-            if shard in payloads or process.is_alive():
-                continue
-            running.pop(shard)
-            self._reap(process)
-            self._handle_worker_failure(
-                shard,
-                f"worker process exited with code {process.exitcode} "
-                "without reporting a result",
-                pending,
-                attempts,
-                by_shard,
+            return run_jobs(
+                [Job(_run_shard, job, shared.payload) for job in jobs],
+                self.workers,
             )
 
     # ------------------------------------------------------------------ #

@@ -262,13 +262,6 @@ class ShardEngine:
             ``track_quality`` is set.
         refresh_journal: Callback invoked after each ranking scan (mirrors
             rewritten records into the journal, when one is attached).
-        on_measure: Optional hook invoked after every measurement event with
-            ``(at, freshness, quality)`` — the shard coordinator uses it to
-            stream per-window results over its queue. ``quality`` is ``None``
-            when quality tracking is off.
-        view: Optional :class:`ShardView` this engine operates on (``None``
-            for the monolithic crawler); carried for introspection and
-            progress labels, never consulted by the loop itself.
     """
 
     def __init__(
@@ -282,8 +275,6 @@ class ShardEngine:
         track_quality: bool,
         sample_quality: Optional[Callable[[float], Optional[float]]] = None,
         refresh_journal: Optional[Callable[[], None]] = None,
-        on_measure: Optional[Callable[[float, float, Optional[float]], None]] = None,
-        view: Optional[ShardView] = None,
     ) -> None:
         if crawl_budget_per_day <= 0:
             raise ValueError("crawl_budget_per_day must be positive")
@@ -295,8 +286,6 @@ class ShardEngine:
         self._track_quality = track_quality
         self._sample_quality = sample_quality
         self._refresh_journal = refresh_journal
-        self.on_measure = on_measure
-        self.view = view
 
     def run(
         self,
@@ -378,12 +367,9 @@ class ShardEngine:
                     self._refresh_journal()
                 scheduler.schedule(at + self._ranking_interval_days, "ranking")
             else:
-                freshness = tracker.sample(at)
-                quality = None
+                tracker.sample(at)
                 if self._track_quality and self._sample_quality is not None:
-                    quality = self._sample_quality(at)
-                if self.on_measure is not None:
-                    self.on_measure(at, freshness, quality)
+                    self._sample_quality(at)
                 scheduler.schedule(
                     at + self._measurement_interval_days, "measure"
                 )

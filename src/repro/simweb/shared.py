@@ -27,9 +27,6 @@ keyword vocabulary is code-addressed), same out-links in the same order.
 
 from __future__ import annotations
 
-import ctypes
-import signal
-import sys
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,24 +61,6 @@ class _SharedChangeProcess(ChangeProcess):
     @property
     def mean_rate(self) -> float:
         return self._mean_rate
-
-
-def install_parent_death_signal() -> None:
-    """Ask the kernel to SIGKILL this process when its parent dies.
-
-    Worker processes of a sharded crawl call this first. Without it, a
-    SIGKILLed coordinator (the crash-resume smoke test does exactly that)
-    leaves orphan workers running, and a resumed run would race them for
-    the per-shard stores. Linux-only; a silent no-op elsewhere.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        libc = ctypes.CDLL(None, use_errno=True)
-        PR_SET_PDEATHSIG = 1
-        libc.prctl(PR_SET_PDEATHSIG, int(signal.SIGKILL))
-    except Exception:  # pragma: no cover - best-effort hardening
-        pass
 
 
 def attach_shared_block(name: str) -> shared_memory.SharedMemory:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, RetrySpec
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
 from repro.core.collurls import CollUrls
-from repro.core.sharded_crawler import ShardedCrawler, ShardRunSpec
+from repro.core.sharded_crawler import ShardedCrawler
 from repro.core.update_module import UpdateModule
 from repro.faults import (
     _RETRY_SALT,
@@ -896,124 +896,3 @@ class TestCheckpointIntegrity:
         saver.save({"tick": 1}, at=1.0)
         with pytest.raises(ValueError, match="different spec"):
             _checkpointer(backend, spec_hash="b" * 64).load()
-
-
-# --------------------------------------------------------------------------- #
-# Sharded worker-failure handling
-# --------------------------------------------------------------------------- #
-
-
-class FakeProcess:
-    """Stand-in for multiprocessing.Process in coordinator unit tests."""
-
-    def __init__(self, alive=False, exitcode=0, stuck_joins=0):
-        self._alive = alive
-        self.exitcode = exitcode
-        self._stuck_joins = stuck_joins
-        self.joins = 0
-        self.terminated = False
-        self.killed = False
-
-    def is_alive(self):
-        return self._alive
-
-    def join(self, timeout=None):
-        self.joins += 1
-        if self.joins > self._stuck_joins:
-            self._alive = False
-
-    def terminate(self):
-        self.terminated = True
-
-    def kill(self):
-        self.killed = True
-
-
-def _coordinator(web, **kwargs):
-    config = IncrementalCrawlerConfig(
-        collection_capacity=20, crawl_budget_per_day=100.0, track_quality=False
-    )
-    return ShardedCrawler(web, config, shards=2, **kwargs)
-
-
-def _job(resume=False):
-    return ShardRunSpec(
-        payload=None,
-        view=None,
-        config=None,
-        duration_days=1.0,
-        start_time=0.0,
-        storage="sqlite",
-        store_path="unused",
-        checkpoint_every=1.0,
-        spec_hash=None,
-        resume=resume,
-    )
-
-
-class TestShardedWorkerFailure:
-    def test_reap_escalates_from_join_to_terminate(self, tiny_web):
-        coordinator = _coordinator(tiny_web)
-        coordinator.JOIN_TIMEOUT_SECONDS = 0.01
-        process = FakeProcess(alive=True, stuck_joins=1)
-        coordinator._reap(process)
-        assert process.terminated
-        assert not process.is_alive()
-
-    def test_failure_without_persistence_is_fatal(self, tiny_web):
-        coordinator = _coordinator(tiny_web)
-        assert not coordinator._can_recover_workers()
-        with pytest.raises(RuntimeError, match=r"(?s)shard 1 worker failed.*boom"):
-            coordinator._handle_worker_failure(1, "boom", [], {1: 0}, {1: _job()})
-
-    def test_failure_with_persistence_requeues_with_resume(self, tiny_web, tmp_path):
-        coordinator = _coordinator(
-            tiny_web,
-            storage="sqlite",
-            store_path=str(tmp_path / "store.db"),
-            checkpoint_every=1.0,
-            worker_retries=2,
-        )
-        assert coordinator._can_recover_workers()
-        pending, attempts, by_shard = [], {0: 0}, {0: _job()}
-        coordinator._handle_worker_failure(0, "killed", pending, attempts, by_shard)
-        assert attempts[0] == 1
-        assert len(pending) == 1
-        assert pending[0].resume is True
-        coordinator._handle_worker_failure(0, "killed", pending, attempts, by_shard)
-        assert attempts[0] == 2
-        with pytest.raises(RuntimeError, match="retries exhausted"):
-            coordinator._handle_worker_failure(0, "killed", pending, attempts, by_shard)
-
-    def test_zero_worker_retries_disables_recovery(self, tiny_web, tmp_path):
-        coordinator = _coordinator(
-            tiny_web,
-            storage="sqlite",
-            store_path=str(tmp_path / "store.db"),
-            checkpoint_every=1.0,
-            worker_retries=0,
-        )
-        assert not coordinator._can_recover_workers()
-
-    def test_silent_worker_death_is_detected(self, tiny_web):
-        """A worker that exits (even with code 0) without a result must not
-        hang the coordinator: _check_workers feeds the retry-or-raise path."""
-        coordinator = _coordinator(tiny_web)
-        running = {1: FakeProcess(alive=False, exitcode=0)}
-        with pytest.raises(RuntimeError, match="exited with code 0"):
-            coordinator._check_workers(running, {}, [], {1: 0}, {1: _job()})
-        assert not running  # the dead worker was removed either way
-
-    def test_live_or_reported_workers_are_left_alone(self, tiny_web):
-        coordinator = _coordinator(tiny_web)
-        alive = FakeProcess(alive=True)
-        reported = FakeProcess(alive=False, exitcode=0)
-        running = {0: alive, 1: reported}
-        coordinator._check_workers(
-            running, {1: {"payload": True}}, [], {0: 0, 1: 0}, {}
-        )
-        assert running == {0: alive, 1: reported}
-
-    def test_negative_worker_retries_rejected(self, tiny_web):
-        with pytest.raises(ValueError, match="worker_retries"):
-            _coordinator(tiny_web, worker_retries=-1)

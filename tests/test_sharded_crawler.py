@@ -94,16 +94,6 @@ class TestSingleShardBitIdentity:
         assert merged.estimator_state == plain.update_module.snapshot()
         assert merged.shards == 1
 
-    def test_single_shard_streams_windows(self, shard_web):
-        sharded = ShardedCrawler(shard_web, _config(), shards=1)
-        windows = []
-        sharded.on_window = lambda shard, at, fresh, quality: windows.append(
-            (shard, at)
-        )
-        result = sharded.run(4.0)
-        assert [at for _, at in windows] == list(result.freshness.times)
-        assert all(shard == 0 for shard, _ in windows)
-
 
 class TestMultiShardDeterminism:
     def test_worker_count_never_changes_results(self, shard_web):
@@ -214,6 +204,16 @@ class TestShardedResume:
             ShardedCrawler(shard_web, _config(), shards=2).run(3.0, resume=True)
 
 
+def _assert_same_cells(serial, parallel):
+    assert len(serial.cells) == len(parallel.cells) == 2
+    for ours, theirs in zip(serial.cells, parallel.cells):
+        assert ours.series == theirs.series
+        assert ours.summary == theirs.summary
+        assert ours.tables == theirs.tables
+        assert ours.spec_hash == theirs.spec_hash
+        assert theirs.artifacts == {}
+
+
 class TestParallelMatrix:
     def test_parallel_equals_serial(self):
         base = ExperimentSpec(
@@ -237,18 +237,39 @@ class TestParallelMatrix:
             axes={"crawler.crawl_budget_per_day": [100.0, 200.0]},
         )
         serial = run_matrix(matrix)
-        streamed = []
-        parallel = run_matrix(
-            matrix, workers=2, on_cell=lambda i, r: streamed.append(i)
+        parallel = run_matrix(matrix, workers=2)
+        # Cells come back in cell-index order, whichever worker finished first.
+        assert [cell.name for cell in parallel.cells] == [
+            spec.name for _, spec in matrix.cells()
+        ]
+        _assert_same_cells(serial, parallel)
+
+    def test_parallel_matrix_over_sharded_cells(self):
+        """Matrix workers spawn the shard workers of their cells."""
+        base = ExperimentSpec(
+            name="nested-pools",
+            kind="crawl",
+            web=WebSpec(
+                site_counts={"com": 6, "edu": 3},
+                pages_per_site=10,
+                horizon_days=20.0,
+                seed=13,
+            ),
+            crawler=CrawlerSpec(
+                kind="incremental",
+                engine="sharded",
+                shards=2,
+                workers=2,
+                collection_capacity=50,
+                crawl_budget_per_day=150.0,
+                duration_days=3.0,
+            ),
         )
-        assert streamed == [0, 1]
-        assert len(serial.cells) == len(parallel.cells) == 2
-        for ours, theirs in zip(serial.cells, parallel.cells):
-            assert ours.series == theirs.series
-            assert ours.summary == theirs.summary
-            assert ours.tables == theirs.tables
-            assert ours.spec_hash == theirs.spec_hash
-            assert theirs.artifacts == {}
+        matrix = ScenarioMatrix(
+            base=base,
+            axes={"crawler.crawl_budget_per_day": [100.0, 200.0]},
+        )
+        _assert_same_cells(run_matrix(matrix), run_matrix(matrix, workers=2))
 
     def test_rejects_zero_workers(self):
         matrix = ScenarioMatrix(
