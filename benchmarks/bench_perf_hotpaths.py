@@ -2,9 +2,9 @@
 """Vectorized kernels vs. their reference loops, and engine identity.
 
 **Timed and gated.** Seven NumPy/sparse kernels, each timed once against
-the retained reference implementation on the same inputs and seeds; the
-results must agree (``max_abs_delta`` ≤ 1e-9) and the kernel must beat its
-reference (``speedup`` ≥ 1). The ratios are 2-56×, far enough from 1 that
+its reference loop (``tests/reference/kernels.py``) on the same inputs and
+seeds; the results must agree (``max_abs_delta`` ≤ 1e-9) and the kernel
+must beat its reference (``speedup`` ≥ 1). The ratios are 2-56×, far enough from 1 that
 a single raw wall-clock reading resolves them on any host:
 
 * ``simulate_revisit_allocation`` — the Figure 9/10 Monte-Carlo simulator;
@@ -28,9 +28,10 @@ a single raw wall-clock reading resolves them on any host:
   fresh graph and iterates from the uniform prior.
 
 **Untimed.** ``crawl_identity/*`` rows (:func:`check_crawl_identity`): the
-batched crawl engine against the per-URL reference engine, a zero-rate
-fault layer against none, one shard against the batched engine, a
-parallel matrix sweep against the serial one. Each row reads
+batched crawl engine against the per-URL reference engine
+(``tests/reference/crawl.py``), a zero-rate fault layer against none, one
+shard against the batched engine, a parallel matrix sweep against the
+serial one. Each row reads
 ``identical: true/false`` and carries no time. The crawl engine's *speed*
 is not measured here at all: ``benchmarks/e2e`` is the one referee for
 that (host-normalised µs per fetch, A/A-verified bounds, golden digests).
@@ -63,6 +64,8 @@ from typing import Callable, Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The reference loops and the per-URL crawl engine are test oracles.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 import numpy as np  # noqa: E402
 
@@ -74,23 +77,14 @@ from repro.core.incremental_crawler import (  # noqa: E402
 )
 from repro.core.sharded_crawler import ShardedCrawler  # noqa: E402
 from repro.faults import RetryPolicy  # noqa: E402
-from repro.freshness.metrics import (  # noqa: E402
-    collection_age,
-    collection_age_reference,
-    collection_freshness,
-    collection_freshness_reference,
-)
+from repro.freshness.metrics import collection_age, collection_freshness  # noqa: E402
 from repro.freshness.optimal_allocation import (  # noqa: E402
     optimal_revisit_frequencies,
-    optimal_revisit_frequencies_reference,
 )
 from repro.simulation.crawler_sim import (  # noqa: E402
     simulate_crawl_policy,
-    simulate_crawl_policy_reference,
     simulate_revisit_allocation,
-    simulate_revisit_allocation_reference,
 )
-from repro.ranking.pagerank import pagerank_reference  # noqa: E402
 from repro.ranking.sparse import LinkGraph, pagerank_scores  # noqa: E402
 from repro.simulation.scenarios import paper_table2_policies  # noqa: E402
 from repro.simweb.change_models import PoissonChangeProcess  # noqa: E402
@@ -103,6 +97,16 @@ from repro.storage.backends import (  # noqa: E402
     SqliteBackend,
 )
 from repro.storage.records import PageRecord, record_to_dict  # noqa: E402
+
+from reference.crawl import ReferenceIncrementalCrawler  # noqa: E402
+from reference.kernels import (  # noqa: E402
+    collection_age_reference,
+    collection_freshness_reference,
+    optimal_revisit_frequencies_reference,
+    pagerank_reference,
+    simulate_crawl_policy_reference,
+    simulate_revisit_allocation_reference,
+)
 
 
 def _timed(fn: Callable[[], object]) -> tuple:
@@ -322,14 +326,17 @@ def check_crawl_identity(
             crawl_budget_per_day=2.0 * n_pages,
             revisit_policy="optimal",
             estimator="ep",
-            engine=engine,
             ranking_interval_days=duration_days * 10.0,
             measurement_interval_days=0.5,
             track_quality=False,
             **overrides,
         )
         if shards is None:
-            crawler = IncrementalCrawler(web, config, seed_urls=seed_urls)
+            crawler_class = (
+                ReferenceIncrementalCrawler if engine == "reference"
+                else IncrementalCrawler
+            )
+            crawler = crawler_class(web, config, seed_urls=seed_urls)
             result = crawler.run(duration_days)
             failures = crawler.failure_counters()
             records = [

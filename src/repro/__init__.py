@@ -8,7 +8,7 @@ contribution:
     Synthetic evolving web: pages with Poisson change processes, sites with
     BFS page windows, per-domain calibration to the paper's measurements.
 ``repro.fetch``
-    Simulated crawl substrate: fetcher, politeness, robots rules, checksums.
+    Simulated crawl substrate: fetcher, politeness, checksums.
 ``repro.storage``
     Repository substrate: page records, in-place and shadowing collections,
     a small inverted index.

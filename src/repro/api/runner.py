@@ -297,9 +297,9 @@ _RunPayload = Tuple[Dict[str, List[float]], Dict[str, Any], Dict[str, Any], Dict
 
 
 def _incremental_config(
-    crawler_spec: CrawlerSpec, policy: PolicySpec, engine: str
+    crawler_spec: CrawlerSpec, policy: PolicySpec
 ) -> IncrementalCrawlerConfig:
-    """The crawler-core config a spec describes (engine chosen by caller)."""
+    """The crawler-core config a spec describes."""
     return IncrementalCrawlerConfig(
         collection_capacity=crawler_spec.collection_capacity,
         crawl_budget_per_day=crawler_spec.crawl_budget_per_day,
@@ -317,7 +317,6 @@ def _incremental_config(
         politeness_night_window=crawler_spec.politeness_night_window,
         politeness_night_start=crawler_spec.politeness_night_start,
         politeness_night_duration=crawler_spec.politeness_night_duration,
-        engine=engine,
         fault_models=(
             None if crawler_spec.faults is None
             else crawler_spec.faults.to_model_tuples()
@@ -346,7 +345,7 @@ def _run_sharded_crawl(
     policy = spec.policy if spec.policy is not None else PolicySpec()
     crawler = ShardedCrawler(
         web,
-        _incremental_config(crawler_spec, policy, engine="batched"),
+        _incremental_config(crawler_spec, policy),
         shards=crawler_spec.shards or 1,
         workers=crawler_spec.workers or 1,
         storage=crawler_spec.storage,
@@ -429,9 +428,7 @@ def _run_crawl(
     if crawler_spec.engine == "sharded":
         return _run_sharded_crawl(spec, web, store, resume)
     if crawler_spec.kind == "incremental":
-        crawler = IncrementalCrawler(
-            web, _incremental_config(crawler_spec, policy, crawler_spec.engine)
-        )
+        crawler = IncrementalCrawler(web, _incremental_config(crawler_spec, policy))
     else:
         crawler = PeriodicCrawler(
             web,
@@ -441,7 +438,6 @@ def _run_crawl(
                 cycle_days=crawler_spec.cycle_days,
                 measurement_interval_days=crawler_spec.measurement_interval_days,
                 track_quality=crawler_spec.track_quality,
-                engine=crawler_spec.engine,
             ),
         )
     journal = None

@@ -229,9 +229,8 @@ def polite_crawl(
     Runs the Section 5 incremental crawler twice on the same synthetic
     multi-site web — once unconstrained, once with the per-site minimum
     delay and (optionally) the nightly crawl window — so the freshness
-    cost of politeness is directly visible. Both runs use the batched
-    tick-window engine; politeness is resolved inside its one replay,
-    not by falling back to the per-URL reference path.
+    cost of politeness is directly visible. Politeness is resolved inside
+    the crawl loop's one replay.
 
     Args:
         site_scale: Site-count scale of the generated web.

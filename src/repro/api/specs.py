@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
 from repro.api.registry import ESTIMATORS, REVISIT_POLICIES
-from repro.core.incremental_crawler import CRAWL_ENGINES
 from repro.faults import RetryPolicy
 from repro.simweb.generator import WebGeneratorConfig
 
@@ -41,6 +40,8 @@ SpecT = TypeVar("SpecT", bound="_SpecBase")
 EXPERIMENT_KINDS: Tuple[str, ...] = ("crawl", "scenario", "monitor")
 #: Crawler architectures a :class:`CrawlerSpec` can name.
 CRAWLER_KINDS: Tuple[str, ...] = ("incremental", "periodic")
+#: How a :class:`CrawlerSpec` runs its crawl loop (``engine``).
+SPEC_ENGINES: Tuple[str, ...] = ("batched", "sharded")
 #: Importance metrics the RankingModule supports.
 IMPORTANCE_METRICS: Tuple[str, ...] = ("pagerank", "hits")
 
@@ -384,8 +385,8 @@ class CrawlerSpec(_SpecBase):
             change history (incremental only).
         track_quality: Also sample collection quality.
         use_politeness: Apply per-site politeness constraints
-            (incremental only). Both engines honour them; the batched
-            engine resolves them inside its one tick-window replay.
+            (incremental only; a periodic spec that sets it is refused).
+            They are resolved inside the crawl loop's one replay.
         politeness_min_delay_seconds: Minimum (virtual) seconds between two
             requests to one site when politeness is on; the paper used 10.
         politeness_night_window: Also restrict fetching to the recurring
@@ -394,13 +395,10 @@ class CrawlerSpec(_SpecBase):
             of a day (0.875 = 9 pm).
         politeness_night_duration: Length of the nightly window as a
             fraction of a day (0.375 = nine hours).
-        engine: Crawl-loop engine — ``"batched"`` (tick-window batching,
-            the default), ``"reference"`` (the pinned per-URL path) or
-            ``"sharded"`` (site-affine shards run by the batched engine,
-            optionally in worker processes; incremental only). Batched and
-            reference produce bit-identical results, with or without
-            politeness; ``sharded`` with ``shards=1`` is bit-identical to
-            batched.
+        engine: ``"batched"`` (the default: the crawl loop runs in this
+            process) or ``"sharded"`` (site-affine shards each run that
+            loop, optionally in worker processes; incremental only).
+            ``sharded`` with ``shards=1`` is bit-identical to batched.
         shards: Number of site-affine shards (``engine="sharded"`` only).
             Results for a fixed ``(seed, shards)`` are reproducible
             regardless of worker count and scheduling.
@@ -413,8 +411,8 @@ class CrawlerSpec(_SpecBase):
             run journals its collection and change events into the backend;
             incremental crawls only.
         checkpoint_every: Optional virtual-day spacing between resumable
-            state checkpoints. Requires ``storage`` and the batched engine;
-            a killed run resumes bit-identically from its last checkpoint.
+            state checkpoints. Requires ``storage``; a killed run resumes
+            bit-identically from its last checkpoint.
         faults: Optional :class:`FaultsSpec` injecting seeded, deterministic
             fetch faults (incremental only). Omitted specs hash exactly as
             they did before the field existed, and runs without it are
@@ -451,9 +449,8 @@ class CrawlerSpec(_SpecBase):
     def __post_init__(self) -> None:
         if self.kind not in CRAWLER_KINDS:
             raise _unknown_choice("crawler kind", self.kind, CRAWLER_KINDS)
-        spec_engines = CRAWL_ENGINES + ("sharded",)
-        if self.engine not in spec_engines:
-            raise _unknown_choice("crawl engine", self.engine, spec_engines)
+        if self.engine not in SPEC_ENGINES:
+            raise _unknown_choice("crawl engine", self.engine, SPEC_ENGINES)
         if self.engine == "sharded" and self.kind != "incremental":
             raise ValueError("the sharded engine supports incremental crawls only")
         if self.shards is not None:
@@ -502,11 +499,11 @@ class CrawlerSpec(_SpecBase):
                 raise ValueError("checkpoint_every must be positive")
             if self.storage is None:
                 raise ValueError("checkpoint_every requires a storage backend")
-            if self.engine not in ("batched", "sharded"):
-                raise ValueError(
-                    "checkpoint_every requires the batched or sharded engine "
-                    "(the reference engine's event queue cannot be snapshotted)"
-                )
+        if self.use_politeness and self.kind != "incremental":
+            raise ValueError(
+                "politeness is supported for incremental crawls only; the "
+                "periodic crawler would silently ignore it"
+            )
         if (self.faults is not None or self.retry is not None) and (
             self.kind != "incremental"
         ):

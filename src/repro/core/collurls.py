@@ -217,10 +217,6 @@ class CollUrls:
         entry = self._scheduled.get(url)
         return None if entry is None else entry[0]
 
-    def entry_for(self, url: str) -> Optional[QueueEntry]:
-        """The live ``(scheduled_time, sequence, url)`` entry (``None`` if absent)."""
-        return self._scheduled.get(url)
-
     def urls(self) -> List[str]:
         """All queued URLs (unordered)."""
         return list(self._scheduled.keys())
@@ -240,44 +236,6 @@ class CollUrls:
         """
         entries = sorted(self._scheduled.values())
         return [entry[2] for entry in entries]
-
-    def partition(self, owner_of, n: int) -> List["CollUrls"]:
-        """Split the queue into ``n`` disjoint queues by an ownership map.
-
-        The live-resharding seam: ``owner_of(url)`` names the destination
-        queue (an index in ``[0, n)``) of each entry. Entries keep their
-        exact ``(scheduled_time, sequence)`` keys — relative order among
-        entries landing in the same partition is untouched — and every
-        partition inherits both counters, so new scheduling activity in any
-        partition continues the original sequence space without colliding
-        with preserved keys. Entries are distributed in canonical queue
-        order, making the result a pure function of the queue contents.
-
-        Args:
-            owner_of: Maps a URL to its partition index.
-            n: Number of partitions.
-
-        Returns:
-            ``n`` fresh queues; this queue is not modified.
-        """
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        parts = [CollUrls() for _ in range(n)]
-        for part in parts:
-            part._counter = self._counter
-            part._front_counter = self._front_counter
-        for entry in sorted(self._scheduled.values()):
-            index = owner_of(entry[2])
-            if not 0 <= index < n:
-                raise ValueError(
-                    f"owner_of({entry[2]!r}) returned {index}, outside [0, {n})"
-                )
-            part = parts[index]
-            part._scheduled[entry[2]] = entry
-            part._heap.append(entry)
-        for part in parts:
-            heapq.heapify(part._heap)
-        return parts
 
     # ------------------------------------------------------------------ #
     # Checkpointing

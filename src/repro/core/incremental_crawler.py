@@ -1,7 +1,7 @@
 """The incremental crawler: steady, in-place, variable-frequency.
 
-This class wires the Figure 12 architecture together on a virtual clock and
-event queue:
+This class wires the Figure 12 architecture together in virtual time, as
+three recurring event streams:
 
 * a recurring *crawl* event pops the next URL from CollUrls and processes it
   through the UpdateModule (which calls the CrawlModule); the event period
@@ -18,23 +18,20 @@ event queue:
 The collection is updated in place, so newly fetched copies are visible to
 users immediately — the left-hand column of Figure 10.
 
-Two execution engines drive the same architecture:
-
-* the **batched** engine (default) advances the run in *tick windows*
-  bounded by the next ranking/measurement event and drains all crawl slots
-  of a window through :meth:`UpdateModule.process_slots` — batched oracle
-  fetches, vectorized change detection, one bulk reschedule — while
-  replicating the event queue's ``(time, sequence)`` ordering exactly;
-* the **reference** engine processes one event per fetched page, exactly
-  as Figure 12 describes the per-URL control flow. It is pinned by the
-  parity suite (``tests/test_crawler_batched_parity.py``): both engines
-  produce bit-identical counters and freshness/quality series.
+The run advances in *tick windows* bounded by the next ranking/measurement
+event: every crawl slot of a window is drained through one
+:meth:`UpdateModule.process_slots` call — batched oracle fetches,
+vectorized change detection, one bulk reschedule — while the event
+queue's ``(time, sequence)`` ordering is replicated exactly. The per-URL
+loop Figure 12 describes (one event per fetched page) survives only as a
+test oracle, ``tests/reference/crawl.py``; the parity suite
+(``tests/test_crawler_batched_parity.py``) holds both bit-identical,
+counters and freshness/quality series alike.
 
 Politeness (the paper's 10-second per-site delay and 9PM-6AM crawl
-window, Section 2.3) runs on the batched engine too: the tick-window
-replay resolves each popped entry's start instant against the per-site
-last-fetch state, which carries across tick windows, and stays
-bit-identical to the reference engine's per-fetch resolution.
+window, Section 2.3) is resolved inside that replay: each popped entry's
+start instant is resolved against the per-site last-fetch state, which
+carries across tick windows.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.core.quality import CollectionQualityCache
 from repro.core.ranking_module import RankingModule, RankingModuleConfig
-from repro.core.sharding import ShardEngine, ShardView
+from repro.core.sharding import ShardView
 from repro.core.update_module import UpdateModule, UpdateModuleConfig
 from repro.faults import (
     FailureTracker,
@@ -59,8 +56,7 @@ from repro.faults import (
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.fetch.politeness import NightWindow, PolitenessPolicy
 from repro.freshness.policies import RevisitPolicy, build_revisit_policy
-from repro.simulation.clock import VirtualClock
-from repro.simulation.events import EventQueue, StreamScheduler
+from repro.simulation.events import StreamScheduler
 from repro.simulation.freshness_tracker import FreshnessTimeSeries, FreshnessTracker
 from repro.simweb.web import SimulatedWeb
 from repro.storage.checkpoint import (
@@ -70,9 +66,6 @@ from repro.storage.checkpoint import (
 )
 from repro.storage.collection import InPlaceCollection
 from repro.storage.records import records_from_columns, records_to_columns
-
-#: Engines :meth:`IncrementalCrawler.run` can execute with.
-CRAWL_ENGINES: Tuple[str, ...] = ("batched", "reference")
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,6 @@ class IncrementalCrawlerConfig:
         track_quality: Also sample collection quality (needs a ground-truth
             PageRank over the whole web, computed once at start-up).
         use_politeness: Apply the per-site politeness delay to fetches.
-            Both engines honour it with bit-identical results.
         politeness_min_delay_seconds: Minimum (virtual) seconds between two
             requests to one site when politeness is on; the paper used 10.
         politeness_night_window: Also restrict fetching to a recurring
@@ -109,9 +101,6 @@ class IncrementalCrawlerConfig:
             of a day (0.875 = 9PM).
         politeness_night_duration: Length of the nightly window as a
             fraction of a day (0.375 = nine hours).
-        engine: ``"batched"`` (tick-window engine, the default) or
-            ``"reference"`` (one event per fetch, the pinned per-URL path).
-            Both produce bit-identical results.
         fault_models: Optional fault-model stack as ``(kind, params)``
             pairs, resolved through
             :data:`repro.api.registry.FAULT_MODELS`. ``None`` (the
@@ -139,7 +128,6 @@ class IncrementalCrawlerConfig:
     politeness_night_window: bool = False
     politeness_night_start: float = 0.875
     politeness_night_duration: float = 0.375
-    engine: str = "batched"
     fault_models: Optional[Tuple[Tuple[str, dict], ...]] = None
     fault_seed: int = 0
     retry: Optional[RetryPolicy] = None
@@ -154,10 +142,6 @@ class IncrementalCrawlerConfig:
             raise ValueError("ranking_interval_days must be positive")
         if self.measurement_interval_days <= 0:
             raise ValueError("measurement_interval_days must be positive")
-        if self.engine not in CRAWL_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choices: {', '.join(CRAWL_ENGINES)}"
-            )
         if self.politeness_min_delay_seconds < 0:
             raise ValueError("politeness_min_delay_seconds must be non-negative")
         # Build the fault layer once so bad model names/params fail here,
@@ -385,20 +369,14 @@ class IncrementalCrawler:
     ) -> CrawlRunResult:
         """Run the crawler for ``duration_days`` of virtual time.
 
-        Dispatches to the engine named by the configuration: the batched
-        tick-window engine by default, or the per-URL reference loop. Both
-        engines yield bit-identical results, with or without politeness.
-
         Args:
             duration_days: How long to run.
             start_time: Virtual time at which the run starts.
             journal: Optional :class:`CollectionJournal` mirroring records
                 and change events into a storage backend as the crawl
-                proceeds (works on both engines).
+                proceeds.
             checkpointer: Optional :class:`CrawlCheckpointer` persisting
-                resumable state snapshots at event boundaries (batched
-                engine only — the reference engine's event queue holds
-                closures, which cannot be serialized).
+                resumable state snapshots at event boundaries.
             resume_state: A checkpoint previously written by this
                 configuration, loaded via ``CrawlCheckpointer.load()``. The
                 crawler must be freshly constructed; the run continues from
@@ -411,13 +389,6 @@ class IncrementalCrawler:
         """
         if duration_days <= 0:
             raise ValueError("duration_days must be positive")
-        if (checkpointer is not None or resume_state is not None) and (
-            self._config.engine != "batched"
-        ):
-            raise ValueError(
-                "checkpoint/resume requires the batched engine; the reference "
-                "engine's event queue holds closures and cannot be snapshotted"
-            )
         end_time = min(start_time + duration_days, self._web.horizon_days)
 
         tracker = FreshnessTracker(
@@ -440,63 +411,20 @@ class IncrementalCrawler:
             if checkpointer is not None:
                 checkpointer.start(start_time)
 
-        if self._config.engine == "batched":
-            self._run_batched(
-                start_time,
-                end_time,
-                tracker,
-                result,
-                checkpointer=checkpointer,
-                scheduler=scheduler,
-            )
-        else:
-            self._run_reference(start_time, end_time, tracker, result)
+        self._run_batched(
+            start_time,
+            end_time,
+            tracker,
+            result,
+            checkpointer=checkpointer,
+            scheduler=scheduler,
+        )
 
         result.pages_crawled = self._crawl_module.pages_fetched
         result.pages_failed = self._crawl_module.pages_failed
         result.changes_detected = self._update_module.changes_detected
         result.pages_replaced = self._ranking_module.pages_replaced
         return result
-
-    # ------------------------------------------------------------------ #
-    # Engines
-    # ------------------------------------------------------------------ #
-    def _run_reference(
-        self,
-        start_time: float,
-        end_time: float,
-        tracker: FreshnessTracker,
-        result: CrawlRunResult,
-    ) -> None:
-        """The pinned per-URL engine: one event queue callback per fetch."""
-        clock = VirtualClock(start_time)
-        queue = EventQueue(clock)
-        crawl_period = 1.0 / self._config.crawl_budget_per_day
-
-        def crawl_step(at: float) -> None:
-            self._update_module.process_next(at)
-            queue.schedule(at + crawl_period, crawl_step, label="crawl")
-
-        def ranking_step(at: float) -> None:
-            refinement = self._ranking_module.refine(at)
-            self._update_module.set_importance(refinement.importance)
-            self._refresh_journal_records()
-            queue.schedule(
-                at + self._config.ranking_interval_days, ranking_step, label="ranking"
-            )
-
-        def measure_step(at: float) -> None:
-            tracker.sample(at)
-            if self._config.track_quality:
-                self._sample_quality(result, at)
-            queue.schedule(
-                at + self._config.measurement_interval_days, measure_step, label="measure"
-            )
-
-        queue.schedule(start_time, crawl_step, label="crawl")
-        queue.schedule(start_time, ranking_step, label="ranking")
-        queue.schedule(start_time, measure_step, label="measure")
-        queue.run_until(end_time)
 
     def _run_batched(
         self,
@@ -507,34 +435,95 @@ class IncrementalCrawler:
         checkpointer: Optional[CrawlCheckpointer] = None,
         scheduler: Optional[StreamScheduler] = None,
     ) -> None:
-        """The batched engine: crawl slots drained one tick window at a time.
+        """The crawl loop: crawl slots drained one tick window at a time.
 
-        The loop itself lives in :class:`~repro.core.sharding.ShardEngine`
-        (extracted so sharded workers drive the identical code); this
-        method builds the engine around this crawler's modules and
-        delegates. See the engine's docstring for the tick-window and
-        checkpoint semantics.
+        The :class:`StreamScheduler` carries the three recurring streams
+        with the per-URL loop's exact ``(time, sequence)`` ordering. When a
+        crawl event pops, every follow-up crawl slot that would have run
+        before the next ranking/measurement event is folded into one
+        ``process_slots`` call; each folded slot claims the sequence number
+        its per-event counterpart would have consumed, so every tie-break —
+        now and later in the run — resolves identically. Slot times are
+        accumulated with the same float additions the per-URL loop
+        performs, keeping fetch timestamps bit-identical.
+
+        Checkpoints are taken at the top of the loop, *before* the head
+        event pops: the snapshot reads state only (no sequence numbers are
+        consumed, no float is recomputed), so a checkpointed run is the
+        same run — and a resume restores the scheduler with the head event
+        still pending, replaying it exactly as the uninterrupted run would
+        have.
+
+        Args:
+            start_time: Virtual time the run starts (seeds the scheduler
+                when none is passed).
+            end_time: Virtual time past which no event executes.
+            tracker: Freshness tracker sampled at measurement events.
+            result: The run's result, receiving quality samples.
+            checkpointer: Optional checkpointer; offered a save opportunity
+                at the top of every loop iteration.
+            scheduler: A restored scheduler (resume); ``None`` starts all
+                three streams at ``start_time``.
         """
-        engine = ShardEngine(
-            update_module=self._update_module,
-            ranking_module=self._ranking_module,
-            crawl_budget_per_day=self._config.crawl_budget_per_day,
-            ranking_interval_days=self._config.ranking_interval_days,
-            measurement_interval_days=self._config.measurement_interval_days,
-            track_quality=self._config.track_quality,
-            sample_quality=lambda at: self._sample_quality(result, at),
-            refresh_journal=self._refresh_journal_records,
-        )
-        engine.run(
-            start_time,
-            end_time,
-            tracker,
-            checkpointer=checkpointer,
-            scheduler=scheduler,
-            snapshot=lambda at, sched: self._snapshot_state(
-                at, start_time, end_time, sched, tracker, result
-            ),
-        )
+        if scheduler is None:
+            scheduler = StreamScheduler()
+            scheduler.schedule(start_time, "crawl")
+            scheduler.schedule(start_time, "ranking")
+            scheduler.schedule(start_time, "measure")
+        config = self._config
+        crawl_period = 1.0 / config.crawl_budget_per_day
+        limit = end_time + 1e-12
+
+        while True:
+            head = scheduler.peek()
+            if head is None or head[0] > limit:
+                break
+            if checkpointer is not None and checkpointer.due(head[0]):
+                # No local name for the state: it would keep the last
+                # snapshot alive, doubling the next save's peak memory.
+                checkpointer.save(
+                    self._snapshot_state(
+                        head[0], start_time, end_time, scheduler, tracker, result
+                    ),
+                    head[0],
+                )
+            at, _sequence, label = scheduler.pop()
+            if label == "crawl":
+                # Fold every crawl slot that precedes the next other-stream
+                # event into one batch. The other streams cannot move while
+                # only crawl slots run, so their head is read once.
+                slots = [at]
+                append = slots.append
+                next_time = at + crawl_period
+                other = scheduler.peek()
+                if other is None:
+                    other_time, other_sequence = float("inf"), 0
+                else:
+                    other_time, other_sequence = other[0], other[1]
+                base_sequence = scheduler.next_sequence
+                claimed = 0
+                while next_time <= limit:
+                    if next_time > other_time or (
+                        next_time == other_time
+                        and other_sequence < base_sequence + claimed
+                    ):
+                        break
+                    append(next_time)
+                    claimed += 1
+                    next_time += crawl_period
+                scheduler.claim_sequences(claimed)
+                scheduler.schedule(next_time, "crawl")
+                self._update_module.process_slots(slots)
+            elif label == "ranking":
+                refinement = self._ranking_module.refine(at)
+                self._update_module.set_importance(refinement.importance)
+                self._refresh_journal_records()
+                scheduler.schedule(at + config.ranking_interval_days, "ranking")
+            else:
+                tracker.sample(at)
+                if config.track_quality:
+                    self._sample_quality(result, at)
+                scheduler.schedule(at + config.measurement_interval_days, "measure")
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -618,7 +607,6 @@ class IncrementalCrawler:
         politeness = self._fetcher.politeness
         return {
             "format": CHECKPOINT_FORMAT,
-            "engine": "batched",
             "start_time": start_time,
             "end_time": end_time,
             "duration_days": result.duration_days,

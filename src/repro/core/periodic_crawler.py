@@ -17,18 +17,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.core.quality import CollectionQualityCache
 from repro.fetch.fetcher import SimulatedFetcher
-from repro.simulation.clock import VirtualClock
 from repro.simulation.freshness_tracker import FreshnessTimeSeries, FreshnessTracker
 from repro.simweb.web import SimulatedWeb
 from repro.storage.collection import ShadowCollection
 from repro.storage.records import PageRecord
-
-#: Engines :meth:`PeriodicCrawler.run` can execute with.
-PERIODIC_ENGINES: Tuple[str, ...] = ("batched", "reference")
 
 
 @dataclass(frozen=True)
@@ -45,9 +41,6 @@ class PeriodicCrawlerConfig:
         cycle_days: Days between the starts of consecutive crawls.
         measurement_interval_days: How often freshness is sampled.
         track_quality: Also sample collection quality.
-        engine: ``"batched"`` (BFS waves resolved through the batched
-            oracle, the default) or ``"reference"`` (one scalar fetch per
-            pop). Both produce identical results.
     """
 
     collection_capacity: int = 500
@@ -55,7 +48,6 @@ class PeriodicCrawlerConfig:
     cycle_days: float = 30.0
     measurement_interval_days: float = 0.5
     track_quality: bool = True
-    engine: str = "batched"
 
     def __post_init__(self) -> None:
         if self.collection_capacity < 1:
@@ -66,10 +58,6 @@ class PeriodicCrawlerConfig:
             raise ValueError("cycle_days must be positive")
         if self.measurement_interval_days <= 0:
             raise ValueError("measurement_interval_days must be positive")
-        if self.engine not in PERIODIC_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choices: {', '.join(PERIODIC_ENGINES)}"
-            )
 
     @property
     def batch_duration_days(self) -> float:
@@ -136,7 +124,6 @@ class PeriodicCrawler:
         if duration_days <= 0:
             raise ValueError("duration_days must be positive")
         end_time = min(start_time + duration_days, self._web.horizon_days)
-        clock = VirtualClock(start_time)
         tracker = FreshnessTracker(
             self._web,
             self._collection,
@@ -165,55 +152,19 @@ class PeriodicCrawler:
     def _run_one_cycle(
         self, cycle_start: float, end_time: float, result: PeriodicCrawlResult
     ) -> float:
-        """Crawl one full collection breadth-first; returns the completion time."""
-        if self._config.engine == "batched" and self._fetcher.supports_batching:
-            return self._run_one_cycle_batched(cycle_start, end_time, result)
-        per_fetch = 1.0 / self._config.crawl_budget_per_day
-        now = cycle_start
-        queue = deque(self._seeds)
-        seen: Set[str] = set(self._seeds)
-        collected = 0
-        while queue and collected < self._config.collection_capacity and now < end_time:
-            url = queue.popleft()
-            fetch = self._fetcher.fetch(url, at=now)
-            now += per_fetch
-            if not fetch.ok:
-                continue
-            record = PageRecord(
-                url=url,
-                content=fetch.content,
-                checksum=fetch.checksum,
-                fetched_at=fetch.completed_at,
-                first_fetched_at=fetch.completed_at,
-                outlinks=tuple(fetch.outlinks),
-            )
-            if self._collection.get_working(url) is None and not self._shadow_full():
-                self._collection.store(record)
-                collected += 1
-            result.pages_crawled += 1
-            for link in fetch.outlinks:
-                if link not in seen:
-                    seen.add(link)
-                    queue.append(link)
-        self._collection.complete_cycle(at=now)
-        result.cycles_completed += 1
-        return now
-
-    def _run_one_cycle_batched(
-        self, cycle_start: float, end_time: float, result: PeriodicCrawlResult
-    ) -> float:
-        """Wave-batched breadth-first cycle, identical to the scalar loop.
+        """Crawl one full collection breadth-first; returns the completion time.
 
         The BFS frontier is processed one wave at a time: all URLs queued at
         the start of the wave resolve through one
         :meth:`~repro.fetch.fetcher.SimulatedFetcher.fetch_many` call, then
         the discovered links of each fetched page are appended in pop order,
-        reproducing the exact deque order of the per-URL loop. Within a
-        wave, each URL is fetched at most once per cycle (the ``seen`` set
-        guards enqueueing), so only the stop conditions need care: a wave
-        slice never exceeds the remaining time budget (``now < end_time``
-        per fetch) nor the number of pages still admissible, which keeps
-        the fetch count identical to the scalar loop's.
+        reproducing the exact deque order of a per-URL BFS (kept as the test
+        oracle in ``tests/reference/crawl.py``). Within a wave, each URL is
+        fetched at most once per cycle (the ``seen`` set guards
+        enqueueing), so only the stop conditions need care: a wave slice
+        never exceeds the remaining time budget (``now < end_time`` per
+        fetch) nor the number of pages still admissible, which keeps the
+        fetch count identical to the per-URL loop's.
         """
         per_fetch = 1.0 / self._config.crawl_budget_per_day
         capacity = self._config.collection_capacity
@@ -224,7 +175,7 @@ class PeriodicCrawler:
         collection = self._collection
         fetcher = self._fetcher
         while queue and collected < capacity and now < end_time:
-            # The scalar loop checks `now < end_time` before each pop and
+            # The per-URL loop checks `now < end_time` before each pop and
             # stores at most (capacity - collected) more pages; a slice of
             # that length cannot overshoot either bound.
             max_by_time = len(queue)
@@ -282,11 +233,6 @@ class PeriodicCrawler:
         self._collection.complete_cycle(at=now)
         result.cycles_completed += 1
         return now
-
-    def _shadow_full(self) -> bool:
-        return (
-            len(self._collection.working_records()) >= self._config.collection_capacity
-        )
 
     def _measure_until(
         self,

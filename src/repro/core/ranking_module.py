@@ -19,9 +19,9 @@ applies only the out-link deltas the crawler produced since the previous
 scan (new pages, changed pages, refinement discards), and warm-starts the
 sparse power iteration from the previous score vector — so the steady-state
 cost of a scan is a delta sync plus a handful of spmv iterations, not a
-from-scratch recompute. The retired dense path is pinned as
-:meth:`RankingModule._compute_importance_reference`; the parity suite holds
-the refinement decisions of both paths identical.
+from-scratch recompute. The retired dense path is kept as a test oracle in
+``tests/reference/kernels.py``; the parity suite holds the refinement
+decisions of both paths identical.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ import numpy as np
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
-from repro.ranking.hits import hits_reference
-from repro.ranking.pagerank import pagerank_reference
 from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
 from repro.storage.checkpoint import pack_floats, unpack_floats
 from repro.storage.collection import Collection
@@ -332,23 +330,6 @@ class RankingModule:
             url_of(node): score
             for node, score in zip(ids.tolist(), scores.tolist())
         }
-
-    def _compute_importance_reference(self) -> Dict[str, float]:
-        """The retired dense path: rebuild the dict graph, cold iteration.
-
-        Pinned for the parity suite — refinement decisions driven by this
-        path and by the sparse incremental path must be identical.
-        """
-        graph = {
-            record.url: tuple(record.outlinks)
-            for record in self._collection.working_records()
-        }
-        if not graph:
-            return {}
-        if self._config.importance_metric == "hits":
-            _hubs, authorities = hits_reference(graph)
-            return authorities
-        return pagerank_reference(graph, damping=self._config.damping)
 
     def _replace(self, victim_url: str, new_url: str, at: float) -> None:
         self._crawl_module.discard(victim_url)

@@ -3,9 +3,9 @@
 Section 5.2's architecture is explicitly designed so that "multiple
 CrawlModules may run in parallel". This module scales the *whole* crawler
 that way: the URL space is partitioned site-affinely into
-:class:`~repro.core.sharding.ShardView` slices, each slice runs the exact
-batched engine (:class:`~repro.core.sharding.ShardEngine`) in a worker
-process against a shared-memory copy of the web
+:class:`~repro.core.sharding.ShardView` slices, each slice runs the one
+crawl loop (an :class:`~repro.core.incremental_crawler.IncrementalCrawler`
+over its view) in a worker process against a shared-memory copy of the web
 (:mod:`repro.simweb.shared`), and the coordinator merges the per-shard
 results deterministically.
 
@@ -13,7 +13,7 @@ Determinism contract:
 
 * ``shards=1`` never spawns a process — it degenerates to the plain
   :class:`~repro.core.incremental_crawler.IncrementalCrawler`, so the
-  result is bit-identical to the batched engine (series, counters,
+  result is bit-identical to the unsharded crawler (series, counters,
   estimator state, per-record fetch timestamps).
 * For ``shards=N`` the run is a pure function of ``(web, config, shards)``:
   each shard's sub-crawl is sequential and self-contained (politeness
@@ -236,9 +236,7 @@ class ShardedCrawler:
     Args:
         web: The synthetic web to crawl.
         config: Crawler configuration for the *whole* crawl (its capacity
-            and budget are split across shards; its ``engine`` must be
-            ``"batched"`` — every shard runs the batched tick-window
-            engine).
+            and budget are split across shards).
         seed_urls: Starting URLs; defaults to every site's root page.
         shards: Number of site-affine shards to partition into. ``1``
             degenerates to the plain in-process crawler, bit-identically.
@@ -280,11 +278,6 @@ class ShardedCrawler:
             raise ValueError("workers must be at least 1")
         self._web = web
         self._config = config if config is not None else IncrementalCrawlerConfig()
-        if self._config.engine != "batched":
-            raise ValueError(
-                "sharded crawls drive the batched engine in every worker; "
-                f"got engine={self._config.engine!r}"
-            )
         self._seeds = seed_urls
         self.shards = shards
         self.workers = workers

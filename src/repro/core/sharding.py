@@ -1,4 +1,4 @@
-"""Site-affine sharding of the crawl: partitioner, shard views, shard engine.
+"""Site-affine sharding of the crawl: partitioner and shard views.
 
 The paper's architecture (Section 5.2) is explicitly built to crawl at
 scale with *multiple* crawl processes. This module provides the pieces that
@@ -12,29 +12,20 @@ let one logical crawl decompose into independent, site-affine shards:
 * :class:`ShardView` — one shard's slice of the crawl problem: the sites it
   owns, the seed URLs it starts from, and its share of the collection
   capacity and crawl budget.
-* :class:`ShardEngine` — the batched tick-window loop, extracted from
-  ``IncrementalCrawler._run_batched`` so the same code drives both the
-  single-process crawler and every worker of a
-  :class:`~repro.core.sharded_crawler.ShardedCrawler`. The loop is moved,
-  not rewritten: every float addition, sequence claim and tie-break is the
-  one the monolithic engine performed, which is what keeps the single-shard
-  configuration bit-identical to the pre-shard crawler.
+
+Every shard — and the unsharded crawl — runs the one crawl loop,
+``IncrementalCrawler._run_batched``, over its view; that is what keeps the
+single-shard configuration bit-identical to the unsharded crawler.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
-
-from repro.simulation.events import StreamScheduler
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.ranking_module import RankingModule
-    from repro.core.update_module import UpdateModule
-    from repro.simulation.freshness_tracker import FreshnessTracker
     from repro.simweb.web import SimulatedWeb
-    from repro.storage.checkpoint import CrawlCheckpointer
 
 
 class SitePartitioner:
@@ -229,147 +220,3 @@ def _largest_remainder_split(
             shares[i] += 1
     return shares
 
-
-class ShardEngine:
-    """The batched tick-window loop, runnable for one shard or the whole web.
-
-    This is ``IncrementalCrawler._run_batched``'s loop body, extracted so a
-    :class:`~repro.core.sharded_crawler.ShardedCrawler` worker drives the
-    exact same code over its :class:`ShardView`. The :class:`StreamScheduler`
-    carries the three recurring streams with the reference engine's exact
-    ``(time, sequence)`` ordering. When a crawl event pops, every follow-up
-    crawl slot that would have run before the next ranking/measurement event
-    is folded into one ``process_slots`` call; each folded slot claims the
-    sequence number its per-event counterpart would have consumed, so every
-    tie-break — now and later in the run — resolves identically. Slot times
-    are accumulated with the same float additions the reference engine
-    performs, keeping fetch timestamps bit-identical.
-
-    Checkpoints are taken at the top of the loop, *before* the head event
-    pops: the snapshot reads state only (no sequence numbers are consumed,
-    no float is recomputed), so a checkpointed run is the same run — and a
-    resume restores the scheduler with the head event still pending,
-    replaying it exactly as the uninterrupted run would have.
-
-    Args:
-        update_module: The shard's :class:`~repro.core.update_module.UpdateModule`.
-        ranking_module: The shard's :class:`~repro.core.ranking_module.RankingModule`.
-        crawl_budget_per_day: Crawl-slot rate (slots per virtual day).
-        ranking_interval_days: Refinement-scan cadence.
-        measurement_interval_days: Freshness-sampling cadence.
-        track_quality: Whether measurement events also sample quality.
-        sample_quality: Callback invoked with the measurement instant when
-            ``track_quality`` is set.
-        refresh_journal: Callback invoked after each ranking scan (mirrors
-            rewritten records into the journal, when one is attached).
-    """
-
-    def __init__(
-        self,
-        *,
-        update_module: "UpdateModule",
-        ranking_module: "RankingModule",
-        crawl_budget_per_day: float,
-        ranking_interval_days: float,
-        measurement_interval_days: float,
-        track_quality: bool,
-        sample_quality: Optional[Callable[[float], Optional[float]]] = None,
-        refresh_journal: Optional[Callable[[], None]] = None,
-    ) -> None:
-        if crawl_budget_per_day <= 0:
-            raise ValueError("crawl_budget_per_day must be positive")
-        self._update_module = update_module
-        self._ranking_module = ranking_module
-        self._crawl_budget_per_day = crawl_budget_per_day
-        self._ranking_interval_days = ranking_interval_days
-        self._measurement_interval_days = measurement_interval_days
-        self._track_quality = track_quality
-        self._sample_quality = sample_quality
-        self._refresh_journal = refresh_journal
-
-    def run(
-        self,
-        start_time: float,
-        end_time: float,
-        tracker: "FreshnessTracker",
-        *,
-        checkpointer: Optional["CrawlCheckpointer"] = None,
-        scheduler: Optional[StreamScheduler] = None,
-        snapshot: Optional[Callable[[float, StreamScheduler], dict]] = None,
-    ) -> None:
-        """Drive the tick-window loop from ``start_time`` to ``end_time``.
-
-        Args:
-            start_time: Virtual time the run starts (used only to seed the
-                scheduler when none is passed).
-            end_time: Virtual time past which no event executes.
-            tracker: Freshness tracker sampled at measurement events.
-            checkpointer: Optional checkpointer; offered a save opportunity
-                at the top of every loop iteration.
-            scheduler: A restored scheduler (resume); ``None`` starts all
-                three streams at ``start_time``.
-            snapshot: Callable assembling the checkpoint state dict, invoked
-                as ``snapshot(at, scheduler)``; required when
-                ``checkpointer`` is given.
-        """
-        if checkpointer is not None and snapshot is None:
-            raise ValueError("a checkpointer needs a snapshot callable")
-        if scheduler is None:
-            scheduler = StreamScheduler()
-            scheduler.schedule(start_time, "crawl")
-            scheduler.schedule(start_time, "ranking")
-            scheduler.schedule(start_time, "measure")
-        crawl_period = 1.0 / self._crawl_budget_per_day
-        epsilon = 1e-12
-
-        while True:
-            head = scheduler.peek()
-            if head is None or head[0] > end_time + epsilon:
-                break
-            if checkpointer is not None and checkpointer.due(head[0]):
-                checkpointer.save(snapshot(head[0], scheduler), head[0])
-            at, _sequence, label = scheduler.pop()
-            if label == "crawl":
-                # Fold every crawl slot that precedes the next other-stream
-                # event into one batch. The other streams cannot move while
-                # only crawl slots run, so their head is read once; each
-                # folded slot still consumes the sequence number its
-                # per-event counterpart would have, keeping all later
-                # tie-breaks identical. Slot times accumulate with the same
-                # float additions the reference engine performs.
-                slots = [at]
-                append = slots.append
-                next_time = at + crawl_period
-                other = scheduler.peek()
-                if other is None:
-                    other_time, other_sequence = float("inf"), 0
-                else:
-                    other_time, other_sequence = other[0], other[1]
-                base_sequence = scheduler.next_sequence
-                claimed = 0
-                limit = end_time + epsilon
-                while next_time <= limit:
-                    if next_time > other_time or (
-                        next_time == other_time
-                        and other_sequence < base_sequence + claimed
-                    ):
-                        break
-                    append(next_time)
-                    claimed += 1
-                    next_time += crawl_period
-                scheduler.claim_sequences(claimed)
-                scheduler.schedule(next_time, "crawl")
-                self._update_module.process_slots(slots)
-            elif label == "ranking":
-                refinement = self._ranking_module.refine(at)
-                self._update_module.set_importance(refinement.importance)
-                if self._refresh_journal is not None:
-                    self._refresh_journal()
-                scheduler.schedule(at + self._ranking_interval_days, "ranking")
-            else:
-                tracker.sample(at)
-                if self._track_quality and self._sample_quality is not None:
-                    self._sample_quality(at)
-                scheduler.schedule(
-                    at + self._measurement_interval_days, "measure"
-                )

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.api.registry import ESTIMATORS
 from repro.core.collurls import CollUrls
-from repro.core.crawl_module import BatchCrawlOutcome, CrawlModule, CrawlOutcome
+from repro.core.crawl_module import BatchCrawlOutcome, CrawlModule
 from repro.estimation.change_history import (
     ChangeHistory,
     histories_from_columns,
@@ -36,18 +36,8 @@ from repro.faults import (
     STATUS_TIMEOUT,
     FailureTracker,
 )
-from repro.fetch.fetcher import STATUS_TO_CODE, FetchStatus
 from repro.freshness.policies import RevisitPolicy, UniformRevisitPolicy
 from repro.storage.checkpoint import pack_floats, unpack_floats
-
-#: FetchStatus members that are *no observation* of the page (see
-#: repro.faults.TRANSIENT_CODES): the fetch failed, the page may be fine.
-_TRANSIENT_STATUSES = (
-    FetchStatus.TIMEOUT,
-    FetchStatus.SERVER_ERROR,
-    FetchStatus.RATE_LIMITED,
-    FetchStatus.SOFT_404,
-)
 
 
 @dataclass(frozen=True)
@@ -126,95 +116,21 @@ class UpdateModule:
         self.changes_detected = 0
 
     # ------------------------------------------------------------------ #
-    # Main loop step
-    # ------------------------------------------------------------------ #
-    def process_next(self, at: float) -> Optional[CrawlOutcome]:
-        """Pop the head of CollUrls, crawl it and reschedule it.
-
-        Args:
-            at: Current virtual time.
-
-        Returns:
-            The :class:`CrawlOutcome`, or ``None`` when CollUrls is empty.
-        """
-        head = self._collurls.pop()
-        if head is None:
-            return None
-        url, _scheduled = head
-        tracker = self.failure_tracker
-        site: Optional[str] = None
-        if tracker is not None:
-            site = self._crawl_module.site_of(url)
-            if tracker.quarantined(site, at):
-                # Circuit breaker: the slot is spent but nothing is fetched;
-                # the URL is deferred to the quarantine's probe time.
-                self._collurls.schedule(url, tracker.defer(url, site, at))
-                return None
-        outcome = self._crawl_module.crawl(url, at)
-        self.pages_processed += 1
-        completed = outcome.completed_at
-
-        if tracker is not None and outcome.fetch.status in _TRANSIENT_STATUSES:
-            # Transient failure: no observation of the page was made, so the
-            # change history and rate estimate stay untouched. The retry
-            # policy decides whether the URL goes back into the queue.
-            retry_at = tracker.on_failure(
-                url,
-                site,
-                STATUS_TO_CODE[outcome.fetch.status],
-                completed,
-                outcome.fetch.retry_after,
-            )
-            if retry_at is not None:
-                self._collurls.schedule(url, retry_at)
-            else:
-                # Retries exhausted: drop the page from the schedule (the
-                # RankingModule will admit a replacement) but leave AllUrls
-                # alone — the page was never observed to be gone.
-                self._forget(url)
-                self._crawl_module.discard(url)
-            journal = self._crawl_module.journal
-            if journal is not None:
-                journal.on_outcome(outcome, self._crawl_module.collection)
-            return outcome
-
-        if not outcome.stored:
-            # The page has disappeared (or is excluded): drop its statistics
-            # and do not reschedule it; the RankingModule will admit a
-            # replacement page on its next scan.
-            self._forget(url)
-            self._crawl_module.discard(url)
-            journal = self._crawl_module.journal
-            if journal is not None:
-                journal.on_outcome(outcome, self._crawl_module.collection)
-            return outcome
-
-        if tracker is not None:
-            tracker.on_success(url, site)
-        self._observe(url, completed, outcome)
-        self._maybe_reallocate(completed)
-        next_visit = completed + self._interval_for(url)
-        self._collurls.schedule(url, next_visit)
-        journal = self._crawl_module.journal
-        if journal is not None:
-            journal.on_outcome(outcome, self._crawl_module.collection)
-        return outcome
-
-    # ------------------------------------------------------------------ #
     # Batched loop steps
     # ------------------------------------------------------------------ #
     def process_slots(self, slot_times: Sequence[float]) -> int:
         """Drain CollUrls through a whole window of crawl slots at once.
 
-        Exactly equivalent to calling :meth:`process_next` once per slot
-        time, in order — including the subtle cases: a page rescheduled
-        early enough to be popped *again* within the same window, the head
-        of the queue changing between slots, a revisit-interval
-        reallocation falling due mid-window, and, with a failure tracker,
-        retries and breaker probes landing inside the window. This is the
-        only replay the batched engine runs: politeness, the fault layer
-        and the failure tracker are optional concerns of one walk, each
-        skipped when it is ``None``.
+        Exactly equivalent to popping, crawling and rescheduling one URL per
+        slot time, in order (the per-URL step the test oracle
+        ``tests/reference/crawl.py`` keeps) — including the subtle cases: a
+        page rescheduled early enough to be popped *again* within the same
+        window, the head of the queue changing between slots, a
+        revisit-interval reallocation falling due mid-window, and, with a
+        failure tracker, retries and breaker probes landing inside the
+        window. This is the only replay the crawl loop runs: politeness,
+        the fault layer and the failure tracker are optional concerns of
+        one walk, each skipped when it is ``None``.
 
         The *queue dynamics* of a window are decidable without fetching
         anything. Whether a fetch succeeds is an oracle existence test at
@@ -260,7 +176,7 @@ class UpdateModule:
         predicted statuses and retry decisions ride along so it is never
         consulted twice.
 
-        Reallocation boundaries match :meth:`process_next`: only a
+        Reallocation boundaries match the per-URL step's: only a
         *successful* fetch can trigger one. The trigger commits the round
         and restores the tail first (the reallocation snapshots the whole
         queue), flushes the pending batch (the reallocation must see those
@@ -272,8 +188,7 @@ class UpdateModule:
 
         Returns:
             Number of pages processed (slots with an empty queue are idle,
-            exactly like ``process_next`` returning ``None``; so are slots
-            spent on a quarantined site).
+            as are slots spent on a quarantined site).
         """
         fetcher = self._crawl_module.fetcher
         politeness = fetcher.politeness
@@ -431,7 +346,7 @@ class UpdateModule:
                 elif tracker is not None and status != STATUS_NOT_FOUND:
                     # Transient failure: the retry policy decides whether
                     # the URL goes back into the queue. Without a tracker
-                    # it is terminal, as in process_next.
+                    # it is terminal.
                     due = tracker.on_failure(url, site, status, completed, hints[j])
                 if due is not None:
                     due_urls.append(url)
@@ -474,8 +389,8 @@ class UpdateModule:
     ) -> BatchCrawlOutcome:
         """Crawl a batch of URLs and fold the outcomes into the statistics.
 
-        The batched counterpart of :meth:`process_next` minus the queue
-        pop: fetches resolve through one
+        The per-URL crawl step applied to many URLs, minus the queue pop:
+        fetches resolve through one
         :meth:`~repro.core.crawl_module.CrawlModule.crawl_many` call
         (batched oracle + vectorized change detection), change histories
         are appended in bulk, and rates are re-estimated through the
@@ -627,19 +542,6 @@ class UpdateModule:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _observe(self, url: str, at: float, outcome: CrawlOutcome) -> None:
-        history = self._histories.get(url)
-        if history is None or outcome.was_new:
-            self._histories[url] = ChangeHistory(
-                first_visit=at, window_days=self._config.history_window_days
-            )
-            self._estimator.reset_page(url)
-            return
-        history.record_visit(at, outcome.changed)
-        if outcome.changed:
-            self.changes_detected += 1
-        self._rate_estimates[url] = self._estimator.update(url, history)
-
     def _maybe_reallocate(self, at: float) -> None:
         if (
             self._last_reallocation is not None
@@ -649,10 +551,10 @@ class UpdateModule:
         self._last_reallocation = at
         # Queue order, not dict-insertion order: the allocation below sums
         # the rates, and float summation order matters at the ulp level.
-        # Dict-insertion order depends on the operational path (the batched
-        # engine's pop/restore round trips move entries to the dict end),
+        # Dict-insertion order depends on the operational path (the crawl
+        # loop's pop/restore round trips move entries to the dict end),
         # while (time, sequence) queue order is a pure function of the
-        # queue contents both engines agree on bit-for-bit.
+        # queue contents, which the per-URL oracle agrees on bit-for-bit.
         urls = self._collurls.urls_in_queue_order() + list(
             self._rate_estimates.keys()
         )

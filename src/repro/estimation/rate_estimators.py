@@ -133,7 +133,7 @@ class PoissonRateStrategy(ChangeRateEstimator):
         the UpdateModule only consumes the point rate. The arithmetic uses
         ``math.log`` per element rather than a SIMD ``np.log`` on purpose:
         vectorized transcendentals may differ from libm in the last ulp,
-        and the batched engine promises bit-identical schedules.
+        and the crawl loop promises bit-identical schedules.
         """
         rates: List[float] = []
         append = rates.append

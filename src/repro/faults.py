@@ -327,7 +327,7 @@ class LatencyFaults(FaultModel):
     """Congestion windows that multiply transfer latency.
 
     A pure function of *time only* (never of the URL or site), so the
-    batched engine's reallocation-boundary scan stays exact: every fetch in
+    crawl loop's reallocation-boundary scan stays exact: every fetch in
     the same congestion window sees the same factor.
     """
 
@@ -586,9 +586,9 @@ _COUNTER_NAMES = (
 class FailureTracker:
     """Mutable failure state: retry attempts, budgets and circuit breakers.
 
-    One instance lives inside each crawl engine. Both engines mutate it
-    exactly once per fetch, in fetch order, which is what keeps the batched
-    and reference engines bit-identical under faults.
+    One instance lives inside each crawler. The crawl loop and its per-URL
+    test oracle both mutate it exactly once per fetch, in fetch order,
+    which is what keeps them bit-identical under faults.
 
     Args:
         policy: The retry policy.

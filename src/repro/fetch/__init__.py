@@ -1,4 +1,4 @@
-"""Simulated crawl substrate: fetching, politeness, robots rules, checksums.
+"""Simulated crawl substrate: fetching, politeness, checksums.
 
 The paper's WebBase crawler fetched pages over HTTP subject to strict
 politeness constraints (night-only crawling, at least ten seconds between
@@ -13,7 +13,6 @@ signal the UpdateModule uses to detect changes (Section 5.3).
 from repro.fetch.checksum import page_checksum
 from repro.fetch.fetcher import FetchResult, FetchStatus, SimulatedFetcher
 from repro.fetch.politeness import NightWindow, PolitenessPolicy
-from repro.fetch.robots import RobotsRules
 
 __all__ = [
     "page_checksum",
@@ -22,5 +21,4 @@ __all__ = [
     "SimulatedFetcher",
     "PolitenessPolicy",
     "NightWindow",
-    "RobotsRules",
 ]

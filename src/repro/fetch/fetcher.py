@@ -5,7 +5,7 @@ synthetic web: it resolves a URL through the
 :class:`~repro.simweb.web.SimulatedWeb` oracle at a given virtual time and
 returns a :class:`FetchResult` carrying the body, its checksum and the
 extracted out-links — exactly what an HTTP fetch plus link extraction gives
-a real crawler. Politeness and robots rules are applied here, and each fetch
+a real crawler. Politeness is applied here, and each fetch
 charges a configurable amount of virtual time, which is how crawl bandwidth
 limits enter the simulation.
 """
@@ -28,17 +28,18 @@ from repro.faults import (
 )
 from repro.fetch.checksum import page_checksum
 from repro.fetch.politeness import PolitenessPolicy
-from repro.fetch.robots import RobotsRules
 from repro.simweb.web import SimulatedWeb
 
 
 class FetchStatus(enum.Enum):
     """Outcome of a simulated fetch.
 
-    ``OK``/``NOT_FOUND``/``EXCLUDED`` are the fair-weather outcomes; the
-    rest are injected by a :class:`~repro.faults.FaultLayer` and are
-    *transient* — they say nothing about whether the page exists, so the
-    engine must not treat them as deletions.
+    ``OK``/``NOT_FOUND`` are the fair-weather outcomes; the rest but
+    ``EXCLUDED`` are injected by a :class:`~repro.faults.FaultLayer` and
+    are *transient* — they say nothing about whether the page exists, so
+    the crawler must not treat them as deletions. ``EXCLUDED`` is never
+    produced any more; it keeps its wire code so every stored code keeps
+    its meaning.
     """
 
     OK = "ok"
@@ -144,7 +145,6 @@ class SimulatedFetcher:
         web: The ground-truth synthetic web.
         politeness: Optional per-site politeness policy; when given, fetches
             are delayed until the policy allows them.
-        robots: Optional exclusion rules.
         latency_days: Virtual time consumed by a single fetch (download and
             processing). The default corresponds to roughly 2 seconds per
             page, i.e. about 43,000 pages per virtual day for a single
@@ -158,7 +158,6 @@ class SimulatedFetcher:
         self,
         web: SimulatedWeb,
         politeness: Optional[PolitenessPolicy] = None,
-        robots: Optional[RobotsRules] = None,
         latency_days: float = 2.0 / 86400.0,
         faults: Optional[FaultLayer] = None,
     ) -> None:
@@ -166,7 +165,6 @@ class SimulatedFetcher:
             raise ValueError("latency_days must be non-negative")
         self._web = web
         self._politeness = politeness
-        self._robots = robots
         self._faults = faults
         self.latency_days = latency_days
         self._fetch_count = 0
@@ -191,14 +189,14 @@ class SimulatedFetcher:
     @property
     def politeness(self) -> Optional[PolitenessPolicy]:
         """The politeness policy, if one is configured (read-only access
-        for the batched crawl engine, which resolves the delays itself and
+        for the crawl loop, which resolves the delays itself and
         passes ``resolved_at`` to :meth:`fetch_many`)."""
         return self._politeness
 
     @property
     def faults(self) -> Optional[FaultLayer]:
         """The fault layer, if one is configured (read-only access for the
-        batched crawl engine, which predicts statuses per popped run)."""
+        crawl loop, which predicts statuses per popped run)."""
         return self._faults
 
     def site_of(self, url: str) -> Optional[str]:
@@ -218,17 +216,9 @@ class SimulatedFetcher:
 
         Returns:
             A :class:`FetchResult`; ``status`` distinguishes success, a
-            missing page and an excluded page.
+            missing page and an injected fault.
         """
         site_id = self._site_id_of(url)
-        if self._robots is not None and site_id is not None:
-            if not self._robots.is_allowed(site_id, url):
-                return FetchResult(
-                    url=url,
-                    status=FetchStatus.EXCLUDED,
-                    requested_at=at,
-                    completed_at=at,
-                )
         start = at
         if self._politeness is not None and site_id is not None:
             start = self._politeness.earliest_allowed(site_id, at)
@@ -285,18 +275,6 @@ class SimulatedFetcher:
             version=snapshot.version,
         )
 
-    @property
-    def supports_batching(self) -> bool:
-        """Whether :meth:`fetch_many` can take the vectorized fast path.
-
-        Politeness resolves in bulk through
-        :meth:`PolitenessPolicy.earliest_allowed_many` (bit-identical to
-        the sequential per-fetch resolution). Robots rules remain a scalar
-        concern, so configuring them routes ``fetch_many`` through the
-        exact scalar loop instead.
-        """
-        return self._robots is None
-
     def fetch_many(
         self,
         urls: Sequence[str],
@@ -309,17 +287,16 @@ class SimulatedFetcher:
         pair, in order: the same completion times, the same success
         criteria, the same fetch counting. With a politeness policy
         configured the per-site delays are resolved in one batched pass
-        (or accepted pre-resolved via ``resolved_at``); with robots rules
-        configured the scalar loop is used verbatim. Otherwise the whole
-        batch costs one URL-id lookup, one existence mask and one
-        vectorized version search.
+        (or accepted pre-resolved via ``resolved_at``); the whole batch
+        costs one URL-id lookup, one existence mask and one vectorized
+        version search.
 
         Args:
             urls: URLs to fetch.
             times: Virtual request time per URL (same length as ``urls``).
             resolved_at: Politeness-resolved start instant per URL, when
                 the caller already resolved (and recorded) the delays —
-                the batched crawl engine does, because it must cut batches
+                the crawl loop does, because it must cut batches
                 on queue dynamics. ``None`` resolves them here.
 
         Returns:
@@ -329,8 +306,6 @@ class SimulatedFetcher:
         if len(urls) != len(times):
             raise ValueError("urls and times must have the same length")
         requested = np.asarray(times, dtype=float)
-        if not self.supports_batching:
-            return self._fetch_many_scalar(urls, requested)
         horizon = self._web.horizon_days
         arrays = self._web.oracle_arrays()
         ids, known = arrays.lookup(urls)
@@ -374,41 +349,6 @@ class SimulatedFetcher:
         versions = np.zeros(len(urls), dtype=np.int64)
         if ok.any():
             versions[ok] = arrays.versions(ids[ok], snapshot_times[ok])
-        return BatchFetchResult(
-            urls=list(urls),
-            requested_at=requested,
-            completed_at=completed,
-            ok=ok,
-            versions=versions,
-            statuses=statuses,
-            retry_after=retry_after,
-        )
-
-    def _fetch_many_scalar(
-        self, urls: Sequence[str], requested: np.ndarray
-    ) -> BatchFetchResult:
-        """Exact per-URL fallback for configurations batching cannot honour."""
-        n = len(urls)
-        completed = np.empty(n, dtype=float)
-        ok = np.zeros(n, dtype=bool)
-        versions = np.zeros(n, dtype=np.int64)
-        statuses = None
-        retry_after = None
-        if self._faults is not None and self._faults.has_status_models:
-            statuses = np.zeros(n, dtype=np.int64)
-            retry_after = np.zeros(n, dtype=float)
-        for i, (url, at) in enumerate(zip(urls, requested)):
-            result = self.fetch(url, float(at))
-            completed[i] = result.completed_at
-            ok[i] = result.ok
-            if statuses is not None:
-                statuses[i] = STATUS_TO_CODE[result.status]
-                retry_after[i] = result.retry_after
-            if result.ok:
-                # The snapshot's own version: with politeness configured
-                # the fetch happens later than requested, and the version
-                # must describe the body that fetch actually returned.
-                versions[i] = result.version
         return BatchFetchResult(
             urls=list(urls),
             requested_at=requested,

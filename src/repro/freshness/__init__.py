@@ -20,9 +20,7 @@ equals the live page. This package provides
 
 from repro.freshness.metrics import (
     collection_age,
-    collection_age_reference,
     collection_freshness,
-    collection_freshness_reference,
     measure_collection,
     time_average,
 )
@@ -43,7 +41,6 @@ from repro.freshness.analytic import (
 from repro.freshness.optimal_allocation import (
     optimal_frequency_curve,
     optimal_revisit_frequencies,
-    optimal_revisit_frequencies_reference,
     proportional_revisit_frequencies,
     total_freshness,
     uniform_revisit_frequencies,
@@ -73,10 +70,7 @@ __all__ = [
     "steady_shadow_freshness_at",
     "batch_shadow_freshness_at",
     "optimal_revisit_frequencies",
-    "optimal_revisit_frequencies_reference",
     "optimal_frequency_curve",
-    "collection_freshness_reference",
-    "collection_age_reference",
     "uniform_revisit_frequencies",
     "proportional_revisit_frequencies",
     "total_freshness",

@@ -16,9 +16,8 @@ Both metrics run through the *batched* oracle
 event over an N-record collection costs a few NumPy passes instead of N
 Python oracle calls, which is what the measurement events inside
 ``IncrementalCrawler.run()`` and every figure benchmark pay repeatedly.
-The original per-record loops are retained as
-:func:`collection_freshness_reference` / :func:`collection_age_reference`
-for the parity suite and the perf-trajectory benchmark.
+The original per-record loops are kept as test oracles in
+``tests/reference/kernels.py``.
 """
 
 from __future__ import annotations
@@ -104,28 +103,6 @@ def _freshness_from_arrays(
     return int(unchanged.sum()) / n_records
 
 
-def collection_freshness_reference(
-    records: Iterable[PageRecord],
-    web: SimulatedWeb,
-    at: float,
-) -> float:
-    """Per-record loop implementation of :func:`collection_freshness`.
-
-    Kept only for the parity suite and the perf-trajectory benchmark.
-    """
-    records = list(records)
-    if not records:
-        return 0.0
-    fresh = 0
-    for record in records:
-        page = web.page(record.url) if record.url in web else None
-        if page is None or not page.exists_at(at):
-            continue
-        if not page.changed_between(record.fetched_at, at):
-            fresh += 1
-    return fresh / len(records)
-
-
 def collection_age(
     records: Iterable[PageRecord],
     web: SimulatedWeb,
@@ -185,40 +162,6 @@ def _age_from_arrays(
         ages[known] = known_ages
 
     return float(ages.sum()) / n_records
-
-
-def collection_age_reference(
-    records: Iterable[PageRecord],
-    web: SimulatedWeb,
-    at: float,
-) -> float:
-    """Per-record loop implementation of :func:`collection_age`.
-
-    Kept only for the parity suite and the perf-trajectory benchmark.
-    """
-    records = list(records)
-    if not records:
-        return 0.0
-    total_age = 0.0
-    for record in records:
-        total_age += _record_age(record, web, at)
-    return total_age / len(records)
-
-
-def _record_age(record: PageRecord, web: SimulatedWeb, at: float) -> float:
-    if record.url not in web:
-        return max(0.0, at - record.fetched_at)
-    page = web.page(record.url)
-    if not page.exists_at(at):
-        deleted_at = page.deleted_at if page.deleted_at is not None else record.fetched_at
-        stale_since = min(max(record.fetched_at, deleted_at), at)
-        return max(0.0, at - stale_since)
-    relative_fetch = max(0.0, record.fetched_at - page.created_at)
-    relative_now = max(0.0, at - page.created_at)
-    next_change = page.change_process.next_change_after(relative_fetch)
-    if next_change is None or next_change > relative_now:
-        return 0.0
-    return relative_now - next_change
 
 
 def time_average(samples: Sequence[Tuple[float, float]]) -> float:

@@ -30,9 +30,8 @@ replaces the marginal-value condition by ``w_i * dF/df = mu``.
 The solver is vectorized: ``f_i(mu)`` is found for *all* pages at once by
 array bisection, so each step of the outer water-level search is a handful
 of NumPy passes instead of a 200-iteration scalar bisection per page. The
-original scalar solver is retained as
-:func:`optimal_revisit_frequencies_reference` for the parity suite and the
-``benchmarks/bench_perf_hotpaths.py`` speedup trajectory.
+original scalar solver is kept as a test oracle in
+``tests/reference/kernels.py``.
 
 Each outer step only asks on which side of the budget the total at ``mu``
 lands, and the inner bisection usually settles that long before its
@@ -282,84 +281,6 @@ def optimal_revisit_frequencies(
     if total > 0:
         frequencies *= budget / total
     return frequencies.tolist()
-
-
-def optimal_revisit_frequencies_reference(
-    rates: Sequence[float],
-    budget: float,
-    weights: Optional[Sequence[float]] = None,
-    tolerance: float = 1e-9,
-) -> List[float]:
-    """Scalar-bisection implementation of :func:`optimal_revisit_frequencies`.
-
-    Kept only for the parity suite and the perf-trajectory benchmark: it
-    runs one 200-iteration bisection *per page, per water-level step*.
-    """
-    _validate_budget(rates, budget)
-    n = len(rates)
-    if n == 0:
-        return []
-    if weights is None:
-        weights = [1.0] * n
-    if len(weights) != n:
-        raise ValueError("weights must have the same length as rates")
-    if any(weight < 0 for weight in weights):
-        raise ValueError("weights must be non-negative")
-
-    changing = [
-        index for index in range(n)
-        if rates[index] > _RATE_EPSILON and weights[index] > 0
-    ]
-    if not changing:
-        return [0.0] * n
-
-    mu_high = max(weights[index] / rates[index] for index in changing)
-    mu_low = 0.0
-
-    def allocation_for(mu: float) -> List[float]:
-        frequencies = [0.0] * n
-        for index in changing:
-            frequencies[index] = _frequency_for_marginal(
-                rates[index], weights[index], mu
-            )
-        return frequencies
-
-    def total_for(mu: float) -> float:
-        return sum(allocation_for(mu))
-
-    for _ in range(_BISECTION_ITERS):
-        mu_mid = 0.5 * (mu_low + mu_high)
-        if mu_mid <= 0:
-            break
-        total = total_for(mu_mid)
-        if abs(total - budget) <= tolerance * max(1.0, budget):
-            mu_low = mu_high = mu_mid
-            break
-        if total > budget:
-            mu_low = mu_mid
-        else:
-            mu_high = mu_mid
-
-    frequencies = allocation_for(mu_high if mu_high > 0 else mu_low)
-    leftover = budget - sum(frequencies)
-    if leftover > tolerance * max(1.0, budget) and mu_low > 0:
-        generous = allocation_for(mu_low)
-        jumps = sorted(
-            range(n), key=lambda i: generous[i] - frequencies[i], reverse=True
-        )
-        for index in jumps:
-            if leftover <= 0:
-                break
-            extra = min(leftover, generous[index] - frequencies[index])
-            if extra > 0:
-                frequencies[index] += extra
-                leftover -= extra
-
-    total = sum(frequencies)
-    if total > 0:
-        scale = budget / total
-        frequencies = [frequency * scale for frequency in frequencies]
-    return frequencies
 
 
 def optimal_frequency_curve(

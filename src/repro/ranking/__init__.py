@@ -17,14 +17,13 @@ All three ride the sparse kernels in :mod:`repro.ranking.sparse`: a
 over flat COO edge buffers, compacts into a CSR matrix, and solves with one
 spmv per power-iteration step. The RankingModule keeps one ``LinkGraph``
 alive across refinement scans and warm-starts iteration from the previous
-score vector. The retired dense loops survive as
-:func:`pagerank_reference` / :func:`hits_reference`, pinned by the parity
-suite.
+score vector. The retired dense loops are kept as test oracles in
+``tests/reference/kernels.py``.
 """
 
-from repro.ranking.pagerank import cho_pagerank, pagerank, pagerank_reference
+from repro.ranking.pagerank import cho_pagerank, pagerank
 from repro.ranking.site_rank import build_site_graph, site_pagerank
-from repro.ranking.hits import hits, hits_reference
+from repro.ranking.hits import hits
 from repro.ranking.sparse import (
     LinkGraph,
     hits_scores,
@@ -33,12 +32,10 @@ from repro.ranking.sparse import (
 
 __all__ = [
     "pagerank",
-    "pagerank_reference",
     "cho_pagerank",
     "site_pagerank",
     "build_site_graph",
     "hits",
-    "hits_reference",
     "LinkGraph",
     "pagerank_scores",
     "hits_scores",

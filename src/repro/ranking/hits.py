@@ -10,15 +10,13 @@ normalising after each step, until the scores converge.
 
 :func:`hits` computes on the sparse path — two CSR spmvs per iteration over
 an interned :class:`repro.ranking.sparse.LinkGraph`. The original
-edge-list ``np.add.at`` loop survives as :func:`hits_reference`, pinned
-against the sparse path by the parity suite.
+edge-list ``np.add.at`` loop is kept as a test oracle in
+``tests/reference/kernels.py``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence, Tuple
-
-import numpy as np
 
 from repro.ranking.sparse import hits_dict
 
@@ -44,62 +42,3 @@ def hits(
         edgeless graph).
     """
     return hits_dict(graph, tolerance=tolerance, max_iterations=max_iterations)
-
-
-def hits_reference(
-    graph: Graph,
-    tolerance: float = 1e-10,
-    max_iterations: int = 200,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """The retired edge-list implementation (see :func:`hits`).
-
-    Kept as the pinned reference: the sparse path must agree with it to
-    tolerance on every fixed point and exactly on node sets.
-    """
-    nodes = list(graph.keys())
-    seen = set(nodes)
-    for targets in graph.values():
-        for target in targets:
-            if target not in seen:
-                seen.add(target)
-                nodes.append(target)
-    if not nodes:
-        return {}, {}
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-
-    edges = [
-        (index[source], index[target])
-        for source, targets in graph.items()
-        for target in targets
-    ]
-    hubs = np.full(n, 1.0 / n)
-    authorities = np.full(n, 1.0 / n)
-    if not edges:
-        zero = {node: 0.0 for node in nodes}
-        return dict(zero), dict(zero)
-
-    sources = np.array([edge[0] for edge in edges])
-    targets = np.array([edge[1] for edge in edges])
-    for _ in range(max_iterations):
-        new_authorities = np.zeros(n)
-        np.add.at(new_authorities, targets, hubs[sources])
-        new_hubs = np.zeros(n)
-        np.add.at(new_hubs, sources, new_authorities[targets])
-        new_authorities = _normalise(new_authorities)
-        new_hubs = _normalise(new_hubs)
-        delta = float(np.abs(new_hubs - hubs).sum() + np.abs(new_authorities - authorities).sum())
-        hubs, authorities = new_hubs, new_authorities
-        if delta < tolerance:
-            break
-    return (
-        {node: float(hubs[index[node]]) for node in nodes},
-        {node: float(authorities[index[node]]) for node in nodes},
-    )
-
-
-def _normalise(vector: np.ndarray) -> np.ndarray:
-    total = float(vector.sum())
-    if total == 0.0:
-        return vector
-    return vector / total

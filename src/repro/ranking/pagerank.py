@@ -15,16 +15,14 @@ benchmarks can quote the experiment exactly as written.
 :func:`pagerank` computes by sparse power iteration — the dict adjacency is
 interned into a :class:`repro.ranking.sparse.LinkGraph` and solved with one
 CSR spmv per iteration (uniform redistribution of dangling-node mass,
-scores normalised to sum to 1). The original dense per-node loop survives
-as :func:`pagerank_reference`, pinned against the sparse path by the parity
-suite (``tests/test_ranking_sparse.py``).
+scores normalised to sum to 1). The original dense per-node loop is kept
+as a test oracle in ``tests/reference/kernels.py``, pinned against the
+sparse path by ``tests/test_ranking_sparse.py``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from repro.ranking.sparse import LinkGraph, pagerank_dict, pagerank_scores
 
@@ -55,55 +53,6 @@ def pagerank(
     return pagerank_dict(
         graph, damping=damping, tolerance=tolerance, max_iterations=max_iterations
     )
-
-
-def pagerank_reference(
-    graph: Graph,
-    damping: float = 0.85,
-    tolerance: float = 1e-10,
-    max_iterations: int = 200,
-) -> Dict[str, float]:
-    """The retired dense per-node power iteration (see :func:`pagerank`).
-
-    Kept as the pinned reference implementation: the sparse path must agree
-    with it to tolerance on every fixed point and exactly on node sets.
-    """
-    if not 0.0 <= damping <= 1.0:
-        raise ValueError("damping must be within [0, 1]")
-    nodes = _collect_nodes(graph)
-    if not nodes:
-        return {}
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-
-    out_links: list = [[] for _ in range(n)]
-    for source, targets in graph.items():
-        source_index = index[source]
-        for target in targets:
-            out_links[source_index].append(index[target])
-
-    scores = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
-    for _ in range(max_iterations):
-        new_scores = np.full(n, teleport)
-        dangling_mass = 0.0
-        for i in range(n):
-            targets = out_links[i]
-            if not targets:
-                dangling_mass += scores[i]
-                continue
-            share = damping * scores[i] / len(targets)
-            for j in targets:
-                new_scores[j] += share
-        new_scores += damping * dangling_mass / n
-        if float(np.abs(new_scores - scores).sum()) < tolerance:
-            scores = new_scores
-            break
-        scores = new_scores
-    total = float(scores.sum())
-    if total > 0:
-        scores = scores / total
-    return {node: float(scores[index[node]]) for node in nodes}
 
 
 def cho_pagerank(
@@ -163,15 +112,3 @@ def estimated_pagerank_for_candidates(
         for node, score in zip(ids.tolist(), score_vector.tolist())
     }
     return {url: scores.get(url, 0.0) for url in candidate_urls}
-
-
-def _collect_nodes(graph: Graph) -> list:
-    """All nodes: sources plus any link target not listed as a source."""
-    nodes = list(graph.keys())
-    seen = set(nodes)
-    for targets in graph.values():
-        for target in targets:
-            if target not in seen:
-                seen.add(target)
-                nodes.append(target)
-    return nodes

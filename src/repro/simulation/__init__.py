@@ -10,12 +10,10 @@ two purposes:
 * it evaluates policies the formulas do not cover, such as arbitrary
   per-page revisit allocations (used in the Figure 9/10 benchmarks).
 
-It also contains the small virtual-clock and event-queue machinery shared by
-the incremental-crawler architecture in :mod:`repro.core`.
+It also contains the event-stream scheduler and the freshness tracker that
+the incremental-crawler architecture in :mod:`repro.core` runs on.
 """
 
-from repro.simulation.clock import VirtualClock
-from repro.simulation.events import EventQueue, ScheduledEvent
 from repro.simulation.freshness_tracker import FreshnessTimeSeries, FreshnessTracker
 from repro.simulation.crawler_sim import (
     PolicySimulationResult,
@@ -29,9 +27,6 @@ from repro.simulation.scenarios import (
 )
 
 __all__ = [
-    "VirtualClock",
-    "EventQueue",
-    "ScheduledEvent",
     "FreshnessTracker",
     "FreshnessTimeSeries",
     "PolicySimulationResult",

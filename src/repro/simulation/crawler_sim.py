@@ -24,12 +24,9 @@ every sample instant for every page at once. A page is fresh at ``t`` iff
 that last change does not postdate the user-visible copy's fetch time,
 which is computed for all (page, sample) pairs by broadcast arithmetic.
 
-The original per-page/per-sample loops are retained as
-:func:`simulate_crawl_policy_reference` and
-:func:`simulate_revisit_allocation_reference`; they consume the random
-stream identically (sampling is shared) so the vectorized results match
-them exactly on shared seeds. They exist for the parity tests and the
-``benchmarks/bench_perf_hotpaths.py`` speedup trajectory only.
+The original per-page/per-sample loops are kept as test oracles in
+``tests/reference/kernels.py``; they share this module's sampling helpers,
+so the vectorized results match them exactly on shared seeds.
 """
 
 from __future__ import annotations
@@ -115,49 +112,6 @@ def simulate_crawl_policy(
     return _build_result(sample_times, freshness, measure_start)
 
 
-def simulate_crawl_policy_reference(
-    rates: ArrayLike,
-    policy: CrawlPolicy,
-    n_cycles: int = 12,
-    samples_per_cycle: int = 40,
-    warmup_cycles: int = 2,
-    seed: int = 0,
-) -> PolicySimulationResult:
-    """Pure-Python loop implementation of :func:`simulate_crawl_policy`.
-
-    Kept only for the parity suite and the perf-trajectory benchmark; the
-    random stream is identical to the vectorized path.
-    """
-    rates = _as_rates(rates)
-    _validate_policy_args(n_cycles, samples_per_cycle, warmup_cycles)
-    rng = np.random.default_rng(seed)
-    n_pages = len(rates)
-    cycle = policy.cycle_days
-    total_days = (warmup_cycles + n_cycles) * cycle
-
-    change_times = _sample_change_times(rates, total_days, rng)
-    phases = rng.uniform(0.0, policy.active_duration_days, size=n_pages)
-
-    measure_start = warmup_cycles * cycle
-    sample_times = np.linspace(
-        measure_start, total_days, n_cycles * samples_per_cycle, endpoint=False
-    )
-
-    freshness_values: List[float] = []
-    for t in sample_times:
-        copy_times = _copy_times_at(float(t), phases, policy)
-        fresh = 0
-        for page_index in range(n_pages):
-            copy_time = copy_times[page_index]
-            if copy_time is None:
-                continue
-            if _changes_between(change_times[page_index], copy_time, float(t)) == 0:
-                fresh += 1
-        freshness_values.append(fresh / n_pages)
-
-    return _build_result(sample_times, np.asarray(freshness_values), measure_start)
-
-
 def simulate_revisit_allocation(
     rates: ArrayLike,
     intervals: ArrayLike,
@@ -202,49 +156,8 @@ def simulate_revisit_allocation(
     return _build_result(sample_times, freshness, warmup_days)
 
 
-def simulate_revisit_allocation_reference(
-    rates: ArrayLike,
-    intervals: ArrayLike,
-    duration_days: float = 360.0,
-    n_samples: int = 400,
-    warmup_days: Optional[float] = None,
-    seed: int = 0,
-) -> PolicySimulationResult:
-    """Pure-Python loop implementation of :func:`simulate_revisit_allocation`.
-
-    Kept only for the parity suite and the perf-trajectory benchmark; the
-    random stream is identical to the vectorized path.
-    """
-    rates, intervals = _as_rates_and_intervals(rates, intervals)
-    _validate_allocation_args(duration_days, n_samples)
-    rng = np.random.default_rng(seed)
-    n_pages = len(rates)
-    warmup_days = _default_warmup(intervals, warmup_days)
-    total_days = warmup_days + duration_days
-
-    change_times = _sample_change_times(rates, total_days, rng)
-    phases = _sample_phases(intervals, rng)
-
-    sample_times = np.linspace(warmup_days, total_days, n_samples, endpoint=False)
-    freshness_values: List[float] = []
-    for t in sample_times:
-        fresh = 0
-        for page_index in range(n_pages):
-            interval = float(intervals[page_index])
-            copy_time = _periodic_copy_time(float(t), float(phases[page_index]), interval)
-            if copy_time is None:
-                # Never fetched on its own schedule: count the initial fetch
-                # at time zero as the stored copy.
-                copy_time = 0.0
-            if _changes_between(change_times[page_index], copy_time, float(t)) == 0:
-                fresh += 1
-        freshness_values.append(fresh / n_pages)
-
-    return _build_result(sample_times, np.asarray(freshness_values), warmup_days)
-
-
 # --------------------------------------------------------------------- #
-# Input handling shared by both implementations
+# Input handling (shared with the loop oracles)
 # --------------------------------------------------------------------- #
 def _as_rates(rates: ArrayLike) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
@@ -301,7 +214,7 @@ def _build_result(
 
 
 # --------------------------------------------------------------------- #
-# Sampling (shared so reference and vectorized paths draw identically)
+# Sampling (shared with the loop oracles, so both draw identically)
 # --------------------------------------------------------------------- #
 def _sample_change_times(
     rates: np.ndarray, total_days: float, rng: np.random.Generator
@@ -417,9 +330,8 @@ def _policy_copy_times(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Copy-time and visibility matrices for the once-per-cycle policies.
 
-    Vectorized counterpart of :func:`_copy_times_at` evaluated at all
-    sample instants: returns ``(copy_times, visible)`` with shape
-    ``(n_pages, len(sample_times))``.
+    Evaluated at all sample instants at once: returns
+    ``(copy_times, visible)`` with shape ``(n_pages, len(sample_times))``.
     """
     cycle = policy.cycle_days
     cycle_start = np.floor(sample_times / cycle) * cycle
@@ -447,9 +359,8 @@ def _periodic_copy_times(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Copy-time matrix for per-page periodic revisit schedules.
 
-    Vectorized counterpart of :func:`_periodic_copy_time`; pages that have
-    not been fetched on their own schedule fall back to the initial fetch
-    at time zero, so every copy is visible.
+    Pages that have not been fetched on their own schedule fall back to the
+    initial fetch at time zero, so every copy is visible.
     """
     scheduled = np.isfinite(intervals) & (intervals > 0)
     safe_intervals = np.where(scheduled, intervals, 1.0)
@@ -461,64 +372,3 @@ def _periodic_copy_times(
     copy_times = np.where(on_schedule, copy_times, 0.0)
     visible = np.ones_like(copy_times, dtype=bool)
     return copy_times, visible
-
-
-# --------------------------------------------------------------------- #
-# Reference (loop) internals
-# --------------------------------------------------------------------- #
-def _changes_between(times: np.ndarray, t0: float, t1: float) -> int:
-    """Number of change events in ``(t0, t1]``."""
-    if t1 < t0:
-        return 0
-    return int(np.searchsorted(times, t1, side="right") - np.searchsorted(times, t0, side="right"))
-
-
-def _copy_times_at(
-    t: float, phases: np.ndarray, policy: CrawlPolicy
-) -> List[Optional[float]]:
-    """When was the user-visible copy of each page fetched, as of time ``t``?
-
-    Returns ``None`` for pages whose copy is not yet visible (only possible
-    during the very first cycle of a shadowing crawler, which the warm-up
-    excludes from measurement).
-    """
-    cycle = policy.cycle_days
-    cycle_index = math.floor(t / cycle)
-    cycle_start = cycle_index * cycle
-    copy_times: List[Optional[float]] = []
-    for phase in phases:
-        fetch_this_cycle = cycle_start + float(phase)
-        fetch_previous_cycle = fetch_this_cycle - cycle
-        if policy.update_mode is UpdateMode.IN_PLACE:
-            if fetch_this_cycle <= t:
-                copy_times.append(fetch_this_cycle)
-            elif fetch_previous_cycle >= 0:
-                copy_times.append(fetch_previous_cycle)
-            else:
-                copy_times.append(None)
-            continue
-        # Shadowing: the visible copy comes from the most recent *completed*
-        # crawl. A steady crawl completes at the cycle boundary; a batch
-        # crawl completes at cycle_start + batch_duration.
-        completion_offset = (
-            cycle
-            if policy.crawl_mode is CrawlMode.STEADY
-            else policy.batch_duration_days
-        )
-        if t >= cycle_start + completion_offset:
-            copy_times.append(fetch_this_cycle)
-        elif fetch_previous_cycle >= 0:
-            copy_times.append(fetch_previous_cycle)
-        else:
-            copy_times.append(None)
-    return copy_times
-
-
-def _periodic_copy_time(t: float, phase: float, interval: float) -> Optional[float]:
-    """Most recent fetch time at or before ``t`` for a periodic schedule."""
-    if not math.isfinite(interval) or interval <= 0:
-        return None
-    if t < phase:
-        return None
-    periods = math.floor((t - phase) / interval)
-    return phase + periods * interval

@@ -1,146 +1,32 @@
-"""A minimal discrete-event queue.
+"""The crawl loop's event streams.
 
 The incremental crawler interleaves several recurring activities — popping
 URLs from the priority queue, recomputing importance scores, taking
-freshness measurements. The :class:`EventQueue` orders those activities on
-the shared virtual clock; each event carries a callback which may schedule
-follow-up events (for recurring activities).
-
-:class:`StreamScheduler` is the batched engine's counterpart: the same
-``(time, sequence)`` ordering contract, but exposed as data rather than
-callbacks, so a driver can pop one labelled event, *claim* the sequence
-numbers of an entire run of same-stream follow-ups it intends to process in
-bulk, and still interleave with the other streams exactly as the callback
+freshness measurements. :class:`StreamScheduler` orders those activities
+in virtual time by ``(time, sequence)`` with sequence numbers assigned in
+scheduling order, and exposes them as data rather than callbacks, so the
+driver can pop one labelled event, *claim* the sequence numbers of an
+entire run of same-stream follow-ups it intends to process in bulk, and
+still interleave with the other streams exactly as a per-event callback
 queue would have.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-from repro.simulation.clock import VirtualClock
-
-EventCallback = Callable[[float], None]
-
-
-@dataclass(order=True)
-class ScheduledEvent:
-    """An event on the queue, ordered by time then insertion order."""
-
-    time: float
-    sequence: int
-    label: str = field(compare=False)
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class EventQueue:
-    """Time-ordered event queue driving a :class:`VirtualClock`.
-
-    Args:
-        clock: The shared virtual clock; events run at their scheduled time
-            and the clock is advanced to that time before the callback fires.
-    """
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
-        self._heap: List[ScheduledEvent] = []
-        self._counter = itertools.count()
-        self._processed = 0
-
-    @property
-    def clock(self) -> VirtualClock:
-        """The clock events are scheduled against."""
-        return self._clock
-
-    @property
-    def pending(self) -> int:
-        """Number of events still waiting to run."""
-        return sum(1 for event in self._heap if not event.cancelled)
-
-    @property
-    def processed(self) -> int:
-        """Number of events that have been executed."""
-        return self._processed
-
-    def schedule(self, time: float, callback: EventCallback, label: str = "") -> ScheduledEvent:
-        """Schedule ``callback`` to run at virtual time ``time``.
-
-        Scheduling an event in the past raises — events may only be placed
-        at or after the current clock time.
-        """
-        if time < self._clock.now - 1e-12:
-            raise ValueError(
-                f"cannot schedule an event at {time} before the current time "
-                f"{self._clock.now}"
-            )
-        event = ScheduledEvent(
-            time=time,
-            sequence=next(self._counter),
-            label=label,
-            callback=callback,
-        )
-        heapq.heappush(self._heap, event)
-        return event
-
-    def schedule_after(
-        self, delay: float, callback: EventCallback, label: str = ""
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` to run ``delay`` days from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        return self.schedule(self._clock.now + delay, callback, label)
-
-    def cancel(self, event: ScheduledEvent) -> None:
-        """Cancel a previously scheduled event (it will be skipped)."""
-        event.cancelled = True
-
-    def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
-        """Run events in time order until ``end_time`` (inclusive).
-
-        Args:
-            end_time: Stop once the next event would run after this time.
-                The clock is left at ``end_time`` (or at the last event time
-                if that is later due to an exactly-equal timestamp).
-            max_events: Optional safety cap on the number of events.
-
-        Returns:
-            The number of events executed by this call.
-        """
-        executed = 0
-        while self._heap:
-            if max_events is not None and executed >= max_events:
-                break
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if event.time > end_time + 1e-12:
-                break
-            heapq.heappop(self._heap)
-            self._clock.advance_to(event.time)
-            event.callback(self._clock.now)
-            executed += 1
-            self._processed += 1
-        self._clock.advance_to(end_time)
-        return executed
+from typing import List, Optional, Tuple
 
 
 class StreamScheduler:
-    """Heap of labelled recurring events with :class:`EventQueue` ordering.
+    """Heap of labelled recurring events ordered by ``(time, sequence)``.
 
-    Events are ordered by ``(time, sequence)`` with sequence numbers
-    assigned in scheduling order — exactly the contract of
-    :class:`EventQueue` — so a driver that replays the same scheduling
-    decisions observes the same interleaving, including ties. The extra
-    capability over a plain heap is :meth:`claim_sequence`: the batched
-    crawl engine processes many crawl slots per pop, and each *virtual*
-    slot consumes a sequence number just as its per-event counterpart
-    would have, keeping every later tie-break decision identical to the
-    event-per-fetch execution.
+    Sequence numbers are assigned in scheduling order, so a driver that
+    replays the same scheduling decisions observes the same interleaving,
+    including ties. The extra capability over a plain heap is
+    :meth:`claim_sequence`: the crawl loop processes many crawl slots per
+    pop, and each *virtual* slot consumes a sequence number just as its
+    per-event counterpart would have, keeping every later tie-break
+    decision identical to the event-per-fetch execution.
     """
 
     def __init__(self) -> None:

@@ -15,7 +15,7 @@ cost O(records) array work rather than O(records) Python oracle calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.freshness.metrics import measure_collection, time_average
 from repro.simweb.web import SimulatedWeb
@@ -108,11 +108,3 @@ class FreshnessTracker:
             freshness = min(1.0, freshness)
         self.series.add(at, freshness, age)
         return freshness
-
-    def sampler(self) -> Callable[[float], None]:
-        """A callback suitable for scheduling on an :class:`EventQueue`."""
-
-        def _sample(at: float) -> None:
-            self.sample(at)
-
-        return _sample

@@ -224,7 +224,7 @@ class SqliteBackend(StorageBackend):
     """SQLite-backed store (WAL mode when file-backed).
 
     Writes are batched ``executemany`` statements with one commit per call,
-    sized to the batched engine's ``process_batch`` windows. ``path=None``
+    sized to the crawl loop's ``process_batch`` windows. ``path=None``
     opens an in-memory database (useful for tests and benchmarks); a file
     path makes the store durable and enables WAL journaling so a killed
     crawler never corrupts the database.

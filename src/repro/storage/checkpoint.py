@@ -113,10 +113,9 @@ def _digest(text: str, start: int) -> str:
 class CollectionJournal:
     """Mirrors crawl outcomes into a storage backend.
 
-    The journal is write-behind: it piggybacks on the batched engine's
-    ``process_batch`` boundaries (and the reference engine's per-outcome
-    hook), so persistence adds one ``executemany``-sized write per tick
-    window rather than one per fetch.
+    The journal is write-behind: it piggybacks on the crawl loop's
+    ``process_batch`` boundaries, so persistence adds one
+    ``executemany``-sized write per tick window rather than one per fetch.
 
     Args:
         backend: The destination store.
@@ -135,7 +134,7 @@ class CollectionJournal:
         """Mirror one resolved batch: re-put stored records, append events.
 
         Records are re-read from the live collection (not rebuilt from the
-        outcome) because the batched engine refreshes unchanged re-fetches
+        outcome) because the crawl loop refreshes unchanged re-fetches
         *in place*; the collection is the single source of truth.
         """
         completed = outcome.completed_at.tolist()
@@ -156,7 +155,7 @@ class CollectionJournal:
         self.events_logged += len(events)
 
     def on_outcome(self, outcome: "CrawlOutcome", collection: "Collection") -> None:
-        """Scalar variant of :meth:`on_batch` (reference engine path)."""
+        """Scalar variant of :meth:`on_batch` for one crawl outcome."""
         if outcome.stored:
             record = collection.get_working(outcome.url)
             if record is not None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.api import (
     run_matrix,
 )
 from repro.api.runner import _result_document, _result_from_document
+
+EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 TINY_WEB = WebSpec(site_scale=0.03, pages_per_site=8, horizon_days=30.0, seed=3)
 TINY_CRAWL = ExperimentSpec(
@@ -110,6 +113,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="crawler"):
             ExperimentSpec(name="x", kind="crawl", web=TINY_WEB)
 
+    def test_reference_engine_rejected_from_json(self):
+        # The per-URL engine is a test oracle, not a spec choice (the
+        # constructor case is in test_storage_backends.py).
+        document = json.loads(TINY_CRAWL.to_json())
+        document["crawler"]["engine"] = "reference"
+        with pytest.raises(ValueError, match="'batched', 'sharded'"):
+            ExperimentSpec.from_json(json.dumps(document))
+
+    def test_periodic_spec_rejects_politeness(self):
+        # The periodic crawler has no politeness; accepting the flag would
+        # run the same crawl under a different spec hash.
+        with pytest.raises(ValueError, match="politeness.*incremental"):
+            CrawlerSpec(
+                kind="periodic",
+                use_politeness=True,
+                politeness_min_delay_seconds=3600.0,
+                politeness_night_window=True,
+            )
+        CrawlerSpec(kind="periodic", politeness_min_delay_seconds=3600.0)
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError) as excinfo:
             ExperimentSpec.from_dict({"name": "x", "kind": "crawl", "bogus": 1})
@@ -140,6 +163,28 @@ class TestSpecRoundTrip:
         spec = TINY_CRAWL
         assert spec.replace(seed=1).spec_hash() != spec.spec_hash()
         assert spec.replace(web=TINY_WEB.replace(seed=4)).spec_hash() != spec.spec_hash()
+
+    # A spec hash keys stored results, checkpoints and golden digests, so the
+    # shipped example specs must keep theirs when spec fields or their
+    # defaults are reworked. A matrix file pins the hash of its base spec.
+    @pytest.mark.parametrize("file_name, expected", [
+        ("chaos_crawl.json",
+         "6c57813252efec11e032083d412f5260eb6ade243d28fbd0c08f5056e4fbec80"),
+        ("incremental_crawl.json",
+         "2733ec3e1265cab9f769a692745528fd27067bb12f3919041bb97333c4188764"),
+        ("matrix_sweep.json",
+         "2852e567cf66d8e5667b8ea25670706c083f72dcbb450a994fd911e27cdee707"),
+        ("polite_crawl.json",
+         "fb4ed5067398bdfc2ec1665041b2a8d5343f793507760fa4d2313390921e6560"),
+        ("sharded_crawl.json",
+         "67fcf43933036191e96bd80825a1faffe43795888d381dbc0472ce17fd4d683b"),
+        ("table2_scenario.json",
+         "840fa3a86a3b355924a46d3e5ebfd3f624d5818a232eb14021fc5b3b5f701e57"),
+    ])
+    def test_example_spec_hashes_are_stable(self, file_name, expected):
+        document = json.loads((EXAMPLE_SPECS / file_name).read_text(encoding="utf-8"))
+        spec = ExperimentSpec.from_dict(document.get("base", document))
+        assert spec.spec_hash() == expected
 
     def test_round_tripped_spec_runs_identically(self):
         spec = TINY_CRAWL

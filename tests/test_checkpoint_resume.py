@@ -28,6 +28,8 @@ from repro.storage.checkpoint import (
     CrawlCheckpointer,
 )
 
+from reference.crawl import ReferenceIncrementalCrawler
+
 DURATION = 30.0
 
 
@@ -99,7 +101,9 @@ def test_journaled_run_is_bit_identical(tiny_web, estimator, use_politeness):
 
 def test_journal_works_on_reference_engine(tiny_web):
     backend = MemoryBackend()
-    crawler = build_crawler(tiny_web, engine="reference", track_quality=False)
+    crawler = ReferenceIncrementalCrawler(
+        tiny_web, crawler_config(track_quality=False)
+    )
     crawler.run(10.0, journal=CollectionJournal(backend))
     assert backend.record_count() == len(crawler.collection.working_records())
     assert backend.event_count() > 0
@@ -231,7 +235,7 @@ def test_resume_rejects_mismatched_run_shape(tiny_web):
 
 
 def test_checkpoint_requires_batched_engine(tiny_web):
-    crawler = build_crawler(tiny_web, engine="reference")
+    crawler = ReferenceIncrementalCrawler(tiny_web, crawler_config())
     checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=5.0)
     with pytest.raises(ValueError, match="batched"):
         crawler.run(DURATION, checkpointer=checkpointer)

@@ -97,23 +97,22 @@ class TestUpdateModule:
         update = UpdateModule(collurls, crawl_module, config, revisit_policy=policy)
         return update, collurls, collection
 
-    def test_process_next_on_empty_queue(self, tiny_web):
+    def test_empty_queue_processes_nothing(self, tiny_web):
         update, collurls, _ = self._build(tiny_web)
-        assert update.process_next(at=1.0) is None
+        assert update.process_slots([1.0]) == 0
 
     def test_processed_url_is_rescheduled(self, tiny_web):
         update, collurls, _ = self._build(tiny_web)
         url = tiny_web.seed_urls()[0]
         collurls.schedule(url, 0.0)
-        outcome = update.process_next(at=1.0)
-        assert outcome is not None
+        assert update.process_slots([1.0]) == 1
         assert url in collurls
         assert collurls.scheduled_time(url) > 1.0
 
     def test_missing_page_is_dropped(self, tiny_web):
         update, collurls, collection = self._build(tiny_web)
         collurls.schedule("http://ghost/", 0.0)
-        update.process_next(at=1.0)
+        update.process_slots([1.0])
         assert "http://ghost/" not in collurls
         assert collection.get_working("http://ghost/") is None
 
@@ -123,7 +122,7 @@ class TestUpdateModule:
         collurls.schedule(url, 0.0)
         time = 0.5
         for _ in range(5):
-            update.process_next(at=time)
+            update.process_slots([time])
             time += 1.0
         history = update.history(url)
         assert history is not None
@@ -139,7 +138,7 @@ class TestUpdateModule:
         collurls.schedule(fast_url, 0.0)
         time = 0.5
         for _ in range(10):
-            update.process_next(at=time)
+            update.process_slots([time])
             time += 1.0
         estimate = update.estimated_rate(fast_url)
         assert estimate is not None
@@ -151,7 +150,7 @@ class TestUpdateModule:
         collurls.schedule(url, 0.0)
         time = 0.5
         for _ in range(5):
-            update.process_next(at=time)
+            update.process_slots([time])
             time += 1.0
         assert update.estimated_rate(url) is not None
 
@@ -165,7 +164,7 @@ class TestUpdateModule:
         collurls.schedule(fast_url, 0.0)
         time = 0.5
         for _ in range(10):
-            update.process_next(at=time)
+            update.process_slots([time])
             time += 2.0
         assert update.changes_detected > 0
 
@@ -173,7 +172,7 @@ class TestUpdateModule:
         update, collurls, _ = self._build(tiny_web)
         url = tiny_web.seed_urls()[0]
         collurls.schedule(url, 0.0)
-        update.process_next(at=1.0)
+        update.process_slots([1.0])
         update.forget(url)
         assert update.history(url) is None
 

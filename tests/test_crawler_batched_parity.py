@@ -1,8 +1,8 @@
-"""Batched crawl engine vs the pinned per-URL reference engine.
+"""The crawl loop vs the per-URL reference engine in ``tests/reference/``.
 
-The batched engine (tick-window slot batching, batched oracle fetches,
-bulk reschedules) promises *bit-identical* behaviour to the per-URL
-reference path: same counters, same freshness and quality series, same
+The crawl loop (tick-window slot batching, batched oracle fetches, bulk
+reschedules) promises *bit-identical* behaviour to the per-URL reference
+engine: same counters, same freshness and quality series, same
 stored collection. These tests pin that promise across every revisit
 policy × estimator combination, for the periodic crawler's wave-batched
 cycles, and for the collision-safe scheduling primitives the batched
@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.specs import CrawlerSpec
 from repro.core.collurls import CollUrls
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
 from repro.core.periodic_crawler import PeriodicCrawler, PeriodicCrawlerConfig
 from repro.simweb.generator import WebGeneratorConfig, generate_web
+
+from reference.crawl import ReferenceIncrementalCrawler, ReferencePeriodicCrawler
 
 WEB_CONFIG = WebGeneratorConfig(
     site_scale=0.04,
@@ -27,16 +30,18 @@ WEB_CONFIG = WebGeneratorConfig(
 )
 
 
+ENGINES = {"batched": IncrementalCrawler, "reference": ReferenceIncrementalCrawler}
+
+
 def _run_incremental(engine: str, policy: str, estimator: str):
     web = generate_web(WEB_CONFIG)
-    crawler = IncrementalCrawler(
+    crawler = ENGINES[engine](
         web,
         IncrementalCrawlerConfig(
             collection_capacity=100,
             crawl_budget_per_day=400.0,
             revisit_policy=policy,
             estimator=estimator,
-            engine=engine,
             ranking_interval_days=5.0,
             reallocation_interval_days=1.0,
             measurement_interval_days=0.5,
@@ -85,7 +90,7 @@ class TestIncrementalEngineParity:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
-            IncrementalCrawlerConfig(engine="warp")
+            CrawlerSpec(engine="warp")
 
 
 POLITE_MODES = {
@@ -102,14 +107,13 @@ POLITE_MODES = {
 def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str):
     delay, night, realloc = POLITE_MODES[mode]
     web = generate_web(WEB_CONFIG)
-    crawler = IncrementalCrawler(
+    crawler = ENGINES[engine](
         web,
         IncrementalCrawlerConfig(
             collection_capacity=80,
             crawl_budget_per_day=300.0,
             revisit_policy=policy,
             estimator=estimator,
-            engine=engine,
             ranking_interval_days=5.0,
             reallocation_interval_days=realloc,
             measurement_interval_days=0.5,
@@ -188,7 +192,8 @@ class TestPolitenessEngineParity:
             return process_batch(self, urls, times, **kwargs)
 
         monkeypatch.setattr(SimulatedFetcher, "fetch", scalar)
-        monkeypatch.setattr(UpdateModule, "process_next", scalar)
+        # The per-URL step (reference.crawl.process_next) pops one entry.
+        monkeypatch.setattr(CollUrls, "pop", scalar)
         monkeypatch.setattr(UpdateModule, "process_batch", spy)
         result, _ = _run_incremental_polite("batched", "optimal", "ep", "both")
         assert result.pages_crawled > 0
@@ -198,7 +203,8 @@ class TestPolitenessEngineParity:
 class TestPeriodicEngineParity:
     def _run(self, engine: str):
         web = generate_web(WEB_CONFIG)
-        crawler = PeriodicCrawler(
+        crawler_class = PeriodicCrawler if engine == "batched" else ReferencePeriodicCrawler
+        crawler = crawler_class(
             web,
             PeriodicCrawlerConfig(
                 collection_capacity=100,
@@ -206,7 +212,6 @@ class TestPeriodicEngineParity:
                 cycle_days=8.0,
                 measurement_interval_days=0.5,
                 track_quality=True,
-                engine=engine,
             ),
         )
         return crawler.run(30.0), crawler

@@ -54,6 +54,8 @@ from repro.storage.checkpoint import (
     CrawlCheckpointer,
 )
 
+from reference.crawl import ReferenceIncrementalCrawler
+
 WEB_CONFIG = WebGeneratorConfig(
     site_scale=0.03,
     pages_per_site=10,
@@ -507,12 +509,14 @@ def _run_faulty(
     engine, fault_models, retry=None, fault_seed=5, tracker=True, **overrides
 ):
     web = generate_web(WEB_CONFIG)
-    crawler = IncrementalCrawler(
+    crawler_class = (
+        IncrementalCrawler if engine == "batched" else ReferenceIncrementalCrawler
+    )
+    crawler = crawler_class(
         web,
         IncrementalCrawlerConfig(
             collection_capacity=60,
             crawl_budget_per_day=250.0,
-            engine=engine,
             measurement_interval_days=1.0,
             track_quality=False,
             fault_models=fault_models,

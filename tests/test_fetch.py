@@ -1,11 +1,10 @@
-"""Tests for the fetch substrate: checksums, politeness, robots, fetcher."""
+"""Tests for the fetch substrate: checksums, politeness, fetcher."""
 
 import pytest
 
 from repro.fetch.checksum import checksums_differ, page_checksum
 from repro.fetch.fetcher import FetchStatus, SimulatedFetcher
 from repro.fetch.politeness import NightWindow, PolitenessPolicy, seconds_to_days
-from repro.fetch.robots import RobotsRules
 
 
 class TestChecksum:
@@ -299,29 +298,6 @@ class TestPolitenessBatchResolution:
         assert indexed._last_request == stringed._last_request
 
 
-class TestRobotsRules:
-    def test_excluded_site(self):
-        rules = RobotsRules(excluded_sites=["bad.com"])
-        assert not rules.is_allowed("bad.com", "http://bad.com/page")
-        assert rules.is_allowed("good.com", "http://good.com/page")
-
-    def test_disallowed_prefix(self):
-        rules = RobotsRules(disallowed_prefixes={"s.com": ["/private"]})
-        assert not rules.is_allowed("s.com", "http://s.com/private/page")
-        assert rules.is_allowed("s.com", "http://s.com/public/page")
-
-    def test_dynamic_rules(self):
-        rules = RobotsRules()
-        rules.exclude_site("x.com")
-        rules.disallow("y.com", "/admin")
-        assert not rules.is_allowed("x.com", "http://x.com/")
-        assert not rules.is_allowed("y.com", "http://y.com/admin/panel")
-
-    def test_url_without_path(self):
-        rules = RobotsRules(disallowed_prefixes={"s.com": ["/x"]})
-        assert rules.is_allowed("s.com", "http://s.com")
-
-
 class TestSimulatedFetcher:
     def test_fetch_live_page(self, small_web):
         fetcher = SimulatedFetcher(small_web)
@@ -387,14 +363,6 @@ class TestSimulatedFetcher:
         fetcher.fetch(url, at=1.0)
         second = fetcher.fetch(url, at=1.0)
         assert second.completed_at >= 1.0 + 3600.0 / 86400.0 - 1e-9
-
-    def test_robots_exclusion(self, small_web):
-        site_id = small_web.sites[0].site_id
-        rules = RobotsRules(excluded_sites=[site_id])
-        fetcher = SimulatedFetcher(small_web, robots=rules)
-        url = small_web.site(site_id).root_url
-        result = fetcher.fetch(url, at=1.0)
-        assert result.status is FetchStatus.EXCLUDED
 
     def test_fetch_count_increments(self, small_web):
         fetcher = SimulatedFetcher(small_web)

@@ -176,7 +176,6 @@ def test_batched_crawl_respects_politeness(seed, delay_seconds, night, monkeypat
     config = IncrementalCrawlerConfig(
         collection_capacity=60,
         crawl_budget_per_day=250.0,
-        engine="batched",
         track_quality=False,
         use_politeness=True,
         politeness_min_delay_seconds=delay_seconds,

@@ -1,0 +1,130 @@
+"""The package ships one crawl engine; its oracles live in ``tests/reference/``.
+
+Reference loops, the per-URL engine's clock and event queue, and removed
+features must not creep back into ``src/repro``: this walks every module's
+syntax tree instead of importing it, so a definition is caught even where
+nothing imports it.
+
+The benchmark's layer tracer patches entry points on their owning classes,
+so the last two tests hold the one engine to that contract: every traced
+name is still defined where the tracer looks, and the crawl loop reaches its
+stages through those owners rather than through captured references.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.core.periodic_crawler import PeriodicCrawlerConfig
+from repro.storage.backends import MemoryBackend
+from repro.storage.checkpoint import CrawlCheckpointer
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+TRACING = REPO / "benchmarks" / "e2e" / "tracing.py"
+RETIRED_NAMES = {"EventQueue", "ScheduledEvent", "VirtualClock", "RobotsRules", "ShardEngine"}
+
+
+def _modules():
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) > 50, f"no package sources under {SRC}"
+    for path in paths:
+        yield path.relative_to(SRC.parent), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _exports(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            yield from ast.literal_eval(node.value)
+
+
+def test_no_reference_callables_in_the_package():
+    found = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.endswith("_reference")
+    ]
+    assert found == []
+
+
+def test_retired_classes_are_not_defined():
+    found = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in RETIRED_NAMES
+    ]
+    assert found == []
+
+
+def test_no_public_export_names_a_retired_symbol():
+    found = [
+        f"{module} exports {name}"
+        for module, tree in _modules()
+        for name in _exports(tree)
+        if name in RETIRED_NAMES or name.endswith("_reference")
+    ]
+    assert found == []
+
+
+def test_crawler_configs_have_no_engine_option():
+    for config in (IncrementalCrawlerConfig, PeriodicCrawlerConfig):
+        assert "engine" not in {field.name for field in dataclasses.fields(config)}
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("e2e_layer_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_entry_point_is_defined_on_its_owner():
+    missing = [
+        f"{module_name}.{class_name}.{attr}"
+        for module_name, class_name, attr, _, _ in _tracing_module().TARGETS
+        if attr not in vars(getattr(importlib.import_module(module_name), class_name))
+    ]
+    assert missing == []
+
+
+def test_the_crawl_loop_reaches_its_stages_through_their_owners(tiny_web):
+    tracing = _tracing_module()
+    crawler = IncrementalCrawler(tiny_web, IncrementalCrawlerConfig(
+        collection_capacity=60,
+        crawl_budget_per_day=200.0,
+        ranking_interval_days=5.0,
+        measurement_interval_days=1.0,
+        track_quality=True,
+    ))
+    checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=7.0)
+    with tracing.Tracer() as tracer, tracer.root():
+        crawler.run(20.0, checkpointer=checkpointer)
+
+    names = [span[0] for span in tracer.spans]
+    for stage in (
+        "core.update_module:process_slots",
+        "core.ranking_module:refine",
+        "core.quality:sample",
+        "simulation.freshness_tracker:sample",
+    ):
+        assert stage in names, stage
+    assert checkpointer.saves >= 2
+    assert names.count("storage.checkpoint:snapshot") == checkpointer.saves
+    assert names.count("storage.checkpoint:save") == checkpointer.saves
+    run_span = names.index("engine:crawler_run")
+    assert all(
+        span[3] == run_span
+        for span in tracer.spans
+        if span[0] in ("core.update_module:process_slots", "core.ranking_module:refine")
+    )

@@ -24,8 +24,6 @@ from hypothesis import strategies as st
 
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
 from repro.core.ranking_module import RankingModule
-from repro.ranking.hits import hits_reference
-from repro.ranking.pagerank import pagerank_reference
 from repro.ranking.sparse import (
     LinkGraph,
     hits_dict,
@@ -34,6 +32,12 @@ from repro.ranking.sparse import (
     pagerank_scores,
 )
 from repro.simweb.generator import WebGeneratorConfig, generate_web
+
+from reference.kernels import (
+    compute_importance_reference,
+    hits_reference,
+    pagerank_reference,
+)
 
 # ---------------------------------------------------------------------- #
 # Strategies
@@ -369,7 +373,6 @@ def _run_crawl(metric: str):
                 crawl_budget_per_day=300.0,
                 revisit_policy="optimal",
                 estimator="ep",
-                engine="batched",
                 importance_metric=metric,
                 ranking_interval_days=3.0,
                 measurement_interval_days=1.0,
@@ -398,7 +401,7 @@ class TestRefinementDecisionParity:
         monkeypatch.setattr(
             RankingModule,
             "_compute_importance",
-            RankingModule._compute_importance_reference,
+            compute_importance_reference,
         )
         ref_result, ref_decisions, ref_collected = _run_crawl(metric)
 

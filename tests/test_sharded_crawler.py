@@ -43,7 +43,6 @@ def _config(**overrides):
         measurement_interval_days=1.0,
         track_quality=True,
         use_politeness=True,
-        engine="batched",
     )
     defaults.update(overrides)
     return IncrementalCrawlerConfig(**defaults)
@@ -115,11 +114,6 @@ class TestMultiShardDeterminism:
         # The merged estimator document keeps every shard's estimator
         # verbatim instead of fabricating a blended history.
         assert len(result.estimator_state["shards"]) == 2
-
-    def test_rejects_non_batched_engine(self, shard_web):
-        with pytest.raises(ValueError, match="batched"):
-            ShardedCrawler(shard_web, _config(engine="reference"), shards=2)
-
 
 class TestShardedSpecLayer:
     WEB = WebSpec(

@@ -131,45 +131,6 @@ class TestShardViewSplit:
         assert sorted(routed) == sorted(tiny_web.seed_urls())
 
 
-class TestCollUrlsPartition:
-    def test_entries_and_counters_preserved(self):
-        queue = CollUrls()
-        urls = [f"http://s{i % 3}.com/p{i}" for i in range(12)]
-        for i, url in enumerate(urls):
-            queue.schedule(url, float(i % 5))
-        queue.schedule_front("http://s0.com/front", 0.0)
-
-        owner_of = lambda url: (0 if "s0" in url else 1)
-        parts = queue.partition(owner_of, 2)
-
-        assert len(queue) == 13  # source untouched
-        assert len(parts[0]) + len(parts[1]) == 13
-        for index, part in enumerate(parts):
-            for url in part.urls():
-                assert owner_of(url) == index
-                # Exact (time, sequence) keys survive the split.
-                assert part.entry_for(url) == queue.entry_for(url)
-        # Popping a partition yields its entries in original relative order.
-        drained = [part.pop()[0] for part in parts for _ in range(len(part))]
-        assert sorted(drained) == sorted(queue.urls())
-
-    def test_counters_inherited(self):
-        queue = CollUrls()
-        queue.schedule("http://a.com/", 1.0)
-        parts = queue.partition(lambda url: 0, 1)
-        parts[0].schedule("http://b.com/", 1.0)
-        # The new entry's sequence continues the parent's space: it cannot
-        # collide with (or sort before) the preserved entry at equal time.
-        assert parts[0].pop()[0] == "http://a.com/"
-        assert parts[0].pop()[0] == "http://b.com/"
-
-    def test_rejects_out_of_range_owner(self):
-        queue = CollUrls()
-        queue.schedule("http://a.com/", 1.0)
-        with pytest.raises(ValueError):
-            queue.partition(lambda url: 2, 2)
-
-
 class TestMergeSnapshots:
     @staticmethod
     def _module():

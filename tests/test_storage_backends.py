@@ -361,7 +361,7 @@ def test_spec_hash_changes_when_storage_set():
         (dict(checkpoint_every=1.0), "requires a storage backend"),
         (dict(storage="sqlite", checkpoint_every=0.0), "positive"),
         (dict(storage="sqlite", checkpoint_every=-2.0), "positive"),
-        (dict(storage="sqlite", checkpoint_every=1.0, engine="reference"), "batched"),
+        (dict(engine="reference"), "'batched', 'sharded'"),
     ],
 )
 def test_crawler_spec_storage_validation(kwargs, message):

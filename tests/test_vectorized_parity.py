@@ -1,4 +1,4 @@
-"""Parity suite: vectorized hot paths vs. the retained reference loops.
+"""Parity suite: vectorized hot paths vs. the loops in ``tests/reference/``.
 
 Every vectorized kernel introduced by the NumPy-batched engine — the
 crawl-policy simulators, the batched web oracle, the collection metrics and
@@ -15,26 +15,26 @@ import numpy as np
 import pytest
 
 from repro.freshness.analytic import CrawlMode, CrawlPolicy, UpdateMode
-from repro.freshness.metrics import (
-    collection_age,
-    collection_age_reference,
-    collection_freshness,
-    collection_freshness_reference,
-)
+from repro.freshness.metrics import collection_age, collection_freshness
 from repro.freshness.optimal_allocation import (
     marginal_freshness,
     optimal_frequency_curve,
     optimal_revisit_frequencies,
-    optimal_revisit_frequencies_reference,
 )
 from repro.simulation.crawler_sim import (
     simulate_crawl_policy,
-    simulate_crawl_policy_reference,
     simulate_revisit_allocation,
-    simulate_revisit_allocation_reference,
 )
 from repro.simulation.scenarios import paper_table2_policies
 from repro.storage.records import PageRecord
+
+from reference.kernels import (
+    collection_age_reference,
+    collection_freshness_reference,
+    optimal_revisit_frequencies_reference,
+    simulate_crawl_policy_reference,
+    simulate_revisit_allocation_reference,
+)
 
 TOLERANCE = 1e-9
 
