@@ -10,10 +10,10 @@ objects (the generated web, the crawler, the observation log) ride along in
 from serialization.
 
 :class:`ScenarioMatrix` executes crossed parameter sweeps over a base spec.
-The matrix runner generates each distinct synthetic web once (cells that
-share a web spec share the web) and collapses scenario cells along an axis
-the scenario declares batchable into a single call, so sweeps lean on the
-vectorized kernels instead of repeating their setup per cell.
+Every cell runs through :func:`run` on its own spec, so a cell's result is
+exactly what running that spec alone returns; the matrix runner only
+generates each distinct synthetic web once (cells that share a web spec
+share the web) and can spread the cells over worker processes.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.api.registry import SCENARIOS, STORAGE_BACKENDS
-from repro.api.specs import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec
+from repro.api.specs import ExperimentSpec, PolicySpec, WebSpec
 from repro.api import scenarios as _scenarios  # noqa: F401  (registration side effect)
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
-from repro.core.periodic_crawler import PeriodicCrawler, PeriodicCrawlerConfig
+from repro.core.incremental_crawler import IncrementalCrawler
+from repro.core.periodic_crawler import PeriodicCrawler
 from repro.core.sharded_crawler import ShardedCrawler
 from repro.core.worker_pool import Job, run_jobs
 from repro.storage import backends as _backends  # noqa: F401  (registration side effect)
@@ -296,39 +296,6 @@ def _result_from_document(
 _RunPayload = Tuple[Dict[str, List[float]], Dict[str, Any], Dict[str, Any], Dict[str, Any]]
 
 
-def _incremental_config(
-    crawler_spec: CrawlerSpec, policy: PolicySpec
-) -> IncrementalCrawlerConfig:
-    """The crawler-core config a spec describes."""
-    return IncrementalCrawlerConfig(
-        collection_capacity=crawler_spec.collection_capacity,
-        crawl_budget_per_day=crawler_spec.crawl_budget_per_day,
-        revisit_policy=policy.revisit_policy,
-        estimator=policy.estimator,
-        importance_metric=policy.importance_metric,
-        ranking_interval_days=crawler_spec.ranking_interval_days,
-        reallocation_interval_days=crawler_spec.reallocation_interval_days,
-        use_importance_in_scheduling=policy.use_importance,
-        measurement_interval_days=crawler_spec.measurement_interval_days,
-        default_revisit_interval_days=crawler_spec.default_revisit_interval_days,
-        track_quality=crawler_spec.track_quality,
-        use_politeness=crawler_spec.use_politeness,
-        politeness_min_delay_seconds=crawler_spec.politeness_min_delay_seconds,
-        politeness_night_window=crawler_spec.politeness_night_window,
-        politeness_night_start=crawler_spec.politeness_night_start,
-        politeness_night_duration=crawler_spec.politeness_night_duration,
-        fault_models=(
-            None if crawler_spec.faults is None
-            else crawler_spec.faults.to_model_tuples()
-        ),
-        fault_seed=0 if crawler_spec.faults is None else crawler_spec.faults.seed,
-        retry=(
-            None if crawler_spec.retry is None
-            else crawler_spec.retry.to_retry_policy()
-        ),
-    )
-
-
 def _run_sharded_crawl(
     spec: ExperimentSpec,
     web: SimulatedWeb,
@@ -345,7 +312,7 @@ def _run_sharded_crawl(
     policy = spec.policy if spec.policy is not None else PolicySpec()
     crawler = ShardedCrawler(
         web,
-        _incremental_config(crawler_spec, policy),
+        crawler_spec.to_config(policy),
         shards=crawler_spec.shards or 1,
         workers=crawler_spec.workers or 1,
         storage=crawler_spec.storage,
@@ -428,18 +395,9 @@ def _run_crawl(
     if crawler_spec.engine == "sharded":
         return _run_sharded_crawl(spec, web, store, resume)
     if crawler_spec.kind == "incremental":
-        crawler = IncrementalCrawler(web, _incremental_config(crawler_spec, policy))
+        crawler = IncrementalCrawler(web, crawler_spec.to_config(policy))
     else:
-        crawler = PeriodicCrawler(
-            web,
-            PeriodicCrawlerConfig(
-                collection_capacity=crawler_spec.collection_capacity,
-                crawl_budget_per_day=crawler_spec.crawl_budget_per_day,
-                cycle_days=crawler_spec.cycle_days,
-                measurement_interval_days=crawler_spec.measurement_interval_days,
-                track_quality=crawler_spec.track_quality,
-            ),
-        )
+        crawler = PeriodicCrawler(web, crawler_spec.to_config(policy))
     journal = None
     checkpointer = None
     resume_state = None
@@ -551,13 +509,9 @@ def _run_scenario(spec: ExperimentSpec) -> _RunPayload:
         raise ValueError(
             f"scenario {spec.scenario!r} rejected parameters {sorted(kwargs)}: {error}"
         ) from error
-    return _split_payload(spec.scenario, payload)
-
-
-def _split_payload(scenario: str, payload: Any) -> _RunPayload:
     if not isinstance(payload, Mapping):
         raise TypeError(
-            f"scenario {scenario!r} must return a mapping with optional "
+            f"scenario {spec.scenario!r} must return a mapping with optional "
             f"'series'/'summary'/'tables' keys, got {type(payload).__name__}"
         )
     return (
@@ -661,15 +615,12 @@ class MatrixResult:
 
 
 def run_matrix(matrix: ScenarioMatrix, *, workers: int = 1) -> MatrixResult:
-    """Execute every cell of the matrix, batching where possible.
+    """Execute every cell of the matrix through :func:`run`.
 
-    Two batching layers keep sweeps cheap:
-
-    * cells whose web spec and effective seed coincide share one generated
-      :class:`SimulatedWeb` (web generation dominates small crawl runs);
-    * scenario cells that differ only along an axis the scenario declares
-      via ``batch_param`` are collapsed into a single scenario call that
-      receives the whole value list and returns per-cell payloads.
+    Each cell's result equals :func:`run` of that cell's spec, wall time
+    aside. Cells whose web spec and effective seed coincide share one
+    generated :class:`SimulatedWeb` (web generation dominates small crawl
+    runs).
 
     Args:
         workers: Number of worker processes to spread the cells over.
@@ -690,50 +641,12 @@ def run_matrix(matrix: ScenarioMatrix, *, workers: int = 1) -> MatrixResult:
     if workers < 1:
         raise ValueError("workers must be at least 1")
     started = time.perf_counter()
-    cells = matrix.cells()
-    results: Dict[int, ExperimentResult] = {}
-
-    # Batched scenario axes.
-    remaining: List[Tuple[int, Dict[str, Any], ExperimentSpec]] = []
-    for index, (assignment, spec) in enumerate(cells):
-        remaining.append((index, assignment, spec))
-    batch_axis = _single_batchable_axis(matrix)
-    if batch_axis is not None:
-        path, values = batch_axis
-        key = path.partition(".")[2]
-        merged_params = dict(matrix.base.params)
-        merged_params[key] = list(values)
-        merged = matrix.base.replace(params=merged_params)
-        function = SCENARIOS.get(merged.scenario)
-        try:
-            payload = function(**_scenario_kwargs(merged, function))
-        except TypeError as error:
-            raise ValueError(
-                f"scenario {merged.scenario!r} rejected batched parameters "
-                f"{sorted(merged.params)}: {error}"
-            ) from error
-        per_cell = payload.get("cells") if isinstance(payload, Mapping) else None
-        if per_cell is None or len(per_cell) != len(values):
-            # Failing loud beats silently re-running the expensive merged
-            # evaluation once per cell.
-            raise ValueError(
-                f"scenario {merged.scenario!r} declares batch_param "
-                f"{key!r} but returned "
-                f"{'no' if per_cell is None else len(per_cell)} 'cells' for "
-                f"{len(values)} values"
-            )
-        for (index, assignment, spec), cell_payload in zip(remaining, per_cell):
-            results[index] = _result_for_spec(
-                spec, _split_payload(spec.scenario, cell_payload), 0.0
-            )
-        remaining = []
-
-    # Everything else: run per cell with a shared-web cache.
-    if workers > 1 and len(remaining) > 1:
+    specs = [spec for _, spec in matrix.cells()]
+    if workers > 1 and len(specs) > 1:
         shared_webs: Dict[str, SharedWeb] = {}
         jobs = []
         try:
-            for index, assignment, spec in remaining:
+            for spec in specs:
                 cache_key = _web_cache_key(spec)
                 payload = None
                 if cache_key is not None:
@@ -747,11 +660,14 @@ def run_matrix(matrix: ScenarioMatrix, *, workers: int = 1) -> MatrixResult:
         finally:
             for shared in shared_webs.values():
                 shared.close()
-        for (index, _, _), (document, wall_time_seconds) in zip(remaining, documents):
-            results[index] = _result_from_document(document, wall_time_seconds)
+        cells = [
+            _result_from_document(document, wall_time_seconds)
+            for document, wall_time_seconds in documents
+        ]
     else:
         web_cache: Dict[str, SimulatedWeb] = {}
-        for index, assignment, spec in remaining:
+        cells = []
+        for spec in specs:
             web = None
             cache_key = _web_cache_key(spec)
             if cache_key is not None:
@@ -759,12 +675,10 @@ def run_matrix(matrix: ScenarioMatrix, *, workers: int = 1) -> MatrixResult:
                 if web is None:
                     web = build_web(spec.web, seed=spec.seed)
                     web_cache[cache_key] = web
-            results[index] = run(spec, web=web)
-
-    ordered = [results[index] for index in range(len(cells))]
+            cells.append(run(spec, web=web))
     return MatrixResult(
         name=matrix.base.name,
-        cells=ordered,
+        cells=cells,
         wall_time_seconds=time.perf_counter() - started,
     )
 
@@ -780,22 +694,6 @@ def _run_cell(spec: ExperimentSpec, web: Optional[SimulatedWeb]) -> tuple:
     """Pool job of one matrix cell: its result document and wall time."""
     result = run(spec, web=web)
     return _result_document(result), result.wall_time_seconds
-
-
-def _single_batchable_axis(
-    matrix: ScenarioMatrix,
-) -> Optional[Tuple[str, Sequence[Any]]]:
-    """The matrix's sole axis if the scenario declares it batchable."""
-    if matrix.base.kind != "scenario" or len(matrix.axes) != 1:
-        return None
-    (path, values), = matrix.axes.items()
-    head, _, rest = path.partition(".")
-    if head != "params" or not rest:
-        return None
-    function = SCENARIOS.get(matrix.base.scenario)
-    if getattr(function, "batch_param", None) != rest:
-        return None
-    return path, values
 
 
 def _scenario_kwargs(spec: ExperimentSpec, function: Any) -> Dict[str, Any]:

@@ -12,17 +12,11 @@ that :func:`repro.api.runner.run` wraps into an
 :class:`~repro.api.runner.ExperimentResult`. All Monte-Carlo work routes
 through the vectorized kernels of :mod:`repro.simulation.crawler_sim` and
 :mod:`repro.freshness.optimal_allocation`.
-
-Scenarios that can evaluate a whole axis of a
-:class:`~repro.api.runner.ScenarioMatrix` in one call declare the axis
-parameter via ``batch_param``; the matrix runner then collapses those cells
-into a single invocation (one calibrated-rate draw, one allocation solve per
-policy) instead of re-running the scenario per cell.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.registry import ESTIMATORS, REVISIT_POLICIES, register_scenario
 from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
@@ -49,16 +43,6 @@ from repro.simulation.scenarios import (
 )
 from repro.simweb.domains import sample_calibrated_rates
 from repro.simweb.generator import WebGeneratorConfig, generate_web
-
-
-def batchable(param: str) -> Callable:
-    """Mark a scenario as able to evaluate a list of ``param`` in one call."""
-
-    def _mark(function: Callable) -> Callable:
-        function.batch_param = param
-        return function
-
-    return _mark
 
 
 # --------------------------------------------------------------------- #
@@ -426,7 +410,6 @@ def chaos_crawl(
 # Figure 10 / Section 4.3: revisit-frequency policies
 # --------------------------------------------------------------------- #
 @register_scenario("revisit-policies")
-@batchable("policy")
 def revisit_policies(
     policy: Union[str, Sequence[str]] = ("uniform", "proportional", "optimal"),
     n_pages: int = 400,
@@ -445,9 +428,8 @@ def revisit_policies(
     (:func:`total_freshness`) and with the Monte-Carlo allocation simulator.
 
     Args:
-        policy: One registered policy name or a list of them; the whole list
-            is evaluated in this single call (this is the scenario's
-            :class:`~repro.api.runner.ScenarioMatrix` batch axis).
+        policy: One registered policy name or a list of them, all
+            evaluated on the same rate population.
         n_pages: Population size drawn from the calibrated domain mix.
         rates_seed: Seed of the rate-population draw.
         budget_days_per_page: The crawl budget expressed as "each page can
@@ -476,7 +458,7 @@ def revisit_policies(
                 rates, intervals, duration_days=duration_days,
                 n_samples=n_samples, seed=sim_seed,
             ).mean_freshness
-    payload: Dict[str, Any] = {
+    return {
         "summary": {
             "n_pages": len(rates),
             "budget_per_day": budget,
@@ -484,16 +466,3 @@ def revisit_policies(
         },
         "tables": {"analytic": analytic, "simulated": simulated},
     }
-    # Per-policy cell payloads so a batched matrix call can be split back
-    # into one ExperimentResult per cell.
-    payload["cells"] = [
-        {
-            "summary": {"policy": name, "n_pages": len(rates), "budget_per_day": budget},
-            "tables": {
-                "analytic": {name: analytic[name]},
-                "simulated": {name: simulated[name]} if name in simulated else {},
-            },
-        }
-        for name in names
-    ]
-    return payload

@@ -28,9 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
+from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
 
 from repro.api.registry import ESTIMATORS, REVISIT_POLICIES
+from repro.core.incremental_crawler import IncrementalCrawlerConfig
+from repro.core.periodic_crawler import PeriodicCrawlerConfig
 from repro.faults import RetryPolicy
 from repro.simweb.generator import WebGeneratorConfig
 
@@ -467,22 +469,11 @@ class CrawlerSpec(_SpecBase):
             raise ValueError("duration_days must be positive")
         if self.start_time < 0:
             raise ValueError("start_time must be non-negative")
-        # Capacity/budget/interval validation lives in the crawler configs;
-        # fail fast here so a bad spec never reaches web generation.
-        if self.collection_capacity < 1:
-            raise ValueError("collection_capacity must be at least 1")
-        if self.crawl_budget_per_day <= 0:
-            raise ValueError("crawl_budget_per_day must be positive")
-        if self.cycle_days <= 0:
-            raise ValueError("cycle_days must be positive")
-        if self.measurement_interval_days <= 0:
-            raise ValueError("measurement_interval_days must be positive")
-        if self.politeness_min_delay_seconds < 0:
-            raise ValueError("politeness_min_delay_seconds must be non-negative")
-        if not 0.0 <= self.politeness_night_start < 1.0:
-            raise ValueError("politeness_night_start must be in [0, 1)")
-        if not 0.0 < self.politeness_night_duration <= 1.0:
-            raise ValueError("politeness_night_duration must be in (0, 1]")
+        # The crawler configs own the capacity, budget, interval and
+        # politeness bounds; build both so a bad spec never reaches web
+        # generation, whichever crawler reads the field.
+        self._incremental_config(PolicySpec())
+        self._periodic_config()
         if self.storage is not None:
             # Backends register on import of repro.storage.backends; import
             # lazily to keep specs importable from domain modules.
@@ -510,6 +501,50 @@ class CrawlerSpec(_SpecBase):
             raise ValueError(
                 "fault injection is supported for incremental crawls only"
             )
+
+    def to_config(
+        self, policy: PolicySpec
+    ) -> Union[IncrementalCrawlerConfig, PeriodicCrawlerConfig]:
+        """The crawler-core config of this spec's ``kind``.
+
+        ``policy`` supplies the incremental crawler's policy choices; the
+        periodic crawler has none.
+        """
+        if self.kind == "periodic":
+            return self._periodic_config()
+        return self._incremental_config(policy)
+
+    def _incremental_config(self, policy: PolicySpec) -> IncrementalCrawlerConfig:
+        return IncrementalCrawlerConfig(
+            collection_capacity=self.collection_capacity,
+            crawl_budget_per_day=self.crawl_budget_per_day,
+            revisit_policy=policy.revisit_policy,
+            estimator=policy.estimator,
+            importance_metric=policy.importance_metric,
+            ranking_interval_days=self.ranking_interval_days,
+            reallocation_interval_days=self.reallocation_interval_days,
+            use_importance_in_scheduling=policy.use_importance,
+            measurement_interval_days=self.measurement_interval_days,
+            default_revisit_interval_days=self.default_revisit_interval_days,
+            track_quality=self.track_quality,
+            use_politeness=self.use_politeness,
+            politeness_min_delay_seconds=self.politeness_min_delay_seconds,
+            politeness_night_window=self.politeness_night_window,
+            politeness_night_start=self.politeness_night_start,
+            politeness_night_duration=self.politeness_night_duration,
+            fault_models=None if self.faults is None else self.faults.to_model_tuples(),
+            fault_seed=0 if self.faults is None else self.faults.seed,
+            retry=None if self.retry is None else self.retry.to_retry_policy(),
+        )
+
+    def _periodic_config(self) -> PeriodicCrawlerConfig:
+        return PeriodicCrawlerConfig(
+            collection_capacity=self.collection_capacity,
+            crawl_budget_per_day=self.crawl_budget_per_day,
+            cycle_days=self.cycle_days,
+            measurement_interval_days=self.measurement_interval_days,
+            track_quality=self.track_quality,
+        )
 
     @classmethod
     def _nested_spec_fields(cls) -> Dict[str, Type[_SpecBase]]:

@@ -1,20 +1,13 @@
 """Command-line interface.
 
 The CLI is a thin shim over the declarative experiment API
-(:mod:`repro.api`): every subcommand builds an
-:class:`~repro.api.specs.ExperimentSpec` (or resolves registry entries) and
-routes it through :func:`repro.api.runner.run`.
+(:mod:`repro.api`): every experiment enters as an
+:class:`~repro.api.specs.ExperimentSpec` JSON file and runs through
+:func:`repro.api.runner.run`. The paper's experiments each have a spec kind
+— ``monitor`` for the Sections 2-3 study, ``scenario`` for the Section 4
+design choices, ``crawl`` for the Section 5 crawler — and
+``examples/specs/`` ships one file per kind.
 
-``python -m repro web-stats``
-    Generate a synthetic web and print its calibration statistics.
-``python -m repro run-experiment``
-    Run the Sections 2-3 monitoring experiment and print the Figure 2/4/5
-    style analyses.
-``python -m repro run-crawler``
-    Run the incremental crawler (or the periodic baseline) against a
-    synthetic web and print freshness/quality.
-``python -m repro compare-policies``
-    Print the Table 2 design-choice comparison and the revisit-policy gains.
 ``python -m repro run-spec FILE.json``
     Run a JSON-defined experiment end to end and emit the JSON result
     (with seed and spec-hash provenance).
@@ -33,9 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Union
 
-from repro.analysis.report import format_bar_chart, format_table
+from repro.analysis.report import format_table
 from repro.api.registry import (
     CHANGE_MODELS,
     ESTIMATORS,
@@ -43,8 +36,14 @@ from repro.api.registry import (
     SCENARIOS,
     STORAGE_BACKENDS,
 )
-from repro.api.runner import ScenarioMatrix, build_web, run, run_matrix
-from repro.api.specs import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec
+from repro.api.runner import (
+    ExperimentResult,
+    MatrixResult,
+    ScenarioMatrix,
+    run,
+    run_matrix,
+)
+from repro.api.specs import ExperimentSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,53 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduction of Cho & Garcia-Molina, VLDB 2000 "
                     "(incremental crawler and web-evolution study).",
     )
-    parser.add_argument("--seed", type=int, default=17, help="random seed")
-    parser.add_argument(
-        "--site-scale", type=float, default=0.05,
-        help="multiplier on the paper's per-domain site counts (1.0 = 270 sites)",
-    )
-    parser.add_argument(
-        "--pages-per-site", type=int, default=30,
-        help="pages initially present at each site",
-    )
-    parser.add_argument(
-        "--horizon-days", type=float, default=127.0,
-        help="virtual-time horizon of the synthetic web",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    subparsers.add_parser("web-stats", help="generate a synthetic web and describe it")
-
-    experiment = subparsers.add_parser(
-        "run-experiment", help="run the Sections 2-3 monitoring experiment"
-    )
-    experiment.add_argument(
-        "--days", type=int, default=None,
-        help="number of days to monitor (default: the full horizon)",
-    )
-
-    crawler = subparsers.add_parser(
-        "run-crawler", help="run a crawler against a synthetic web"
-    )
-    crawler.add_argument(
-        "--mode", choices=("incremental", "periodic"), default="incremental"
-    )
-    crawler.add_argument("--capacity", type=int, default=200)
-    crawler.add_argument("--budget", type=float, default=500.0,
-                         help="page fetches per virtual day")
-    crawler.add_argument("--duration", type=float, default=45.0,
-                         help="virtual days to run")
-    crawler.add_argument(
-        "--revisit-policy", choices=tuple(REVISIT_POLICIES.names()),
-        default="optimal",
-    )
-    crawler.add_argument("--estimator", choices=tuple(ESTIMATORS.names()), default="ep")
-    crawler.add_argument("--cycle-days", type=float, default=10.0,
-                         help="cycle length of the periodic crawler")
-
-    subparsers.add_parser(
-        "compare-policies", help="print the Table 2 design-choice comparison"
-    )
 
     run_spec = subparsers.add_parser(
         "run-spec", help="run a JSON experiment spec and print the JSON result"
@@ -167,10 +120,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     commands: Dict[str, Callable[[argparse.Namespace], int]] = {
-        "web-stats": _cmd_web_stats,
-        "run-experiment": _cmd_run_experiment,
-        "run-crawler": _cmd_run_crawler,
-        "compare-policies": _cmd_compare_policies,
         "run-spec": _cmd_run_spec,
         "run-matrix": _cmd_run_matrix,
         "list-scenarios": _cmd_list_scenarios,
@@ -179,110 +128,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return commands[args.command](args)
 
 
-def _web_spec(args: argparse.Namespace) -> WebSpec:
-    """The web spec shared by the web-touching subcommands."""
-    return WebSpec(
-        site_scale=args.site_scale,
-        pages_per_site=args.pages_per_site,
-        horizon_days=args.horizon_days,
-        seed=args.seed,
-    )
-
-
 # --------------------------------------------------------------------- #
 # Commands
 # --------------------------------------------------------------------- #
-def _cmd_web_stats(args: argparse.Namespace) -> int:
-    web = build_web(_web_spec(args))
-    rows = [
-        ("sites", web.n_sites),
-        ("pages", web.n_pages),
-        ("mean change rate (changes/day)", f"{web.mean_change_rate():.2f}"),
-    ]
-    for domain in web.domains():
-        sites = web.sites_in_domain(domain)
-        rows.append((f"sites in .{domain}", len(sites)))
-    print(format_table(["property", "value"], rows, title="synthetic web"))
-    return 0
+def _read_input(path: str) -> str:
+    """The text of ``path``, or of stdin when ``path`` is ``'-'``."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
-def _cmd_run_experiment(args: argparse.Namespace) -> int:
-    web_spec = _web_spec(args)
-    params = {}
-    if args.days:
-        params["end_day"] = args.days - 1
-    result = run(ExperimentSpec(
-        name="cli/run-experiment", kind="monitor", web=web_spec, params=params,
-    ))
-    print(f"monitored {result.summary['n_pages']} pages "
-          f"for {result.summary['duration_days']} days\n")
-    print(format_bar_chart(result.tables["change_interval_fractions"],
-                           title="Figure 2(a): average change interval"))
-    print()
-    print(format_bar_chart(result.tables["lifespan_fractions"],
-                           title="Figure 4(a): visible lifespan (Method 1)"))
-    print()
-    rows = [
-        (domain, "not reached" if day is None else f"{day:.0f}")
-        for domain, day in result.tables["half_change_days"].items()
-    ]
-    print(format_table(["domain", "days to 50% change"], rows, title="Figure 5"))
-    return 0
-
-
-def _cmd_run_crawler(args: argparse.Namespace) -> int:
-    result = run(ExperimentSpec(
-        name=f"cli/run-crawler/{args.mode}",
-        kind="crawl",
-        web=_web_spec(args),
-        crawler=CrawlerSpec(
-            kind=args.mode,
-            collection_capacity=args.capacity,
-            crawl_budget_per_day=args.budget,
-            duration_days=args.duration,
-            cycle_days=args.cycle_days,
-            measurement_interval_days=1.0,
-        ),
-        policy=PolicySpec(
-            revisit_policy=args.revisit_policy,
-            estimator=args.estimator,
-        ),
-    ))
-    rows = [
-        ("mode", args.mode),
-        ("pages fetched", result.summary["pages_crawled"]),
-        ("collection size", result.summary["collection_size"]),
-        ("mean freshness", f"{result.summary['mean_freshness']:.3f}"),
-        ("final quality", f"{result.summary['final_quality']:.3f}"),
-    ]
-    print(format_table(["metric", "value"], rows, title="crawl summary"))
-    return 0
-
-
-def _cmd_compare_policies(args: argparse.Namespace) -> int:
-    result = run(ExperimentSpec(
-        name="cli/compare-policies", kind="scenario", scenario="table2",
-        params={"simulate": False},
-    ))
-    paper = result.tables["paper"]
-    analytic = result.tables["analytic"]
-    rows = [
-        (name, f"{paper[name]:.2f}", f"{analytic[name]:.3f}")
-        for name in paper
-    ]
-    print(format_table(["policy", "paper (Table 2)", "this reproduction"], rows,
-                       title="Table 2: freshness of the current collection"))
+def _emit(
+    result: Union[ExperimentResult, MatrixResult], args: argparse.Namespace
+) -> int:
+    """Print a result's JSON (and write it to ``--out`` when given)."""
+    payload = result.to_json(indent=None if args.compact else 2)
+    print(payload)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
     return 0
 
 
 def _cmd_run_spec(args: argparse.Namespace) -> int:
-    if args.spec == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            text = handle.read()
     try:
-        spec = ExperimentSpec.from_json(text)
+        spec = ExperimentSpec.from_json(_read_input(args.spec))
     except (TypeError, ValueError, json.JSONDecodeError) as error:
         # TypeError covers wrongly-typed field values (e.g. a quoted number)
         # surfacing from the spec/config validators.
@@ -294,22 +165,12 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
         # e.g. scenario/monitor parameters rejected at call time.
         print(f"experiment failed: {error}", file=sys.stderr)
         return 2
-    payload = result.to_json(indent=None if args.compact else 2)
-    print(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    return 0
+    return _emit(result, args)
 
 
 def _cmd_run_matrix(args: argparse.Namespace) -> int:
-    if args.matrix == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            text = handle.read()
     try:
-        document = json.loads(text)
+        document = json.loads(_read_input(args.matrix))
         if not isinstance(document, dict) or "base" not in document:
             raise ValueError("a matrix file needs a 'base' experiment spec")
         axes = document.get("axes")
@@ -328,12 +189,7 @@ def _cmd_run_matrix(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as error:
         print(f"matrix sweep failed: {error}", file=sys.stderr)
         return 2
-    payload = result.to_json(indent=None if args.compact else 2)
-    print(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    return 0
+    return _emit(result, args)
 
 
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:

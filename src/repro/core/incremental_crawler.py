@@ -144,6 +144,10 @@ class IncrementalCrawlerConfig:
             raise ValueError("measurement_interval_days must be positive")
         if self.politeness_min_delay_seconds < 0:
             raise ValueError("politeness_min_delay_seconds must be non-negative")
+        if not 0.0 <= self.politeness_night_start < 1.0:
+            raise ValueError("politeness_night_start must be in [0, 1)")
+        if not 0.0 < self.politeness_night_duration <= 1.0:
+            raise ValueError("politeness_night_duration must be in (0, 1]")
         # Build the fault layer once so bad model names/params fail here,
         # not deep inside a run.
         self.build_fault_layer()

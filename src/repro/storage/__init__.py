@@ -8,10 +8,10 @@ This package provides:
 
 * :class:`PageRecord` — the stored copy of one page (content, checksum,
   fetch time, importance, change history);
-* :class:`Repository` — a bounded key-value store of page records;
 * :class:`InPlaceCollection` and :class:`ShadowCollection` — the two update
-  disciplines the paper compares, behind a common :class:`Collection`
-  interface (what users/queries see is ``current_records``);
+  disciplines the paper compares, behind a common, capacity-bounded
+  :class:`Collection` interface (what users/queries see is
+  ``current_records``);
 * :class:`InvertedIndex` — a small text index over the current collection,
   standing in for the indexer the paper mentions alongside the repository;
 * :class:`StorageBackend` and its implementations (:class:`MemoryBackend`,
@@ -24,7 +24,6 @@ This package provides:
 """
 
 from repro.storage.records import PageRecord, record_to_dict
-from repro.storage.repository import Repository
 from repro.storage.collection import Collection, InPlaceCollection, ShadowCollection
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.backends import (
@@ -38,7 +37,6 @@ from repro.storage.checkpoint import CollectionJournal, CrawlCheckpointer
 __all__ = [
     "PageRecord",
     "record_to_dict",
-    "Repository",
     "Collection",
     "InPlaceCollection",
     "ShadowCollection",

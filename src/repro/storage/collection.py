@@ -20,22 +20,57 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional
 
 from repro.storage.records import PageRecord
-from repro.storage.repository import Repository
+
+
+class CollectionFullError(RuntimeError):
+    """Raised when storing a new page into a collection that is at capacity."""
 
 
 class Collection(ABC):
-    """Common interface of the two update disciplines."""
+    """Common interface of the two update disciplines.
+
+    The paper's conceptual model (Algorithm 5.1) assumes "the local
+    collection maintains a fixed number of pages": storing a *new* page into
+    a full working collection is refused, so the RankingModule must discard
+    a page first. Records live in plain dicts keyed by URL, whose insertion
+    order is the collection's scan order.
+
+    Args:
+        capacity: Maximum number of records in the working collection;
+            ``None`` means unbounded.
+    """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be at least 1 when given")
         self.capacity = capacity
+        self._working: Dict[str, PageRecord] = {}
 
-    @abstractmethod
     def store(self, record: PageRecord) -> None:
-        """Install a fetched page copy (new page or re-fetch)."""
+        """Install a fetched page copy (new page or re-fetch).
 
-    @abstractmethod
+        A re-fetch replaces the stored record in place, keeping its
+        position in the scan order.
+
+        Raises:
+            CollectionFullError: When the working collection is at capacity
+                and the URL is not already stored — Steps [7]-[9] of
+                Algorithm 5.1 discard a page first.
+        """
+        records = self._working
+        if (
+            record.url not in records
+            and self.capacity is not None
+            and len(records) >= self.capacity
+        ):
+            raise CollectionFullError(
+                f"collection is at capacity ({self.capacity}); discard a page first"
+            )
+        records[record.url] = record
+
     def discard(self, url: str) -> Optional[PageRecord]:
         """Remove a page from the crawler's working collection."""
+        return self._working.pop(url, None)
 
     @abstractmethod
     def current_records(self) -> List[PageRecord]:
@@ -49,14 +84,14 @@ class Collection(ABC):
         """
         return [record.url for record in self.current_records()]
 
-    @abstractmethod
     def working_records(self) -> List[PageRecord]:
         """Records in the crawler's working collection (same as current for
         in-place updates; the shadow space for a shadowing collection)."""
+        return list(self._working.values())
 
-    @abstractmethod
     def get_working(self, url: str) -> Optional[PageRecord]:
         """Working-collection record for ``url`` (None when absent)."""
+        return self._working.get(url)
 
     @abstractmethod
     def complete_cycle(self, at: float) -> None:
@@ -70,41 +105,15 @@ class Collection(ABC):
 class InPlaceCollection(Collection):
     """A collection whose pages are updated in place.
 
-    New and re-fetched pages become visible to users immediately; there is a
-    single repository that both the crawler and queries see.
+    New and re-fetched pages become visible to users immediately; the
+    crawler and queries see the same records.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        super().__init__(capacity)
-        self._repository = Repository(capacity)
-
-    @property
-    def repository(self) -> Repository:
-        """The single underlying repository."""
-        return self._repository
-
-    def store(self, record: PageRecord) -> None:
-        if record.url in self._repository:
-            self._repository.update(record)
-        else:
-            self._repository.save(record)
-
-    def discard(self, url: str) -> Optional[PageRecord]:
-        if url not in self._repository:
-            return None
-        return self._repository.discard(url)
-
     def current_records(self) -> List[PageRecord]:
-        return self._repository.records()
+        return list(self._working.values())
 
     def current_urls(self) -> List[str]:
-        return list(self._repository.urls())
-
-    def working_records(self) -> List[PageRecord]:
-        return self._repository.records()
-
-    def get_working(self, url: str) -> Optional[PageRecord]:
-        return self._repository.get(url)
+        return list(self._working)
 
     def complete_cycle(self, at: float) -> None:
         """In-place collections have no cycle boundary; this is a no-op."""
@@ -113,8 +122,8 @@ class InPlaceCollection(Collection):
 class ShadowCollection(Collection):
     """A collection maintained by shadowing.
 
-    The crawler writes into the *shadow* repository. Queries read the
-    *current* repository, which is only replaced when :meth:`complete_cycle`
+    The crawler writes into the *shadow* (working) records. Queries read the
+    *current* records, which are only replaced when :meth:`complete_cycle`
     is called — that is the instant the paper's Figure 8 marks with dotted
     lines, where the freshness of the current collection jumps to the
     freshness of the crawler's collection.
@@ -122,57 +131,25 @@ class ShadowCollection(Collection):
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         super().__init__(capacity)
-        self._shadow = Repository(capacity)
-        self._current = Repository(capacity)
+        self._current: Dict[str, PageRecord] = {}
         self._swap_times: List[float] = []
-
-    @property
-    def shadow_repository(self) -> Repository:
-        """The crawler's (shadow) repository."""
-        return self._shadow
-
-    @property
-    def current_repository(self) -> Repository:
-        """The repository users currently query."""
-        return self._current
 
     @property
     def swap_times(self) -> List[float]:
         """Virtual times at which the current collection was replaced."""
         return list(self._swap_times)
 
-    def store(self, record: PageRecord) -> None:
-        if record.url in self._shadow:
-            self._shadow.update(record)
-        else:
-            self._shadow.save(record)
-
-    def discard(self, url: str) -> Optional[PageRecord]:
-        if url not in self._shadow:
-            return None
-        return self._shadow.discard(url)
-
     def current_records(self) -> List[PageRecord]:
-        return self._current.records()
+        return list(self._current.values())
 
     def current_urls(self) -> List[str]:
-        return list(self._current.urls())
-
-    def working_records(self) -> List[PageRecord]:
-        return self._shadow.records()
-
-    def get_working(self, url: str) -> Optional[PageRecord]:
-        return self._shadow.get(url)
+        return list(self._current)
 
     def complete_cycle(self, at: float) -> None:
         """Atomically replace the current collection with the shadow one.
 
-        The shadow space is cleared afterwards: the next cycle collects a
+        The shadow space starts empty afterwards: the next cycle collects a
         brand new set of pages from scratch, as described in Section 4.
         """
-        replacement = Repository(self.capacity)
-        for record in self._shadow.records():
-            replacement.save(record)
-        self._current = replacement
-        self._shadow = Repository(self.capacity)
+        self._current, self._working = self._working, {}
         self._swap_times.append(at)

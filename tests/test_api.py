@@ -18,7 +18,6 @@ from repro.api import (
     ScenarioMatrix,
     UnknownEntryError,
     WebSpec,
-    register_scenario,
     run,
     run_matrix,
 )
@@ -133,6 +132,42 @@ class TestSpecValidation:
             )
         CrawlerSpec(kind="periodic", politeness_min_delay_seconds=3600.0)
 
+    # Every bound a crawler spec enforces, on both kinds: a field only one
+    # crawler reads is still checked on the other kind's spec.
+    @pytest.mark.parametrize("kind", ["incremental", "periodic"])
+    @pytest.mark.parametrize("field, value", [
+        ("collection_capacity", 0),
+        ("crawl_budget_per_day", 0.0),
+        ("cycle_days", 0.0),
+        ("measurement_interval_days", 0.0),
+        ("ranking_interval_days", 0.0),
+        ("politeness_min_delay_seconds", -1.0),
+        ("politeness_night_start", -0.1),
+        ("politeness_night_start", 1.0),
+        ("politeness_night_duration", 0.0),
+        ("politeness_night_duration", 1.5),
+        ("duration_days", 0.0),
+        ("start_time", -1.0),
+    ])
+    def test_crawler_spec_rejects_out_of_bounds(self, kind, field, value):
+        with pytest.raises(ValueError, match=field):
+            CrawlerSpec(kind=kind, **{field: value})
+
+    def test_crawler_spec_builds_the_config_of_its_kind(self):
+        from repro.core.incremental_crawler import IncrementalCrawlerConfig
+        from repro.core.periodic_crawler import PeriodicCrawlerConfig
+
+        policy = PolicySpec(revisit_policy="uniform", estimator="eb")
+        config = CrawlerSpec(politeness_night_start=0.5).to_config(policy)
+        assert isinstance(config, IncrementalCrawlerConfig)
+        assert (config.revisit_policy, config.estimator) == ("uniform", "eb")
+        assert config.politeness_night_start == 0.5
+        config = CrawlerSpec(kind="periodic", cycle_days=4.0).to_config(policy)
+        assert isinstance(config, PeriodicCrawlerConfig)
+        assert config.cycle_days == 4.0
+        with pytest.raises(ValueError, match="politeness_night_start"):
+            IncrementalCrawlerConfig(politeness_night_start=1.5)
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError) as excinfo:
             ExperimentSpec.from_dict({"name": "x", "kind": "crawl", "bogus": 1})
@@ -174,12 +209,16 @@ class TestSpecRoundTrip:
          "2733ec3e1265cab9f769a692745528fd27067bb12f3919041bb97333c4188764"),
         ("matrix_sweep.json",
          "2852e567cf66d8e5667b8ea25670706c083f72dcbb450a994fd911e27cdee707"),
+        ("periodic_crawl.json",
+         "420095d87d26ee946dd3ababdf1622a43adb3bbfbb2c22b036c8221d19d2eaa6"),
         ("polite_crawl.json",
          "fb4ed5067398bdfc2ec1665041b2a8d5343f793507760fa4d2313390921e6560"),
         ("sharded_crawl.json",
          "67fcf43933036191e96bd80825a1faffe43795888d381dbc0472ce17fd4d683b"),
         ("table2_scenario.json",
          "840fa3a86a3b355924a46d3e5ebfd3f624d5818a232eb14021fc5b3b5f701e57"),
+        ("web_evolution.json",
+         "a305cc627118f9c1ccb28e56bf9792b79240c3ba00575bb6598dde226321165c"),
     ])
     def test_example_spec_hashes_are_stable(self, file_name, expected):
         document = json.loads((EXAMPLE_SPECS / file_name).read_text(encoding="utf-8"))
@@ -362,42 +401,24 @@ class TestScenarioMatrix:
         assert result.cells[0].artifacts["web"] is result.cells[1].artifacts["web"]
         json.dumps(result.to_dict())
 
-    def test_batched_scenario_axis_single_call(self):
-        calls = []
-
-        @register_scenario("test-batch")
-        def scenario(value=("a",)):
-            values = [value] if isinstance(value, str) else list(value)
-            calls.append(values)
-            return {
-                "summary": {"values": values},
-                "cells": [{"summary": {"value": v}} for v in values],
-            }
-
-        scenario.batch_param = "value"
-        try:
-            matrix = ScenarioMatrix(
-                base=ExperimentSpec(name="b", kind="scenario", scenario="test-batch"),
-                axes={"params.value": ["x", "y", "z"]},
-            )
-            result = run_matrix(matrix)
-        finally:
-            SCENARIOS._entries.pop("test-batch", None)
-        assert calls == [["x", "y", "z"]]  # one batched call, not three
-        assert [cell.summary["value"] for cell in result.cells] == ["x", "y", "z"]
-
-    def test_batched_matrix_matches_per_cell_runs(self):
+    def test_matrix_cells_equal_single_runs(self):
         base = ExperimentSpec(
             name="sweep", kind="scenario", scenario="revisit-policies",
-            params={"n_pages": 60, "simulate": False},
+            params={"n_pages": 60, "n_samples": 20, "duration_days": 60.0},
         )
         matrix = ScenarioMatrix(
             base=base, axes={"params.policy": ["uniform", "optimal"]}
         )
-        batched = run_matrix(matrix)
-        for cell, name in zip(batched.cells, ["uniform", "optimal"]):
-            single = run(base.replace(params={**base.params, "policy": name}))
-            assert cell.tables["analytic"] == single.tables["analytic"]
+        result = run_matrix(matrix)
+        assert len(result.cells) == 2
+        for (_, spec), cell in zip(matrix.cells(), result.cells):
+            assert _without_wall_time(cell) == _without_wall_time(run(spec))
+
+
+def _without_wall_time(result):
+    document = result.to_dict()
+    del document["provenance"]["wall_time_seconds"]
+    return document
 
 
 class TestRegistryDispatchSites:

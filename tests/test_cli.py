@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 
-FAST_WEB_ARGS = ["--site-scale", "0.03", "--pages-per-site", "12", "--horizon-days", "40"]
+EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 
 class TestParser:
@@ -15,62 +17,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
-    def test_parses_web_stats(self):
-        args = build_parser().parse_args(FAST_WEB_ARGS + ["web-stats"])
-        assert args.command == "web-stats"
-        assert args.site_scale == 0.03
-
-    def test_parses_run_crawler_options(self):
-        args = build_parser().parse_args(
-            FAST_WEB_ARGS
-            + ["run-crawler", "--mode", "periodic", "--capacity", "50",
-               "--budget", "100", "--duration", "10"]
+    def test_lists_only_the_spec_commands(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
         )
-        assert args.mode == "periodic"
-        assert args.capacity == 50
+        assert sorted(subparsers.choices) == [
+            "list-backends", "list-scenarios", "run-matrix", "run-spec",
+        ]
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-crawler", "--mode", "bogus"])
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "3", "run-spec", str(EXAMPLE_SPECS / "incremental_crawl.json")],
+        ["run-crawler"],
+    ])
+    def test_removed_flags_and_commands_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCommands:
-    def test_web_stats(self, capsys):
-        assert main(FAST_WEB_ARGS + ["web-stats"]) == 0
-        output = capsys.readouterr().out
-        assert "synthetic web" in output
-        assert "sites" in output
-
-    def test_compare_policies(self, capsys):
-        assert main(["compare-policies"]) == 0
-        output = capsys.readouterr().out
-        assert "Table 2" in output
-        assert "steady / in-place" in output
-
-    def test_run_experiment_short(self, capsys):
-        assert main(FAST_WEB_ARGS + ["run-experiment", "--days", "20"]) == 0
-        output = capsys.readouterr().out
-        assert "Figure 2(a)" in output
-        assert "Figure 5" in output
-
-    def test_run_incremental_crawler(self, capsys):
-        assert main(
-            FAST_WEB_ARGS
-            + ["run-crawler", "--mode", "incremental", "--capacity", "40",
-               "--budget", "120", "--duration", "8"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "mean freshness" in output
-
-    def test_run_periodic_crawler(self, capsys):
-        assert main(
-            FAST_WEB_ARGS
-            + ["run-crawler", "--mode", "periodic", "--capacity", "40",
-               "--budget", "200", "--duration", "12", "--cycle-days", "5"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "periodic" in output
-
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         output = capsys.readouterr().out
@@ -177,19 +144,18 @@ class TestCommands:
         assert "bogus" in capsys.readouterr().err
 
     def test_every_subcommand_smokes(self, capsys, tmp_path):
-        """Each subcommand exits 0 and prints something on a tiny web."""
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(
-            {"name": "smoke", "kind": "scenario", "scenario": "sensitivity"}
-        ))
+        """Each subcommand exits 0 and prints something on a tiny input."""
+        matrix_path = tmp_path / "matrix.json"
+        matrix_path.write_text(json.dumps({
+            "base": {"name": "smoke", "kind": "scenario", "scenario": "figure8"},
+            "axes": {"params.variant": ["steady", "batch"]},
+        }))
         invocations = [
-            FAST_WEB_ARGS + ["web-stats"],
-            FAST_WEB_ARGS + ["run-experiment", "--days", "15"],
-            FAST_WEB_ARGS + ["run-crawler", "--capacity", "30", "--budget", "90",
-                             "--duration", "5"],
-            ["compare-policies"],
-            ["run-spec", str(spec_path)],
+            ["run-spec", str(EXAMPLE_SPECS / "periodic_crawl.json")],
+            ["run-spec", str(EXAMPLE_SPECS / "web_evolution.json")],
+            ["run-matrix", str(matrix_path)],
             ["list-scenarios"],
+            ["list-backends"],
         ]
         for argv in invocations:
             assert main(argv) == 0, f"{argv} failed"

@@ -28,8 +28,8 @@ from repro.freshness.optimal_allocation import (
 )
 from repro.ranking.pagerank import pagerank
 from repro.simweb.change_models import PoissonChangeProcess
+from repro.storage.collection import CollectionFullError, InPlaceCollection
 from repro.storage.inverted_index import InvertedIndex
-from repro.storage.repository import Repository
 from repro.storage.records import PageRecord
 
 # Strategies -------------------------------------------------------------- #
@@ -271,20 +271,23 @@ class TestRepositoryProperties:
         capacity=st.integers(min_value=1, max_value=10),
     )
     def test_capacity_never_exceeded(self, operations, capacity):
-        repository = Repository(capacity=capacity)
+        collection = InPlaceCollection(capacity=capacity)
         for operation, key in operations:
             url = f"http://page{key}/"
-            if operation == "save" and url not in repository:
-                if not repository.is_full:
-                    repository.save(
-                        PageRecord(
-                            url=url, content="c", checksum="s",
-                            fetched_at=1.0, first_fetched_at=1.0,
-                        )
-                    )
-            elif operation == "discard" and url in repository:
-                repository.discard(url)
-            assert len(repository) <= capacity
+            if operation == "save":
+                record = PageRecord(
+                    url=url, content="c", checksum="s",
+                    fetched_at=1.0, first_fetched_at=1.0,
+                )
+                full = collection.current_size() >= capacity
+                if full and collection.get_working(url) is None:
+                    with pytest.raises(CollectionFullError):
+                        collection.store(record)
+                else:
+                    collection.store(record)
+            else:
+                collection.discard(url)
+            assert collection.current_size() <= capacity
 
 
 class TestInvertedIndexProperties:

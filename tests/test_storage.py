@@ -1,4 +1,4 @@
-"""Tests for the storage substrate: records, repository, collections, index."""
+"""Tests for the storage substrate: records, collections, index."""
 
 import pytest
 
@@ -7,10 +7,13 @@ from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.core.ranking_module import RankingModule
 from repro.fetch.fetcher import SimulatedFetcher
-from repro.storage.collection import InPlaceCollection, ShadowCollection
+from repro.storage.collection import (
+    CollectionFullError,
+    InPlaceCollection,
+    ShadowCollection,
+)
 from repro.storage.inverted_index import InvertedIndex, tokenize
 from repro.storage.records import PageRecord
-from repro.storage.repository import Repository, RepositoryFullError
 
 
 def make_record(url="http://s.com/p", checksum="abc", fetched_at=1.0, importance=0.0):
@@ -89,73 +92,33 @@ class TestPageRecord:
             )
 
 
-class TestRepository:
-    def test_save_get_discard(self):
-        repo = Repository()
-        record = make_record()
-        repo.save(record)
-        assert record.url in repo
-        assert repo.get(record.url) is record
-        discarded = repo.discard(record.url)
-        assert discarded is record
-        assert record.url not in repo
-
-    def test_save_duplicate_rejected(self):
-        repo = Repository()
-        repo.save(make_record())
-        with pytest.raises(ValueError):
-            repo.save(make_record())
-
-    def test_update_requires_existing(self):
-        repo = Repository()
-        with pytest.raises(KeyError):
-            repo.update(make_record())
-
+class TestCollectionCapacity:
     def test_capacity_enforced(self):
-        repo = Repository(capacity=2)
-        repo.save(make_record(url="http://a/"))
-        repo.save(make_record(url="http://b/"))
-        assert repo.is_full
-        with pytest.raises(RepositoryFullError):
-            repo.save(make_record(url="http://c/"))
+        collection = InPlaceCollection(capacity=2)
+        collection.store(make_record(url="http://a/"))
+        collection.store(make_record(url="http://b/"))
+        with pytest.raises(CollectionFullError):
+            collection.store(make_record(url="http://c/"))
+        assert collection.current_urls() == ["http://a/", "http://b/"]
 
     def test_update_allowed_at_capacity(self):
-        repo = Repository(capacity=1)
-        repo.save(make_record(url="http://a/", checksum="1"))
-        repo.update(make_record(url="http://a/", checksum="2"))
-        assert repo.require("http://a/").checksum == "2"
+        collection = InPlaceCollection(capacity=1)
+        collection.store(make_record(url="http://a/", checksum="1"))
+        collection.store(make_record(url="http://a/", checksum="2"))
+        assert collection.get_working("http://a/").checksum == "2"
 
-    def test_lowest_importance_url(self):
-        repo = Repository()
-        repo.save(make_record(url="http://a/", importance=0.9))
-        repo.save(make_record(url="http://b/", importance=0.1))
-        repo.save(make_record(url="http://c/", importance=0.5))
-        assert repo.lowest_importance_url() == "http://b/"
-
-    def test_lowest_importance_empty(self):
-        assert Repository().lowest_importance_url() is None
-
-    def test_mean_importance(self):
-        repo = Repository()
-        repo.save(make_record(url="http://a/", importance=0.2))
-        repo.save(make_record(url="http://b/", importance=0.4))
-        assert repo.mean_importance() == pytest.approx(0.3)
-
-    def test_total_visits(self):
-        repo = Repository()
-        record = make_record().refreshed("x", "y", 2.0, ())
-        repo.save(record)
-        assert repo.total_visits() == 2
-
-    def test_clear(self):
-        repo = Repository()
-        repo.save(make_record())
-        repo.clear()
-        assert len(repo) == 0
+    def test_shadow_capacity_bounds_the_working_collection(self):
+        collection = ShadowCollection(capacity=1)
+        collection.store(make_record(url="http://a/"))
+        with pytest.raises(CollectionFullError):
+            collection.store(make_record(url="http://b/"))
+        collection.complete_cycle(at=1.0)
+        collection.store(make_record(url="http://b/"))
+        assert collection.current_urls() == ["http://a/"]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            Repository(capacity=0)
+            InPlaceCollection(capacity=0)
 
 
 class TestInPlaceCollection:
