@@ -16,7 +16,8 @@ crawl budget; only the configuration under test changes.
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.core.incremental_crawler import IncrementalCrawler
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 
 ABLATION_WEB_CONFIG = WebGeneratorConfig(
@@ -35,19 +36,19 @@ DURATION_DAYS = 40.0
 WARMUP_DAYS = 15.0
 
 
-def _run_variant(web, **overrides) -> float:
+def _run_variant(web, **policy) -> float:
     """Run one crawler variant and return its steady-state mean freshness."""
-    config = dict(
-        collection_capacity=CAPACITY,
-        crawl_budget_per_day=BUDGET_PER_DAY,
-        revisit_policy="optimal",
-        estimator="ep",
-        ranking_interval_days=5.0,
-        measurement_interval_days=1.0,
-        track_quality=False,
+    crawler = IncrementalCrawler(
+        web,
+        CrawlerSpec(
+            collection_capacity=CAPACITY,
+            crawl_budget_per_day=BUDGET_PER_DAY,
+            ranking_interval_days=5.0,
+            measurement_interval_days=1.0,
+            track_quality=False,
+        ),
+        PolicySpec(**policy),
     )
-    config.update(overrides)
-    crawler = IncrementalCrawler(web, IncrementalCrawlerConfig(**config))
     result = crawler.run(DURATION_DAYS)
     return result.freshness.after(WARMUP_DAYS).mean_freshness()
 
@@ -107,8 +108,8 @@ def test_ablation_importance_weighted_scheduling(benchmark):
     web = generate_web(ABLATION_WEB_CONFIG)
 
     def run():
-        plain = _run_variant(web, use_importance_in_scheduling=False)
-        weighted = _run_variant(web, use_importance_in_scheduling=True)
+        plain = _run_variant(web, use_importance=False)
+        weighted = _run_variant(web, use_importance=True)
         return plain, weighted
 
     plain, weighted = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -70,13 +70,17 @@ sys.path.insert(0, str(REPO_ROOT / "tests"))
 import numpy as np  # noqa: E402
 
 from repro.api.runner import ScenarioMatrix, run_matrix  # noqa: E402
-from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec  # noqa: E402
-from repro.core.incremental_crawler import (  # noqa: E402
-    IncrementalCrawler,
-    IncrementalCrawlerConfig,
+from repro.api.specs import (  # noqa: E402
+    CrawlerSpec,
+    ExperimentSpec,
+    FaultModelSpec,
+    FaultsSpec,
+    PolicySpec,
+    RetrySpec,
+    WebSpec,
 )
+from repro.core.incremental_crawler import IncrementalCrawler  # noqa: E402
 from repro.core.sharded_crawler import ShardedCrawler  # noqa: E402
-from repro.faults import RetryPolicy  # noqa: E402
 from repro.freshness.metrics import collection_age, collection_freshness  # noqa: E402
 from repro.freshness.optimal_allocation import (  # noqa: E402
     optimal_revisit_frequencies,
@@ -265,18 +269,26 @@ def bench_collection_metrics(n_records: int, n_instants: int) -> Dict:
 #: Fault stacks for the identity check: every status model armed at rate
 #: zero (hooks live, no fault ever fires), and the real weather of
 #: ``examples/specs/chaos_crawl.json``.
-ZERO_RATE_WEATHER = (
-    ("transient", {"rate": 0.0}),
-    ("site_outage", {"rate": 0.0}),
-    ("rate_limit", {"rate": 0.0}),
-    ("soft_404", {"rate": 0.0}),
+ZERO_RATE_WEATHER = FaultsSpec(
+    models=(
+        FaultModelSpec("transient", {"rate": 0.0}),
+        FaultModelSpec("site_outage", {"rate": 0.0}),
+        FaultModelSpec("rate_limit", {"rate": 0.0}),
+        FaultModelSpec("soft_404", {"rate": 0.0}),
+    ),
+    seed=5,
 )
-CHAOS_WEATHER = (
-    ("transient", {"rate": 0.05}),
-    ("site_outage", {"rate": 0.2, "period_days": 7.0, "duration_days": 0.5}),
-    ("rate_limit", {"rate": 0.03, "retry_after_days": 0.25}),
-    ("soft_404", {"rate": 0.03}),
-    ("latency", {"factor": 3.0, "rate": 0.25}),
+CHAOS_WEATHER = FaultsSpec(
+    models=(
+        FaultModelSpec("transient", {"rate": 0.05}),
+        FaultModelSpec(
+            "site_outage", {"rate": 0.2, "period_days": 7.0, "duration_days": 0.5}
+        ),
+        FaultModelSpec("rate_limit", {"rate": 0.03, "retry_after_days": 0.25}),
+        FaultModelSpec("soft_404", {"rate": 0.03}),
+        FaultModelSpec("latency", {"factor": 3.0, "rate": 0.25}),
+    ),
+    seed=5,
 )
 
 
@@ -321,22 +333,21 @@ def check_crawl_identity(
     def run(
         engine: str = "batched", shards: Optional[int] = None, **overrides
     ) -> Dict:
-        config = IncrementalCrawlerConfig(
+        spec = CrawlerSpec(
             collection_capacity=n_pages,
             crawl_budget_per_day=2.0 * n_pages,
-            revisit_policy="optimal",
-            estimator="ep",
             ranking_interval_days=duration_days * 10.0,
             measurement_interval_days=0.5,
             track_quality=False,
             **overrides,
         )
+        policy = PolicySpec(revisit_policy="optimal", estimator="ep")
         if shards is None:
             crawler_class = (
                 ReferenceIncrementalCrawler if engine == "reference"
                 else IncrementalCrawler
             )
-            crawler = crawler_class(web, config, seed_urls=seed_urls)
+            crawler = crawler_class(web, spec, policy, seed_urls=seed_urls)
             result = crawler.run(duration_days)
             failures = crawler.failure_counters()
             records = [
@@ -345,8 +356,9 @@ def check_crawl_identity(
             estimator = crawler.update_module.snapshot()
             extras = {"queue": crawler.collurls.snapshot()}
         else:
+            sharded = spec.replace(engine="sharded", shards=shards, workers=1)
             result = ShardedCrawler(
-                web, config, seed_urls=seed_urls, shards=shards, workers=1
+                web, sharded, policy, seed_urls=seed_urls
             ).run(duration_days)
             failures, records = result.failures, result.records
             estimator = dict(result.estimator_state)
@@ -374,8 +386,8 @@ def check_crawl_identity(
         politeness_min_delay_seconds=10.0,
         politeness_night_window=True,
     )
-    chaos = dict(fault_models=CHAOS_WEATHER, fault_seed=5, retry=RetryPolicy())
-    armed = dict(fault_models=ZERO_RATE_WEATHER, fault_seed=5, retry=RetryPolicy())
+    chaos = dict(faults=CHAOS_WEATHER, retry=RetrySpec())
+    armed = dict(faults=ZERO_RATE_WEATHER, retry=RetrySpec())
     def crawl_row(check: str, ours: Dict, theirs: Dict) -> Dict:
         # The failures ride along as evidence that the weather really fired.
         params = {

@@ -10,8 +10,9 @@ contribution:
 ``repro.fetch``
     Simulated crawl substrate: fetcher, politeness, checksums.
 ``repro.storage``
-    Repository substrate: page records, in-place and shadowing collections,
-    a small inverted index.
+    The crawler's local collection: page records, in-place and shadowing
+    collections, pluggable persistent backends with resumable checkpoints,
+    and a small inverted index.
 ``repro.ranking``
     Importance metrics: PageRank, site-level PageRank, HITS.
 ``repro.estimation``
@@ -19,12 +20,16 @@ contribution:
 ``repro.freshness``
     Analytic freshness/age models and revisit policies (Figures 7-9, Table 2).
 ``repro.simulation``
-    Discrete-event crawl simulator used to cross-check the analytic models.
+    Vectorized Monte-Carlo policy simulator that cross-checks the analytic
+    models, plus the event-stream scheduler and freshness tracker the
+    crawlers run on.
 ``repro.experiment``
     The Sections 2-3 web-evolution experiment (Figures 2, 4, 5, 6, Table 1).
 ``repro.core``
     The incremental-crawler architecture of Section 5 (Algorithm 5.1 and
-    Figure 12) plus the periodic-crawler baseline.
+    Figure 12) plus the periodic-crawler baseline. Both crawlers take their
+    settings from the ``repro.api`` specs (:class:`CrawlerSpec`,
+    :class:`PolicySpec`).
 ``repro.analysis``
     Histograms, statistics and report rendering shared by the benchmarks.
 ``repro.api``
@@ -33,18 +38,19 @@ contribution:
     and the unified ``run(spec) -> ExperimentResult`` runner.
 """
 
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
-from repro.core.periodic_crawler import PeriodicCrawler, PeriodicCrawlerConfig
+from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.core.incremental_crawler import IncrementalCrawler
+from repro.core.periodic_crawler import PeriodicCrawler
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 from repro.simweb.web import SimulatedWeb
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "CrawlerSpec",
     "IncrementalCrawler",
-    "IncrementalCrawlerConfig",
     "PeriodicCrawler",
-    "PeriodicCrawlerConfig",
+    "PolicySpec",
     "SimulatedWeb",
     "WebGeneratorConfig",
     "generate_web",

@@ -2,9 +2,9 @@
 
 Every extensible choice in the reproduction — revisit policies, change-rate
 estimators, page change models, storage backends and canned experiment
-scenarios — is a named entry in one of the registries below. Configuration objects and
-:class:`~repro.api.specs.ExperimentSpec` resolve those names through the
-registries instead of hard-coded string comparisons, so a new policy (or
+scenarios — is a named entry in one of the registries below. The specs
+(:mod:`repro.api.specs`) resolve those names through the registries
+instead of hard-coded string comparisons, so a new policy (or
 scenario) only needs a ``@register_*`` decorator to become available to the
 CLI, the JSON spec runner and the benchmarks alike.
 

@@ -299,6 +299,7 @@ _RunPayload = Tuple[Dict[str, List[float]], Dict[str, Any], Dict[str, Any], Dict
 def _run_sharded_crawl(
     spec: ExperimentSpec,
     web: SimulatedWeb,
+    policy: PolicySpec,
     store: Optional[str],
     resume: bool,
 ) -> _RunPayload:
@@ -309,16 +310,8 @@ def _run_sharded_crawl(
     :func:`run` only holds the merged result document.
     """
     crawler_spec = spec.crawler
-    policy = spec.policy if spec.policy is not None else PolicySpec()
     crawler = ShardedCrawler(
-        web,
-        crawler_spec.to_config(policy),
-        shards=crawler_spec.shards or 1,
-        workers=crawler_spec.workers or 1,
-        storage=crawler_spec.storage,
-        store_path=store,
-        checkpoint_every=crawler_spec.checkpoint_every,
-        spec_hash=spec.spec_hash(),
+        web, crawler_spec, policy, store_path=store, spec_hash=spec.spec_hash()
     )
     outcome = crawler.run(
         crawler_spec.duration_days,
@@ -393,11 +386,11 @@ def _run_crawl(
     crawler_spec = spec.crawler
     policy = spec.policy if spec.policy is not None else PolicySpec()
     if crawler_spec.engine == "sharded":
-        return _run_sharded_crawl(spec, web, store, resume)
+        return _run_sharded_crawl(spec, web, policy, store, resume)
     if crawler_spec.kind == "incremental":
-        crawler = IncrementalCrawler(web, crawler_spec.to_config(policy))
+        crawler = IncrementalCrawler(web, crawler_spec, policy)
     else:
-        crawler = PeriodicCrawler(web, crawler_spec.to_config(policy))
+        crawler = PeriodicCrawler(web, crawler_spec)
     journal = None
     checkpointer = None
     resume_state = None

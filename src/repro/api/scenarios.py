@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.registry import ESTIMATORS, REVISIT_POLICIES, register_scenario
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
-from repro.faults import RetryPolicy
+from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, PolicySpec, RetrySpec
+from repro.core.incremental_crawler import IncrementalCrawler
 from repro.freshness.analytic import freshness_trajectory, time_averaged_freshness
 from repro.freshness.analytic import (
     batch_inplace_freshness_at,
@@ -229,7 +229,7 @@ def polite_crawl(
         estimator: Registered change-rate estimator name.
         seed: Web-generation seed.
     """
-    REVISIT_POLICIES.validate(revisit_policy)
+    policy = PolicySpec(revisit_policy=revisit_policy, estimator=estimator)
     web_config = WebGeneratorConfig(
         site_scale=site_scale,
         pages_per_site=pages_per_site,
@@ -240,16 +240,16 @@ def polite_crawl(
     def _run(polite: bool):
         crawler = IncrementalCrawler(
             generate_web(web_config),
-            IncrementalCrawlerConfig(
+            CrawlerSpec(
                 collection_capacity=collection_capacity,
                 crawl_budget_per_day=crawl_budget_per_day,
-                revisit_policy=revisit_policy,
-                estimator=estimator,
+                measurement_interval_days=0.5,
                 track_quality=False,
                 use_politeness=polite,
                 politeness_min_delay_seconds=min_delay_seconds,
                 politeness_night_window=night_window,
             ),
+            policy,
         )
         return crawler.run(duration_days)
 
@@ -340,8 +340,14 @@ def chaos_crawl(
         ESTIMATORS.validate(name)
     if regimes is None:
         regimes = DEFAULT_CHAOS_REGIMES
-    regime_models = {
-        str(name): tuple((str(kind), dict(params)) for kind, params in models)
+    regime_faults = {
+        str(name): FaultsSpec(
+            models=tuple(
+                FaultModelSpec(kind=str(kind), params=dict(params))
+                for kind, params in models
+            ),
+            seed=fault_seed,
+        )
         for name, models in regimes.items()
     }
     web_config = WebGeneratorConfig(
@@ -351,19 +357,18 @@ def chaos_crawl(
         seed=seed,
     )
 
-    def _run(policy: str, estimator: str, models):
+    def _run(policy: str, estimator: str, faults: Optional[FaultsSpec]):
         crawler = IncrementalCrawler(
             generate_web(web_config),
-            IncrementalCrawlerConfig(
+            CrawlerSpec(
                 collection_capacity=collection_capacity,
                 crawl_budget_per_day=crawl_budget_per_day,
-                revisit_policy=policy,
-                estimator=estimator,
+                measurement_interval_days=0.5,
                 track_quality=False,
-                fault_models=models,
-                fault_seed=fault_seed,
-                retry=RetryPolicy(max_attempts=max_attempts) if models else None,
+                faults=faults,
+                retry=RetrySpec(max_attempts=max_attempts) if faults else None,
             ),
+            PolicySpec(revisit_policy=policy, estimator=estimator),
         )
         outcome = crawler.run(duration_days)
         return outcome, crawler.failure_counters()
@@ -378,14 +383,14 @@ def chaos_crawl(
             base = baseline.mean_freshness()
             mean_freshness[combo] = {"none": base}
             degradation[combo] = {}
-            for regime, models in regime_models.items():
-                outcome, counters = _run(policy, estimator, models)
+            for regime, faults in regime_faults.items():
+                outcome, counters = _run(policy, estimator, faults)
                 value = outcome.mean_freshness()
                 mean_freshness[combo][regime] = value
                 degradation[combo][regime] = base - value
                 failures[f"{combo}/{regime}"] = counters
     worst: Dict[str, Dict[str, Any]] = {}
-    for regime in regime_models:
+    for regime in regime_faults:
         combo = max(degradation, key=lambda c: degradation[c][regime])
         worst[regime] = {
             "combo": combo,
@@ -394,7 +399,7 @@ def chaos_crawl(
     return {
         "summary": {
             "duration_days": duration_days,
-            "regimes": sorted(regime_models),
+            "regimes": sorted(regime_faults),
             "combos": sorted(mean_freshness),
             "worst_degradation": worst,
         },

@@ -26,14 +26,16 @@ Three experiment kinds are supported by :func:`repro.api.runner.run`:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
-from repro.api.registry import ESTIMATORS, REVISIT_POLICIES
-from repro.core.incremental_crawler import IncrementalCrawlerConfig
-from repro.core.periodic_crawler import PeriodicCrawlerConfig
-from repro.faults import RetryPolicy
+from repro.api.registry import ESTIMATORS, FAULT_MODELS, REVISIT_POLICIES
+import repro.estimation.rate_estimators  # noqa: F401  (registration side effect)
+from repro.faults import FailureTracker, FaultLayer
+from repro.fetch.politeness import NightWindow, PolitenessPolicy
+from repro.freshness.policies import RevisitPolicy
 from repro.simweb.generator import WebGeneratorConfig
 
 SpecT = TypeVar("SpecT", bound="_SpecBase")
@@ -226,6 +228,12 @@ class PolicySpec(_SpecBase):
                 "importance metric", self.importance_metric, IMPORTANCE_METRICS
             )
 
+    def build_revisit_policy(self) -> RevisitPolicy:
+        """Instantiate the named revisit policy through the registry."""
+        return REVISIT_POLICIES.create(
+            self.revisit_policy, use_importance=self.use_importance
+        )
+
 
 @dataclass(frozen=True)
 class FaultModelSpec(_SpecBase):
@@ -244,13 +252,6 @@ class FaultModelSpec(_SpecBase):
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Fault models register on import of repro.faults; import lazily to
-        # keep specs importable from domain modules.
-        import inspect
-
-        from repro.api.registry import FAULT_MODELS
-        import repro.faults  # noqa: F401  (registration side effect)
-
         FAULT_MODELS.validate(self.kind)
         factory = FAULT_MODELS.get(self.kind)
         accepted = set(inspect.signature(factory).parameters)
@@ -264,10 +265,6 @@ class FaultModelSpec(_SpecBase):
         # Instantiate once so parameter *values* are validated here, not
         # deep inside a run.
         factory(**dict(self.params))
-
-    def to_model_tuple(self) -> Tuple[str, Dict[str, Any]]:
-        """The ``(kind, params)`` pair consumed by ``build_fault_layer``."""
-        return (self.kind, dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -317,28 +314,34 @@ class FaultsSpec(_SpecBase):
             seed=data.get("seed", 0),
         )
 
-    def to_model_tuples(self) -> Tuple[Tuple[str, Dict[str, Any]], ...]:
-        """The ``(kind, params)`` pairs consumed by ``build_fault_layer``."""
-        return tuple(model.to_model_tuple() for model in self.models)
+    def build_fault_layer(self) -> FaultLayer:
+        """Instantiate the model stack as a seeded :class:`FaultLayer`."""
+        return FaultLayer(
+            [FAULT_MODELS.create(model.kind, **model.params) for model in self.models],
+            seed=self.seed,
+        )
 
 
 @dataclass(frozen=True)
 class RetrySpec(_SpecBase):
-    """Retry, backoff and circuit-breaker knobs for the failure-aware engine.
-
-    Mirrors :class:`repro.faults.RetryPolicy` field for field; validation is
-    delegated to the policy so the two can never drift apart.
+    """How the failure-aware engine reacts to transient fetch failures.
 
     Attributes:
-        max_attempts: Attempts per URL before the failure is terminal.
-        base_delay_days: First retry delay in virtual days.
-        multiplier: Exponential backoff factor per extra attempt.
-        jitter: Seeded jitter half-width as a fraction of the delay.
-        site_budget: Optional cap on total retries charged per site.
-        breaker_threshold: Consecutive per-site failures that trip the
+        max_attempts: Total attempts per URL before the failure becomes
+            terminal (1 = never retry).
+        base_delay_days: Backoff delay after the first failure.
+        multiplier: Exponential backoff multiplier per further attempt.
+        jitter: Seeded jitter half-width as a fraction of the delay
+            (0 disables; 0.25 spreads delays over ±25%).
+        site_budget: Maximum retries charged to any single site over the
+            whole run (``None`` = unlimited). Exhausted budgets turn
+            failures terminal.
+        breaker_threshold: Consecutive failures on one site that trip its
             circuit breaker.
-        breaker_probe_days: Probe spacing while a site is quarantined.
-        breaker_backoff: Probe-spacing growth per repeated trip.
+        breaker_probe_days: Quarantine length after the first trip; fetches
+            to the site are deferred to the quarantine end (the probe).
+        breaker_backoff: Quarantine growth factor per consecutive trip
+            (decaying probe frequency). Any success fully resets the site.
     """
 
     max_attempts: int = 3
@@ -351,20 +354,22 @@ class RetrySpec(_SpecBase):
     breaker_backoff: float = 2.0
 
     def __post_init__(self) -> None:
-        self.to_retry_policy()
-
-    def to_retry_policy(self) -> RetryPolicy:
-        """The equivalent :class:`repro.faults.RetryPolicy`."""
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            base_delay_days=self.base_delay_days,
-            multiplier=self.multiplier,
-            jitter=self.jitter,
-            site_budget=self.site_budget,
-            breaker_threshold=self.breaker_threshold,
-            breaker_probe_days=self.breaker_probe_days,
-            breaker_backoff=self.breaker_backoff,
-        )
+        if int(self.max_attempts) < 1:
+            raise ValueError("max_attempts must be at least 1")
+        if self.base_delay_days <= 0:
+            raise ValueError("base_delay_days must be positive")
+        if self.multiplier < 1.0:
+            raise ValueError("multiplier must be at least 1")
+        if not 0.0 <= self.jitter < 1.0:
+            raise ValueError("jitter must be in [0, 1)")
+        if self.site_budget is not None and int(self.site_budget) < 0:
+            raise ValueError("site_budget cannot be negative")
+        if int(self.breaker_threshold) < 1:
+            raise ValueError("breaker_threshold must be at least 1")
+        if self.breaker_probe_days <= 0:
+            raise ValueError("breaker_probe_days must be positive")
+        if self.breaker_backoff < 1.0:
+            raise ValueError("breaker_backoff must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -465,15 +470,29 @@ class CrawlerSpec(_SpecBase):
                 raise ValueError("workers requires engine='sharded'")
             if self.workers < 1:
                 raise ValueError("workers must be at least 1")
-        if self.duration_days <= 0:
-            raise ValueError("duration_days must be positive")
+        # Every bound holds on both kinds, whichever crawler reads the
+        # field, so a bad spec never reaches web generation.
+        if self.collection_capacity < 1:
+            raise ValueError("collection_capacity must be at least 1")
+        for name in (
+            "crawl_budget_per_day",
+            "duration_days",
+            "cycle_days",
+            "ranking_interval_days",
+            "reallocation_interval_days",
+            "measurement_interval_days",
+            "default_revisit_interval_days",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.start_time < 0:
             raise ValueError("start_time must be non-negative")
-        # The crawler configs own the capacity, budget, interval and
-        # politeness bounds; build both so a bad spec never reaches web
-        # generation, whichever crawler reads the field.
-        self._incremental_config(PolicySpec())
-        self._periodic_config()
+        if self.politeness_min_delay_seconds < 0:
+            raise ValueError("politeness_min_delay_seconds must be non-negative")
+        if not 0.0 <= self.politeness_night_start < 1.0:
+            raise ValueError("politeness_night_start must be in [0, 1)")
+        if not 0.0 < self.politeness_night_duration <= 1.0:
+            raise ValueError("politeness_night_duration must be in (0, 1]")
         if self.storage is not None:
             # Backends register on import of repro.storage.backends; import
             # lazily to keep specs importable from domain modules.
@@ -502,48 +521,33 @@ class CrawlerSpec(_SpecBase):
                 "fault injection is supported for incremental crawls only"
             )
 
-    def to_config(
-        self, policy: PolicySpec
-    ) -> Union[IncrementalCrawlerConfig, PeriodicCrawlerConfig]:
-        """The crawler-core config of this spec's ``kind``.
-
-        ``policy`` supplies the incremental crawler's policy choices; the
-        periodic crawler has none.
-        """
-        if self.kind == "periodic":
-            return self._periodic_config()
-        return self._incremental_config(policy)
-
-    def _incremental_config(self, policy: PolicySpec) -> IncrementalCrawlerConfig:
-        return IncrementalCrawlerConfig(
-            collection_capacity=self.collection_capacity,
-            crawl_budget_per_day=self.crawl_budget_per_day,
-            revisit_policy=policy.revisit_policy,
-            estimator=policy.estimator,
-            importance_metric=policy.importance_metric,
-            ranking_interval_days=self.ranking_interval_days,
-            reallocation_interval_days=self.reallocation_interval_days,
-            use_importance_in_scheduling=policy.use_importance,
-            measurement_interval_days=self.measurement_interval_days,
-            default_revisit_interval_days=self.default_revisit_interval_days,
-            track_quality=self.track_quality,
-            use_politeness=self.use_politeness,
-            politeness_min_delay_seconds=self.politeness_min_delay_seconds,
-            politeness_night_window=self.politeness_night_window,
-            politeness_night_start=self.politeness_night_start,
-            politeness_night_duration=self.politeness_night_duration,
-            fault_models=None if self.faults is None else self.faults.to_model_tuples(),
-            fault_seed=0 if self.faults is None else self.faults.seed,
-            retry=None if self.retry is None else self.retry.to_retry_policy(),
+    def build_politeness(self) -> Optional[PolitenessPolicy]:
+        """Instantiate the politeness policy (``None`` when off)."""
+        if not self.use_politeness:
+            return None
+        window = None
+        if self.politeness_night_window:
+            window = NightWindow(
+                start_fraction=self.politeness_night_start,
+                duration_fraction=self.politeness_night_duration,
+            )
+        return PolitenessPolicy(
+            min_delay_seconds=self.politeness_min_delay_seconds,
+            night_window=window,
         )
 
-    def _periodic_config(self) -> PeriodicCrawlerConfig:
-        return PeriodicCrawlerConfig(
-            collection_capacity=self.collection_capacity,
-            crawl_budget_per_day=self.crawl_budget_per_day,
-            cycle_days=self.cycle_days,
-            measurement_interval_days=self.measurement_interval_days,
-            track_quality=self.track_quality,
+    def build_failure_tracker(self) -> Optional[FailureTracker]:
+        """Instantiate the failure tracker (``None`` when faults and retry are off).
+
+        Faults without ``retry`` take the default :class:`RetrySpec`;
+        ``retry`` alone arms the failure-aware engine without injecting
+        faults. Retry jitter shares the fault layer's seed.
+        """
+        if self.faults is None and self.retry is None:
+            return None
+        return FailureTracker(
+            self.retry if self.retry is not None else RetrySpec(),
+            seed=0 if self.faults is None else self.faults.seed,
         )
 
     @classmethod

@@ -28,14 +28,10 @@ collection, swapped at the end of each cycle).
 from repro.core.allurls import AllUrls, UrlInfo
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule, CrawlOutcome
-from repro.core.update_module import UpdateModule, UpdateModuleConfig
+from repro.core.update_module import UpdateModule
 from repro.core.ranking_module import RankingModule, RankingModuleConfig
-from repro.core.incremental_crawler import (
-    CrawlRunResult,
-    IncrementalCrawler,
-    IncrementalCrawlerConfig,
-)
-from repro.core.periodic_crawler import PeriodicCrawler, PeriodicCrawlerConfig
+from repro.core.incremental_crawler import CrawlRunResult, IncrementalCrawler
+from repro.core.periodic_crawler import PeriodicCrawler
 from repro.core.quality import collection_quality, true_page_importance
 
 __all__ = [
@@ -45,14 +41,11 @@ __all__ = [
     "CrawlModule",
     "CrawlOutcome",
     "UpdateModule",
-    "UpdateModuleConfig",
     "RankingModule",
     "RankingModuleConfig",
     "IncrementalCrawler",
-    "IncrementalCrawlerConfig",
     "CrawlRunResult",
     "PeriodicCrawler",
-    "PeriodicCrawlerConfig",
     "collection_quality",
     "true_page_importance",
 ]

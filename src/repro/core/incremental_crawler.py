@@ -37,25 +37,18 @@ carries across tick windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.api.registry import REVISIT_POLICIES
+from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.core.quality import CollectionQualityCache
 from repro.core.ranking_module import RankingModule, RankingModuleConfig
 from repro.core.sharding import ShardView
-from repro.core.update_module import UpdateModule, UpdateModuleConfig
-from repro.faults import (
-    FailureTracker,
-    FaultLayer,
-    RetryPolicy,
-    build_fault_layer,
-)
+from repro.core.update_module import UpdateModule
+from repro.faults import FailureTracker
 from repro.fetch.fetcher import SimulatedFetcher
-from repro.fetch.politeness import NightWindow, PolitenessPolicy
-from repro.freshness.policies import RevisitPolicy, build_revisit_policy
 from repro.simulation.events import StreamScheduler
 from repro.simulation.freshness_tracker import FreshnessTimeSeries, FreshnessTracker
 from repro.simweb.web import SimulatedWeb
@@ -66,130 +59,6 @@ from repro.storage.checkpoint import (
 )
 from repro.storage.collection import InPlaceCollection
 from repro.storage.records import records_from_columns, records_to_columns
-
-
-@dataclass(frozen=True)
-class IncrementalCrawlerConfig:
-    """Configuration of the incremental crawler.
-
-    Attributes:
-        collection_capacity: Target number of pages in the collection.
-        crawl_budget_per_day: Pages fetched per virtual day.
-        revisit_policy: Name of a registered revisit policy (``"uniform"``,
-            ``"proportional"`` or ``"optimal"`` out of the box); resolved
-            through :data:`repro.api.registry.REVISIT_POLICIES`.
-        estimator: Name of a registered change-frequency estimator (``"ep"``
-            or ``"eb"`` out of the box); resolved through
-            :data:`repro.api.registry.ESTIMATORS`.
-        importance_metric: ``"pagerank"`` or ``"hits"``.
-        ranking_interval_days: How often the RankingModule scan runs.
-        reallocation_interval_days: How often revisit intervals are
-            recomputed from the latest rate estimates.
-        use_importance_in_scheduling: Let the revisit policy weight pages by
-            importance.
-        measurement_interval_days: How often freshness is sampled.
-        default_revisit_interval_days: Revisit interval for pages without a
-            change history yet.
-        track_quality: Also sample collection quality (needs a ground-truth
-            PageRank over the whole web, computed once at start-up).
-        use_politeness: Apply the per-site politeness delay to fetches.
-        politeness_min_delay_seconds: Minimum (virtual) seconds between two
-            requests to one site when politeness is on; the paper used 10.
-        politeness_night_window: Also restrict fetching to a recurring
-            nightly window (the paper's monitoring crawler ran 9PM-6AM).
-        politeness_night_start: Start of the nightly window as a fraction
-            of a day (0.875 = 9PM).
-        politeness_night_duration: Length of the nightly window as a
-            fraction of a day (0.375 = nine hours).
-        fault_models: Optional fault-model stack as ``(kind, params)``
-            pairs, resolved through
-            :data:`repro.api.registry.FAULT_MODELS`. ``None`` (the
-            default) runs the pre-fault fetch path byte for byte.
-        fault_seed: Seed of the fault layer and retry jitter.
-        retry: Optional :class:`repro.faults.RetryPolicy` for the
-            failure-aware engine. Defaults apply when ``fault_models`` is
-            set without an explicit policy; setting ``retry`` alone arms
-            the failure-aware engine without injecting faults.
-    """
-
-    collection_capacity: int = 500
-    crawl_budget_per_day: float = 2000.0
-    revisit_policy: str = "optimal"
-    estimator: str = "ep"
-    importance_metric: str = "pagerank"
-    ranking_interval_days: float = 5.0
-    reallocation_interval_days: float = 1.0
-    use_importance_in_scheduling: bool = False
-    measurement_interval_days: float = 0.5
-    default_revisit_interval_days: float = 7.0
-    track_quality: bool = True
-    use_politeness: bool = False
-    politeness_min_delay_seconds: float = 10.0
-    politeness_night_window: bool = False
-    politeness_night_start: float = 0.875
-    politeness_night_duration: float = 0.375
-    fault_models: Optional[Tuple[Tuple[str, dict], ...]] = None
-    fault_seed: int = 0
-    retry: Optional[RetryPolicy] = None
-
-    def __post_init__(self) -> None:
-        if self.collection_capacity < 1:
-            raise ValueError("collection_capacity must be at least 1")
-        if self.crawl_budget_per_day <= 0:
-            raise ValueError("crawl_budget_per_day must be positive")
-        REVISIT_POLICIES.validate(self.revisit_policy)
-        if self.ranking_interval_days <= 0:
-            raise ValueError("ranking_interval_days must be positive")
-        if self.measurement_interval_days <= 0:
-            raise ValueError("measurement_interval_days must be positive")
-        if self.politeness_min_delay_seconds < 0:
-            raise ValueError("politeness_min_delay_seconds must be non-negative")
-        if not 0.0 <= self.politeness_night_start < 1.0:
-            raise ValueError("politeness_night_start must be in [0, 1)")
-        if not 0.0 < self.politeness_night_duration <= 1.0:
-            raise ValueError("politeness_night_duration must be in (0, 1]")
-        # Build the fault layer once so bad model names/params fail here,
-        # not deep inside a run.
-        self.build_fault_layer()
-
-    def build_fault_layer(self) -> Optional[FaultLayer]:
-        """Instantiate the configured fault layer (``None`` when off)."""
-        if not self.fault_models:
-            return None
-        return build_fault_layer(self.fault_models, seed=self.fault_seed)
-
-    def build_failure_tracker(self) -> Optional[FailureTracker]:
-        """Instantiate the failure tracker (``None`` when faults/retry off).
-
-        The tracker is armed whenever faults are injected *or* an explicit
-        retry policy is configured; faults without a policy take the
-        default :class:`~repro.faults.RetryPolicy`.
-        """
-        if not self.fault_models and self.retry is None:
-            return None
-        policy = self.retry if self.retry is not None else RetryPolicy()
-        return FailureTracker(policy, seed=self.fault_seed)
-
-    def build_revisit_policy(self) -> RevisitPolicy:
-        """Instantiate the configured revisit policy through the registry."""
-        return build_revisit_policy(
-            self.revisit_policy, use_importance=self.use_importance_in_scheduling
-        )
-
-    def build_politeness(self) -> Optional[PolitenessPolicy]:
-        """Instantiate the configured politeness policy (``None`` when off)."""
-        if not self.use_politeness:
-            return None
-        window = None
-        if self.politeness_night_window:
-            window = NightWindow(
-                start_fraction=self.politeness_night_start,
-                duration_fraction=self.politeness_night_duration,
-            )
-        return PolitenessPolicy(
-            min_delay_seconds=self.politeness_min_delay_seconds,
-            night_window=window,
-        )
 
 
 @dataclass
@@ -232,7 +101,9 @@ class IncrementalCrawler:
 
     Args:
         web: The synthetic web to crawl.
-        config: Crawler configuration.
+        crawler: Capacity, budget, cadences, politeness and faults. The
+            run's length and start come from :meth:`run`'s arguments.
+        policy: Revisit policy, estimator and importance metric.
         seed_urls: Starting URLs; defaults to every site's root page (or,
             with a shard view, the view's seed list).
         shard_view: Optional :class:`~repro.core.sharding.ShardView`
@@ -241,8 +112,8 @@ class IncrementalCrawler:
             links to owned sites (so the shard's AllUrls universe stays
             local), arms the politeness site-affinity guard and restricts
             the quality denominator to attainable-within-shard mass. The
-            config's capacity and budget should already be the shard's
-            slice (``ShardedCrawler`` passes a per-shard config). ``None``
+            spec's capacity and budget should already be the shard's
+            slice (``ShardedCrawler`` passes one per shard). ``None``
             — the default — is the unsharded crawler, byte-for-byte the
             pre-shard behaviour.
     """
@@ -250,12 +121,13 @@ class IncrementalCrawler:
     def __init__(
         self,
         web: SimulatedWeb,
-        config: Optional[IncrementalCrawlerConfig] = None,
+        crawler: CrawlerSpec,
+        policy: PolicySpec,
         seed_urls: Optional[Sequence[str]] = None,
         shard_view: Optional[ShardView] = None,
     ) -> None:
         self._web = web
-        self._config = config if config is not None else IncrementalCrawlerConfig()
+        self._spec = crawler
         self._shard_view = shard_view
         if seed_urls is not None:
             self._seeds = list(seed_urls)
@@ -271,32 +143,25 @@ class IncrementalCrawler:
         if shard_view is not None and not shard_view.is_total:
             allowed_sites = frozenset(shard_view.site_ids)
             link_filter = self._owns_url
-        politeness = self._config.build_politeness()
+        politeness = crawler.build_politeness()
         if politeness is not None and allowed_sites is not None:
             # Site-affinity contract: per-site politeness state must never
             # cross a shard boundary, so a foreign-site request raises.
             politeness.allowed_sites = allowed_sites
-        self._fetcher = SimulatedFetcher(
-            web, politeness=politeness, faults=self._config.build_fault_layer()
-        )
-        self._collection = InPlaceCollection(capacity=self._config.collection_capacity)
+        faults = None if crawler.faults is None else crawler.faults.build_fault_layer()
+        self._fetcher = SimulatedFetcher(web, politeness=politeness, faults=faults)
+        self._collection = InPlaceCollection(capacity=crawler.collection_capacity)
         self._allurls = AllUrls()
         self._collurls = CollUrls()
         self._crawl_module = CrawlModule(
             self._fetcher, self._collection, self._allurls, link_filter=link_filter
         )
-        self._failure_tracker = self._config.build_failure_tracker()
+        self._failure_tracker = crawler.build_failure_tracker()
         self._update_module = UpdateModule(
             self._collurls,
             self._crawl_module,
-            UpdateModuleConfig(
-                crawl_budget_per_day=self._config.crawl_budget_per_day,
-                estimator=self._config.estimator,
-                default_interval_days=self._config.default_revisit_interval_days,
-                reallocation_interval_days=self._config.reallocation_interval_days,
-                use_importance=self._config.use_importance_in_scheduling,
-            ),
-            revisit_policy=self._config.build_revisit_policy(),
+            crawler,
+            policy,
             failure_tracker=self._failure_tracker,
         )
         self._ranking_module = RankingModule(
@@ -304,8 +169,8 @@ class IncrementalCrawler:
             self._collurls,
             self._collection,
             self._crawl_module,
-            RankingModuleConfig(importance_metric=self._config.importance_metric),
-            capacity=self._config.collection_capacity,
+            RankingModuleConfig(importance_metric=policy.importance_metric),
+            capacity=crawler.collection_capacity,
         )
         self._quality_cache: Optional[CollectionQualityCache] = None
 
@@ -398,7 +263,7 @@ class IncrementalCrawler:
         tracker = FreshnessTracker(
             self._web,
             self._collection,
-            denominator=self._config.collection_capacity,
+            denominator=self._spec.collection_capacity,
         )
         result = CrawlRunResult(freshness=tracker.series, duration_days=duration_days)
         self._crawl_module.journal = journal
@@ -474,8 +339,8 @@ class IncrementalCrawler:
             scheduler.schedule(start_time, "crawl")
             scheduler.schedule(start_time, "ranking")
             scheduler.schedule(start_time, "measure")
-        config = self._config
-        crawl_period = 1.0 / config.crawl_budget_per_day
+        spec = self._spec
+        crawl_period = 1.0 / spec.crawl_budget_per_day
         limit = end_time + 1e-12
 
         while True:
@@ -522,12 +387,12 @@ class IncrementalCrawler:
                 refinement = self._ranking_module.refine(at)
                 self._update_module.set_importance(refinement.importance)
                 self._refresh_journal_records()
-                scheduler.schedule(at + config.ranking_interval_days, "ranking")
+                scheduler.schedule(at + spec.ranking_interval_days, "ranking")
             else:
                 tracker.sample(at)
-                if config.track_quality:
+                if spec.track_quality:
                     self._sample_quality(result, at)
-                scheduler.schedule(at + config.measurement_interval_days, "measure")
+                scheduler.schedule(at + spec.measurement_interval_days, "measure")
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -561,7 +426,7 @@ class IncrementalCrawler:
                 ]
             self._quality_cache = CollectionQualityCache(
                 self._web,
-                capacity=self._config.collection_capacity,
+                capacity=self._spec.collection_capacity,
                 subset=subset,
             )
         quality = self._quality_cache.quality(self._collection.current_urls())

@@ -19,50 +19,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
+from repro.api.specs import CrawlerSpec
 from repro.core.quality import CollectionQualityCache
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.simulation.freshness_tracker import FreshnessTimeSeries, FreshnessTracker
 from repro.simweb.web import SimulatedWeb
 from repro.storage.collection import ShadowCollection
 from repro.storage.records import PageRecord
-
-
-@dataclass(frozen=True)
-class PeriodicCrawlerConfig:
-    """Configuration of the periodic crawler.
-
-    Attributes:
-        collection_capacity: Number of pages collected per crawl cycle.
-        crawl_budget_per_day: Pages fetched per virtual day while the crawl
-            is active. The paper's batch crawler "must visit pages at a
-            higher speed when it operates"; with the same capacity and a
-            shorter active window this budget is necessarily higher than a
-            steady crawler's for the same cycle.
-        cycle_days: Days between the starts of consecutive crawls.
-        measurement_interval_days: How often freshness is sampled.
-        track_quality: Also sample collection quality.
-    """
-
-    collection_capacity: int = 500
-    crawl_budget_per_day: float = 8000.0
-    cycle_days: float = 30.0
-    measurement_interval_days: float = 0.5
-    track_quality: bool = True
-
-    def __post_init__(self) -> None:
-        if self.collection_capacity < 1:
-            raise ValueError("collection_capacity must be at least 1")
-        if self.crawl_budget_per_day <= 0:
-            raise ValueError("crawl_budget_per_day must be positive")
-        if self.cycle_days <= 0:
-            raise ValueError("cycle_days must be positive")
-        if self.measurement_interval_days <= 0:
-            raise ValueError("measurement_interval_days must be positive")
-
-    @property
-    def batch_duration_days(self) -> float:
-        """Days needed to collect the full capacity at the configured budget."""
-        return self.collection_capacity / self.crawl_budget_per_day
 
 
 @dataclass
@@ -93,25 +56,32 @@ class PeriodicCrawler:
     of reachable URLs), spending virtual time according to its crawl budget.
     When the crawl completes, the current collection is atomically replaced.
 
+    The paper's batch crawler "must visit pages at a higher speed when it
+    operates": with the same capacity and a shorter active window, its
+    ``crawl_budget_per_day`` is necessarily higher than a steady crawler's
+    for the same cycle.
+
     Args:
         web: The synthetic web to crawl.
-        config: Crawler configuration.
+        crawler: Capacity, budget, ``cycle_days`` and measurement cadence;
+            the periodic crawler has no policy choices. The run's length
+            and start come from :meth:`run`'s arguments.
         seed_urls: Starting URLs; defaults to every site's root page.
     """
 
     def __init__(
         self,
         web: SimulatedWeb,
-        config: Optional[PeriodicCrawlerConfig] = None,
+        crawler: CrawlerSpec,
         seed_urls: Optional[Sequence[str]] = None,
     ) -> None:
         self._web = web
-        self._config = config if config is not None else PeriodicCrawlerConfig()
+        self._spec = crawler
         self._seeds = list(seed_urls) if seed_urls is not None else web.seed_urls()
         if not self._seeds:
             raise ValueError("the crawler needs at least one seed URL")
         self._fetcher = SimulatedFetcher(web)
-        self._collection = ShadowCollection(capacity=self._config.collection_capacity)
+        self._collection = ShadowCollection(capacity=self._spec.collection_capacity)
         self._quality_cache: Optional[CollectionQualityCache] = None
 
     @property
@@ -127,7 +97,7 @@ class PeriodicCrawler:
         tracker = FreshnessTracker(
             self._web,
             self._collection,
-            denominator=self._config.collection_capacity,
+            denominator=self._spec.collection_capacity,
         )
         result = PeriodicCrawlResult(freshness=tracker.series, duration_days=duration_days)
 
@@ -137,7 +107,7 @@ class PeriodicCrawler:
             crawl_end = self._run_one_cycle(cycle_start, end_time, result)
             # Sample freshness over the remainder of the cycle (the crawler
             # is idle but the web keeps changing).
-            next_cycle = min(cycle_start + self._config.cycle_days, end_time)
+            next_cycle = min(cycle_start + self._spec.cycle_days, end_time)
             next_measurement = self._measure_until(
                 tracker, result, next_measurement, max(crawl_end, cycle_start), next_cycle
             )
@@ -166,8 +136,8 @@ class PeriodicCrawler:
         fetch) nor the number of pages still admissible, which keeps the
         fetch count identical to the per-URL loop's.
         """
-        per_fetch = 1.0 / self._config.crawl_budget_per_day
-        capacity = self._config.collection_capacity
+        per_fetch = 1.0 / self._spec.crawl_budget_per_day
+        capacity = self._spec.collection_capacity
         now = cycle_start
         queue = deque(self._seeds)
         seen: Set[str] = set(self._seeds)
@@ -244,18 +214,18 @@ class PeriodicCrawler:
     ) -> float:
         """Take periodic freshness/quality samples in ``[from_time, until)``."""
         while next_measurement < until:
-            if next_measurement >= from_time - self._config.cycle_days:
+            if next_measurement >= from_time - self._spec.cycle_days:
                 sample_at = max(next_measurement, 0.0)
                 tracker.sample(min(sample_at, self._web.horizon_days))
-                if self._config.track_quality:
+                if self._spec.track_quality:
                     self._sample_quality(result, sample_at)
-            next_measurement += self._config.measurement_interval_days
+            next_measurement += self._spec.measurement_interval_days
         return next_measurement
 
     def _sample_quality(self, result: PeriodicCrawlResult, at: float) -> None:
         if self._quality_cache is None:
             self._quality_cache = CollectionQualityCache(
-                self._web, capacity=self._config.collection_capacity
+                self._web, capacity=self._spec.collection_capacity
             )
         quality = self._quality_cache.quality(self._collection.current_urls())
         result.quality.append(quality)

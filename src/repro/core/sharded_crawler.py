@@ -15,7 +15,7 @@ Determinism contract:
   :class:`~repro.core.incremental_crawler.IncrementalCrawler`, so the
   result is bit-identical to the unsharded crawler (series, counters,
   estimator state, per-record fetch timestamps).
-* For ``shards=N`` the run is a pure function of ``(web, config, shards)``:
+* For ``shards=N`` the run is a pure function of ``(web, spec, shards)``:
   each shard's sub-crawl is sequential and self-contained (politeness
   state, link discovery and quality denominators never cross the
   site-affine boundary), and the merge folds shard results in shard-index
@@ -35,11 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.api.registry import STORAGE_BACKENDS
-from repro.core.incremental_crawler import (
-    CrawlRunResult,
-    IncrementalCrawler,
-    IncrementalCrawlerConfig,
-)
+from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.core.incremental_crawler import CrawlRunResult, IncrementalCrawler
 from repro.core.sharding import ShardView
 from repro.core.update_module import UpdateModule
 from repro.core.worker_pool import Job, run_jobs
@@ -76,12 +73,11 @@ class ShardRunSpec:
     """
 
     view: ShardView
-    config: IncrementalCrawlerConfig
+    crawler: CrawlerSpec
+    policy: PolicySpec
     duration_days: float
     start_time: float
-    storage: Optional[str]
     store_path: Optional[str]
-    checkpoint_every: Optional[float]
     spec_hash: Optional[str]
     resume: bool
 
@@ -92,9 +88,9 @@ class ShardRunSpec:
         one it resumes. A store without checkpoints holds a half-written
         journal nothing can resume from, so the death is fatal.
         """
-        if self.storage is None or self.store_path is None:
+        if self.crawler.storage is None or self.store_path is None:
             return self
-        if self.checkpoint_every is None:
+        if self.crawler.checkpoint_every is None:
             raise RuntimeError(
                 f"shard {self.view.index} worker died and its store has no "
                 "checkpoints to resume from (set checkpoint_every)"
@@ -141,14 +137,15 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
     checkpointer = None
     resume_state = None
     result_key = namespaced_state_key(namespace, RESULT_STATE_KEY)
+    spec = job.crawler
     try:
-        if job.storage is not None:
-            backend = STORAGE_BACKENDS.create(job.storage, path=job.store_path)
+        if spec.storage is not None:
+            backend = STORAGE_BACKENDS.create(spec.storage, path=job.store_path)
             journal = CollectionJournal(backend)
-            if job.checkpoint_every is not None:
+            if spec.checkpoint_every is not None:
                 checkpointer = CrawlCheckpointer(
                     backend,
-                    job.checkpoint_every,
+                    spec.checkpoint_every,
                     spec_hash=job.spec_hash,
                     namespace=namespace,
                 )
@@ -180,10 +177,10 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
             # Total view: the plain crawler, seeds carried through the view
             # (they are exactly what an unsharded run would use).
             crawler = IncrementalCrawler(
-                web, job.config, seed_urls=list(job.view.seed_urls)
+                web, spec, job.policy, seed_urls=list(job.view.seed_urls)
             )
         else:
-            crawler = IncrementalCrawler(web, job.config, shard_view=job.view)
+            crawler = IncrementalCrawler(web, spec, job.policy, shard_view=job.view)
         outcome = crawler.run(
             job.duration_days,
             start_time=job.start_time,
@@ -235,18 +232,16 @@ class ShardedCrawler:
 
     Args:
         web: The synthetic web to crawl.
-        config: Crawler configuration for the *whole* crawl (its capacity
-            and budget are split across shards).
+        crawler: The *whole* crawl (its capacity and budget are split
+            across shards). Its ``shards`` (default 1: the plain
+            in-process crawler, bit-identically) and ``workers`` (default
+            1; the result is independent of it, it only controls
+            parallelism) size the run; its ``storage`` and
+            ``checkpoint_every`` apply per shard.
+        policy: Revisit policy, estimator and importance metric.
         seed_urls: Starting URLs; defaults to every site's root page.
-        shards: Number of site-affine shards to partition into. ``1``
-            degenerates to the plain in-process crawler, bit-identically.
-        workers: Maximum worker processes alive at once. The result is
-            independent of this knob — it only controls parallelism.
-        storage: Optional registered backend name for per-shard journals,
-            checkpoints and results.
         store_path: Optional base store path; shard ``k`` persists to
             ``{store_path}.shardNN``. ``None`` keeps shard stores volatile.
-        checkpoint_every: Optional per-shard checkpoint cadence (days).
         spec_hash: Optional spec hash stamped into shard checkpoints and
             results, so a resume refuses foreign state.
 
@@ -262,28 +257,20 @@ class ShardedCrawler:
     def __init__(
         self,
         web: SimulatedWeb,
-        config: Optional[IncrementalCrawlerConfig] = None,
+        crawler: CrawlerSpec,
+        policy: PolicySpec,
         seed_urls: Optional[Sequence[str]] = None,
         *,
-        shards: int = 1,
-        workers: int = 1,
-        storage: Optional[str] = None,
         store_path: Optional[str] = None,
-        checkpoint_every: Optional[float] = None,
         spec_hash: Optional[str] = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         self._web = web
-        self._config = config if config is not None else IncrementalCrawlerConfig()
+        self._spec = crawler
+        self._policy = policy
         self._seeds = seed_urls
-        self.shards = shards
-        self.workers = workers
-        self._storage = storage
+        self.shards = crawler.shards or 1
+        self.workers = crawler.workers or 1
         self._store_path = store_path
-        self._checkpoint_every = checkpoint_every
         self._spec_hash = spec_hash
 
     # ------------------------------------------------------------------ #
@@ -302,8 +289,8 @@ class ShardedCrawler:
             duration_days: How long to run (virtual days).
             start_time: Virtual time at which the run starts.
             resume: Continue a killed sharded run from the per-shard
-                stores (requires ``storage``, ``store_path`` and
-                ``checkpoint_every``). Completed shards short-circuit from
+                stores (requires the spec's ``storage`` and
+                ``checkpoint_every``, and ``store_path``). Completed shards short-circuit from
                 their stored results; interrupted ones resume from their
                 checkpoints. The merged result is bit-identical to an
                 uninterrupted run.
@@ -311,10 +298,11 @@ class ShardedCrawler:
         Returns:
             The merged :class:`ShardedCrawlResult`.
         """
+        spec = self._spec
         if resume and (
-            self._storage is None
+            spec.storage is None
             or self._store_path is None
-            or self._checkpoint_every is None
+            or spec.checkpoint_every is None
         ):
             raise ValueError(
                 "resume requires storage, store_path and checkpoint_every"
@@ -322,23 +310,21 @@ class ShardedCrawler:
         views = ShardView.split(
             self._web,
             self.shards,
-            capacity=self._config.collection_capacity,
-            budget_per_day=self._config.crawl_budget_per_day,
+            capacity=spec.collection_capacity,
+            budget_per_day=spec.crawl_budget_per_day,
             seed_urls=self._seeds,
         )
         jobs = [
             ShardRunSpec(
                 view=view,
-                config=dataclasses.replace(
-                    self._config,
+                crawler=spec.replace(
                     collection_capacity=view.capacity,
                     crawl_budget_per_day=view.budget_per_day,
                 ),
+                policy=self._policy,
                 duration_days=duration_days,
                 start_time=start_time,
-                storage=self._storage,
                 store_path=shard_store_path(self._store_path, view.index),
-                checkpoint_every=self._checkpoint_every,
                 spec_hash=self._spec_hash,
                 resume=resume,
             )
@@ -372,7 +358,7 @@ class ShardedCrawler:
         The fold is a pure function of the payload list (which is ordered
         by shard index, not by completion): every float reduction iterates
         shards in the same order on every run, so N-shard results are
-        reproducible for fixed ``(web, config, shards)`` regardless of
+        reproducible for fixed ``(web, spec, shards)`` regardless of
         worker scheduling.
         """
         payloads = sorted(payloads, key=lambda p: p["shard_index"])

@@ -16,10 +16,9 @@ more frequent visits than their change rate alone would justify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.api.registry import ESTIMATORS
+from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import BatchCrawlOutcome, CrawlModule
 from repro.estimation.change_history import (
@@ -36,46 +35,12 @@ from repro.faults import (
     STATUS_TIMEOUT,
     FailureTracker,
 )
-from repro.freshness.policies import RevisitPolicy, UniformRevisitPolicy
 from repro.storage.checkpoint import pack_floats, unpack_floats
 
 
-@dataclass(frozen=True)
-class UpdateModuleConfig:
-    """Configuration of the UpdateModule.
-
-    Attributes:
-        crawl_budget_per_day: Total pages the crawler may fetch per day; the
-            revisit policy spreads this budget over the collection.
-        estimator: Name of a registered change-rate estimator — ``"ep"``
-            (Poisson rate estimator) or ``"eb"`` (Bayesian frequency
-            classes) out of the box; resolved through
-            :data:`repro.api.registry.ESTIMATORS`.
-        default_interval_days: Revisit interval assumed for a page before
-            any change history exists.
-        reallocation_interval_days: How often the revisit intervals are
-            recomputed from the latest rate estimates.
-        history_window_days: Trailing window of change history kept per page
-            (the paper suggests roughly six months).
-        use_importance: Whether the revisit policy may weight pages by their
-            importance score.
-    """
-
-    crawl_budget_per_day: float = 1000.0
-    estimator: str = "ep"
-    default_interval_days: float = 7.0
-    reallocation_interval_days: float = 1.0
-    history_window_days: Optional[float] = 180.0
-    use_importance: bool = False
-
-    def __post_init__(self) -> None:
-        if self.crawl_budget_per_day <= 0:
-            raise ValueError("crawl_budget_per_day must be positive")
-        ESTIMATORS.validate(self.estimator)
-        if self.default_interval_days <= 0:
-            raise ValueError("default_interval_days must be positive")
-        if self.reallocation_interval_days <= 0:
-            raise ValueError("reallocation_interval_days must be positive")
+#: Trailing window of change history kept per page (the paper suggests
+#: roughly six months).
+HISTORY_WINDOW_DAYS = 180.0
 
 
 class UpdateModule:
@@ -84,9 +49,12 @@ class UpdateModule:
     Args:
         collurls: The collection URL priority queue.
         crawl_module: The CrawlModule used to fetch pages.
-        config: Module configuration.
-        revisit_policy: Policy mapping estimated rates to revisit intervals;
-            defaults to the uniform (fixed-frequency) policy.
+        crawler: Supplies the crawl budget the revisit policy spreads over
+            the collection, the interval assumed for a page without change
+            history, and the reallocation cadence.
+        policy: Supplies the revisit policy mapping estimated rates to
+            revisit intervals, the change-rate estimator, and whether the
+            policy may weight pages by importance.
         failure_tracker: Optional retry/circuit-breaker state for
             failure-aware crawling. ``None`` (the default) keeps every code
             path byte-identical to the fault-free engine.
@@ -96,17 +64,20 @@ class UpdateModule:
         self,
         collurls: CollUrls,
         crawl_module: CrawlModule,
-        config: UpdateModuleConfig,
-        revisit_policy: Optional[RevisitPolicy] = None,
+        crawler: CrawlerSpec,
+        policy: PolicySpec,
         failure_tracker: Optional[FailureTracker] = None,
     ) -> None:
         self._collurls = collurls
         self._crawl_module = crawl_module
-        self._config = config
-        self._policy = revisit_policy if revisit_policy is not None else UniformRevisitPolicy()
+        self._crawl_budget_per_day = crawler.crawl_budget_per_day
+        self._default_interval_days = crawler.default_revisit_interval_days
+        self._reallocation_interval_days = crawler.reallocation_interval_days
+        self._use_importance = policy.use_importance
+        self._policy = policy.build_revisit_policy()
         self.failure_tracker = failure_tracker
         self._histories: Dict[str, ChangeHistory] = {}
-        self._estimator: ChangeRateEstimator = build_rate_estimator(config.estimator)
+        self._estimator: ChangeRateEstimator = build_rate_estimator(policy.estimator)
         self._rate_estimates: Dict[str, float] = {}
         self._intervals: Dict[str, float] = {}
         self._importance: Dict[str, float] = {}
@@ -206,8 +177,8 @@ class UpdateModule:
         with_sites = tracker is not None or politeness is not None or with_weather
         web = fetcher.web
         horizon = web.horizon_days
-        realloc_interval = self._config.reallocation_interval_days
-        default_interval = self._config.default_interval_days
+        realloc_interval = self._reallocation_interval_days
+        default_interval = self._default_interval_days
         arrays = web.oracle_arrays()
         index_get = arrays.index.get
         site_table = arrays.site_ids
@@ -450,7 +421,6 @@ class UpdateModule:
             chunk_members.clear()
 
         histories = self._histories
-        window_days = self._config.history_window_days
         for i, (url, stored_i, changed_i, was_new_i, completed_i) in enumerate(
             zip(outcome.urls, stored, changed, was_new, completed)
         ):
@@ -484,7 +454,7 @@ class UpdateModule:
             if history is None or was_new_i:
                 histories[url] = ChangeHistory(
                     first_visit=completed_i,
-                    window_days=window_days,
+                    window_days=HISTORY_WINDOW_DAYS,
                 )
                 self._estimator.reset_page(url)
                 continue
@@ -545,7 +515,7 @@ class UpdateModule:
     def _maybe_reallocate(self, at: float) -> None:
         if (
             self._last_reallocation is not None
-            and at - self._last_reallocation < self._config.reallocation_interval_days
+            and at - self._last_reallocation < self._reallocation_interval_days
         ):
             return
         self._last_reallocation = at
@@ -569,8 +539,8 @@ class UpdateModule:
         # initial "this page never changes" conclusion. Built inline — the
         # dict spans the whole collection at every reallocation.
         estimates = self._rate_estimates
-        default_rate = 1.0 / self._config.default_interval_days
-        floor_rate = 0.5 / (self._config.history_window_days or 180.0)
+        default_rate = 1.0 / self._default_interval_days
+        floor_rate = 0.5 / HISTORY_WINDOW_DAYS
         rates = {}
         for url in urls:
             estimate = estimates.get(url)
@@ -578,15 +548,15 @@ class UpdateModule:
                 rates[url] = default_rate
             else:
                 rates[url] = estimate if estimate > floor_rate else floor_rate
-        importance = self._importance if self._config.use_importance else None
+        importance = self._importance if self._use_importance else None
         self._intervals = self._policy.intervals(
-            rates, self._config.crawl_budget_per_day, importance
+            rates, self._crawl_budget_per_day, importance
         )
 
     def _interval_for(self, url: str) -> float:
         interval = self._intervals.get(url)
         if interval is None or interval <= 0:
-            return self._config.default_interval_days
+            return self._default_interval_days
         return interval
 
     def _forget(self, url: str) -> None:

@@ -18,9 +18,10 @@ Three layers live here:
 * :class:`FaultLayer`: an ordered stack of models applied to a fetch batch.
   Earlier models win; the first non-OK code per URL sticks. Latency models
   are kept separate and only inflate transfer latency.
-* :class:`RetryPolicy` / :class:`FailureTracker`: the failure-aware side of
-  the engine — exponential backoff with seeded jitter, per-site retry
-  budgets, and a per-site circuit breaker with decaying probe frequency.
+* :class:`FailureTracker`: the failure-aware side of the engine, driven by
+  a :class:`~repro.api.specs.RetrySpec` — exponential backoff with seeded
+  jitter, per-site retry budgets, and a per-site circuit breaker with
+  decaying probe frequency.
   The tracker is plain serializable state (snapshot/restore/merge) so it
   rides in checkpoints and shard payloads.
 """
@@ -28,12 +29,14 @@ Three layers live here:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.registry import FAULT_MODELS, register_fault_model
+from repro.api.registry import register_fault_model
+
+if TYPE_CHECKING:  # pragma: no cover - the spec layer imports this module
+    from repro.api.specs import RetrySpec
 
 # --------------------------------------------------------------------------- #
 # Integer status codes
@@ -375,7 +378,8 @@ class FaultLayer:
     models are composed multiplicatively and only affect transfer latency.
 
     Args:
-        models: Fault model instances (see ``FAULT_MODELS``).
+        models: Fault model instances (see
+            :data:`repro.api.registry.FAULT_MODELS`).
         seed: Injection seed; the same ``(models, seed)`` pair replays the
             same faults at the same virtual times.
     """
@@ -467,22 +471,8 @@ class FaultLayer:
         return float(self.latency_factors(np.asarray([time], dtype=np.float64))[0])
 
 
-def build_fault_layer(
-    models: Sequence[Tuple[str, dict]], seed: int = 0
-) -> FaultLayer:
-    """Build a :class:`FaultLayer` from ``(kind, params)`` pairs.
-
-    Args:
-        models: Registered fault-model kinds with their parameters, in
-            application order.
-        seed: Injection seed.
-    """
-    instances = [FAULT_MODELS.create(kind, **dict(params)) for kind, params in models]
-    return FaultLayer(instances, seed=seed)
-
-
 # --------------------------------------------------------------------------- #
-# Retry policy and failure tracking
+# Retry and failure tracking
 # --------------------------------------------------------------------------- #
 
 _RETRY_SALT = 0x52455452
@@ -500,68 +490,6 @@ def _retry_jitter(url: str, attempt: int, seed: int, jitter: float) -> float:
     z = _splitmix_int(z + _GOLDEN_INT + attempt)
     u = (z >> 11) * (2.0 ** -53)
     return 1.0 + jitter * (2.0 * u - 1.0)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the engine reacts to transient fetch failures.
-
-    Attributes:
-        max_attempts: Total attempts per URL before the failure becomes
-            terminal (1 = never retry).
-        base_delay_days: Backoff delay after the first failure.
-        multiplier: Exponential backoff multiplier per further attempt.
-        jitter: Seeded jitter half-width as a fraction of the delay
-            (0 disables; 0.25 spreads delays over ±25%).
-        site_budget: Maximum retries charged to any single site over the
-            whole run (``None`` = unlimited). Exhausted budgets turn
-            failures terminal.
-        breaker_threshold: Consecutive failures on one site that trip its
-            circuit breaker.
-        breaker_probe_days: Quarantine length after the first trip; fetches
-            to the site are deferred to the quarantine end (the probe).
-        breaker_backoff: Quarantine growth factor per consecutive trip
-            (decaying probe frequency). Any success fully resets the site.
-    """
-
-    max_attempts: int = 3
-    base_delay_days: float = 0.25
-    multiplier: float = 2.0
-    jitter: float = 0.25
-    site_budget: Optional[int] = None
-    breaker_threshold: int = 5
-    breaker_probe_days: float = 1.0
-    breaker_backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        if int(self.max_attempts) < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.base_delay_days <= 0:
-            raise ValueError("base_delay_days must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be at least 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.site_budget is not None and int(self.site_budget) < 0:
-            raise ValueError("site_budget cannot be negative")
-        if int(self.breaker_threshold) < 1:
-            raise ValueError("breaker_threshold must be at least 1")
-        if self.breaker_probe_days <= 0:
-            raise ValueError("breaker_probe_days must be positive")
-        if self.breaker_backoff < 1.0:
-            raise ValueError("breaker_backoff must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_attempts": int(self.max_attempts),
-            "base_delay_days": float(self.base_delay_days),
-            "multiplier": float(self.multiplier),
-            "jitter": float(self.jitter),
-            "site_budget": None if self.site_budget is None else int(self.site_budget),
-            "breaker_threshold": int(self.breaker_threshold),
-            "breaker_probe_days": float(self.breaker_probe_days),
-            "breaker_backoff": float(self.breaker_backoff),
-        }
 
 
 _STATUS_COUNTER_KEYS = {
@@ -591,12 +519,12 @@ class FailureTracker:
     which is what keeps them bit-identical under faults.
 
     Args:
-        policy: The retry policy.
+        retry: The retry, backoff and circuit-breaker settings.
         seed: Jitter seed (shared with the fault layer by default).
     """
 
-    def __init__(self, policy: RetryPolicy, seed: int = 0) -> None:
-        self.policy = policy
+    def __init__(self, retry: RetrySpec, seed: int = 0) -> None:
+        self.retry = retry
         self.seed = int(seed) & _MASK
         self._attempts: Dict[str, int] = {}
         self._site_failures: Dict[str, int] = {}
@@ -639,14 +567,14 @@ class FailureTracker:
     ) -> Optional[float]:
         """A transient fetch failure; returns the retry time or ``None``.
 
-        ``None`` means the failure is terminal under the policy (attempts
+        ``None`` means the failure is terminal under ``retry`` (attempts
         exhausted or the site's retry budget spent) and the URL should be
         dropped from the crawl schedule.
         """
         counter = _STATUS_COUNTER_KEYS.get(status)
         if counter is not None:
             self.counters[counter] += 1
-        policy = self.policy
+        retry = self.retry
         attempts = self._attempts.get(url, 0) + 1
         self._attempts[url] = attempts
         if site is not None:
@@ -655,29 +583,29 @@ class FailureTracker:
             trips = self._breaker_trips.get(site, 0)
             # A site already in probation re-trips on a single failed probe
             # (decaying probe frequency); a healthy site needs a streak.
-            if failures >= policy.breaker_threshold or trips > 0:
+            if failures >= retry.breaker_threshold or trips > 0:
                 trips += 1
                 self._breaker_trips[site] = trips
                 self._breaker_until[site] = completed + (
-                    policy.breaker_probe_days
-                    * policy.breaker_backoff ** (trips - 1)
+                    retry.breaker_probe_days
+                    * retry.breaker_backoff ** (trips - 1)
                 )
                 self._site_failures[site] = 0
                 self.counters["breaker_trips"] += 1
-        if attempts >= policy.max_attempts:
+        if attempts >= retry.max_attempts:
             self._attempts.pop(url, None)
             self.counters["retry_drops"] += 1
             return None
-        if site is not None and policy.site_budget is not None:
+        if site is not None and retry.site_budget is not None:
             used = self._site_retries.get(site, 0)
-            if used >= policy.site_budget:
+            if used >= retry.site_budget:
                 self._attempts.pop(url, None)
                 self.counters["retry_drops"] += 1
                 return None
             self._site_retries[site] = used + 1
         self.counters["retries"] += 1
-        delay = policy.base_delay_days * policy.multiplier ** (attempts - 1)
-        delay *= _retry_jitter(url, attempts, self.seed, policy.jitter)
+        delay = retry.base_delay_days * retry.multiplier ** (attempts - 1)
+        delay *= _retry_jitter(url, attempts, self.seed, retry.jitter)
         if status == STATUS_RATE_LIMITED and retry_after > 0.0:
             delay = max(delay, retry_after)
         return completed + delay

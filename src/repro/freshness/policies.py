@@ -13,9 +13,8 @@ budget. Three policies are provided, matching the Section 4 discussion:
 
 Each policy registers itself in :data:`repro.api.registry.REVISIT_POLICIES`
 under its configuration name (``"uniform"``, ``"proportional"``,
-``"optimal"``), which is how crawler configs and experiment specs resolve
-the name to a policy instance; :func:`build_revisit_policy` is the shared
-constructor.
+``"optimal"``); :meth:`repro.api.specs.PolicySpec.build_revisit_policy`
+resolves a spec's name to a policy instance.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Mapping, Optional
 
-from repro.api.registry import REVISIT_POLICIES, register_revisit_policy
+from repro.api.registry import register_revisit_policy
 from repro.freshness.optimal_allocation import (
     optimal_revisit_frequencies,
     proportional_revisit_frequencies,
@@ -151,19 +150,3 @@ class OptimalRevisitPolicy(RevisitPolicy):
         )
         return dict(zip(urls, values))
 
-
-def build_revisit_policy(name: str, use_importance: bool = False) -> RevisitPolicy:
-    """Instantiate the registered revisit policy called ``name``.
-
-    Args:
-        name: A name registered in
-            :data:`repro.api.registry.REVISIT_POLICIES` (``"uniform"``,
-            ``"proportional"`` and ``"optimal"`` out of the box).
-        use_importance: Passed through to policies that support importance
-            weighting (ignored by the others).
-
-    Raises:
-        repro.api.registry.UnknownEntryError: If ``name`` is not registered;
-            the message lists the registered policy names.
-    """
-    return REVISIT_POLICIES.create(name, use_importance=use_importance)

@@ -1,4 +1,4 @@
-"""Discrete-event crawl simulation.
+"""Crawl simulation: Monte-Carlo policy runs, event streams, freshness.
 
 The analytic freshness formulas of :mod:`repro.freshness.analytic` assume an
 idealised crawler; this package provides a Monte-Carlo simulator that plays

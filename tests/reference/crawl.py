@@ -21,7 +21,7 @@ from typing import Optional, Set
 from repro.core.crawl_module import CrawlOutcome
 from repro.core.incremental_crawler import CrawlRunResult, IncrementalCrawler
 from repro.core.periodic_crawler import PeriodicCrawler, PeriodicCrawlResult
-from repro.core.update_module import UpdateModule
+from repro.core.update_module import HISTORY_WINDOW_DAYS, UpdateModule
 from repro.estimation.change_history import ChangeHistory
 from repro.fetch.fetcher import STATUS_TO_CODE, FetchStatus
 from repro.simulation.freshness_tracker import FreshnessTracker
@@ -106,7 +106,7 @@ def _observe(update: UpdateModule, url: str, at: float, outcome: CrawlOutcome) -
     history = update._histories.get(url)
     if history is None or outcome.was_new:
         update._histories[url] = ChangeHistory(
-            first_visit=at, window_days=update._config.history_window_days
+            first_visit=at, window_days=HISTORY_WINDOW_DAYS
         )
         update._estimator.reset_page(url)
         return
@@ -138,8 +138,8 @@ class ReferenceIncrementalCrawler(IncrementalCrawler):
                 "reference engine's event queue holds closures"
             )
         queue = EventQueue(VirtualClock(start_time))
-        config = self._config
-        crawl_period = 1.0 / config.crawl_budget_per_day
+        spec = self._spec
+        crawl_period = 1.0 / spec.crawl_budget_per_day
 
         def crawl_step(at: float) -> None:
             process_next(self._update_module, at)
@@ -150,15 +150,15 @@ class ReferenceIncrementalCrawler(IncrementalCrawler):
             self._update_module.set_importance(refinement.importance)
             self._refresh_journal_records()
             queue.schedule(
-                at + config.ranking_interval_days, ranking_step, label="ranking"
+                at + spec.ranking_interval_days, ranking_step, label="ranking"
             )
 
         def measure_step(at: float) -> None:
             tracker.sample(at)
-            if config.track_quality:
+            if spec.track_quality:
                 self._sample_quality(result, at)
             queue.schedule(
-                at + config.measurement_interval_days, measure_step, label="measure"
+                at + spec.measurement_interval_days, measure_step, label="measure"
             )
 
         queue.schedule(start_time, crawl_step, label="crawl")
@@ -173,8 +173,8 @@ class ReferencePeriodicCrawler(PeriodicCrawler):
     def _run_one_cycle(
         self, cycle_start: float, end_time: float, result: PeriodicCrawlResult
     ) -> float:
-        capacity = self._config.collection_capacity
-        per_fetch = 1.0 / self._config.crawl_budget_per_day
+        capacity = self._spec.collection_capacity
+        per_fetch = 1.0 / self._spec.crawl_budget_per_day
         now = cycle_start
         queue = deque(self._seeds)
         seen: Set[str] = set(self._seeds)

@@ -22,6 +22,7 @@ from repro.api import (
     run_matrix,
 )
 from repro.api.runner import _result_document, _result_from_document
+from repro.api.specs import RetrySpec
 
 EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
@@ -141,6 +142,10 @@ class TestSpecValidation:
         ("cycle_days", 0.0),
         ("measurement_interval_days", 0.0),
         ("ranking_interval_days", 0.0),
+        ("reallocation_interval_days", 0.0),
+        ("reallocation_interval_days", -1.0),
+        ("default_revisit_interval_days", 0.0),
+        ("default_revisit_interval_days", -3.0),
         ("politeness_min_delay_seconds", -1.0),
         ("politeness_night_start", -0.1),
         ("politeness_night_start", 1.0),
@@ -153,20 +158,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             CrawlerSpec(kind=kind, **{field: value})
 
-    def test_crawler_spec_builds_the_config_of_its_kind(self):
-        from repro.core.incremental_crawler import IncrementalCrawlerConfig
-        from repro.core.periodic_crawler import PeriodicCrawlerConfig
+    def test_crawler_spec_builds_the_crawler_parts(self):
+        from repro.freshness.policies import UniformRevisitPolicy
 
         policy = PolicySpec(revisit_policy="uniform", estimator="eb")
-        config = CrawlerSpec(politeness_night_start=0.5).to_config(policy)
-        assert isinstance(config, IncrementalCrawlerConfig)
-        assert (config.revisit_policy, config.estimator) == ("uniform", "eb")
-        assert config.politeness_night_start == 0.5
-        config = CrawlerSpec(kind="periodic", cycle_days=4.0).to_config(policy)
-        assert isinstance(config, PeriodicCrawlerConfig)
-        assert config.cycle_days == 4.0
+        assert isinstance(policy.build_revisit_policy(), UniformRevisitPolicy)
+        crawler = CrawlerSpec(
+            use_politeness=True,
+            politeness_night_window=True,
+            politeness_night_start=0.5,
+        )
+        assert crawler.build_politeness().night_window.start_fraction == 0.5
+        assert CrawlerSpec(politeness_night_start=0.5).build_politeness() is None
+        assert CrawlerSpec().build_failure_tracker() is None
+        retry = RetrySpec(max_attempts=2)
+        assert CrawlerSpec(retry=retry).build_failure_tracker().retry == retry
         with pytest.raises(ValueError, match="politeness_night_start"):
-            IncrementalCrawlerConfig(politeness_night_start=1.5)
+            CrawlerSpec(politeness_night_start=1.5)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError) as excinfo:
@@ -424,22 +432,17 @@ def _without_wall_time(result):
 class TestRegistryDispatchSites:
     """The former string-literal dispatch sites resolve via the registries."""
 
-    def test_crawler_config_unknown_policy_lists_choices(self):
-        from repro.core.incremental_crawler import IncrementalCrawlerConfig
-
+    def test_policy_spec_unknown_policy_lists_choices(self):
         with pytest.raises(ValueError) as excinfo:
-            IncrementalCrawlerConfig(revisit_policy="bogus")
+            PolicySpec(revisit_policy="bogus")
         assert "optimal" in str(excinfo.value)
 
-    def test_update_module_config_unknown_estimator_lists_choices(self):
-        from repro.core.update_module import UpdateModuleConfig
-
+    def test_policy_spec_unknown_estimator_lists_choices(self):
         with pytest.raises(ValueError) as excinfo:
-            UpdateModuleConfig(estimator="bogus")
+            PolicySpec(estimator="bogus")
         assert "'ep'" in str(excinfo.value)
 
     def test_custom_revisit_policy_reaches_the_crawler(self):
-        from repro.core.incremental_crawler import IncrementalCrawlerConfig
         from repro.freshness.policies import UniformRevisitPolicy
 
         class EagerPolicy(UniformRevisitPolicy):
@@ -447,7 +450,7 @@ class TestRegistryDispatchSites:
 
         REVISIT_POLICIES.register("test-eager", EagerPolicy)
         try:
-            config = IncrementalCrawlerConfig(revisit_policy="test-eager")
-            assert isinstance(config.build_revisit_policy(), EagerPolicy)
+            policy = PolicySpec(revisit_policy="test-eager")
+            assert isinstance(policy.build_revisit_policy(), EagerPolicy)
         finally:
             REVISIT_POLICIES._entries.pop("test-eager", None)

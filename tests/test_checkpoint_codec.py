@@ -18,10 +18,11 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
-from repro.core.update_module import UpdateModule, UpdateModuleConfig
+from repro.core.incremental_crawler import IncrementalCrawler
+from repro.core.update_module import UpdateModule
 from repro.estimation.change_history import ChangeHistory
 from repro.storage.backends import MemoryBackend
 from repro.storage.checkpoint import (
@@ -54,7 +55,7 @@ def test_round_trip_is_bytes_exact(patterns):
 
 
 def _update_module() -> UpdateModule:
-    return UpdateModule(CollUrls(), None, UpdateModuleConfig())
+    return UpdateModule(CollUrls(), None, CrawlerSpec(), PolicySpec())
 
 
 def test_update_snapshot_with_an_infinite_interval_restores_equal():
@@ -93,13 +94,16 @@ def test_allurls_snapshot_with_a_never_failed_url_restores_equal():
 
 def _float_tokens_and_size(web, capacity):
     backend = MemoryBackend()
-    crawler = IncrementalCrawler(web, IncrementalCrawlerConfig(
-        collection_capacity=capacity,
-        crawl_budget_per_day=200.0,
-        ranking_interval_days=5.0,
-        measurement_interval_days=1.0,
-        estimator="ep",
-    ))
+    crawler = IncrementalCrawler(
+        web,
+        CrawlerSpec(
+            collection_capacity=capacity,
+            crawl_budget_per_day=200.0,
+            ranking_interval_days=5.0,
+            measurement_interval_days=1.0,
+        ),
+        PolicySpec(estimator="ep"),
+    )
     crawler.run(30.0, checkpointer=CrawlCheckpointer(backend, every_days=7.0))
     tokens = []
     state = json.loads(

@@ -16,8 +16,8 @@ import pytest
 
 from repro.api.registry import STORAGE_BACKENDS
 from repro.api.runner import run
-from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.api.specs import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec
+from repro.core.incremental_crawler import IncrementalCrawler
 from repro.storage.backends import MemoryBackend, SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -33,7 +33,7 @@ from reference.crawl import ReferenceIncrementalCrawler
 DURATION = 30.0
 
 
-def crawler_config(**overrides) -> IncrementalCrawlerConfig:
+def crawler_spec(**overrides) -> CrawlerSpec:
     base = dict(
         collection_capacity=60,
         crawl_budget_per_day=200.0,
@@ -42,11 +42,13 @@ def crawler_config(**overrides) -> IncrementalCrawlerConfig:
         track_quality=True,
     )
     base.update(overrides)
-    return IncrementalCrawlerConfig(**base)
+    return CrawlerSpec(**base)
 
 
-def build_crawler(tiny_web, **overrides) -> IncrementalCrawler:
-    return IncrementalCrawler(tiny_web, crawler_config(**overrides))
+def build_crawler(tiny_web, estimator="ep", **overrides) -> IncrementalCrawler:
+    return IncrementalCrawler(
+        tiny_web, crawler_spec(**overrides), PolicySpec(estimator=estimator)
+    )
 
 
 def result_fingerprint(crawler, result):
@@ -102,7 +104,7 @@ def test_journaled_run_is_bit_identical(tiny_web, estimator, use_politeness):
 def test_journal_works_on_reference_engine(tiny_web):
     backend = MemoryBackend()
     crawler = ReferenceIncrementalCrawler(
-        tiny_web, crawler_config(track_quality=False)
+        tiny_web, crawler_spec(track_quality=False), PolicySpec()
     )
     crawler.run(10.0, journal=CollectionJournal(backend))
     assert backend.record_count() == len(crawler.collection.working_records())
@@ -235,7 +237,7 @@ def test_resume_rejects_mismatched_run_shape(tiny_web):
 
 
 def test_checkpoint_requires_batched_engine(tiny_web):
-    crawler = ReferenceIncrementalCrawler(tiny_web, crawler_config())
+    crawler = ReferenceIncrementalCrawler(tiny_web, crawler_spec(), PolicySpec())
     checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=5.0)
     with pytest.raises(ValueError, match="batched"):
         crawler.run(DURATION, checkpointer=checkpointer)
@@ -344,10 +346,10 @@ def test_runner_resume_continues_interrupted_run(tmp_path):
             raise KeyboardInterrupt  # aborts the run mid-flight, like SIGKILL
 
     checkpointer.on_save = stop_after_second_save
-    partial = IncrementalCrawler(web, crawler_config(
+    partial = IncrementalCrawler(web, crawler_spec(
         crawl_budget_per_day=CRAWLER_SPEC.crawl_budget_per_day,
         collection_capacity=CRAWLER_SPEC.collection_capacity,
-    ))
+    ), PolicySpec())
     with pytest.raises(KeyboardInterrupt):
         partial.run(
             CRAWLER_SPEC.duration_days,

@@ -2,39 +2,41 @@
 
 import pytest
 
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
-from repro.core.periodic_crawler import PeriodicCrawler, PeriodicCrawlerConfig
+from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.core.incremental_crawler import IncrementalCrawler
+from repro.core.periodic_crawler import PeriodicCrawler
+
+POLICY = PolicySpec(revisit_policy="optimal", estimator="ep")
 
 
-def incremental_config(**overrides):
+def incremental_spec(**overrides):
     defaults = dict(
         collection_capacity=80,
         crawl_budget_per_day=400.0,
-        revisit_policy="optimal",
-        estimator="ep",
         ranking_interval_days=3.0,
         measurement_interval_days=1.0,
         track_quality=False,
     )
     defaults.update(overrides)
-    return IncrementalCrawlerConfig(**defaults)
+    return CrawlerSpec(**defaults)
 
 
-class TestIncrementalCrawlerConfig:
+class TestIncrementalCrawlerSpec:
     def test_defaults_valid(self):
-        IncrementalCrawlerConfig()
+        CrawlerSpec()
+        PolicySpec()
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):
-            IncrementalCrawlerConfig(collection_capacity=0)
+            CrawlerSpec(collection_capacity=0)
         with pytest.raises(ValueError):
-            IncrementalCrawlerConfig(crawl_budget_per_day=0.0)
+            CrawlerSpec(crawl_budget_per_day=0.0)
         with pytest.raises(ValueError):
-            IncrementalCrawlerConfig(revisit_policy="bogus")
+            PolicySpec(revisit_policy="bogus")
         with pytest.raises(ValueError):
-            IncrementalCrawlerConfig(ranking_interval_days=0.0)
+            CrawlerSpec(ranking_interval_days=0.0)
         with pytest.raises(ValueError):
-            IncrementalCrawlerConfig(measurement_interval_days=0.0)
+            CrawlerSpec(measurement_interval_days=0.0)
 
     def test_policy_factory(self):
         from repro.freshness.policies import (
@@ -44,15 +46,15 @@ class TestIncrementalCrawlerConfig:
         )
 
         assert isinstance(
-            IncrementalCrawlerConfig(revisit_policy="uniform").build_revisit_policy(),
+            PolicySpec(revisit_policy="uniform").build_revisit_policy(),
             UniformRevisitPolicy,
         )
         assert isinstance(
-            IncrementalCrawlerConfig(revisit_policy="proportional").build_revisit_policy(),
+            PolicySpec(revisit_policy="proportional").build_revisit_policy(),
             ProportionalRevisitPolicy,
         )
         assert isinstance(
-            IncrementalCrawlerConfig(revisit_policy="optimal").build_revisit_policy(),
+            PolicySpec(revisit_policy="optimal").build_revisit_policy(),
             OptimalRevisitPolicy,
         )
 
@@ -60,21 +62,23 @@ class TestIncrementalCrawlerConfig:
 class TestIncrementalCrawler:
     def test_requires_seeds(self, tiny_web):
         with pytest.raises(ValueError):
-            IncrementalCrawler(tiny_web, incremental_config(), seed_urls=[])
+            IncrementalCrawler(tiny_web, incremental_spec(), POLICY, seed_urls=[])
 
     def test_run_collects_pages(self, tiny_web):
-        crawler = IncrementalCrawler(tiny_web, incremental_config())
+        crawler = IncrementalCrawler(tiny_web, incremental_spec(), POLICY)
         result = crawler.run(duration_days=20.0)
         assert result.pages_crawled > 0
         assert len(crawler.collection.current_records()) > 10
 
     def test_collection_respects_capacity(self, tiny_web):
-        crawler = IncrementalCrawler(tiny_web, incremental_config(collection_capacity=30))
+        crawler = IncrementalCrawler(
+            tiny_web, incremental_spec(collection_capacity=30), POLICY
+        )
         crawler.run(duration_days=20.0)
         assert len(crawler.collection.current_records()) <= 30
 
     def test_freshness_series_recorded(self, tiny_web):
-        crawler = IncrementalCrawler(tiny_web, incremental_config())
+        crawler = IncrementalCrawler(tiny_web, incremental_spec(), POLICY)
         result = crawler.run(duration_days=15.0)
         assert len(result.freshness) >= 14
         assert all(0.0 <= f <= 1.0 for f in result.freshness.freshness)
@@ -82,18 +86,18 @@ class TestIncrementalCrawler:
     def test_steady_state_freshness_is_high(self, tiny_web):
         """With ample budget the incremental crawler keeps the collection
         fresh (the left-hand column of Figure 10)."""
-        crawler = IncrementalCrawler(tiny_web, incremental_config())
+        crawler = IncrementalCrawler(tiny_web, incremental_spec(), POLICY)
         result = crawler.run(duration_days=40.0)
         steady = result.freshness.after(20.0)
         assert steady.mean_freshness() > 0.7
 
     def test_changes_detected(self, tiny_web):
-        crawler = IncrementalCrawler(tiny_web, incremental_config())
+        crawler = IncrementalCrawler(tiny_web, incremental_spec(), POLICY)
         result = crawler.run(duration_days=30.0)
         assert result.changes_detected > 0
 
     def test_rate_estimates_accumulate(self, tiny_web):
-        crawler = IncrementalCrawler(tiny_web, incremental_config())
+        crawler = IncrementalCrawler(tiny_web, incremental_spec(), POLICY)
         crawler.run(duration_days=30.0)
         estimates = crawler.update_module.estimated_rates()
         assert len(estimates) > 5
@@ -101,56 +105,58 @@ class TestIncrementalCrawler:
 
     def test_quality_tracking(self, tiny_web):
         crawler = IncrementalCrawler(
-            tiny_web, incremental_config(track_quality=True, collection_capacity=40)
+            tiny_web, incremental_spec(track_quality=True, collection_capacity=40), POLICY
         )
         result = crawler.run(duration_days=30.0)
         assert result.quality
         assert result.final_quality() > 0.3
 
     def test_run_duration_validation(self, tiny_web):
-        crawler = IncrementalCrawler(tiny_web, incremental_config())
+        crawler = IncrementalCrawler(tiny_web, incremental_spec(), POLICY)
         with pytest.raises(ValueError):
             crawler.run(duration_days=0.0)
 
     def test_eb_estimator_end_to_end(self, tiny_web):
-        crawler = IncrementalCrawler(tiny_web, incremental_config(estimator="eb"))
+        crawler = IncrementalCrawler(
+            tiny_web, incremental_spec(), PolicySpec(revisit_policy="optimal", estimator="eb")
+        )
         result = crawler.run(duration_days=15.0)
         assert result.pages_crawled > 0
 
     def test_uniform_policy_end_to_end(self, tiny_web):
-        crawler = IncrementalCrawler(tiny_web, incremental_config(revisit_policy="uniform"))
+        crawler = IncrementalCrawler(
+            tiny_web, incremental_spec(), PolicySpec(revisit_policy="uniform", estimator="ep")
+        )
         result = crawler.run(duration_days=15.0)
         assert result.pages_crawled > 0
 
     def test_importance_weighted_scheduling(self, tiny_web):
         crawler = IncrementalCrawler(
             tiny_web,
-            incremental_config(use_importance_in_scheduling=True, track_quality=False),
+            incremental_spec(track_quality=False),
+            PolicySpec(revisit_policy="optimal", estimator="ep", use_importance=True),
         )
         result = crawler.run(duration_days=15.0)
         assert result.pages_crawled > 0
 
 
-class TestPeriodicCrawlerConfig:
+class TestPeriodicCrawlerSpec:
     def test_defaults_valid(self):
-        PeriodicCrawlerConfig()
+        CrawlerSpec(kind="periodic")
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):
-            PeriodicCrawlerConfig(collection_capacity=0)
+            CrawlerSpec(kind="periodic", collection_capacity=0)
         with pytest.raises(ValueError):
-            PeriodicCrawlerConfig(crawl_budget_per_day=0.0)
+            CrawlerSpec(kind="periodic", crawl_budget_per_day=0.0)
         with pytest.raises(ValueError):
-            PeriodicCrawlerConfig(cycle_days=0.0)
-
-    def test_batch_duration(self):
-        config = PeriodicCrawlerConfig(collection_capacity=100, crawl_budget_per_day=50.0)
-        assert config.batch_duration_days == pytest.approx(2.0)
+            CrawlerSpec(kind="periodic", cycle_days=0.0)
 
 
 class TestPeriodicCrawler:
-    def _config(self, **overrides):
+    def _spec(self, **overrides):
         defaults = dict(
+            kind="periodic",
             collection_capacity=80,
             crawl_budget_per_day=400.0,
             cycle_days=10.0,
@@ -158,32 +164,32 @@ class TestPeriodicCrawler:
             track_quality=False,
         )
         defaults.update(overrides)
-        return PeriodicCrawlerConfig(**defaults)
+        return CrawlerSpec(**defaults)
 
     def test_requires_seeds(self, tiny_web):
         with pytest.raises(ValueError):
-            PeriodicCrawler(tiny_web, self._config(), seed_urls=[])
+            PeriodicCrawler(tiny_web, self._spec(), seed_urls=[])
 
     def test_cycles_completed(self, tiny_web):
-        crawler = PeriodicCrawler(tiny_web, self._config())
+        crawler = PeriodicCrawler(tiny_web, self._spec())
         result = crawler.run(duration_days=35.0)
         assert result.cycles_completed >= 3
         assert result.pages_crawled > 0
 
     def test_current_collection_swapped_in(self, tiny_web):
-        crawler = PeriodicCrawler(tiny_web, self._config())
+        crawler = PeriodicCrawler(tiny_web, self._spec())
         crawler.run(duration_days=25.0)
         assert len(crawler.collection.current_records()) > 0
         assert crawler.collection.swap_times
 
     def test_freshness_recorded(self, tiny_web):
-        crawler = PeriodicCrawler(tiny_web, self._config())
+        crawler = PeriodicCrawler(tiny_web, self._spec())
         result = crawler.run(duration_days=30.0)
         assert len(result.freshness) > 0
         assert 0.0 <= result.mean_freshness() <= 1.0
 
     def test_run_duration_validation(self, tiny_web):
-        crawler = PeriodicCrawler(tiny_web, self._config())
+        crawler = PeriodicCrawler(tiny_web, self._spec())
         with pytest.raises(ValueError):
             crawler.run(duration_days=-1.0)
 
@@ -200,13 +206,15 @@ class TestIncrementalVersusPeriodic:
         average_budget = 8.0 * capacity / cycle
         incremental = IncrementalCrawler(
             tiny_web,
-            incremental_config(
+            incremental_spec(
                 collection_capacity=capacity, crawl_budget_per_day=average_budget
             ),
+            POLICY,
         )
         periodic = PeriodicCrawler(
             tiny_web,
-            PeriodicCrawlerConfig(
+            CrawlerSpec(
+                kind="periodic",
                 collection_capacity=capacity,
                 crawl_budget_per_day=average_budget * 4,  # batch: higher peak speed
                 cycle_days=cycle,

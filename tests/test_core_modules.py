@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.core.ranking_module import RankingModule, RankingModuleConfig
-from repro.core.update_module import UpdateModule, UpdateModuleConfig
+from repro.core.update_module import UpdateModule
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.storage.collection import InPlaceCollection
 
@@ -85,16 +86,20 @@ class TestCrawlModule:
 
 
 class TestUpdateModule:
-    def _build(self, web, estimator="ep", policy=None, budget=500.0):
+    def _build(self, web, estimator="ep", policy="uniform", budget=500.0):
         crawl_module, collection, allurls = build_crawl_module(web)
         collurls = CollUrls()
-        config = UpdateModuleConfig(
+        crawler = CrawlerSpec(
             crawl_budget_per_day=budget,
-            estimator=estimator,
-            default_interval_days=2.0,
+            default_revisit_interval_days=2.0,
             reallocation_interval_days=1.0,
         )
-        update = UpdateModule(collurls, crawl_module, config, revisit_policy=policy)
+        update = UpdateModule(
+            collurls,
+            crawl_module,
+            crawler,
+            PolicySpec(revisit_policy=policy, estimator=estimator),
+        )
         return update, collurls, collection
 
     def test_empty_queue_processes_nothing(self, tiny_web):
@@ -180,13 +185,13 @@ class TestUpdateModule:
         update, _, _ = self._build(tiny_web)
         update.set_importance({"http://a/": 0.5})
 
-    def test_invalid_config(self):
+    def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            UpdateModuleConfig(crawl_budget_per_day=0.0)
+            CrawlerSpec(crawl_budget_per_day=0.0)
         with pytest.raises(ValueError):
-            UpdateModuleConfig(estimator="bogus")
+            PolicySpec(estimator="bogus")
         with pytest.raises(ValueError):
-            UpdateModuleConfig(default_interval_days=0.0)
+            CrawlerSpec(default_revisit_interval_days=0.0)
 
 
 class TestRankingModule:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.specs import CrawlerSpec
+from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.collurls import CollUrls
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
-from repro.core.periodic_crawler import PeriodicCrawler, PeriodicCrawlerConfig
+from repro.core.incremental_crawler import IncrementalCrawler
+from repro.core.periodic_crawler import PeriodicCrawler
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 
 from reference.crawl import ReferenceIncrementalCrawler, ReferencePeriodicCrawler
@@ -37,16 +37,15 @@ def _run_incremental(engine: str, policy: str, estimator: str):
     web = generate_web(WEB_CONFIG)
     crawler = ENGINES[engine](
         web,
-        IncrementalCrawlerConfig(
+        CrawlerSpec(
             collection_capacity=100,
             crawl_budget_per_day=400.0,
-            revisit_policy=policy,
-            estimator=estimator,
             ranking_interval_days=5.0,
             reallocation_interval_days=1.0,
             measurement_interval_days=0.5,
             track_quality=True,
         ),
+        PolicySpec(revisit_policy=policy, estimator=estimator),
     )
     result = crawler.run(30.0)
     return result, crawler
@@ -109,11 +108,9 @@ def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str)
     web = generate_web(WEB_CONFIG)
     crawler = ENGINES[engine](
         web,
-        IncrementalCrawlerConfig(
+        CrawlerSpec(
             collection_capacity=80,
             crawl_budget_per_day=300.0,
-            revisit_policy=policy,
-            estimator=estimator,
             ranking_interval_days=5.0,
             reallocation_interval_days=realloc,
             measurement_interval_days=0.5,
@@ -122,6 +119,7 @@ def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str)
             politeness_min_delay_seconds=delay,
             politeness_night_window=night,
         ),
+        PolicySpec(revisit_policy=policy, estimator=estimator),
     )
     result = crawler.run(15.0)
     return result, crawler
@@ -206,7 +204,8 @@ class TestPeriodicEngineParity:
         crawler_class = PeriodicCrawler if engine == "batched" else ReferencePeriodicCrawler
         crawler = crawler_class(
             web,
-            PeriodicCrawlerConfig(
+            CrawlerSpec(
+                kind="periodic",
                 collection_capacity=100,
                 crawl_budget_per_day=1500.0,
                 cycle_days=8.0,
@@ -295,7 +294,13 @@ class TestCollisionSafeScheduling:
         web = generate_web(WEB_CONFIG)
         crawler = IncrementalCrawler(
             web,
-            IncrementalCrawlerConfig(collection_capacity=50, track_quality=False),
+            CrawlerSpec(
+                collection_capacity=50,
+                crawl_budget_per_day=2000.0,
+                measurement_interval_days=0.5,
+                track_quality=False,
+            ),
+            PolicySpec(),
         )
         crawler._bootstrap(2.5)
         seeds = web.seed_urls()

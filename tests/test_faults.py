@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, RetrySpec
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, PolicySpec, RetrySpec
+from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.collurls import CollUrls
 from repro.core.sharded_crawler import ShardedCrawler
 from repro.core.update_module import UpdateModule
@@ -37,13 +37,11 @@ from repro.faults import (
     TRANSIENT_CODES,
     FailureTracker,
     FaultLayer,
-    RetryPolicy,
     _hash64,
     _keyed,
     _mix,
     _retry_jitter,
     _uniform01,
-    build_fault_layer,
 )
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 from repro.storage.backends import MemoryBackend
@@ -65,12 +63,22 @@ WEB_CONFIG = WebGeneratorConfig(
 )
 
 FAULT_MODELS = (
-    ("transient", {"rate": 0.08}),
-    ("site_outage", {"rate": 0.3, "period_days": 5.0, "duration_days": 1.0}),
-    ("rate_limit", {"rate": 0.05, "retry_after_days": 0.5}),
-    ("soft_404", {"rate": 0.05, "flap_period_days": 3.0}),
-    ("latency", {"factor": 3.0, "rate": 0.25}),
+    FaultModelSpec("transient", {"rate": 0.08}),
+    FaultModelSpec(
+        "site_outage", {"rate": 0.3, "period_days": 5.0, "duration_days": 1.0}
+    ),
+    FaultModelSpec("rate_limit", {"rate": 0.05, "retry_after_days": 0.5}),
+    FaultModelSpec("soft_404", {"rate": 0.05, "flap_period_days": 3.0}),
+    FaultModelSpec("latency", {"factor": 3.0, "rate": 0.25}),
 )
+
+
+def _layer(models, seed=0):
+    return FaultsSpec(models=tuple(models), seed=seed).build_fault_layer()
+
+
+def _zero_rate(models):
+    return tuple(model.replace(params={**model.params, "rate": 0.0}) for model in models)
 
 
 def _batch(n=200, seed=0):
@@ -89,20 +97,20 @@ def _batch(n=200, seed=0):
 class TestFaultModels:
     def test_deterministic_for_fixed_seed(self):
         urls, sites, times = _batch()
-        a = build_fault_layer(FAULT_MODELS, seed=7).resolve(urls, sites, times)
-        b = build_fault_layer(FAULT_MODELS, seed=7).resolve(urls, sites, times)
+        a = _layer(FAULT_MODELS, seed=7).resolve(urls, sites, times)
+        b = _layer(FAULT_MODELS, seed=7).resolve(urls, sites, times)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_seed_changes_the_weather(self):
         urls, sites, times = _batch()
-        a = build_fault_layer(FAULT_MODELS, seed=7).resolve(urls, sites, times)[0]
-        b = build_fault_layer(FAULT_MODELS, seed=8).resolve(urls, sites, times)[0]
+        a = _layer(FAULT_MODELS, seed=7).resolve(urls, sites, times)[0]
+        b = _layer(FAULT_MODELS, seed=8).resolve(urls, sites, times)[0]
         assert not np.array_equal(a, b)
 
     def test_scalar_resolve_matches_vector(self):
         urls, sites, times = _batch(n=64)
-        layer = build_fault_layer(FAULT_MODELS, seed=3)
+        layer = _layer(FAULT_MODELS, seed=3)
         codes, retry_after = layer.resolve(urls, sites, times)
         for i, (url, site, at) in enumerate(zip(urls, sites, times)):
             code, hint = layer.resolve_one(url, site, at)
@@ -111,19 +119,23 @@ class TestFaultModels:
 
     def test_first_model_wins(self):
         urls, sites, times = _batch(n=50)
-        outage_first = build_fault_layer(
+        outage_first = _layer(
             (
-                ("site_outage", {"rate": 1.0, "period_days": 1.0, "duration_days": 1.0}),
-                ("transient", {"rate": 1.0, "timeout_fraction": 1.0}),
+                FaultModelSpec(
+                    "site_outage", {"rate": 1.0, "period_days": 1.0, "duration_days": 1.0}
+                ),
+                FaultModelSpec("transient", {"rate": 1.0, "timeout_fraction": 1.0}),
             ),
             seed=1,
         )
         codes, _ = outage_first.resolve(urls, sites, times)
         assert np.all(codes == STATUS_SERVER_ERROR)
-        transient_first = build_fault_layer(
+        transient_first = _layer(
             (
-                ("transient", {"rate": 1.0, "timeout_fraction": 1.0}),
-                ("site_outage", {"rate": 1.0, "period_days": 1.0, "duration_days": 1.0}),
+                FaultModelSpec("transient", {"rate": 1.0, "timeout_fraction": 1.0}),
+                FaultModelSpec(
+                    "site_outage", {"rate": 1.0, "period_days": 1.0, "duration_days": 1.0}
+                ),
             ),
             seed=1,
         )
@@ -132,10 +144,7 @@ class TestFaultModels:
 
     def test_zero_rate_layer_is_silent(self):
         urls, sites, times = _batch()
-        layer = build_fault_layer(
-            tuple((kind, {**params, "rate": 0.0}) for kind, params in FAULT_MODELS),
-            seed=5,
-        )
+        layer = _layer(_zero_rate(FAULT_MODELS), seed=5)
         codes, retry_after = layer.resolve(urls, sites, times)
         assert np.all(codes == STATUS_OK)
         assert np.all(retry_after == 0.0)
@@ -143,8 +152,9 @@ class TestFaultModels:
 
     def test_rate_limit_carries_retry_after(self):
         urls, sites, times = _batch()
-        layer = build_fault_layer(
-            (("rate_limit", {"rate": 1.0, "retry_after_days": 0.75}),), seed=2
+        layer = _layer(
+            (FaultModelSpec("rate_limit", {"rate": 1.0, "retry_after_days": 0.75}),),
+            seed=2,
         )
         codes, retry_after = layer.resolve(urls, sites, times)
         assert np.all(codes == STATUS_RATE_LIMITED)
@@ -152,7 +162,7 @@ class TestFaultModels:
 
     def test_hit_rate_tracks_configured_rate(self):
         urls, sites, times = _batch(n=4000)
-        layer = build_fault_layer((("transient", {"rate": 0.3}),), seed=11)
+        layer = _layer((FaultModelSpec("transient", {"rate": 0.3}),), seed=11)
         codes, _ = layer.resolve(urls, sites, times)
         hit_rate = float(np.mean(codes != STATUS_OK))
         assert 0.25 < hit_rate < 0.35
@@ -160,8 +170,12 @@ class TestFaultModels:
     def test_site_outage_is_correlated_within_a_site(self):
         # Every page of a dark site fails together: group codes by site at
         # one instant and check each site is all-dark or all-clear.
-        layer = build_fault_layer(
-            (("site_outage", {"rate": 0.5, "period_days": 5.0, "duration_days": 5.0}),),
+        layer = _layer(
+            (
+                FaultModelSpec(
+                    "site_outage", {"rate": 0.5, "period_days": 5.0, "duration_days": 5.0}
+                ),
+            ),
             seed=4,
         )
         urls = [f"http://s{i // 10}.test/p{i % 10}" for i in range(200)]
@@ -175,8 +189,9 @@ class TestFaultModels:
         assert any(states == {STATUS_OK} for states in by_site.values())
 
     def test_latency_is_a_pure_function_of_time(self):
-        layer = build_fault_layer(
-            (("latency", {"factor": 4.0, "rate": 0.5, "period_days": 1.0}),), seed=6
+        layer = _layer(
+            (FaultModelSpec("latency", {"factor": 4.0, "rate": 0.5, "period_days": 1.0}),),
+            seed=6,
         )
         times = np.linspace(0.0, 20.0, 200)
         factors = layer.latency_factors(times)
@@ -189,15 +204,15 @@ class TestFaultModels:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="rate"):
-            build_fault_layer((("transient", {"rate": 1.5}),))
+            _layer((FaultModelSpec("transient", {"rate": 1.5}),))
         with pytest.raises(ValueError, match="duration_days"):
-            build_fault_layer(
-                (("site_outage", {"period_days": 1.0, "duration_days": 2.0}),)
+            _layer(
+                (FaultModelSpec("site_outage", {"period_days": 1.0, "duration_days": 2.0}),)
             )
         with pytest.raises(ValueError, match="retry_after_days"):
-            build_fault_layer((("rate_limit", {"retry_after_days": 0.0}),))
+            _layer((FaultModelSpec("rate_limit", {"retry_after_days": 0.0}),))
         with pytest.raises(ValueError, match="unknown fault model"):
-            build_fault_layer((("cosmic_rays", {}),))
+            _layer((FaultModelSpec("cosmic_rays", {}),))
 
     def test_code_taxonomy(self):
         assert set(HARD_FAULT_CODES) < set(TRANSIENT_CODES)
@@ -210,33 +225,33 @@ class TestFaultModels:
 # --------------------------------------------------------------------------- #
 
 
-class TestRetryPolicy:
+class TestRetrySpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
+            RetrySpec(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(base_delay_days=0.0)
+            RetrySpec(base_delay_days=0.0)
         with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
+            RetrySpec(multiplier=0.5)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
+            RetrySpec(jitter=1.0)
         with pytest.raises(ValueError):
-            RetryPolicy(site_budget=-1)
+            RetrySpec(site_budget=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(breaker_threshold=0)
+            RetrySpec(breaker_threshold=0)
         with pytest.raises(ValueError):
-            RetryPolicy(breaker_backoff=0.9)
+            RetrySpec(breaker_backoff=0.9)
 
     def test_to_dict_is_json_plain(self):
-        doc = RetryPolicy(site_budget=10).to_dict()
+        doc = RetrySpec(site_budget=10).to_dict()
         assert doc["site_budget"] == 10
         assert doc["max_attempts"] == 3
-        assert RetryPolicy(**doc) == RetryPolicy(site_budget=10)
+        assert RetrySpec(**doc) == RetrySpec(site_budget=10)
 
 
 class TestFailureTracker:
     def test_exponential_backoff_without_jitter(self):
-        policy = RetryPolicy(max_attempts=4, base_delay_days=0.5, multiplier=2.0, jitter=0.0)
+        policy = RetrySpec(max_attempts=4, base_delay_days=0.5, multiplier=2.0, jitter=0.0)
         tracker = FailureTracker(policy, seed=0)
         at1 = tracker.on_failure("u", "s", STATUS_TIMEOUT, completed=10.0)
         at2 = tracker.on_failure("u", "s", STATUS_TIMEOUT, completed=11.0)
@@ -251,7 +266,7 @@ class TestFailureTracker:
         assert tracker.counters["timeouts"] == 4
 
     def test_rate_limited_honours_retry_after(self):
-        policy = RetryPolicy(base_delay_days=0.25, jitter=0.0)
+        policy = RetrySpec(base_delay_days=0.25, jitter=0.0)
         tracker = FailureTracker(policy, seed=0)
         at = tracker.on_failure(
             "u", "s", STATUS_RATE_LIMITED, completed=5.0, retry_after=2.0
@@ -260,7 +275,7 @@ class TestFailureTracker:
         assert tracker.counters["rate_limited"] == 1
 
     def test_success_resets_the_attempt_counter(self):
-        policy = RetryPolicy(max_attempts=2, base_delay_days=1.0, jitter=0.0)
+        policy = RetrySpec(max_attempts=2, base_delay_days=1.0, jitter=0.0)
         tracker = FailureTracker(policy, seed=0)
         assert tracker.on_failure("u", "s", STATUS_TIMEOUT, 0.0) == 1.0
         tracker.on_success("u", "s")
@@ -268,7 +283,7 @@ class TestFailureTracker:
         assert tracker.on_failure("u", "s", STATUS_TIMEOUT, 2.0) == 3.0
 
     def test_breaker_trips_after_threshold_and_decays(self):
-        policy = RetryPolicy(
+        policy = RetrySpec(
             max_attempts=10,
             jitter=0.0,
             breaker_threshold=3,
@@ -295,19 +310,19 @@ class TestFailureTracker:
         assert tracker.counters["breaker_trips"] == 2
 
     def test_site_budget_exhaustion_is_terminal(self):
-        policy = RetryPolicy(max_attempts=5, jitter=0.0, site_budget=1)
+        policy = RetrySpec(max_attempts=5, jitter=0.0, site_budget=1)
         tracker = FailureTracker(policy, seed=0)
         assert tracker.on_failure("u1", "s", STATUS_TIMEOUT, 0.0) is not None
         assert tracker.on_failure("u2", "s", STATUS_TIMEOUT, 0.0) is None
         assert tracker.counters["retry_drops"] == 1
 
     def test_snapshot_round_trip(self):
-        tracker = FailureTracker(RetryPolicy(breaker_threshold=2), seed=9)
+        tracker = FailureTracker(RetrySpec(breaker_threshold=2), seed=9)
         tracker.on_failure("u1", "s1", STATUS_TIMEOUT, 1.0)
         tracker.on_failure("u2", "s1", STATUS_SOFT_404, 2.0)
         tracker.on_failure("u3", "s2", STATUS_RATE_LIMITED, 3.0, retry_after=1.0)
         state = tracker.snapshot()
-        other = FailureTracker(RetryPolicy(breaker_threshold=2), seed=9)
+        other = FailureTracker(RetrySpec(breaker_threshold=2), seed=9)
         other.restore_snapshot(state)
         assert other.snapshot() == state
         # Restored trackers continue identically.
@@ -316,9 +331,9 @@ class TestFailureTracker:
         )
 
     def test_merge_snapshots_sums_counters_and_rejects_collisions(self):
-        a = FailureTracker(RetryPolicy(), seed=0)
+        a = FailureTracker(RetrySpec(), seed=0)
         a.on_failure("u1", "s1", STATUS_TIMEOUT, 1.0)
-        b = FailureTracker(RetryPolicy(), seed=0)
+        b = FailureTracker(RetrySpec(), seed=0)
         b.on_failure("u2", "s2", STATUS_SERVER_ERROR, 1.0)
         merged = FailureTracker.merge_snapshots([a.snapshot(), b.snapshot()])
         assert merged["counters"]["timeouts"] == 1
@@ -367,7 +382,7 @@ class TestFailureProperties:
         ),
     )
     def test_tracker_replays_identically_for_fixed_seed(self, seed, statuses):
-        policy = RetryPolicy(max_attempts=20)
+        policy = RetrySpec(max_attempts=20)
         runs = []
         for _ in range(2):
             tracker = FailureTracker(policy, seed=seed)
@@ -390,7 +405,7 @@ class TestFailureProperties:
         self, threshold, probe_days, backoff, trips
     ):
         """Quarantines always end, and one success clears the breaker."""
-        policy = RetryPolicy(
+        policy = RetrySpec(
             max_attempts=100,
             jitter=0.0,
             breaker_threshold=threshold,
@@ -417,12 +432,12 @@ class TestFailureProperties:
     @given(seed=st.integers(0, 2**32), n=st.integers(1, 64))
     def test_zero_rate_models_never_claim_a_fetch(self, seed, n):
         urls, sites, times = _batch(n=n, seed=seed % 1000)
-        layer = build_fault_layer(
+        layer = _layer(
             (
-                ("transient", {"rate": 0.0}),
-                ("site_outage", {"rate": 0.0}),
-                ("rate_limit", {"rate": 0.0}),
-                ("soft_404", {"rate": 0.0}),
+                FaultModelSpec("transient", {"rate": 0.0}),
+                FaultModelSpec("site_outage", {"rate": 0.0}),
+                FaultModelSpec("rate_limit", {"rate": 0.0}),
+                FaultModelSpec("soft_404", {"rate": 0.0}),
             ),
             seed=seed,
         )
@@ -445,7 +460,7 @@ class TestFaultSpecs:
         with pytest.raises(ValueError):
             FaultModelSpec(kind="transient", params={"rate": 2.0})
         spec = FaultModelSpec(kind="transient", params={"rate": 0.1})
-        assert spec.to_model_tuple() == ("transient", {"rate": 0.1})
+        assert FaultsSpec(models=(spec,)).build_fault_layer().has_status_models
 
     def test_faults_spec_round_trip(self):
         spec = FaultsSpec(
@@ -466,7 +481,7 @@ class TestFaultSpecs:
 
     def test_retry_spec_round_trip(self):
         spec = RetrySpec(max_attempts=5, site_budget=20)
-        assert spec.to_retry_policy() == RetryPolicy(max_attempts=5, site_budget=20)
+        assert CrawlerSpec(retry=spec).build_failure_tracker().retry is spec
         assert RetrySpec.from_dict(spec.to_dict()) == spec
         with pytest.raises(ValueError):
             RetrySpec(max_attempts=0)
@@ -487,8 +502,10 @@ class TestFaultSpecs:
         )
         restored = CrawlerSpec.from_dict(spec.to_dict())
         assert restored == spec
-        assert restored.faults.to_model_tuples() == (("transient", {"rate": 0.1}),)
-        assert restored.retry.to_retry_policy().max_attempts == 4
+        assert restored.faults.models == (
+            FaultModelSpec(kind="transient", params={"rate": 0.1}),
+        )
+        assert restored.retry.max_attempts == 4
 
     def test_faults_require_the_incremental_crawler(self):
         with pytest.raises(ValueError, match="incremental"):
@@ -506,24 +523,31 @@ class TestFaultSpecs:
 
 
 def _run_faulty(
-    engine, fault_models, retry=None, fault_seed=5, tracker=True, **overrides
+    engine,
+    fault_models,
+    retry=None,
+    fault_seed=5,
+    tracker=True,
+    revisit_policy="optimal",
+    **overrides,
 ):
     web = generate_web(WEB_CONFIG)
     crawler_class = (
         IncrementalCrawler if engine == "batched" else ReferenceIncrementalCrawler
     )
+    faults = None if fault_models is None else FaultsSpec(fault_models, seed=fault_seed)
     crawler = crawler_class(
         web,
-        IncrementalCrawlerConfig(
+        CrawlerSpec(
             collection_capacity=60,
             crawl_budget_per_day=250.0,
             measurement_interval_days=1.0,
             track_quality=False,
-            fault_models=fault_models,
-            fault_seed=fault_seed,
+            faults=faults,
             retry=retry,
             **overrides,
         ),
+        PolicySpec(revisit_policy=revisit_policy),
     )
     if not tracker:
         # Faults without failure handling (an UpdateModule wired by hand):
@@ -538,17 +562,17 @@ def _run_faulty(
 CUT_CASES = {
     "no_tracker": {"tracker": False},
     "retry_in_window": {
-        "retry": RetryPolicy(max_attempts=4, base_delay_days=0.01, breaker_threshold=4)
+        "retry": RetrySpec(max_attempts=4, base_delay_days=0.01, breaker_threshold=4)
     },
     "probe_in_window": {
-        "retry": RetryPolicy(breaker_threshold=2, breaker_probe_days=0.02)
+        "retry": RetrySpec(breaker_threshold=2, breaker_probe_days=0.02)
     },
     "realloc_mid_run": {
-        "retry": RetryPolicy(breaker_threshold=4),
+        "retry": RetrySpec(breaker_threshold=4),
         "reallocation_interval_days": 0.13,
     },
     "polite": {
-        "retry": RetryPolicy(base_delay_days=0.01, breaker_threshold=4),
+        "retry": RetrySpec(base_delay_days=0.01, breaker_threshold=4),
         "use_politeness": True,
         "politeness_min_delay_seconds": 1800.0,
         "politeness_night_window": True,
@@ -578,7 +602,7 @@ def _assert_engines_agree(batched, crawler_b, reference, crawler_r):
 
 class TestEngineParityUnderFaults:
     def test_batched_matches_reference_under_full_weather(self):
-        retry = RetryPolicy(max_attempts=3, breaker_threshold=4)
+        retry = RetrySpec(max_attempts=3, breaker_threshold=4)
         _assert_engines_agree(
             *_run_faulty("batched", FAULT_MODELS, retry),
             *_run_faulty("reference", FAULT_MODELS, retry),
@@ -632,7 +656,7 @@ class TestEngineParityUnderFaults:
         result, _ = _run_faulty(
             "batched",
             FAULT_MODELS,
-            RetryPolicy(max_attempts=3, breaker_threshold=4),
+            RetrySpec(max_attempts=3, breaker_threshold=4),
             revisit_policy="uniform",
             ranking_interval_days=1.0,
         )
@@ -660,13 +684,13 @@ class TestEngineParityUnderFaults:
 
         monkeypatch.setattr(UpdateModule, "process_batch", spy)
         result, _ = _run_faulty(
-            "batched", FAULT_MODELS, RetryPolicy(max_attempts=3, breaker_threshold=4)
+            "batched", FAULT_MODELS, RetrySpec(max_attempts=3, breaker_threshold=4)
         )
         assert sum(checked) == result.pages_crawled + result.pages_failed
         assert result.pages_failed > 0
 
     def test_zero_rate_faults_are_bit_identical_to_no_faults(self):
-        zero = tuple((kind, {**params, "rate": 0.0}) for kind, params in FAULT_MODELS)
+        zero = _zero_rate(FAULT_MODELS)
         polite = {k: v for k, v in CUT_CASES["polite"].items() if k != "retry"}
         for config in ({}, polite):
             plain, _ = _run_faulty("batched", None, **config)
@@ -679,21 +703,22 @@ class TestEngineParityUnderFaults:
             assert all(v == 0 for v in crawler.failure_counters().values())
 
     def test_single_shard_sharded_matches_plain_under_faults(self):
-        retry = RetryPolicy(max_attempts=3)
+        retry = RetrySpec(max_attempts=3)
         plain, crawler = _run_faulty("batched", FAULT_MODELS, retry)
         web = generate_web(WEB_CONFIG)
         sharded = ShardedCrawler(
             web,
-            IncrementalCrawlerConfig(
+            CrawlerSpec(
                 collection_capacity=60,
                 crawl_budget_per_day=250.0,
                 measurement_interval_days=1.0,
                 track_quality=False,
-                fault_models=FAULT_MODELS,
-                fault_seed=5,
+                faults=FaultsSpec(FAULT_MODELS, seed=5),
                 retry=retry,
+                engine="sharded",
+                shards=1,
             ),
-            shards=1,
+            PolicySpec(),
         ).run(12.0)
         assert sharded.pages_crawled == plain.pages_crawled
         assert sharded.freshness.times == plain.freshness.times
@@ -703,7 +728,9 @@ class TestEngineParityUnderFaults:
     def test_soft_404_accounting_is_consistent(self):
         """Every soft-404 is a no-observation handled by the retry path."""
         faulty, crawler = _run_faulty(
-            "batched", (("soft_404", {"rate": 0.3}),), RetryPolicy(max_attempts=2)
+            "batched",
+            (FaultModelSpec("soft_404", {"rate": 0.3}),),
+            RetrySpec(max_attempts=2),
         )
         counters = crawler.failure_counters()
         assert counters["soft_404s"] > 0

@@ -167,15 +167,14 @@ class RecordingPolicy(PolitenessPolicy):
 def test_batched_crawl_respects_politeness(seed, delay_seconds, night, monkeypatch):
     """Crawler-level fuzz: every fetch instant the batched engine commits
     honours the per-site delay and the night window."""
-    from repro.core.incremental_crawler import (
-        IncrementalCrawler,
-        IncrementalCrawlerConfig,
-    )
+    from repro.api.specs import CrawlerSpec, PolicySpec
+    from repro.core.incremental_crawler import IncrementalCrawler
     from repro.simweb.generator import WebGeneratorConfig, generate_web
 
-    config = IncrementalCrawlerConfig(
+    spec = CrawlerSpec(
         collection_capacity=60,
         crawl_budget_per_day=250.0,
+        measurement_interval_days=0.5,
         track_quality=False,
         use_politeness=True,
         politeness_min_delay_seconds=delay_seconds,
@@ -185,9 +184,7 @@ def test_batched_crawl_respects_politeness(seed, delay_seconds, night, monkeypat
         min_delay_seconds=delay_seconds,
         night_window=NightWindow() if night else None,
     )
-    monkeypatch.setattr(
-        IncrementalCrawlerConfig, "build_politeness", lambda self: recorder
-    )
+    monkeypatch.setattr(CrawlerSpec, "build_politeness", lambda self: recorder)
     web = generate_web(
         WebGeneratorConfig(
             site_scale=0.04,
@@ -197,7 +194,7 @@ def test_batched_crawl_respects_politeness(seed, delay_seconds, night, monkeypat
             seed=seed,
         )
     )
-    crawler = IncrementalCrawler(web, config)
+    crawler = IncrementalCrawler(web, spec, PolicySpec())
     result = crawler.run(8.0)
     assert result.pages_crawled > 0
     assert recorder.committed

@@ -1,10 +1,10 @@
 """The package ships one crawl engine; its oracles live in ``tests/reference/``.
 
 Reference loops, the per-URL engine's clock and event queue, a separate
-``Repository`` store behind the collections, and removed features must not
-creep back into ``src/repro``: this walks every module's
-syntax tree instead of importing it, so a definition is caught even where
-nothing imports it.
+``Repository`` store behind the collections, settings objects that
+duplicate the specs, and removed features must not creep back into
+``src/repro``: this walks every module's syntax tree instead of importing
+it, so a definition is caught even where nothing imports it.
 
 The benchmark's layer tracer patches entry points on their owning classes,
 so the last two tests hold the one engine to that contract: every traced
@@ -15,13 +15,12 @@ stages through those owners rather than through captured references.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
-from repro.core.periodic_crawler import PeriodicCrawlerConfig
+from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.core.incremental_crawler import IncrementalCrawler
 from repro.storage.backends import MemoryBackend
 from repro.storage.checkpoint import CrawlCheckpointer
 
@@ -32,6 +31,9 @@ RETIRED_NAMES = {
     "EventQueue", "ScheduledEvent", "VirtualClock", "RobotsRules", "ShardEngine",
     # The collections hold their records in plain dicts.
     "Repository",
+    # The specs are the only settings objects of the crawlers.
+    "IncrementalCrawlerConfig", "PeriodicCrawlerConfig", "UpdateModuleConfig",
+    "RetryPolicy",
 }
 
 
@@ -82,9 +84,17 @@ def test_no_public_export_names_a_retired_symbol():
     assert found == []
 
 
-def test_crawler_configs_have_no_engine_option():
-    for config in (IncrementalCrawlerConfig, PeriodicCrawlerConfig):
-        assert "engine" not in {field.name for field in dataclasses.fields(config)}
+def test_no_package_exports_a_crawler_config_class():
+    # The web generator's settings (built from a WebSpec) and the ranking
+    # scan's are the only ``*Config`` classes the packages export.
+    allowed = {"WebGeneratorConfig", "RankingModuleConfig"}
+    found = [
+        f"{package} exports {name}"
+        for package in ("repro", "repro.core", "repro.api")
+        for name in importlib.import_module(package).__all__
+        if name.endswith("Config") and name not in allowed
+    ]
+    assert found == []
 
 
 def _tracing_module():
@@ -105,13 +115,13 @@ def test_every_traced_entry_point_is_defined_on_its_owner():
 
 def test_the_crawl_loop_reaches_its_stages_through_their_owners(tiny_web):
     tracing = _tracing_module()
-    crawler = IncrementalCrawler(tiny_web, IncrementalCrawlerConfig(
+    crawler = IncrementalCrawler(tiny_web, CrawlerSpec(
         collection_capacity=60,
         crawl_budget_per_day=200.0,
         ranking_interval_days=5.0,
         measurement_interval_days=1.0,
         track_quality=True,
-    ))
+    ), PolicySpec())
     checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=7.0)
     with tracing.Tracer() as tracer, tracer.root():
         crawler.run(20.0, checkpointer=checkpointer)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.ranking_module import RankingModule, RankingModuleConfig
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.ranking.sparse import LinkGraph
@@ -128,13 +129,14 @@ def test_scan_copies_no_record_and_appends_edges_once(monkeypatch):
     )
     result = IncrementalCrawler(
         web,
-        IncrementalCrawlerConfig(
+        CrawlerSpec(
             collection_capacity=80,
             crawl_budget_per_day=300.0,
             ranking_interval_days=3.0,
             measurement_interval_days=1.0,
             track_quality=False,
         ),
+        PolicySpec(),
     ).run(25.0)
 
     assert len(per_scan) > 3 and result.pages_replaced > 0

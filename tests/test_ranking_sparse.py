@@ -22,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.ranking_module import RankingModule
 from repro.ranking.sparse import (
     LinkGraph,
@@ -368,15 +369,15 @@ def _run_crawl(metric: str):
         web = generate_web(WEB_CONFIG)
         crawler = IncrementalCrawler(
             web,
-            IncrementalCrawlerConfig(
+            CrawlerSpec(
                 collection_capacity=80,
                 crawl_budget_per_day=300.0,
-                revisit_policy="optimal",
-                estimator="ep",
-                importance_metric=metric,
                 ranking_interval_days=3.0,
                 measurement_interval_days=1.0,
                 track_quality=False,
+            ),
+            PolicySpec(
+                revisit_policy="optimal", estimator="ep", importance_metric=metric
             ),
         )
         result = crawler.run(25.0)

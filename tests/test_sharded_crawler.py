@@ -5,7 +5,7 @@ The determinism contract under test:
 * ``shards=1`` (inline, no processes) is bit-identical to the plain
   batched :class:`~repro.core.incremental_crawler.IncrementalCrawler` —
   series, counters, estimator snapshot and per-record fetch timestamps.
-* For fixed ``(web, config, shards)`` the merged result is reproducible
+* For fixed ``(web, spec, shards)`` the merged result is reproducible
   regardless of the worker count: worker scheduling must never leak into
   results.
 * The same holds through the spec layer (``engine="sharded"``) and the
@@ -15,8 +15,8 @@ The determinism contract under test:
 import pytest
 
 from repro.api.runner import ScenarioMatrix, run, run_matrix
-from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
-from repro.core.incremental_crawler import IncrementalCrawler, IncrementalCrawlerConfig
+from repro.api.specs import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec
+from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.sharded_crawler import ShardedCrawler
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 from repro.storage.records import record_to_dict
@@ -34,7 +34,7 @@ def shard_web():
     )
 
 
-def _config(**overrides):
+def _spec(**overrides):
     defaults = dict(
         collection_capacity=120,
         crawl_budget_per_day=400.0,
@@ -45,7 +45,11 @@ def _config(**overrides):
         use_politeness=True,
     )
     defaults.update(overrides)
-    return IncrementalCrawlerConfig(**defaults)
+    return CrawlerSpec(**defaults)
+
+
+def _sharded(**overrides):
+    return _spec(engine="sharded", **overrides)
 
 
 def _fingerprint(result):
@@ -68,10 +72,10 @@ def _fingerprint(result):
 
 class TestSingleShardBitIdentity:
     def test_matches_plain_batched_crawler(self, shard_web):
-        plain = IncrementalCrawler(shard_web, _config())
+        plain = IncrementalCrawler(shard_web, _spec(), PolicySpec())
         plain_result = plain.run(6.0)
 
-        sharded = ShardedCrawler(shard_web, _config(), shards=1, workers=1)
+        sharded = ShardedCrawler(shard_web, _sharded(shards=1, workers=1), PolicySpec())
         merged = sharded.run(6.0)
 
         assert list(merged.freshness.times) == list(plain_result.freshness.times)
@@ -96,13 +100,19 @@ class TestSingleShardBitIdentity:
 
 class TestMultiShardDeterminism:
     def test_worker_count_never_changes_results(self, shard_web):
-        serial = ShardedCrawler(shard_web, _config(), shards=2, workers=1).run(5.0)
-        parallel = ShardedCrawler(shard_web, _config(), shards=2, workers=2).run(5.0)
+        serial = ShardedCrawler(
+            shard_web, _sharded(shards=2, workers=1), PolicySpec()
+        ).run(5.0)
+        parallel = ShardedCrawler(
+            shard_web, _sharded(shards=2, workers=2), PolicySpec()
+        ).run(5.0)
         assert _fingerprint(serial) == _fingerprint(parallel)
         assert serial.shards == 2
 
     def test_merge_shape(self, shard_web):
-        result = ShardedCrawler(shard_web, _config(), shards=2, workers=2).run(5.0)
+        result = ShardedCrawler(
+            shard_web, _sharded(shards=2, workers=2), PolicySpec()
+        ).run(5.0)
         assert len(result.per_shard) == 2
         assert [row["shard"] for row in result.per_shard] == [0, 1]
         assert sum(row["capacity"] for row in result.per_shard) == 120
@@ -177,25 +187,21 @@ class TestShardedSpecLayer:
 class TestShardedResume:
     def test_completed_run_short_circuits_per_shard(self, shard_web, tmp_path):
         store = str(tmp_path / "sharded.sqlite")
-        crawler_kwargs = dict(
-            shards=2,
-            workers=2,
-            storage="sqlite",
-            store_path=store,
-            checkpoint_every=1.0,
-            spec_hash="f" * 64,
-        )
-        first = ShardedCrawler(shard_web, _config(), **crawler_kwargs).run(4.0)
+        spec = _sharded(shards=2, workers=2, storage="sqlite", checkpoint_every=1.0)
+        crawler_kwargs = dict(store_path=store, spec_hash="f" * 64)
+        first = ShardedCrawler(shard_web, spec, PolicySpec(), **crawler_kwargs).run(4.0)
         # Every shard persisted its result; a resume replays it from the
         # store without crawling (and without worker processes diverging).
-        resumed = ShardedCrawler(shard_web, _config(), **crawler_kwargs).run(
+        resumed = ShardedCrawler(shard_web, spec, PolicySpec(), **crawler_kwargs).run(
             4.0, resume=True
         )
         assert _fingerprint(first) == _fingerprint(resumed)
 
     def test_resume_requires_persistence(self, shard_web):
         with pytest.raises(ValueError, match="resume"):
-            ShardedCrawler(shard_web, _config(), shards=2).run(3.0, resume=True)
+            ShardedCrawler(shard_web, _sharded(shards=2), PolicySpec()).run(
+                3.0, resume=True
+            )
 
 
 def _assert_same_cells(serial, parallel):

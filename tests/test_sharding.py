@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.core.collurls import CollUrls
 from repro.core.sharding import ShardView, SitePartitioner, _largest_remainder_split
-from repro.core.update_module import UpdateModule, UpdateModuleConfig
+from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.core.update_module import UpdateModule
 from repro.estimation.change_history import ChangeHistory
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 from repro.simweb.shared import SharedWeb
@@ -134,7 +135,7 @@ class TestShardViewSplit:
 class TestMergeSnapshots:
     @staticmethod
     def _module():
-        return UpdateModule(CollUrls(), None, UpdateModuleConfig())
+        return UpdateModule(CollUrls(), None, CrawlerSpec(), PolicySpec())
 
     @classmethod
     def _snapshot(cls, urls, importance, processed=5):

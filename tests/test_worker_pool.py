@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.api import runner
 from repro.api.runner import ScenarioMatrix, run_matrix
-from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
+from repro.api.specs import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec
 from repro.core import sharded_crawler, worker_pool
 from repro.core.sharded_crawler import ShardedCrawler, ShardRunSpec
 from repro.core.sharding import ShardView
@@ -31,8 +31,8 @@ from repro.core.worker_pool import RETRIES, Job, run_jobs
 from repro.simweb.shared import SharedWeb
 from test_sharded_crawler import (  # noqa: F401  (shard_web is a fixture)
     _assert_same_cells,
-    _config,
     _fingerprint,
+    _sharded,
     shard_web,
 )
 
@@ -265,20 +265,21 @@ class TestRequeue:
         view = ShardView.split(tiny_web, 2, capacity=20, budget_per_day=10.0)[1]
         job = ShardRunSpec(
             view=view,
-            config=None,
+            crawler=CrawlerSpec(),
+            policy=PolicySpec(),
             duration_days=1.0,
             start_time=0.0,
-            storage=None,
             store_path=str(tmp_path / "store.db"),
-            checkpoint_every=None,
             spec_hash=None,
             resume=False,
         )
         assert job.retried() is job  # no store: a pure re-run
-        stored = dataclasses.replace(job, storage="sqlite")
+        stored = dataclasses.replace(job, crawler=job.crawler.replace(storage="sqlite"))
         with pytest.raises(RuntimeError, match="shard 1 .*checkpoint_every"):
             stored.retried()
-        checkpointed = dataclasses.replace(stored, checkpoint_every=1.0)
+        checkpointed = dataclasses.replace(
+            stored, crawler=stored.crawler.replace(checkpoint_every=1.0)
+        )
         assert checkpointed.retried().resume is True
 
 
@@ -286,11 +287,12 @@ class TestCallersRecover:
     def test_sharded_crawl_recovers_a_killed_shard_worker(
         self, shard_web, tmp_path, monkeypatch
     ):
-        clean = ShardedCrawler(shard_web, _config(), shards=2, workers=2).run(4.0)
+        spec = _sharded(shards=2, workers=2)
+        clean = ShardedCrawler(shard_web, spec, PolicySpec()).run(4.0)
         monkeypatch.setattr(
             sharded_crawler, "run_jobs", _killing_job(1, str(tmp_path / "killed"))
         )
-        recovered = ShardedCrawler(shard_web, _config(), shards=2, workers=2).run(4.0)
+        recovered = ShardedCrawler(shard_web, spec, PolicySpec()).run(4.0)
         assert (tmp_path / "killed").exists()
         assert _fingerprint(recovered) == _fingerprint(clean)
 
