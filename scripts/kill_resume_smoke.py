@@ -452,7 +452,7 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
 
 
 def worker_pids(coordinator_pid: int) -> list:
-    """PIDs of spawn worker children of ``coordinator_pid`` (no trackers)."""
+    """PIDs of the forked worker children of ``coordinator_pid``."""
     pids = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
@@ -460,13 +460,11 @@ def worker_pids(coordinator_pid: int) -> list:
         try:
             with open(f"/proc/{entry}/stat", "rb") as handle:
                 stat = handle.read()
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                cmdline = handle.read()
         except OSError:
             continue
         # stat: pid (comm) state ppid ... — comm may contain spaces.
         ppid = int(stat[stat.rindex(b")") + 2:].split()[1])
-        if ppid == coordinator_pid and b"spawn_main" in cmdline:
+        if ppid == coordinator_pid:
             pids.append(int(entry))
     return pids
 

@@ -201,6 +201,13 @@ def run(
                         f"{spec.spec_hash()[:12]}...)"
                     )
                 return _result_from_document(saved, time.perf_counter() - started)
+        closed_for_fork = backend is not None and spec.crawler.engine == "sharded"
+        if closed_for_fork:
+            # The shards run in forked workers, and SQLite forbids carrying
+            # an open connection into a child: the base store, which only
+            # receives the merged result, stays closed while they run.
+            backend.close()
+            backend = None
         if spec.kind == "crawl":
             payload = _run_crawl(
                 spec, web, backend=backend, resume=resume, store=store
@@ -212,6 +219,8 @@ def run(
         else:  # pragma: no cover - ExperimentSpec already validates the kind
             raise ValueError(f"unknown experiment kind {spec.kind!r}")
         result = _result_for_spec(spec, payload, time.perf_counter() - started)
+        if closed_for_fork:
+            backend = _open_backend(spec, store, resume)
         if backend is not None:
             backend.save_state(RESULT_STATE_KEY, _result_document(result))
             backend.flush()
@@ -307,7 +316,8 @@ def _run_sharded_crawl(
 
     Per-shard persistence (journals, checkpoints, shard results) lives in
     the coordinator's sibling stores; the base backend opened by
-    :func:`run` only holds the merged result document.
+    :func:`run` only holds the merged result document, and is closed while
+    the shards run.
     """
     crawler_spec = spec.crawler
     crawler = ShardedCrawler(
@@ -619,8 +629,8 @@ def run_matrix(matrix: ScenarioMatrix, *, workers: int = 1) -> MatrixResult:
         workers: Number of worker processes to spread the cells over.
             ``1`` (the default) runs everything in-process. With more,
             cells run in :mod:`repro.core.worker_pool`; each distinct web
-            is generated once in the parent and shipped to the pool
-            through shared memory, so workers attach zero-copy instead of
+            is generated once in the parent and published before the pool
+            forks, so every worker inherits it copy-on-write instead of
             re-generating or unpickling it. A cell whose worker dies is
             re-run. Per-cell results are identical to a serial sweep
             except that heavy in-memory ``artifacts`` (web, crawler,
@@ -641,14 +651,14 @@ def run_matrix(matrix: ScenarioMatrix, *, workers: int = 1) -> MatrixResult:
         try:
             for spec in specs:
                 cache_key = _web_cache_key(spec)
-                payload = None
+                key = None
                 if cache_key is not None:
                     if cache_key not in shared_webs:
                         shared_webs[cache_key] = SharedWeb(
                             build_web(spec.web, seed=spec.seed)
                         )
-                    payload = shared_webs[cache_key].payload
-                jobs.append(Job(_run_cell, spec, payload))
+                    key = shared_webs[cache_key].key
+                jobs.append(Job(_run_cell, spec, key))
             documents = run_jobs(jobs, workers)
         finally:
             for shared in shared_webs.values():

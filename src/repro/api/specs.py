@@ -411,7 +411,7 @@ class CrawlerSpec(_SpecBase):
             regardless of worker count and scheduling.
         workers: Number of worker processes running the shards
             (``engine="sharded"`` only); capped at ``shards``. ``1`` with
-            ``shards=1`` runs inline, with no processes spawned.
+            ``shards=1`` runs inline, with no processes started.
         storage: Optional registered storage-backend name
             (:data:`repro.api.registry.STORAGE_BACKENDS` — ``"memory"``,
             ``"sqlite"`` or ``"columnar"`` out of the box). When set, the

@@ -5,13 +5,13 @@ CrawlModules may run in parallel". This module scales the *whole* crawler
 that way: the URL space is partitioned site-affinely into
 :class:`~repro.core.sharding.ShardView` slices, each slice runs the one
 crawl loop (an :class:`~repro.core.incremental_crawler.IncrementalCrawler`
-over its view) in a worker process against a shared-memory copy of the web
-(:mod:`repro.simweb.shared`), and the coordinator merges the per-shard
-results deterministically.
+over its view) in a forked worker process, which holds the coordinator's
+web copy-on-write (:mod:`repro.simweb.shared`), and the coordinator merges
+the per-shard results deterministically.
 
 Determinism contract:
 
-* ``shards=1`` never spawns a process — it degenerates to the plain
+* ``shards=1`` never starts a process — it degenerates to the plain
   :class:`~repro.core.incremental_crawler.IncrementalCrawler`, so the
   result is bit-identical to the unsharded crawler (series, counters,
   estimator state, per-record fetch timestamps).
@@ -68,8 +68,8 @@ def shard_store_path(base: Optional[str], index: int) -> Optional[str]:
 class ShardRunSpec:
     """Everything one worker needs to run its shard, picklable.
 
-    The web itself is *not* here: the pool ships it once, as the shared
-    blocks every worker attaches to.
+    The web itself is *not* here: every worker inherits it when the pool
+    forks.
     """
 
     view: ShardView
@@ -332,18 +332,18 @@ class ShardedCrawler:
         ]
 
         if len(jobs) == 1:
-            # Single shard: no processes, no shared memory — the plain
-            # batched crawler, run inline. This is the bit-identity anchor.
+            # Single shard: no processes — the plain batched crawler, run
+            # inline. This is the bit-identity anchor.
             payloads = [_run_shard(jobs[0], self._web)]
         else:
             payloads = self._run_workers(jobs)
         return self._merge(payloads, duration_days)
 
     def _run_workers(self, jobs: List[ShardRunSpec]) -> List[dict]:
-        """Run the shard jobs in the worker pool over one shared web."""
+        """Run the shard jobs in the worker pool over the one inherited web."""
         with SharedWeb(self._web) as shared:
             return run_jobs(
-                [Job(_run_shard, job, shared.payload) for job in jobs],
+                [Job(_run_shard, job, shared.key) for job in jobs],
                 self.workers,
             )
 

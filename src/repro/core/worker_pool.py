@@ -1,4 +1,4 @@
-"""One spawn worker pool: sharded crawls and parallel matrices both run here.
+"""One fork worker pool: sharded crawls and parallel matrices both run here.
 
 Section 5.2's architecture lets "multiple CrawlModules run in parallel";
 :func:`run_jobs` is the one place that does it. Each worker has its own
@@ -9,6 +9,18 @@ by a worker that dies). A worker is sent its next job only after its
 reply has been read, so sends never cross on a pipe, and a reply read
 before a death counts. Workers are not daemons — PDEATHSIG ties them to
 their parent — so a matrix cell may run a sharded crawl in its worker.
+
+Workers start with ``fork``, so a worker holds every web the coordinator
+published with :class:`~repro.simweb.shared.SharedWeb` copy-on-write, and
+a job names its web by key instead of shipping it. ``fork`` is Linux's
+default start method and the only one used here; a platform without it
+gets multiprocessing's own error. Forking is safe because the
+coordinator starts no Python threads, and numpy's OpenBLAS thread pool
+re-initialises in the child through its ``pthread_atfork`` handlers.
+CPython 3.12 and later count native threads too, so on a multi-core
+host OpenBLAS's worker threads make each fork emit a
+``DeprecationWarning``; no filter hides it. A worker closes the pipe
+ends it inherited from the coordinator, keeping only its own.
 
 One requeue policy covers every job. A worker that dies without replying
 has its job re-run, at most :data:`RETRIES` times: a job whose argument
@@ -32,7 +44,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.simweb.shared import SharedWebPayload
+from repro.simweb.shared import published_web
 
 #: How many times a job whose worker died without replying is re-run.
 RETRIES = 2
@@ -42,22 +54,25 @@ RETRIES = 2
 #: told to stop.
 JOIN_TIMEOUT_SECONDS = 30.0
 
+#: The pipe end this process serves a coordinator on, when it is a worker.
+_serving: Optional[Any] = None
+
 
 @dataclass(frozen=True)
 class Job:
     """One unit of pool work: ``function(arg, web)`` in a worker process.
 
     Attributes:
-        function: A module-level callable (spawn pickles it by import path).
+        function: A module-level callable (pickled by import path).
         arg: Its picklable argument.
-        web: Optional shared web the worker materialises (once per block,
-            cached across its jobs) and passes as ``web``; ``None`` passes
-            ``None``.
+        web: Optional :attr:`~repro.simweb.shared.SharedWeb.key` of a web
+            published before the pool started; the worker passes the web
+            it inherited as ``web``. ``None`` passes ``None``.
     """
 
     function: Callable[[Any, Any], Any]
     arg: Any
-    web: Optional[SharedWebPayload] = None
+    web: Optional[str] = None
 
 
 def install_parent_death_signal() -> None:
@@ -78,25 +93,28 @@ def install_parent_death_signal() -> None:
         pass
 
 
-def _serve(conn: Any) -> None:
-    """Worker loop: run each received job and reply once, until ``None``."""
+def _serve(conn: Any, inherited: Sequence[Any]) -> None:
+    """Worker loop: run each received job and reply once, until ``None``.
+
+    ``inherited`` are the coordinator's pipe ends this fork copied; closing
+    them leaves ``conn`` the worker's only pipe.
+    """
+    global _serving
+    _serving = conn
+    for other in inherited:
+        other.close()
     install_parent_death_signal()
     if os.getppid() != multiprocessing.parent_process().pid:
         # The coordinator died before the signal was armed. Its first job
         # may already sit in the pipe; an orphan must not run it against
         # the stores a resumed run now owns.
         return
-    webs: Dict[str, Any] = {}
     while True:
         job = conn.recv()
         if job is None:
             return
         try:
-            web = None
-            if job.web is not None:
-                web = webs.get(job.web.oracle_block)
-                if web is None:
-                    web = webs[job.web.oracle_block] = job.web.materialise()
+            web = None if job.web is None else published_web(job.web)
             conn.send(("ok", job.function(job.arg, web)))
         except Exception:
             conn.send(("error", traceback.format_exc()))
@@ -151,7 +169,7 @@ def _retried(job: Job) -> Job:
 
 
 def run_jobs(jobs: Sequence[Job], workers: int) -> List[Any]:
-    """Run every job on at most ``workers`` spawned processes.
+    """Run every job on at most ``workers`` forked processes.
 
     Returns:
         The jobs' results, in job order. The result is independent of
@@ -166,7 +184,7 @@ def run_jobs(jobs: Sequence[Job], workers: int) -> List[Any]:
     if workers < 1:
         raise ValueError("workers must be at least 1")
     jobs = list(jobs)
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("fork")
     pending = collections.deque(range(len(jobs)))
     attempts = [0] * len(jobs)
     results: Dict[int, Any] = {}
@@ -182,7 +200,12 @@ def run_jobs(jobs: Sequence[Job], workers: int) -> List[Any]:
         while len(results) < len(jobs):
             while pending and len(busy) < workers:
                 conn, child = ctx.Pipe()
-                process = ctx.Process(target=_serve, args=(child,), daemon=False)
+                inherited = [conn] + [w.conn for w in busy + retired]
+                if _serving is not None:
+                    inherited.append(_serving)  # a worker's pool, one level down
+                process = ctx.Process(
+                    target=_serve, args=(child, inherited), daemon=False
+                )
                 process.start()
                 child.close()  # the worker's death now reads as EOF
                 start(_Worker(process, conn), pending.popleft())

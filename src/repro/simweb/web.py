@@ -23,7 +23,6 @@ events affordable inside ``IncrementalCrawler.run()``.
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,59 +31,6 @@ from repro.simweb.page import PageSnapshot, SimulatedPage
 from repro.simweb.site import SimulatedSite
 
 TimeLike = Union[float, np.ndarray, Sequence[float]]
-
-
-def pack_arrays(
-    arrays: Sequence[Tuple[str, np.ndarray]],
-) -> Tuple[shared_memory.SharedMemory, dict]:
-    """Copy named arrays into one shared-memory block, once.
-
-    Returns the owning :class:`~multiprocessing.shared_memory.SharedMemory`
-    (the caller keeps it alive and eventually unlinks it) and a picklable
-    manifest describing each array's dtype, shape and byte offset so
-    :func:`unpack_arrays` can rebuild zero-copy views in another process.
-    Offsets are padded to 16 bytes so every view is aligned.
-    """
-    entries = []
-    offset = 0
-    for name, array in arrays:
-        offset = (offset + 15) & ~15
-        entries.append(
-            {
-                "name": name,
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-                "offset": offset,
-            }
-        )
-        offset += array.nbytes
-    shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
-    for (name, array), entry in zip(arrays, entries):
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf,
-                          offset=entry["offset"])
-        view[...] = array
-    return shm, {"arrays": entries, "size": offset}
-
-
-def unpack_arrays(
-    shm: shared_memory.SharedMemory, manifest: dict
-) -> Dict[str, np.ndarray]:
-    """Rebuild the arrays of a :func:`pack_arrays` block as zero-copy views.
-
-    The returned arrays alias the shared buffer (read-only); the caller must
-    keep ``shm`` referenced for as long as the views live.
-    """
-    out: Dict[str, np.ndarray] = {}
-    for entry in manifest["arrays"]:
-        view = np.ndarray(
-            tuple(entry["shape"]),
-            dtype=np.dtype(entry["dtype"]),
-            buffer=shm.buf,
-            offset=entry["offset"],
-        )
-        view.setflags(write=False)
-        out[entry["name"]] = view
-    return out
 
 
 def _segment_searchsorted_right(
@@ -161,59 +107,6 @@ class OracleArrays:
         self.offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.lengths, out=self.offsets[1:])
         self.flat = np.concatenate(per_page) if n else np.empty(0)
-
-    #: Shared-memory column order; ``offsets`` is shipped too (tiny) so the
-    #: attached side does no arithmetic at all.
-    _SHARED_COLUMNS = (
-        "site_index", "created", "deleted", "materialised",
-        "lengths", "offsets", "flat",
-    )
-
-    def to_shared(self) -> Tuple[shared_memory.SharedMemory, dict]:
-        """Copy the numeric oracle columns into one shared-memory block.
-
-        Workers attach with :meth:`from_shared` and get zero-copy views, so
-        N crawl shards resolve fetches against one materialized web instead
-        of N pickled copies. The string-keyed columns (URL index, site
-        names) are not in the block — the caller ships them once in its
-        (small) payload pickle and passes them to :meth:`from_shared`.
-
-        Returns:
-            ``(shm, manifest)`` — the owning shared-memory handle (caller
-            unlinks it when every worker is done) and the picklable layout
-            manifest.
-        """
-        return pack_arrays([(name, getattr(self, name)) for name in self._SHARED_COLUMNS])
-
-    @classmethod
-    def from_shared(
-        cls,
-        shm: shared_memory.SharedMemory,
-        manifest: dict,
-        urls: Sequence[str],
-        site_names: Sequence[str],
-    ) -> "OracleArrays":
-        """Rebuild an oracle over a :meth:`to_shared` block, zero-copy.
-
-        Args:
-            shm: The attached shared-memory block.
-            manifest: The layout manifest returned by :meth:`to_shared`.
-            urls: Page URLs in oracle order (rebuilds ``index``).
-            site_names: The stable site-name table (rebuilds ``site_ids``).
-
-        Returns:
-            An oracle whose array columns are read-only views into ``shm``.
-            The oracle keeps a reference to ``shm`` so the buffer outlives
-            the views.
-        """
-        self = cls.__new__(cls)
-        for name, array in unpack_arrays(shm, manifest).items():
-            setattr(self, name, array)
-        self.index = {url: i for i, url in enumerate(urls)}
-        self.site_names = list(site_names)
-        self.site_ids = [self.site_names[i] for i in self.site_index.tolist()]
-        self._shm = shm
-        return self
 
     def lookup(self, urls: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
         """Map URLs to page ids; unknown URLs get id ``-1``.

@@ -12,13 +12,19 @@ The determinism contract under test:
   parallel matrix runner (``run_matrix(workers=N)`` equals serial).
 """
 
+import os
+
 import pytest
 
 from repro.api.runner import ScenarioMatrix, run, run_matrix
 from repro.api.specs import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec
+from repro.core import sharded_crawler
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.sharded_crawler import ShardedCrawler
+from repro.core.worker_pool import run_jobs
 from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.storage.backends import SqliteBackend
+from repro.storage.checkpoint import RESULT_STATE_KEY
 from repro.storage.records import record_to_dict
 
 
@@ -182,6 +188,34 @@ class TestShardedSpecLayer:
                 ),
             ).spec_hash()
         )
+
+    def test_base_store_is_closed_while_workers_run(
+        self, shard_web, tmp_path, monkeypatch
+    ):
+        # Workers are forked, and SQLite forbids carrying an open
+        # connection into a child: only the shard stores may be open then.
+        store = os.path.realpath(tmp_path / "base.sqlite")
+        spec = self._spec(engine="sharded", shards=2, workers=2, storage="sqlite")
+        open_at_fork = []
+
+        def recording_run_jobs(jobs, workers):
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:
+                    continue  # the listing's own descriptor, now closed
+                if target in (store, store + "-wal", store + "-shm"):
+                    open_at_fork.append(target)
+            return run_jobs(jobs, workers)
+
+        monkeypatch.setattr(sharded_crawler, "run_jobs", recording_run_jobs)
+        result = run(spec, web=shard_web, store=store)
+        assert open_at_fork == []
+        backend = SqliteBackend(store)
+        try:
+            assert backend.load_state(RESULT_STATE_KEY)["summary"] == result.summary
+        finally:
+            backend.close()
 
 
 class TestShardedResume:

@@ -1,13 +1,12 @@
-"""Sharding primitives: partitioner properties, shard views, shared webs.
+"""Sharding primitives: partitioner properties, shard views, snapshots.
 
 The crawler-level guarantees (``shards=1`` bit-identity, N-shard
 determinism) live in ``test_sharded_crawler.py``; this module pins the
 building blocks they rest on — the deterministic site partitioner, the
-shard-view split arithmetic, queue partitioning, snapshot merging, state
-key namespacing and the shared-memory web round trip.
+shard-view split arithmetic, queue partitioning, snapshot merging and state
+key namespacing.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.update_module import UpdateModule
 from repro.estimation.change_history import ChangeHistory
 from repro.simweb.generator import WebGeneratorConfig, generate_web
-from repro.simweb.shared import SharedWeb
 from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     RESULT_STATE_KEY,
@@ -200,47 +198,3 @@ class TestNamespacedStateKeys:
     def test_rejects_separator_in_namespace(self):
         with pytest.raises(ValueError):
             namespaced_state_key("a/b", "checkpoint")
-
-
-class TestSharedWeb:
-    def test_round_trip_bit_identical(self, tiny_web):
-        oracle = tiny_web.oracle_arrays()
-        with SharedWeb(tiny_web) as shared:
-            rebuilt = shared.payload.materialise()
-            assert rebuilt.urls() == tiny_web.urls()
-            assert [s.site_id for s in rebuilt.sites] == [
-                s.site_id for s in tiny_web.sites
-            ]
-            other = rebuilt.oracle_arrays()
-            np.testing.assert_array_equal(other.flat, oracle.flat)
-            np.testing.assert_array_equal(other.offsets, oracle.offsets)
-            np.testing.assert_array_equal(other.created, oracle.created)
-            # Zero copy: the worker-side event array is a view over the
-            # shared block, not a private copy.
-            assert other.flat.base is not None
-            all_urls = list(tiny_web.urls())
-            for at in (0.0, 7.5, 29.0):
-                np.testing.assert_array_equal(
-                    rebuilt.versions_at(all_urls, at),
-                    tiny_web.versions_at(all_urls, at),
-                )
-                np.testing.assert_array_equal(
-                    rebuilt.exists_mask(all_urls, at),
-                    tiny_web.exists_mask(all_urls, at),
-                )
-            for url in list(tiny_web.urls())[:25]:
-                original = tiny_web.page(url)
-                copy = rebuilt.page(url)
-                assert copy.outlinks == original.outlinks
-                assert copy.created_at == original.created_at
-                assert copy.lifespan == original.lifespan
-                assert copy.content_for_version(1) == original.content_for_version(1)
-
-    def test_payload_is_small(self, tiny_web):
-        import pickle
-
-        with SharedWeb(tiny_web) as shared:
-            payload = pickle.dumps(shared.payload)
-            # The bulk (change-time events) stays in shared memory; the
-            # picklable part is string tables and manifests only.
-            assert len(payload) < 64 * 1024

@@ -1,10 +1,10 @@
-"""The one worker pool: job order, per-worker web cache, requeue policy.
+"""The one worker pool: job order, inherited webs, requeue policy.
 
-Every job function here is module-level: workers are spawned, so they
-import this module to unpickle their jobs. Faults are injected from inside
-the jobs (a marker file under ``tmp_path`` makes a kill happen on the
-first attempt only), and the sharded and matrix callers are reached by
-patching the ``run_jobs`` name they call.
+Every job function here is module-level: jobs reach the forked workers
+pickled, and a function pickles by its import path. Faults are injected
+from inside the jobs (a marker file under ``tmp_path`` makes a kill happen
+on the first attempt only), and the sharded and matrix callers are reached
+by patching the ``run_jobs`` name they call.
 """
 
 import dataclasses
@@ -43,6 +43,10 @@ def _square(arg, web):
 
 def _pid_and_web(arg, web):
     return os.getpid(), id(web), len(web.urls())
+
+
+def _oracle_address_and_urls(arg, web):
+    return web.oracle_arrays().flat.__array_interface__["data"][0], list(web.urls())
 
 
 def _log_attempt(path):
@@ -130,14 +134,29 @@ class TestRunJobs:
         with pytest.raises(ValueError, match="workers"):
             run_jobs([Job(_square, 1)], workers=0)
 
-    def test_a_worker_materialises_each_shared_web_once(self, tiny_web):
+    def test_every_job_a_worker_serves_sees_the_one_inherited_web(self, tiny_web):
         with SharedWeb(tiny_web) as shared:
             replies = run_jobs(
-                [Job(_pid_and_web, None, shared.payload) for _ in range(3)],
+                [Job(_pid_and_web, None, shared.key) for _ in range(3)],
                 workers=1,
             )
         assert len(set(replies)) == 1
-        assert replies[0][2] == len(tiny_web.urls())
+        assert replies[0][1:] == (id(tiny_web), len(tiny_web.urls()))
+
+    def test_a_worker_inherits_the_oracle_arrays(self, tiny_web):
+        # Equal data addresses: the worker reads the coordinator's arrays
+        # copy-on-write, neither copied nor rebuilt.
+        with SharedWeb(tiny_web) as shared:
+            (reply,) = run_jobs(
+                [Job(_oracle_address_and_urls, None, shared.key)], workers=1
+            )
+        assert reply == _oracle_address_and_urls(None, tiny_web)
+
+    def test_an_unpublished_web_is_a_clear_error(self, tiny_web):
+        with SharedWeb(tiny_web) as shared:
+            pass
+        with pytest.raises(RuntimeError, match="no web is published"):
+            run_jobs([Job(_pid_and_web, None, shared.key)], workers=1)
 
     def test_reap_escalates_from_join_to_terminate(self, monkeypatch):
         class StuckProcess:
@@ -161,18 +180,16 @@ class TestRunJobs:
 
 
 def _children(pid):
-    """PIDs of the spawned workers whose parent is ``pid``."""
+    """PIDs of the processes whose parent is ``pid``."""
     found = []
     for entry in os.listdir("/proc"):
         try:
             with open(f"/proc/{entry}/stat", "rb") as handle:
                 stat = handle.read()
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                cmdline = handle.read()
         except (OSError, ValueError):
             continue
         ppid = int(stat[stat.rindex(b")") + 2:].split()[1])
-        if ppid == pid and b"spawn_main" in cmdline:
+        if ppid == pid:
             found.append(int(entry))
     return found
 
@@ -190,7 +207,11 @@ def _running(pid):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PDEATHSIG is Linux-only")
 def test_worker_orphaned_before_arming_pdeathsig_runs_nothing(tmp_path):
     """A coordinator killed while its worker is still starting leaves a job
-    in the pipe; the orphan must exit instead of running it."""
+    in the pipe; the orphan must exit instead of running it.
+
+    The coordinator delays arming the signal by a second, and its forked
+    worker inherits the delay: the kill always lands before the signal is
+    armed."""
     target = tmp_path / "target"
     target.mkdir()
     src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -198,9 +219,14 @@ def test_worker_orphaned_before_arming_pdeathsig_runs_nothing(tmp_path):
         [
             sys.executable,
             "-c",
-            "import shutil, sys\n"
-            "from repro.core.worker_pool import Job, run_jobs\n"
-            "run_jobs([Job(shutil.rmtree, sys.argv[1])], 1)\n",
+            "import shutil, sys, time\n"
+            "from repro.core import worker_pool\n"
+            "arm = worker_pool.install_parent_death_signal\n"
+            "def late_arm():\n"
+            "    time.sleep(1.0)\n"
+            "    arm()\n"
+            "worker_pool.install_parent_death_signal = late_arm\n"
+            "worker_pool.run_jobs([worker_pool.Job(shutil.rmtree, sys.argv[1])], 1)\n",
             str(target),
         ],
         env={**os.environ, "PYTHONPATH": src},
@@ -211,8 +237,8 @@ def test_worker_orphaned_before_arming_pdeathsig_runs_nothing(tmp_path):
         while not workers and time.monotonic() < deadline:
             workers = _children(coordinator.pid)
             time.sleep(0.005)
-        assert workers, "the coordinator never spawned its worker"
-        time.sleep(0.05)  # the job is sent right after the spawn
+        assert workers, "the coordinator never started its worker"
+        time.sleep(0.05)  # the job is sent right after the fork
         coordinator.kill()
         coordinator.wait(timeout=10)
         deadline = time.monotonic() + 20.0
