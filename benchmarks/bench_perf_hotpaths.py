@@ -233,8 +233,7 @@ def bench_collection_metrics(n_records: int, n_instants: int) -> Dict:
     records = [
         PageRecord(
             url=url,
-            content="x",
-            checksum="c",
+            version=0,
             fetched_at=(fetched := float(rng.uniform(0.0, 140.0))),
             first_fetched_at=fetched,
         )
@@ -463,8 +462,7 @@ def bench_collection_store_io(n_records: int) -> Dict:
     records = [
         PageRecord(
             url=f"http://bench.example/p{i}",
-            content=f"body of page {i}",
-            checksum=f"ck{i:08d}",
+            version=i % 3,
             fetched_at=float(t),
             first_fetched_at=float(t),
             outlinks=(f"http://bench.example/p{(i + 1) % n_records}",),

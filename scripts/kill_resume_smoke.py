@@ -166,7 +166,7 @@ def records_table(store: str) -> list:
     try:
         return conn.execute(
             "SELECT url, fetched_at, first_fetched_at, visit_count,"
-            " change_count, checksum, importance FROM records ORDER BY url"
+            " change_count, version, importance FROM records ORDER BY url"
         ).fetchall()
     finally:
         conn.close()

@@ -8,11 +8,11 @@ contribution:
     Synthetic evolving web: pages with Poisson change processes, sites with
     BFS page windows, per-domain calibration to the paper's measurements.
 ``repro.fetch``
-    Simulated crawl substrate: fetcher, politeness, checksums.
+    Simulated crawl substrate: fetcher and politeness.
 ``repro.storage``
     The crawler's local collection: page records, in-place and shadowing
-    collections, pluggable persistent backends with resumable checkpoints,
-    and a small inverted index.
+    collections and pluggable persistent backends with resumable
+    checkpoints.
 ``repro.ranking``
     Importance metrics: PageRank, site-level PageRank, HITS.
 ``repro.estimation``

@@ -12,8 +12,9 @@ The architecture has three modules and three data structures:
   in the collection and forwards extracted URLs to AllUrls;
 * :class:`~repro.core.update_module.UpdateModule` — keeps the collection
   fresh: pops the next URL from CollUrls, requests a crawl, detects changes
-  by checksum comparison, re-estimates the page's change frequency (EP or
-  EB) and pushes the URL back with its next visit time;
+  by comparing the fetched content version with the stored one (the
+  version plays the paper's checksum), re-estimates the page's change
+  frequency (EP or EB) and pushes the URL back with its next visit time;
 * :class:`~repro.core.ranking_module.RankingModule` — keeps the collection
   high-quality: recomputes importance (PageRank / HITS), and replaces the
   least important collected page with a more important uncollected one (the

@@ -11,7 +11,7 @@ because fetch latency is charged on the virtual clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Set
+from typing import Callable, Optional, Sequence, Set
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class CrawlOutcome:
         url: The crawled URL.
         fetch: The raw fetch result.
         stored: Whether a copy was stored (False for missing/excluded pages).
-        changed: For a re-fetch of a stored page, whether the checksum
-            differed from the stored copy; always True for first fetches
+        changed: For a re-fetch of a stored page, whether the version
+            differed from the stored copy's; always True for first fetches
             (the page is new to the collection).
         was_new: Whether the page was not previously in the working
             collection.
@@ -104,13 +104,10 @@ class CrawlModule:
         self._link_filter = link_filter
         self.pages_fetched = 0
         self.pages_failed = 0
-        # Batched-path bookkeeping. ``_stored_versions`` maps a stored URL to
-        # the oracle version its record was built from, so an unchanged
-        # re-fetch skips body materialisation and checksum hashing entirely.
-        # ``_links_recorded`` marks URLs whose (constant) out-links have been
-        # forwarded to AllUrls at least once; later forwards are no-ops in
-        # the scalar path and are skipped outright in the batched one.
-        self._stored_versions: Dict[str, int] = {}
+        # Batched-path bookkeeping: ``_links_recorded`` marks URLs whose
+        # (constant) out-links have been forwarded to AllUrls at least once;
+        # later forwards are no-ops in the scalar path and are skipped
+        # outright in the batched one.
         self._links_recorded: Set[str] = set()
         # Optional CollectionJournal mirroring stored records and change
         # events into a storage backend (set by IncrementalCrawler.run).
@@ -165,8 +162,7 @@ class CrawlModule:
         if existing is None:
             record = PageRecord(
                 url=url,
-                content=result.content,
-                checksum=result.checksum,
+                version=result.version,
                 fetched_at=result.completed_at,
                 first_fetched_at=result.completed_at,
                 outlinks=tuple(result.outlinks),
@@ -181,10 +177,9 @@ class CrawlModule:
                 completed_at=result.completed_at,
             )
 
-        changed = existing.checksum != result.checksum
+        changed = existing.version != result.version
         refreshed = existing.refreshed(
-            content=result.content,
-            checksum=result.checksum,
+            version=result.version,
             fetched_at=result.completed_at,
             outlinks=result.outlinks,
         )
@@ -209,9 +204,8 @@ class CrawlModule:
         Equivalent to calling :meth:`crawl` once per ``(url, time)`` pair in
         order — the same counters, stored records and AllUrls state — but
         the fetches resolve through :meth:`SimulatedFetcher.fetch_many`,
-        change detection compares content *versions* instead of re-hashing
-        bodies, unchanged re-fetches reuse the stored body verbatim, and
-        link forwarding is skipped once a page's constant out-links have
+        unchanged re-fetches refresh the stored record in place, and link
+        forwarding is skipped once a page's constant out-links have
         been recorded.
 
         Args:
@@ -235,7 +229,6 @@ class CrawlModule:
 
         collection = self._collection
         allurls = self._allurls
-        stored_versions = self._stored_versions
         links_recorded = self._links_recorded
         versions = fetch.versions.tolist()
         completed = fetch.completed_at.tolist()
@@ -260,12 +253,10 @@ class CrawlModule:
                 links_recorded.add(url)
             existing = collection.get_working(url)
             if existing is None:
-                content, checksum = self._fetcher.content_for(url, version_i)
                 collection.store(
                     PageRecord(
                         url=url,
-                        content=content,
-                        checksum=checksum,
+                        version=version_i,
                         fetched_at=completed_i,
                         first_fetched_at=completed_i,
                         outlinks=tuple(self._fetcher.outlinks_of(url)),
@@ -273,41 +264,31 @@ class CrawlModule:
                 )
                 changed[i] = True
                 was_new[i] = True
-            elif stored_versions.get(url) == version_i:
-                # Unchanged re-fetch of a page this module stored: every
-                # field except the fetch bookkeeping keeps its value, so
-                # the stored record is refreshed in place. Field values
-                # end up identical to the scalar path's replacement copy;
-                # only the object identity differs.
+            elif existing.version == version_i:
+                # Unchanged re-fetch: every field except the fetch
+                # bookkeeping keeps its value, so the stored record is
+                # refreshed in place. Field values end up identical to the
+                # scalar path's replacement copy; only the object identity
+                # differs.
                 existing.fetched_at = completed_i
                 existing.visit_count += 1
             else:
-                previous_version = stored_versions.get(url)
-                content, checksum = self._fetcher.content_for(url, version_i)
-                if previous_version is None:
-                    # Stored through the scalar path: fall back to the
-                    # checksum comparison the scalar path would make.
-                    page_changed = existing.checksum != checksum
-                else:
-                    page_changed = True
                 # Direct construction of the refreshed record: equivalent to
                 # PageRecord.refreshed() (same fields, same validation) but
                 # without dataclasses.replace overhead on the hottest path.
                 collection.store(
                     PageRecord(
                         url=url,
-                        content=content,
-                        checksum=checksum,
+                        version=version_i,
                         fetched_at=completed_i,
                         first_fetched_at=existing.first_fetched_at,
                         outlinks=tuple(self._fetcher.outlinks_of(url)),
                         importance=existing.importance,
                         visit_count=existing.visit_count + 1,
-                        change_count=existing.change_count + (1 if page_changed else 0),
+                        change_count=existing.change_count + 1,
                     )
                 )
-                changed[i] = page_changed
-            stored_versions[url] = version_i
+                changed[i] = True
         return BatchCrawlOutcome(
             urls=fetch.urls,
             requested_at=fetch.requested_at,
@@ -323,7 +304,6 @@ class CrawlModule:
 
     def discard(self, url: str) -> Optional[PageRecord]:
         """Remove a page from the working collection (refinement decision)."""
-        self._stored_versions.pop(url, None)
         discarded = self._collection.discard(url)
         if discarded is not None and self.journal is not None:
             self.journal.on_discard(url)
@@ -337,7 +317,6 @@ class CrawlModule:
         return {
             "pages_fetched": self.pages_fetched,
             "pages_failed": self.pages_failed,
-            "stored_versions": dict(self._stored_versions),
             "links_recorded": sorted(self._links_recorded),
         }
 
@@ -345,8 +324,4 @@ class CrawlModule:
         """Rebuild module state exactly as captured by :meth:`snapshot`."""
         self.pages_fetched = int(state["pages_fetched"])
         self.pages_failed = int(state["pages_failed"])
-        self._stored_versions = {
-            str(url): int(version)
-            for url, version in state["stored_versions"].items()
-        }
         self._links_recorded = set(state["links_recorded"])

@@ -72,7 +72,7 @@ class CrawlRunResult:
         pages_crawled: Total successful fetches.
         pages_failed: Fetches of pages that had disappeared (or were
             excluded).
-        changes_detected: Re-fetches whose checksum differed.
+        changes_detected: Re-fetches whose content version differed.
         pages_replaced: Collection pages displaced by the refinement
             decision.
         duration_days: Length of the run.

@@ -181,14 +181,12 @@ class PeriodicCrawler:
                 now += per_fetch
                 if not ok_i:
                     continue
-                content, checksum = fetcher.content_for(url, version_i)
                 outlinks = fetcher.outlinks_of(url)
                 if collection.get_working(url) is None and collected < capacity:
                     collection.store(
                         PageRecord(
                             url=url,
-                            content=content,
-                            checksum=checksum,
+                            version=version_i,
                             fetched_at=completed_i,
                             first_fetched_at=completed_i,
                             outlinks=tuple(outlinks),

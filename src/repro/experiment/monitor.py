@@ -4,7 +4,8 @@ The paper's monitor revisits each selected site once a day: starting from
 the site's root page, it follows links breadth-first until it has seen the
 site's page window (up to 3,000 pages), and records, for every page in the
 window, whether the page is present and whether its content changed since
-the previous observation (detected by comparing checksums).
+the previous observation (detected by comparing checksums; here the fetched
+content version plays the checksum).
 
 :class:`ActiveMonitor` reproduces that loop against the synthetic web,
 producing an :class:`ObservationLog` that the Figure 2/4/5/6 analyses
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.fetch.checksum import page_checksum
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.simweb.web import SimulatedWeb
 
@@ -34,7 +34,7 @@ class PageObservationHistory:
         first_seen_day: First day (inclusive) the page was inside the window.
         last_seen_day: Last day (inclusive) the page was inside the window.
         days_observed: Number of days the page was observed in the window.
-        change_days: Days on which the observed checksum differed from the
+        change_days: Days on which the observed version differed from the
             previous observation of the page.
     """
 
@@ -60,7 +60,7 @@ class PageObservationHistory:
     def change_observation_days(self) -> int:
         """Days over which changes could be detected.
 
-        The first observation only establishes the baseline checksum, so a
+        The first observation only establishes the baseline version, so a
         page observed on ``n`` consecutive days has ``n - 1`` opportunities
         to show a change. Using this as the denominator gives the estimator
         its natural one-day granularity: a page that changed at every visit
@@ -180,13 +180,13 @@ class ActiveMonitor:
             end_day=end_day,
             monitored_site_ids=tuple(self._site_ids),
         )
-        last_checksums: Dict[str, str] = {}
+        last_versions: Dict[str, int] = {}
         for day in range(start_day, end_day + 1):
             visit_time = min(
                 day + self._visit_hour_fraction, self._web.horizon_days
             )
             for site_id in self._site_ids:
-                self._observe_site(site_id, day, visit_time, log, last_checksums)
+                self._observe_site(site_id, day, visit_time, log, last_versions)
         return log
 
     # ------------------------------------------------------------------ #
@@ -198,7 +198,7 @@ class ActiveMonitor:
         day: int,
         visit_time: float,
         log: ObservationLog,
-        last_checksums: Dict[str, str],
+        last_versions: Dict[str, int],
     ) -> None:
         site = self._web.site(site_id)
         for page in site.window_at(visit_time):
@@ -206,18 +206,18 @@ class ActiveMonitor:
             if not result.ok:
                 continue
             self._record_observation(
-                log, last_checksums, page.url, site_id, site.domain, day, result.checksum
+                log, last_versions, page.url, site_id, site.domain, day, result.version
             )
 
     @staticmethod
     def _record_observation(
         log: ObservationLog,
-        last_checksums: Dict[str, str],
+        last_versions: Dict[str, int],
         url: str,
         site_id: str,
         domain: str,
         day: int,
-        checksum: str,
+        version: int,
     ) -> None:
         history = log.pages.get(url)
         if history is None:
@@ -230,11 +230,11 @@ class ActiveMonitor:
                 days_observed=1,
             )
             log.pages[url] = history
-            last_checksums[url] = checksum
+            last_versions[url] = version
             return
-        previous_checksum = last_checksums.get(url)
-        if previous_checksum is not None and previous_checksum != checksum:
+        previous_version = last_versions.get(url)
+        if previous_version is not None and previous_version != version:
             history.change_days.append(day)
-        last_checksums[url] = checksum
+        last_versions[url] = version
         history.last_seen_day = day
         history.days_observed += 1

@@ -3,18 +3,19 @@
 :class:`SimulatedFetcher` is the only way crawler code observes the
 synthetic web: it resolves a URL through the
 :class:`~repro.simweb.web.SimulatedWeb` oracle at a given virtual time and
-returns a :class:`FetchResult` carrying the body, its checksum and the
-extracted out-links — exactly what an HTTP fetch plus link extraction gives
-a real crawler. Politeness is applied here, and each fetch
-charges a configurable amount of virtual time, which is how crawl bandwidth
-limits enter the simulation.
+returns a :class:`FetchResult` carrying the content version and the
+extracted out-links — what an HTTP fetch plus link extraction gives a real
+crawler, with the version standing in for the body's checksum (two fetches
+see the same content exactly when they see the same version). Politeness is
+applied here, and each fetch charges a configurable amount of virtual time,
+which is how crawl bandwidth limits enter the simulation.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from repro.faults import (
     STATUS_TIMEOUT,
     FaultLayer,
 )
-from repro.fetch.checksum import page_checksum
 from repro.fetch.politeness import PolitenessPolicy
 from repro.simweb.web import SimulatedWeb
 
@@ -76,12 +76,10 @@ class FetchResult:
         requested_at: Virtual time the fetch was requested.
         completed_at: Virtual time the fetch completed (after politeness
             delays and transfer latency).
-        content: Page body (empty for non-OK fetches).
-        checksum: Checksum of the body (empty for non-OK fetches).
-        outlinks: URLs extracted from the body (empty for non-OK fetches).
-        version: Content version of the fetched snapshot (0 for non-OK
-            fetches) — the ground truth the body was generated from, at
-            the politeness-delayed fetch instant.
+        outlinks: URLs extracted from the page (empty for non-OK fetches).
+        version: Content version of the fetched snapshot at the
+            politeness-delayed fetch instant (0 for non-OK fetches); it
+            plays the paper's checksum in change detection.
         retry_after: Server-suggested retry delay in virtual days
             (``RATE_LIMITED`` fetches only; 0 elsewhere).
     """
@@ -90,8 +88,6 @@ class FetchResult:
     status: FetchStatus
     requested_at: float
     completed_at: float
-    content: str = ""
-    checksum: str = ""
     outlinks: Sequence[str] = ()
     version: int = 0
     retry_after: float = 0.0
@@ -106,12 +102,9 @@ class FetchResult:
 class BatchFetchResult:
     """Result of fetching many URLs in one batched oracle pass.
 
-    The batched path deliberately defers body materialisation: most
-    re-fetches see an unchanged page, for which the caller already holds
-    the identical stored body, so only the content *version* is resolved
-    eagerly (one vectorized binary search for the whole batch). Callers
-    that need a body ask :meth:`SimulatedFetcher.content_for` with the
-    resolved version.
+    The content *version* of the whole batch is resolved in one
+    vectorized binary search; the version plays the paper's checksum, so
+    callers detect a change by comparing it with the stored one.
 
     Attributes:
         urls: The requested URLs, in request order.
@@ -269,8 +262,6 @@ class SimulatedFetcher:
             status=FetchStatus.OK,
             requested_at=at,
             completed_at=completed,
-            content=snapshot.content,
-            checksum=page_checksum(snapshot.content),
             outlinks=tuple(snapshot.outlinks),
             version=snapshot.version,
         )
@@ -300,8 +291,7 @@ class SimulatedFetcher:
                 on queue dynamics. ``None`` resolves them here.
 
         Returns:
-            A :class:`BatchFetchResult`; bodies are materialised on demand
-            via :meth:`content_for`.
+            A :class:`BatchFetchResult`.
         """
         if len(urls) != len(times):
             raise ValueError("urls and times must have the same length")
@@ -358,20 +348,6 @@ class SimulatedFetcher:
             statuses=statuses,
             retry_after=retry_after,
         )
-
-    def content_for(self, url: str, version: int) -> Tuple[str, str]:
-        """Materialise ``(content, checksum)`` for a resolved fetch.
-
-        Args:
-            url: A URL the web knows.
-            version: The content version resolved by :meth:`fetch_many`.
-
-        Returns:
-            The page body at that version and its checksum — identical to
-            what a scalar :meth:`fetch` at the same instant returns.
-        """
-        content = self._web.page(url).content_for_version(int(version))
-        return content, page_checksum(content)
 
     def outlinks_of(self, url: str) -> Sequence[str]:
         """The (constant) out-links of ``url`` as the fetch would report them."""

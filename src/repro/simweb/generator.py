@@ -264,6 +264,7 @@ def _make_page(
     """Create a page; its change process is queued for bulk materialisation."""
     remaining_horizon = max(0.0, config.horizon_days - created_at)
     pending.append((change_process, remaining_horizon))
+    rng.integers(0, 2**31 - 1)  # discarded; keeps the seeded web's stream
     return SimulatedPage(
         url=url,
         site_id=site_id,
@@ -272,5 +273,4 @@ def _make_page(
         created_at=created_at,
         lifespan=lifespan,
         change_process=change_process,
-        rng_seed=int(rng.integers(0, 2**31 - 1)),
     )

@@ -4,6 +4,11 @@ A :class:`SimulatedPage` is the ground-truth ("real world") object: it knows
 when it was created, when (if ever) it disappears from its site's window,
 how its content evolves over virtual time, and which pages it links to.
 
+A page has no body: its content at an instant *is* its version, the number
+of changes so far. Two fetches see the same content exactly when they see
+the same version, so the version plays the part of the paper's checksum
+(Section 5.3) without hashing anything.
+
 Crawlers never read a page object directly; they receive a
 :class:`PageSnapshot` from the fetch substrate, which is what an HTTP fetch
 would have returned at that virtual instant.
@@ -11,20 +16,12 @@ would have returned at that virtual instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.simweb.change_models import ChangeProcess
-
-#: A small vocabulary used to give page content some searchable text, so the
-#: inverted-index substrate has realistic tokens to work with.
-_VOCABULARY = (
-    "news", "research", "catalog", "press", "release", "course", "faculty",
-    "product", "report", "policy", "archive", "update", "service", "event",
-    "project", "paper", "index", "directory", "market", "review",
-)
 
 
 @dataclass(frozen=True)
@@ -35,14 +32,12 @@ class PageSnapshot:
         url: The page URL.
         fetched_at: Virtual time (days) of the fetch.
         version: Content version at fetch time (0 for the original content).
-        content: The page body.
         outlinks: URLs the page links to at fetch time.
     """
 
     url: str
     fetched_at: float
     version: int
-    content: str
     outlinks: Sequence[str]
 
 
@@ -61,8 +56,6 @@ class SimulatedPage:
             in the window for the whole simulation.
         change_process: The page's content change process. It must already be
             materialised (the generator materialises it over the horizon).
-        rng_seed: Seed used to pick the page's static vocabulary, so content
-            is deterministic given the page identity.
     """
 
     def __init__(
@@ -74,7 +67,6 @@ class SimulatedPage:
         created_at: float,
         lifespan: Optional[float],
         change_process: ChangeProcess,
-        rng_seed: int = 0,
     ) -> None:
         if depth < 0:
             raise ValueError("depth must be non-negative")
@@ -91,11 +83,6 @@ class SimulatedPage:
         self.change_process = change_process
         self._outlinks: List[str] = []
         self._outlinks_tuple: Optional[Sequence[str]] = None
-        self._content_parts: Optional[Sequence[str]] = None
-        local_rng = np.random.default_rng(rng_seed)
-        self._keywords = tuple(
-            _VOCABULARY[i] for i in local_rng.integers(0, len(_VOCABULARY), size=6)
-        )
 
     # ------------------------------------------------------------------ #
     # Existence
@@ -142,14 +129,12 @@ class SimulatedPage:
         """Set the page's out-links (called once by the web generator)."""
         self._outlinks = list(dict.fromkeys(urls))
         self._outlinks_tuple = None
-        self._content_parts = None
 
     def add_outlink(self, url: str) -> None:
         """Append a single out-link if not already present."""
         if url not in self._outlinks:
             self._outlinks.append(url)
             self._outlinks_tuple = None
-            self._content_parts = None
 
     def version_at(self, t: float) -> int:
         """Content version at time ``t`` (number of changes so far)."""
@@ -167,33 +152,6 @@ class SimulatedPage:
         """True when the content changed in the interval ``(t0, t1]``."""
         return self.version_at(t1) != self.version_at(t0)
 
-    def content_at(self, t: float) -> str:
-        """The page body at time ``t``.
-
-        The body embeds the URL, the version counter and the page's keyword
-        set, so that (a) any change to the version changes the checksum and
-        (b) the inverted index has tokens to index.
-        """
-        return self.content_for_version(self.version_at(t))
-
-    def content_for_version(self, version: int) -> str:
-        """The page body at a known content version.
-
-        Everything but the version counter is static, so the surrounding
-        text is assembled once and cached; the batched fetch path resolves
-        versions through the array oracle and formats bodies through this
-        method without re-deriving the static parts per fetch.
-        """
-        if self._content_parts is None:
-            keywords = " ".join(self._keywords)
-            links = " ".join(self._outlinks)
-            self._content_parts = (
-                f"url:{self.url}\nversion:",
-                f"\nkeywords:{keywords}\nlinks:{links}\n",
-            )
-        prefix, suffix = self._content_parts
-        return f"{prefix}{version}{suffix}"
-
     def snapshot_at(self, t: float) -> PageSnapshot:
         """Build the :class:`PageSnapshot` a fetch at time ``t`` would return.
 
@@ -206,7 +164,6 @@ class SimulatedPage:
             url=self.url,
             fetched_at=t,
             version=self.version_at(t),
-            content=self.content_at(t),
             outlinks=self.outlinks,
         )
 

@@ -6,7 +6,7 @@ and exposes the oracle queries the rest of the system needs:
 * ``snapshot(url, t)`` — what a fetch of ``url`` at virtual time ``t``
   returns (used by the fetcher);
 * ``exists(url, t)`` — whether the URL resolves at time ``t``;
-* ``is_up_to_date(url, checksum_version, t)`` — whether a stored copy taken
+* ``is_up_to_date(url, stored_version, t)`` — whether a stored copy taken
   at some earlier version is still current (used by the freshness metric,
   which by definition compares the local collection against the live web);
 * per-domain and per-site enumeration used by the experiment package.

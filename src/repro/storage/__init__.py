@@ -6,14 +6,13 @@ replaces the current one when a crawl cycle completes (Section 4, item 2).
 
 This package provides:
 
-* :class:`PageRecord` — the stored copy of one page (content, checksum,
-  fetch time, importance, change history);
+* :class:`PageRecord` — the stored copy of one page (the content version
+  it holds, which plays the paper's checksum; fetch time, importance,
+  change history);
 * :class:`InPlaceCollection` and :class:`ShadowCollection` — the two update
   disciplines the paper compares, behind a common, capacity-bounded
   :class:`Collection` interface (what users/queries see is
   ``current_records``);
-* :class:`InvertedIndex` — a small text index over the current collection,
-  standing in for the indexer the paper mentions alongside the repository;
 * :class:`StorageBackend` and its implementations (:class:`MemoryBackend`,
   :class:`SqliteBackend`, :class:`ColumnarBackend`) — pluggable persistent
   stores for crawl records, change events and checkpoint state, selected
@@ -25,7 +24,6 @@ This package provides:
 
 from repro.storage.records import PageRecord, record_to_dict
 from repro.storage.collection import Collection, InPlaceCollection, ShadowCollection
-from repro.storage.inverted_index import InvertedIndex
 from repro.storage.backends import (
     ColumnarBackend,
     MemoryBackend,
@@ -40,7 +38,6 @@ __all__ = [
     "Collection",
     "InPlaceCollection",
     "ShadowCollection",
-    "InvertedIndex",
     "StorageBackend",
     "MemoryBackend",
     "SqliteBackend",

@@ -234,15 +234,24 @@ class SqliteBackend(StorageBackend):
     SQLite ``REAL`` columns are IEEE-754 doubles, so fetch timestamps and
     importance scores round-trip bit-exactly — the resume parity guarantee
     depends on this.
+
+    A file whose ``records`` table has other columns (a store written by
+    an older build) is refused on open, naming both layouts.
     """
 
     can_persist = True
 
+    #: The ``records`` columns this build reads and writes, in table order.
+    _RECORD_COLUMNS = (
+        "url", "version", "fetched_at", "first_fetched_at", "outlinks",
+        "importance", "visit_count", "change_count",
+    )
+    _SELECT_RECORDS = f"SELECT {', '.join(_RECORD_COLUMNS)} FROM records"
+
     _SCHEMA = """
     CREATE TABLE IF NOT EXISTS records (
         url TEXT PRIMARY KEY,
-        content TEXT NOT NULL,
-        checksum TEXT NOT NULL,
+        version INTEGER NOT NULL,
         fetched_at REAL NOT NULL,
         first_fetched_at REAL NOT NULL,
         outlinks TEXT NOT NULL,
@@ -266,6 +275,15 @@ class SqliteBackend(StorageBackend):
     def __init__(self, path: Optional[str] = None) -> None:
         self._path = path
         self._conn = sqlite3.connect(path if path is not None else ":memory:")
+        found = tuple(
+            row[1] for row in self._conn.execute("PRAGMA table_info(records)")
+        )
+        if found and found != self._RECORD_COLUMNS:
+            self._conn.close()
+            raise ValueError(
+                f"store {path!r} holds records with columns {list(found)}: "
+                f"this build reads and writes {list(self._RECORD_COLUMNS)} only"
+            )
         if path is not None:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -281,8 +299,7 @@ class SqliteBackend(StorageBackend):
         rows = [
             (
                 record.url,
-                record.content,
-                record.checksum,
+                record.version,
                 record.fetched_at,
                 record.first_fetched_at,
                 json.dumps(list(record.outlinks)),
@@ -299,12 +316,11 @@ class SqliteBackend(StorageBackend):
         self._conn.executemany(
             """
             INSERT INTO records
-                (url, content, checksum, fetched_at, first_fetched_at,
+                (url, version, fetched_at, first_fetched_at,
                  outlinks, importance, visit_count, change_count)
-            VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
+            VALUES (?, ?, ?, ?, ?, ?, ?, ?)
             ON CONFLICT(url) DO UPDATE SET
-                content=excluded.content,
-                checksum=excluded.checksum,
+                version=excluded.version,
                 fetched_at=excluded.fetched_at,
                 first_fetched_at=excluded.first_fetched_at,
                 outlinks=excluded.outlinks,
@@ -333,10 +349,7 @@ class SqliteBackend(StorageBackend):
 
     def get_record(self, url: str) -> Optional[PageRecord]:
         row = self._conn.execute(
-            "SELECT url, content, checksum, fetched_at, first_fetched_at,"
-            " outlinks, importance, visit_count, change_count"
-            " FROM records WHERE url = ?",
-            (url,),
+            f"{self._SELECT_RECORDS} WHERE url = ?", (url,)
         ).fetchone()
         if row is None:
             return None
@@ -348,11 +361,7 @@ class SqliteBackend(StorageBackend):
         return cursor.rowcount > 0
 
     def scan_records(self) -> List[PageRecord]:
-        rows = self._conn.execute(
-            "SELECT url, content, checksum, fetched_at, first_fetched_at,"
-            " outlinks, importance, visit_count, change_count"
-            " FROM records ORDER BY rowid"
-        ).fetchall()
+        rows = self._conn.execute(f"{self._SELECT_RECORDS} ORDER BY rowid").fetchall()
         return [self._row_to_record(row) for row in rows]
 
     def record_count(self) -> int:
@@ -422,12 +431,11 @@ class SqliteBackend(StorageBackend):
 
     @staticmethod
     def _row_to_record(row: Tuple) -> PageRecord:
-        (url, content, checksum, fetched_at, first_fetched_at,
+        (url, version, fetched_at, first_fetched_at,
          outlinks, importance, visit_count, change_count) = row
         return PageRecord(
             url=url,
-            content=content,
-            checksum=checksum,
+            version=version,
             fetched_at=fetched_at,
             first_fetched_at=first_fetched_at,
             outlinks=tuple(json.loads(outlinks)),
@@ -444,9 +452,9 @@ _INITIAL_CAPACITY = 1024
 class ColumnarBackend(StorageBackend):
     """NumPy-columned store with append-chunking.
 
-    Numeric per-record fields live in flat arrays that double in capacity as
-    rows append, with a boolean liveness mask for deletes; string fields ride
-    in parallel Python lists. The point is :meth:`numeric_columns`: hot
+    Float and count fields live in flat arrays that double in capacity as
+    rows append, with a boolean liveness mask for deletes; URL, version and
+    out-links ride in parallel Python lists. The point is :meth:`numeric_columns`: hot
     consumers (freshness sampling over fetch times, importance aggregation)
     can read whole columns as arrays without building one ``PageRecord``
     per row.
@@ -465,8 +473,7 @@ class ColumnarBackend(StorageBackend):
         self._change_count = np.zeros(self._cap, dtype=np.int64)
         self._live = np.zeros(self._cap, dtype=bool)
         self._url: List[str] = []
-        self._content: List[str] = []
-        self._checksum: List[str] = []
+        self._version: List[int] = []
         self._outlinks: List[Tuple[str, ...]] = []
         self._event_n = 0
         self._event_cap = _INITIAL_CAPACITY
@@ -518,12 +525,10 @@ class ColumnarBackend(StorageBackend):
                 self._n += 1
                 self._row[record.url] = row
                 self._url.append(record.url)
-                self._content.append(record.content)
-                self._checksum.append(record.checksum)
+                self._version.append(record.version)
                 self._outlinks.append(tuple(record.outlinks))
             else:
-                self._content[row] = record.content
-                self._checksum[row] = record.checksum
+                self._version[row] = record.version
                 self._outlinks[row] = tuple(record.outlinks)
             self._fetched_at[row] = record.fetched_at
             self._first_fetched_at[row] = record.first_fetched_at
@@ -560,8 +565,7 @@ class ColumnarBackend(StorageBackend):
         self._live[: self._n] = False
         self._n = 0
         self._url.clear()
-        self._content.clear()
-        self._checksum.clear()
+        self._version.clear()
         self._outlinks.clear()
 
     def numeric_columns(self) -> Dict[str, np.ndarray]:
@@ -587,8 +591,7 @@ class ColumnarBackend(StorageBackend):
     def _record_at(self, row: int) -> PageRecord:
         return PageRecord(
             url=self._url[row],
-            content=self._content[row],
-            checksum=self._checksum[row],
+            version=self._version[row],
             fetched_at=float(self._fetched_at[row]),
             first_fetched_at=float(self._first_fetched_at[row]),
             outlinks=self._outlinks[row],

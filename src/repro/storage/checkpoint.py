@@ -57,7 +57,9 @@ RESULT_STATE_KEY = "result"
 #: refuses it by name. Format 4 writes every per-URL float column through
 #: :func:`pack_floats`; a format-3 document still verifies (same integrity
 #: rule) but its float lists do not restore, so the crawler refuses it by name.
-CHECKPOINT_FORMAT = 4
+#: Format 5 stores each record's content ``version`` in place of its body and
+#: checksum, and drops the crawl module's ``stored_versions`` map.
+CHECKPOINT_FORMAT = 5
 # A stored checkpoint is this header followed by the document's own JSON
 # text minus its opening brace; the digest covers "{" + that remainder.
 _HEADER = '{"integrity": "%s", '

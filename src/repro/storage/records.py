@@ -2,7 +2,8 @@
 
 A :class:`PageRecord` is the unit the repository stores: the local copy of a
 page together with the bookkeeping the incremental crawler needs — when the
-copy was fetched, its checksum (for change detection), the page's estimated
+copy was fetched, the content version it holds (for change detection: the
+version plays the paper's checksum, Section 5.3), the page's estimated
 importance (for the refinement decision) and the number of times the crawler
 has visited and seen the page change (for the frequency estimators).
 """
@@ -21,8 +22,8 @@ class PageRecord:
 
     Attributes:
         url: The page URL.
-        content: The stored body.
-        checksum: Checksum of ``content`` at the time of the last fetch.
+        version: Content version seen at the last fetch; a re-fetch that
+            sees another version has detected a change.
         fetched_at: Virtual time of the last successful fetch.
         first_fetched_at: Virtual time of the first successful fetch.
         outlinks: Out-links extracted at the last fetch.
@@ -32,8 +33,7 @@ class PageRecord:
     """
 
     url: str
-    content: str
-    checksum: str
+    version: int
     fetched_at: float
     first_fetched_at: float
     outlinks: Sequence[str] = field(default_factory=tuple)
@@ -53,23 +53,21 @@ class PageRecord:
 
     def refreshed(
         self,
-        content: str,
-        checksum: str,
+        version: int,
         fetched_at: float,
         outlinks: Sequence[str],
     ) -> "PageRecord":
         """Return a new record reflecting a re-fetch of the page.
 
-        The change counter is incremented when the checksum differs from the
+        The change counter is incremented when the version differs from the
         stored one, which is exactly how the UpdateModule detects changes.
         """
         if fetched_at < self.fetched_at:
             raise ValueError("re-fetch time cannot precede the previous fetch")
-        changed = checksum != self.checksum
+        changed = version != self.version
         return replace(
             self,
-            content=content,
-            checksum=checksum,
+            version=version,
             fetched_at=fetched_at,
             outlinks=tuple(outlinks),
             visit_count=self.visit_count + 1,
@@ -97,8 +95,7 @@ def record_to_dict(record: PageRecord) -> dict:
     """
     return {
         "url": record.url,
-        "content": record.content,
-        "checksum": record.checksum,
+        "version": record.version,
         "fetched_at": record.fetched_at,
         "first_fetched_at": record.first_fetched_at,
         "outlinks": list(record.outlinks),

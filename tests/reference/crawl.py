@@ -187,8 +187,7 @@ class ReferencePeriodicCrawler(PeriodicCrawler):
                 continue
             record = PageRecord(
                 url=url,
-                content=fetch.content,
-                checksum=fetch.checksum,
+                version=fetch.version,
                 fetched_at=fetch.completed_at,
                 first_fetched_at=fetch.completed_at,
                 outlinks=tuple(fetch.outlinks),

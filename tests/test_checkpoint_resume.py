@@ -66,7 +66,7 @@ def result_fingerprint(crawler, result):
         ),
         "records": [
             (r.url, r.fetched_at, r.first_fetched_at, r.visit_count,
-             r.change_count, r.checksum, r.importance)
+             r.change_count, r.version, r.importance)
             for r in crawler.collection.working_records()
         ],
         "estimates": list(crawler.update_module.estimated_rates().items()),
@@ -227,8 +227,8 @@ def test_resume_rejects_mismatched_run_shape(tiny_web):
             DURATION, start_time=1.0, resume_state=copy.deepcopy(state)
         )
     bad_format = copy.deepcopy(state)
-    bad_format["format"] = 3  # verifies (same header rule) but holds float lists
-    with pytest.raises(ValueError, match=f"format 3 .* format {CHECKPOINT_FORMAT}"):
+    bad_format["format"] = 4  # verifies (same header rule) but holds record bodies
+    with pytest.raises(ValueError, match=f"format 4 .* format {CHECKPOINT_FORMAT}"):
         build_crawler(tiny_web).run(DURATION, resume_state=bad_format)
     with pytest.raises(ValueError, match="politeness"):
         build_crawler(tiny_web, use_politeness=True).run(

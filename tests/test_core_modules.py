@@ -62,6 +62,47 @@ class TestCrawlModule:
         assert outcome.changed
         assert collection.get_working(page.url).change_count == 1
 
+    def test_stored_record_holds_the_fetched_version(self, tiny_web):
+        module, collection, _ = build_crawl_module(tiny_web)
+        urls = [
+            p.url for p in tiny_web.pages()
+            if p.created_at == 0.0 and p.lifespan is None
+        ][:10]
+        module.crawl(urls[0], at=30.0)
+        module.crawl_many(urls[1:], [30.0] * (len(urls) - 1))
+        for url in urls:
+            record = collection.get_working(url)
+            assert record.version == tiny_web.page(url).version_at(record.fetched_at)
+
+    def test_crawl_many_compares_with_the_stored_version(self, tiny_web):
+        module, collection, _ = build_crawl_module(tiny_web)
+        page = next(
+            p for p in tiny_web.pages()
+            if p.change_process.mean_rate == 0.0 and p.lifespan is None
+            and p.created_at == 0.0
+        )
+        module.crawl_many([page.url], [1.0])
+        assert not module.crawl_many([page.url], [2.0]).changed[0]
+        # A stored copy of another version differs from the page as fetched,
+        # however the record got into the collection.
+        stale = collection.get_working(page.url)
+        collection.store(stale.refreshed(stale.version + 1, 3.0, stale.outlinks))
+        assert module.crawl_many([page.url], [4.0]).changed[0]
+        record = collection.get_working(page.url)
+        assert record.version == page.version_at(4.0)
+        assert record.change_count == 2
+
+    def test_snapshot_holds_counters_and_recorded_links_only(self, tiny_web):
+        module, _, _ = build_crawl_module(tiny_web)
+        urls = tiny_web.seed_urls()[:3]
+        module.crawl_many(urls + ["http://ghost/"], [1.0] * 4)
+        state = module.snapshot()
+        assert set(state) == {"pages_fetched", "pages_failed", "links_recorded"}
+        assert state["links_recorded"] == sorted(urls)
+        restored, _, _ = build_crawl_module(tiny_web)
+        restored.restore_snapshot(state)
+        assert restored.snapshot() == state
+
     def test_missing_page_not_stored(self, tiny_web):
         module, collection, allurls = build_crawl_module(tiny_web)
         allurls.add("http://ghost/", 0.0)

@@ -75,7 +75,7 @@ class TestIncrementalEngineParity:
         for url, record in records_b.items():
             other = records_r[url]
             assert record.fetched_at == other.fetched_at
-            assert record.checksum == other.checksum
+            assert record.version == other.version
             assert record.visit_count == other.visit_count
             assert record.change_count == other.change_count
 
@@ -159,7 +159,7 @@ class TestPolitenessEngineParity:
             # Politeness shifts the fetch instants themselves, so the
             # timestamps pin the resolved per-site delay chains.
             assert record.fetched_at == other.fetched_at
-            assert record.checksum == other.checksum
+            assert record.version == other.version
             assert record.visit_count == other.visit_count
             assert record.change_count == other.change_count
         assert crawler_b.collurls.snapshot() == crawler_r.collurls.snapshot()

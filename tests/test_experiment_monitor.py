@@ -104,6 +104,23 @@ class TestActiveMonitor:
         mean_changes = sum(h.n_changes for h in histories) / len(histories)
         assert mean_changes > observation_log.duration_days * 0.3
 
+    def test_change_days_are_the_days_the_version_moved(
+        self, observation_log, small_web
+    ):
+        visit = 0.9
+        checked = 0
+        for url, history in list(observation_log.pages.items())[:80]:
+            page = small_web.page(url)
+            expected = [
+                day
+                for day in range(history.first_seen_day + 1, history.last_seen_day + 1)
+                if page.exists_at(day + visit) and page.exists_at(day - 1 + visit)
+                and page.version_at(day + visit) != page.version_at(day - 1 + visit)
+            ]
+            assert history.change_days == expected
+            checked += len(expected)
+        assert checked > 0
+
     def test_pages_in_domain_filter(self, observation_log):
         com_pages = observation_log.pages_in_domain("com")
         assert com_pages

@@ -905,7 +905,7 @@ class TestCheckpointIntegrity:
             _checkpointer(backend).load()
         assert "corrupt" not in str(refusal.value)
 
-    @pytest.mark.parametrize("old_format", [2, 3])
+    @pytest.mark.parametrize("old_format", [2, 3, 4])
     def test_older_format_checkpoint_is_refused_naming_both_formats(self, old_format):
         # Format 2's layout: ``integrity`` last, the sha256 of a canonical
         # re-dump. Both slots are equally old, so no fallback.

@@ -1,25 +1,9 @@
-"""Tests for the fetch substrate: checksums, politeness, fetcher."""
+"""Tests for the fetch substrate: politeness, fetcher."""
 
 import pytest
 
-from repro.fetch.checksum import checksums_differ, page_checksum
 from repro.fetch.fetcher import FetchStatus, SimulatedFetcher
 from repro.fetch.politeness import NightWindow, PolitenessPolicy, seconds_to_days
-
-
-class TestChecksum:
-    def test_equal_content_equal_checksum(self):
-        assert page_checksum("hello world") == page_checksum("hello world")
-
-    def test_different_content_different_checksum(self):
-        assert page_checksum("a") != page_checksum("b")
-
-    def test_checksums_differ_helper(self):
-        assert checksums_differ("x", "y")
-        assert not checksums_differ("x", "x")
-
-    def test_unicode_content(self):
-        assert isinstance(page_checksum("café ☕"), str)
 
 
 class TestNightWindow:
@@ -305,8 +289,8 @@ class TestSimulatedFetcher:
         result = fetcher.fetch(url, at=1.0)
         assert result.ok
         assert result.status is FetchStatus.OK
-        assert result.checksum
-        assert result.content
+        assert result.version == small_web.page(url).version_at(1.0)
+        assert result.outlinks == tuple(small_web.page(url).outlinks)
 
     def test_fetch_unknown_url(self, small_web):
         fetcher = SimulatedFetcher(small_web)
@@ -326,7 +310,7 @@ class TestSimulatedFetcher:
         result = fetcher.fetch(dead.url, at=dead.deleted_at + 0.5)
         assert result.status is FetchStatus.NOT_FOUND
 
-    def test_checksum_stable_without_change(self, small_web):
+    def test_version_stable_without_change(self, small_web):
         fetcher = SimulatedFetcher(small_web)
         static = next(
             p for p in small_web.pages()
@@ -335,9 +319,9 @@ class TestSimulatedFetcher:
         )
         first = fetcher.fetch(static.url, at=1.0)
         second = fetcher.fetch(static.url, at=50.0)
-        assert first.checksum == second.checksum
+        assert first.version == second.version
 
-    def test_checksum_changes_when_page_changes(self, small_web):
+    def test_version_changes_when_page_changes(self, small_web):
         fetcher = SimulatedFetcher(small_web)
         changing = next(
             p for p in small_web.pages()
@@ -347,7 +331,46 @@ class TestSimulatedFetcher:
         change_time = changing.change_process.change_times()[0]
         before = fetcher.fetch(changing.url, at=max(0.0, change_time - 1e-3))
         after = fetcher.fetch(changing.url, at=change_time + 1e-3)
-        assert before.checksum != after.checksum
+        assert before.version != after.version
+
+    def test_version_counts_changes_since_creation(self, small_web):
+        fetcher = SimulatedFetcher(small_web)
+        page = next(
+            p for p in small_web.pages()
+            if p.created_at == 0.0 and p.lifespan is None
+            and len(p.change_process.change_times()) >= 3
+        )
+        change_times = page.change_process.change_times()
+        for k, change_time in enumerate(change_times[:3], start=1):
+            assert fetcher.fetch(page.url, at=change_time + 1e-6).version == k
+
+    def test_equal_versions_mean_no_change_between_fetches(self, small_web):
+        fetcher = SimulatedFetcher(small_web)
+        pages = [p for p in small_web.pages() if p.lifespan is None][:40]
+        for page in pages:
+            t0 = page.created_at + 1.0
+            t1 = t0 + 7.0
+            first = fetcher.fetch(page.url, at=t0)
+            second = fetcher.fetch(page.url, at=t1)
+            assert first.ok and second.ok
+            assert (first.version == second.version) == (
+                not page.changed_between(first.completed_at, second.completed_at)
+            )
+
+    def test_batch_versions_match_scalar_fetches(self, small_web):
+        urls = [p.url for p in small_web.pages()][:60] + ["http://nonexistent/"]
+        times = [5.0 + 0.5 * i for i in range(len(urls))]
+        batch = SimulatedFetcher(small_web).fetch_many(urls, times)
+        scalar = SimulatedFetcher(small_web)
+        for url, t, ok, version in zip(
+            urls, times, batch.ok.tolist(), batch.versions.tolist()
+        ):
+            result = scalar.fetch(url, at=t)
+            assert ok == result.ok
+            if ok:
+                assert version == result.version
+            else:
+                assert version == 0
 
     def test_latency_charged(self, small_web):
         fetcher = SimulatedFetcher(small_web, latency_days=0.01)

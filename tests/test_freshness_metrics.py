@@ -12,8 +12,7 @@ def record_from_fetch(fetcher, url, at):
     assert result.ok
     return PageRecord(
         url=url,
-        content=result.content,
-        checksum=result.checksum,
+        version=result.version,
         fetched_at=result.completed_at,
         first_fetched_at=result.completed_at,
         outlinks=tuple(result.outlinks),
@@ -66,8 +65,7 @@ class TestCollectionFreshness:
     def test_unknown_url_counts_as_stale(self, small_web):
         record = PageRecord(
             url="http://not-in-web/",
-            content="x",
-            checksum="x",
+            version=0,
             fetched_at=1.0,
             first_fetched_at=1.0,
         )

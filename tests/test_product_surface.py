@@ -34,6 +34,9 @@ RETIRED_NAMES = {
     # The specs are the only settings objects of the crawlers.
     "IncrementalCrawlerConfig", "PeriodicCrawlerConfig", "UpdateModuleConfig",
     "RetryPolicy",
+    # A page's content is its version: no bodies, checksums or text index.
+    "InvertedIndex", "page_checksum", "checksums_differ", "content_for",
+    "content_for_version", "content_at",
 }
 
 
@@ -64,12 +67,13 @@ def test_no_reference_callables_in_the_package():
     assert found == []
 
 
-def test_retired_classes_are_not_defined():
+def test_retired_names_are_not_defined():
     found = [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in _modules()
         for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name in RETIRED_NAMES
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.name in RETIRED_NAMES
     ]
     assert found == []
 

@@ -29,15 +29,13 @@ from repro.freshness.optimal_allocation import (
 from repro.ranking.pagerank import pagerank
 from repro.simweb.change_models import PoissonChangeProcess
 from repro.storage.collection import CollectionFullError, InPlaceCollection
-from repro.storage.inverted_index import InvertedIndex
-from repro.storage.records import PageRecord
+from repro.storage.records import PageRecord, records_from_columns, records_to_columns
 
 # Strategies -------------------------------------------------------------- #
 
 rates = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 positive_rates = st.floats(min_value=1e-4, max_value=50.0, allow_nan=False)
 intervals = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False)
-small_texts = st.text(alphabet="abcdefg ", min_size=0, max_size=40)
 
 
 class TestFreshnessProperties:
@@ -276,7 +274,7 @@ class TestRepositoryProperties:
             url = f"http://page{key}/"
             if operation == "save":
                 record = PageRecord(
-                    url=url, content="c", checksum="s",
+                    url=url, version=0,
                     fetched_at=1.0, first_fetched_at=1.0,
                 )
                 full = collection.current_size() >= capacity
@@ -290,21 +288,36 @@ class TestRepositoryProperties:
             assert collection.current_size() <= capacity
 
 
-class TestInvertedIndexProperties:
+class TestPageRecordProperties:
+    @given(versions=st.lists(st.integers(0, 5), min_size=1, max_size=40))
+    def test_change_count_is_the_number_of_version_steps(self, versions):
+        record = PageRecord(
+            url="http://p/", version=versions[0], fetched_at=0.0, first_fetched_at=0.0
+        )
+        for day, version in enumerate(versions[1:], start=1):
+            record = record.refreshed(version, fetched_at=float(day), outlinks=())
+        steps = sum(a != b for a, b in zip(versions, versions[1:]))
+        assert record.change_count == steps
+        assert record.visit_count == len(versions)
+        assert record.version == versions[-1]
+
     @given(
-        documents=st.lists(
-            st.tuples(st.integers(0, 10), small_texts), max_size=40
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2**62),
+                st.floats(0.0, 1e6, allow_nan=False),
+                st.floats(-1e3, 1e3, allow_nan=False),
+            ),
+            max_size=20,
         )
     )
-    def test_search_returns_only_indexed_documents(self, documents):
-        index = InvertedIndex()
-        live = {}
-        for key, text in documents:
-            doc_id = f"d{key}"
-            index.add_document(doc_id, text)
-            live[doc_id] = text
-        assert index.n_documents == len(live)
-        results = index.search("a b c d e f g", limit=None)
-        for doc_id, score in results:
-            assert doc_id in live
-            assert score > 0
+    def test_record_columns_roundtrip(self, rows):
+        records = [
+            PageRecord(
+                url=f"http://p{i}/", version=version, fetched_at=fetched_at,
+                first_fetched_at=fetched_at, outlinks=(f"http://q{i}/",),
+                importance=importance,
+            )
+            for i, (version, fetched_at, importance) in enumerate(rows)
+        ]
+        assert records_from_columns(records_to_columns(records)) == records

@@ -21,7 +21,6 @@ def make_page(url="http://s.com/p", rate=1.0, created_at=0.0, lifespan=None,
         created_at=created_at,
         lifespan=lifespan,
         change_process=process,
-        rng_seed=seed,
     )
 
 
@@ -85,16 +84,15 @@ class TestSimulatedPage:
         # Before creation, no changes have happened.
         assert page.version_at(10.0) == 0
 
-    def test_content_changes_with_version(self):
+    def test_version_steps_at_the_first_change(self):
         page = make_page(rate=2.0)
         first_change = page.change_process.change_times()[0]
-        before = page.content_at(first_change - 1e-6)
-        after = page.content_at(first_change + 1e-6)
-        assert before != after
+        assert page.version_at(first_change - 1e-6) == 0
+        assert page.version_at(first_change + 1e-6) == 1
 
-    def test_content_stable_between_changes(self):
+    def test_version_stable_without_changes(self):
         page = make_page(rate=0.0)
-        assert page.content_at(1.0) == page.content_at(50.0)
+        assert page.version_at(1.0) == page.version_at(50.0) == 0
 
     def test_snapshot_fields(self):
         page = make_page()
@@ -103,7 +101,7 @@ class TestSimulatedPage:
         assert snapshot.url == page.url
         assert snapshot.fetched_at == 3.0
         assert snapshot.outlinks == ("http://s.com/a", "http://s.com/b")
-        assert "version:" in snapshot.content
+        assert snapshot.version == page.version_at(3.0)
 
     def test_snapshot_of_missing_page_raises(self):
         page = make_page(created_at=10.0, lifespan=5.0)

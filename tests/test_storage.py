@@ -1,4 +1,4 @@
-"""Tests for the storage substrate: records, collections, index."""
+"""Tests for the storage substrate: records and collections."""
 
 import pytest
 
@@ -12,15 +12,13 @@ from repro.storage.collection import (
     InPlaceCollection,
     ShadowCollection,
 )
-from repro.storage.inverted_index import InvertedIndex, tokenize
 from repro.storage.records import PageRecord
 
 
-def make_record(url="http://s.com/p", checksum="abc", fetched_at=1.0, importance=0.0):
+def make_record(url="http://s.com/p", version=0, fetched_at=1.0, importance=0.0):
     return PageRecord(
         url=url,
-        content=f"content of {url}",
-        checksum=checksum,
+        version=version,
         fetched_at=fetched_at,
         first_fetched_at=fetched_at,
         outlinks=("http://s.com/other",),
@@ -30,28 +28,44 @@ def make_record(url="http://s.com/p", checksum="abc", fetched_at=1.0, importance
 
 class TestPageRecord:
     def test_refreshed_detects_change(self):
-        record = make_record(checksum="v1")
-        refreshed = record.refreshed("new", "v2", fetched_at=2.0, outlinks=())
+        record = make_record(version=1)
+        refreshed = record.refreshed(2, fetched_at=2.0, outlinks=())
         assert refreshed.change_count == 1
         assert refreshed.visit_count == 2
-        assert refreshed.checksum == "v2"
+        assert refreshed.version == 2
 
     def test_refreshed_without_change(self):
-        record = make_record(checksum="v1")
-        refreshed = record.refreshed("same", "v1", fetched_at=2.0, outlinks=())
+        record = make_record(version=1)
+        refreshed = record.refreshed(1, fetched_at=2.0, outlinks=())
         assert refreshed.change_count == 0
         assert refreshed.visit_count == 2
 
+    def test_change_count_counts_version_differences(self):
+        record = make_record(version=0)
+        for day, version in enumerate([0, 1, 1, 3, 2], start=2):
+            record = record.refreshed(version, fetched_at=float(day), outlinks=())
+        assert record.version == 2
+        assert record.visit_count == 6
+        assert record.change_count == 3
+
+    def test_refresh_replaces_outlinks_and_keeps_importance(self):
+        record = make_record(version=1, importance=0.5)
+        refreshed = record.refreshed(1, fetched_at=3.0, outlinks=["http://s.com/new"])
+        assert refreshed.outlinks == ("http://s.com/new",)
+        assert refreshed.importance == 0.5
+        assert refreshed.fetched_at == 3.0
+        assert record.fetched_at == 1.0
+
     def test_refresh_preserves_first_fetch(self):
         record = make_record(fetched_at=1.0)
-        refreshed = record.refreshed("x", "y", fetched_at=5.0, outlinks=())
+        refreshed = record.refreshed(1, fetched_at=5.0, outlinks=())
         assert refreshed.first_fetched_at == 1.0
         assert refreshed.observation_span() == pytest.approx(4.0)
 
     def test_refresh_backwards_in_time_rejected(self):
         record = make_record(fetched_at=5.0)
         with pytest.raises(ValueError):
-            record.refreshed("x", "y", fetched_at=1.0, outlinks=())
+            record.refreshed(1, fetched_at=1.0, outlinks=())
 
     def test_scan_writes_importance_in_place(self, tiny_web):
         collection = InPlaceCollection(capacity=500)
@@ -73,21 +87,21 @@ class TestPageRecord:
         assert any(record.importance > 0 for record in stored.values())
 
     def test_observed_change_fraction(self):
-        record = make_record(checksum="a")
-        record = record.refreshed("b", "b", 2.0, ())
-        record = record.refreshed("b", "b", 3.0, ())
+        record = make_record(version=0)
+        record = record.refreshed(1, 2.0, ())
+        record = record.refreshed(1, 3.0, ())
         assert record.observed_change_fraction == pytest.approx(1 / 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PageRecord("u", "c", "x", fetched_at=-1.0, first_fetched_at=0.0)
+            PageRecord("u", 0, fetched_at=-1.0, first_fetched_at=0.0)
         with pytest.raises(ValueError):
-            PageRecord("u", "c", "x", fetched_at=0.0, first_fetched_at=1.0)
+            PageRecord("u", 0, fetched_at=0.0, first_fetched_at=1.0)
         with pytest.raises(ValueError):
-            PageRecord("u", "c", "x", fetched_at=1.0, first_fetched_at=1.0, visit_count=0)
+            PageRecord("u", 0, fetched_at=1.0, first_fetched_at=1.0, visit_count=0)
         with pytest.raises(ValueError):
             PageRecord(
-                "u", "c", "x", fetched_at=1.0, first_fetched_at=1.0,
+                "u", 0, fetched_at=1.0, first_fetched_at=1.0,
                 visit_count=1, change_count=2,
             )
 
@@ -103,9 +117,9 @@ class TestCollectionCapacity:
 
     def test_update_allowed_at_capacity(self):
         collection = InPlaceCollection(capacity=1)
-        collection.store(make_record(url="http://a/", checksum="1"))
-        collection.store(make_record(url="http://a/", checksum="2"))
-        assert collection.get_working("http://a/").checksum == "2"
+        collection.store(make_record(url="http://a/", version=1))
+        collection.store(make_record(url="http://a/", version=2))
+        assert collection.get_working("http://a/").version == 2
 
     def test_shadow_capacity_bounds_the_working_collection(self):
         collection = ShadowCollection(capacity=1)
@@ -129,9 +143,9 @@ class TestInPlaceCollection:
 
     def test_refresh_replaces_record(self):
         collection = InPlaceCollection()
-        collection.store(make_record(checksum="v1"))
-        collection.store(make_record(checksum="v2"))
-        assert collection.current_records()[0].checksum == "v2"
+        collection.store(make_record(version=1))
+        collection.store(make_record(version=2))
+        assert collection.current_records()[0].version == 2
 
     def test_discard(self):
         collection = InPlaceCollection()
@@ -194,74 +208,3 @@ class TestShadowCollection:
         collection.store(record)
         assert collection.get_working(record.url) is record
         assert collection.get_working("http://other/") is None
-
-
-class TestTokenizer:
-    def test_lowercases_and_splits(self):
-        assert tokenize("Hello World-42") == ["hello", "world", "42"]
-
-    def test_empty(self):
-        assert tokenize("") == []
-
-
-class TestInvertedIndex:
-    def test_add_and_search(self):
-        index = InvertedIndex()
-        index.add_document("d1", "incremental crawler freshness")
-        index.add_document("d2", "batch crawler shadowing")
-        results = index.search("crawler")
-        assert {doc for doc, _ in results} == {"d1", "d2"}
-
-    def test_ranking_prefers_denser_document(self):
-        index = InvertedIndex()
-        index.add_document("dense", "cats cats cats")
-        index.add_document("sparse", "cats and dogs and birds and fish")
-        results = index.search("cats")
-        assert results[0][0] == "dense"
-
-    def test_reindex_replaces_old_content(self):
-        index = InvertedIndex()
-        index.add_document("d1", "old topic")
-        index.add_document("d1", "new subject")
-        assert index.search("old") == []
-        assert [doc for doc, _ in index.search("subject")] == ["d1"]
-
-    def test_remove_document(self):
-        index = InvertedIndex()
-        index.add_document("d1", "something here")
-        assert index.remove_document("d1")
-        assert not index.remove_document("d1")
-        assert index.search("something") == []
-        assert index.n_documents == 0
-
-    def test_document_frequency(self):
-        index = InvertedIndex()
-        index.add_document("d1", "apple banana")
-        index.add_document("d2", "apple")
-        assert index.document_frequency("apple") == 2
-        assert index.document_frequency("banana") == 1
-        assert index.document_frequency("missing") == 0
-
-    def test_build_from_documents(self):
-        index = InvertedIndex.build([("a", "one two"), ("b", "two three")])
-        assert index.n_documents == 2
-        assert index.document_frequency("two") == 2
-
-    def test_search_limit(self):
-        index = InvertedIndex()
-        for i in range(20):
-            index.add_document(f"d{i}", "common term")
-        assert len(index.search("common", limit=5)) == 5
-        assert len(index.search("common", limit=None)) == 20
-
-    def test_empty_query(self):
-        index = InvertedIndex()
-        index.add_document("d1", "text")
-        assert index.search("") == []
-
-    def test_clear(self):
-        index = InvertedIndex()
-        index.add_document("d1", "text")
-        index.clear()
-        assert index.n_documents == 0
-        assert index.n_terms == 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sqlite3
 
 import pytest
 
@@ -17,8 +18,6 @@ from repro.api.registry import STORAGE_BACKENDS
 from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
 from repro.storage import (
     ColumnarBackend,
-    InPlaceCollection,
-    InvertedIndex,
     MemoryBackend,
     PageRecord,
     SqliteBackend,
@@ -32,8 +31,7 @@ BACKEND_NAMES = ("memory", "sqlite", "columnar")
 def make_record(url: str, fetched_at: float = 1.5, **overrides) -> PageRecord:
     fields = dict(
         url=url,
-        content=f"body of {url}",
-        checksum=f"ck-{url}",
+        version=7,
         fetched_at=fetched_at,
         first_fetched_at=min(fetched_at, overrides.get("first_fetched_at", fetched_at)),
         outlinks=(f"{url}/a", f"{url}/b"),
@@ -87,6 +85,16 @@ def test_put_get_roundtrip_exact(backend):
     assert loaded.fetched_at == record.fetched_at  # bit-exact, not approx
     assert loaded.importance == record.importance
     assert isinstance(loaded.outlinks, tuple)
+
+
+def test_version_roundtrips_as_an_exact_int(backend):
+    versions = {"a": 0, "b": 1, "c": 2**40 + 3}
+    backend.put_records([make_record(url, version=v) for url, v in versions.items()])
+    for url, version in versions.items():
+        stored = backend.get_record(url).version
+        assert stored == version
+        assert type(stored) is int
+    assert [r.version for r in backend.scan_records()] == list(versions.values())
 
 
 def test_get_missing_returns_none(backend):
@@ -220,6 +228,79 @@ def test_sqlite_file_persistence(tmp_path):
         reopened.close()
 
 
+#: The ``records`` table a store written by a format-4 build holds: the page
+#: body and its SHA-1 where this build keeps the content version.
+_BODY_RECORDS_DDL = """
+    CREATE TABLE IF NOT EXISTS records (
+        url TEXT PRIMARY KEY,
+        content TEXT NOT NULL,
+        checksum TEXT NOT NULL,
+        fetched_at REAL NOT NULL,
+        first_fetched_at REAL NOT NULL,
+        outlinks TEXT NOT NULL,
+        importance REAL NOT NULL,
+        visit_count INTEGER NOT NULL,
+        change_count INTEGER NOT NULL
+    );
+"""
+
+
+def test_sqlite_refuses_a_store_with_another_record_layout(tmp_path):
+    path = str(tmp_path / "old.sqlite")
+    conn = sqlite3.connect(path)
+    conn.executescript(_BODY_RECORDS_DDL)
+    conn.close()
+    with pytest.raises(ValueError, match=r"'content', 'checksum'.*'url', 'version'"):
+        SqliteBackend(path)
+
+
+def test_sqlite_refusal_leaves_the_old_store_untouched(tmp_path):
+    path = str(tmp_path / "old.sqlite")
+    conn = sqlite3.connect(path)
+    conn.executescript(_BODY_RECORDS_DDL)
+    conn.execute(
+        "INSERT INTO records VALUES ('u', 'body', 'sha', 1.0, 1.0, '[]', 0.0, 1, 0)"
+    )
+    conn.commit()
+    conn.close()
+    with pytest.raises(ValueError):
+        SqliteBackend(path)
+    conn = sqlite3.connect(path)
+    try:
+        columns = [row[1] for row in conn.execute("PRAGMA table_info(records)")]
+        rows = conn.execute("SELECT url, content FROM records").fetchall()
+        tables = {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )}
+    finally:
+        conn.close()
+    assert columns[:3] == ["url", "content", "checksum"]
+    assert rows == [("u", "body")]
+    assert tables == {"records"}
+
+
+def test_sqlite_refuses_a_records_table_missing_a_column(tmp_path):
+    path = str(tmp_path / "partial.sqlite")
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE records (url TEXT PRIMARY KEY, version INTEGER)")
+    conn.close()
+    with pytest.raises(ValueError, match=r"\['url', 'version'\]: this build"):
+        SqliteBackend(path)
+
+
+def test_sqlite_adds_its_tables_to_a_file_without_records(tmp_path):
+    path = str(tmp_path / "other.sqlite")
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE unrelated (x INTEGER)")
+    conn.close()
+    backend = SqliteBackend(path)
+    try:
+        backend.put_records([make_record("a")])
+        assert backend.get_record("a") == make_record("a")
+    finally:
+        backend.close()
+
+
 # --------------------------------------------------------------------- #
 # Columnar specifics
 # --------------------------------------------------------------------- #
@@ -261,6 +342,16 @@ def test_record_columns_roundtrip_through_json():
     assert [r.outlinks for r in rebuilt] == [r.outlinks for r in records]
 
 
+def test_record_columns_hold_one_column_per_field():
+    records = [make_record("u/x", version=4), make_record("u/y", version=9)]
+    columns = records_to_columns(records)
+    assert list(columns) == [
+        "url", "version", "fetched_at", "first_fetched_at", "outlinks",
+        "importance", "visit_count", "change_count",
+    ]
+    assert columns["version"] == [4, 9]
+
+
 def test_update_importance_rewrites_importance(backend):
     backend.put_records([make_record("a"), make_record("b")])
     backend.update_importance([make_record("b", importance=0.75)])
@@ -274,47 +365,6 @@ def test_sqlite_update_importance_requires_every_row():
     backend.put_records([make_record("a")])
     with pytest.raises(RuntimeError, match="1 of 2"):
         backend.update_importance([make_record("a"), make_record("b")])
-
-
-# --------------------------------------------------------------------- #
-# InvertedIndex.rebuild_from (satellite)
-# --------------------------------------------------------------------- #
-def test_rebuild_from_collection_roundtrip():
-    collection = InPlaceCollection(capacity=10)
-    collection.store(make_record("u/cats", content="cats purr softly"))
-    collection.store(make_record("u/dogs", content="dogs bark loudly"))
-
-    incremental = InvertedIndex()
-    for record in collection.current_records():
-        incremental.add_document(record.url, record.content)
-
-    rebuilt = InvertedIndex()
-    count = rebuilt.rebuild_from(collection)
-    assert count == 2
-    assert rebuilt.n_documents == incremental.n_documents
-    assert rebuilt.n_terms == incremental.n_terms
-    assert rebuilt.search("cats") == incremental.search("cats")
-
-    # Rebuilding replaces previous contents entirely.
-    rebuilt.add_document("stale", "stale entry")
-    assert rebuilt.rebuild_from(collection) == 2
-    assert "stale" not in rebuilt
-
-
-def test_rebuild_from_storage_backend():
-    backend = MemoryBackend()
-    backend.put_records(
-        [make_record("u/1", content="alpha beta"), make_record("u/2", content="beta gamma")]
-    )
-    index = InvertedIndex()
-    assert index.rebuild_from(backend) == 2
-    assert index.document_frequency("beta") == 2
-    assert [doc for doc, _score in index.search("alpha")] == ["u/1"]
-
-
-def test_rebuild_from_rejects_unknown_source():
-    with pytest.raises(TypeError, match="Collection .* or a .*StorageBackend"):
-        InvertedIndex().rebuild_from(object())
 
 
 # --------------------------------------------------------------------- #

@@ -134,7 +134,7 @@ class TestOracleParity:
             fetched = float(rng.uniform(0.0, small_web.horizon_days * 0.8))
             records.append(
                 PageRecord(
-                    url=url, content="x", checksum="c",
+                    url=url, version=0,
                     fetched_at=fetched, first_fetched_at=fetched,
                 )
             )
@@ -142,7 +142,7 @@ class TestOracleParity:
         for k in range(4):
             records.append(
                 PageRecord(
-                    url=f"http://gone.example/{k}", content="x", checksum="c",
+                    url=f"http://gone.example/{k}", version=0,
                     fetched_at=5.0, first_fetched_at=5.0,
                 )
             )
