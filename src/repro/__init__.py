@@ -31,7 +31,7 @@ contribution:
     settings from the ``repro.api`` specs (:class:`CrawlerSpec`,
     :class:`PolicySpec`).
 ``repro.analysis``
-    Histograms, statistics and report rendering shared by the benchmarks.
+    Histograms, statistics and plain-text report rendering.
 ``repro.api``
     Declarative experiment layer: JSON-round-trippable specs, plugin
     registries (revisit policies, estimators, change models, scenarios)

@@ -1,8 +1,7 @@
 """Shared analysis utilities: histogram bucketing, statistics and reporting.
 
-These helpers are used both by the experiment package (to reproduce the
-paper's figures) and by the benchmark harness (to render paper-vs-measured
-comparisons).
+These helpers are used by the experiment package (to reproduce the paper's
+figures) and by the examples and the CLI (to print them).
 """
 
 from repro.analysis.histograms import (

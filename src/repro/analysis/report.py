@@ -1,8 +1,8 @@
 """Plain-text rendering of tables, bar charts and series.
 
-The benchmark harness reproduces the paper's tables and figures as text: a
-table per ``Table N`` and an ASCII bar chart or numeric series per
-``Figure N``. These helpers keep that formatting in one place.
+The examples print the paper's tables and figures as text — a table per
+``Table N``, an ASCII bar chart or numeric series per ``Figure N`` — and the
+CLI its listings. These helpers keep that formatting in one place.
 """
 
 from __future__ import annotations
@@ -116,18 +116,6 @@ def format_series(
         indices = list(range(n))
     rows = [(xs[i], ys[i]) for i in indices]
     return format_table([x_label, y_label], rows, title=title)
-
-
-def format_comparison(
-    rows: Iterable[Sequence[object]],
-    title: str = "",
-) -> str:
-    """Render a paper-vs-measured comparison table.
-
-    Each row is ``(quantity, paper_value, measured_value)``; the benchmark
-    harness uses this to emit the EXPERIMENTS.md style comparison lines.
-    """
-    return format_table(["quantity", "paper", "measured"], rows, title=title)
 
 
 def _format_cell(cell: object) -> str:

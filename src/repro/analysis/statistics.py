@@ -1,4 +1,4 @@
-"""Statistical helpers used by the experiment analysis and the benchmarks.
+"""Statistical helpers used by the experiment analysis.
 
 The paper verifies that page change intervals follow an exponential
 distribution (Figure 6). The helpers here fit an exponential distribution to

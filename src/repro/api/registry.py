@@ -6,7 +6,7 @@ scenarios — is a named entry in one of the registries below. The specs
 (:mod:`repro.api.specs`) resolve those names through the registries
 instead of hard-coded string comparisons, so a new policy (or
 scenario) only needs a ``@register_*`` decorator to become available to the
-CLI, the JSON spec runner and the benchmarks alike.
+CLI, the JSON spec runner and the tests alike.
 
 The module is deliberately dependency-free (it imports nothing from the rest
 of ``repro``): domain modules import their ``register_*`` decorator from

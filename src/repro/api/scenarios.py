@@ -2,9 +2,9 @@
 
 Each scenario is a plain function registered in
 :data:`repro.api.registry.SCENARIOS`. Scenarios take keyword parameters
-(everything has a default matching the corresponding benchmark, so a bare
-``{"kind": "scenario", "scenario": "table2"}`` spec reproduces the
-benchmark's numbers exactly) and return a JSON-serializable payload
+(everything has a default, so a bare ``{"kind": "scenario", "scenario":
+"table2"}`` spec reproduces the numbers the paper-claims tests assert) and
+return a JSON-serializable payload
 
 ``{"series": {...}, "summary": {...}, "tables": {...}}``
 
@@ -143,8 +143,8 @@ def figure8(variant: str = "steady", rate: Optional[float] = None,
             (Figure 8(b): shadowed vs. in-place current collection over one
             cycle).
         rate: Page change rate; defaults to the illustrative Figure 7 rate.
-        n_points: Trajectory points; defaults match the benchmarks
-            (401 for steady, 301 for batch).
+        n_points: Trajectory points; defaults to 401 for steady and 301
+            for batch.
     """
     if variant not in ("steady", "batch"):
         raise ValueError('variant must be "steady" or "batch"')

@@ -19,19 +19,6 @@ from repro.analysis.histograms import (
 )
 from repro.experiment.monitor import ObservationLog, PageObservationHistory
 
-#: Approximate Figure 2 values used for paper-vs-measured comparisons. The
-#: per-domain entries quote the claims made in the text: more than 40% of
-#: com pages changed every day; more than half of edu and gov pages did not
-#: change during the whole experiment.
-PAPER_FIGURE2_OVERALL: Dict[str, float] = {
-    "<=1day": 0.23,
-    ">1day,<=1week": 0.15,
-    ">1week,<=1month": 0.16,
-    ">1month,<=4months": 0.16,
-    ">4months": 0.30,
-}
-
-
 @dataclass(frozen=True)
 class ChangeIntervalAnalysis:
     """Result of the Figure 2 analysis.

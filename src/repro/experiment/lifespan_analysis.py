@@ -19,17 +19,6 @@ from typing import Dict
 from repro.analysis.histograms import LIFESPAN_BUCKETS, BucketedHistogram
 from repro.experiment.monitor import ObservationLog, PageObservationHistory
 
-#: Approximate Figure 4(a) (Method 1) values for paper-vs-measured
-#: comparisons; the paper states that more than 70% of pages remained in the
-#: window for more than one month.
-PAPER_FIGURE4_METHOD1: Dict[str, float] = {
-    "<=1week": 0.13,
-    ">1week,<=1month": 0.19,
-    ">1month,<=4months": 0.35,
-    ">4months": 0.33,
-}
-
-
 @dataclass(frozen=True)
 class LifespanAnalysis:
     """Result of the Figure 4 analysis.

@@ -15,15 +15,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiment.monitor import ObservationLog, PageObservationHistory
 
-#: The paper's headline numbers for paper-vs-measured comparisons (days for
-#: 50% of the pages of a domain to change or be replaced).
-PAPER_FIGURE5_HALF_CHANGE_DAYS: Dict[str, float] = {
-    "overall": 50.0,
-    "com": 11.0,
-    "gov": 120.0,
-}
-
-
 @dataclass(frozen=True)
 class SurvivalCurve:
     """Fraction of initially present pages still unchanged, per day."""

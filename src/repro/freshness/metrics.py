@@ -15,7 +15,7 @@ Both metrics run through the *batched* oracle
 (:meth:`~repro.simweb.web.SimulatedWeb.oracle_arrays`): one measurement
 event over an N-record collection costs a few NumPy passes instead of N
 Python oracle calls, which is what the measurement events inside
-``IncrementalCrawler.run()`` and every figure benchmark pay repeatedly.
+``IncrementalCrawler.run()`` and every crawl experiment pay repeatedly.
 The original per-record loops are kept as test oracles in
 ``tests/reference/kernels.py``.
 """

@@ -10,7 +10,7 @@ with a "damping factor" of 0.9. In the more common normalisation
 the paper's ``d`` therefore corresponds to ``1 - alpha``. We implement the
 standard form (:func:`pagerank`, default ``damping=0.85``) and a thin
 wrapper (:func:`cho_pagerank`) that accepts the paper's parameterisation so
-benchmarks can quote the experiment exactly as written.
+experiments can quote the paper exactly as written.
 
 :func:`pagerank` computes by sparse power iteration — the dict adjacency is
 interned into a :class:`repro.ranking.sparse.LinkGraph` and solved with one

@@ -8,7 +8,7 @@ two purposes:
 * it cross-checks the closed-form results (the integration tests assert the
   simulator and the formulas agree within sampling noise);
 * it evaluates policies the formulas do not cover, such as arbitrary
-  per-page revisit allocations (used in the Figure 9/10 benchmarks).
+  per-page revisit allocations (the ``revisit-policies`` scenario).
 
 It also contains the event-stream scheduler and the freshness tracker that
 the incremental-crawler architecture in :mod:`repro.core` runs on.

@@ -13,8 +13,8 @@ Two entry points:
   cycle. Used to cross-check the analytic formulas and to regenerate
   Figures 7/8 and Table 2 by measurement rather than by formula.
 * :func:`simulate_revisit_allocation` — arbitrary per-page revisit
-  intervals (uniform, proportional or optimal allocations), used for the
-  Figure 9/10 policy-comparison benchmarks.
+  intervals (uniform, proportional or optimal allocations), used by the
+  ``revisit-policies`` scenario.
 
 Both entry points run on a vectorized NumPy core: all change events are
 concatenated into one flat per-page-sorted array, each event is binned

@@ -8,7 +8,7 @@ pages that change every month and a batch crawler that operates for the
 first two weeks of each month.
 
 These helpers build the corresponding :class:`CrawlPolicy` objects and the
-page change rate, so the benchmarks, tests and examples all agree on the
+page change rate, so the scenarios, tests and examples all agree on the
 exact parameters.
 """
 
@@ -92,7 +92,7 @@ def figure7_policies() -> Dict[str, CrawlPolicy]:
     """Policies for the Figure 7 trajectories (batch vs. steady, in place).
 
     The paper notes it uses "a high page change rate to obtain curves that
-    more clearly show the trends"; the benchmark uses a rate of one change
+    more clearly show the trends"; the scenario uses a rate of one change
     per week with a monthly cycle and a one-week batch window.
     """
     return {

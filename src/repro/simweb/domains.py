@@ -188,8 +188,8 @@ def sample_calibrated_rates(
     Each domain contributes pages in proportion to its Table 1 site share,
     and each page draws a representative rate-class rate from the domain's
     Figure 2(b) mixture. This is the shared population sampler behind the
-    Figure 9/10 policy-comparison benchmarks and the ``revisit-policies``
-    scenario.
+    ``revisit-policies`` scenario and the Section 4.3 scheduling claims in
+    ``tests/test_integration_paper_claims.py``.
 
     Args:
         n_pages: Approximate population size (per-domain rounding can move

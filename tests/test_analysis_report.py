@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.report import (
     format_bar_chart,
-    format_comparison,
     format_series,
     format_table,
 )
@@ -80,9 +79,3 @@ class TestFormatSeries:
     def test_empty_series_returns_title(self):
         assert format_series([], [], title="empty") == "empty"
 
-
-class TestFormatComparison:
-    def test_three_columns(self):
-        text = format_comparison([["freshness", 0.88, 0.884]])
-        assert "quantity" in text and "paper" in text and "measured" in text
-        assert "0.88" in text

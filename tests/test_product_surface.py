@@ -7,14 +7,16 @@ duplicate the specs, and removed features must not creep back into
 it, so a definition is caught even where nothing imports it.
 
 The benchmark's layer tracer patches entry points on their owning classes,
-so the last two tests hold the one engine to that contract: every traced
-name is still defined where the tracer looks, and the crawl loop reaches its
-stages through those owners rather than through captured references.
+so two tests hold the one engine to that contract: every traced name is
+still defined where the tracer looks, and the crawl loop reaches its stages
+through those owners rather than through captured references. The last test
+keeps every check where pytest collects it.
 """
 
 from __future__ import annotations
 
 import ast
+import fnmatch
 import importlib
 import importlib.util
 from pathlib import Path
@@ -147,3 +149,22 @@ def test_the_crawl_loop_reaches_its_stages_through_their_owners(tiny_web):
         for span in tracer.spans
         if span[0] in ("core.update_module:process_slots", "core.ranking_module:refine")
     )
+
+
+def test_every_module_that_defines_tests_is_collected():
+    # pytest's default ``python_files``: a test anywhere else never runs.
+    def defines_tests(path):
+        return any(
+            isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+            or isinstance(node, ast.ClassDef) and node.name.startswith("Test")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+        )
+
+    stray = [
+        str(path.relative_to(REPO))
+        for folder in ("tests", "benchmarks")
+        for path in sorted((REPO / folder).rglob("*.py"))
+        if not any(fnmatch.fnmatch(path.name, pattern) for pattern in ("test_*.py", "*_test.py"))
+        and defines_tests(path)
+    ]
+    assert stray == []
