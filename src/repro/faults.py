@@ -12,12 +12,13 @@ Three layers live here:
 
 * **Fault models** (``@register_fault_model``): small parameterised
   generators that map batches of ``(url, site, time)`` to status codes.
-  Each model hashes its inputs through a BLAKE2b/splitmix64 chain and
-  thresholds the resulting uniform variate, so the whole batch resolves in
-  a handful of vectorized NumPy passes.
+  Each model thresholds a uniform drawn from a seeded BLAKE2b/splitmix64
+  key of the URL or site, with the request time (or its window) mixed in.
 * :class:`FaultLayer`: an ordered stack of models applied to a fetch batch.
-  Earlier models win; the first non-OK code per URL sticks. Latency models
-  are kept separate and only inflate transfer latency.
+  It keys each distinct URL and site once per model and memoises it; a call
+  only gathers keys, mixes in time for the whole stack in one splitmix64
+  pass and lets the models claim in order (the first non-OK code sticks).
+  Latency models are kept separate and only inflate transfer latency.
 * :class:`FailureTracker`: the failure-aware side of the engine, driven by
   a :class:`~repro.api.specs.RetrySpec` — exponential backoff with seeded
   jitter, per-site retry budgets, and a per-site circuit breaker with
@@ -29,6 +30,7 @@ Three layers live here:
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,11 +83,15 @@ def _hash64(text: str) -> int:
     )
 
 
+_U30, _U27, _U31, _U11 = (np.uint64(k) for k in (30, 27, 31, 11))
+_UMUL1, _UMUL2 = np.uint64(_MUL1), np.uint64(_MUL2)
+
+
 def _splitmix(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _UMUL1
+    z = (z ^ (z >> _U27)) * _UMUL2
+    return z ^ (z >> _U31)
 
 
 def _splitmix_int(z: int) -> int:
@@ -96,16 +102,9 @@ def _splitmix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix(z: np.ndarray, v) -> np.ndarray:
-    """Fold ``v`` (scalar int or uint64 array) into the hash state."""
-    if not isinstance(v, np.ndarray):
-        v = np.uint64(int(v) & _MASK)
-    return _splitmix((z + _GOLDEN) + v)
-
-
 def _uniform01(z: np.ndarray) -> np.ndarray:
     """Map uint64 hashes to uniforms in [0, 1) using the top 53 bits."""
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return (z >> _U11).astype(np.float64) * (2.0 ** -53)
 
 
 def _time_bits(times: np.ndarray) -> np.ndarray:
@@ -127,14 +126,24 @@ def _keyed(keys: np.ndarray, seed: int, salt: int) -> np.ndarray:
 class FaultModel:
     """Base class for registered fault models.
 
-    Status models implement :meth:`apply`, filling ``codes`` (int64, 0 where
-    no model has claimed the fetch yet) and ``retry_after`` in place for the
-    entries they fault. Latency models set ``is_latency`` and implement
-    :meth:`factors` instead.
+    A status model's hash is ``splitmix(key + operand)`` with the key
+    ``_keyed(_hash64(url or site), seed, SALT) + _GOLDEN``, fixed per URL or
+    site. A model declares three parts and the :class:`FaultLayer` hashes:
+
+    * ``KEY``: the key source, ``"url"`` or ``"site"``. The layer hashes
+      each distinct URL or site once and memoises its key.
+    * :meth:`operand`: the per-call uint64 mixed into the key (the request
+      time's bit pattern, or a floored window index).
+    * :meth:`claim`: given the mixed hashes ``z`` and their uniforms ``u``,
+      fill ``codes`` (int64, 0 where no earlier model claimed the fetch)
+      and ``retry_after`` in place for the entries the model faults.
+
+    Latency models set ``is_latency`` and implement :meth:`factors` instead.
     """
 
     kind: str = ""
     SALT: int = 0
+    KEY: str = "url"
     is_latency: bool = False
 
     @property
@@ -148,16 +157,10 @@ class FaultModel:
         """
         return False
 
-    def apply(
-        self,
-        url_hashes: np.ndarray,
-        site_hashes: np.ndarray,
-        times: np.ndarray,
-        time_bits: np.ndarray,
-        seed: int,
-        codes: np.ndarray,
-        retry_after: np.ndarray,
-    ) -> None:
+    def operand(self, times: np.ndarray, time_bits: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def claim(self, z, u, times, codes, retry_after) -> None:
         raise NotImplementedError
 
     def factors(self, times: np.ndarray, seed: int) -> np.ndarray:
@@ -203,15 +206,15 @@ class TransientFaults(FaultModel):
     def is_null(self) -> bool:
         return self.rate <= 0.0
 
-    def apply(self, url_hashes, site_hashes, times, time_bits, seed, codes, retry_after):
-        if self.rate <= 0.0:
-            return
-        z = _mix(_keyed(url_hashes, seed, self.SALT), time_bits)
-        hit = (codes == 0) & (_uniform01(z) < self.rate)
+    def operand(self, times, time_bits):
+        return time_bits
+
+    def claim(self, z, u, times, codes, retry_after):
+        hit = (codes == 0) & (u < self.rate)
         if hit.any():
-            split = _uniform01(_splitmix(z + _GOLDEN))
+            split = _uniform01(_splitmix(z[hit] + _GOLDEN))
             codes[hit] = np.where(
-                split[hit] < self.timeout_fraction, STATUS_TIMEOUT, STATUS_SERVER_ERROR
+                split < self.timeout_fraction, STATUS_TIMEOUT, STATUS_SERVER_ERROR
             )
 
     def params(self) -> dict:
@@ -230,6 +233,7 @@ class SiteOutageFaults(FaultModel):
 
     kind = "site_outage"
     SALT = 0x4F555447
+    KEY = "site"
 
     def __init__(
         self,
@@ -247,13 +251,13 @@ class SiteOutageFaults(FaultModel):
     def is_null(self) -> bool:
         return self.rate <= 0.0
 
-    def apply(self, url_hashes, site_hashes, times, time_bits, seed, codes, retry_after):
-        if self.rate <= 0.0:
-            return
+    def operand(self, times, time_bits):
+        return np.floor(times / self.period_days).astype(np.uint64)
+
+    def claim(self, z, u, times, codes, retry_after):
         window = np.floor(times / self.period_days)
-        z = _mix(_keyed(site_hashes, seed, self.SALT), window.astype(np.uint64))
         in_window = times - window * self.period_days < self.duration_days
-        dark = (codes == 0) & in_window & (_uniform01(z) < self.rate)
+        dark = (codes == 0) & in_window & (u < self.rate)
         codes[dark] = STATUS_SERVER_ERROR
 
     def params(self) -> dict:
@@ -279,11 +283,11 @@ class RateLimitFaults(FaultModel):
     def is_null(self) -> bool:
         return self.rate <= 0.0
 
-    def apply(self, url_hashes, site_hashes, times, time_bits, seed, codes, retry_after):
-        if self.rate <= 0.0:
-            return
-        z = _mix(_keyed(url_hashes, seed, self.SALT), time_bits)
-        hit = (codes == 0) & (_uniform01(z) < self.rate)
+    def operand(self, times, time_bits):
+        return time_bits
+
+    def claim(self, z, u, times, codes, retry_after):
+        hit = (codes == 0) & (u < self.rate)
         codes[hit] = STATUS_RATE_LIMITED
         retry_after[hit] = self.retry_after_days
 
@@ -313,12 +317,11 @@ class Soft404Faults(FaultModel):
     def is_null(self) -> bool:
         return self.rate <= 0.0
 
-    def apply(self, url_hashes, site_hashes, times, time_bits, seed, codes, retry_after):
-        if self.rate <= 0.0:
-            return
-        window = np.floor(times / self.flap_period_days).astype(np.uint64)
-        z = _mix(_keyed(url_hashes, seed, self.SALT), window)
-        hit = (codes == 0) & (_uniform01(z) < self.rate)
+    def operand(self, times, time_bits):
+        return np.floor(times / self.flap_period_days).astype(np.uint64)
+
+    def claim(self, z, u, times, codes, retry_after):
+        hit = (codes == 0) & (u < self.rate)
         codes[hit] = STATUS_SOFT_404
 
     def params(self) -> dict:
@@ -370,6 +373,42 @@ class LatencyFaults(FaultModel):
 # --------------------------------------------------------------------------- #
 
 
+class _KeyMemo:
+    """Seeded model keys per distinct URL (or site), computed on first sight.
+
+    Column ``index[key]`` of ``table`` holds ``_keyed(_hash64(key), seed,
+    salt) + _GOLDEN`` for each salt; ``None`` hashes to the sentinel 0. A
+    cache, not state: it is never checkpointed, merged or put in a spec, so
+    a cold memo (a resumed run, a forked worker) yields the same weather.
+    """
+
+    def __init__(self, seed: int, salts: Sequence[int]) -> None:
+        self.seed = seed
+        self.salts = list(salts)
+        self.index: Dict[Optional[str], int] = {}
+        self.table = np.empty((len(self.salts), 0), dtype=np.uint64)
+
+    def columns(self, keys: Sequence[Optional[str]]) -> np.ndarray:
+        """The ``(len(salts), len(keys))`` keys of a batch, filling misses."""
+        get = self.index.get
+        cols = np.fromiter(map(get, keys, repeat(-1)), np.intp, len(keys))
+        if cols.min() < 0:
+            new = list(dict.fromkeys(k for k, c in zip(keys, cols) if c < 0))
+            start, stop = len(self.index), len(self.index) + len(new)
+            if stop > self.table.shape[1]:
+                grown = np.empty((len(self.salts), 2 * stop), dtype=np.uint64)
+                grown[:, :start] = self.table[:, :start]
+                self.table = grown
+            hashes = np.fromiter(
+                (0 if k is None else _hash64(k) for k in new), np.uint64, len(new)
+            )
+            for row, salt in enumerate(self.salts):
+                self.table[row, start:stop] = _keyed(hashes, self.seed, salt) + _GOLDEN
+            self.index.update(zip(new, range(start, stop)))
+            cols = np.fromiter(map(get, keys), np.intp, len(keys))
+        return self.table.take(cols, axis=1)
+
+
 class FaultLayer:
     """An ordered stack of fault models applied to fetch batches.
 
@@ -394,8 +433,14 @@ class FaultLayer:
         active = [m for m in self.models if not m.is_null]
         self._status_models = [m for m in active if not m.is_latency]
         self._latency_models = [m for m in active if m.is_latency]
-        self._url_hashes: Dict[str, int] = {}
-        self._site_hashes: Dict[Optional[str], int] = {None: 0}
+        # The fused pass stacks URL-keyed rows over site-keyed ones; the
+        # claims still run in stack order.
+        keyed = {src: [m for m in self._status_models if m.KEY == src] for src in ("url", "site")}
+        self._rows = keyed["url"] + keyed["site"]
+        self._memos = [
+            (src, _KeyMemo(self.seed, [m.SALT for m in ms])) for src, ms in keyed.items() if ms
+        ]
+        self._claims = [(self._rows.index(m), m) for m in self._status_models]
 
     @property
     def has_status_models(self) -> bool:
@@ -404,17 +449,6 @@ class FaultLayer:
     @property
     def has_latency_models(self) -> bool:
         return bool(self._latency_models)
-
-    def _hashes(self, values: Sequence[Optional[str]], cache: dict) -> np.ndarray:
-        out = np.empty(len(values), dtype=np.uint64)
-        get = cache.get
-        for i, value in enumerate(values):
-            h = get(value)
-            if h is None:
-                h = _hash64(value)
-                cache[value] = h
-            out[i] = h
-        return out
 
     def resolve(
         self,
@@ -441,12 +475,16 @@ class FaultLayer:
         retry_after = np.zeros(n, dtype=np.float64)
         if n == 0 or not self._status_models:
             return codes, retry_after
-        url_h = self._hashes(urls, self._url_hashes)
-        site_h = self._hashes(sites, self._site_hashes)
         t = np.asarray(times, dtype=np.float64)
         tbits = _time_bits(t)
-        for model in self._status_models:
-            model.apply(url_h, site_h, t, tbits, self.seed, codes, retry_after)
+        blocks = [memo.columns(urls if src == "url" else sites) for src, memo in self._memos]
+        z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        for row, model in enumerate(self._rows):
+            z[row] += model.operand(t, tbits)
+        z = _splitmix(z)
+        u = _uniform01(z)
+        for row, model in self._claims:
+            model.claim(z[row], u[row], t, codes, retry_after)
         return codes, retry_after
 
     def resolve_one(
@@ -482,9 +520,9 @@ def _retry_jitter(url: str, attempt: int, seed: int, jitter: float) -> float:
     """Deterministic jitter factor in [1 - jitter, 1 + jitter)."""
     if jitter <= 0.0:
         return 1.0
-    # _uniform01(_mix(_keyed(hash, seed, salt), attempt)) on Python ints: a
-    # retry is a single draw, and a size-1 array costs ~25 us in NumPy
-    # fixed overhead per call.
+    # A status model's chain, _uniform01(_splitmix(_keyed(hash, seed, salt)
+    # + _GOLDEN + attempt)), on Python ints: a retry is a single draw, and a
+    # size-1 array costs ~25 us in NumPy fixed overhead per call.
     z = _splitmix_int(_hash64(url) + _GOLDEN_INT + seed)
     z = _splitmix_int(z + _GOLDEN_INT + _RETRY_SALT)
     z = _splitmix_int(z + _GOLDEN_INT + attempt)

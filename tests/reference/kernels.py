@@ -2,8 +2,9 @@
 
 Each function here is the original per-element implementation of a kernel
 that ``src/repro`` now computes with NumPy or sparse matrices. They exist
-only as oracles: ``tests/test_vectorized_parity.py`` and
-``tests/test_ranking_sparse.py`` hold the product kernels to them, and
+only as oracles: ``tests/test_vectorized_parity.py``,
+``tests/test_ranking_sparse.py`` and ``tests/test_faults.py`` hold the
+product kernels to them, and
 ``benchmarks/bench_perf_hotpaths.py`` times the product against them.
 Helpers the product and its reference share (input validation, the random
 draws) are imported from the product modules, so both consume identical
@@ -18,6 +19,19 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.ranking_module import RankingModule
+from repro.faults import (
+    _GOLDEN,
+    _MASK,
+    STATUS_RATE_LIMITED,
+    STATUS_SERVER_ERROR,
+    STATUS_SOFT_404,
+    STATUS_TIMEOUT,
+    FaultModel,
+    _hash64,
+    _splitmix,
+    _time_bits,
+    _uniform01,
+)
 from repro.freshness.analytic import CrawlMode, CrawlPolicy, UpdateMode
 from repro.freshness.optimal_allocation import (
     _BISECTION_ITERS,
@@ -423,3 +437,74 @@ def _collect_nodes(graph: Graph) -> list:
                 seen.add(target)
                 nodes.append(target)
     return nodes
+
+
+def _mix(z: np.ndarray, v) -> np.ndarray:
+    """Fold ``v`` (scalar int or uint64 array) into the hash state."""
+    if not isinstance(v, np.ndarray):
+        v = np.uint64(int(v) & _MASK)
+    return _splitmix((z + _GOLDEN) + v)
+
+
+def _keyed(keys: np.ndarray, seed: int, salt: int) -> np.ndarray:
+    """Seed + per-model salt folded into a uint64 key array."""
+    z = _splitmix((np.asarray(keys, dtype=np.uint64) + _GOLDEN) + np.uint64(seed & _MASK))
+    return _splitmix((z + _GOLDEN) + np.uint64(salt & _MASK))
+
+
+def fault_resolve_reference(
+    models: Sequence[FaultModel],
+    seed: int,
+    urls: Sequence[str],
+    sites: Sequence[Optional[str]],
+    times: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What ``FaultLayer(models, seed).resolve`` returned before its key memo.
+
+    Every call hashes every URL and site, and each status model in stack
+    order re-derives its seeded key (``_keyed``), mixes in time (``_mix``)
+    and thresholds the uniform, claiming only still-OK entries. Latency
+    and zero-rate models claim nothing.
+    """
+    seed = int(seed) & _MASK
+    n = len(urls)
+    codes = np.zeros(n, dtype=np.int64)
+    retry_after = np.zeros(n, dtype=np.float64)
+    url_hashes = np.asarray([_hash64(url) for url in urls], dtype=np.uint64)
+    site_hashes = np.asarray(
+        [0 if site is None else _hash64(site) for site in sites], dtype=np.uint64
+    )
+    times = np.asarray(times, dtype=np.float64)
+    time_bits = _time_bits(times)
+    for model in models:
+        if model.is_latency or model.rate <= 0.0:
+            continue
+        if model.kind == "transient":
+            z = _mix(_keyed(url_hashes, seed, model.SALT), time_bits)
+            hit = (codes == 0) & (_uniform01(z) < model.rate)
+            if hit.any():
+                split = _uniform01(_splitmix(z + _GOLDEN))
+                codes[hit] = np.where(
+                    split[hit] < model.timeout_fraction,
+                    STATUS_TIMEOUT,
+                    STATUS_SERVER_ERROR,
+                )
+        elif model.kind == "site_outage":
+            window = np.floor(times / model.period_days)
+            z = _mix(_keyed(site_hashes, seed, model.SALT), window.astype(np.uint64))
+            in_window = times - window * model.period_days < model.duration_days
+            dark = (codes == 0) & in_window & (_uniform01(z) < model.rate)
+            codes[dark] = STATUS_SERVER_ERROR
+        elif model.kind == "rate_limit":
+            z = _mix(_keyed(url_hashes, seed, model.SALT), time_bits)
+            hit = (codes == 0) & (_uniform01(z) < model.rate)
+            codes[hit] = STATUS_RATE_LIMITED
+            retry_after[hit] = model.retry_after_days
+        elif model.kind == "soft_404":
+            window = np.floor(times / model.flap_period_days).astype(np.uint64)
+            z = _mix(_keyed(url_hashes, seed, model.SALT), window)
+            hit = (codes == 0) & (_uniform01(z) < model.rate)
+            codes[hit] = STATUS_SOFT_404
+        else:
+            raise ValueError(f"no reference for fault model {model.kind!r}")
+    return codes, retry_after

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.registry import FAULT_MODELS as FAULT_MODEL_REGISTRY
 from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, PolicySpec, RetrySpec
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.collurls import CollUrls
@@ -38,8 +39,6 @@ from repro.faults import (
     FailureTracker,
     FaultLayer,
     _hash64,
-    _keyed,
-    _mix,
     _retry_jitter,
     _uniform01,
 )
@@ -53,6 +52,7 @@ from repro.storage.checkpoint import (
 )
 
 from reference.crawl import ReferenceIncrementalCrawler
+from reference.kernels import _keyed, _mix, fault_resolve_reference
 
 WEB_CONFIG = WebGeneratorConfig(
     site_scale=0.03,
@@ -219,6 +219,39 @@ class TestFaultModels:
         assert STATUS_SOFT_404 in TRANSIENT_CODES
         assert STATUS_SOFT_404 not in HARD_FAULT_CODES
 
+    def test_weather_is_independent_of_resolve_history(self):
+        """The key memo is a cache: what a layer saw before changes nothing.
+
+        A layer that first resolved batch B returns for batch A exactly what
+        a fresh layer returns, and holds one memo row per distinct URL and
+        site however often a batch comes back.
+        """
+        a_urls, a_sites, a_times = _batch(n=120, seed=1)
+        b_urls, b_sites, b_times = _batch(n=90, seed=2)
+        b_urls = [url.replace("page", "other") for url in b_urls]
+        b_sites = [None if i % 7 == 0 else site for i, site in enumerate(b_sites)]
+        warm = _layer(FAULT_MODELS, seed=9)
+        warm.resolve(b_urls, b_sites, b_times)
+        got = warm.resolve(a_urls, a_sites, a_times)
+        fresh = _layer(FAULT_MODELS, seed=9).resolve(a_urls, a_sites, a_times)
+        assert np.array_equal(got[0], fresh[0])
+        assert np.array_equal(got[1], fresh[1])
+
+        def rows():
+            return {source: len(memo.index) for source, memo in warm._memos}
+
+        expected = {
+            "url": len(set(a_urls) | set(b_urls)),
+            "site": len(set(a_sites) | set(b_sites)),
+        }
+        assert rows() == expected
+        again = warm.resolve(b_urls, b_sites, b_times)
+        fresh = _layer(FAULT_MODELS, seed=9).resolve(b_urls, b_sites, b_times)
+        assert np.array_equal(again[0], fresh[0])
+        assert np.array_equal(again[1], fresh[1])
+        warm.resolve(a_urls, a_sites, a_times)
+        assert rows() == expected
+
 
 # --------------------------------------------------------------------------- #
 # Retry policy and failure tracker
@@ -349,7 +382,66 @@ class TestFailureTracker:
 # --------------------------------------------------------------------------- #
 
 
+_MODEL_KINDS = ("transient", "site_outage", "rate_limit", "soft_404", "latency")
+_POOL_URLS = [f"http://s{i % 5}.test/p{i}" for i in range(12)]
+
+
+@st.composite
+def _fault_stacks(draw):
+    """A random subset of the fault models in random order, zero rates included."""
+    # Rates of 1 make every model claim, so the stack order decides.
+    rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 1.0))
+    fraction = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(_MODEL_KINDS), unique=True)):
+        params = {"rate": draw(rate)}
+        if kind == "transient":
+            params["timeout_fraction"] = draw(st.floats(0.0, 1.0))
+        elif kind == "site_outage":
+            period = draw(st.floats(0.5, 10.0))
+            params.update(period_days=period, duration_days=period * draw(fraction))
+        elif kind == "rate_limit":
+            params["retry_after_days"] = draw(st.floats(0.01, 2.0))
+        elif kind == "soft_404":
+            params["flap_period_days"] = draw(st.floats(0.5, 10.0))
+        stack.append(FAULT_MODEL_REGISTRY.create(kind, **params))
+    return stack
+
+
+# Batches over a 12-URL, 5-site pool: URLs repeat, sites may be None.
+_fetch_batches = st.lists(
+    st.tuples(
+        st.sampled_from(_POOL_URLS),
+        st.one_of(st.none(), st.sampled_from([f"s{i}" for i in range(5)])),
+        st.floats(0.0, 60.0),
+    ),
+    max_size=40,
+)
+
+
 class TestFailureProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        models=_fault_stacks(),
+        seed=st.integers(0, 2**64 - 1),
+        batches=st.lists(_fetch_batches, min_size=1, max_size=3),
+    )
+    def test_resolve_matches_the_per_model_reference(self, models, seed, batches):
+        """One fused pass over memoised keys == every model's own hash chain.
+
+        The batches go through one layer in turn, so later ones resolve
+        against a memo the earlier ones filled.
+        """
+        layer = FaultLayer(models, seed=seed)
+        for batch in batches + [[]]:
+            urls = [url for url, _, _ in batch]
+            sites = [site for _, site, _ in batch]
+            times = [at for _, _, at in batch]
+            codes, retry_after = layer.resolve(urls, sites, times)
+            expected = fault_resolve_reference(models, seed, urls, sites, times)
+            assert np.array_equal(codes, expected[0])
+            assert np.array_equal(retry_after, expected[1])
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32), attempt=st.integers(1, 12))
     def test_retry_jitter_is_deterministic_and_bounded(self, seed, attempt):
