@@ -8,10 +8,13 @@ Three runs of the same spec:
    checkpoint lands (before any result is written);
 3. ``run-spec --resume`` against the killed store.
 
+The store commits only with a checkpoint, so before each resume the
+killed store's event count must equal its checkpoint's ``events_logged``.
 The resumed run must reproduce the uninterrupted run's result exactly —
 summary, series, spec hash — and the two stores must hold identical
-per-URL records (fetch timestamps included). This is the paper's
-"incremental crawler you can stop and restart" property, end to end.
+per-URL records (fetch timestamps included) and identical event logs.
+This is the paper's "incremental crawler you can stop and restart"
+property, end to end.
 
 The same three-step dance then repeats for a *sharded* spec
 (``engine="sharded"``, two shards in two worker processes): the SIGKILL
@@ -161,15 +164,51 @@ def state_keys(store: str) -> set:
     return {key for (key,) in rows}
 
 
-def records_table(store: str) -> list:
+def query(store: str, sql: str, params: tuple = ()) -> list:
     conn = sqlite3.connect(f"file:{store}?mode=ro", uri=True)
     try:
-        return conn.execute(
-            "SELECT url, fetched_at, first_fetched_at, visit_count,"
-            " change_count, version, importance FROM records ORDER BY url"
-        ).fetchall()
+        return conn.execute(sql, params).fetchall()
     finally:
         conn.close()
+
+
+def records_table(store: str) -> list:
+    return query(
+        store,
+        "SELECT url, fetched_at, first_fetched_at, visit_count,"
+        " change_count, version, importance FROM records ORDER BY url",
+    )
+
+
+def event_log(store: str) -> list:
+    return query(store, "SELECT url, time, changed, stored FROM events ORDER BY seq")
+
+
+def check_store_is_its_checkpoint(store: str, key: str = "checkpoint") -> int:
+    """A killed store's event count must equal its checkpoint's ``events_logged``
+    (zero without a checkpoint): it holds nothing past its last commit."""
+    rows = query(store, "SELECT value FROM state WHERE key = ?", (key,))
+    logged = json.loads(rows[0][0])["journal"]["events_logged"] if rows else 0
+    count = query(store, "SELECT COUNT(*) FROM events")[0][0]
+    if count != logged:
+        raise SystemExit(
+            f"FAIL: killed store {os.path.basename(store)} holds {count} events "
+            f"but its checkpoint {key!r} logged {logged}"
+        )
+    return count
+
+
+def compare_stores(label: str, pairs: list) -> int:
+    """Records and event logs of each (uninterrupted, interrupted) store pair."""
+    for reference, interrupted in pairs:
+        for what, read in (("records", records_table), ("event logs", event_log)):
+            rows_a, rows_b = read(reference), read(interrupted)
+            if rows_a != rows_b:
+                raise SystemExit(
+                    f"FAIL: {label}: the stores hold different {what} "
+                    f"({len(rows_a)} vs {len(rows_b)} rows)"
+                )
+    return sum(len(records_table(reference)) for reference, _ in pairs)
 
 
 def result_doc(path: str) -> dict:
@@ -222,7 +261,9 @@ def main() -> int:
     keys_after_kill = state_keys(store_b)
     assert "checkpoint" in keys_after_kill and "result" not in keys_after_kill
     assert not os.path.exists(out_b), "killed run must not have written a result"
-    say(f"      killed mid-run (returncode {proc.returncode})")
+    events = check_store_is_its_checkpoint(store_b)
+    say(f"      killed mid-run (returncode {proc.returncode}); store holds its "
+        f"checkpoint's {events} events")
 
     phase = "[3/3] resume from the checkpoint"
     say(f"{phase} ...")
@@ -236,22 +277,15 @@ def main() -> int:
     if a["provenance"]["spec_hash"] != b["provenance"]["spec_hash"]:
         raise SystemExit("FAIL: spec hash mismatch between runs")
 
-    rows_a = records_table(store_a)
-    rows_b = records_table(store_b)
-    if rows_a != rows_b:
-        raise SystemExit(
-            "FAIL: the two stores hold different records "
-            f"({len(rows_a)} vs {len(rows_b)} rows)"
-        )
-
+    records = compare_stores("resume", [(store_a, store_b)])
     say(
         f"PASS: resumed run is bit-identical to the uninterrupted run "
-        f"({len(rows_a)} records, mean freshness "
+        f"({records} records and the event log, mean freshness "
         f"{a['summary']['mean_freshness']:.4f})"
     )
 
     sharded_phase(tmp)
-    corrupted_checkpoint_phase(tmp, out_a)
+    corrupted_checkpoint_phase(tmp, out_a, store_a)
     worker_kill_phase(tmp)
     return 0
 
@@ -267,11 +301,16 @@ def any_shard_checkpoint(base: str, n_shards: int) -> bool:
     return False
 
 
-def shard_records(base: str, n_shards: int) -> list:
-    rows = []
-    for path in shard_store_paths(base, n_shards):
-        rows.extend(records_table(path))
-    return sorted(rows)
+def shard_pairs(reference: str, interrupted: str, n_shards: int) -> list:
+    return list(zip(
+        shard_store_paths(reference, n_shards), shard_store_paths(interrupted, n_shards)
+    ))
+
+
+def check_shard_stores(base: str, n_shards: int) -> None:
+    for k, path in enumerate(shard_store_paths(base, n_shards)):
+        if os.path.exists(path):
+            check_store_is_its_checkpoint(path, f"shard{k:02d}/checkpoint")
 
 
 def sharded_phase(tmp: str) -> None:
@@ -322,7 +361,9 @@ def sharded_phase(tmp: str) -> None:
     # them, so the resumed run never races orphans for the shard stores.
     # Give the kernel a moment to deliver the signal before resuming.
     time.sleep(0.5)
-    say(f"      killed mid-run (returncode {proc.returncode})")
+    check_shard_stores(store_d, n_shards)
+    say(f"      killed mid-run (returncode {proc.returncode}); each shard store "
+        "holds its checkpoint's events")
 
     phase = "[3/3] resume the sharded run from the per-shard stores"
     say(f"{phase} ...")
@@ -338,18 +379,11 @@ def sharded_phase(tmp: str) -> None:
     if c["provenance"]["spec_hash"] != d["provenance"]["spec_hash"]:
         raise SystemExit("FAIL: spec hash mismatch between sharded runs")
 
-    rows_c = shard_records(store_c, n_shards)
-    rows_d = shard_records(store_d, n_shards)
-    if rows_c != rows_d:
-        raise SystemExit(
-            "FAIL: the sharded stores hold different records "
-            f"({len(rows_c)} vs {len(rows_d)} rows)"
-        )
-
+    records = compare_stores("sharded resume", shard_pairs(store_c, store_d, n_shards))
     say(
         f"PASS: resumed sharded run is bit-identical to the uninterrupted "
-        f"run ({len(rows_c)} records across {n_shards} shard stores, mean "
-        f"freshness {c['summary']['mean_freshness']:.4f})"
+        f"run ({records} records and the event logs across {n_shards} shard "
+        f"stores, mean freshness {c['summary']['mean_freshness']:.4f})"
     )
 
 
@@ -387,7 +421,7 @@ def copy_store(store: str, copy: str) -> None:
             shutil.copyfile(store + suffix, copy + suffix)
 
 
-def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
+def corrupted_checkpoint_phase(tmp: str, out_reference: str, store_reference: str) -> None:
     """Corrupt the latest checkpoint; the resume must use the previous one.
 
     The run is killed only after ``checkpoint_prev`` exists (the second
@@ -426,6 +460,7 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
         wait(proc, phase)
         raise SystemExit("FAIL: no second checkpoint observed before the timeout")
 
+    check_store_is_its_checkpoint(store)
     a = result_doc(out_reference)
     for damage in (flipped, torn):
         label = damage.__name__
@@ -445,6 +480,9 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
                     f"FAIL: resume after a {label} checkpoint differs from the "
                     f"uninterrupted run in {key!r}"
                 )
+        # The fallback trimmed the events past the previous slot and resynced
+        # the records: the store ends as the uninterrupted run's.
+        compare_stores(f"{label} fallback", [(store_reference, damaged_store)])
         say(
             f"PASS: {label} checkpoint detected, previous snapshot resumed "
             f"bit-identically (mean freshness {b['summary']['mean_freshness']:.4f})"
@@ -527,16 +565,12 @@ def worker_kill_phase(tmp: str) -> None:
                 "FAIL: worker-kill recovery differs from the uninterrupted "
                 f"sharded run in {key!r}"
             )
-    rows_c = shard_records(os.path.join(tmp, "sharded_uninterrupted.sqlite"), n_shards)
-    rows_d = shard_records(store, n_shards)
-    if rows_c != rows_d:
-        raise SystemExit(
-            "FAIL: the sharded stores hold different records after worker-kill "
-            f"recovery ({len(rows_c)} vs {len(rows_d)} rows)"
-        )
+    records = compare_stores("worker-kill recovery", shard_pairs(
+        os.path.join(tmp, "sharded_uninterrupted.sqlite"), store, n_shards
+    ))
     say(
         "PASS: coordinator recovered the SIGKILLed worker bit-identically "
-        f"({len(rows_d)} records, mean freshness "
+        f"({records} records and the event logs, mean freshness "
         f"{d['summary']['mean_freshness']:.4f})"
     )
 

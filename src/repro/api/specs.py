@@ -415,8 +415,10 @@ class CrawlerSpec(_SpecBase):
         storage: Optional registered storage-backend name
             (:data:`repro.api.registry.STORAGE_BACKENDS` — ``"memory"``,
             ``"sqlite"`` or ``"columnar"`` out of the box). When set, the
-            run journals its collection and change events into the backend;
-            incremental crawls only.
+            run journals its collection and change events into the backend,
+            committed with each checkpoint and with the final result, so a
+            killed run's store is its last committed checkpoint; incremental
+            crawls only.
         checkpoint_every: Optional virtual-day spacing between resumable
             state checkpoints. Requires ``storage``; a killed run resumes
             bit-identically from its last checkpoint.

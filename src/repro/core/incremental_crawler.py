@@ -242,15 +242,20 @@ class IncrementalCrawler:
             duration_days: How long to run.
             start_time: Virtual time at which the run starts.
             journal: Optional :class:`CollectionJournal` mirroring records
-                and change events into a storage backend as the crawl
-                proceeds.
+                and change events into a storage backend. Its writes stay in
+                the backend's open transaction: the journal is flushed
+                before each checkpoint (whose save commits it) and at the
+                end of the run, after which the caller commits with
+                ``backend.flush()``.
             checkpointer: Optional :class:`CrawlCheckpointer` persisting
                 resumable state snapshots at event boundaries.
             resume_state: A checkpoint previously written by this
                 configuration, loaded via ``CrawlCheckpointer.load()``. The
                 crawler must be freshly constructed; the run continues from
                 the checkpoint and produces results bit-identical to an
-                uninterrupted run.
+                uninterrupted run. When ``checkpointer`` loaded it from
+                its latest slot, the journal's store is taken as committed
+                with it and left as it is; otherwise the store is resynced.
 
         Returns:
             A :class:`CrawlRunResult` with freshness/quality series and
@@ -270,8 +275,10 @@ class IncrementalCrawler:
 
         scheduler: Optional[StreamScheduler] = None
         if resume_state is not None:
+            committed = checkpointer is not None and checkpointer.loaded_latest
             scheduler = self._restore_state(
-                resume_state, start_time, duration_days, tracker, result, journal
+                resume_state, start_time, duration_days, tracker, result,
+                journal, committed,
             )
             if checkpointer is not None:
                 checkpointer.start(float(resume_state["checkpoint_at"]))
@@ -288,6 +295,8 @@ class IncrementalCrawler:
             checkpointer=checkpointer,
             scheduler=scheduler,
         )
+        if journal is not None:
+            journal.flush(self._collection)
 
         result.pages_crawled = self._crawl_module.pages_fetched
         result.pages_failed = self._crawl_module.pages_failed
@@ -342,12 +351,16 @@ class IncrementalCrawler:
         spec = self._spec
         crawl_period = 1.0 / spec.crawl_budget_per_day
         limit = end_time + 1e-12
+        journal = self._crawl_module.journal
 
         while True:
             head = scheduler.peek()
             if head is None or head[0] > limit:
                 break
             if checkpointer is not None and checkpointer.due(head[0]):
+                if journal is not None:
+                    # Written into the transaction the save commits.
+                    journal.flush(self._collection)
                 # No local name for the state: it would keep the last
                 # snapshot alive, doubling the next save's peak memory.
                 checkpointer.save(
@@ -446,7 +459,7 @@ class IncrementalCrawler:
         return self._quality_cache.attainable_mass
 
     def _refresh_journal_records(self) -> None:
-        """Mirror the full collection after a ranking scan rewrote importance."""
+        """Tell the journal a ranking scan rewrote the collection's importance."""
         journal = self._crawl_module.journal
         if journal is not None:
             journal.refresh_records(self._collection.working_records())
@@ -509,13 +522,16 @@ class IncrementalCrawler:
         tracker: FreshnessTracker,
         result: CrawlRunResult,
         journal: Optional[CollectionJournal],
+        committed: bool,
     ) -> StreamScheduler:
         """Rebuild crawler state from a checkpoint and return the scheduler.
 
         The crawler must be freshly constructed (as after a process kill):
         restoration *replays* collection stores in checkpoint order so the
         repository's insertion order — and with it every scan order
-        downstream — matches the uninterrupted run.
+        downstream — matches the uninterrupted run. ``committed`` says the
+        journal's store committed together with this checkpoint, so it
+        already mirrors the restored collection.
         """
         fmt = state.get("format")
         if fmt != CHECKPOINT_FORMAT:
@@ -571,9 +587,10 @@ class IncrementalCrawler:
         result.quality_times[:] = [float(t) for t in quality["times"]]
 
         if journal is not None:
-            # The killed run may have put or deleted records after this
-            # checkpoint; the store must mirror the restored collection.
-            journal.backend.replace_records(self._collection.working_records())
+            if not committed:
+                # The store may have moved past this checkpoint (the load
+                # fell back a slot); it must mirror the restored collection.
+                journal.backend.replace_records(self._collection.working_records())
             if state.get("journal") is not None:
-                journal.restore_snapshot(state["journal"])
+                journal.restore_snapshot(state["journal"], committed)
         return scheduler

@@ -85,8 +85,9 @@ class ShardRunSpec:
         """This job as re-run after its worker died without replying.
 
         Without a persistent store it re-runs as is; with a checkpointed
-        one it resumes. A store without checkpoints holds a half-written
-        journal nothing can resume from, so the death is fatal.
+        one it resumes. A store without checkpoints has nothing to resume
+        from (its journal commits only with the shard's result), so the
+        death is fatal.
         """
         if self.crawler.storage is None or self.store_path is None:
             return self

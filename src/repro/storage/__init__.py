@@ -17,9 +17,9 @@ This package provides:
   :class:`SqliteBackend`, :class:`ColumnarBackend`) — pluggable persistent
   stores for crawl records, change events and checkpoint state, selected
   through :data:`repro.api.registry.STORAGE_BACKENDS`;
-* :class:`CollectionJournal` and :class:`CrawlCheckpointer` — the
-  write-behind mirror and the resumable-state snapshotter that connect a
-  running crawl to a backend.
+* :class:`CollectionJournal` and :class:`CrawlCheckpointer` — the mirror
+  that writes a running crawl's records and events into a backend and the
+  resumable-state snapshotter whose save commits them.
 """
 
 from repro.storage.records import PageRecord, record_to_dict

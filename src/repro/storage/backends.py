@@ -20,8 +20,10 @@ Backends are selected by name through the ``STORAGE_BACKENDS`` registry
 * ``memory`` — plain dicts/lists; the default, no persistence, bit-identical
   to pre-backend behaviour;
 * ``sqlite`` — a WAL-mode SQLite database written with batched
-  ``executemany`` calls, sized so persistence piggybacks on the batched
-  engine's ``process_batch`` boundaries;
+  ``executemany`` calls inside one open transaction, which only
+  :meth:`~StorageBackend.flush` commits: a checkpointed crawl flushes with
+  each checkpoint, so after a kill the file holds exactly its last
+  committed checkpoint;
 * ``columnar`` — NumPy record columns with append-chunking, so hot
   oracle/freshness-style consumers can read ``fetched_at``/``importance``
   columns without materialising per-record Python objects.
@@ -91,6 +93,12 @@ class StorageBackend(ABC):
         """Rewrite the ``importance`` of stored records (here: re-put them)."""
         self.put_records(records)
 
+    def update_fetches(self, records: Sequence[PageRecord]) -> None:
+        """Rewrite ``fetched_at``, ``visit_count`` and ``importance`` of
+        stored records, the fields an unchanged re-fetch moves (here: re-put
+        them)."""
+        self.put_records(records)
+
     @abstractmethod
     def clear_records(self) -> None:
         """Remove every stored record."""
@@ -147,10 +155,19 @@ class StorageBackend(ABC):
     # Lifecycle
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
-        """Make pending writes durable (no-op for volatile backends)."""
+        """Commit every write since the last flush, atomically.
+
+        The only point at which a durable backend's contents change: until
+        it, writes are visible to this instance alone. A no-op for the
+        volatile backends, whose writes apply at once.
+        """
 
     def close(self) -> None:
-        """Release held resources; the backend is unusable afterwards."""
+        """Release held resources; the backend is unusable afterwards.
+
+        A durable backend drops whatever was written since the last
+        :meth:`flush`, exactly as a killed process would.
+        """
 
     @property
     def persistent(self) -> bool:
@@ -223,8 +240,10 @@ class MemoryBackend(StorageBackend):
 class SqliteBackend(StorageBackend):
     """SQLite-backed store (WAL mode when file-backed).
 
-    Writes are batched ``executemany`` statements with one commit per call,
-    sized to the crawl loop's ``process_batch`` windows. ``path=None``
+    Writes are batched ``executemany`` statements that accumulate in one
+    open transaction; :meth:`flush` is the only commit and :meth:`close`
+    without it rolls back. A crawl flushes with each checkpoint, so a killed
+    run leaves the file at its last committed checkpoint. ``path=None``
     opens an in-memory database (useful for tests and benchmarks); a file
     path makes the store durable and enables WAL journaling so a killed
     crawler never corrupts the database.
@@ -330,20 +349,36 @@ class SqliteBackend(StorageBackend):
             """,
             rows,
         )
-        self._conn.commit()
 
     def update_importance(self, records: Sequence[PageRecord]) -> None:
         """One ``UPDATE`` per record in one ``executemany``; every row must exist."""
-        if not records:
-            return
-        cursor = self._conn.executemany(
-            "UPDATE records SET importance = ? WHERE url = ?",
+        self._update_rows(
+            "importance", "importance = ?",
             [(record.importance, record.url) for record in records],
         )
-        self._conn.commit()
-        if cursor.rowcount != len(records):
+
+    def update_fetches(self, records: Sequence[PageRecord]) -> None:
+        """Like :meth:`update_importance`, for the three columns an unchanged
+        re-fetch moves; skips :meth:`put_records`' ``json.dumps`` of out-links."""
+        self._update_rows(
+            "fetch", "fetched_at = ?, visit_count = ?, importance = ?",
+            [
+                (record.fetched_at, record.visit_count, record.importance, record.url)
+                for record in records
+            ],
+        )
+
+    def _update_rows(self, what: str, assignments: str, rows: List[Tuple]) -> None:
+        """``UPDATE records SET <assignments> WHERE url = ?`` for every row,
+        raising when a row is missing (the store stopped mirroring)."""
+        if not rows:
+            return
+        cursor = self._conn.executemany(
+            f"UPDATE records SET {assignments} WHERE url = ?", rows
+        )
+        if cursor.rowcount != len(rows):
             raise RuntimeError(
-                f"importance update matched {cursor.rowcount} of {len(records)} "
+                f"{what} update matched {cursor.rowcount} of {len(rows)} "
                 "records: the store no longer mirrors the collection"
             )
 
@@ -357,7 +392,6 @@ class SqliteBackend(StorageBackend):
 
     def delete_record(self, url: str) -> bool:
         cursor = self._conn.execute("DELETE FROM records WHERE url = ?", (url,))
-        self._conn.commit()
         return cursor.rowcount > 0
 
     def scan_records(self) -> List[PageRecord]:
@@ -369,19 +403,17 @@ class SqliteBackend(StorageBackend):
 
     def clear_records(self) -> None:
         self._conn.execute("DELETE FROM records")
-        self._conn.commit()
 
     def append_events(self, events: Sequence[ChangeEvent]) -> None:
         if not events:
             return
         self._conn.executemany(
             "INSERT INTO events (url, time, changed, stored) VALUES (?, ?, ?, ?)",
-            [
+            (
                 (str(url), float(time), int(bool(changed)), int(bool(stored)))
                 for url, time, changed, stored in events
-            ],
+            ),
         )
-        self._conn.commit()
 
     def scan_events(self) -> List[ChangeEvent]:
         rows = self._conn.execute(
@@ -398,7 +430,6 @@ class SqliteBackend(StorageBackend):
             " (SELECT seq FROM events ORDER BY seq LIMIT ?)",
             (max(0, count),),
         )
-        self._conn.commit()
 
     def save_state_text(self, key: str, text: str) -> None:
         self._conn.execute(
@@ -406,7 +437,6 @@ class SqliteBackend(StorageBackend):
             " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
             (key, text),
         )
-        self._conn.commit()
 
     def load_state_text(self, key: str) -> Optional[str]:
         row = self._conn.execute(
@@ -416,7 +446,6 @@ class SqliteBackend(StorageBackend):
 
     def delete_state(self, key: str) -> bool:
         cursor = self._conn.execute("DELETE FROM state WHERE key = ?", (key,))
-        self._conn.commit()
         return cursor.rowcount > 0
 
     def flush(self) -> None:

@@ -3,25 +3,30 @@
 Two cooperating pieces sit between the crawler and a
 :class:`~repro.storage.backends.StorageBackend`:
 
-* :class:`CollectionJournal` mirrors the live collection into the backend as
-  the crawl proceeds — stored records are (re-)put and per-fetch change
-  events appended at ``process_batch`` boundaries, discards delete rows —
-  so the backend always holds a queryable copy of the collection without
-  the crawler ever reading through it (the hot path stays in memory).
+* :class:`CollectionJournal` mirrors the live collection into the backend.
+  Per-fetch change events are appended at ``process_batch`` boundaries;
+  records are only *marked* there (new or changed, re-fetched unchanged,
+  discarded) and written out by :meth:`CollectionJournal.flush` just before
+  each checkpoint and at run end. The crawler never reads through it (the
+  hot path stays in memory).
 * :class:`CrawlCheckpointer` periodically persists a full crawler state
   snapshot (queue order, estimator sums, politeness map — assembled by
   ``IncrementalCrawler``) as a named state blob, from which a killed run
-  resumes bit-identically.
+  resumes bit-identically. Its ``backend.flush()`` is the store's commit:
+  the journal's records and events land in the same transaction as the
+  checkpoint, so a killed run's store *is* its last committed checkpoint.
 
 One rule governs a checkpoint's bytes: the document is serialised **once**;
 ``integrity`` is the sha256 **of the stored bytes** that follow its
 fixed-width header; the previous slot receives the **last text this process
 wrote or verified**, never a second dump; a load re-hashes before it parses.
 
-On resume, the journal's event counter is restored from the checkpoint and
-the backend's event log truncated to it, dropping whatever the killed run
-appended after the snapshot; records are resynced wholesale from the
-checkpoint's collection image.
+On the normal resume path (the latest slot verified) the store already
+holds the checkpoint's records and exactly its ``events_logged`` events, so
+nothing is rewritten, and a store that disagrees is refused. Only when the
+load fell back to the previous slot is the store ahead of the checkpoint:
+its event log is then truncated to the checkpoint's count and its records
+resynced wholesale from the checkpoint's collection image.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ import base64
 import hashlib
 import json
 import re
-from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (records and core import this)
     from repro.core.crawl_module import BatchCrawlOutcome, CrawlOutcome
-    from repro.storage.backends import ChangeEvent, StorageBackend
+    from repro.storage.backends import StorageBackend
     from repro.storage.collection import Collection
     from repro.storage.records import PageRecord
 
@@ -113,11 +118,12 @@ def _digest(text: str, start: int) -> str:
 
 
 class CollectionJournal:
-    """Mirrors crawl outcomes into a storage backend.
+    """Mirrors crawl outcomes into a storage backend, one checkpoint at a time.
 
-    The journal is write-behind: it piggybacks on the crawl loop's
-    ``process_batch`` boundaries, so persistence adds one
-    ``executemany``-sized write per tick window rather than one per fetch.
+    Events are appended per batch into the backend's open transaction.
+    Records are marked per batch and written by :meth:`flush`, which the
+    crawler calls before each checkpoint and at run end; the checkpoint's
+    ``backend.flush()`` then commits both with the checkpoint blob.
 
     Args:
         backend: The destination store.
@@ -125,43 +131,53 @@ class CollectionJournal:
 
     def __init__(self, backend: StorageBackend) -> None:
         self.backend = backend
-        #: Number of events appended through this journal (checkpointed so a
-        #: resume can truncate the killed run's post-checkpoint tail).
+        #: Number of events appended through this journal (checkpointed, so
+        #: a resume can check the store against it).
         self.events_logged = 0
+        # URLs whose whole record is rewritten at the next flush (new,
+        # changed or re-admitted pages), in first-mark order so new rows
+        # take their collection order.
+        self._dirty: Dict[str, None] = {}
+        # URLs re-fetched unchanged since the last flush: only fetched_at,
+        # visit_count (and importance) moved.
+        self._refetched: Set[str] = set()
+        # URLs whose importance a ranking scan rewrote since the last flush.
+        self._rescored: Set[str] = set()
+        # URLs that left the collection since the last flush: rows to delete.
+        self._discarded: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Crawl hooks
     # ------------------------------------------------------------------ #
     def on_batch(self, outcome: "BatchCrawlOutcome", collection: "Collection") -> None:
-        """Mirror one resolved batch: re-put stored records, append events.
+        """Append one resolved batch's events and mark its stored records.
 
-        Records are re-read from the live collection (not rebuilt from the
-        outcome) because the crawl loop refreshes unchanged re-fetches
-        *in place*; the collection is the single source of truth.
+        A URL may recur within a batch, so a page stored and then dropped by
+        a later slot is no longer in ``collection``: its discard already
+        queued the delete, and it is not marked.
         """
-        completed = outcome.completed_at.tolist()
-        records: List[PageRecord] = []
-        seen = set()
-        events: List[ChangeEvent] = []
-        for url, stored, changed, completed_at in zip(
-            outcome.urls, outcome.stored, outcome.changed, completed
-        ):
-            events.append((url, completed_at, bool(changed), bool(stored)))
-            if stored and url not in seen:
-                record = collection.get_working(url)
-                if record is not None:
-                    records.append(record)
-                    seen.add(url)
-        self.backend.put_records(records)
-        self.backend.append_events(events)
-        self.events_logged += len(events)
+        dirty = self._dirty
+        refetched = self._refetched
+        get = collection.get_working
+        for url, stored, changed in zip(outcome.urls, outcome.stored, outcome.changed):
+            if not stored or get(url) is None:
+                continue
+            if changed:
+                dirty[url] = None
+            else:
+                refetched.add(url)
+        self.backend.append_events(list(zip(
+            outcome.urls, outcome.completed_at.tolist(), outcome.changed, outcome.stored
+        )))
+        self.events_logged += len(outcome.urls)
 
     def on_outcome(self, outcome: "CrawlOutcome", collection: "Collection") -> None:
         """Scalar variant of :meth:`on_batch` for one crawl outcome."""
         if outcome.stored:
-            record = collection.get_working(outcome.url)
-            if record is not None:
-                self.backend.put_records([record])
+            if outcome.changed:
+                self._dirty[outcome.url] = None
+            else:
+                self._refetched.add(outcome.url)
         self.backend.append_events(
             [(outcome.url, outcome.completed_at, outcome.changed, outcome.stored)]
         )
@@ -169,15 +185,40 @@ class CollectionJournal:
 
     def on_discard(self, url: str) -> None:
         """A page left the working collection (refinement or failure)."""
-        self.backend.delete_record(url)
+        self._dirty.pop(url, None)
+        self._refetched.discard(url)
+        self._rescored.discard(url)
+        self._discarded.add(url)
 
     def refresh_records(self, records: List[PageRecord]) -> None:
-        """Rewrite the stored importance of ``records`` after a ranking scan.
+        """Mark ``records``' importance stale after a ranking scan rewrote it."""
+        self._rescored.update(record.url for record in records)
 
-        A scan moves importance only: every other field was put when its
-        fetch was journaled, and a resume resyncs the whole record set.
+    def flush(self, collection: "Collection") -> None:
+        """Write every record change since the last flush; commits nothing.
+
+        Deletes go first: a page discarded and re-admitted is dirty again,
+        so its row is deleted and re-inserted at the end, where its first
+        put would have left it. Then dirty pages are upserted whole,
+        unchanged re-fetches get the narrow update, and every other row a
+        ranking scan rescored gets its importance.
         """
-        self.backend.update_importance(records)
+        backend = self.backend
+        for url in self._discarded:
+            backend.delete_record(url)
+        dirty = self._dirty
+        get = collection.get_working
+        backend.put_records([get(url) for url in dirty])
+        refetched = self._refetched
+        backend.update_fetches([get(url) for url in refetched if url not in dirty])
+        backend.update_importance([
+            get(url) for url in self._rescored
+            if url not in dirty and url not in refetched
+        ])
+        dirty.clear()
+        refetched.clear()
+        self._rescored.clear()
+        self._discarded.clear()
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -186,14 +227,28 @@ class CollectionJournal:
         """The journal's own state (folded into the crawl checkpoint)."""
         return {"events_logged": self.events_logged}
 
-    def restore_snapshot(self, state: dict) -> None:
-        """Resume the journal at a checkpoint: truncate the event tail.
+    def restore_snapshot(self, state: dict, committed: bool = False) -> None:
+        """Resume the journal at a checkpoint.
 
-        Events the killed run appended after the checkpoint describe fetches
-        the resumed run will re-execute; keeping them would double-count.
+        ``committed`` says the store committed together with this very
+        checkpoint, so it holds exactly ``events_logged`` events: that is
+        checked, and nothing is written. Otherwise the store may be ahead
+        of the checkpoint, and the events past it describe fetches the
+        resumed run will re-execute; they are truncated so nothing is
+        double-counted (the caller rewrites the records).
         """
         self.events_logged = int(state["events_logged"])
-        self.backend.truncate_events(self.events_logged)
+        if not committed:
+            self.backend.truncate_events(self.events_logged)
+            return
+        stored = self.backend.event_count()
+        if stored != self.events_logged:
+            raise ValueError(
+                f"the store holds {stored} events but its checkpoint logged "
+                f"{self.events_logged}, so it was not committed together with that "
+                "checkpoint (written by a build that committed every batch, or "
+                "altered since)"
+            )
 
 
 class CrawlCheckpointer:
@@ -231,6 +286,11 @@ class CrawlCheckpointer:
         self._last_text: Optional[str] = None
         #: Optional test/observer hook called with each saved state dict.
         self.on_save: Optional[Callable[[dict], None]] = None
+        #: Whether the last :meth:`load` returned the latest slot, which the
+        #: store committed together with its records and events. False
+        #: before a load and after a fallback to the previous slot, whose
+        #: store has moved past it.
+        self.loaded_latest = False
 
     def start(self, at: float) -> None:
         """Anchor the checkpoint clock at the run (or resume) start."""
@@ -246,7 +306,9 @@ class CrawlCheckpointer:
         The save is read-only with respect to the crawler: the state dict
         was assembled from snapshots, and flushing the backend has no effect
         on in-memory crawl structures — which is why checkpointing cannot
-        perturb the run.
+        perturb the run. That flush is the store's commit: both slots and
+        whatever the journal wrote since the last save become durable
+        together, or (killed first) not at all.
 
         The document is serialised exactly once. ``state["integrity"]``
         becomes the sha256 of those bytes, and the text written is the same
@@ -320,10 +382,12 @@ class CrawlCheckpointer:
         header and parsed only once verified (never re-serialised); on
         damage the load falls back to the previous good snapshot
         (resuming from it is bit-identical to having crashed one
-        checkpoint earlier). Only when both slots are damaged does the
-        load raise. A store written by an older format is refused by name.
+        checkpoint earlier), and :attr:`loaded_latest` reports which slot
+        was used. Only when both slots are damaged does the load raise. A
+        store written by an older format is refused by name.
         """
         text, error = self._load_verified(self._state_key)
+        self.loaded_latest = error is None and text is not None
         if error is not None:
             text, fallback_error = self._load_verified(self._prev_key)
             if text is None:

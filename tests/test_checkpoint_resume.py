@@ -16,7 +16,15 @@ import pytest
 
 from repro.api.registry import STORAGE_BACKENDS
 from repro.api.runner import run
-from repro.api.specs import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec
+from repro.api.specs import (
+    CrawlerSpec,
+    ExperimentSpec,
+    FaultModelSpec,
+    FaultsSpec,
+    PolicySpec,
+    RetrySpec,
+    WebSpec,
+)
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.storage.backends import MemoryBackend, SqliteBackend
 from repro.storage.checkpoint import (
@@ -27,6 +35,7 @@ from repro.storage.checkpoint import (
     CollectionJournal,
     CrawlCheckpointer,
 )
+from repro.storage.records import records_from_columns
 
 from reference.crawl import ReferenceIncrementalCrawler
 
@@ -142,38 +151,154 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
         assert result_fingerprint(resumed, outcome) == expected
 
 
-def test_resume_resyncs_the_store_before_the_first_scan(tiny_web):
-    """After a resumed run's first scan the store equals the working collection.
+#: A fault mix that makes the batched engine discard and re-admit pages,
+#: and revisit a URL within one batch after a retry.
+CHURN_FAULTS = FaultsSpec(
+    models=(
+        FaultModelSpec("transient", {"rate": 0.15}),
+        FaultModelSpec("soft_404", {"rate": 0.05, "flap_period_days": 3.0}),
+    ),
+    seed=3,
+)
 
-    The killed run got past the checkpoint and discarded pages after it, so
-    its store lacks rows the checkpoint's collection holds; the scan's
-    importance-only update would miss them without the resync on resume.
-    """
+
+class FlushProbe(CollectionJournal):
+    """A journal that records the store and the collection after every flush."""
+
+    def __init__(self, backend):
+        super().__init__(backend)
+        self.flushes = []
+
+    def flush(self, collection):
+        super().flush(collection)
+        # Copies: the crawl keeps refreshing the live records in place.
+        self.flushes.append(
+            (self.backend.scan_records(), copy.deepcopy(collection.working_records()))
+        )
+
+
+@pytest.mark.parametrize("faults", [None, CHURN_FAULTS], ids=["plain", "churn"])
+def test_every_journal_flush_leaves_the_store_equal_to_the_collection(tiny_web, faults):
     backend = SqliteBackend()
+    journal = FlushProbe(backend)
+    crawler = build_crawler(
+        tiny_web, faults=faults,
+        retry=RetrySpec(max_attempts=2) if faults is not None else None,
+    )
+    checkpointer = CrawlCheckpointer(backend, every_days=3.0)
+    outcome = crawler.run(DURATION, journal=journal, checkpointer=checkpointer)
+    assert outcome.pages_replaced > 0
+    # One flush per checkpoint, one at run end.
+    assert len(journal.flushes) == checkpointer.saves + 1 >= 8
+    for in_store, working in journal.flushes:
+        # Field for field and in collection order, importance included.
+        assert in_store == working
+    assert backend.event_count() == journal.events_logged == outcome.pages_crawled \
+        + outcome.pages_failed
+
+
+def _run_killed_after_second_save(tiny_web, backend):
+    """Checkpoints taken by a run killed right after its second save."""
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
     states = []
-    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
-    build_crawler(tiny_web).run(
-        DURATION, journal=CollectionJournal(backend), checkpointer=checkpointer
+
+    def kill_after_second(state):
+        states.append(json.loads(json.dumps(state)))
+        if checkpointer.saves == 2:
+            raise KeyboardInterrupt
+
+    checkpointer.on_save = kill_after_second
+    with pytest.raises(KeyboardInterrupt):
+        build_crawler(tiny_web).run(
+            DURATION, journal=CollectionJournal(backend), checkpointer=checkpointer
+        )
+    return states
+
+
+class FirstBatchProbe(CollectionJournal):
+    """A journal that records the store as the resumed run's first batch lands."""
+
+    def __init__(self, backend):
+        super().__init__(backend)
+        self.first = None
+
+    def on_batch(self, outcome, collection):
+        if self.first is None:
+            self.first = (self.backend.event_count(), self.backend.scan_records())
+        super().on_batch(outcome, collection)
+
+
+def test_a_fallback_resume_trims_events_and_resyncs_records_first(tiny_web):
+    """The latest slot is corrupt, so the resume falls back one checkpoint.
+
+    The store committed with the *latest* checkpoint, so it is ahead of the
+    one resumed from: its events past that checkpoint's count are trimmed
+    and its records rewritten before the first batch is journaled.
+    """
+    plain = build_crawler(tiny_web)
+    expected = result_fingerprint(plain, plain.run(DURATION))
+    backend = SqliteBackend()
+    first, second = _run_killed_after_second_save(tiny_web, backend)
+    assert backend.event_count() == second["journal"]["events_logged"]
+    text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+    flipped = "1" if text[-40] == "0" else "0"
+    backend.save_state_text(CHECKPOINT_STATE_KEY, text[:-40] + flipped + text[-39:])
+    backend.flush()
+
+    loader = CrawlCheckpointer(backend, every_days=7.0)
+    state = loader.load()
+    assert not loader.loaded_latest
+    assert state["checkpoint_at"] == first["checkpoint_at"]
+    probe = FirstBatchProbe(backend)
+    resumed = build_crawler(tiny_web)
+    outcome = resumed.run(
+        DURATION, journal=probe, checkpointer=loader, resume_state=state
     )
-    stored = {record.url for record in backend.scan_records()}
-    state = next(s for s in states if set(s["collection"]["url"]) - stored)
+    trimmed, records = probe.first
+    assert trimmed == first["journal"]["events_logged"] < second["journal"]["events_logged"]
+    assert records == records_from_columns(first["collection"])
+    assert result_fingerprint(resumed, outcome) == expected
+    assert backend.scan_records() == resumed.collection.working_records()
 
-    scans = []
 
-    class ProbeJournal(CollectionJournal):
-        def refresh_records(self, records):
-            super().refresh_records(records)
-            scans.append((
-                [(r.url, r.importance) for r in self.backend.scan_records()],
-                [(r.url, r.importance) for r in records],
-            ))
+def test_a_normal_resume_writes_nothing_and_refuses_a_disagreeing_store(
+    tiny_web, monkeypatch
+):
+    plain = build_crawler(tiny_web)
+    expected = result_fingerprint(plain, plain.run(DURATION))
+    backend = SqliteBackend()
+    _, second = _run_killed_after_second_save(tiny_web, backend)
 
-    build_crawler(tiny_web).run(
-        DURATION, journal=ProbeJournal(backend), resume_state=state
+    loader = CrawlCheckpointer(backend, every_days=7.0)
+    state = loader.load()
+    assert loader.loaded_latest
+
+    def rewrite(*args):
+        raise AssertionError("a normal resume rewrote the store")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(SqliteBackend, "replace_records", rewrite)
+        patched.setattr(SqliteBackend, "truncate_events", rewrite)
+        probe = FirstBatchProbe(backend)
+        resumed = build_crawler(tiny_web)
+        outcome = resumed.run(
+            DURATION, journal=probe, checkpointer=loader, resume_state=state
+        )
+    assert probe.first == (
+        second["journal"]["events_logged"], records_from_columns(second["collection"])
     )
-    in_store, working = scans[0]
-    assert in_store == working
+    assert result_fingerprint(resumed, outcome) == expected
+
+    backend = SqliteBackend()
+    _run_killed_after_second_save(tiny_web, backend)
+    backend.append_events([("stray", 1.0, False, True)])
+    backend.flush()
+    loader = CrawlCheckpointer(backend, every_days=7.0)
+    with pytest.raises(ValueError, match=r"holds \d+ events but its checkpoint logged"):
+        build_crawler(tiny_web).run(
+            DURATION, journal=CollectionJournal(backend), checkpointer=loader,
+            resume_state=loader.load(),
+        )
 
 
 def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):

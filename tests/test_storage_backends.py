@@ -3,7 +3,8 @@
 Every backend must honour one contract — put/get/scan with first-put scan
 order, idempotent deletes, append-only event logs with resume truncation,
 and JSON state blobs that round-trip floats bit-exactly — so the tests are
-parametrized over all registered backends.
+parametrized over all registered backends. SQLite adds one rule: ``flush``
+is its only commit, and ``close`` without it drops the unflushed writes.
 """
 
 from __future__ import annotations
@@ -217,6 +218,7 @@ def test_sqlite_file_persistence(tmp_path):
     first.put_records([make_record("b"), make_record("a")])
     first.append_events([("b", 0.5, True, True)])
     first.save_state("chk", {"n": 7})
+    first.flush()
     first.close()
 
     reopened = SqliteBackend(path)
@@ -224,6 +226,30 @@ def test_sqlite_file_persistence(tmp_path):
         assert [r.url for r in reopened.scan_records()] == ["b", "a"]
         assert reopened.scan_events() == [("b", 0.5, True, True)]
         assert reopened.load_state("chk") == {"n": 7}
+    finally:
+        reopened.close()
+
+
+def test_sqlite_drops_unflushed_writes_on_close(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    first = SqliteBackend(path)
+    first.put_records([make_record("a")])
+    first.append_events([("a", 0.5, True, True)])
+    first.save_state("chk", {"n": 1})
+    first.flush()
+    first.put_records([make_record("b"), make_record("a", visit_count=9)])
+    first.delete_record("a")
+    first.update_fetches([make_record("b", visit_count=4)])
+    first.append_events([("b", 0.75, True, True)])
+    first.save_state("chk", {"n": 2})
+    assert first.record_count() == 1  # visible to the writer before the flush
+    first.close()
+
+    reopened = SqliteBackend(path)
+    try:
+        assert reopened.scan_records() == [make_record("a")]
+        assert reopened.scan_events() == [("a", 0.5, True, True)]
+        assert reopened.load_state("chk") == {"n": 1}
     finally:
         reopened.close()
 
@@ -360,11 +386,31 @@ def test_update_importance_rewrites_importance(backend):
     assert [r.url for r in backend.scan_records()] == ["a", "b"]
 
 
+def test_update_fetches_rewrites_only_the_refetch_columns(backend):
+    backend.put_records([make_record("a"), make_record("b")])
+    refetched = make_record(
+        "b", fetched_at=4.0, visit_count=5, importance=0.5,
+        version=8, outlinks=(), change_count=2,
+    )
+    backend.update_fetches([refetched])
+    stored = backend.get_record("b")
+    assert (stored.fetched_at, stored.visit_count, stored.importance) == (4.0, 5, 0.5)
+    if isinstance(backend, SqliteBackend):
+        # The narrow update leaves the other columns as last put.
+        assert (stored.version, stored.outlinks, stored.change_count) == (
+            7, ("b/a", "b/b"), 1
+        )
+    assert backend.get_record("a") == make_record("a")
+    assert [r.url for r in backend.scan_records()] == ["a", "b"]
+
+
 def test_sqlite_update_importance_requires_every_row():
     backend = SqliteBackend()
     backend.put_records([make_record("a")])
     with pytest.raises(RuntimeError, match="1 of 2"):
         backend.update_importance([make_record("a"), make_record("b")])
+    with pytest.raises(RuntimeError, match="fetch update matched 1 of 2"):
+        backend.update_fetches([make_record("a"), make_record("b")])
 
 
 # --------------------------------------------------------------------- #
