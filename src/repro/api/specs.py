@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
@@ -356,20 +357,21 @@ class RetrySpec(_SpecBase):
     def __post_init__(self) -> None:
         if int(self.max_attempts) < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay_days <= 0:
-            raise ValueError("base_delay_days must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be at least 1")
+        # Chained comparisons refuse NaN, which fails every comparison.
+        if not 0 < self.base_delay_days < math.inf:
+            raise ValueError("base_delay_days must be positive and finite")
+        if not 1.0 <= self.multiplier < math.inf:
+            raise ValueError("multiplier must be at least 1 and finite")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
         if self.site_budget is not None and int(self.site_budget) < 0:
             raise ValueError("site_budget cannot be negative")
         if int(self.breaker_threshold) < 1:
             raise ValueError("breaker_threshold must be at least 1")
-        if self.breaker_probe_days <= 0:
-            raise ValueError("breaker_probe_days must be positive")
-        if self.breaker_backoff < 1.0:
-            raise ValueError("breaker_backoff must be at least 1")
+        if not 0 < self.breaker_probe_days < math.inf:
+            raise ValueError("breaker_probe_days must be positive and finite")
+        if not 1.0 <= self.breaker_backoff < math.inf:
+            raise ValueError("breaker_backoff must be at least 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -465,16 +467,18 @@ class CrawlerSpec(_SpecBase):
         if self.shards is not None:
             if self.engine != "sharded":
                 raise ValueError("shards requires engine='sharded'")
-            if self.shards < 1:
+            if not 1 <= self.shards < math.inf:
                 raise ValueError("shards must be at least 1")
         if self.workers is not None:
             if self.engine != "sharded":
                 raise ValueError("workers requires engine='sharded'")
-            if self.workers < 1:
+            if not 1 <= self.workers < math.inf:
                 raise ValueError("workers must be at least 1")
         # Every bound holds on both kinds, whichever crawler reads the
-        # field, so a bad spec never reaches web generation.
-        if self.collection_capacity < 1:
+        # field, so a bad spec never reaches web generation. Bounds are
+        # chained comparisons with a finite ceiling: NaN fails every
+        # comparison, so a JSON spec's NaN or Infinity is refused too.
+        if not 1 <= self.collection_capacity < math.inf:
             raise ValueError("collection_capacity must be at least 1")
         for name in (
             "crawl_budget_per_day",
@@ -485,12 +489,14 @@ class CrawlerSpec(_SpecBase):
             "measurement_interval_days",
             "default_revisit_interval_days",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.start_time < 0:
-            raise ValueError("start_time must be non-negative")
-        if self.politeness_min_delay_seconds < 0:
-            raise ValueError("politeness_min_delay_seconds must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.start_time < math.inf:
+            raise ValueError("start_time must be non-negative and finite")
+        if not 0 <= self.politeness_min_delay_seconds < math.inf:
+            raise ValueError(
+                "politeness_min_delay_seconds must be non-negative and finite"
+            )
         if not 0.0 <= self.politeness_night_start < 1.0:
             raise ValueError("politeness_night_start must be in [0, 1)")
         if not 0.0 < self.politeness_night_duration <= 1.0:
@@ -507,8 +513,8 @@ class CrawlerSpec(_SpecBase):
                     "storage backends are supported for incremental crawls only"
                 )
         if self.checkpoint_every is not None:
-            if self.checkpoint_every <= 0:
-                raise ValueError("checkpoint_every must be positive")
+            if not 0 < self.checkpoint_every < math.inf:
+                raise ValueError("checkpoint_every must be positive and finite")
             if self.storage is None:
                 raise ValueError("checkpoint_every requires a storage backend")
         if self.use_politeness and self.kind != "incremental":

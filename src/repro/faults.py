@@ -30,6 +30,7 @@ Three layers live here:
 from __future__ import annotations
 
 import hashlib
+import math
 from itertools import repeat
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -180,8 +181,8 @@ def _check_rate(name: str, rate: float) -> float:
 
 def _check_positive(name: str, value: float) -> float:
     value = float(value)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 

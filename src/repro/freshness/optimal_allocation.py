@@ -33,35 +33,47 @@ of NumPy passes instead of a 200-iteration scalar bisection per page. The
 original scalar solver is kept as a test oracle in
 ``tests/reference/kernels.py``.
 
+Pages that share a ``(rate, weight)`` pair solve to the same frequency, and
+the crawler's pages share few pairs: EP's estimate is a function of a
+page's visit and change counts, and pages without one share the default
+or the floor rate. So the bisection runs on the ``m`` distinct pairs, pair
+``j`` standing for ``c_j`` pages, and its answers are scattered back.
+
 Each outer step only asks on which side of the budget the total at ``mu``
 lands, and the inner bisection usually settles that long before its
 brackets collapse, so a step stops as soon as the answer is certain:
 
 * After any number of inner levels, every funded page's final frequency
-  ``0.5 * (low + high)`` lies inside its current bracket ``[low, high]``
-  (brackets only shrink, and a float midpoint never leaves its bracket),
-  so the exact final sum ``S`` lies in ``[sum(low), sum(high)]``.
+  ``0.5 * (low + high)`` lies inside its pair's current bracket
+  ``[low, high]`` (brackets only shrink, and a float midpoint never leaves
+  its bracket), so the exact final sum ``S`` lies in
+  ``[c . low, c . high]``.
 * A float sum of ``k`` non-negative terms is within ``k * eps / 2`` of
-  the exact sum, relatively (``eps = 2**-52``). Paying that once for the
-  computed bracket sum and once for the final total ``fl(sum f)``, the
-  final total is at most ``fl(sum(high)) * (1 + 4 k eps)`` and at least
-  ``fl(sum(low)) / (1 + 4 k eps)``, with ``k`` the funded count (unfunded
-  pages add exact zeros); the factor 4 covers second-order terms and the
-  rounding of the scaled bound itself.
+  the exact sum, relatively (``eps = 2**-52``), and so is a float dot
+  product of ``m <= k`` such terms (at most ``m`` roundings per term). Paying
+  that once for the bracket bound and once for the final total
+  ``fl(sum f)``, the total is at most ``fl(c . high) * (1 + 4 k eps)``
+  and at least ``fl(c . low) / (1 + 4 k eps)``, with ``k`` the funded
+  *page* count (unfunded pages add exact zeros); the factor 4 covers
+  second-order terms and the rounding of the scaled bound itself.
 * The outer step's test — ``abs(total - budget) <= slack``, else
   ``total > budget`` — sorts totals into three ordered bands (under, on,
   over), because ``fl(total - budget)`` is monotone in ``total``. So when
   the upper bound already falls in "under", or the lower bound in
   "over", the finished total would too, and the step returns that side.
 
-Nothing the outer search sees changes — the bracket growth, the
-midpoints and the comparisons are the full-depth ones — so every
-``mu`` decision, the final ``mu`` and the returned frequencies are
-bit-identical to running every step to full depth. Only a step whose
-total is too close to the budget for even collapsed brackets to tell —
-in practice just the one that ends the search inside ``slack`` — runs
-all levels, and its allocation is reused as the final one rather than
-solved again.
+A sound bound only decides *when* a step may stop, never *which* side it
+reports. Each pair's bisection depends on that pair alone (the growth
+loop's ``any`` and the collapse test's ``all`` see the same set of values
+however many pages hold it), and a step that runs to full depth scatters
+its answers to all ``n`` pages before its exact sum, so every sum that
+decides anything (a step's side, the leftover completion, the final
+normalisation) is the same ``n``-long sum in the same order as solving
+each page alone. So every ``mu`` decision and the returned frequencies
+are bit-identical to solving every page at every step to full depth.
+Only a step too close to the budget for even collapsed brackets to tell
+— in practice the one that ends the search inside ``slack`` — runs all
+levels, and its allocation is reused as the final one.
 """
 
 from __future__ import annotations
@@ -184,12 +196,12 @@ def optimal_revisit_frequencies(
     """Freshness-optimal revisit frequencies under a total budget.
 
     Args:
-        rates: Per-page Poisson change rates (changes per day); any
-            sequence or NumPy array.
+        rates: Per-page Poisson change rates (changes per day, not NaN);
+            any sequence or NumPy array. An infinite rate gets frequency 0.
         budget: Total revisit budget (page fetches per day); must be
-            positive when there is at least one page.
-        weights: Optional importance weights; the allocation then maximises
-            the weighted freshness sum.
+            finite, and positive when there is at least one page.
+        weights: Optional finite importance weights; the allocation then
+            maximises the weighted freshness sum.
         tolerance: Relative tolerance of the budget bisection.
 
     Returns:
@@ -203,17 +215,26 @@ def optimal_revisit_frequencies(
     if n == 0:
         return []
 
-    changing = (rate_array > _RATE_EPSILON) & (weight_array > 0)
+    # An infinite rate is never worth a visit (its first unit is worth 0).
+    changing = (rate_array > _RATE_EPSILON) & (rate_array < math.inf) & (weight_array > 0)
     if not changing.any():
         return [0.0] * n
 
-    active_rates = rate_array[changing]
-    active_weights = weight_array[changing]
+    # Pages sharing a (rate, weight) pair solve to the same frequency, so
+    # each distinct pair is solved once and scattered back to its pages. A
+    # complex key ``rate + i * weight`` makes the pairs one sortable column.
+    keys = rate_array[changing]
+    if weights is not None:
+        keys = keys + 1j * weight_array[changing]
+    pairs, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    pair_rates = np.ascontiguousarray(pairs.real)
+    pair_weights = np.ones(pairs.size) if weights is None else pairs.imag.copy()
+    counts = counts.astype(float)
 
     # The marginal value of the first unit of bandwidth for page i is
     # weights[i] / rates[i]; mu must lie below the largest such value for any
     # page to receive bandwidth at all.
-    mu_high = float((active_weights / active_rates).max())
+    mu_high = float((pair_weights / pair_rates).max())
     mu_low = 0.0
     slack = tolerance * max(1.0, budget)
 
@@ -225,11 +246,11 @@ def optimal_revisit_frequencies(
 
     def allocation_for(mu: float, side_of: Optional[Callable[[float], int]] = None):
         """``(side, frequencies)`` at ``mu``; see :func:`_bisect_frequencies`."""
-        side, active = _bisect_frequencies(active_rates, active_weights, mu, side_of)
-        if active is None:
+        side, solved = _bisect_frequencies(pair_rates, pair_weights, mu, counts, side_of)
+        if solved is None:
             return side, None
         frequencies = np.zeros(n)
-        frequencies[changing] = active
+        frequencies[changing] = solved[inverse]
         if side_of is not None:
             side = side_of(float(frequencies.sum()))
         return side, frequencies
@@ -316,7 +337,12 @@ def optimal_frequency_curve(
     if not marginals:
         return [0.0 for _ in rates]
     mu = float(np.median(marginals))
-    return [_frequency_for_marginal(rate, 1.0, mu) if rate > 0 else 0.0 for rate in rates]
+    grid = np.asarray(rates, dtype=float)
+    solvable = grid > _RATE_EPSILON
+    distinct, inverse = np.unique(grid[solvable], return_inverse=True)
+    curve = np.zeros(grid.size)
+    curve[solvable] = _bisect_frequencies(distinct, np.ones(distinct.size), mu)[1][inverse]
+    return curve.tolist()
 
 
 # --------------------------------------------------------------------- #
@@ -333,20 +359,20 @@ def _bisect_frequencies(
     rates: np.ndarray,
     weights: np.ndarray,
     mu: float,
+    counts: Optional[np.ndarray] = None,
     side_of: Optional[Callable[[float], int]] = None,
 ) -> Tuple[Optional[int], Optional[np.ndarray]]:
     """Solve ``weight * dF/df(rate, f) = mu`` for every page at once.
 
-    Array counterpart of :func:`_frequency_for_marginal`: pages whose first
-    marginal unit of bandwidth is already worth less than ``mu`` get 0; the
-    rest are solved together by array bisection with the same bracket
-    growth and iteration count as the scalar reference.
+    Pages whose first marginal unit of bandwidth is already worth less than
+    ``mu`` get 0; the rest are solved together by array bisection. Element
+    ``j`` stands for ``counts[j]`` pages (one when ``counts`` is omitted).
 
     Returns ``(None, frequencies)``. Given ``side_of`` (which maps a budget
     total to -1, 0 or +1 and is monotone in it), it instead returns
-    ``(side, None)`` as soon as the bracket sums prove that the finished
-    allocation's total has side -1 or +1 (the module docstring has the
-    argument); a side still open at full depth gets ``(None,
+    ``(side, None)`` as soon as the count-weighted bracket sums prove that
+    the finished allocation's total has side -1 or +1 (the module docstring
+    has the argument); a side still open at full depth gets ``(None,
     frequencies)`` as usual.
     """
     if mu <= 0:
@@ -357,9 +383,12 @@ def _bisect_frequencies(
         return None, frequencies
     rate = rates[funded]
     target = mu / weights[funded]
+    count = np.ones(rate.size) if counts is None else counts[funded]
 
     def gap_positive(freq: np.ndarray) -> np.ndarray:
-        return _marginal_freshness_array(rate, freq) - target > 0
+        # ``marginal - target > 0`` exactly: a float difference of finite
+        # values is positive iff the first is larger.
+        return _marginal_freshness_array(rate, freq) > target
 
     low = np.full(rate.shape, _FREQ_LOW)
     high = np.maximum(rate, 1.0)
@@ -370,12 +399,12 @@ def _bisect_frequencies(
             break
         high[need] *= 2.0
         growing &= high <= _FREQ_CAP
-    margin = 1.0 + _SUM_ERROR_PER_TERM * rate.size
+    margin = 1.0 + _SUM_ERROR_PER_TERM * float(count.sum())
     for _ in range(_BISECTION_ITERS):
         if side_of is not None:
-            if side_of(float(high.sum()) * margin) < 0:
+            if side_of(float(count @ high) * margin) < 0:
                 return -1, None
-            if side_of(float(low.sum()) / margin) > 0:
+            if side_of(float(count @ low) / margin) > 0:
                 return 1, None
         mid = 0.5 * (low + high)
         if ((mid == low) | (mid == high)).all():
@@ -388,43 +417,6 @@ def _bisect_frequencies(
         high = np.where(above, high, mid)
     frequencies[funded] = 0.5 * (low + high)
     return None, frequencies
-
-
-def _frequency_for_marginal(rate: float, weight: float, mu: float) -> float:
-    """Solve ``weight * dF/df(rate, f) = mu`` for ``f`` (0 when impossible).
-
-    ``dF/df`` decreases from ``1/rate`` (at ``f -> 0``) to 0, so a positive
-    solution exists iff ``mu < weight / rate``; otherwise the page is not
-    worth visiting at all.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if rate <= _RATE_EPSILON or weight <= 0:
-        return 0.0
-    if mu >= weight / rate:
-        return 0.0
-    target = mu / weight
-
-    def gap(frequency: float) -> float:
-        return marginal_freshness(rate, frequency) - target
-
-    low = _FREQ_LOW
-    high = max(rate, 1.0)
-    while gap(high) > 0:
-        high *= 2.0
-        if high > _FREQ_CAP:
-            break
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (low + high)
-        if mid == low or mid == high:
-            # Bracket collapsed to adjacent floats; the remaining
-            # iterations could not change the result.
-            break
-        if gap(mid) > 0:
-            low = mid
-        else:
-            high = mid
-    return 0.5 * (low + high)
 
 
 def _as_rate_and_weight_arrays(
@@ -440,13 +432,17 @@ def _as_rate_and_weight_arrays(
         weight_array = np.asarray(weights, dtype=float)
         if weight_array.shape != rate_array.shape:
             raise ValueError("weights must have the same length as rates")
-        if np.any(weight_array < 0):
-            raise ValueError("weights must be non-negative")
+        if not ((weight_array >= 0) & (weight_array < math.inf)).all():
+            raise ValueError("weights must be finite and non-negative")
     return rate_array, weight_array
 
 
 def _validate_budget(rates: Sequence[float], budget: float) -> None:
-    if (np.asarray(rates, dtype=float) < 0).any():
-        raise ValueError("rates must be non-negative")
+    # Written so that NaN, which fails every comparison, fails the checks
+    # (a NaN rate would get frequency 0, a NaN budget NaN everywhere).
+    if not (np.asarray(rates, dtype=float) >= 0).all():
+        raise ValueError("rates must be non-negative (and not NaN)")
+    if not math.isfinite(budget):
+        raise ValueError("budget must be finite")
     if len(rates) > 0 and budget <= 0:
         raise ValueError("budget must be positive when pages are present")

@@ -18,6 +18,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -79,16 +80,19 @@ class WebGeneratorConfig:
     seed: int = 17
 
     def __post_init__(self) -> None:
-        if self.site_scale <= 0:
-            raise ValueError("site_scale must be positive")
-        if self.pages_per_site < 1:
+        # Chained comparisons with a finite ceiling: NaN fails every
+        # comparison, so NaN and Infinity (both valid JSON to Python) are
+        # refused with the out-of-range values.
+        if not 0 < self.site_scale < math.inf:
+            raise ValueError("site_scale must be positive and finite")
+        if not 1 <= self.pages_per_site < math.inf:
             raise ValueError("pages_per_site must be at least 1")
-        if self.window_size is not None and self.window_size < 1:
+        if self.window_size is not None and not 1 <= self.window_size < math.inf:
             raise ValueError("window_size must be at least 1 when given")
-        if self.horizon_days <= 0:
-            raise ValueError("horizon_days must be positive")
-        if self.new_page_fraction < 0:
-            raise ValueError("new_page_fraction must be non-negative")
+        if not 0 < self.horizon_days < math.inf:
+            raise ValueError("horizon_days must be positive and finite")
+        if not 0 <= self.new_page_fraction < math.inf:
+            raise ValueError("new_page_fraction must be non-negative and finite")
         if self.change_model is not None:
             factory = CHANGE_MODELS.get(self.change_model)
             self._validate_change_model_params(factory)

@@ -35,9 +35,11 @@ from repro.faults import (
 from repro.freshness.analytic import CrawlMode, CrawlPolicy, UpdateMode
 from repro.freshness.optimal_allocation import (
     _BISECTION_ITERS,
+    _FREQ_CAP,
+    _FREQ_LOW,
     _RATE_EPSILON,
-    _frequency_for_marginal,
     _validate_budget,
+    marginal_freshness,
 )
 from repro.simulation.crawler_sim import (
     ArrayLike,
@@ -105,6 +107,43 @@ def _record_age(record: PageRecord, web: SimulatedWeb, at: float) -> float:
     if next_change is None or next_change > relative_now:
         return 0.0
     return relative_now - next_change
+
+
+def _frequency_for_marginal(rate: float, weight: float, mu: float) -> float:
+    """Solve ``weight * dF/df(rate, f) = mu`` for ``f`` (0 when impossible).
+
+    ``dF/df`` decreases from ``1/rate`` (at ``f -> 0``) to 0, so a positive
+    solution exists iff ``mu < weight / rate``; otherwise the page is not
+    worth visiting at all.
+    """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if rate <= _RATE_EPSILON or weight <= 0:
+        return 0.0
+    if mu >= weight / rate:
+        return 0.0
+    target = mu / weight
+
+    def gap(frequency: float) -> float:
+        return marginal_freshness(rate, frequency) - target
+
+    low = _FREQ_LOW
+    high = max(rate, 1.0)
+    while gap(high) > 0:
+        high *= 2.0
+        if high > _FREQ_CAP:
+            break
+    for _ in range(_BISECTION_ITERS):
+        mid = 0.5 * (low + high)
+        if mid == low or mid == high:
+            # Bracket collapsed to adjacent floats; the remaining
+            # iterations could not change the result.
+            break
+        if gap(mid) > 0:
+            low = mid
+        else:
+            high = mid
+    return 0.5 * (low + high)
 
 
 def optimal_revisit_frequencies_reference(

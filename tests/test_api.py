@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,45 @@ class TestSpecValidation:
     def test_crawler_spec_rejects_out_of_bounds(self, kind, field, value):
         with pytest.raises(ValueError, match=field):
             CrawlerSpec(kind=kind, **{field: value})
+
+    # NaN fails every comparison, so a bound written as ``value <= 0`` let
+    # it through; JSON's NaN and Infinity reach these fields from a file.
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "collection_capacity", "crawl_budget_per_day", "duration_days",
+        "start_time", "cycle_days", "ranking_interval_days",
+        "reallocation_interval_days", "measurement_interval_days",
+        "default_revisit_interval_days", "politeness_min_delay_seconds",
+        "politeness_night_start", "politeness_night_duration",
+    ])
+    def test_crawler_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CrawlerSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_optional_bounds_reject_non_finite(self, value):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            CrawlerSpec(storage="memory", checkpoint_every=value)
+        with pytest.raises(ValueError, match="shards"):
+            CrawlerSpec(engine="sharded", shards=value)
+        with pytest.raises(ValueError, match="workers"):
+            CrawlerSpec(engine="sharded", workers=value)
+        for field in ("site_scale", "pages_per_site", "window_size",
+                      "horizon_days", "new_page_fraction"):
+            with pytest.raises(ValueError, match=field):
+                WebSpec(**{field: value})
+        for field in ("base_delay_days", "multiplier", "breaker_probe_days",
+                      "breaker_backoff"):
+            with pytest.raises(ValueError, match=field):
+                RetrySpec(**{field: value})
+
+    def test_json_nan_budget_is_refused(self):
+        document = json.loads(TINY_CRAWL.to_json())
+        document["crawler"]["crawl_budget_per_day"] = math.nan
+        text = json.dumps(document)
+        assert "NaN" in text  # Python's json writes and reads it
+        with pytest.raises(ValueError, match="crawl_budget_per_day"):
+            ExperimentSpec.from_json(text)
 
     def test_crawler_spec_builds_the_crawler_parts(self):
         from repro.freshness.policies import UniformRevisitPolicy

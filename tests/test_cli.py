@@ -84,6 +84,16 @@ class TestCommands:
         assert "bogus" in captured.err
         assert "table2" in captured.err  # the error lists registered scenarios
 
+    def test_run_spec_non_finite_field_fails_cleanly(self, tmp_path, capsys):
+        # A NaN budget used to pass validation and crawl a single page.
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"name": "x", "kind": "crawl", "web": {"site_scale": 0.03},'
+            ' "crawler": {"crawl_budget_per_day": NaN}}'
+        )
+        assert main(["run-spec", str(path)]) == 2
+        assert "crawl_budget_per_day" in capsys.readouterr().err
+
     def test_run_spec_wrongly_typed_field_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps({

@@ -275,6 +275,14 @@ class TestRetrySpec:
         with pytest.raises(ValueError):
             RetrySpec(breaker_backoff=0.9)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_fault_model_periods_must_be_finite(self, value):
+        for kind, param in (("site_outage", "period_days"),
+                            ("rate_limit", "retry_after_days"),
+                            ("latency", "factor")):
+            with pytest.raises(ValueError, match=param):
+                FaultModelSpec(kind=kind, params={param: value})
+
     def test_to_dict_is_json_plain(self):
         doc = RetrySpec(site_budget=10).to_dict()
         assert doc["site_budget"] == 10

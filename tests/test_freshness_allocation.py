@@ -1,5 +1,7 @@
 """Tests for the optimal revisit-frequency allocation (Figure 9) and policies."""
 
+import math
+
 import pytest
 
 from repro.freshness.optimal_allocation import (
@@ -131,6 +133,28 @@ class TestOptimalAllocation:
     def test_weight_length_checked(self):
         with pytest.raises(ValueError):
             optimal_revisit_frequencies([0.1], 1.0, weights=[1.0, 2.0])
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        # NaN used to return [nan, nan]; inf returned [inf, nan].
+        with pytest.raises(ValueError, match="budget must be finite"):
+            optimal_revisit_frequencies([1.0, 2.0], budget)
+
+    def test_nan_rate_rejected(self):
+        # A NaN rate used to get frequency 0 silently.
+        with pytest.raises(ValueError, match="NaN"):
+            optimal_revisit_frequencies([1.0, math.nan], 1.0)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            optimal_revisit_frequencies([1.0, 2.0], 1.0, weights=[1.0, weight])
+
+    def test_infinite_rates_get_nothing(self):
+        # A page that changes infinitely often is never worth a visit; a
+        # registered estimator may report one.
+        assert optimal_revisit_frequencies([math.inf, 1.0], 1.0) == [0.0, 1.0]
+        assert optimal_revisit_frequencies([math.inf, math.inf], 1.0) == [0.0, 0.0]
 
     def test_total_freshness_validation(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from repro.simulation.scenarios import paper_table2_policies
 from repro.storage.records import PageRecord
 
 from reference.kernels import (
+    _frequency_for_marginal,
     collection_age_reference,
     collection_freshness_reference,
     optimal_revisit_frequencies_reference,
@@ -255,3 +256,22 @@ class TestAllocatorParity:
             curve[i] >= curve[i + 1] - 1e-9 for i in range(peak, len(curve) - 1)
         )
         assert curve[-1] < max(curve) * 0.5
+
+    def test_curve_matches_the_scalar_solve(self):
+        """The curve solves its grid with the array bisection, once per
+        distinct rate; the scalar per-rate solve at the same water level
+        agrees within the parity budget (zero, infinite and repeated grid
+        rates included)."""
+        population = _mixed_rates(60, seed=5)
+        grid = [0.0, 0.002, 0.05, 0.05, 0.4, 3.0, 0.002, float("inf"), 40.0]
+        curve = optimal_frequency_curve(grid, budget=6.0, population_rates=population)
+        allocation = optimal_revisit_frequencies(population, 6.0)
+        mu = float(np.median([
+            marginal_freshness(rate, frequency)
+            for rate, frequency in zip(population, allocation)
+            if frequency > 0 and rate > 0
+        ]))
+        scalar = [_frequency_for_marginal(rate, 1.0, mu) for rate in grid]
+        np.testing.assert_allclose(curve, scalar, rtol=TOLERANCE, atol=TOLERANCE)
+        assert curve[2] == curve[3] and curve[1] == curve[6]
+        assert curve[0] == curve[7] == 0.0
