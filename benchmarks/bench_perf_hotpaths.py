@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Vectorized kernels vs. their reference loops, and engine identity.
 
-**Timed and gated.** Seven NumPy/sparse kernels, each timed once against
+**Timed and gated.** Six NumPy/sparse kernels, each timed once against
 its reference loop (``tests/reference/kernels.py``) on the same inputs and
 seeds; the results must agree (``max_abs_delta`` ≤ 1e-9) and the kernel
 must beat its reference (``speedup`` ≥ 1). The ratios are 2-56×, far enough from 1 that
@@ -12,10 +12,6 @@ a single raw wall-clock reading resolves them on any host:
 * ``optimal_revisit_frequencies`` — the KKT water-level allocation solver;
 * ``collection_freshness+age`` — the batched-oracle measurement path used
   by every crawler measurement event;
-* ``collection_store_io`` — storage-backend write/scan throughput: the
-  columnar backend against SQLite (with the plain in-memory backend's
-  time recorded alongside) on a crawl-shaped record/event workload, with
-  exact invariant agreement required across all three backends;
 * ``ranking_power_iteration`` — one PageRank solve: the sparse CSR kernel
   (including its CSR build) against the pinned dense reference on the
   same heavy-tailed graph; in full mode the sparse kernel additionally
@@ -95,11 +91,6 @@ from repro.simweb.change_models import PoissonChangeProcess  # noqa: E402
 from repro.simweb.page import SimulatedPage  # noqa: E402
 from repro.simweb.site import SimulatedSite  # noqa: E402
 from repro.simweb.web import SimulatedWeb  # noqa: E402
-from repro.storage.backends import (  # noqa: E402
-    ColumnarBackend,
-    MemoryBackend,
-    SqliteBackend,
-)
 from repro.storage.records import PageRecord, record_to_dict  # noqa: E402
 
 from reference.crawl import ReferenceIncrementalCrawler  # noqa: E402
@@ -445,69 +436,6 @@ def check_crawl_identity(
     return rows
 
 
-
-def bench_collection_store_io(n_records: int) -> Dict:
-    """Storage-backend write/scan throughput: columnar vs SQLite.
-
-    Drives each backend through the same crawl-shaped workload —
-    ``process_batch``-sized ``put_records``/``append_events`` bursts
-    followed by a full scan plus a column aggregation — and checks all
-    backends agree on exact integer invariants (record count, total visit
-    count, a sampled record). SQLite runs in its in-memory form so the
-    kernel measures engine cost, not disk noise; the ``memory`` backend's
-    time rides along in ``params`` as the floor.
-    """
-    rng = np.random.default_rng(127)
-    fetched = rng.uniform(0.0, 100.0, size=n_records)
-    records = [
-        PageRecord(
-            url=f"http://bench.example/p{i}",
-            version=i % 3,
-            fetched_at=float(t),
-            first_fetched_at=float(t),
-            outlinks=(f"http://bench.example/p{(i + 1) % n_records}",),
-            importance=float(i % 97) / 97.0,
-            visit_count=1 + i % 5,
-            change_count=i % 2,
-        )
-        for i, t in enumerate(fetched)
-    ]
-    events = [
-        (record.url, record.fetched_at, i % 3 == 0, True)
-        for i, record in enumerate(records)
-    ]
-    batch = 2048  # a plausible process_batch tick-window size
-
-    def drive(backend) -> tuple:
-        for start in range(0, n_records, batch):
-            backend.put_records(records[start:start + batch])
-            backend.append_events(events[start:start + batch])
-        scanned = backend.scan_records()
-        sample = scanned[n_records // 2]
-        return (
-            backend.record_count(),
-            backend.event_count(),
-            sum(record.visit_count for record in scanned),
-            (sample.url, sample.fetched_at, sample.visit_count),
-        )
-
-    memory = MemoryBackend()
-    memory_seconds, memory_invariants = _timed(lambda: drive(memory))
-    sqlite_backend = SqliteBackend()
-    ref_seconds, sqlite_invariants = _timed(lambda: drive(sqlite_backend))
-    sqlite_backend.close()
-    columnar = ColumnarBackend()
-    vec_seconds, columnar_invariants = _timed(lambda: drive(columnar))
-
-    # Exact-invariant parity or bust: report a sentinel delta the gate
-    # trips on (counts and sampled fields are integers/IEEE doubles, so
-    # equality is the right comparison).
-    agree = memory_invariants == sqlite_invariants == columnar_invariants
-    delta = 0.0 if agree else 1.0
-    params = {"n_records": n_records, "batch": batch, "memory_seconds": memory_seconds}
-    return _timed_row("collection_store_io", params, ref_seconds, vec_seconds, delta)
-
-
 def _synthetic_link_arrays(
     n_pages: int, out_degree: int, seed: int
 ) -> tuple:
@@ -704,7 +632,6 @@ def main(argv: List[str] = None) -> int:
             lambda: bench_crawl_policy(n_pages=600, n_cycles=4),
             lambda: bench_optimal_allocation(n_pages=400),
             lambda: bench_collection_metrics(n_records=2000, n_instants=5),
-            lambda: bench_collection_store_io(n_records=20_000),
             lambda: bench_ranking_power_iteration(n_pages=4000),
             lambda: bench_ranking_refinement_scan(n_pages=30_000, churn_nodes=10),
         ]
@@ -714,7 +641,6 @@ def main(argv: List[str] = None) -> int:
             lambda: bench_crawl_policy(n_pages=10_000, n_cycles=10),
             lambda: bench_optimal_allocation(n_pages=10_000),
             lambda: bench_collection_metrics(n_records=20_000, n_instants=20),
-            lambda: bench_collection_store_io(n_records=100_000),
             lambda: bench_ranking_power_iteration(
                 n_pages=100_000, large_n_pages=1_000_000
             ),

@@ -2,10 +2,11 @@
 
 Kept minimal so legacy (non-PEP 517) editable installs — ``pip install -e .
 --no-use-pep517`` — work in offline environments where the ``wheel``
-package is unavailable. Runtime dependencies are declared here: NumPy for
-every vectorized path, SciPy for the sparse CSR ranking kernels (the
-kernels fall back to a pure-NumPy COO matvec when SciPy is missing, so it
-is a soft requirement at import time — but installs should bring it in).
+package is unavailable. Runtime dependencies are declared here, and both
+are hard requirements: NumPy for every vectorized path, SciPy for the
+sparse CSR products of the ranking kernels (``repro.ranking.sparse``
+imports it unconditionally). CI installs the package from this file, so
+these are the dependencies its tests run with.
 """
 
 from setuptools import find_packages, setup

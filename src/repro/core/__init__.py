@@ -33,7 +33,6 @@ from repro.core.update_module import UpdateModule
 from repro.core.ranking_module import RankingModule, RankingModuleConfig
 from repro.core.incremental_crawler import CrawlRunResult, IncrementalCrawler
 from repro.core.periodic_crawler import PeriodicCrawler
-from repro.core.quality import collection_quality, true_page_importance
 
 __all__ = [
     "AllUrls",
@@ -47,6 +46,4 @@ __all__ = [
     "IncrementalCrawler",
     "CrawlRunResult",
     "PeriodicCrawler",
-    "collection_quality",
-    "true_page_importance",
 ]

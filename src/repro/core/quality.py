@@ -1,50 +1,30 @@
-"""Collection quality metrics.
+"""Collection quality.
 
 The second goal of the incremental crawler (Section 5.1) is to "improve
 quality of the local collection by replacing less-important pages with more
-important ones". To evaluate that goal in the simulation, we compute a
-ground-truth importance for every page — PageRank over the *entire*
-synthetic web, which the crawler never sees — and score a collection by how
-much of the best attainable importance mass it captures.
+important ones". To evaluate that goal in the simulation, every page has a
+ground-truth importance — PageRank over the *entire* synthetic web, which
+the crawler never sees, cached on the web as
+:meth:`~repro.simweb.web.SimulatedWeb.true_importance` — and a collection is
+scored by how much of the best attainable importance mass it captures.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from repro.ranking.pagerank import pagerank
-from repro.simweb.linkgraph import page_link_graph
 from repro.simweb.web import SimulatedWeb
-
-
-def true_page_importance(web: SimulatedWeb, damping: float = 0.85) -> Dict[str, float]:
-    """Ground-truth importance: PageRank over the whole synthetic web.
-
-    Args:
-        web: The synthetic web.
-        damping: PageRank damping factor.
-
-    Returns:
-        Mapping from URL to its true importance score.
-    """
-    graph = page_link_graph(list(web.pages()))
-    return pagerank(graph, damping=damping)
 
 
 class CollectionQualityCache:
     """Repeated quality sampling against a fixed ground truth, made cheap.
 
-    :func:`collection_quality` re-sorts the full-web importance table on
-    every call to find the attainable mass — fine for a one-off report,
-    wasteful inside a crawler's measurement event that fires hundreds of
-    times per run. This cache computes the ground-truth PageRank and the
-    best-``capacity`` attainable mass once; each sample is then a single
-    pass of dictionary lookups over the collection's URLs.
+    The best-``capacity`` attainable mass is computed once; each sample is
+    then a single pass of dictionary lookups over the collection's URLs.
 
     Args:
         web: The synthetic web (ground truth).
         capacity: Collection capacity the denominator is computed for.
-        damping: PageRank damping factor.
         subset: Optional URL universe the denominator is restricted to —
             a site-affine crawl shard can only ever collect pages of the
             sites it owns, so its attainable mass is the best ``capacity``
@@ -56,12 +36,11 @@ class CollectionQualityCache:
         self,
         web: SimulatedWeb,
         capacity: int,
-        damping: float = 0.85,
         subset: Optional[Iterable[str]] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        self._importance = true_page_importance(web, damping=damping)
+        self._importance = web.true_importance()
         if subset is None:
             scores = list(self._importance.values())
         else:
@@ -82,8 +61,8 @@ class CollectionQualityCache:
     def quality(self, collected_urls: Iterable[str]) -> float:
         """Quality of a collection given its current URLs.
 
-        Matches :func:`collection_quality` exactly (same fold order, same
-        clamping) for the capacity the cache was built with.
+        Returns a value in [0, 1]; 1 means the collection holds exactly the
+        most important pages it could hold. Unknown URLs contribute nothing.
         """
         urls = list(collected_urls)
         if not urls:
@@ -92,37 +71,3 @@ class CollectionQualityCache:
         if self._attainable <= 0:
             return 0.0
         return min(1.0, achieved / self._attainable)
-
-
-def collection_quality(
-    collected_urls: Iterable[str],
-    importance: Dict[str, float],
-    capacity: Optional[int] = None,
-) -> float:
-    """How much of the attainable importance mass a collection captures.
-
-    Args:
-        collected_urls: URLs currently stored in the collection.
-        importance: Ground-truth importance of every URL (from
-            :func:`true_page_importance`).
-        capacity: Collection capacity; the denominator is the importance of
-            the best ``capacity`` pages. Defaults to the number of collected
-            URLs.
-
-    Returns:
-        A value in [0, 1]; 1 means the collection holds exactly the most
-        important pages it could hold.
-    """
-    urls = list(collected_urls)
-    if not urls:
-        return 0.0
-    if capacity is None:
-        capacity = len(urls)
-    if capacity < 1:
-        raise ValueError("capacity must be at least 1")
-    achieved = sum(importance.get(url, 0.0) for url in urls)
-    best_scores = sorted(importance.values(), reverse=True)[:capacity]
-    attainable = sum(best_scores)
-    if attainable <= 0:
-        return 0.0
-    return min(1.0, achieved / attainable)

@@ -341,7 +341,13 @@ class ShardedCrawler:
         return self._merge(payloads, duration_days)
 
     def _run_workers(self, jobs: List[ShardRunSpec]) -> List[dict]:
-        """Run the shard jobs in the worker pool over the one inherited web."""
+        """Run the shard jobs in the worker pool over the one inherited web.
+
+        Shards that sample quality inherit the web's ground truth, built
+        here before the fork, instead of each computing its own.
+        """
+        if self._spec.track_quality:
+            self._web.true_importance()
         with SharedWeb(self._web) as shared:
             return run_jobs(
                 [Job(_run_shard, job, shared.key) for job in jobs],

@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.ranking.site_rank import site_pagerank, top_sites
-from repro.simweb.linkgraph import page_link_graph
 from repro.simweb.web import SimulatedWeb
 
 #: The paper's Table 1, for paper-vs-measured comparisons.
@@ -78,7 +77,7 @@ def select_sites(
         raise ValueError("n_candidates must be at least 1")
     if not 0.0 < consent_rate <= 1.0:
         raise ValueError("consent_rate must be within (0, 1]")
-    graph = page_link_graph(list(web.pages()))
+    graph = dict(web.links_within())
     popularity = site_pagerank(graph, site_of=lambda url: web.page(url).site_id)
     n_candidates = min(n_candidates, web.n_sites)
     candidates = top_sites(popularity, n_candidates)

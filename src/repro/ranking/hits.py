@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence, Tuple
 
-from repro.ranking.sparse import hits_dict
+from repro.ranking.sparse import LinkGraph, hits_scores
 
 Graph = Mapping[str, Sequence[str]]
 
@@ -41,4 +41,13 @@ def hits(
         score vector is normalised to sum to 1 (all zeros for an empty or
         edgeless graph).
     """
-    return hits_dict(graph, tolerance=tolerance, max_iterations=max_iterations)
+    link_graph = LinkGraph.from_graph(graph)
+    ids, hubs, authorities = hits_scores(
+        link_graph, tolerance=tolerance, max_iterations=max_iterations
+    )
+    urls = link_graph.urls()
+    id_list = ids.tolist()
+    return (
+        {urls[node]: score for node, score in zip(id_list, hubs.tolist())},
+        {urls[node]: score for node, score in zip(id_list, authorities.tolist())},
+    )

@@ -22,9 +22,9 @@ sparse path by ``tests/test_ranking_sparse.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
-from repro.ranking.sparse import LinkGraph, pagerank_dict, pagerank_scores
+from repro.ranking.sparse import LinkGraph, pagerank_scores
 
 Graph = Mapping[str, Sequence[str]]
 
@@ -50,9 +50,15 @@ def pagerank(
     Returns:
         Mapping from node to score; scores are non-negative and sum to 1.
     """
-    return pagerank_dict(
-        graph, damping=damping, tolerance=tolerance, max_iterations=max_iterations
+    link_graph = LinkGraph.from_graph(graph)
+    ids, scores = pagerank_scores(
+        link_graph,
+        damping=damping,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
     )
+    urls = link_graph.urls()
+    return {urls[node]: score for node, score in zip(ids.tolist(), scores.tolist())}
 
 
 def cho_pagerank(
@@ -80,35 +86,3 @@ def cho_pagerank(
         max_iterations=max_iterations,
     )
 
-
-def estimated_pagerank_for_candidates(
-    graph: Graph,
-    candidate_urls: Iterable[str],
-    damping: float = 0.85,
-) -> Dict[str, float]:
-    """Estimate ranks for pages outside the collection.
-
-    Footnote 2 of the paper: "even if a page p does not exist in the
-    Collection, the RankingModule can estimate PageRank of p, based on how
-    many pages in the Collection have a link to p." This helper computes
-    PageRank over the collection graph *including* links that point at the
-    candidate URLs — on the sparse path — and returns only the candidates'
-    scores.
-
-    Args:
-        graph: Adjacency mapping of the collected pages (links to candidates
-            included).
-        candidate_urls: URLs not in the collection whose rank is needed.
-        damping: Link-following probability.
-
-    Returns:
-        Mapping from candidate URL to its estimated score (0.0 for
-        candidates that nothing links to).
-    """
-    link_graph = LinkGraph.from_graph(graph)
-    ids, score_vector = pagerank_scores(link_graph, damping=damping)
-    scores = {
-        link_graph.url_of(node): score
-        for node, score in zip(ids.tolist(), score_vector.tolist())
-    }
-    return {url: scores.get(url, 0.0) for url in candidate_urls}

@@ -27,8 +27,10 @@ This module supplies the scale path:
   a refinement scan that only perturbed a small fraction of the edges
   converges in a handful of iterations instead of a full cold run.
 
-When scipy is unavailable the kernels fall back to a pure-NumPy COO
-``bincount`` matvec; results are identical (same sums, different runtime).
+SciPy is a hard dependency: every matrix-vector product is a
+``scipy.sparse`` CSR product. The dict-adjacency entry points,
+:func:`repro.ranking.pagerank.pagerank` and :func:`repro.ranking.hits.hits`,
+intern their input into a :class:`LinkGraph` and call these kernels.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by every ranking call
-    from scipy import sparse as _scipy_sparse
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - the container bakes scipy in
-    _scipy_sparse = None
-    HAVE_SCIPY = False
+from scipy import sparse as _scipy_sparse
 
 Graph = Mapping[str, Sequence[str]]
 
@@ -58,20 +53,17 @@ class _CsrView:
     Attributes:
         active_ids: Interned node ids that participate in ranking (pages
             with a stored record plus every current link target), ascending.
-        src, dst: Valid edges remapped to ``range(len(active_ids))``.
         out_degree: Out-edge count per active node, duplicates included —
             the ``len(targets)`` the dense reference divides by.
         matrix: ``scipy.sparse`` CSR adjacency (duplicate edges summed into
-            integer weights); ``None`` under the NumPy fallback.
+            integer weights).
         matrix_t: CSR of the transpose (the spmv the kernels actually run).
     """
 
     active_ids: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
     out_degree: np.ndarray
-    matrix: Optional[object]
-    matrix_t: Optional[object]
+    matrix: object
+    matrix_t: object
 
     @property
     def n(self) -> int:
@@ -387,9 +379,6 @@ class LinkGraph:
         n_nodes = len(self._urls)
         src = self._edge_src[: self._n_edges]
         dst = self._edge_dst[: self._n_edges]
-        if n_nodes == 0:
-            empty = np.zeros(0, dtype=_INT)
-            return _CsrView(empty, empty, empty, np.zeros(0), None, None)
         active = self._is_source[:n_nodes].copy()
         active[dst] = True
         active_ids = np.flatnonzero(active)
@@ -399,13 +388,10 @@ class LinkGraph:
         cdst = remap[dst]
         m = len(active_ids)
         out_degree = np.bincount(csrc, minlength=m).astype(np.float64)
-        matrix = matrix_t = None
-        if HAVE_SCIPY and m:
-            matrix = _scipy_sparse.csr_matrix(
-                (np.ones(len(csrc)), (csrc, cdst)), shape=(m, m)
-            )
-            matrix_t = matrix.T.tocsr()
-        return _CsrView(active_ids, csrc, cdst, out_degree, matrix, matrix_t)
+        matrix = _scipy_sparse.csr_matrix(
+            (np.ones(len(csrc)), (csrc, cdst)), shape=(m, m)
+        )
+        return _CsrView(active_ids, out_degree, matrix, matrix.T.tocsr())
 
 
 # ---------------------------------------------------------------------- #
@@ -492,7 +478,7 @@ def hits_scores(
     if n == 0:
         empty = np.zeros(0)
         return view.active_ids, empty, empty
-    if len(view.src) == 0:
+    if view.matrix.nnz == 0:
         return view.active_ids, np.zeros(n), np.zeros(n)
     hubs = _seed_vector(hubs0, n)
     authorities = _seed_vector(authorities0, n)
@@ -508,46 +494,6 @@ def hits_scores(
         if delta < tolerance:
             break
     return view.active_ids, hubs, authorities
-
-
-def pagerank_dict(
-    graph: Graph,
-    damping: float = 0.85,
-    tolerance: float = 1e-10,
-    max_iterations: int = 200,
-) -> Dict[str, float]:
-    """Dense-adjacency facade over :func:`pagerank_scores`.
-
-    Drop-in for the dict-based reference: same signature, same node set,
-    tolerance-level agreement on scores.
-    """
-    link_graph = LinkGraph.from_graph(graph)
-    ids, scores = pagerank_scores(
-        link_graph,
-        damping=damping,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-    )
-    urls = link_graph._urls
-    return {urls[node]: score for node, score in zip(ids.tolist(), scores.tolist())}
-
-
-def hits_dict(
-    graph: Graph,
-    tolerance: float = 1e-10,
-    max_iterations: int = 200,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Dense-adjacency facade over :func:`hits_scores`."""
-    link_graph = LinkGraph.from_graph(graph)
-    ids, hubs, authorities = hits_scores(
-        link_graph, tolerance=tolerance, max_iterations=max_iterations
-    )
-    urls = link_graph._urls
-    id_list = ids.tolist()
-    return (
-        {urls[node]: score for node, score in zip(id_list, hubs.tolist())},
-        {urls[node]: score for node, score in zip(id_list, authorities.tolist())},
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -569,17 +515,13 @@ def _seed_vector(x0: Optional[np.ndarray], n: int) -> np.ndarray:
 
 
 def _spmv(view: _CsrView, vector: np.ndarray) -> np.ndarray:
-    """``A @ vector`` over the live edges (scipy CSR or bincount fallback)."""
-    if view.matrix is not None:
-        return view.matrix.dot(vector)
-    return np.bincount(view.src, weights=vector[view.dst], minlength=view.n)
+    """``A @ vector`` over the live edges."""
+    return view.matrix.dot(vector)
 
 
 def _spmv_t(view: _CsrView, vector: np.ndarray) -> np.ndarray:
     """``A.T @ vector`` over the live edges."""
-    if view.matrix_t is not None:
-        return view.matrix_t.dot(vector)
-    return np.bincount(view.dst, weights=vector[view.src], minlength=view.n)
+    return view.matrix_t.dot(vector)
 
 
 def _normalise(vector: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ Two levels of structure are generated:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -157,19 +157,4 @@ def _choose_target(
     weights /= weights.sum()
     index = int(rng.choice(len(candidates), p=weights))
     return candidates[index]
-
-
-def page_link_graph(
-    pages: Sequence[SimulatedPage],
-) -> Dict[str, Tuple[str, ...]]:
-    """Adjacency mapping ``url -> outlinks`` restricted to the given pages.
-
-    Links pointing outside the given page set are dropped; this is the graph
-    the RankingModule sees when it ranks only collected pages.
-    """
-    urls = {page.url for page in pages}
-    return {
-        page.url: tuple(link for link in page.outlinks if link in urls)
-        for page in pages
-    }
 

@@ -30,7 +30,10 @@ class SharedWeb:
     :attr:`key` to every job, and :meth:`close` (or use as a context
     manager) after the pool has returned. The web's
     :class:`~repro.simweb.web.OracleArrays` are built here, before any
-    fork, so workers inherit them instead of each building their own.
+    fork, so workers inherit them instead of each building their own. Its
+    other cache, :meth:`~repro.simweb.web.SimulatedWeb.true_importance`, is
+    left to the caller: only crawls that sample quality need it, and the
+    sharded coordinator builds it before it forks when they do.
     """
 
     def __init__(self, web: SimulatedWeb) -> None:

@@ -19,6 +19,12 @@ A freshness measurement over an N-page collection is then a few NumPy
 passes (one vectorized binary search over the flat event array) instead of
 N Python-level oracle calls, which is what makes frequent measurement
 events affordable inside ``IncrementalCrawler.run()``.
+
+The web also owns the ground truth the crawler's *quality* is scored
+against (Section 5.1): :meth:`SimulatedWeb.true_importance`, PageRank over
+the whole link graph, which the crawler itself never sees. Like the oracle
+arrays it is computed once, on first use, and shared by every crawler run
+on the web.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from repro.ranking.sparse import LinkGraph, pagerank_scores
 from repro.simweb.page import PageSnapshot, SimulatedPage
 from repro.simweb.site import SimulatedSite
 
@@ -175,6 +182,7 @@ class SimulatedWeb:
         self._sites: Dict[str, SimulatedSite] = {}
         self._pages: Dict[str, SimulatedPage] = {}
         self._oracle_arrays: Optional[OracleArrays] = None
+        self._true_importance: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -192,6 +200,7 @@ class SimulatedWeb:
             raise ValueError(f"duplicate URL {page.url}")
         self._pages[page.url] = page
         self._oracle_arrays = None
+        self._true_importance = None
 
     def add_page(self, page: SimulatedPage) -> None:
         """Register a page created after its site was added."""
@@ -251,6 +260,33 @@ class SimulatedWeb:
         """Sorted list of domains present in the web."""
         return sorted({site.domain for site in self._sites.values()})
 
+    def links_within(self) -> Iterator[Tuple[str, Tuple[str, ...]]]:
+        """The whole-web link graph: ``(url, outlinks)`` for every page.
+
+        Pages come in page order; links to URLs outside the web are dropped.
+        """
+        pages = self._pages
+        return (
+            (url, tuple(link for link in page.outlinks if link in pages))
+            for url, page in pages.items()
+        )
+
+    def true_importance(self) -> Dict[str, float]:
+        """Ground-truth importance: PageRank (damping 0.85) over the whole web.
+
+        Computed on first use and cached like :meth:`oracle_arrays` (the
+        same mutations drop both). The table is shared: do not mutate it.
+        """
+        if self._true_importance is None:
+            graph = LinkGraph()
+            graph.set_outlinks_many(self.links_within())
+            ids, scores = pagerank_scores(graph, damping=0.85)
+            urls = graph.urls()
+            self._true_importance = {
+                urls[node]: score for node, score in zip(ids.tolist(), scores.tolist())
+            }
+        return self._true_importance
+
     # ------------------------------------------------------------------ #
     # Oracle queries
     # ------------------------------------------------------------------ #
@@ -292,18 +328,23 @@ class SimulatedWeb:
         """The cached array view of all pages for batched queries.
 
         Rebuilt lazily after any mutation of the page set. If a page's
-        change process is re-materialised after the cache was built, call
-        :meth:`invalidate_oracle_cache` manually (the generator materialises
-        every process before the web is queried, so this only matters for
-        hand-built webs in tests).
+        change process is re-materialised, or its out-links change, after
+        the caches were built, call :meth:`invalidate_oracle_cache` manually
+        (the generator materialises every process and wires every link
+        before the web is queried, so this only matters for hand-built webs
+        in tests).
         """
         if self._oracle_arrays is None:
             self._oracle_arrays = OracleArrays(list(self._pages.values()))
         return self._oracle_arrays
 
     def invalidate_oracle_cache(self) -> None:
-        """Drop the cached :class:`OracleArrays` (rebuilt on next use)."""
+        """Drop the cached :class:`OracleArrays` and :meth:`true_importance`.
+
+        Both are rebuilt on next use.
+        """
         self._oracle_arrays = None
+        self._true_importance = None
 
     def versions_at(self, urls: Sequence[str], t: TimeLike) -> np.ndarray:
         """Content versions of many pages at once.

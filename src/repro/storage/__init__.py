@@ -13,10 +13,11 @@ This package provides:
   disciplines the paper compares, behind a common, capacity-bounded
   :class:`Collection` interface (what users/queries see is
   ``current_records``);
-* :class:`StorageBackend` and its implementations (:class:`MemoryBackend`,
-  :class:`SqliteBackend`, :class:`ColumnarBackend`) — pluggable persistent
-  stores for crawl records, change events and checkpoint state, selected
-  through :data:`repro.api.registry.STORAGE_BACKENDS`;
+* :class:`StorageBackend` and its two implementations,
+  :class:`MemoryBackend` (in-process, the default) and
+  :class:`SqliteBackend` (the persistent store) — pluggable stores for
+  crawl records, change events and checkpoint state, selected through
+  :data:`repro.api.registry.STORAGE_BACKENDS`;
 * :class:`CollectionJournal` and :class:`CrawlCheckpointer` — the mirror
   that writes a running crawl's records and events into a backend and the
   resumable-state snapshotter whose save commits them.
@@ -25,7 +26,6 @@ This package provides:
 from repro.storage.records import PageRecord, record_to_dict
 from repro.storage.collection import Collection, InPlaceCollection, ShadowCollection
 from repro.storage.backends import (
-    ColumnarBackend,
     MemoryBackend,
     SqliteBackend,
     StorageBackend,
@@ -41,7 +41,6 @@ __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "SqliteBackend",
-    "ColumnarBackend",
     "CollectionJournal",
     "CrawlCheckpointer",
 ]

@@ -23,10 +23,7 @@ Backends are selected by name through the ``STORAGE_BACKENDS`` registry
   ``executemany`` calls inside one open transaction, which only
   :meth:`~StorageBackend.flush` commits: a checkpointed crawl flushes with
   each checkpoint, so after a kill the file holds exactly its last
-  committed checkpoint;
-* ``columnar`` — NumPy record columns with append-chunking, so hot
-  oracle/freshness-style consumers can read ``fetched_at``/``importance``
-  columns without materialising per-record Python objects.
+  committed checkpoint.
 
 All scans return live records in **first-put order** (re-putting an existing
 URL keeps its position; deleting and re-putting moves it to the end), which
@@ -39,8 +36,6 @@ import json
 import sqlite3
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.api.registry import register_storage_backend
 from repro.storage.records import PageRecord
@@ -473,213 +468,3 @@ class SqliteBackend(StorageBackend):
             change_count=change_count,
         )
 
-
-_INITIAL_CAPACITY = 1024
-
-
-@register_storage_backend("columnar")
-class ColumnarBackend(StorageBackend):
-    """NumPy-columned store with append-chunking.
-
-    Float and count fields live in flat arrays that double in capacity as
-    rows append, with a boolean liveness mask for deletes; URL, version and
-    out-links ride in parallel Python lists. The point is :meth:`numeric_columns`: hot
-    consumers (freshness sampling over fetch times, importance aggregation)
-    can read whole columns as arrays without building one ``PageRecord``
-    per row.
-    """
-
-    def __init__(self, path: Optional[str] = None) -> None:
-        # ``path`` is accepted for signature uniformity; this backend is
-        # in-process only.
-        self._row: Dict[str, int] = {}
-        self._n = 0
-        self._cap = _INITIAL_CAPACITY
-        self._fetched_at = np.zeros(self._cap)
-        self._first_fetched_at = np.zeros(self._cap)
-        self._importance = np.zeros(self._cap)
-        self._visit_count = np.zeros(self._cap, dtype=np.int64)
-        self._change_count = np.zeros(self._cap, dtype=np.int64)
-        self._live = np.zeros(self._cap, dtype=bool)
-        self._url: List[str] = []
-        self._version: List[int] = []
-        self._outlinks: List[Tuple[str, ...]] = []
-        self._event_n = 0
-        self._event_cap = _INITIAL_CAPACITY
-        self._event_time = np.zeros(self._event_cap)
-        self._event_changed = np.zeros(self._event_cap, dtype=bool)
-        self._event_stored = np.zeros(self._event_cap, dtype=bool)
-        self._event_url: List[str] = []
-        self._state: Dict[str, str] = {}
-
-    # ------------------------------------------------------------------ #
-    # Growth
-    # ------------------------------------------------------------------ #
-    def _grow_records(self, needed: int) -> None:
-        if needed <= self._cap:
-            return
-        new_cap = self._cap
-        while new_cap < needed:
-            new_cap *= 2
-        for name in ("_fetched_at", "_first_fetched_at", "_importance",
-                     "_visit_count", "_change_count", "_live"):
-            old = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-        self._cap = new_cap
-
-    def _grow_events(self, needed: int) -> None:
-        if needed <= self._event_cap:
-            return
-        new_cap = self._event_cap
-        while new_cap < needed:
-            new_cap *= 2
-        for name in ("_event_time", "_event_changed", "_event_stored"):
-            old = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=old.dtype)
-            grown[: self._event_n] = old[: self._event_n]
-            setattr(self, name, grown)
-        self._event_cap = new_cap
-
-    # ------------------------------------------------------------------ #
-    # Records
-    # ------------------------------------------------------------------ #
-    def put_records(self, records: Iterable[PageRecord]) -> None:
-        for record in records:
-            row = self._row.get(record.url)
-            if row is None:
-                row = self._n
-                self._grow_records(self._n + 1)
-                self._n += 1
-                self._row[record.url] = row
-                self._url.append(record.url)
-                self._version.append(record.version)
-                self._outlinks.append(tuple(record.outlinks))
-            else:
-                self._version[row] = record.version
-                self._outlinks[row] = tuple(record.outlinks)
-            self._fetched_at[row] = record.fetched_at
-            self._first_fetched_at[row] = record.first_fetched_at
-            self._importance[row] = record.importance
-            self._visit_count[row] = record.visit_count
-            self._change_count[row] = record.change_count
-            self._live[row] = True
-
-    def get_record(self, url: str) -> Optional[PageRecord]:
-        row = self._row.get(url)
-        if row is None:
-            return None
-        return self._record_at(row)
-
-    def delete_record(self, url: str) -> bool:
-        row = self._row.pop(url, None)
-        if row is None:
-            return False
-        self._live[row] = False
-        return True
-
-    def scan_records(self) -> List[PageRecord]:
-        return [
-            self._record_at(row)
-            for row in range(self._n)
-            if self._live[row]
-        ]
-
-    def record_count(self) -> int:
-        return len(self._row)
-
-    def clear_records(self) -> None:
-        self._row.clear()
-        self._live[: self._n] = False
-        self._n = 0
-        self._url.clear()
-        self._version.clear()
-        self._outlinks.clear()
-
-    def numeric_columns(self) -> Dict[str, np.ndarray]:
-        """Live numeric columns as arrays (copies), keyed by field name.
-
-        Rows align with :meth:`live_urls`; this is the zero-object path for
-        freshness/oracle-style aggregation over the stored collection.
-        """
-        mask = self._live[: self._n]
-        return {
-            "fetched_at": self._fetched_at[: self._n][mask].copy(),
-            "first_fetched_at": self._first_fetched_at[: self._n][mask].copy(),
-            "importance": self._importance[: self._n][mask].copy(),
-            "visit_count": self._visit_count[: self._n][mask].copy(),
-            "change_count": self._change_count[: self._n][mask].copy(),
-        }
-
-    def live_urls(self) -> List[str]:
-        """URLs of live rows, aligned with :meth:`numeric_columns`."""
-        mask = self._live[: self._n]
-        return [url for row, url in enumerate(self._url) if mask[row]]
-
-    def _record_at(self, row: int) -> PageRecord:
-        return PageRecord(
-            url=self._url[row],
-            version=self._version[row],
-            fetched_at=float(self._fetched_at[row]),
-            first_fetched_at=float(self._first_fetched_at[row]),
-            outlinks=self._outlinks[row],
-            importance=float(self._importance[row]),
-            visit_count=int(self._visit_count[row]),
-            change_count=int(self._change_count[row]),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Events
-    # ------------------------------------------------------------------ #
-    def append_events(self, events: Sequence[ChangeEvent]) -> None:
-        if not events:
-            return
-        start = self._event_n
-        self._grow_events(start + len(events))
-        for offset, (url, time, changed, stored) in enumerate(events):
-            row = start + offset
-            self._event_time[row] = time
-            self._event_changed[row] = bool(changed)
-            self._event_stored[row] = bool(stored)
-            self._event_url.append(str(url))
-        self._event_n = start + len(events)
-
-    def scan_events(self) -> List[ChangeEvent]:
-        return [
-            (
-                self._event_url[row],
-                float(self._event_time[row]),
-                bool(self._event_changed[row]),
-                bool(self._event_stored[row]),
-            )
-            for row in range(self._event_n)
-        ]
-
-    def event_count(self) -> int:
-        return self._event_n
-
-    def truncate_events(self, count: int) -> None:
-        count = max(0, min(count, self._event_n))
-        self._event_n = count
-        del self._event_url[count:]
-
-    def event_columns(self) -> Dict[str, np.ndarray]:
-        """The event log's numeric columns as arrays (copies)."""
-        return {
-            "time": self._event_time[: self._event_n].copy(),
-            "changed": self._event_changed[: self._event_n].copy(),
-            "stored": self._event_stored[: self._event_n].copy(),
-        }
-
-    # ------------------------------------------------------------------ #
-    # State
-    # ------------------------------------------------------------------ #
-    def save_state_text(self, key: str, text: str) -> None:
-        self._state[key] = text
-
-    def load_state_text(self, key: str) -> Optional[str]:
-        return self._state.get(key)
-
-    def delete_state(self, key: str) -> bool:
-        return self._state.pop(key, None) is not None

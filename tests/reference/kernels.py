@@ -3,8 +3,8 @@
 Each function here is the original per-element implementation of a kernel
 that ``src/repro`` now computes with NumPy or sparse matrices. They exist
 only as oracles: ``tests/test_vectorized_parity.py``,
-``tests/test_ranking_sparse.py`` and ``tests/test_faults.py`` hold the
-product kernels to them, and
+``tests/test_ranking_sparse.py``, ``tests/test_simweb_web_generator.py``
+and ``tests/test_faults.py`` hold the product kernels to them, and
 ``benchmarks/bench_perf_hotpaths.py`` times the product against them.
 Helpers the product and its reference share (input validation, the random
 draws) are imported from the product modules, so both consume identical
@@ -41,6 +41,7 @@ from repro.freshness.optimal_allocation import (
     _validate_budget,
     marginal_freshness,
 )
+from repro.ranking.pagerank import pagerank
 from repro.simulation.crawler_sim import (
     ArrayLike,
     PolicySimulationResult,
@@ -464,6 +465,22 @@ def compute_importance_reference(module: RankingModule) -> Dict[str, float]:
         _hubs, authorities = hits_reference(graph)
         return authorities
     return pagerank_reference(graph, damping=module._config.damping)
+
+
+def true_importance_reference(web: SimulatedWeb) -> Dict[str, float]:
+    """The dict path ``SimulatedWeb.true_importance`` replaced.
+
+    Builds the whole web's dict adjacency (out-links leaving the page set
+    dropped) and ranks it with the dict entry point
+    :func:`repro.ranking.pagerank.pagerank`.
+    """
+    pages = list(web.pages())
+    urls = {page.url for page in pages}
+    graph = {
+        page.url: tuple(link for link in page.outlinks if link in urls)
+        for page in pages
+    }
+    return pagerank(graph, damping=0.85)
 
 
 def _collect_nodes(graph: Graph) -> list:

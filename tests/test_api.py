@@ -22,8 +22,9 @@ from repro.api import (
     run,
     run_matrix,
 )
-from repro.api.runner import _result_document, _result_from_document
+from repro.api.runner import _result_document, _result_from_document, build_web
 from repro.api.specs import RetrySpec
+from repro.simweb import web as web_module
 
 EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
@@ -296,6 +297,22 @@ class TestRunner:
         assert payload["provenance"]["seed"] == TINY_WEB.seed
         assert "artifacts" not in payload
         assert {"web", "crawler", "outcome"} <= set(result.artifacts)
+
+    def test_runs_on_one_web_share_its_ground_truth(self, monkeypatch):
+        calls = []
+        kernel = web_module.pagerank_scores
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(web_module, "pagerank_scores", counting)
+        web = build_web(TINY_WEB)
+        first = run(TINY_CRAWL, web=web)
+        second = run(TINY_CRAWL, web=web)
+        assert first.series["quality"]
+        assert len(calls) == 1
+        assert _without_wall_time(first) == _without_wall_time(second)
 
     def test_result_document_round_trip(self):
         # The one document stored under RESULT_STATE_KEY and shipped back

@@ -506,4 +506,4 @@ def test_runner_store_requires_storage_in_spec():
 
 
 def test_storage_backends_registry_reachable_from_api():
-    assert {"memory", "sqlite", "columnar"} <= set(STORAGE_BACKENDS.names())
+    assert {"memory", "sqlite"} <= set(STORAGE_BACKENDS.names())

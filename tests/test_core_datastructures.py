@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
-from repro.core.quality import collection_quality, true_page_importance
+from repro.core.quality import CollectionQualityCache
 
 
 class TestAllUrls:
@@ -152,36 +152,58 @@ class TestCollUrls:
 
 class TestQuality:
     def test_true_importance_sums_to_one(self, tiny_web):
-        importance = true_page_importance(tiny_web)
+        importance = tiny_web.true_importance()
         assert sum(importance.values()) == pytest.approx(1.0)
         assert set(importance) == set(tiny_web.urls())
 
     def test_roots_are_most_important(self, tiny_web):
-        importance = true_page_importance(tiny_web)
+        importance = tiny_web.true_importance()
         roots = set(tiny_web.seed_urls())
         top_urls = sorted(importance, key=importance.get, reverse=True)[: len(roots)]
         # Cross-site links point at root pages, so roots should dominate the top.
         assert len(roots & set(top_urls)) >= len(roots) // 2
 
     def test_perfect_collection_has_quality_one(self, tiny_web):
-        importance = true_page_importance(tiny_web)
+        importance = tiny_web.true_importance()
         best = sorted(importance, key=importance.get, reverse=True)[:10]
-        assert collection_quality(best, importance, capacity=10) == pytest.approx(1.0)
+        cache = CollectionQualityCache(tiny_web, capacity=10)
+        assert cache.quality(best) == pytest.approx(1.0)
 
     def test_worst_collection_has_low_quality(self, tiny_web):
-        importance = true_page_importance(tiny_web)
+        importance = tiny_web.true_importance()
         worst = sorted(importance, key=importance.get)[:10]
-        assert collection_quality(worst, importance, capacity=10) < 0.5
+        assert CollectionQualityCache(tiny_web, capacity=10).quality(worst) < 0.5
 
     def test_empty_collection(self, tiny_web):
-        importance = true_page_importance(tiny_web)
-        assert collection_quality([], importance) == 0.0
+        assert CollectionQualityCache(tiny_web, capacity=10).quality([]) == 0.0
 
     def test_unknown_urls_contribute_nothing(self, tiny_web):
-        importance = true_page_importance(tiny_web)
-        assert collection_quality(["http://ghost/"], importance, capacity=1) == 0.0
+        cache = CollectionQualityCache(tiny_web, capacity=1)
+        assert cache.quality(["http://ghost/"]) == 0.0
 
     def test_invalid_capacity(self, tiny_web):
-        importance = true_page_importance(tiny_web)
         with pytest.raises(ValueError):
-            collection_quality(["x"], importance, capacity=0)
+            CollectionQualityCache(tiny_web, capacity=0)
+
+    def test_cache_reads_the_webs_ground_truth(self, tiny_web):
+        cache = CollectionQualityCache(tiny_web, capacity=10)
+        assert cache.importance is tiny_web.true_importance()
+
+    def test_attainable_mass_is_the_best_capacity_scores(self, tiny_web):
+        importance = tiny_web.true_importance()
+        best = sorted(importance.values(), reverse=True)[:10]
+        cache = CollectionQualityCache(tiny_web, capacity=10)
+        assert cache.attainable_mass == sum(best)
+
+    def test_subset_restricts_the_attainable_mass(self, tiny_web):
+        importance = tiny_web.true_importance()
+        ranked = sorted(importance, key=importance.get, reverse=True)
+        subset = ranked[10:20]
+        cache = CollectionQualityCache(tiny_web, capacity=5, subset=subset)
+        assert cache.attainable_mass == sum(importance[url] for url in subset[:5])
+        assert cache.quality(subset[:5]) == pytest.approx(1.0)
+        assert cache.quality(subset[5:]) < 1.0
+
+    def test_quality_is_capped_at_one(self, tiny_web):
+        cache = CollectionQualityCache(tiny_web, capacity=3)
+        assert cache.quality(list(tiny_web.urls())) == 1.0

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.ranking.hits import hits
-from repro.ranking.pagerank import (
-    cho_pagerank,
-    estimated_pagerank_for_candidates,
-    pagerank,
-)
+from repro.ranking.pagerank import cho_pagerank, pagerank
 from repro.ranking.site_rank import build_site_graph, site_pagerank, top_sites
+from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
+
+GRAPH = {"a": ["b", "c"], "b": ["c"], "c": ["a"], "d": ["c", "ghost"]}
 
 
 class TestPageRank:
@@ -61,13 +60,15 @@ class TestPageRank:
         graph = {"a": ["b", "c"], "b": ["c"], "c": ["a"]}
         assert cho_pagerank(graph, d=0.9) == pytest.approx(pagerank(graph, damping=0.1))
 
-    def test_candidate_estimation(self):
-        graph = {"a": ["candidate"], "b": ["candidate"], "candidate": []}
-        estimates = estimated_pagerank_for_candidates(
-            {"a": ["candidate"], "b": ["candidate"]}, ["candidate", "unlinked"]
-        )
-        assert estimates["candidate"] > 0.0
-        assert estimates["unlinked"] == 0.0
+    def test_edgeless_graph_is_uniform(self):
+        scores = pagerank({"a": [], "b": []})
+        assert scores == pytest.approx({"a": 0.5, "b": 0.5})
+
+    def test_dict_entry_point_equals_the_kernel(self):
+        graph = LinkGraph.from_graph(GRAPH)
+        ids, scores = pagerank_scores(graph, damping=0.7)
+        expected = {graph.url_of(i): s for i, s in zip(ids.tolist(), scores.tolist())}
+        assert pagerank(GRAPH, damping=0.7) == expected
 
 
 class TestSiteRank:
@@ -131,3 +132,11 @@ class TestHits:
     def test_targets_outside_key_set_included(self):
         hubs, authorities = hits({"a": ["ghost"]})
         assert "ghost" in authorities
+
+    def test_dict_entry_point_equals_the_kernel(self):
+        graph = LinkGraph.from_graph(GRAPH)
+        ids, hub_scores, authority_scores = hits_scores(graph)
+        urls = [graph.url_of(i) for i in ids.tolist()]
+        hubs, authorities = hits(GRAPH)
+        assert hubs == dict(zip(urls, hub_scores.tolist()))
+        assert authorities == dict(zip(urls, authority_scores.tolist()))

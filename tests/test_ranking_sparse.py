@@ -25,13 +25,9 @@ from hypothesis import strategies as st
 from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.ranking_module import RankingModule
-from repro.ranking.sparse import (
-    LinkGraph,
-    hits_dict,
-    hits_scores,
-    pagerank_dict,
-    pagerank_scores,
-)
+from repro.ranking.hits import hits
+from repro.ranking.pagerank import pagerank
+from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 
 from reference.kernels import (
@@ -171,13 +167,13 @@ class TestLinkGraphProperties:
     @settings(max_examples=120, deadline=None)
     def test_scores_match_dense_reference(self, graph):
         """Sparse kernels agree with the pinned dense implementations."""
-        sparse_pr = pagerank_dict(graph)
+        sparse_pr = pagerank(graph)
         dense_pr = pagerank_reference(graph)
         assert set(sparse_pr) == set(dense_pr)
         for url in dense_pr:
             assert sparse_pr[url] == pytest.approx(dense_pr[url], abs=1e-9)
 
-        sparse_hubs, sparse_auth = hits_dict(graph)
+        sparse_hubs, sparse_auth = hits(graph)
         dense_hubs, dense_auth = hits_reference(graph)
         assert set(sparse_hubs) == set(dense_hubs)
         assert set(sparse_auth) == set(dense_auth)
@@ -242,8 +238,8 @@ class TestLinkGraphProperties:
     def test_duplicate_links_carry_extra_weight(self):
         # Two parallel edges a->b must weigh twice one edge — the dense
         # reference gives duplicate targets multiple shares.
-        duplicated = pagerank_dict({"a": ["b", "b", "c"]})
-        single = pagerank_dict({"a": ["b", "c"]})
+        duplicated = pagerank({"a": ["b", "b", "c"]})
+        single = pagerank({"a": ["b", "c"]})
         assert duplicated["b"] > single["b"]
 
     def test_removal_deactivates_unreferenced_targets(self):

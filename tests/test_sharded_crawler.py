@@ -22,6 +22,7 @@ from repro.core import sharded_crawler
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.sharded_crawler import ShardedCrawler
 from repro.core.worker_pool import run_jobs
+from repro.simweb import web as web_module
 from repro.simweb.generator import WebGeneratorConfig, generate_web
 from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import RESULT_STATE_KEY
@@ -130,6 +131,41 @@ class TestMultiShardDeterminism:
         # The merged estimator document keeps every shard's estimator
         # verbatim instead of fabricating a blended history.
         assert len(result.estimator_state["shards"]) == 2
+
+class TestGroundTruthBeforeFork:
+    @staticmethod
+    def _kernel_calls_at_fork(monkeypatch, spec):
+        calls = []
+        at_fork = []
+        kernel = web_module.pagerank_scores
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        def spying(jobs, workers):
+            at_fork.append(len(calls))
+            return run_jobs(jobs, workers)
+
+        monkeypatch.setattr(web_module, "pagerank_scores", counting)
+        monkeypatch.setattr(sharded_crawler, "run_jobs", spying)
+        web = generate_web(
+            WebGeneratorConfig(
+                site_counts={"com": 3, "edu": 2}, pages_per_site=8,
+                horizon_days=10.0, seed=5,
+            )
+        )
+        ShardedCrawler(web, spec, PolicySpec()).run(2.0)
+        return at_fork
+
+    def test_quality_tracking_shards_inherit_the_ground_truth(self, monkeypatch):
+        spec = _sharded(shards=2, workers=2, collection_capacity=30)
+        assert self._kernel_calls_at_fork(monkeypatch, spec) == [1]
+
+    def test_no_ground_truth_without_quality_tracking(self, monkeypatch):
+        spec = _sharded(shards=2, workers=2, collection_capacity=30, track_quality=False)
+        assert self._kernel_calls_at_fork(monkeypatch, spec) == [0]
+
 
 class TestShardedSpecLayer:
     WEB = WebSpec(

@@ -11,12 +11,13 @@ from repro.simweb.linkgraph import (
     LinkGraphConfig,
     generate_cross_links,
     generate_site_links,
-    page_link_graph,
 )
 from repro.simweb.page import SimulatedPage
 from repro.simweb.site import SimulatedSite
 from repro.simweb.web import SimulatedWeb
 from tests.test_simweb_page_site import make_page
+
+from reference.kernels import true_importance_reference
 
 
 class TestLinkGraphConfig:
@@ -105,14 +106,62 @@ class TestGenerateCrossLinks:
         assert all(v == 0 for v in in_degree.values())
 
 
-class TestPageLinkGraph:
-    def test_restricts_to_given_pages(self):
-        a = make_page(url="http://s.com/a")
-        b = make_page(url="http://s.com/b")
-        a.set_outlinks([b.url, "http://elsewhere.com/"])
-        graph = page_link_graph([a, b])
+def _hand_built_web():
+    """Two pages of one site; ``a`` also links off the web."""
+    site = SimulatedSite("s.com", "com", window_size=5)
+    a = make_page(url="http://s.com/a", depth=0, seed=1)
+    b = make_page(url="http://s.com/b", seed=2)
+    a.set_outlinks([b.url, "http://elsewhere.com/"])
+    site.add_page(a, is_root=True)
+    site.add_page(b)
+    web = SimulatedWeb(horizon_days=100.0)
+    web.add_site(site)
+    return web, a, b
+
+
+class TestWholeWebLinkGraph:
+    def test_restricts_to_the_web(self):
+        web, a, b = _hand_built_web()
+        graph = dict(web.links_within())
         assert graph[a.url] == (b.url,)
         assert graph[b.url] == ()
+
+    def test_true_importance_equals_the_dict_path(self, small_web):
+        assert small_web.true_importance() == true_importance_reference(small_web)
+
+    def test_true_importance_follows_pages_added_after_first_use(self):
+        web, a, b = _hand_built_web()
+        before = web.true_importance()
+        assert before == true_importance_reference(web)
+        assert set(before) == {a.url, b.url}
+        c = make_page(url="http://s.com/c", seed=3)
+        c.set_outlinks([a.url])
+        b.set_outlinks([c.url])
+        web.add_page(c)
+        after = web.true_importance()
+        assert after == true_importance_reference(web)
+        assert set(after) == {a.url, b.url, c.url}
+
+    def test_adding_a_site_drops_the_ground_truth(self):
+        web, a, _ = _hand_built_web()
+        first = web.true_importance()
+        other = SimulatedSite("t.com", "com", window_size=5)
+        d = make_page(url="http://t.com/d", depth=0, site_id="t.com", seed=4)
+        d.set_outlinks([a.url])
+        other.add_page(d, is_root=True)
+        web.add_site(other)
+        after = web.true_importance()
+        assert after is not first
+        assert after == true_importance_reference(web)
+        assert d.url in after
+
+    def test_true_importance_is_cached_until_invalidated(self):
+        web, _, _ = _hand_built_web()
+        first = web.true_importance()
+        assert web.true_importance() is first
+        web.invalidate_oracle_cache()
+        assert web.true_importance() is not first
+        assert web.true_importance() == first
 
 
 class TestSimulatedWeb:

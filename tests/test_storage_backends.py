@@ -18,7 +18,6 @@ import pytest
 from repro.api.registry import STORAGE_BACKENDS
 from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
 from repro.storage import (
-    ColumnarBackend,
     MemoryBackend,
     PageRecord,
     SqliteBackend,
@@ -26,7 +25,7 @@ from repro.storage import (
 )
 from repro.storage.records import records_from_columns, records_to_columns
 
-BACKEND_NAMES = ("memory", "sqlite", "columnar")
+BACKEND_NAMES = ("memory", "sqlite")
 
 
 def make_record(url: str, fetched_at: float = 1.5, **overrides) -> PageRecord:
@@ -63,12 +62,26 @@ def test_backends_are_registered():
 def test_registry_creates_expected_classes():
     assert isinstance(STORAGE_BACKENDS.create("memory"), MemoryBackend)
     assert isinstance(STORAGE_BACKENDS.create("sqlite"), SqliteBackend)
-    assert isinstance(STORAGE_BACKENDS.create("columnar"), ColumnarBackend)
+
+
+def test_columnar_storage_is_refused_naming_the_backends():
+    with pytest.raises(ValueError) as refused:
+        CrawlerSpec(storage="columnar")
+    assert "'memory'" in str(refused.value)
+    assert "'sqlite'" in str(refused.value)
+
+
+def test_storage_registry_holds_exactly_memory_and_sqlite():
+    assert set(STORAGE_BACKENDS.names()) == set(BACKEND_NAMES)
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_crawler_spec_accepts_each_storage_backend(name):
+    assert CrawlerSpec(storage=name).storage == name
 
 
 def test_durability_flags():
     assert not MemoryBackend.can_persist
-    assert not ColumnarBackend.can_persist
     assert SqliteBackend.can_persist
     assert not MemoryBackend().persistent
     assert not SqliteBackend().persistent  # in-memory form
@@ -133,6 +146,28 @@ def test_clear_and_replace_records(backend):
     assert [r.url for r in backend.scan_records()] == ["z", "y"]
 
 
+def test_scan_skips_deleted_records(backend):
+    backend.put_records(
+        [make_record("a", fetched_at=1.0), make_record("b", fetched_at=2.0),
+         make_record("c", fetched_at=3.0)]
+    )
+    backend.delete_record("b")
+    assert backend.get_record("b") is None
+    assert [r.url for r in backend.scan_records()] == ["a", "c"]
+    assert [r.fetched_at for r in backend.scan_records()] == [1.0, 3.0]
+    assert backend.record_count() == 2
+
+
+def test_many_records_keep_put_order(backend):
+    n = 3000
+    backend.put_records([make_record(f"u/{i}", fetched_at=float(i)) for i in range(n)])
+    assert backend.record_count() == n
+    assert backend.get_record("u/2999").fetched_at == 2999.0
+    urls = [r.url for r in backend.scan_records()]
+    assert urls[:3] == ["u/0", "u/1", "u/2"]
+    assert urls[-1] == "u/2999"
+
+
 # --------------------------------------------------------------------- #
 # Event contract
 # --------------------------------------------------------------------- #
@@ -187,7 +222,7 @@ def test_state_documents_are_detached_copies(backend):
     payload["values"].append(3)
     assert backend.load_state("k") == {"values": [1, 2]}
     # ... and in the other direction: mutating a loaded document must not
-    # reach the store (memory and columnar once handed out the stored dict).
+    # reach the store (memory once handed out the stored dict).
     backend.load_state("k")["values"].append(4)
     assert backend.load_state("k") == {"values": [1, 2]}
 
@@ -325,35 +360,6 @@ def test_sqlite_adds_its_tables_to_a_file_without_records(tmp_path):
         assert backend.get_record("a") == make_record("a")
     finally:
         backend.close()
-
-
-# --------------------------------------------------------------------- #
-# Columnar specifics
-# --------------------------------------------------------------------- #
-def test_columnar_numeric_columns_and_live_urls():
-    backend = ColumnarBackend()
-    backend.put_records(
-        [make_record("a", fetched_at=1.0), make_record("b", fetched_at=2.0),
-         make_record("c", fetched_at=3.0)]
-    )
-    backend.delete_record("b")
-    assert backend.live_urls() == ["a", "c"]
-    columns = backend.numeric_columns()
-    assert columns["fetched_at"].tolist() == [1.0, 3.0]
-    assert columns["visit_count"].tolist() == [3, 3]
-    backend.append_events([("a", 0.25, True, True), ("c", 0.5, False, True)])
-    event_columns = backend.event_columns()
-    assert event_columns["time"].tolist() == [0.25, 0.5]
-    assert event_columns["changed"].tolist() == [True, False]
-
-
-def test_columnar_growth_past_initial_capacity():
-    backend = ColumnarBackend()
-    n = 3000  # beyond the initial chunk, forcing several doublings
-    backend.put_records([make_record(f"u/{i}", fetched_at=float(i)) for i in range(n)])
-    assert backend.record_count() == n
-    assert backend.get_record("u/2999").fetched_at == 2999.0
-    assert [r.url for r in backend.scan_records()][:3] == ["u/0", "u/1", "u/2"]
 
 
 # --------------------------------------------------------------------- #
