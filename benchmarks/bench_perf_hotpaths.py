@@ -326,6 +326,7 @@ def check_crawl_identity(
         spec = CrawlerSpec(
             collection_capacity=n_pages,
             crawl_budget_per_day=2.0 * n_pages,
+            duration_days=duration_days,
             ranking_interval_days=duration_days * 10.0,
             measurement_interval_days=0.5,
             track_quality=False,
@@ -338,7 +339,7 @@ def check_crawl_identity(
                 else IncrementalCrawler
             )
             crawler = crawler_class(web, spec, policy, seed_urls=seed_urls)
-            result = crawler.run(duration_days)
+            result = crawler.run()
             failures = crawler.failure_counters()
             records = [
                 record_to_dict(r) for r in crawler.collection.working_records()
@@ -349,7 +350,7 @@ def check_crawl_identity(
             sharded = spec.replace(engine="sharded", shards=shards, workers=1)
             result = ShardedCrawler(
                 web, sharded, policy, seed_urls=seed_urls
-            ).run(duration_days)
+            ).run()
             failures, records = result.failures, result.records
             estimator = dict(result.estimator_state)
             extras = {}

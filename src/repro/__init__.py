@@ -38,10 +38,10 @@ contribution:
     and the unified ``run(spec) -> ExperimentResult`` runner.
 """
 
-from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.periodic_crawler import PeriodicCrawler
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 from repro.simweb.web import SimulatedWeb
 
 __version__ = "1.0.0"
@@ -52,7 +52,7 @@ __all__ = [
     "PeriodicCrawler",
     "PolicySpec",
     "SimulatedWeb",
-    "WebGeneratorConfig",
+    "WebSpec",
     "generate_web",
     "__version__",
 ]

@@ -209,32 +209,3 @@ def normal_quantile(p: float) -> float:
     q = math.sqrt(-2.0 * math.log(1.0 - p))
     return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
         ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-
-def poisson_rate_confidence_interval(
-    n_events: int, exposure: float, confidence: float = 0.95
-) -> Tuple[float, float, float]:
-    """Confidence interval for a Poisson rate from an event count.
-
-    Uses the normal approximation on the square-root (variance-stabilising)
-    scale, which behaves reasonably even for small counts.
-
-    Args:
-        n_events: Number of events observed.
-        exposure: Total observation time (same unit as the rate's inverse).
-        confidence: Two-sided confidence level.
-
-    Returns:
-        A tuple ``(rate, lower, upper)`` with ``lower >= 0``.
-    """
-    if exposure <= 0:
-        raise ValueError("exposure must be positive")
-    if n_events < 0:
-        raise ValueError("event count cannot be negative")
-    rate = n_events / exposure
-    z = normal_quantile(0.5 + confidence / 2.0)
-    half_width = z * math.sqrt(n_events + 0.25) / exposure
-    centre = (n_events + 0.25) / exposure
-    lower = max(0.0, centre - half_width)
-    upper = centre + half_width
-    return rate, lower, upper

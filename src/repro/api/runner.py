@@ -158,8 +158,12 @@ def _walk_unserializable(value: Any, path: str, stack: set) -> Optional[str]:
 
 
 def build_web(spec: WebSpec, seed: Optional[int] = None) -> SimulatedWeb:
-    """Generate the synthetic web described by ``spec``."""
-    return generate_web(spec.to_generator_config(seed=seed))
+    """Generate the synthetic web described by ``spec``.
+
+    ``seed``, when given, replaces the spec's seed (an
+    :class:`ExperimentSpec`'s run-level seed).
+    """
+    return generate_web(spec if seed is None else spec.replace(seed=seed))
 
 
 def run(
@@ -323,11 +327,7 @@ def _run_sharded_crawl(
     crawler = ShardedCrawler(
         web, crawler_spec, policy, store_path=store, spec_hash=spec.spec_hash()
     )
-    outcome = crawler.run(
-        crawler_spec.duration_days,
-        start_time=crawler_spec.start_time,
-        resume=resume,
-    )
+    outcome = crawler.run(resume=resume)
     summary = _crawl_summary(
         crawler_spec.kind,
         outcome,
@@ -423,16 +423,10 @@ def _run_crawl(
                 )
     if journal is not None or checkpointer is not None:
         outcome = crawler.run(
-            crawler_spec.duration_days,
-            start_time=crawler_spec.start_time,
-            journal=journal,
-            checkpointer=checkpointer,
-            resume_state=resume_state,
+            journal=journal, checkpointer=checkpointer, resume_state=resume_state
         )
     else:
-        outcome = crawler.run(
-            crawler_spec.duration_days, start_time=crawler_spec.start_time
-        )
+        outcome = crawler.run()
 
     summary = _crawl_summary(
         crawler_spec.kind,

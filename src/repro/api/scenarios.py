@@ -19,7 +19,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.registry import ESTIMATORS, REVISIT_POLICIES, register_scenario
-from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, PolicySpec, RetrySpec
+from repro.api.specs import (
+    CrawlerSpec,
+    FaultModelSpec,
+    FaultsSpec,
+    PolicySpec,
+    RetrySpec,
+    WebSpec,
+)
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.freshness.analytic import freshness_trajectory, time_averaged_freshness
 from repro.freshness.analytic import (
@@ -42,7 +49,7 @@ from repro.simulation.scenarios import (
     table2_scenario_rate,
 )
 from repro.simweb.domains import sample_calibrated_rates
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 
 
 # --------------------------------------------------------------------- #
@@ -230,7 +237,7 @@ def polite_crawl(
         seed: Web-generation seed.
     """
     policy = PolicySpec(revisit_policy=revisit_policy, estimator=estimator)
-    web_config = WebGeneratorConfig(
+    web_spec = WebSpec(
         site_scale=site_scale,
         pages_per_site=pages_per_site,
         horizon_days=duration_days + 30.0,
@@ -239,10 +246,11 @@ def polite_crawl(
 
     def _run(polite: bool):
         crawler = IncrementalCrawler(
-            generate_web(web_config),
+            generate_web(web_spec),
             CrawlerSpec(
                 collection_capacity=collection_capacity,
                 crawl_budget_per_day=crawl_budget_per_day,
+                duration_days=duration_days,
                 measurement_interval_days=0.5,
                 track_quality=False,
                 use_politeness=polite,
@@ -251,7 +259,7 @@ def polite_crawl(
             ),
             policy,
         )
-        return crawler.run(duration_days)
+        return crawler.run()
 
     impolite = _run(False)
     polite = _run(True)
@@ -350,7 +358,7 @@ def chaos_crawl(
         )
         for name, models in regimes.items()
     }
-    web_config = WebGeneratorConfig(
+    web_spec = WebSpec(
         site_scale=site_scale,
         pages_per_site=pages_per_site,
         horizon_days=duration_days + 30.0,
@@ -359,10 +367,11 @@ def chaos_crawl(
 
     def _run(policy: str, estimator: str, faults: Optional[FaultsSpec]):
         crawler = IncrementalCrawler(
-            generate_web(web_config),
+            generate_web(web_spec),
             CrawlerSpec(
                 collection_capacity=collection_capacity,
                 crawl_budget_per_day=crawl_budget_per_day,
+                duration_days=duration_days,
                 measurement_interval_days=0.5,
                 track_quality=False,
                 faults=faults,
@@ -370,7 +379,7 @@ def chaos_crawl(
             ),
             PolicySpec(revisit_policy=policy, estimator=estimator),
         )
-        outcome = crawler.run(duration_days)
+        outcome = crawler.run()
         return outcome, crawler.failure_counters()
 
     mean_freshness: Dict[str, Dict[str, float]] = {}

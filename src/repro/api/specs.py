@@ -29,15 +29,16 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
-from repro.api.registry import ESTIMATORS, FAULT_MODELS, REVISIT_POLICIES
+from repro.api.registry import CHANGE_MODELS, ESTIMATORS, FAULT_MODELS, REVISIT_POLICIES
 import repro.estimation.rate_estimators  # noqa: F401  (registration side effect)
 from repro.faults import FailureTracker, FaultLayer
 from repro.fetch.politeness import NightWindow, PolitenessPolicy
 from repro.freshness.policies import RevisitPolicy
-from repro.simweb.generator import WebGeneratorConfig
+import repro.simweb.change_models  # noqa: F401  (registration side effect)
 
 SpecT = TypeVar("SpecT", bound="_SpecBase")
 
@@ -49,6 +50,24 @@ CRAWLER_KINDS: Tuple[str, ...] = ("incremental", "periodic")
 SPEC_ENGINES: Tuple[str, ...] = ("batched", "sharded")
 #: Importance metrics the RankingModule supports.
 IMPORTANCE_METRICS: Tuple[str, ...] = ("pagerank", "hits")
+
+
+def _is_integer(value: Any) -> bool:
+    """An integer, NumPy's included (code derives some values, such as a
+    shard's capacity, with them), and not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_integers(spec: object, *names: str) -> None:
+    """Refuse a set ``int`` field holding anything but an integer.
+
+    A float (even ``2.0``) or a ``bool`` passes every range check and then
+    fails, or silently runs, deep inside generation or the crawl.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _unknown_choice(kind: str, name: object, choices: Tuple[str, ...]) -> ValueError:
@@ -145,25 +164,33 @@ class _SpecBase:
 
 @dataclass(frozen=True)
 class WebSpec(_SpecBase):
-    """Declarative description of a synthetic web.
+    """Declarative description of a synthetic web, the input of
+    :func:`repro.simweb.generator.generate_web`.
 
-    Mirrors :class:`repro.simweb.generator.WebGeneratorConfig` (minus the
-    link-graph knobs, which keep their defaults) so a spec can be turned
-    into a generator config with :meth:`to_generator_config`.
+    The defaults give a small web (15 sites of 30 pages) whose
+    *statistics* match the paper; the full-scale experiment (270 sites x
+    3,000 pages) is ``site_scale=1.0, pages_per_site=3000``, at a
+    proportional cost in memory and time.
 
     Attributes:
-        site_scale: Multiplier on the paper's Table 1 per-domain site counts.
+        site_scale: Multiplier on the paper's Table 1 per-domain site counts
+            (132 com / 78 edu / 30 netorg / 30 gov).
         pages_per_site: Pages initially present at each site.
         window_size: Monitoring-window size per site (defaults to
-            ``pages_per_site``).
-        horizon_days: Virtual-time horizon of the web.
+            ``pages_per_site``: every initial page is inside the window).
+        horizon_days: Virtual-time horizon of the web; the paper's
+            experiment spanned roughly 127 days.
         new_page_fraction: Pages created during the horizon, as a fraction
             of ``pages_per_site``.
-        site_counts: Optional explicit per-domain site counts.
-        change_model: Optional registered change-model name overriding the
+        site_counts: Optional explicit per-domain site counts, overriding
+            ``site_scale``.
+        change_model: Optional registered change-model name
+            (:data:`repro.api.registry.CHANGE_MODELS`) overriding the
             calibrated per-domain mixtures for every page.
-        change_model_params: Keyword arguments for the change-model factory.
-        seed: Seed of the web's random generator.
+        change_model_params: Keyword arguments for the change-model factory
+            (e.g. ``{"rate": 0.2}`` for ``"poisson"``).
+        seed: Seed of the web's random generator; the same spec always
+            produces the same web.
     """
 
     site_scale: float = 0.05
@@ -177,30 +204,47 @@ class WebSpec(_SpecBase):
     seed: int = 17
 
     def __post_init__(self) -> None:
-        # Delegate numeric validation (and the change-model registry check)
-        # to the generator config so the two can never drift apart.
-        self.to_generator_config()
+        _require_integers(self, "pages_per_site", "window_size", "seed")
+        # Chained comparisons with a finite ceiling: NaN fails every
+        # comparison, so NaN and Infinity (both valid JSON to Python) are
+        # refused with the out-of-range values.
+        if not 0 < self.site_scale < math.inf:
+            raise ValueError("site_scale must be positive and finite")
+        if not 1 <= self.pages_per_site < math.inf:
+            raise ValueError("pages_per_site must be at least 1")
+        if self.window_size is not None and not 1 <= self.window_size < math.inf:
+            raise ValueError("window_size must be at least 1 when given")
+        if not 0 < self.horizon_days < math.inf:
+            raise ValueError("horizon_days must be positive and finite")
+        if not 0 <= self.new_page_fraction < math.inf:
+            raise ValueError("new_page_fraction must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for domain, count in (self.site_counts or {}).items():
+            if not _is_integer(count) or count < 0:
+                raise ValueError(f"site_counts[{domain!r}] must be a non-negative integer")
+        if self.change_model is not None:
+            self._validate_change_model_params(CHANGE_MODELS.get(self.change_model))
 
-    def to_generator_config(self, seed: Optional[int] = None) -> WebGeneratorConfig:
-        """The equivalent :class:`WebGeneratorConfig`.
-
-        Args:
-            seed: Optional override of the spec's seed (used when an
-                :class:`ExperimentSpec` pins a run-level seed).
-        """
-        return WebGeneratorConfig(
-            site_scale=self.site_scale,
-            pages_per_site=self.pages_per_site,
-            window_size=self.window_size,
-            horizon_days=self.horizon_days,
-            new_page_fraction=self.new_page_fraction,
-            site_counts=dict(self.site_counts) if self.site_counts else None,
-            change_model=self.change_model,
-            change_model_params=(
-                dict(self.change_model_params) if self.change_model_params else None
-            ),
-            seed=self.seed if seed is None else seed,
-        )
+    def _validate_change_model_params(self, factory: type) -> None:
+        """Reject unknown factory parameters instead of silently dropping them."""
+        params = self.change_model_params or {}
+        try:
+            signature = inspect.signature(factory)
+        except (TypeError, ValueError):  # pragma: no cover - builtins only
+            return
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD
+               for p in signature.parameters.values()):
+            return
+        unknown = sorted(set(params) - set(signature.parameters))
+        if unknown:
+            accepted = ", ".join(
+                name for name in signature.parameters if name != "self"
+            ) or "(none)"
+            raise ValueError(
+                f"unknown change_model_params {unknown} for change model "
+                f"{self.change_model!r}; accepted parameters: {accepted}"
+            )
 
 
 @dataclass(frozen=True)
@@ -286,6 +330,7 @@ class FaultsSpec(_SpecBase):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_integers(self, "seed")
         object.__setattr__(self, "models", tuple(self.models))
         if not self.models:
             raise ValueError("a faults spec needs at least one fault model")
@@ -355,7 +400,8 @@ class RetrySpec(_SpecBase):
     breaker_backoff: float = 2.0
 
     def __post_init__(self) -> None:
-        if int(self.max_attempts) < 1:
+        _require_integers(self, "max_attempts", "site_budget", "breaker_threshold")
+        if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         # Chained comparisons refuse NaN, which fails every comparison.
         if not 0 < self.base_delay_days < math.inf:
@@ -364,9 +410,9 @@ class RetrySpec(_SpecBase):
             raise ValueError("multiplier must be at least 1 and finite")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if self.site_budget is not None and int(self.site_budget) < 0:
+        if self.site_budget is not None and self.site_budget < 0:
             raise ValueError("site_budget cannot be negative")
-        if int(self.breaker_threshold) < 1:
+        if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be at least 1")
         if not 0 < self.breaker_probe_days < math.inf:
             raise ValueError("breaker_probe_days must be positive and finite")
@@ -458,6 +504,7 @@ class CrawlerSpec(_SpecBase):
     retry: Optional[RetrySpec] = None
 
     def __post_init__(self) -> None:
+        _require_integers(self, "collection_capacity", "shards", "workers")
         if self.kind not in CRAWLER_KINDS:
             raise _unknown_choice("crawler kind", self.kind, CRAWLER_KINDS)
         if self.engine not in SPEC_ENGINES:
@@ -600,6 +647,9 @@ class ExperimentSpec(_SpecBase):
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("experiment name must be non-empty")
+        _require_integers(self, "seed")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.kind not in EXPERIMENT_KINDS:
             raise _unknown_choice("experiment kind", self.kind, EXPERIMENT_KINDS)
         if self.kind in ("crawl", "monitor") and self.web is None:

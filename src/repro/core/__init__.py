@@ -30,7 +30,7 @@ from repro.core.allurls import AllUrls, UrlInfo
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule, CrawlOutcome
 from repro.core.update_module import UpdateModule
-from repro.core.ranking_module import RankingModule, RankingModuleConfig
+from repro.core.ranking_module import RankingModule
 from repro.core.incremental_crawler import CrawlRunResult, IncrementalCrawler
 from repro.core.periodic_crawler import PeriodicCrawler
 
@@ -42,7 +42,6 @@ __all__ = [
     "CrawlOutcome",
     "UpdateModule",
     "RankingModule",
-    "RankingModuleConfig",
     "IncrementalCrawler",
     "CrawlRunResult",
     "PeriodicCrawler",

@@ -44,7 +44,7 @@ from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.core.quality import CollectionQualityCache
-from repro.core.ranking_module import RankingModule, RankingModuleConfig
+from repro.core.ranking_module import RankingModule
 from repro.core.sharding import ShardView
 from repro.core.update_module import UpdateModule
 from repro.faults import FailureTracker
@@ -101,8 +101,8 @@ class IncrementalCrawler:
 
     Args:
         web: The synthetic web to crawl.
-        crawler: Capacity, budget, cadences, politeness and faults. The
-            run's length and start come from :meth:`run`'s arguments.
+        crawler: Capacity, budget, run length and start, cadences,
+            politeness and faults.
         policy: Revisit policy, estimator and importance metric.
         seed_urls: Starting URLs; defaults to every site's root page (or,
             with a shard view, the view's seed list).
@@ -165,12 +165,7 @@ class IncrementalCrawler:
             failure_tracker=self._failure_tracker,
         )
         self._ranking_module = RankingModule(
-            self._allurls,
-            self._collurls,
-            self._collection,
-            self._crawl_module,
-            RankingModuleConfig(importance_metric=policy.importance_metric),
-            capacity=crawler.collection_capacity,
+            self._allurls, self._collurls, self._collection, self._crawl_module, policy
         )
         self._quality_cache: Optional[CollectionQualityCache] = None
 
@@ -229,18 +224,15 @@ class IncrementalCrawler:
     # ------------------------------------------------------------------ #
     def run(
         self,
-        duration_days: float,
-        start_time: float = 0.0,
         *,
         journal: Optional[CollectionJournal] = None,
         checkpointer: Optional[CrawlCheckpointer] = None,
         resume_state: Optional[dict] = None,
     ) -> CrawlRunResult:
-        """Run the crawler for ``duration_days`` of virtual time.
+        """Run the crawler for the spec's ``duration_days`` from its
+        ``start_time`` (cut at the web's horizon).
 
         Args:
-            duration_days: How long to run.
-            start_time: Virtual time at which the run starts.
             journal: Optional :class:`CollectionJournal` mirroring records
                 and change events into a storage backend. Its writes stay in
                 the backend's open transaction: the journal is flushed
@@ -261,8 +253,8 @@ class IncrementalCrawler:
             A :class:`CrawlRunResult` with freshness/quality series and
             counters.
         """
-        if duration_days <= 0:
-            raise ValueError("duration_days must be positive")
+        start_time = self._spec.start_time
+        duration_days = self._spec.duration_days
         end_time = min(start_time + duration_days, self._web.horizon_days)
 
         tracker = FreshnessTracker(
@@ -277,8 +269,7 @@ class IncrementalCrawler:
         if resume_state is not None:
             committed = checkpointer is not None and checkpointer.loaded_latest
             scheduler = self._restore_state(
-                resume_state, start_time, duration_days, tracker, result,
-                journal, committed,
+                resume_state, tracker, result, journal, committed
             )
             if checkpointer is not None:
                 checkpointer.start(float(resume_state["checkpoint_at"]))
@@ -505,7 +496,6 @@ class IncrementalCrawler:
             "freshness": {
                 "times": list(tracker.series.times),
                 "freshness": list(tracker.series.freshness),
-                "age": list(tracker.series.age),
             },
             "quality": {
                 "times": list(result.quality_times),
@@ -517,8 +507,6 @@ class IncrementalCrawler:
     def _restore_state(
         self,
         state: dict,
-        start_time: float,
-        duration_days: float,
         tracker: FreshnessTracker,
         result: CrawlRunResult,
         journal: Optional[CollectionJournal],
@@ -539,16 +527,12 @@ class IncrementalCrawler:
                 f"checkpoint format {fmt!r} cannot be resumed: this build "
                 f"reads and writes format {CHECKPOINT_FORMAT} only"
             )
-        if float(state["start_time"]) != start_time:
-            raise ValueError(
-                f"checkpoint was taken for start_time={state['start_time']}, "
-                f"got {start_time}"
-            )
-        if float(state["duration_days"]) != duration_days:
-            raise ValueError(
-                f"checkpoint was taken for duration_days={state['duration_days']}, "
-                f"got {duration_days}"
-            )
+        for name in ("start_time", "duration_days"):
+            if float(state[name]) != getattr(self._spec, name):
+                raise ValueError(
+                    f"checkpoint was taken for {name}={state[name]}, "
+                    f"got {getattr(self._spec, name)}"
+                )
 
         scheduler = StreamScheduler()
         scheduler.restore_snapshot(state["scheduler"])
@@ -581,7 +565,6 @@ class IncrementalCrawler:
         freshness = state["freshness"]
         tracker.series.times[:] = [float(t) for t in freshness["times"]]
         tracker.series.freshness[:] = [float(f) for f in freshness["freshness"]]
-        tracker.series.age[:] = [float(a) for a in freshness["age"]]
         quality = state["quality"]
         result.quality[:] = [float(v) for v in quality["values"]]
         result.quality_times[:] = [float(t) for t in quality["times"]]

@@ -63,9 +63,9 @@ class PeriodicCrawler:
 
     Args:
         web: The synthetic web to crawl.
-        crawler: Capacity, budget, ``cycle_days`` and measurement cadence;
-            the periodic crawler has no policy choices. The run's length
-            and start come from :meth:`run`'s arguments.
+        crawler: Capacity, budget, run length and start, ``cycle_days``
+            and measurement cadence; the periodic crawler has no policy
+            choices.
         seed_urls: Starting URLs; defaults to every site's root page.
     """
 
@@ -89,10 +89,11 @@ class PeriodicCrawler:
         """The crawler's (shadowed) collection."""
         return self._collection
 
-    def run(self, duration_days: float, start_time: float = 0.0) -> PeriodicCrawlResult:
-        """Run the periodic crawler for ``duration_days`` of virtual time."""
-        if duration_days <= 0:
-            raise ValueError("duration_days must be positive")
+    def run(self) -> PeriodicCrawlResult:
+        """Run the periodic crawler for the spec's ``duration_days`` from its
+        ``start_time`` (cut at the web's horizon)."""
+        start_time = self._spec.start_time
+        duration_days = self._spec.duration_days
         end_time = min(start_time + duration_days, self._web.horizon_days)
         tracker = FreshnessTracker(
             self._web,

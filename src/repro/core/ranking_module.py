@@ -10,8 +10,12 @@ immediately. Also, the RankingModule discards the less-important page from
 the Collection to make space for the new page."
 
 Importance is measured with PageRank over the link structure captured in the
-collection (or HITS authority scores); candidate URLs that are not yet
-collected are ranked through the links pointing at them (footnote 2).
+collection (or HITS authority scores), as the :class:`PolicySpec`'s
+``importance_metric`` names; candidate URLs that are not yet collected are
+ranked through the links pointing at them (footnote 2). A scan fills the
+collection up to its capacity, then replaces at most
+:data:`MAX_REPLACEMENTS_PER_SCAN` pages, each only by a candidate
+:data:`REPLACEMENT_MARGIN` more important.
 
 Ranking is *incremental*: the module keeps one
 :class:`repro.ranking.sparse.LinkGraph` alive across refinement scans,
@@ -32,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api.specs import PolicySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
@@ -41,34 +46,13 @@ from repro.storage.collection import Collection
 from repro.storage.records import PageRecord
 
 
-@dataclass(frozen=True)
-class RankingModuleConfig:
-    """Configuration of the RankingModule.
-
-    Attributes:
-        importance_metric: ``"pagerank"`` or ``"hits"`` (authority scores).
-        max_replacements_per_scan: Cap on how many collection pages a single
-            refinement scan may replace; keeps the scan's effect incremental.
-        replacement_margin: A candidate must beat the worst collected page's
-            importance by this relative margin to trigger a replacement;
-            avoids thrashing between near-equal pages.
-        damping: PageRank damping factor.
-    """
-
-    importance_metric: str = "pagerank"
-    max_replacements_per_scan: int = 10
-    replacement_margin: float = 0.10
-    damping: float = 0.85
-
-    def __post_init__(self) -> None:
-        if self.importance_metric not in ("pagerank", "hits"):
-            raise ValueError('importance_metric must be "pagerank" or "hits"')
-        if self.max_replacements_per_scan < 0:
-            raise ValueError("max_replacements_per_scan must be non-negative")
-        if self.replacement_margin < 0:
-            raise ValueError("replacement_margin must be non-negative")
-        if not 0.0 <= self.damping <= 1.0:
-            raise ValueError("damping must be within [0, 1]")
+#: Cap on how many collection pages one refinement scan may replace; keeps
+#: a scan's effect incremental.
+MAX_REPLACEMENTS_PER_SCAN = 10
+#: A candidate must beat the least important collected page's importance
+#: by this relative margin to replace it; avoids thrashing between
+#: near-equal pages.
+REPLACEMENT_MARGIN = 0.10
 
 
 @dataclass(frozen=True)
@@ -96,9 +80,7 @@ class RankingModule:
         collurls: The collection URL priority queue.
         collection: The collection being refined.
         crawl_module: Used to discard replaced pages from the collection.
-        config: Module configuration.
-        capacity: Target number of pages in the collection; when ``None``
-            the collection's own capacity is used.
+        policy: Its ``importance_metric`` ranks the pages.
     """
 
     def __init__(
@@ -107,15 +89,14 @@ class RankingModule:
         collurls: CollUrls,
         collection: Collection,
         crawl_module: CrawlModule,
-        config: Optional[RankingModuleConfig] = None,
-        capacity: Optional[int] = None,
+        policy: PolicySpec,
     ) -> None:
         self._allurls = allurls
         self._collurls = collurls
         self._collection = collection
         self._crawl_module = crawl_module
-        self._config = config if config is not None else RankingModuleConfig()
-        self._capacity = capacity if capacity is not None else collection.capacity
+        self._metric = policy.importance_metric
+        self._capacity = collection.capacity
         self.scans_completed = 0
         self.pages_replaced = 0
         self.pages_admitted = 0
@@ -163,7 +144,7 @@ class RankingModule:
         # victim and adds the newcomer, net zero).
         tracked = len(collected_or_queued)
         at_capacity = self._capacity is not None
-        max_replacements = self._config.max_replacements_per_scan
+        max_replacements = MAX_REPLACEMENTS_PER_SCAN
 
         # Select, do not sort: the loop below admits at most ``capacity -
         # tracked`` candidates, takes one victim per replacement and reads
@@ -195,7 +176,7 @@ class RankingModule:
             if victim_cursor >= len(victims):
                 break
             victim_score, victim_url = victims[victim_cursor]
-            if score <= victim_score * (1.0 + self._config.replacement_margin):
+            if score <= victim_score * (1.0 + REPLACEMENT_MARGIN):
                 break
             victim_cursor += 1
             self._replace(victim_url, url, at)
@@ -303,7 +284,7 @@ class RankingModule:
         active_ids = graph.active_ids()
         if len(active_ids) == 0:
             return {}
-        if self._config.importance_metric == "hits":
+        if self._metric == "hits":
             ids, hubs, authorities = hits_scores(
                 graph,
                 hubs0=_project_warm(self._warm_hubs, active_ids),
@@ -318,9 +299,7 @@ class RankingModule:
             scores = authorities
         else:
             ids, scores = pagerank_scores(
-                graph,
-                damping=self._config.damping,
-                x0=_project_warm(self._warm_pagerank, active_ids),
+                graph, x0=_project_warm(self._warm_pagerank, active_ids)
             )
             self._warm_pagerank = _absorb_warm(
                 self._warm_pagerank, ids, scores, graph.node_count

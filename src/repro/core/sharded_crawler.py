@@ -75,8 +75,6 @@ class ShardRunSpec:
     view: ShardView
     crawler: CrawlerSpec
     policy: PolicySpec
-    duration_days: float
-    start_time: float
     store_path: Optional[str]
     spec_hash: Optional[str]
     resume: bool
@@ -171,8 +169,13 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
                     )
                 return saved
             resume_state = checkpointer.load()
-            # A shard killed before its first checkpoint starts over —
-            # exactly what the unsharded resume path would require too.
+            # Unlike an unsharded resume (``api.runner._run_crawl`` refuses
+            # a store with no checkpoint), a shard with none starts over. A
+            # resume covers every shard, and a worker that died is retried
+            # as a resume (ShardRunSpec.retried), so a shard killed before
+            # its first checkpoint must still run; a fresh start contradicts
+            # nothing in its store, whose journal commits only with a
+            # checkpoint or with the shard's result.
 
         if job.view.is_total:
             # Total view: the plain crawler, seeds carried through the view
@@ -183,11 +186,7 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
         else:
             crawler = IncrementalCrawler(web, spec, job.policy, shard_view=job.view)
         outcome = crawler.run(
-            job.duration_days,
-            start_time=job.start_time,
-            journal=journal,
-            checkpointer=checkpointer,
-            resume_state=resume_state,
+            journal=journal, checkpointer=checkpointer, resume_state=resume_state
         )
         payload = {
             "shard_index": job.view.index,
@@ -198,7 +197,6 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
             "freshness": {
                 "times": [float(t) for t in outcome.freshness.times],
                 "freshness": [float(f) for f in outcome.freshness.freshness],
-                "age": [float(a) for a in outcome.freshness.age],
             },
             "quality": {
                 "times": [float(t) for t in outcome.quality_times],
@@ -277,18 +275,11 @@ class ShardedCrawler:
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        duration_days: float,
-        start_time: float = 0.0,
-        *,
-        resume: bool = False,
-    ) -> ShardedCrawlResult:
-        """Run every shard to completion and merge the results.
+    def run(self, *, resume: bool = False) -> ShardedCrawlResult:
+        """Run every shard for the spec's ``duration_days`` from its
+        ``start_time`` and merge the results.
 
         Args:
-            duration_days: How long to run (virtual days).
-            start_time: Virtual time at which the run starts.
             resume: Continue a killed sharded run from the per-shard
                 stores (requires the spec's ``storage`` and
                 ``checkpoint_every``, and ``store_path``). Completed shards short-circuit from
@@ -323,8 +314,6 @@ class ShardedCrawler:
                     crawl_budget_per_day=view.budget_per_day,
                 ),
                 policy=self._policy,
-                duration_days=duration_days,
-                start_time=start_time,
                 store_path=shard_store_path(self._store_path, view.index),
                 spec_hash=self._spec_hash,
                 resume=resume,
@@ -338,7 +327,7 @@ class ShardedCrawler:
             payloads = [_run_shard(jobs[0], self._web)]
         else:
             payloads = self._run_workers(jobs)
-        return self._merge(payloads, duration_days)
+        return self._merge(payloads)
 
     def _run_workers(self, jobs: List[ShardRunSpec]) -> List[dict]:
         """Run the shard jobs in the worker pool over the one inherited web.
@@ -357,9 +346,7 @@ class ShardedCrawler:
     # ------------------------------------------------------------------ #
     # Merge
     # ------------------------------------------------------------------ #
-    def _merge(
-        self, payloads: List[dict], duration_days: float
-    ) -> ShardedCrawlResult:
+    def _merge(self, payloads: List[dict]) -> ShardedCrawlResult:
         """Fold per-shard payloads into one result, in shard-index order.
 
         The fold is a pure function of the payload list (which is ordered
@@ -381,16 +368,9 @@ class ShardedCrawler:
                 )
         for i, at in enumerate(base_times):
             fresh = 0.0
-            age = 0.0
             for p in payloads:
-                weight = p["capacity"]
-                fresh += p["freshness"]["freshness"][i] * weight
-                age += p["freshness"]["age"][i] * weight
-            series.add(
-                float(at),
-                min(1.0, fresh / total_capacity),
-                age / total_capacity,
-            )
+                fresh += p["freshness"]["freshness"][i] * p["capacity"]
+            series.add(float(at), min(1.0, fresh / total_capacity))
 
         quality: List[float] = []
         quality_times: List[float] = []
@@ -423,7 +403,7 @@ class ShardedCrawler:
             freshness=series,
             quality=quality,
             quality_times=quality_times,
-            duration_days=duration_days,
+            duration_days=self._spec.duration_days,
             shards=len(payloads),
             workers=self.workers,
         )

@@ -50,7 +50,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 class CrawlMode(enum.Enum):
@@ -219,16 +219,6 @@ def time_averaged_freshness(policy: CrawlPolicy, rate: float) -> float:
         return cycle_term * cycle_term
     batch_term = expected_freshness_periodic(rate, policy.batch_duration_days)
     return batch_term * cycle_term
-
-
-def population_time_averaged_freshness(
-    policy: CrawlPolicy, rates: Iterable[float]
-) -> float:
-    """Average of :func:`time_averaged_freshness` over a page population."""
-    rates = list(rates)
-    if not rates:
-        return 0.0
-    return sum(time_averaged_freshness(policy, rate) for rate in rates) / len(rates)
 
 
 # --------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
-"""Recording freshness/age time series during a simulated crawl.
+"""Recording freshness time series during a simulated crawl.
 
-A :class:`FreshnessTracker` periodically samples the freshness (and age) of
-a collection against the simulated-web oracle and accumulates a
+A :class:`FreshnessTracker` periodically samples the freshness of a
+collection against the simulated-web oracle and accumulates a
 :class:`FreshnessTimeSeries`, from which time-averaged values and
 trajectories (the curves of Figures 7 and 8) can be read.
 
@@ -17,20 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.freshness.metrics import measure_collection, time_average
+from repro.freshness.metrics import collection_freshness, time_average
 from repro.simweb.web import SimulatedWeb
 from repro.storage.collection import Collection
 
 
 @dataclass
 class FreshnessTimeSeries:
-    """A sampled freshness (and optionally age) time series."""
+    """A sampled freshness time series."""
 
     times: List[float] = field(default_factory=list)
     freshness: List[float] = field(default_factory=list)
-    age: List[float] = field(default_factory=list)
 
-    def add(self, time: float, freshness: float, age: Optional[float] = None) -> None:
+    def add(self, time: float, freshness: float) -> None:
         """Append one sample."""
         if self.times and time < self.times[-1]:
             raise ValueError("samples must be appended in chronological order")
@@ -38,7 +37,6 @@ class FreshnessTimeSeries:
             raise ValueError("freshness must be within [0, 1]")
         self.times.append(time)
         self.freshness.append(freshness)
-        self.age.append(age if age is not None else 0.0)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -46,10 +44,6 @@ class FreshnessTimeSeries:
     def mean_freshness(self) -> float:
         """Time-weighted average freshness over the recorded samples."""
         return time_average(list(zip(self.times, self.freshness)))
-
-    def mean_age(self) -> float:
-        """Time-weighted average age over the recorded samples."""
-        return time_average(list(zip(self.times, self.age)))
 
     def as_series(self) -> Tuple[Sequence[float], Sequence[float]]:
         """The ``(times, freshness)`` series for plotting/reporting."""
@@ -61,20 +55,21 @@ class FreshnessTimeSeries:
         Useful to drop warm-up transients before computing averages.
         """
         trimmed = FreshnessTimeSeries()
-        for time, fresh, age in zip(self.times, self.freshness, self.age):
+        for time, fresh in zip(self.times, self.freshness):
             if time >= start_time:
-                trimmed.add(time, fresh, age)
+                trimmed.add(time, fresh)
         return trimmed
 
 
 class FreshnessTracker:
     """Samples the freshness of a collection on a fixed schedule.
 
+    Freshness only: no result reads a collection's age, which
+    :func:`repro.freshness.metrics.collection_age` measures on demand.
+
     Args:
         web: Ground-truth oracle.
         collection: The collection whose *current* records are measured.
-        track_age: Whether to also record the age metric (slightly more
-            expensive because it walks each page's change times).
         denominator: Optional fixed denominator for the freshness fraction.
             The paper's collection has a fixed target size; measuring
             freshness against that target (rather than against however many
@@ -86,25 +81,21 @@ class FreshnessTracker:
         self,
         web: SimulatedWeb,
         collection: Collection,
-        track_age: bool = False,
         denominator: Optional[int] = None,
     ) -> None:
         if denominator is not None and denominator < 1:
             raise ValueError("denominator must be at least 1 when given")
         self._web = web
         self._collection = collection
-        self._track_age = track_age
         self._denominator = denominator
         self.series = FreshnessTimeSeries()
 
     def sample(self, at: float) -> float:
         """Measure the collection freshness at virtual time ``at`` and record it."""
         records = list(self._collection.current_records())
-        freshness, age = measure_collection(
-            records, self._web, at, include_age=self._track_age
-        )
+        freshness = collection_freshness(records, self._web, at)
         if self._denominator is not None:
             freshness = freshness * len(records) / self._denominator
             freshness = min(1.0, freshness)
-        self.series.add(at, freshness, age)
+        self.series.add(at, freshness)
         return freshness

@@ -35,8 +35,8 @@ from repro.simweb.lifespan import LifespanModel, sample_lifespan
 from repro.simweb.page import PageSnapshot, SimulatedPage
 from repro.simweb.site import SimulatedSite
 from repro.simweb.web import OracleArrays, SimulatedWeb
-from repro.simweb.generator import WebGeneratorConfig, generate_web
-from repro.simweb.linkgraph import LinkGraphConfig, generate_site_links, generate_cross_links
+from repro.simweb.generator import generate_web
+from repro.simweb.linkgraph import generate_site_links, generate_cross_links
 
 __all__ = [
     "ChangeProcess",
@@ -54,9 +54,7 @@ __all__ = [
     "SimulatedSite",
     "SimulatedWeb",
     "OracleArrays",
-    "WebGeneratorConfig",
     "generate_web",
-    "LinkGraphConfig",
     "generate_site_links",
     "generate_cross_links",
 ]

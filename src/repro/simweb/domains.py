@@ -212,17 +212,3 @@ def sample_calibrated_rates(
             ]
             rates.append(rate_class.rate_per_day)
     return rates
-
-
-def overall_rate_mixture() -> Tuple[float, ...]:
-    """Site-count-weighted mixture over rate classes across all domains.
-
-    This corresponds to Figure 2(a): the aggregate histogram is dominated by
-    ``com`` because roughly half of the monitored sites are commercial.
-    """
-    total_sites = sum(profile.site_count for profile in DOMAIN_PROFILES.values())
-    weights = [0.0] * len(RATE_CLASSES)
-    for profile in DOMAIN_PROFILES.values():
-        for index, share in enumerate(profile.rate_mixture):
-            weights[index] += share * profile.site_count / total_sites
-    return tuple(weights)

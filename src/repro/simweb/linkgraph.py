@@ -11,11 +11,13 @@ Two levels of structure are generated:
   selection (Section 2.2) produce a meaningful "popular sites" ranking, and
   what gives the page-level PageRank of the RankingModule a realistic,
   heavy-tailed importance distribution.
+
+The shape is fixed by three module constants, not by a spec: no experiment
+varies it, and every seeded web depends on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -23,43 +25,18 @@ import numpy as np
 from repro.simweb.page import SimulatedPage
 from repro.simweb.site import SimulatedSite
 
-
-@dataclass(frozen=True)
-class LinkGraphConfig:
-    """Parameters controlling link-graph generation.
-
-    Attributes:
-        branching_factor: Average number of children per page in the
-            intra-site tree.
-        shortcut_links_per_page: Average number of extra random intra-site
-            links per page (beyond the tree edges).
-        cross_links_per_site: Average number of links from a site to root
-            pages of other sites.
-        preferential_attachment_bias: Strength of the rich-get-richer effect
-            when choosing cross-link targets; 0 gives uniform targets, larger
-            values concentrate links on already-popular sites.
-    """
-
-    branching_factor: int = 5
-    shortcut_links_per_page: float = 1.0
-    cross_links_per_site: int = 10
-    preferential_attachment_bias: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.branching_factor < 1:
-            raise ValueError("branching_factor must be at least 1")
-        if self.shortcut_links_per_page < 0:
-            raise ValueError("shortcut_links_per_page must be non-negative")
-        if self.cross_links_per_site < 0:
-            raise ValueError("cross_links_per_site must be non-negative")
-        if self.preferential_attachment_bias < 0:
-            raise ValueError("preferential_attachment_bias must be non-negative")
+#: Average number of extra random intra-site links per page (beyond the
+#: tree edges).
+SHORTCUT_LINKS_PER_PAGE = 1.0
+#: Average number of links from a site to root pages of other sites.
+CROSS_LINKS_PER_SITE = 10
+#: Strength of the rich-get-richer effect when choosing cross-link targets
+#: (0 would make them uniform).
+PREFERENTIAL_ATTACHMENT_BIAS = 1.0
 
 
 def generate_site_links(
-    pages: Sequence[SimulatedPage],
-    config: LinkGraphConfig,
-    rng: np.random.Generator,
+    pages: Sequence[SimulatedPage], rng: np.random.Generator
 ) -> None:
     """Wire the pages of one site into a tree plus random shortcuts.
 
@@ -70,7 +47,6 @@ def generate_site_links(
 
     Args:
         pages: Pages of a single site, root first.
-        config: Link-graph parameters.
         rng: Random generator.
     """
     if not pages:
@@ -89,8 +65,8 @@ def generate_site_links(
         page.depth = parent.depth + 1
     # Random shortcuts within the site.
     n_pages = len(pages)
-    if n_pages > 2 and config.shortcut_links_per_page > 0:
-        n_shortcuts = rng.poisson(config.shortcut_links_per_page * n_pages)
+    if n_pages > 2:
+        n_shortcuts = rng.poisson(SHORTCUT_LINKS_PER_PAGE * n_pages)
         for _ in range(int(n_shortcuts)):
             source = pages[int(rng.integers(0, n_pages))]
             target = pages[int(rng.integers(0, n_pages))]
@@ -99,27 +75,24 @@ def generate_site_links(
 
 
 def generate_cross_links(
-    sites: Sequence[SimulatedSite],
-    config: LinkGraphConfig,
-    rng: np.random.Generator,
+    sites: Sequence[SimulatedSite], rng: np.random.Generator
 ) -> Dict[str, int]:
     """Add links between sites with preferential attachment.
 
-    Each site emits ``cross_links_per_site`` links (on average) from randomly
-    chosen pages of the site to the *root pages* of other sites. Targets are
-    chosen proportionally to ``1 + bias * in_degree``, which concentrates
-    links on a few "popular" sites.
+    Each site emits :data:`CROSS_LINKS_PER_SITE` links (on average) from
+    randomly chosen pages of the site to the *root pages* of other sites.
+    Targets are chosen proportionally to ``1 + PREFERENTIAL_ATTACHMENT_BIAS
+    * in_degree``, which concentrates links on a few "popular" sites.
 
     Args:
         sites: All sites of the synthetic web.
-        config: Link-graph parameters.
         rng: Random generator.
 
     Returns:
         Mapping from site id to the number of cross-site in-links it
         received (useful for tests and for sanity-checking popularity skew).
     """
-    if len(sites) < 2 or config.cross_links_per_site == 0:
+    if len(sites) < 2:
         return {site.site_id: 0 for site in sites}
     in_degree = {site.site_id: 0 for site in sites}
     site_list = list(sites)
@@ -127,9 +100,9 @@ def generate_cross_links(
         source_pages = [page for page in site.all_pages]
         if not source_pages:
             continue
-        n_links = rng.poisson(config.cross_links_per_site)
+        n_links = rng.poisson(CROSS_LINKS_PER_SITE)
         for _ in range(int(n_links)):
-            target = _choose_target(site, site_list, in_degree, config, rng)
+            target = _choose_target(site, site_list, in_degree, rng)
             if target is None:
                 continue
             source = source_pages[int(rng.integers(0, len(source_pages)))]
@@ -142,7 +115,6 @@ def _choose_target(
     source: SimulatedSite,
     sites: List[SimulatedSite],
     in_degree: Dict[str, int],
-    config: LinkGraphConfig,
     rng: np.random.Generator,
 ) -> SimulatedSite:
     """Pick a cross-link target site (never the source) by popularity."""
@@ -150,7 +122,7 @@ def _choose_target(
     if not candidates:
         return None
     weights = np.array(
-        [1.0 + config.preferential_attachment_bias * in_degree[site.site_id]
+        [1.0 + PREFERENTIAL_ATTACHMENT_BIAS * in_degree[site.site_id]
          for site in candidates],
         dtype=float,
     )

@@ -10,35 +10,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.specs import WebSpec
 from repro.experiment.monitor import ActiveMonitor, ObservationLog
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 from repro.simweb.web import SimulatedWeb
 
 
 @pytest.fixture(scope="session")
 def small_web() -> SimulatedWeb:
     """A small but fully featured synthetic web (session scoped, read only)."""
-    config = WebGeneratorConfig(
+    return generate_web(WebSpec(
         site_scale=0.08,
         pages_per_site=30,
         horizon_days=127.0,
         new_page_fraction=0.25,
         seed=42,
-    )
-    return generate_web(config)
+    ))
 
 
 @pytest.fixture(scope="session")
 def tiny_web() -> SimulatedWeb:
     """A very small synthetic web for crawler end-to-end tests."""
-    config = WebGeneratorConfig(
+    return generate_web(WebSpec(
         site_scale=0.04,
         pages_per_site=15,
         horizon_days=60.0,
         new_page_fraction=0.2,
         seed=7,
-    )
-    return generate_web(config)
+    ))
 
 
 @pytest.fixture(scope="session")

@@ -461,10 +461,10 @@ def compute_importance_reference(module: RankingModule) -> Dict[str, float]:
     }
     if not graph:
         return {}
-    if module._config.importance_metric == "hits":
+    if module._metric == "hits":
         _hubs, authorities = hits_reference(graph)
         return authorities
-    return pagerank_reference(graph, damping=module._config.damping)
+    return pagerank_reference(graph, damping=0.85)
 
 
 def true_importance_reference(web: SimulatedWeb) -> Dict[str, float]:

@@ -11,7 +11,6 @@ from repro.analysis.statistics import (
     kolmogorov_smirnov_exponential,
     mean_confidence_interval,
     normal_quantile,
-    poisson_rate_confidence_interval,
 )
 
 
@@ -134,29 +133,3 @@ class TestMeanConfidenceInterval:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_confidence_interval([])
-
-
-class TestPoissonRateConfidenceInterval:
-    def test_point_estimate(self):
-        rate, lower, upper = poisson_rate_confidence_interval(10, 100.0)
-        assert rate == pytest.approx(0.1)
-        assert lower <= rate <= upper
-
-    def test_zero_events(self):
-        rate, lower, upper = poisson_rate_confidence_interval(0, 50.0)
-        assert rate == 0.0
-        assert lower == 0.0
-        assert upper > 0.0
-
-    def test_more_events_narrower_relative_interval(self):
-        _, lower_few, upper_few = poisson_rate_confidence_interval(5, 50.0)
-        _, lower_many, upper_many = poisson_rate_confidence_interval(500, 5000.0)
-        relative_few = (upper_few - lower_few) / 0.1
-        relative_many = (upper_many - lower_many) / 0.1
-        assert relative_many < relative_few
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            poisson_rate_confidence_interval(1, 0.0)
-        with pytest.raises(ValueError):
-            poisson_rate_confidence_interval(-1, 10.0)

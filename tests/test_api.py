@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -23,7 +24,8 @@ from repro.api import (
     run_matrix,
 )
 from repro.api.runner import _result_document, _result_from_document, build_web
-from repro.api.specs import RetrySpec
+from repro.api.specs import FaultModelSpec, FaultsSpec, RetrySpec
+from repro.core.sharding import ShardView
 from repro.simweb import web as web_module
 
 EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
@@ -190,6 +192,57 @@ class TestSpecValidation:
                       "breaker_backoff"):
             with pytest.raises(ValueError, match=field):
                 RetrySpec(**{field: value})
+
+    # Every ``int`` field, one builder each: a fraction or a bool passed the
+    # range checks and then raised deep inside generation or the crawl (or,
+    # for max_attempts and workers, ran without error).
+    INTEGER_FIELDS = {
+        "web.pages_per_site": lambda value: WebSpec(pages_per_site=value),
+        "web.window_size": lambda value: WebSpec(window_size=value),
+        "web.seed": lambda value: WebSpec(seed=value),
+        "crawler.collection_capacity": lambda value: CrawlerSpec(
+            collection_capacity=value
+        ),
+        "crawler.shards": lambda value: CrawlerSpec(engine="sharded", shards=value),
+        "crawler.workers": lambda value: CrawlerSpec(engine="sharded", workers=value),
+        "retry.max_attempts": lambda value: RetrySpec(max_attempts=value),
+        "retry.site_budget": lambda value: RetrySpec(site_budget=value),
+        "retry.breaker_threshold": lambda value: RetrySpec(breaker_threshold=value),
+        "faults.seed": lambda value: FaultsSpec(models=(FaultModelSpec(),), seed=value),
+        "experiment.seed": lambda value: ExperimentSpec(
+            name="x", kind="scenario", scenario="table2", seed=value
+        ),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        name = field.split(".")[1]
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            self.INTEGER_FIELDS[field](value)
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integer_fields_take_numpy_integers(self, field):
+        self.INTEGER_FIELDS[field](np.int64(2))
+
+    def test_derived_shard_capacities_pass_the_spec(self, tiny_web):
+        spec = CrawlerSpec(engine="sharded", shards=3, collection_capacity=50)
+        for view in ShardView.split(tiny_web, 3, capacity=50, budget_per_day=100.0):
+            spec.replace(collection_capacity=view.capacity)
+
+    @pytest.mark.parametrize("count", [2.5, True, -1])
+    def test_site_counts_must_be_non_negative_integers(self, count):
+        # 2.5 sites raised a TypeError inside web generation.
+        with pytest.raises(ValueError, match=r"site_counts\['com'\]"):
+            WebSpec(site_counts={"com": count})
+
+    def test_seeds_must_be_non_negative(self):
+        # NumPy refused them only at web generation.
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            WebSpec(seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ExperimentSpec(name="x", kind="crawl", web=WebSpec(), crawler=CrawlerSpec(),
+                           seed=-3)
 
     def test_json_nan_budget_is_refused(self):
         document = json.loads(TINY_CRAWL.to_json())

@@ -99,12 +99,13 @@ def _float_tokens_and_size(web, capacity):
         CrawlerSpec(
             collection_capacity=capacity,
             crawl_budget_per_day=200.0,
+            duration_days=30.0,
             ranking_interval_days=5.0,
             measurement_interval_days=1.0,
         ),
         PolicySpec(estimator="ep"),
     )
-    crawler.run(30.0, checkpointer=CrawlCheckpointer(backend, every_days=7.0))
+    crawler.run(checkpointer=CrawlCheckpointer(backend, every_days=7.0))
     tokens = []
     state = json.loads(
         backend.load_state_text(CHECKPOINT_STATE_KEY),

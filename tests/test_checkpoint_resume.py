@@ -46,6 +46,7 @@ def crawler_spec(**overrides) -> CrawlerSpec:
     base = dict(
         collection_capacity=60,
         crawl_budget_per_day=200.0,
+        duration_days=DURATION,
         ranking_interval_days=5.0,
         measurement_interval_days=1.0,
         track_quality=True,
@@ -89,13 +90,13 @@ def result_fingerprint(crawler, result):
 @pytest.mark.parametrize("use_politeness", [False, True])
 def test_journaled_run_is_bit_identical(tiny_web, estimator, use_politeness):
     plain = build_crawler(tiny_web, estimator=estimator, use_politeness=use_politeness)
-    expected = result_fingerprint(plain, plain.run(DURATION))
+    expected = result_fingerprint(plain, plain.run())
 
     backend = MemoryBackend()
     journaled = build_crawler(
         tiny_web, estimator=estimator, use_politeness=use_politeness
     )
-    outcome = journaled.run(DURATION, journal=CollectionJournal(backend))
+    outcome = journaled.run(journal=CollectionJournal(backend))
     assert result_fingerprint(journaled, outcome) == expected
 
     # The backend mirrors the final working collection exactly.
@@ -113,9 +114,9 @@ def test_journaled_run_is_bit_identical(tiny_web, estimator, use_politeness):
 def test_journal_works_on_reference_engine(tiny_web):
     backend = MemoryBackend()
     crawler = ReferenceIncrementalCrawler(
-        tiny_web, crawler_spec(track_quality=False), PolicySpec()
+        tiny_web, crawler_spec(track_quality=False, duration_days=10.0), PolicySpec()
     )
-    crawler.run(10.0, journal=CollectionJournal(backend))
+    crawler.run(journal=CollectionJournal(backend))
     assert backend.record_count() == len(crawler.collection.working_records())
     assert backend.event_count() > 0
 
@@ -126,7 +127,7 @@ def test_journal_works_on_reference_engine(tiny_web):
 @pytest.mark.parametrize("use_politeness", [False, True])
 def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness):
     plain = build_crawler(tiny_web, use_politeness=use_politeness)
-    expected = result_fingerprint(plain, plain.run(DURATION))
+    expected = result_fingerprint(plain, plain.run())
 
     backend = MemoryBackend()
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
@@ -135,7 +136,7 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
     checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
     full = build_crawler(tiny_web, use_politeness=use_politeness)
     full_outcome = full.run(
-        DURATION, journal=CollectionJournal(backend), checkpointer=checkpointer
+        journal=CollectionJournal(backend), checkpointer=checkpointer
     )
     assert checkpointer.saves >= 3
     assert result_fingerprint(full, full_outcome) == expected
@@ -144,7 +145,6 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
         resume_backend = MemoryBackend()
         resumed = build_crawler(tiny_web, use_politeness=use_politeness)
         outcome = resumed.run(
-            DURATION,
             journal=CollectionJournal(resume_backend),
             resume_state=copy.deepcopy(state),
         )
@@ -186,7 +186,7 @@ def test_every_journal_flush_leaves_the_store_equal_to_the_collection(tiny_web, 
         retry=RetrySpec(max_attempts=2) if faults is not None else None,
     )
     checkpointer = CrawlCheckpointer(backend, every_days=3.0)
-    outcome = crawler.run(DURATION, journal=journal, checkpointer=checkpointer)
+    outcome = crawler.run(journal=journal, checkpointer=checkpointer)
     assert outcome.pages_replaced > 0
     # One flush per checkpoint, one at run end.
     assert len(journal.flushes) == checkpointer.saves + 1 >= 8
@@ -210,7 +210,7 @@ def _run_killed_after_second_save(tiny_web, backend):
     checkpointer.on_save = kill_after_second
     with pytest.raises(KeyboardInterrupt):
         build_crawler(tiny_web).run(
-            DURATION, journal=CollectionJournal(backend), checkpointer=checkpointer
+            journal=CollectionJournal(backend), checkpointer=checkpointer
         )
     return states
 
@@ -236,7 +236,7 @@ def test_a_fallback_resume_trims_events_and_resyncs_records_first(tiny_web):
     and its records rewritten before the first batch is journaled.
     """
     plain = build_crawler(tiny_web)
-    expected = result_fingerprint(plain, plain.run(DURATION))
+    expected = result_fingerprint(plain, plain.run())
     backend = SqliteBackend()
     first, second = _run_killed_after_second_save(tiny_web, backend)
     assert backend.event_count() == second["journal"]["events_logged"]
@@ -252,7 +252,7 @@ def test_a_fallback_resume_trims_events_and_resyncs_records_first(tiny_web):
     probe = FirstBatchProbe(backend)
     resumed = build_crawler(tiny_web)
     outcome = resumed.run(
-        DURATION, journal=probe, checkpointer=loader, resume_state=state
+        journal=probe, checkpointer=loader, resume_state=state
     )
     trimmed, records = probe.first
     assert trimmed == first["journal"]["events_logged"] < second["journal"]["events_logged"]
@@ -265,7 +265,7 @@ def test_a_normal_resume_writes_nothing_and_refuses_a_disagreeing_store(
     tiny_web, monkeypatch
 ):
     plain = build_crawler(tiny_web)
-    expected = result_fingerprint(plain, plain.run(DURATION))
+    expected = result_fingerprint(plain, plain.run())
     backend = SqliteBackend()
     _, second = _run_killed_after_second_save(tiny_web, backend)
 
@@ -282,7 +282,7 @@ def test_a_normal_resume_writes_nothing_and_refuses_a_disagreeing_store(
         probe = FirstBatchProbe(backend)
         resumed = build_crawler(tiny_web)
         outcome = resumed.run(
-            DURATION, journal=probe, checkpointer=loader, resume_state=state
+            journal=probe, checkpointer=loader, resume_state=state
         )
     assert probe.first == (
         second["journal"]["events_logged"], records_from_columns(second["collection"])
@@ -296,7 +296,7 @@ def test_a_normal_resume_writes_nothing_and_refuses_a_disagreeing_store(
     loader = CrawlCheckpointer(backend, every_days=7.0)
     with pytest.raises(ValueError, match=r"holds \d+ events but its checkpoint logged"):
         build_crawler(tiny_web).run(
-            DURATION, journal=CollectionJournal(backend), checkpointer=loader,
+            journal=CollectionJournal(backend), checkpointer=loader,
             resume_state=loader.load(),
         )
 
@@ -325,7 +325,7 @@ def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):
 
     checkpointer.on_save = after_save
     monkeypatch.setattr(json, "dumps", counting_dumps)
-    build_crawler(tiny_web).run(DURATION, checkpointer=checkpointer)
+    build_crawler(tiny_web).run(checkpointer=checkpointer)
     assert checkpointer.saves >= 3
     assert calls["writes"][:3] == [
         CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY, CHECKPOINT_STATE_KEY
@@ -337,27 +337,49 @@ def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):
     assert state["crawl"]["pages_fetched"] > 0
 
 
+def test_a_checkpoint_with_the_retired_age_column_still_resumes(tiny_web):
+    """Format-5 checkpoints written while the tracker kept an (always 0.0)
+    age column carry ``freshness["age"]``; they resume bit-identically."""
+    plain = build_crawler(tiny_web)
+    expected = result_fingerprint(plain, plain.run())
+    checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=7.0)
+    states = []
+    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
+    build_crawler(tiny_web).run(checkpointer=checkpointer)
+    state = states[1]
+    assert state["format"] == CHECKPOINT_FORMAT == 5
+    assert "age" not in state["freshness"]
+    state["freshness"]["age"] = [0.0] * len(state["freshness"]["times"])
+
+    backend = MemoryBackend()
+    CrawlCheckpointer(backend, every_days=7.0).save(state, state["checkpoint_at"])
+    loader = CrawlCheckpointer(backend, every_days=7.0)
+    resumed = build_crawler(tiny_web)
+    outcome = resumed.run(checkpointer=loader, resume_state=loader.load())
+    assert result_fingerprint(resumed, outcome) == expected
+
+
 def test_resume_rejects_mismatched_run_shape(tiny_web):
     backend = MemoryBackend()
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
     crawler = build_crawler(tiny_web)
-    crawler.run(DURATION, checkpointer=checkpointer)
+    crawler.run(checkpointer=checkpointer)
     state = backend.load_state(CHECKPOINT_STATE_KEY)
     assert state is not None
 
     with pytest.raises(ValueError, match="duration_days"):
-        build_crawler(tiny_web).run(DURATION + 5.0, resume_state=copy.deepcopy(state))
-    with pytest.raises(ValueError, match="start_time"):
-        build_crawler(tiny_web).run(
-            DURATION, start_time=1.0, resume_state=copy.deepcopy(state)
+        build_crawler(tiny_web, duration_days=DURATION + 5.0).run(
+            resume_state=copy.deepcopy(state)
         )
+    with pytest.raises(ValueError, match="start_time"):
+        build_crawler(tiny_web, start_time=1.0).run(resume_state=copy.deepcopy(state))
     bad_format = copy.deepcopy(state)
     bad_format["format"] = 4  # verifies (same header rule) but holds record bodies
     with pytest.raises(ValueError, match=f"format 4 .* format {CHECKPOINT_FORMAT}"):
-        build_crawler(tiny_web).run(DURATION, resume_state=bad_format)
+        build_crawler(tiny_web).run(resume_state=bad_format)
     with pytest.raises(ValueError, match="politeness"):
         build_crawler(tiny_web, use_politeness=True).run(
-            DURATION, resume_state=copy.deepcopy(state)
+            resume_state=copy.deepcopy(state)
         )
 
 
@@ -365,7 +387,7 @@ def test_checkpoint_requires_batched_engine(tiny_web):
     crawler = ReferenceIncrementalCrawler(tiny_web, crawler_spec(), PolicySpec())
     checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=5.0)
     with pytest.raises(ValueError, match="batched"):
-        crawler.run(DURATION, checkpointer=checkpointer)
+        crawler.run(checkpointer=checkpointer)
 
 
 def test_checkpointer_validates_spacing():
@@ -474,10 +496,10 @@ def test_runner_resume_continues_interrupted_run(tmp_path):
     partial = IncrementalCrawler(web, crawler_spec(
         crawl_budget_per_day=CRAWLER_SPEC.crawl_budget_per_day,
         collection_capacity=CRAWLER_SPEC.collection_capacity,
+        duration_days=CRAWLER_SPEC.duration_days,
     ), PolicySpec())
     with pytest.raises(KeyboardInterrupt):
         partial.run(
-            CRAWLER_SPEC.duration_days,
             journal=CollectionJournal(backend),
             checkpointer=checkpointer,
         )

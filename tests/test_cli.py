@@ -94,6 +94,18 @@ class TestCommands:
         assert main(["run-spec", str(path)]) == 2
         assert "crawl_budget_per_day" in capsys.readouterr().err
 
+    def test_run_spec_fractional_integer_field_fails_cleanly(self, tmp_path, capsys):
+        # 2.5 pages per site used to pass the spec and raise a TypeError
+        # inside web generation.
+        path = tmp_path / "fraction.json"
+        path.write_text(json.dumps({
+            "name": "x", "kind": "crawl",
+            "web": {"site_scale": 0.03, "pages_per_site": 2.5},
+            "crawler": {"kind": "incremental"},
+        }))
+        assert main(["run-spec", str(path)]) == 2
+        assert "pages_per_site must be an integer" in capsys.readouterr().err
+
     def test_run_spec_wrongly_typed_field_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps({

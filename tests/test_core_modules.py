@@ -6,7 +6,7 @@ from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
-from repro.core.ranking_module import RankingModule, RankingModuleConfig
+from repro.core.ranking_module import RankingModule
 from repro.core.update_module import UpdateModule
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.storage.collection import InPlaceCollection
@@ -240,12 +240,7 @@ class TestRankingModule:
         crawl_module, collection, allurls = build_crawl_module(web, capacity=capacity)
         collurls = CollUrls()
         ranking = RankingModule(
-            allurls,
-            collurls,
-            collection,
-            crawl_module,
-            RankingModuleConfig(importance_metric=metric),
-            capacity=capacity,
+            allurls, collurls, collection, crawl_module, PolicySpec(importance_metric=metric)
         )
         return ranking, crawl_module, collection, allurls, collurls
 
@@ -312,12 +307,6 @@ class TestRankingModule:
         ranking.refine(at=1.0)
         assert seed in ranking.importance_of_collection()
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            RankingModuleConfig(importance_metric="bogus")
-        with pytest.raises(ValueError):
-            RankingModuleConfig(max_replacements_per_scan=-1)
-        with pytest.raises(ValueError):
-            RankingModuleConfig(replacement_margin=-0.5)
-        with pytest.raises(ValueError):
-            RankingModuleConfig(damping=1.5)
+    def test_unknown_metric_is_refused_by_the_policy(self):
+        with pytest.raises(ValueError, match="importance metric"):
+            PolicySpec(importance_metric="bogus")

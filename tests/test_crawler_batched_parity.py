@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
 from repro.core.collurls import CollUrls
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.periodic_crawler import PeriodicCrawler
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 
 from reference.crawl import ReferenceIncrementalCrawler, ReferencePeriodicCrawler
 
-WEB_CONFIG = WebGeneratorConfig(
+WEB_SPEC = WebSpec(
     site_scale=0.04,
     pages_per_site=12,
     horizon_days=50.0,
@@ -34,12 +34,13 @@ ENGINES = {"batched": IncrementalCrawler, "reference": ReferenceIncrementalCrawl
 
 
 def _run_incremental(engine: str, policy: str, estimator: str):
-    web = generate_web(WEB_CONFIG)
+    web = generate_web(WEB_SPEC)
     crawler = ENGINES[engine](
         web,
         CrawlerSpec(
             collection_capacity=100,
             crawl_budget_per_day=400.0,
+            duration_days=30.0,
             ranking_interval_days=5.0,
             reallocation_interval_days=1.0,
             measurement_interval_days=0.5,
@@ -47,7 +48,7 @@ def _run_incremental(engine: str, policy: str, estimator: str):
         ),
         PolicySpec(revisit_policy=policy, estimator=estimator),
     )
-    result = crawler.run(30.0)
+    result = crawler.run()
     return result, crawler
 
 
@@ -105,12 +106,13 @@ POLITE_MODES = {
 
 def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str):
     delay, night, realloc = POLITE_MODES[mode]
-    web = generate_web(WEB_CONFIG)
+    web = generate_web(WEB_SPEC)
     crawler = ENGINES[engine](
         web,
         CrawlerSpec(
             collection_capacity=80,
             crawl_budget_per_day=300.0,
+            duration_days=15.0,
             ranking_interval_days=5.0,
             reallocation_interval_days=realloc,
             measurement_interval_days=0.5,
@@ -121,7 +123,7 @@ def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str)
         ),
         PolicySpec(revisit_policy=policy, estimator=estimator),
     )
-    result = crawler.run(15.0)
+    result = crawler.run()
     return result, crawler
 
 
@@ -200,7 +202,7 @@ class TestPolitenessEngineParity:
 
 class TestPeriodicEngineParity:
     def _run(self, engine: str):
-        web = generate_web(WEB_CONFIG)
+        web = generate_web(WEB_SPEC)
         crawler_class = PeriodicCrawler if engine == "batched" else ReferencePeriodicCrawler
         crawler = crawler_class(
             web,
@@ -208,12 +210,13 @@ class TestPeriodicEngineParity:
                 kind="periodic",
                 collection_capacity=100,
                 crawl_budget_per_day=1500.0,
+                duration_days=30.0,
                 cycle_days=8.0,
                 measurement_interval_days=0.5,
                 track_quality=True,
             ),
         )
-        return crawler.run(30.0), crawler
+        return crawler.run(), crawler
 
     def test_cycles_and_series_identical(self):
         batched, crawler_b = self._run("batched")
@@ -291,7 +294,7 @@ class TestCollisionSafeScheduling:
 
     def test_bootstrap_seeds_share_start_time(self):
         """Seeds are scheduled at exactly the start time, in seed order."""
-        web = generate_web(WEB_CONFIG)
+        web = generate_web(WEB_SPEC)
         crawler = IncrementalCrawler(
             web,
             CrawlerSpec(

@@ -8,7 +8,6 @@ from repro.experiment.site_selection import (
     domain_share,
     select_sites,
 )
-from repro.simweb.generator import WebGeneratorConfig, generate_web
 
 
 class TestSiteSelection:

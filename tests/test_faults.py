@@ -22,7 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.registry import FAULT_MODELS as FAULT_MODEL_REGISTRY
-from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, PolicySpec, RetrySpec
+from repro.api.specs import (
+    CrawlerSpec,
+    FaultModelSpec,
+    FaultsSpec,
+    PolicySpec,
+    RetrySpec,
+    WebSpec,
+)
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.collurls import CollUrls
 from repro.core.sharded_crawler import ShardedCrawler
@@ -42,7 +49,7 @@ from repro.faults import (
     _retry_jitter,
     _uniform01,
 )
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 from repro.storage.backends import MemoryBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -54,7 +61,7 @@ from repro.storage.checkpoint import (
 from reference.crawl import ReferenceIncrementalCrawler
 from reference.kernels import _keyed, _mix, fault_resolve_reference
 
-WEB_CONFIG = WebGeneratorConfig(
+WEB_SPEC = WebSpec(
     site_scale=0.03,
     pages_per_site=10,
     horizon_days=30.0,
@@ -631,7 +638,7 @@ def _run_faulty(
     revisit_policy="optimal",
     **overrides,
 ):
-    web = generate_web(WEB_CONFIG)
+    web = generate_web(WEB_SPEC)
     crawler_class = (
         IncrementalCrawler if engine == "batched" else ReferenceIncrementalCrawler
     )
@@ -641,6 +648,7 @@ def _run_faulty(
         CrawlerSpec(
             collection_capacity=60,
             crawl_budget_per_day=250.0,
+            duration_days=12.0,
             measurement_interval_days=1.0,
             track_quality=False,
             faults=faults,
@@ -653,7 +661,7 @@ def _run_faulty(
         # Faults without failure handling (an UpdateModule wired by hand):
         # every transient failure is terminal, on both engines.
         crawler.update_module.failure_tracker = None
-    result = crawler.run(12.0)
+    result = crawler.run()
     return result, crawler
 
 
@@ -805,12 +813,13 @@ class TestEngineParityUnderFaults:
     def test_single_shard_sharded_matches_plain_under_faults(self):
         retry = RetrySpec(max_attempts=3)
         plain, crawler = _run_faulty("batched", FAULT_MODELS, retry)
-        web = generate_web(WEB_CONFIG)
+        web = generate_web(WEB_SPEC)
         sharded = ShardedCrawler(
             web,
             CrawlerSpec(
                 collection_capacity=60,
                 crawl_budget_per_day=250.0,
+                duration_days=12.0,
                 measurement_interval_days=1.0,
                 track_quality=False,
                 faults=FaultsSpec(FAULT_MODELS, seed=5),
@@ -819,7 +828,7 @@ class TestEngineParityUnderFaults:
                 shards=1,
             ),
             PolicySpec(),
-        ).run(12.0)
+        ).run()
         assert sharded.pages_crawled == plain.pages_crawled
         assert sharded.freshness.times == plain.freshness.times
         assert sharded.freshness.freshness == plain.freshness.freshness

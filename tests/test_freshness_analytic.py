@@ -15,7 +15,6 @@ from repro.freshness.analytic import (
     expected_freshness_poisson_revisit,
     freshness_at,
     freshness_trajectory,
-    population_time_averaged_freshness,
     steady_inplace_freshness_at,
     steady_shadow_freshness_at,
     time_averaged_freshness,
@@ -148,15 +147,6 @@ class TestTable2:
     def test_static_pages_always_fresh(self):
         for policy in paper_table2_policies().values():
             assert time_averaged_freshness(policy, 0.0) == 1.0
-
-    def test_population_average(self):
-        policy = paper_table2_policies()["steady / in-place"]
-        rates = [0.0, table2_scenario_rate()]
-        value = population_time_averaged_freshness(policy, rates)
-        assert value == pytest.approx(
-            (1.0 + time_averaged_freshness(policy, rates[1])) / 2.0
-        )
-        assert population_time_averaged_freshness(policy, []) == 0.0
 
 
 class TestTrajectories:

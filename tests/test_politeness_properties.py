@@ -167,13 +167,14 @@ class RecordingPolicy(PolitenessPolicy):
 def test_batched_crawl_respects_politeness(seed, delay_seconds, night, monkeypatch):
     """Crawler-level fuzz: every fetch instant the batched engine commits
     honours the per-site delay and the night window."""
-    from repro.api.specs import CrawlerSpec, PolicySpec
+    from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
     from repro.core.incremental_crawler import IncrementalCrawler
-    from repro.simweb.generator import WebGeneratorConfig, generate_web
+    from repro.simweb.generator import generate_web
 
     spec = CrawlerSpec(
         collection_capacity=60,
         crawl_budget_per_day=250.0,
+        duration_days=8.0,
         measurement_interval_days=0.5,
         track_quality=False,
         use_politeness=True,
@@ -186,7 +187,7 @@ def test_batched_crawl_respects_politeness(seed, delay_seconds, night, monkeypat
     )
     monkeypatch.setattr(CrawlerSpec, "build_politeness", lambda self: recorder)
     web = generate_web(
-        WebGeneratorConfig(
+        WebSpec(
             site_scale=0.04,
             pages_per_site=10,
             horizon_days=40.0,
@@ -195,7 +196,7 @@ def test_batched_crawl_respects_politeness(seed, delay_seconds, night, monkeypat
         )
     )
     crawler = IncrementalCrawler(web, spec, PolicySpec())
-    result = crawler.run(8.0)
+    result = crawler.run()
     assert result.pages_crawled > 0
     assert recorder.committed
 

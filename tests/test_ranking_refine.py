@@ -12,20 +12,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.core.incremental_crawler import IncrementalCrawler
-from repro.core.ranking_module import RankingModule, RankingModuleConfig
+from repro.core import ranking_module
+from repro.core.ranking_module import REPLACEMENT_MARGIN, RankingModule
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.ranking.sparse import LinkGraph
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 from repro.storage.collection import InPlaceCollection
 from repro.storage.records import PageRecord
 
 
-def _full_sort_decision(tracked, collected, candidates, importance, capacity, config):
+def _full_sort_decision(
+    tracked, collected, candidates, importance, capacity, max_replacements
+):
     """The refinement decision taken over full sorts of both sides."""
     candidate_scores = sorted(
         ((importance.get(url, 0.0), url) for url in candidates), reverse=True
@@ -33,7 +36,7 @@ def _full_sort_decision(tracked, collected, candidates, importance, capacity, co
     victims = sorted((importance.get(url, 0.0), url) for url in collected)
     admitted, replacements = [], []
     for score, url in candidate_scores:
-        if len(replacements) >= config.max_replacements_per_scan:
+        if len(replacements) >= max_replacements:
             break
         if capacity is None or tracked < capacity:
             tracked += 1
@@ -42,7 +45,7 @@ def _full_sort_decision(tracked, collected, candidates, importance, capacity, co
         if len(replacements) >= len(victims):
             break
         victim_score, victim_url = victims[len(replacements)]
-        if score <= victim_score * (1.0 + config.replacement_margin):
+        if score <= victim_score * (1.0 + REPLACEMENT_MARGIN):
             break
         replacements.append((victim_url, url))
     return tuple(replacements), tuple(admitted)
@@ -52,19 +55,17 @@ def _full_sort_decision(tracked, collected, candidates, importance, capacity, co
 @pytest.mark.parametrize("max_replacements", [0, 1, 10, 10_000])
 @pytest.mark.parametrize("capacity", [None, 60, 12])
 def test_scan_decisions_equal_full_sort_oracle(
-    tiny_web, capacity, max_replacements, metric
+    tiny_web, capacity, max_replacements, metric, monkeypatch
 ):
+    monkeypatch.setattr(ranking_module, "MAX_REPLACEMENTS_PER_SCAN", max_replacements)
     collection = InPlaceCollection(capacity=capacity)
     allurls = AllUrls()
     crawl_module = CrawlModule(
         SimulatedFetcher(tiny_web, latency_days=0.0), collection, allurls
     )
     collurls = CollUrls()
-    config = RankingModuleConfig(
-        importance_metric=metric, max_replacements_per_scan=max_replacements
-    )
     ranking = RankingModule(
-        allurls, collurls, collection, crawl_module, config, capacity=capacity
+        allurls, collurls, collection, crawl_module, PolicySpec(importance_metric=metric)
     )
     for url in tiny_web.seed_urls()[:4]:
         crawl_module.crawl(url, at=0.5)
@@ -76,7 +77,8 @@ def test_scan_decisions_equal_full_sort_oracle(
         candidates = [info.url for info in allurls.candidates(exclude=tracked)]
         result = ranking.refine(at)
         assert (result.replacements, result.admitted) == _full_sort_decision(
-            len(tracked), collected, candidates, result.importance, capacity, config
+            len(tracked), collected, candidates, result.importance, capacity,
+            max_replacements,
         )
         decisions += len(result.replacements) + len(result.admitted)
         # Crawl what the scan queued, so the next scan ranks a grown graph.
@@ -119,7 +121,7 @@ def test_scan_copies_no_record_and_appends_edges_once(monkeypatch):
     monkeypatch.setattr(LinkGraph, "_append_outlinks", counting_append)
     monkeypatch.setattr(RankingModule, "refine", counting_refine)
     web = generate_web(
-        WebGeneratorConfig(
+        WebSpec(
             site_scale=0.04,
             pages_per_site=12,
             horizon_days=50.0,
@@ -132,12 +134,13 @@ def test_scan_copies_no_record_and_appends_edges_once(monkeypatch):
         CrawlerSpec(
             collection_capacity=80,
             crawl_budget_per_day=300.0,
+            duration_days=25.0,
             ranking_interval_days=3.0,
             measurement_interval_days=1.0,
             track_quality=False,
         ),
         PolicySpec(),
-    ).run(25.0)
+    ).run()
 
     assert len(per_scan) > 3 and result.pages_replaced > 0
     assert [scan["records"] for scan in per_scan] == [0] * len(per_scan)

@@ -22,13 +22,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.ranking_module import RankingModule
 from repro.ranking.hits import hits
 from repro.ranking.pagerank import pagerank
 from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 
 from reference.kernels import (
     compute_importance_reference,
@@ -341,7 +341,7 @@ class TestLinkGraphProperties:
 # ---------------------------------------------------------------------- #
 # Crawler-level decision parity
 # ---------------------------------------------------------------------- #
-WEB_CONFIG = WebGeneratorConfig(
+WEB_SPEC = WebSpec(
     site_scale=0.04,
     pages_per_site=12,
     horizon_days=50.0,
@@ -362,12 +362,13 @@ def _run_crawl(metric: str):
 
     RankingModule.refine = recording_refine
     try:
-        web = generate_web(WEB_CONFIG)
+        web = generate_web(WEB_SPEC)
         crawler = IncrementalCrawler(
             web,
             CrawlerSpec(
                 collection_capacity=80,
                 crawl_budget_per_day=300.0,
+                duration_days=25.0,
                 ranking_interval_days=3.0,
                 measurement_interval_days=1.0,
                 track_quality=False,
@@ -376,7 +377,7 @@ def _run_crawl(metric: str):
                 revisit_policy="optimal", estimator="ep", importance_metric=metric
             ),
         )
-        result = crawler.run(25.0)
+        result = crawler.run()
     finally:
         RankingModule.refine = original_refine
     collected = sorted(r.url for r in crawler.collection.current_records())

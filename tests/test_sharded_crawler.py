@@ -23,7 +23,7 @@ from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.sharded_crawler import ShardedCrawler
 from repro.core.worker_pool import run_jobs
 from repro.simweb import web as web_module
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import RESULT_STATE_KEY
 from repro.storage.records import record_to_dict
@@ -32,7 +32,7 @@ from repro.storage.records import record_to_dict
 @pytest.fixture(scope="module")
 def shard_web():
     return generate_web(
-        WebGeneratorConfig(
+        WebSpec(
             site_counts={"com": 8, "edu": 4, "gov": 3, "net": 3},
             pages_per_site=12,
             horizon_days=30.0,
@@ -64,7 +64,6 @@ def _fingerprint(result):
     return {
         "times": list(result.freshness.times),
         "freshness": list(result.freshness.freshness),
-        "age": list(result.freshness.age),
         "quality": list(result.quality),
         "quality_times": list(result.quality_times),
         "pages_crawled": result.pages_crawled,
@@ -79,17 +78,18 @@ def _fingerprint(result):
 
 class TestSingleShardBitIdentity:
     def test_matches_plain_batched_crawler(self, shard_web):
-        plain = IncrementalCrawler(shard_web, _spec(), PolicySpec())
-        plain_result = plain.run(6.0)
+        plain = IncrementalCrawler(shard_web, _spec(duration_days=6.0), PolicySpec())
+        plain_result = plain.run()
 
-        sharded = ShardedCrawler(shard_web, _sharded(shards=1, workers=1), PolicySpec())
-        merged = sharded.run(6.0)
+        sharded = ShardedCrawler(
+            shard_web, _sharded(shards=1, workers=1, duration_days=6.0), PolicySpec()
+        )
+        merged = sharded.run()
 
         assert list(merged.freshness.times) == list(plain_result.freshness.times)
         assert list(merged.freshness.freshness) == list(
             plain_result.freshness.freshness
         )
-        assert list(merged.freshness.age) == list(plain_result.freshness.age)
         assert merged.quality == plain_result.quality
         assert merged.quality_times == plain_result.quality_times
         assert merged.pages_crawled == plain_result.pages_crawled
@@ -108,18 +108,18 @@ class TestSingleShardBitIdentity:
 class TestMultiShardDeterminism:
     def test_worker_count_never_changes_results(self, shard_web):
         serial = ShardedCrawler(
-            shard_web, _sharded(shards=2, workers=1), PolicySpec()
-        ).run(5.0)
+            shard_web, _sharded(shards=2, workers=1, duration_days=5.0), PolicySpec()
+        ).run()
         parallel = ShardedCrawler(
-            shard_web, _sharded(shards=2, workers=2), PolicySpec()
-        ).run(5.0)
+            shard_web, _sharded(shards=2, workers=2, duration_days=5.0), PolicySpec()
+        ).run()
         assert _fingerprint(serial) == _fingerprint(parallel)
         assert serial.shards == 2
 
     def test_merge_shape(self, shard_web):
         result = ShardedCrawler(
-            shard_web, _sharded(shards=2, workers=2), PolicySpec()
-        ).run(5.0)
+            shard_web, _sharded(shards=2, workers=2, duration_days=5.0), PolicySpec()
+        ).run()
         assert len(result.per_shard) == 2
         assert [row["shard"] for row in result.per_shard] == [0, 1]
         assert sum(row["capacity"] for row in result.per_shard) == 120
@@ -150,12 +150,12 @@ class TestGroundTruthBeforeFork:
         monkeypatch.setattr(web_module, "pagerank_scores", counting)
         monkeypatch.setattr(sharded_crawler, "run_jobs", spying)
         web = generate_web(
-            WebGeneratorConfig(
+            WebSpec(
                 site_counts={"com": 3, "edu": 2}, pages_per_site=8,
                 horizon_days=10.0, seed=5,
             )
         )
-        ShardedCrawler(web, spec, PolicySpec()).run(2.0)
+        ShardedCrawler(web, spec.replace(duration_days=2.0), PolicySpec()).run()
         return at_fork
 
     def test_quality_tracking_shards_inherit_the_ground_truth(self, monkeypatch):
@@ -257,21 +257,23 @@ class TestShardedSpecLayer:
 class TestShardedResume:
     def test_completed_run_short_circuits_per_shard(self, shard_web, tmp_path):
         store = str(tmp_path / "sharded.sqlite")
-        spec = _sharded(shards=2, workers=2, storage="sqlite", checkpoint_every=1.0)
+        spec = _sharded(
+            shards=2, workers=2, storage="sqlite", checkpoint_every=1.0, duration_days=4.0
+        )
         crawler_kwargs = dict(store_path=store, spec_hash="f" * 64)
-        first = ShardedCrawler(shard_web, spec, PolicySpec(), **crawler_kwargs).run(4.0)
+        first = ShardedCrawler(shard_web, spec, PolicySpec(), **crawler_kwargs).run()
         # Every shard persisted its result; a resume replays it from the
         # store without crawling (and without worker processes diverging).
         resumed = ShardedCrawler(shard_web, spec, PolicySpec(), **crawler_kwargs).run(
-            4.0, resume=True
+            resume=True
         )
         assert _fingerprint(first) == _fingerprint(resumed)
 
     def test_resume_requires_persistence(self, shard_web):
         with pytest.raises(ValueError, match="resume"):
-            ShardedCrawler(shard_web, _sharded(shards=2), PolicySpec()).run(
-                3.0, resume=True
-            )
+            ShardedCrawler(
+                shard_web, _sharded(shards=2, duration_days=3.0), PolicySpec()
+            ).run(resume=True)
 
 
 def _assert_same_cells(serial, parallel):

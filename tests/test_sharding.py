@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from repro.core.collurls import CollUrls
 from repro.core.sharding import ShardView, SitePartitioner, _largest_remainder_split
-from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
 from repro.core.update_module import UpdateModule
 from repro.estimation.change_history import ChangeHistory
-from repro.simweb.generator import WebGeneratorConfig, generate_web
+from repro.simweb.generator import generate_web
 from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     RESULT_STATE_KEY,
@@ -33,7 +33,7 @@ shard_counts = st.integers(min_value=1, max_value=16)
 @pytest.fixture(scope="module")
 def tiny_web():
     return generate_web(
-        WebGeneratorConfig(
+        WebSpec(
             site_counts={"com": 6, "edu": 3, "gov": 2, "net": 2},
             pages_per_site=10,
             horizon_days=30.0,

@@ -46,11 +46,10 @@ class TestFreshnessTimeSeries:
 
     def test_as_series(self):
         series = FreshnessTimeSeries()
-        series.add(0.0, 0.5, age=1.0)
+        series.add(0.0, 0.5)
         times, values = series.as_series()
         assert times == (0.0,)
         assert values == (0.5,)
-        assert series.mean_age() == 1.0
 
 
 class TestSimulateCrawlPolicy:

@@ -9,7 +9,6 @@ from repro.simweb.domains import (
     DOMAIN_PROFILES,
     RATE_CLASSES,
     DomainProfile,
-    overall_rate_mixture,
     profile_for,
 )
 
@@ -111,21 +110,3 @@ class TestSampling:
             for _ in range(2000)
         ]
         assert np.mean(com_rates) > np.mean(gov_rates)
-
-
-class TestOverallMixture:
-    def test_sums_to_one(self):
-        assert sum(overall_rate_mixture()) == pytest.approx(1.0)
-
-    def test_matches_figure2a_headline(self):
-        """Figure 2(a): more than 20% of all pages change every day."""
-        mixture = overall_rate_mixture()
-        assert mixture[0] > 0.20
-
-    def test_weighted_by_site_counts(self):
-        mixture = overall_rate_mixture()
-        # The com domain dominates (roughly half the sites), so the overall
-        # daily fraction must be much closer to com's than to gov's.
-        com_daily = DOMAIN_PROFILES["com"].rate_mixture[0]
-        gov_daily = DOMAIN_PROFILES["gov"].rate_mixture[0]
-        assert abs(mixture[0] - com_daily) < abs(mixture[0] - gov_daily)

@@ -5,13 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.simweb.domains import DOMAIN_PROFILES
-from repro.simweb.generator import WebGeneratorConfig, generate_web
-from repro.simweb.linkgraph import (
-    LinkGraphConfig,
-    generate_cross_links,
-    generate_site_links,
-)
+from repro.api.specs import WebSpec
+from repro.simweb.generator import generate_web
+from repro.simweb.linkgraph import generate_cross_links, generate_site_links
 from repro.simweb.page import SimulatedPage
 from repro.simweb.site import SimulatedSite
 from repro.simweb.web import SimulatedWeb
@@ -20,26 +16,11 @@ from tests.test_simweb_page_site import make_page
 from reference.kernels import true_importance_reference
 
 
-class TestLinkGraphConfig:
-    def test_defaults_valid(self):
-        LinkGraphConfig()
-
-    def test_invalid_values(self):
-        with pytest.raises(ValueError):
-            LinkGraphConfig(branching_factor=0)
-        with pytest.raises(ValueError):
-            LinkGraphConfig(shortcut_links_per_page=-1)
-        with pytest.raises(ValueError):
-            LinkGraphConfig(cross_links_per_site=-1)
-        with pytest.raises(ValueError):
-            LinkGraphConfig(preferential_attachment_bias=-0.1)
-
-
 class TestGenerateSiteLinks:
     def test_all_pages_reachable_from_root(self, rng):
         pages = [make_page(url=f"http://s.com/p{i}", depth=0 if i == 0 else 1, seed=i)
                  for i in range(20)]
-        generate_site_links(pages, LinkGraphConfig(), rng)
+        generate_site_links(pages, rng)
         reachable = {pages[0].url}
         frontier = [pages[0]]
         by_url = {p.url: p for p in pages}
@@ -53,12 +34,12 @@ class TestGenerateSiteLinks:
 
     def test_depths_assigned(self, rng):
         pages = [make_page(url=f"http://s.com/p{i}", seed=i) for i in range(10)]
-        generate_site_links(pages, LinkGraphConfig(), rng)
+        generate_site_links(pages, rng)
         assert pages[0].depth == 1  # unchanged root depth from make_page default
         assert all(p.depth >= 1 for p in pages[1:])
 
     def test_empty_page_list_is_noop(self, rng):
-        generate_site_links([], LinkGraphConfig(), rng)
+        generate_site_links([], rng)
 
 
 class TestGenerateCrossLinks:
@@ -80,12 +61,12 @@ class TestGenerateCrossLinks:
 
     def test_cross_links_created(self, rng):
         sites = self._make_sites()
-        in_degree = generate_cross_links(sites, LinkGraphConfig(cross_links_per_site=5), rng)
+        in_degree = generate_cross_links(sites, rng)
         assert sum(in_degree.values()) > 0
 
     def test_links_point_to_root_pages(self, rng):
         sites = self._make_sites()
-        generate_cross_links(sites, LinkGraphConfig(cross_links_per_site=5), rng)
+        generate_cross_links(sites, rng)
         roots = {site.root_url for site in sites}
         for site in sites:
             for page in site.all_pages:
@@ -95,15 +76,9 @@ class TestGenerateCrossLinks:
 
     def test_single_site_no_links(self, rng):
         sites = self._make_sites(n_sites=1)
-        in_degree = generate_cross_links(sites, LinkGraphConfig(), rng)
+        in_degree = generate_cross_links(sites, rng)
         assert in_degree == {sites[0].site_id: 0}
 
-    def test_zero_cross_links(self, rng):
-        sites = self._make_sites()
-        in_degree = generate_cross_links(
-            sites, LinkGraphConfig(cross_links_per_site=0), rng
-        )
-        assert all(v == 0 for v in in_degree.values())
 
 
 def _hand_built_web():
@@ -224,41 +199,41 @@ class TestSimulatedWeb:
             SimulatedWeb(horizon_days=0.0)
 
 
-class TestWebGeneratorConfig:
+class TestWebSpecShapesTheWeb:
     def test_defaults_valid(self):
-        WebGeneratorConfig()
+        WebSpec()
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):
-            WebGeneratorConfig(site_scale=0.0)
+            WebSpec(site_scale=0.0)
         with pytest.raises(ValueError):
-            WebGeneratorConfig(pages_per_site=0)
+            WebSpec(pages_per_site=0)
         with pytest.raises(ValueError):
-            WebGeneratorConfig(horizon_days=0.0)
+            WebSpec(horizon_days=0.0)
         with pytest.raises(ValueError):
-            WebGeneratorConfig(new_page_fraction=-0.1)
+            WebSpec(new_page_fraction=-0.1)
         with pytest.raises(ValueError):
-            WebGeneratorConfig(window_size=0)
+            WebSpec(window_size=0)
 
-    def test_effective_window_defaults_to_pages_per_site(self):
-        config = WebGeneratorConfig(pages_per_site=40)
-        assert config.effective_window_size() == 40
+    def test_window_defaults_to_pages_per_site(self):
+        web = generate_web(WebSpec(site_scale=0.03, pages_per_site=10, seed=5))
+        assert {site.window_size for site in web.sites} == {10}
 
     def test_explicit_site_counts(self):
-        config = WebGeneratorConfig(site_counts={"com": 3, "edu": 1})
-        assert config.sites_for_domain("com") == 3
-        assert config.sites_for_domain("gov") == 0
+        web = generate_web(WebSpec(site_counts={"com": 3, "edu": 1}, pages_per_site=4))
+        assert len(web.sites_in_domain("com")) == 3
+        assert len(web.sites_in_domain("gov")) == 0
 
     def test_scaled_site_counts(self):
-        config = WebGeneratorConfig(site_scale=0.1)
-        assert config.sites_for_domain("com") == round(132 * 0.1)
+        web = generate_web(WebSpec(site_scale=0.1, pages_per_site=2))
+        assert len(web.sites_in_domain("com")) == round(132 * 0.1)
 
 
 class TestGenerateWeb:
     def test_deterministic_given_seed(self):
-        config = WebGeneratorConfig(site_scale=0.03, pages_per_site=10, seed=5)
-        first = generate_web(config)
-        second = generate_web(config)
+        spec = WebSpec(site_scale=0.03, pages_per_site=10, seed=5)
+        first = generate_web(spec)
+        second = generate_web(spec)
         assert sorted(first.urls()) == sorted(second.urls())
 
     def test_fixed_seed_web_is_pinned(self):
@@ -266,11 +241,11 @@ class TestGenerateWeb:
         # order, against the digest recorded when pages still carried a
         # keyword RNG. Dropping the generator's per-page draw that seeded it
         # shifts the shared stream and moves this digest.
-        config = WebGeneratorConfig(
+        spec = WebSpec(
             site_scale=0.03, pages_per_site=10, new_page_fraction=0.25, seed=5
         )
         digest = hashlib.sha256()
-        for page in generate_web(config).pages():
+        for page in generate_web(spec).pages():
             digest.update(repr((
                 page.url, page.created_at, page.lifespan,
                 page.change_times_array().tolist(), tuple(page.outlinks),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.specs import PolicySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
@@ -77,7 +78,7 @@ class TestPageRecord:
             crawl_module.crawl(url, at=0.5)
         stored = {record.url: record for record in collection.working_records()}
         result = RankingModule(
-            allurls, CollUrls(), collection, crawl_module, capacity=500
+            allurls, CollUrls(), collection, crawl_module, PolicySpec()
         ).refine(at=1.0)
         # Below capacity nothing is replaced: the same record objects stay
         # stored, each now carrying the scan's score.

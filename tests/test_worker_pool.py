@@ -291,10 +291,8 @@ class TestRequeue:
         view = ShardView.split(tiny_web, 2, capacity=20, budget_per_day=10.0)[1]
         job = ShardRunSpec(
             view=view,
-            crawler=CrawlerSpec(),
+            crawler=CrawlerSpec(duration_days=1.0),
             policy=PolicySpec(),
-            duration_days=1.0,
-            start_time=0.0,
             store_path=str(tmp_path / "store.db"),
             spec_hash=None,
             resume=False,
@@ -313,12 +311,12 @@ class TestCallersRecover:
     def test_sharded_crawl_recovers_a_killed_shard_worker(
         self, shard_web, tmp_path, monkeypatch
     ):
-        spec = _sharded(shards=2, workers=2)
-        clean = ShardedCrawler(shard_web, spec, PolicySpec()).run(4.0)
+        spec = _sharded(shards=2, workers=2, duration_days=4.0)
+        clean = ShardedCrawler(shard_web, spec, PolicySpec()).run()
         monkeypatch.setattr(
             sharded_crawler, "run_jobs", _killing_job(1, str(tmp_path / "killed"))
         )
-        recovered = ShardedCrawler(shard_web, spec, PolicySpec()).run(4.0)
+        recovered = ShardedCrawler(shard_web, spec, PolicySpec()).run()
         assert (tmp_path / "killed").exists()
         assert _fingerprint(recovered) == _fingerprint(clean)
 
