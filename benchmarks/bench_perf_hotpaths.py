@@ -409,7 +409,7 @@ def check_crawl_identity(
             name="bench/matrix",
             kind="crawl",
             web=WebSpec(
-                site_counts={"com": 12, "edu": 6, "gov": 4, "net": 4},
+                site_counts={"com": 12, "edu": 6, "gov": 4},
                 pages_per_site=20,
                 horizon_days=40.0,
                 seed=29,

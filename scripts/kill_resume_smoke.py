@@ -12,7 +12,10 @@ The store commits only with a checkpoint, so before each resume the
 killed store's event count must equal its checkpoint's ``events_logged``.
 The resumed run must reproduce the uninterrupted run's result exactly —
 summary, series, spec hash — and the two stores must hold identical
-per-URL records (fetch timestamps included) and identical event logs.
+per-URL records (fetch timestamps included), identical event logs and the
+same text for their latest checkpoint: what a resume rebuilds instead of
+reading from the checkpoint must come back whole, or a later checkpoint
+would differ.
 This is the paper's "incremental crawler you can stop and restart"
 property, end to end.
 
@@ -198,17 +201,30 @@ def check_store_is_its_checkpoint(store: str, key: str = "checkpoint") -> int:
     return count
 
 
+def latest_checkpoint(store: str, key: str) -> list:
+    """The stored text of checkpoint ``key``, as a one-row list."""
+    rows = query(store, "SELECT value FROM state WHERE key = ?", (key,))
+    if not rows:
+        raise SystemExit(f"FAIL: {os.path.basename(store)} holds no {key!r}")
+    return rows
+
+
 def compare_stores(label: str, pairs: list) -> int:
-    """Records and event logs of each (uninterrupted, interrupted) store pair."""
-    for reference, interrupted in pairs:
-        for what, read in (("records", records_table), ("event logs", event_log)):
+    """Records, event logs and the latest checkpoint's text of each
+    (uninterrupted, interrupted, checkpoint key) store triple."""
+    for reference, interrupted, key in pairs:
+        for what, read in (
+            ("records", records_table),
+            ("event logs", event_log),
+            ("latest checkpoints", lambda store: latest_checkpoint(store, key)),
+        ):
             rows_a, rows_b = read(reference), read(interrupted)
             if rows_a != rows_b:
                 raise SystemExit(
                     f"FAIL: {label}: the stores hold different {what} "
                     f"({len(rows_a)} vs {len(rows_b)} rows)"
                 )
-    return sum(len(records_table(reference)) for reference, _ in pairs)
+    return sum(len(records_table(reference)) for reference, _, _ in pairs)
 
 
 def result_doc(path: str) -> dict:
@@ -277,10 +293,10 @@ def main() -> int:
     if a["provenance"]["spec_hash"] != b["provenance"]["spec_hash"]:
         raise SystemExit("FAIL: spec hash mismatch between runs")
 
-    records = compare_stores("resume", [(store_a, store_b)])
+    records = compare_stores("resume", [(store_a, store_b, "checkpoint")])
     say(
         f"PASS: resumed run is bit-identical to the uninterrupted run "
-        f"({records} records and the event log, mean freshness "
+        f"({records} records, the event log and the latest checkpoint, mean freshness "
         f"{a['summary']['mean_freshness']:.4f})"
     )
 
@@ -302,9 +318,13 @@ def any_shard_checkpoint(base: str, n_shards: int) -> bool:
 
 
 def shard_pairs(reference: str, interrupted: str, n_shards: int) -> list:
-    return list(zip(
-        shard_store_paths(reference, n_shards), shard_store_paths(interrupted, n_shards)
-    ))
+    return [
+        (reference_path, interrupted_path, f"shard{k:02d}/checkpoint")
+        for k, (reference_path, interrupted_path) in enumerate(zip(
+            shard_store_paths(reference, n_shards),
+            shard_store_paths(interrupted, n_shards),
+        ))
+    ]
 
 
 def check_shard_stores(base: str, n_shards: int) -> None:
@@ -382,8 +402,8 @@ def sharded_phase(tmp: str) -> None:
     records = compare_stores("sharded resume", shard_pairs(store_c, store_d, n_shards))
     say(
         f"PASS: resumed sharded run is bit-identical to the uninterrupted "
-        f"run ({records} records and the event logs across {n_shards} shard "
-        f"stores, mean freshness {c['summary']['mean_freshness']:.4f})"
+        f"run ({records} records, the event logs and the latest checkpoints "
+        f"across {n_shards} shard stores, mean freshness {c['summary']['mean_freshness']:.4f})"
     )
 
 
@@ -482,7 +502,9 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str, store_reference: st
                 )
         # The fallback trimmed the events past the previous slot and resynced
         # the records: the store ends as the uninterrupted run's.
-        compare_stores(f"{label} fallback", [(store_reference, damaged_store)])
+        compare_stores(
+            f"{label} fallback", [(store_reference, damaged_store, "checkpoint")]
+        )
         say(
             f"PASS: {label} checkpoint detected, previous snapshot resumed "
             f"bit-identically (mean freshness {b['summary']['mean_freshness']:.4f})"
@@ -570,8 +592,8 @@ def worker_kill_phase(tmp: str) -> None:
     ))
     say(
         "PASS: coordinator recovered the SIGKILLed worker bit-identically "
-        f"({records} records and the event logs, mean freshness "
-        f"{d['summary']['mean_freshness']:.4f})"
+        f"({records} records, the event logs and the latest checkpoints, "
+        f"mean freshness {d['summary']['mean_freshness']:.4f})"
     )
 
 

@@ -38,6 +38,7 @@ import repro.estimation.rate_estimators  # noqa: F401  (registration side effect
 from repro.faults import FailureTracker, FaultLayer
 from repro.fetch.politeness import NightWindow, PolitenessPolicy
 from repro.freshness.policies import RevisitPolicy
+from repro.simweb.domains import DOMAIN_ORDER
 import repro.simweb.change_models  # noqa: F401  (registration side effect)
 
 SpecT = TypeVar("SpecT", bound="_SpecBase")
@@ -221,6 +222,9 @@ class WebSpec(_SpecBase):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for domain, count in (self.site_counts or {}).items():
+            if domain not in DOMAIN_ORDER:
+                raise ValueError(f"site_counts has unknown domain {domain!r}; "
+                                 f"choose from {', '.join(DOMAIN_ORDER)}")
             if not _is_integer(count) or count < 0:
                 raise ValueError(f"site_counts[{domain!r}] must be a non-negative integer")
         if self.change_model is not None:

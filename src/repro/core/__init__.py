@@ -3,8 +3,8 @@
 The architecture has three modules and three data structures:
 
 * :class:`~repro.core.allurls.AllUrls` — every URL the crawler has ever
-  discovered, with the in-link evidence needed to estimate the importance of
-  pages that are not yet collected;
+  discovered, the candidates of the refinement decision (their importance
+  comes from the in-links of the RankingModule's link graph);
 * :class:`~repro.core.collurls.CollUrls` — the URLs that are (or will be) in
   the collection, kept in a priority queue ordered by scheduled visit time;
 * the ``Collection`` (from :mod:`repro.storage`) — the stored page copies;

@@ -5,16 +5,16 @@ architecture of Figure 12 has the CrawlModule forward newly extracted URLs
 into it and the RankingModule scan it when making the refinement decision.
 
 Besides membership, the registry tracks, per URL, when it was discovered and
-which collected pages link to it. The in-link information is what lets the
-RankingModule estimate the importance of pages it has not collected yet
-(footnote 2 of the paper).
+when a fetch of it last failed. It keeps no link structure: the
+RankingModule ranks pages it has not collected yet through the in-links of
+its own :class:`~repro.ranking.sparse.LinkGraph` (footnote 2 of the paper).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.storage.checkpoint import pack_floats, unpack_floats
 
@@ -26,7 +26,6 @@ class UrlInfo:
     Attributes:
         url: The URL.
         discovered_at: Virtual time the URL was first seen.
-        inlinks: Collected pages known to link to this URL.
         last_failed_at: Virtual time of the most recent failed fetch
             (``None`` when the URL has never failed); used to avoid
             rescheduling URLs that have disappeared.
@@ -34,17 +33,11 @@ class UrlInfo:
 
     url: str
     discovered_at: float
-    inlinks: Set[str] = field(default_factory=set)
     last_failed_at: Optional[float] = None
-
-    @property
-    def inlink_count(self) -> int:
-        """Number of known referring pages."""
-        return len(self.inlinks)
 
 
 class AllUrls:
-    """Registry of all discovered URLs with their in-link evidence."""
+    """Registry of all discovered URLs, in discovery order."""
 
     def __init__(self) -> None:
         self._urls: Dict[str, UrlInfo] = {}
@@ -69,20 +62,15 @@ class AllUrls:
         """Register several URLs; returns how many were new."""
         return sum(1 for url in urls if self.add(url, discovered_at))
 
-    def record_link(self, source_url: str, target_url: str, discovered_at: float) -> None:
-        """Record that collected page ``source_url`` links to ``target_url``.
-
-        The target is registered if it was unknown.
-        """
-        self.add(target_url, discovered_at)
-        self._urls[target_url].inlinks.add(source_url)
-
     def record_links(
         self, source_url: str, target_urls: Iterable[str], discovered_at: float
     ) -> None:
-        """Record every link of a freshly crawled page."""
-        for target_url in target_urls:
-            self.record_link(source_url, target_url, discovered_at)
+        """Forward the links found on ``source_url``: register each target.
+
+        A known target is left as it is; the links themselves are kept by
+        the RankingModule's ``LinkGraph``.
+        """
+        self.add_many(target_urls, discovered_at)
 
     def record_failure(self, url: str, at: float) -> None:
         """Record a failed fetch (page missing or excluded)."""
@@ -121,9 +109,7 @@ class AllUrls:
     def snapshot(self) -> dict:
         """JSON-serializable registry columns in dict-insertion order.
 
-        Insertion order is preserved (``candidates`` iterates it); in-link
-        sets are serialized sorted, which is safe because in-links are only
-        ever counted or extended, never iterated order-sensitively. Times
+        Insertion order is preserved (``candidates`` iterates it). Times
         are packed, ``last_failed_at`` with NaN for ``None``: a virtual time
         is never NaN.
         """
@@ -131,7 +117,6 @@ class AllUrls:
         return {
             "url": [info.url for info in infos],
             "discovered_at": pack_floats([info.discovered_at for info in infos]),
-            "inlinks": [sorted(info.inlinks) for info in infos],
             "last_failed_at": pack_floats([
                 math.nan if info.last_failed_at is None else info.last_failed_at
                 for info in infos
@@ -139,14 +124,15 @@ class AllUrls:
         }
 
     def restore_snapshot(self, state: dict) -> None:
-        """Rebuild the registry exactly as captured by :meth:`snapshot`."""
+        """Rebuild the registry exactly as captured by :meth:`snapshot`.
+
+        An ``"inlinks"`` column, which older checkpoints carry, is ignored.
+        """
         self._urls = {
-            url: UrlInfo(url, discovered_at, set(inlinks),
-                         None if math.isnan(failed) else failed)
-            for url, discovered_at, inlinks, failed in zip(
+            url: UrlInfo(url, discovered_at, None if math.isnan(failed) else failed)
+            for url, discovered_at, failed in zip(
                 state["url"],
                 unpack_floats(state["discovered_at"]),
-                state["inlinks"],
                 unpack_floats(state["last_failed_at"]),
             )
         }

@@ -11,7 +11,7 @@ because fetch latency is charged on the virtual clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Set
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -104,11 +104,6 @@ class CrawlModule:
         self._link_filter = link_filter
         self.pages_fetched = 0
         self.pages_failed = 0
-        # Batched-path bookkeeping: ``_links_recorded`` marks URLs whose
-        # (constant) out-links have been forwarded to AllUrls at least once;
-        # later forwards are no-ops in the scalar path and are skipped
-        # outright in the batched one.
-        self._links_recorded: Set[str] = set()
         # Optional CollectionJournal mirroring stored records and change
         # events into a storage backend (set by IncrementalCrawler.run).
         self.journal = None
@@ -152,11 +147,7 @@ class CrawlModule:
             )
 
         self.pages_fetched += 1
-        self._allurls.add(url, discovered_at=result.completed_at)
-        outlinks = result.outlinks
-        if self._link_filter is not None:
-            outlinks = [link for link in outlinks if self._link_filter(link)]
-        self._allurls.record_links(url, outlinks, result.completed_at)
+        self._forward_links(url, result.outlinks, result.completed_at)
 
         existing = self._collection.get_working(url)
         if existing is None:
@@ -204,9 +195,10 @@ class CrawlModule:
         Equivalent to calling :meth:`crawl` once per ``(url, time)`` pair in
         order — the same counters, stored records and AllUrls state — but
         the fetches resolve through :meth:`SimulatedFetcher.fetch_many`,
-        unchanged re-fetches refresh the stored record in place, and link
-        forwarding is skipped once a page's constant out-links have
-        been recorded.
+        unchanged re-fetches refresh the stored record in place, and a
+        page's links are forwarded only when its fetch stores a new record.
+        A page's out-links are constant and AllUrls keeps the first
+        discovery of a URL, so every later forward would change nothing.
 
         Args:
             urls: URLs to crawl (distinct within one batch).
@@ -229,7 +221,6 @@ class CrawlModule:
 
         collection = self._collection
         allurls = self._allurls
-        links_recorded = self._links_recorded
         versions = fetch.versions.tolist()
         completed = fetch.completed_at.tolist()
         requested = fetch.requested_at.tolist()
@@ -242,24 +233,17 @@ class CrawlModule:
                     allurls.record_failure(url, requested_i)
                 was_new[i] = collection.get_working(url) is None
                 continue
-            if url not in links_recorded:
-                allurls.add(url, discovered_at=completed_i)
-                outlinks = self._fetcher.outlinks_of(url)
-                if self._link_filter is not None:
-                    outlinks = [
-                        link for link in outlinks if self._link_filter(link)
-                    ]
-                allurls.record_links(url, outlinks, completed_i)
-                links_recorded.add(url)
             existing = collection.get_working(url)
             if existing is None:
+                outlinks = self._fetcher.outlinks_of(url)
+                self._forward_links(url, outlinks, completed_i)
                 collection.store(
                     PageRecord(
                         url=url,
                         version=version_i,
                         fetched_at=completed_i,
                         first_fetched_at=completed_i,
-                        outlinks=tuple(self._fetcher.outlinks_of(url)),
+                        outlinks=tuple(outlinks),
                     )
                 )
                 changed[i] = True
@@ -302,6 +286,13 @@ class CrawlModule:
             ),
         )
 
+    def _forward_links(self, url: str, outlinks: Sequence[str], at: float) -> None:
+        """Register a fetched page and the links the filter keeps in AllUrls."""
+        self._allurls.add(url, discovered_at=at)
+        if self._link_filter is not None:
+            outlinks = filter(self._link_filter, outlinks)
+        self._allurls.record_links(url, outlinks, at)
+
     def discard(self, url: str) -> Optional[PageRecord]:
         """Remove a page from the working collection (refinement decision)."""
         discarded = self._collection.discard(url)
@@ -313,15 +304,16 @@ class CrawlModule:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
-        """JSON-serializable module state (counters + batched bookkeeping)."""
+        """JSON-serializable module state: the two counters."""
         return {
             "pages_fetched": self.pages_fetched,
             "pages_failed": self.pages_failed,
-            "links_recorded": sorted(self._links_recorded),
         }
 
     def restore_snapshot(self, state: dict) -> None:
-        """Rebuild module state exactly as captured by :meth:`snapshot`."""
+        """Rebuild module state exactly as captured by :meth:`snapshot`.
+
+        An older checkpoint's ``"links_recorded"`` list is ignored.
+        """
         self.pages_fetched = int(state["pages_fetched"])
         self.pages_failed = int(state["pages_failed"])
-        self._links_recorded = set(state["links_recorded"])

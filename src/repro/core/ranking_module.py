@@ -208,16 +208,15 @@ class RankingModule:
         feed power iteration the exact same starting vector over the exact
         same CSR as the uninterrupted run, or the converged floats — and
         with them the stored importance values — would drift at the ulp
-        level and break bit-identical resume.
+        level and break bit-identical resume. The out-links last synced per
+        page are the graph's source edges, so :meth:`restore_snapshot`
+        rebuilds them from the graph instead of reading a second copy.
         """
         return {
             "scans_completed": self.scans_completed,
             "pages_replaced": self.pages_replaced,
             "pages_admitted": self.pages_admitted,
             "graph": self._graph.snapshot(),
-            "graph_outlinks": {
-                url: list(links) for url, links in self._graph_outlinks.items()
-            },
             "warm": {
                 name: None if vector is None else pack_floats(vector)
                 for name, vector in (
@@ -229,7 +228,11 @@ class RankingModule:
         }
 
     def restore_snapshot(self, state: dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
+        """Restore the state captured by :meth:`snapshot`.
+
+        A ``"graph_outlinks"`` table, which older checkpoints carry, is
+        ignored: the graph's source edges are the same table.
+        """
         self.scans_completed = int(state["scans_completed"])
         self.pages_replaced = int(state["pages_replaced"])
         self.pages_admitted = int(state["pages_admitted"])
@@ -237,10 +240,7 @@ class RankingModule:
         self._graph = LinkGraph()
         if graph_state is not None:
             self._graph.restore_snapshot(graph_state)
-        self._graph_outlinks = {
-            str(url): tuple(links)
-            for url, links in state.get("graph_outlinks", {}).items()
-        }
+        self._graph_outlinks = self._graph.outlinks_by_source()
         warm = {
             name: None if packed is None else np.array(unpack_floats(packed))
             for name, packed in state.get("warm", {}).items()

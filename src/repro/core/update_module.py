@@ -498,8 +498,10 @@ class UpdateModule:
         return dict(self._rate_estimates)
 
     def set_importance(self, importance: Dict[str, float]) -> None:
-        """Receive the latest importance scores from the RankingModule."""
-        self._importance = dict(importance)
+        """Receive the RankingModule's latest scores; only a policy that
+        weights pages by importance reads them, so only its module keeps them."""
+        if self._use_importance:
+            self._importance = dict(importance)
 
     def forget(self, url: str) -> None:
         """Drop all statistics for a page removed from the collection."""
@@ -659,7 +661,8 @@ class UpdateModule:
         self._histories = histories_from_columns(state["histories"])
         self._rate_estimates = _unpack_table(state["rate_estimates"])
         self._intervals = _unpack_table(state["intervals"])
-        self._importance = _unpack_table(state["importance"])
+        if self._use_importance:  # older checkpoints carry it under any policy
+            self._importance = _unpack_table(state["importance"])
         last = state["last_reallocation"]
         self._last_reallocation = None if last is None else float(last)
         self._estimator.load_state(state["estimator"])

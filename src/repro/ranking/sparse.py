@@ -194,6 +194,17 @@ class LinkGraph:
         """Every interned URL in id order."""
         return list(self._urls)
 
+    def outlinks_by_source(self) -> Dict[str, Tuple[str, ...]]:
+        """Each source page's out-links as :meth:`set_outlinks` last took
+        them (its live edges in order, duplicates included; ``()`` if none)."""
+        urls, n, live = self._urls, self._n_edges, self._live_edge_mask()
+        sources = np.flatnonzero(self._is_source[: len(urls)]).tolist()
+        targets: Dict[int, List[str]] = {node: [] for node in sources}
+        for node, target in zip(self._edge_src[:n][live].tolist(),
+                                self._edge_dst[:n][live].tolist()):
+            targets[node].append(urls[target])
+        return {urls[node]: tuple(links) for node, links in targets.items()}
+
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #

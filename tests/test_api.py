@@ -236,6 +236,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"site_counts\['com'\]"):
             WebSpec(site_counts={"com": count})
 
+    def test_site_counts_refuse_an_unknown_domain(self):
+        # "net" is not a domain (the Table 1 domain is "netorg"); it used to
+        # be dropped, so this spec generated 2 sites, not 5.
+        with pytest.raises(ValueError, match="'net'") as excinfo:
+            WebSpec(site_counts={"com": 2, "net": 3})
+        for domain in ("com", "edu", "netorg", "gov"):
+            assert domain in str(excinfo.value)
+
     def test_seeds_must_be_non_negative(self):
         # NumPy refused them only at web generation.
         with pytest.raises(ValueError, match="seed must be non-negative"):

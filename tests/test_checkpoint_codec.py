@@ -80,7 +80,7 @@ def test_update_snapshot_with_an_infinite_interval_restores_equal():
 def test_allurls_snapshot_with_a_never_failed_url_restores_equal():
     registry = AllUrls()
     registry.add("http://a.com/", discovered_at=0.5)
-    registry.record_link("http://a.com/", "http://b.com/", discovered_at=1.25)
+    registry.record_links("http://a.com/", ["http://b.com/"], discovered_at=1.25)
     registry.record_failure("http://b.com/", at=3.0)
     snapshot = registry.snapshot()
 

@@ -26,6 +26,7 @@ from repro.api.specs import (
     WebSpec,
 )
 from repro.core.incremental_crawler import IncrementalCrawler
+from repro.ranking.sparse import LinkGraph
 from repro.storage.backends import MemoryBackend, SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -34,6 +35,7 @@ from repro.storage.checkpoint import (
     RESULT_STATE_KEY,
     CollectionJournal,
     CrawlCheckpointer,
+    pack_floats,
 )
 from repro.storage.records import records_from_columns
 
@@ -355,6 +357,59 @@ def test_a_checkpoint_with_the_retired_age_column_still_resumes(tiny_web):
     CrawlCheckpointer(backend, every_days=7.0).save(state, state["checkpoint_at"])
     loader = CrawlCheckpointer(backend, every_days=7.0)
     resumed = build_crawler(tiny_web)
+    outcome = resumed.run(checkpointer=loader, resume_state=loader.load())
+    assert result_fingerprint(resumed, outcome) == expected
+
+
+@pytest.mark.parametrize("use_importance", [False, True])
+def test_a_checkpoint_with_the_retired_duplicate_tables_still_resumes(
+    tiny_web, use_importance
+):
+    """Format-5 checkpoints written while the crawler kept some facts twice
+    carry four more tables: AllUrls in-links, the crawl module's set of pages
+    whose links were forwarded, the ranking scan's synced out-links (the
+    graph's source edges again) and an importance table that only an
+    importance-weighted policy reads. They resume bit-identically."""
+    policy = PolicySpec(revisit_policy="optimal", use_importance=use_importance)
+    plain = IncrementalCrawler(tiny_web, crawler_spec(), policy)
+    expected = result_fingerprint(plain, plain.run())
+    checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=7.0)
+    states = []
+    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
+    IncrementalCrawler(tiny_web, crawler_spec(), policy).run(checkpointer=checkpointer)
+    state = states[1]
+    assert state["format"] == CHECKPOINT_FORMAT == 5
+    assert "inlinks" not in state["allurls"]
+    assert set(state["crawl"]) == {"pages_fetched", "pages_failed"}
+    assert "graph_outlinks" not in state["ranking"]
+    kept = state["update"]["importance"]["urls"]
+    assert bool(kept) == use_importance
+
+    # The four tables as they were written.
+    graph = LinkGraph()
+    graph.restore_snapshot(state["ranking"]["graph"])
+    outlinks = graph.outlinks_by_source()
+    inlinks = {}
+    for source, targets in outlinks.items():
+        for target in targets:
+            inlinks.setdefault(target, set()).add(source)
+    state["allurls"]["inlinks"] = [
+        sorted(inlinks.get(url, ())) for url in state["allurls"]["url"]
+    ]
+    state["crawl"]["links_recorded"] = sorted(state["collection"]["url"])
+    state["ranking"]["graph_outlinks"] = {
+        url: list(links) for url, links in outlinks.items()
+    }
+    if not use_importance:
+        scored = graph.active_urls()
+        state["update"]["importance"] = {
+            "urls": scored, "values": pack_floats([1.0 / len(scored)] * len(scored))
+        }
+
+    backend = MemoryBackend()
+    CrawlCheckpointer(backend, every_days=7.0).save(state, state["checkpoint_at"])
+    loader = CrawlCheckpointer(backend, every_days=7.0)
+    resumed = IncrementalCrawler(tiny_web, crawler_spec(), policy)
     outcome = resumed.run(checkpointer=loader, resume_state=loader.load())
     assert result_fingerprint(resumed, outcome) == expected
 

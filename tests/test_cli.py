@@ -106,6 +106,17 @@ class TestCommands:
         assert main(["run-spec", str(path)]) == 2
         assert "pages_per_site must be an integer" in capsys.readouterr().err
 
+    def test_run_spec_unknown_site_count_domain_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps({
+            "name": "x", "kind": "crawl",
+            "web": {"site_counts": {"com": 2, "net": 3}},
+            "crawler": {"kind": "incremental"},
+        }))
+        assert main(["run-spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'net'" in err and "netorg" in err
+
     def test_run_spec_wrongly_typed_field_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps({

@@ -24,12 +24,6 @@ class TestAllUrls:
         registry = AllUrls()
         assert registry.add_many(["http://a/", "http://b/", "http://a/"], 0.0) == 2
 
-    def test_record_link_tracks_inlinks(self):
-        registry = AllUrls()
-        registry.record_link("http://src/", "http://dst/", 1.0)
-        registry.record_link("http://other/", "http://dst/", 2.0)
-        assert registry.info("http://dst/").inlink_count == 2
-
     def test_record_links_registers_targets(self):
         registry = AllUrls()
         registry.record_links("http://src/", ["http://a/", "http://b/"], 1.0)

@@ -36,6 +36,30 @@ class TestCrawlModule:
         for link in tiny_web.page(url).outlinks:
             assert link in allurls
 
+    def test_a_readmitted_page_forwards_again_and_allurls_stays(
+        self, tiny_web, monkeypatch
+    ):
+        # Links are forwarded when a fetch stores a new record: once per
+        # admission. A page's out-links are constant, so the forward at its
+        # re-admission finds every target known and changes nothing.
+        module, _, allurls = build_crawl_module(tiny_web)
+        url = tiny_web.seed_urls()[0]
+        assert tiny_web.page(url).outlinks
+        module.crawl_many([url], [1.0])
+        before = allurls.snapshot()
+        forwards = []
+        record_links = allurls.record_links
+        monkeypatch.setattr(
+            allurls, "record_links",
+            lambda *args: forwards.append(args[0]) or record_links(*args),
+        )
+        module.crawl_many([url], [2.0])
+        assert forwards == []
+        module.discard(url)
+        module.crawl_many([url], [3.0])
+        assert forwards == [url]
+        assert allurls.snapshot() == before
+
     def test_refetch_without_change(self, tiny_web):
         module, collection, _ = build_crawl_module(tiny_web)
         static = next(
@@ -97,8 +121,7 @@ class TestCrawlModule:
         urls = tiny_web.seed_urls()[:3]
         module.crawl_many(urls + ["http://ghost/"], [1.0] * 4)
         state = module.snapshot()
-        assert set(state) == {"pages_fetched", "pages_failed", "links_recorded"}
-        assert state["links_recorded"] == sorted(urls)
+        assert state == {"pages_fetched": 3, "pages_failed": 1}
         restored, _, _ = build_crawl_module(tiny_web)
         restored.restore_snapshot(state)
         assert restored.snapshot() == state
@@ -276,10 +299,8 @@ class TestRankingModule:
             crawl_module.crawl(page.url, at=0.5)
             collurls.schedule(page.url, 10.0)
         # Make the crawler aware of every root page (heavily linked).
-        for root in tiny_web.seed_urls():
-            allurls.add(root, 0.6)
-            for i, source in enumerate(deep_pages):
-                allurls.record_link(source.url, root, 0.6)
+        for source in deep_pages:
+            allurls.record_links(source.url, tiny_web.seed_urls(), 0.6)
         result = ranking.refine(at=1.0)
         assert ranking.pages_replaced >= 0
         total_tracked = len(collection.working_records()) + sum(

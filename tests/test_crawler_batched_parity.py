@@ -79,6 +79,9 @@ class TestIncrementalEngineParity:
             assert record.version == other.version
             assert record.visit_count == other.visit_count
             assert record.change_count == other.change_count
+        # The batched engine forwards a page's links at its admission, the
+        # reference engine at every fetch: the registries agree.
+        assert crawler_b.allurls.snapshot() == crawler_r.allurls.snapshot()
 
     def test_rate_estimates_identical(self):
         _, crawler_b = _run_incremental("batched", "optimal", "ep")

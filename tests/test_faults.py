@@ -706,6 +706,7 @@ def _assert_engines_agree(batched, crawler_b, reference, crawler_r):
     fetched_r = {r.url: r.fetched_at for r in crawler_r.collection.current_records()}
     assert fetched_b == fetched_r
     assert crawler_b.collurls.snapshot() == crawler_r.collurls.snapshot()
+    assert crawler_b.allurls.snapshot() == crawler_r.allurls.snapshot()
 
 
 class TestEngineParityUnderFaults:

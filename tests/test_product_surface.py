@@ -47,6 +47,9 @@ RETIRED_NAMES = {
     "page_link_graph", "true_page_importance", "collection_quality",
     "pagerank_dict", "hits_dict", "estimated_pagerank_for_candidates",
     "HAVE_SCIPY", "ColumnarBackend",
+    # A checkpoint holds each fact once: who links to whom is the ranking
+    # scan's LinkGraph, and a page's links are forwarded at its admission.
+    "inlinks", "inlink_count", "links_recorded", "record_link",
     # Helpers only their own tests called.
     "poisson_rate_confidence_interval", "overall_rate_mixture",
     "population_time_averaged_freshness",

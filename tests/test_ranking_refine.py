@@ -10,6 +10,8 @@ append comes back.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
@@ -145,3 +147,45 @@ def test_scan_copies_no_record_and_appends_edges_once(monkeypatch):
     assert len(per_scan) > 3 and result.pages_replaced > 0
     assert [scan["records"] for scan in per_scan] == [0] * len(per_scan)
     assert max(scan["appends"] for scan in per_scan) == 1
+
+
+def _record(url, outlinks):
+    return PageRecord(
+        url=url, version=0, fetched_at=0.0, first_fetched_at=0.0,
+        outlinks=tuple(outlinks),
+    )
+
+
+def test_restore_rebuilds_the_synced_outlinks_from_the_graph():
+    """A checkpoint no longer carries the out-links last synced per page:
+    they are the graph's source edges, and the restore reads them back."""
+    a, b, c, d, e, f = (f"http://{name}.com/" for name in "abcdef")
+    collection = InPlaceCollection()
+    crawl_module = CrawlModule(None, collection, AllUrls())
+
+    def ranking():
+        return RankingModule(
+            AllUrls(), CollUrls(), collection, crawl_module, PolicySpec()
+        )
+
+    live = ranking()
+    # A duplicated out-link, a page without out-links, and a restated page
+    # whose old edges stay in the buffers as stale ones.
+    for url, links in ((a, (b, c, b)), (d, ()), (e, (a,)), (f, (a, d))):
+        collection.store(_record(url, links))
+    live.refine(1.0)
+    collection.store(_record(f, (e,)))
+    live.refine(2.0)
+    # Discarded since the last scan: a source until the next sync.
+    crawl_module.discard(e)
+    synced = dict(live._graph_outlinks)
+    assert synced == {a: (b, c, b), d: (), e: (a,), f: (e,)}
+    assert live.graph.outlinks_by_source() == synced
+
+    restored = ranking()
+    restored.restore_snapshot(json.loads(json.dumps(live.snapshot())))
+    assert restored._graph_outlinks == synced
+    assert restored.refine(3.0).importance == live.refine(3.0).importance
+    assert restored._graph_outlinks == live._graph_outlinks == {
+        a: (b, c, b), d: (), f: (e,)
+    }

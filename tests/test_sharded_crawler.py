@@ -33,7 +33,7 @@ from repro.storage.records import record_to_dict
 def shard_web():
     return generate_web(
         WebSpec(
-            site_counts={"com": 8, "edu": 4, "gov": 3, "net": 3},
+            site_counts={"com": 8, "edu": 4, "gov": 3},
             pages_per_site=12,
             horizon_days=30.0,
             seed=31,
@@ -169,7 +169,7 @@ class TestGroundTruthBeforeFork:
 
 class TestShardedSpecLayer:
     WEB = WebSpec(
-        site_counts={"com": 8, "edu": 4, "gov": 3, "net": 3},
+        site_counts={"com": 8, "edu": 4, "gov": 3},
         pages_per_site=12,
         horizon_days=30.0,
         seed=31,

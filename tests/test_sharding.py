@@ -34,7 +34,7 @@ shard_counts = st.integers(min_value=1, max_value=16)
 def tiny_web():
     return generate_web(
         WebSpec(
-            site_counts={"com": 6, "edu": 3, "gov": 2, "net": 2},
+            site_counts={"com": 6, "edu": 3, "gov": 2},
             pages_per_site=10,
             horizon_days=30.0,
             seed=23,
@@ -133,7 +133,10 @@ class TestShardViewSplit:
 class TestMergeSnapshots:
     @staticmethod
     def _module():
-        return UpdateModule(CollUrls(), None, CrawlerSpec(), PolicySpec())
+        # Only a policy that weights pages by importance keeps the scores.
+        return UpdateModule(
+            CollUrls(), None, CrawlerSpec(), PolicySpec(use_importance=True)
+        )
 
     @classmethod
     def _snapshot(cls, urls, importance, processed=5):
