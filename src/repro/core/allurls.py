@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Container, Dict, Iterable, Iterator, List, Optional
 
 from repro.storage.checkpoint import pack_floats, unpack_floats
 
@@ -90,17 +90,17 @@ class AllUrls:
         """All known URLs."""
         return list(self._urls.keys())
 
-    def candidates(self, exclude: Iterable[str]) -> List[UrlInfo]:
-        """Known URLs not in ``exclude`` (the refinement candidates).
+    def candidates(self, exclude: Container[str]) -> List[str]:
+        """Known URLs not in ``exclude`` (the refinement candidates), in
+        discovery order; ``exclude`` is read as given, so pass a set.
 
         URLs with a recorded fetch failure are omitted; they are known to
         have disappeared and are not worth admitting into the collection.
         """
-        excluded = set(exclude)
         return [
-            info
+            url
             for url, info in self._urls.items()
-            if url not in excluded and info.last_failed_at is None
+            if url not in exclude and info.last_failed_at is None
         ]
 
     # ------------------------------------------------------------------ #

@@ -18,13 +18,15 @@ granularity games are needed.
 Besides the scalar operations there is a bulk interface —
 :meth:`pop_due` / :meth:`schedule_many` / :meth:`restore` — used by the
 batched crawl engine to drain and refill all crawl slots of a tick window
-in a handful of calls instead of one heap round-trip per fetched page.
+in a handful of calls instead of one heap round-trip per fetched page;
+:meth:`schedule_front_many` queues a refinement scan's admissions at once.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.storage.checkpoint import pack_floats, unpack_floats
@@ -117,6 +119,29 @@ class CollUrls:
         self._front_counter -= 1
         self._scheduled[url] = entry
         heapq.heappush(self._heap, entry)
+
+    def schedule_front_many(self, urls: Sequence[str], now: float) -> None:
+        """Bulk :meth:`schedule_front`: one call for a scan's admissions.
+
+        Equivalent to calling :meth:`schedule_front` once per URL in order:
+        after the first push that entry is the head, so every URL shares its
+        front time, and the sequence numbers descend as they would.
+        """
+        if not urls:
+            return
+        head_time = self.peek_time()
+        front_time = now if head_time is None else min(now, head_time)
+        first = self._front_counter
+        self._front_counter = first - len(urls)
+        sequences = range(first, self._front_counter, -1)
+        entries = list(zip(repeat(front_time), sequences, urls))
+        self._scheduled.update(zip(urls, entries))
+        if len(entries) * 8 > len(self._heap):  # as in schedule_many
+            self._heap.extend(entries)
+            heapq.heapify(self._heap)
+        else:
+            for entry in entries:
+                heapq.heappush(self._heap, entry)
 
     def pop(self) -> Optional[Tuple[str, float]]:
         """Remove and return ``(url, scheduled_time)`` of the earliest entry.

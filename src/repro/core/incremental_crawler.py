@@ -167,6 +167,7 @@ class IncrementalCrawler:
         self._ranking_module = RankingModule(
             self._allurls, self._collurls, self._collection, self._crawl_module, policy
         )
+        self._use_importance = policy.use_importance
         self._quality_cache: Optional[CollectionQualityCache] = None
 
     def _owns_url(self, url: str) -> bool:
@@ -389,7 +390,8 @@ class IncrementalCrawler:
                 self._update_module.process_slots(slots)
             elif label == "ranking":
                 refinement = self._ranking_module.refine(at)
-                self._update_module.set_importance(refinement.importance)
+                if self._use_importance:  # the only reader of the score dict
+                    self._update_module.set_importance(refinement.importance)
                 self._refresh_journal_records()
                 scheduler.schedule(at + spec.ranking_interval_days, "ranking")
             else:

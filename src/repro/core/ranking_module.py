@@ -23,15 +23,18 @@ applies only the out-link deltas the crawler produced since the previous
 scan (new pages, changed pages, refinement discards), and warm-starts the
 sparse power iteration from the previous score vector — so the steady-state
 cost of a scan is a delta sync plus a handful of spmv iterations, not a
-from-scratch recompute. The retired dense path is kept as a test oracle in
-``tests/reference/kernels.py``; the parity suite holds the refinement
-decisions of both paths identical.
+from-scratch recompute. The scan then stays in node-id space: scores remain
+the kernel's ``(ids, scores)`` arrays, records and candidates read theirs
+through one id gather, ``np.partition`` picks the few candidates and victims
+a scan can use, and the admissions are queued in one call. The retired dense
+path is kept as a test oracle in ``tests/reference/kernels.py``; the parity
+suite holds the refinement decisions of both paths identical.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,21 +58,29 @@ MAX_REPLACEMENTS_PER_SCAN = 10
 REPLACEMENT_MARGIN = 0.10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementResult:
     """Outcome of one refinement scan.
 
     Attributes:
-        importance: Importance score of every ranked URL (collected pages
-            and candidates).
         replacements: ``(discarded_url, admitted_url)`` pairs applied.
         admitted: URLs newly admitted without displacing anything (possible
             while the collection is below capacity).
+        ids, scores: Every ranked URL (collected pages and the candidates
+            they link to) as its node id in ``graph``, and its score.
     """
 
-    importance: Dict[str, float]
     replacements: Tuple[Tuple[str, str], ...]
     admitted: Tuple[str, ...]
+    ids: np.ndarray = field(repr=False)
+    scores: np.ndarray = field(repr=False)
+    graph: LinkGraph = field(repr=False)
+
+    @cached_property
+    def importance(self) -> Dict[str, float]:
+        """``url -> score`` of every ranked URL, built on first request."""
+        urls = map(self.graph.url_of, self.ids.tolist())
+        return dict(zip(urls, self.scores.tolist()))
 
 
 class RankingModule:
@@ -128,74 +139,55 @@ class RankingModule:
         while capacity remains, and replaces the least important collected
         pages with clearly more important candidates.
         """
-        importance = _clamp_residue(self._compute_importance())
+        ids, scores = self._compute_importance()
+        if len(scores):
+            # HITS leaves decay dust (1e-38 and below) on nodes of zero exact
+            # authority: implementation noise, so it ranks as zero (PageRank's
+            # teleport term floors every score far above the epsilon).
+            scores = np.where(scores < scores.max() * 1e-12, 0.0, scores)
+        graph = self._graph
+        # Id-indexed; the extra last slot is the 0.0 an unknown URL (-1) reads.
+        dense = np.zeros(graph.node_count + 1)
+        dense[ids] = scores
         working = self._collection.working_records()
-        collected_or_queued = set(self._collurls.urls())
-        for record in working:
+        urls = [record.url for record in working]
+        stored = dense[graph.ids_of(urls)]
+        for record, importance in zip(working, stored.tolist()):
             # In place: every score moves each scan, so a copy-on-write
             # store would rebuild every record.
-            record.importance = importance.get(record.url, 0.0)
-            collected_or_queued.add(record.url)
-        candidates = self._allurls.candidates(exclude=collected_or_queued)
+            record.importance = importance
+        # Queued and collected URLs both count against capacity. Each
+        # collected page is queued in a crawl, but a store without a queue
+        # (unit tests, a seeded collection) is not, hence the union.
+        tracked = set(self._collurls.urls())
+        tracked.update(urls)
+        candidates = self._allurls.candidates(exclude=tracked)
 
-        # Hoisted capacity state: the collected-or-queued set is built once
-        # and its cardinality maintained across admissions/replacements
-        # (an admission adds one tracked URL; a replacement removes the
-        # victim and adds the newcomer, net zero).
-        tracked = len(collected_or_queued)
-        at_capacity = self._capacity is not None
+        # Select, do not sort: admit at most ``capacity - tracked``, pair each
+        # replacement with one victim, read one candidate past the last
+        # decision; with no replacement budget a scan decides nothing.
         max_replacements = MAX_REPLACEMENTS_PER_SCAN
-
-        # Select, do not sort: the loop below admits at most ``capacity -
-        # tracked`` candidates, takes one victim per replacement and reads
-        # one candidate past its last decision. ``heapq.nlargest``/``nsmallest``
-        # equal ``sorted(...)[:k]``: the loop sees a full sort's prefixes.
+        admissible = len(candidates) if max_replacements else 0
         consumable = len(candidates)
-        if at_capacity:
-            consumable = max(self._capacity - tracked, 0) + max_replacements + 1
-        candidate_scores = heapq.nlargest(
-            consumable,
-            ((importance.get(info.url, 0.0), info.url) for info in candidates),
-        )
-        victims = heapq.nsmallest(
-            max_replacements, ((record.importance, record.url) for record in working)
-        )
-        victim_cursor = 0
+        if self._capacity is not None:
+            admissible = min(admissible, max(self._capacity - len(tracked), 0))
+            consumable = admissible + max_replacements + 1
+        ranked = _select(dense[graph.ids_of(candidates)], candidates, consumable, True)
+        admitted = [url for _, url in ranked[:admissible]]
+        self._collurls.schedule_front_many(admitted, at)
+        self.pages_admitted += len(admitted)
 
-        admitted: List[str] = []
         replacements: List[Tuple[str, str]] = []
-        for score, url in candidate_scores:
-            if len(replacements) >= max_replacements:
-                break
-            if not (at_capacity and tracked >= self._capacity):
-                self._collurls.schedule_front(url, at)
-                tracked += 1
-                admitted.append(url)
-                self.pages_admitted += 1
-                continue
-            if victim_cursor >= len(victims):
-                break
-            victim_score, victim_url = victims[victim_cursor]
+        victims = _select(stored, urls, max_replacements, False)
+        for (score, url), (victim_score, victim_url) in zip(ranked[admissible:], victims):
             if score <= victim_score * (1.0 + REPLACEMENT_MARGIN):
                 break
-            victim_cursor += 1
             self._replace(victim_url, url, at)
             replacements.append((victim_url, url))
-            self.pages_replaced += 1
+        self.pages_replaced += len(replacements)
 
         self.scans_completed += 1
-        return RefinementResult(
-            importance=importance,
-            replacements=tuple(replacements),
-            admitted=tuple(admitted),
-        )
-
-    def importance_of_collection(self) -> Dict[str, float]:
-        """Latest stored importance of the collected pages."""
-        return {
-            record.url: record.importance
-            for record in self._collection.working_records()
-        }
+        return RefinementResult(tuple(replacements), tuple(admitted), ids, scores, graph)
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -258,32 +250,32 @@ class RankingModule:
         One pass over the working records: pages whose out-links changed
         since the last scan (new pages, changed re-fetches) restate their
         edges in one bulk append; pages that left the collection drop
-        theirs. Unchanged pages cost a dict lookup and a tuple compare.
+        theirs. An unchanged page costs a dict lookup and, unless it still
+        holds the very tuple last synced, a tuple compare.
         """
         synced = self._graph_outlinks
-        graph = self._graph
-        present = set()
+        get = synced.get
         changed = []
-        for record in records:
-            url = record.url
-            present.add(url)
-            outlinks = tuple(record.outlinks)
-            if synced.get(url) != outlinks:
+        moved = [record for record in records if get(record.url) is not record.outlinks]
+        for record in moved:
+            url, outlinks = record.url, tuple(record.outlinks)
+            if get(url) != outlinks:
                 changed.append((url, outlinks))
-                synced[url] = outlinks
-        graph.set_outlinks_many(changed)
-        if len(present) != len(synced):
+            synced[url] = outlinks
+        self._graph.set_outlinks_many(changed)
+        if len(records) != len(synced):
+            present = {record.url for record in records}
             for url in [url for url in synced if url not in present]:
-                graph.remove_page(url)
+                self._graph.remove_page(url)
                 del synced[url]
 
-    def _compute_importance(self) -> Dict[str, float]:
-        records = self._collection.working_records()
-        self._sync_graph(records)
+    def _compute_importance(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sync the graph, then ``(ids, scores)`` of its active nodes."""
+        self._sync_graph(self._collection.working_records())
         graph = self._graph
         active_ids = graph.active_ids()
         if len(active_ids) == 0:
-            return {}
+            return active_ids, np.zeros(0)
         if self._metric == "hits":
             ids, hubs, authorities = hits_scores(
                 graph,
@@ -304,11 +296,7 @@ class RankingModule:
             self._warm_pagerank = _absorb_warm(
                 self._warm_pagerank, ids, scores, graph.node_count
             )
-        url_of = graph.url_of
-        return {
-            url_of(node): score
-            for node, score in zip(ids.tolist(), scores.tolist())
-        }
+        return ids, scores
 
     def _replace(self, victim_url: str, new_url: str, at: float) -> None:
         self._crawl_module.discard(victim_url)
@@ -316,25 +304,24 @@ class RankingModule:
         self._collurls.schedule_front(new_url, at)
 
 
-def _clamp_residue(importance: Dict[str, float]) -> Dict[str, float]:
-    """Zero out sub-epsilon numerical residue before ranking decisions.
-
-    HITS power iteration leaves geometric-decay dust (1e-38 and below) on
-    nodes whose exact authority is zero; its magnitude depends on iteration
-    count and summation order, so ordering candidates by it is ordering by
-    implementation noise. Scores below a relative epsilon of the maximum
-    are exactly zero for decision purposes, which makes the refinement
-    decisions insensitive to which importance path produced the scores
-    (PageRank's teleport term floors every score far above the epsilon, so
-    this is a no-op there).
+def _select(
+    scores: np.ndarray, urls: Sequence[str], k: int, largest: bool
+) -> List[Tuple[float, str]]:
+    """``heapq.nlargest(k, pairs)`` (``nsmallest`` unless ``largest``) over
+    the ``(score, url)`` pairs, sorting only the entries that can make it:
+    those on their side of the k-th score (``np.partition``), ties included,
+    so ties break by URL as in a full sort. Ties are common: pages without
+    in-links share a score.
     """
-    if not importance:
-        return importance
-    floor = max(importance.values()) * 1e-12
-    return {
-        url: (0.0 if score < floor else score)
-        for url, score in importance.items()
-    }
+    n = len(urls)
+    if k <= 0:
+        return []
+    if k < n:
+        kth = n - k if largest else k - 1
+        threshold = np.partition(scores, kth)[kth]
+        keep = np.flatnonzero(scores >= threshold if largest else scores <= threshold)
+        scores, urls = scores[keep], [urls[i] for i in keep.tolist()]
+    return sorted(zip(scores.tolist(), urls), reverse=largest)[:k]
 
 
 # ---------------------------------------------------------------------- #

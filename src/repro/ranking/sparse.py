@@ -36,6 +36,7 @@ intern their input into a :class:`LinkGraph` and call these kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,6 +191,10 @@ class LinkGraph:
         """The URL interned as ``node``."""
         return self._urls[node]
 
+    def ids_of(self, urls: Iterable[str]) -> np.ndarray:
+        """The id of each URL, ``-1`` for a URL never interned."""
+        return np.fromiter(map(self._ids.get, urls, repeat(-1)), dtype=_INT)
+
     def urls(self) -> List[str]:
         """Every interned URL in id order."""
         return list(self._urls)
@@ -237,13 +242,17 @@ class LinkGraph:
         :meth:`set_outlinks` per page would, with one edge-buffer append.
         A URL given twice raises ``ValueError`` (after interning).
         """
-        intern = self.intern
+        ids, urls, known = self._ids, self._urls, len(self._urls)
         nodes, counts, targets = [], [], []
         for url, page_targets in pages:
             before = len(targets)
-            targets.extend([intern(target) for target in page_targets])
+            targets.extend([ids.setdefault(target, len(ids)) for target in page_targets])
             counts.append(len(targets) - before)
-            nodes.append(intern(url))
+            nodes.append(ids.setdefault(url, len(ids)))
+        if len(ids) > known:  # the new URLs are the last keys interned
+            urls.extend(reversed(list(islice(reversed(ids), len(ids) - known))))
+            if len(ids) > len(self._is_source):
+                self._grow_nodes(len(ids))
         node_ids = np.array(nodes, dtype=_INT)
         if len(np.unique(node_ids)) != len(node_ids):
             raise ValueError("set_outlinks_many takes each page at most once")
@@ -446,14 +455,16 @@ def pagerank_scores(
     has_links = out > 0.0
     inverse_out = np.zeros(n)
     inverse_out[has_links] = 1.0 / out[has_links]
-    dangling = ~has_links
+    dangling = np.flatnonzero(~has_links)
     teleport = (1.0 - damping) / n
+    shares, delta = np.empty(n), np.empty(n)
     for _ in range(max_iterations):
-        shares = scores * inverse_out
+        np.multiply(scores, inverse_out, out=shares)
         new_scores = _spmv_t(view, shares)
         new_scores *= damping
         new_scores += teleport + damping * float(scores[dangling].sum()) / n
-        if float(np.abs(new_scores - scores).sum()) < tolerance:
+        np.subtract(new_scores, scores, out=delta)
+        if float(np.abs(delta, out=delta).sum()) < tolerance:
             scores = new_scores
             break
         scores = new_scores

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api.specs import WebSpec
+from repro.core.ranking_module import RankingModule
 from repro.experiment.monitor import ActiveMonitor, ObservationLog
 from repro.simweb.generator import generate_web
 from repro.simweb.web import SimulatedWeb
@@ -51,3 +52,25 @@ def observation_log(small_web: SimulatedWeb) -> ObservationLog:
 def rng() -> np.random.Generator:
     """A seeded random generator for per-test sampling."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def collection_stays_queued(monkeypatch):
+    """Check after every ranking scan that each working page is queued.
+
+    A collected page is crawled again, so it must sit in CollUrls; a scan
+    that admitted or replaced without queueing would strand it.
+    """
+    refine = RankingModule.refine
+
+    def checked(module, at):
+        result = refine(module, at)
+        stranded = [
+            record.url
+            for record in module._collection.working_records()
+            if record.url not in module._collurls
+        ]
+        assert stranded == [], f"scan at {at} left pages unqueued"
+        return result
+
+    monkeypatch.setattr(RankingModule, "refine", checked)

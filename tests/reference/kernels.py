@@ -449,22 +449,26 @@ def _normalise(vector: np.ndarray) -> np.ndarray:
     return vector / total
 
 
-def compute_importance_reference(module: RankingModule) -> Dict[str, float]:
+def compute_importance_reference(module: RankingModule) -> Tuple[np.ndarray, np.ndarray]:
     """The dense path ``RankingModule._compute_importance`` replaced.
 
     Rebuilds the dict graph and iterates cold; install it with
-    ``monkeypatch.setattr(RankingModule, "_compute_importance", ...)``.
+    ``monkeypatch.setattr(RankingModule, "_compute_importance", ...)``. The
+    scan reads scores by node id, so the live graph is synced (interning
+    every ranked URL) and the dense scores are mapped onto its ids.
     """
-    graph = {
-        record.url: tuple(record.outlinks)
-        for record in module._collection.working_records()
-    }
+    records = module._collection.working_records()
+    module._sync_graph(records)
+    graph = {record.url: tuple(record.outlinks) for record in records}
     if not graph:
-        return {}
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     if module._metric == "hits":
-        _hubs, authorities = hits_reference(graph)
-        return authorities
-    return pagerank_reference(graph, damping=0.85)
+        _hubs, scores = hits_reference(graph)
+    else:
+        scores = pagerank_reference(graph, damping=0.85)
+    ids = module.graph.ids_of(scores)
+    assert (ids >= 0).all(), "a ranked URL is missing from the live graph"
+    return ids, np.array(list(scores.values()))
 
 
 def true_importance_reference(web: SimulatedWeb) -> Dict[str, float]:

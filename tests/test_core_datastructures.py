@@ -1,6 +1,8 @@
 """Tests for AllUrls, CollUrls and the quality metric."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
@@ -33,15 +35,13 @@ class TestAllUrls:
     def test_candidates_excludes_given_urls(self):
         registry = AllUrls()
         registry.add_many(["http://a/", "http://b/", "http://c/"], 0.0)
-        candidates = registry.candidates(exclude=["http://a/"])
-        assert {info.url for info in candidates} == {"http://b/", "http://c/"}
+        assert registry.candidates(exclude={"http://a/"}) == ["http://b/", "http://c/"]
 
     def test_candidates_skip_failed_urls(self):
         registry = AllUrls()
         registry.add_many(["http://a/", "http://dead/"], 0.0)
         registry.record_failure("http://dead/", 5.0)
-        candidates = registry.candidates(exclude=[])
-        assert {info.url for info in candidates} == {"http://a/"}
+        assert registry.candidates(exclude=set()) == ["http://a/"]
 
     def test_record_failure_on_unknown_url_is_noop(self):
         registry = AllUrls()
@@ -95,6 +95,42 @@ class TestCollUrls:
         queue = CollUrls()
         queue.schedule_front("http://only/", now=3.0)
         assert queue.pop()[0] == "http://only/"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from("abcdef"), st.sampled_from([1.0, 2.0, 3.0])),
+            max_size=6,
+        ),
+        stale=st.sampled_from(["none", "rescheduled", "removed"]),
+        now=st.sampled_from([0.5, 2.0, 4.0]),
+        urls=st.lists(st.sampled_from("abcxyz"), max_size=5),
+    )
+    @example(entries=[], stale="none", now=2.0, urls=["x", "y"])
+    @example(entries=[("a", 1.0), ("b", 3.0)], stale="none", now=2.0, urls=["x", "y"])
+    @example(entries=[("a", 3.0), ("b", 3.0)], stale="none", now=2.0, urls=["x", "y"])
+    @example(entries=[("a", 1.0), ("b", 3.0)], stale="rescheduled", now=4.0, urls=["x"])
+    @example(entries=[("a", 1.0), ("b", 3.0)], stale="removed", now=4.0, urls=["x", "y"])
+    def test_schedule_front_many_equals_schedule_front_in_sequence(
+        self, entries, stale, now, urls
+    ):
+        """Empty queue, head before or after ``now``, a stale heap head."""
+        queues = CollUrls(), CollUrls()
+        for queue in queues:
+            for url, time in entries:
+                queue.schedule(url, time)
+            head = queue.peek()
+            if head is not None and stale == "rescheduled":
+                queue.schedule(head[0], 5.0)
+            elif head is not None and stale == "removed":
+                queue.remove(head[0])
+        bulk, sequential = queues
+        bulk.schedule_front_many(urls, now)
+        for url in urls:
+            sequential.schedule_front(url, now)
+        assert bulk.snapshot() == sequential.snapshot()
+        assert bulk.urls() == sequential.urls()
+        assert [bulk.pop() for _ in range(8)] == [sequential.pop() for _ in range(8)]
 
     def test_remove(self):
         queue = CollUrls()

@@ -321,13 +321,6 @@ class TestRankingModule:
         assert result.importance == {}
         assert result.replacements == ()
 
-    def test_importance_of_collection(self, tiny_web):
-        ranking, crawl_module, _, _, _ = self._build(tiny_web)
-        seed = tiny_web.seed_urls()[0]
-        crawl_module.crawl(seed, at=0.5)
-        ranking.refine(at=1.0)
-        assert seed in ranking.importance_of_collection()
-
     def test_unknown_metric_is_refused_by_the_policy(self):
         with pytest.raises(ValueError, match="importance metric"):
             PolicySpec(importance_metric="bogus")

@@ -52,6 +52,7 @@ def _run_incremental(engine: str, policy: str, estimator: str):
     return result, crawler
 
 
+@pytest.mark.usefixtures("collection_stays_queued")
 class TestIncrementalEngineParity:
     @pytest.mark.parametrize("policy", ["uniform", "proportional", "optimal"])
     @pytest.mark.parametrize("estimator", ["ep", "eb"])
@@ -130,6 +131,7 @@ def _run_incremental_polite(engine: str, policy: str, estimator: str, mode: str)
     return result, crawler
 
 
+@pytest.mark.usefixtures("collection_stays_queued")
 class TestPolitenessEngineParity:
     """Politeness on the batched engine, bit-identical.
 

@@ -709,6 +709,7 @@ def _assert_engines_agree(batched, crawler_b, reference, crawler_r):
     assert crawler_b.allurls.snapshot() == crawler_r.allurls.snapshot()
 
 
+@pytest.mark.usefixtures("collection_stays_queued")
 class TestEngineParityUnderFaults:
     def test_batched_matches_reference_under_full_weather(self):
         retry = RetrySpec(max_attempts=3, breaker_threshold=4)

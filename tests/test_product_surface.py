@@ -52,7 +52,9 @@ RETIRED_NAMES = {
     "inlinks", "inlink_count", "links_recorded", "record_link",
     # Helpers only their own tests called.
     "poisson_rate_confidence_interval", "overall_rate_mixture",
-    "population_time_averaged_freshness",
+    "population_time_averaged_freshness", "importance_of_collection",
+    # The refinement scan keeps its scores in arrays and clamps them there.
+    "_clamp_residue",
 }
 
 

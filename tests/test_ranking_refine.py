@@ -1,18 +1,24 @@
 """The refinement scan's decisions and the work it does per scan.
 
-A scan picks its victims and candidates with ``heapq.nsmallest`` /
-``heapq.nlargest`` instead of sorting every one, writes importance onto the
-stored records in place, and restates changed out-links with one bulk edge
-append. The first test holds every decision to a full-sort oracle; the
-second counts, without a stopwatch, that no per-record copy or per-page
-append comes back.
+A scan keeps its scores in node-id arrays, picks its victims and candidates
+with ``np.partition`` plus an exact tie-break instead of sorting every one,
+writes importance onto the stored records in place, restates changed
+out-links with one bulk edge append and queues its admissions in one call.
+The decision tests hold every decision to a full-sort oracle (on a crawled
+web and on random tie-heavy graphs) and the selection to ``heapq``; the
+guard counts, without a stopwatch, that no per-record copy, per-page
+append, per-admission push or per-node URL lookup comes back.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
 from repro.core.allurls import AllUrls
@@ -20,7 +26,7 @@ from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core import ranking_module
-from repro.core.ranking_module import REPLACEMENT_MARGIN, RankingModule
+from repro.core.ranking_module import REPLACEMENT_MARGIN, RankingModule, _select
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.ranking.sparse import LinkGraph
 from repro.simweb.generator import generate_web
@@ -76,7 +82,7 @@ def test_scan_decisions_equal_full_sort_oracle(
         at = 1.0 + scan
         collected = [record.url for record in collection.working_records()]
         tracked = set(collurls.urls()).union(collected)
-        candidates = [info.url for info in allurls.candidates(exclude=tracked)]
+        candidates = allurls.candidates(exclude=tracked)
         result = ranking.refine(at)
         assert (result.replacements, result.admitted) == _full_sort_decision(
             len(tracked), collected, candidates, result.importance, capacity,
@@ -90,25 +96,93 @@ def test_scan_decisions_equal_full_sort_oracle(
     assert decisions > 0 or max_replacements == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 30)),
+        max_size=25,
+        unique_by=lambda pair: pair[1],
+    ),
+    extra=st.integers(0, 2),
+    largest=st.booleans(),
+)
+def test_select_equals_heapq(pairs, extra, largest):
+    """A tiny score pool forces ties; k runs from 0 to n + 2."""
+    urls = [f"http://p{index:02d}/" for _, index in pairs]
+    scores = np.array([score for score, _ in pairs])
+    pick = heapq.nlargest if largest else heapq.nsmallest
+    for k in range(len(pairs) + 1 + extra):
+        assert _select(scores, urls, k, largest) == pick(k, zip(scores.tolist(), urls))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scan_decisions_on_tie_heavy_graphs_equal_full_sort_oracle(data):
+    """Random small graphs: most pages lack in-links and share a score."""
+    draw = data.draw
+    pool = [f"http://n{index:02d}.com/" for index in range(draw(st.integers(2, 20)))]
+    links = st.lists(st.sampled_from(pool), max_size=4)
+    outlinks = draw(st.dictionaries(st.sampled_from(pool), links, min_size=1))
+    queued = draw(st.sets(st.sampled_from(pool)))
+    # Room for up to 8 admissions in the first scan, or no cap at all.
+    room = draw(st.one_of(st.none(), st.integers(0, 8)))
+    capacity = None if room is None else len(queued.union(outlinks)) + room
+    failed = draw(st.sets(st.sampled_from(pool)))
+    max_replacements = draw(st.sampled_from([0, 1, 2, 10]))
+    metric = draw(st.sampled_from(["pagerank", "hits"]))
+
+    collection = InPlaceCollection(capacity=capacity)
+    allurls = AllUrls()
+    allurls.add_many(pool, 0.0)
+    for url in failed:
+        allurls.record_failure(url, 0.5)
+    collurls = CollUrls()
+    for url in sorted(queued):
+        collurls.schedule(url, 2.0)
+    for url, links_of in outlinks.items():
+        collection.store(_record(url, links_of))
+    ranking = RankingModule(
+        allurls, collurls, collection, CrawlModule(None, collection, allurls),
+        PolicySpec(importance_metric=metric),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranking_module, "MAX_REPLACEMENTS_PER_SCAN", max_replacements)
+        for at in (1.0, 2.0):
+            collected = [record.url for record in collection.working_records()]
+            tracked = set(collurls.urls()).union(collected)
+            candidates = allurls.candidates(exclude=tracked)
+            result = ranking.refine(at)
+            assert (result.replacements, result.admitted) == _full_sort_decision(
+                len(tracked), collected, candidates, result.importance, capacity,
+                max_replacements,
+            )
+            for record in collection.working_records():
+                assert record.importance == result.importance.get(record.url, 0.0)
+
+
 def test_scan_copies_no_record_and_appends_edges_once(monkeypatch):
-    """Inside ``refine``: no PageRecord is built, at most one edge append."""
-    counts = {"records": 0, "appends": 0}
+    """Inside ``refine``: no PageRecord is built, at most one edge append,
+    one bulk admission, a scalar front push per replacement only and no
+    id-to-URL lookup per ranked node."""
+    counts = {
+        "records": 0, "appends": 0, "front_many": 0, "front": 0, "url_of": 0,
+    }
     per_scan = []
     scanning = []
 
     post_init = PageRecord.__post_init__
     append = LinkGraph._append_outlinks
+    url_of = LinkGraph.url_of
+    schedule_front = CollUrls.schedule_front
+    schedule_front_many = CollUrls.schedule_front_many
     refine = RankingModule.refine
 
-    def counting_post_init(record):
-        if scanning:
-            counts["records"] += 1
-        post_init(record)
-
-    def counting_append(graph, *args):
-        if scanning:
-            counts["appends"] += 1
-        append(graph, *args)
+    def counting(key, method):
+        def counted(*args, **kwargs):
+            if scanning:
+                counts[key] += 1
+            return method(*args, **kwargs)
+        return counted
 
     def counting_refine(module, at):
         before = dict(counts)
@@ -119,8 +193,13 @@ def test_scan_copies_no_record_and_appends_edges_once(monkeypatch):
             scanning.pop()
             per_scan.append({key: counts[key] - before[key] for key in counts})
 
-    monkeypatch.setattr(PageRecord, "__post_init__", counting_post_init)
-    monkeypatch.setattr(LinkGraph, "_append_outlinks", counting_append)
+    monkeypatch.setattr(PageRecord, "__post_init__", counting("records", post_init))
+    monkeypatch.setattr(LinkGraph, "_append_outlinks", counting("appends", append))
+    monkeypatch.setattr(LinkGraph, "url_of", counting("url_of", url_of))
+    monkeypatch.setattr(CollUrls, "schedule_front", counting("front", schedule_front))
+    monkeypatch.setattr(
+        CollUrls, "schedule_front_many", counting("front_many", schedule_front_many)
+    )
     monkeypatch.setattr(RankingModule, "refine", counting_refine)
     web = generate_web(
         WebSpec(
@@ -147,6 +226,10 @@ def test_scan_copies_no_record_and_appends_edges_once(monkeypatch):
     assert len(per_scan) > 3 and result.pages_replaced > 0
     assert [scan["records"] for scan in per_scan] == [0] * len(per_scan)
     assert max(scan["appends"] for scan in per_scan) == 1
+    assert max(scan["front_many"] for scan in per_scan) == 1
+    assert max(scan["front"] for scan in per_scan) <= ranking_module.MAX_REPLACEMENTS_PER_SCAN
+    assert sum(scan["front"] for scan in per_scan) == result.pages_replaced
+    assert [scan["url_of"] for scan in per_scan] == [0] * len(per_scan)
 
 
 def _record(url, outlinks):

@@ -396,13 +396,17 @@ class TestRefinementDecisionParity:
         with them the final collection — must be exactly the same.
         """
         sparse_result, sparse_decisions, sparse_collected = _run_crawl(metric)
-        monkeypatch.setattr(
-            RankingModule,
-            "_compute_importance",
-            compute_importance_reference,
-        )
+        reference_scans = []
+
+        def reference(module):
+            reference_scans.append(module)
+            return compute_importance_reference(module)
+
+        monkeypatch.setattr(RankingModule, "_compute_importance", reference)
         ref_result, ref_decisions, ref_collected = _run_crawl(metric)
 
+        # Every scan ranked through the oracle, or the comparison is vacuous.
+        assert len(reference_scans) == len(ref_decisions)
         assert len(sparse_decisions) == len(ref_decisions) > 0
         assert sparse_decisions == ref_decisions
         assert sparse_result.pages_replaced == ref_result.pages_replaced
