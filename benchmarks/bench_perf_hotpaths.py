@@ -66,6 +66,7 @@ sys.path.insert(0, str(REPO_ROOT / "tests"))
 import numpy as np  # noqa: E402
 
 from repro.api.runner import ScenarioMatrix, run_matrix  # noqa: E402
+from repro.api.scenarios import paper_table2_policies  # noqa: E402
 from repro.api.specs import (  # noqa: E402
     CrawlerSpec,
     ExperimentSpec,
@@ -86,7 +87,6 @@ from repro.simulation.crawler_sim import (  # noqa: E402
     simulate_revisit_allocation,
 )
 from repro.ranking.sparse import LinkGraph, pagerank_scores  # noqa: E402
-from repro.simulation.scenarios import paper_table2_policies  # noqa: E402
 from repro.simweb.change_models import PoissonChangeProcess  # noqa: E402
 from repro.simweb.page import SimulatedPage  # noqa: E402
 from repro.simweb.site import SimulatedSite  # noqa: E402

@@ -529,8 +529,12 @@ class ScenarioMatrix:
     Axes are ``dotted.path -> values`` overrides applied to copies of
     ``base``: the first path segment names a spec field (``params``,
     ``crawler``, ``web``, ``policy``, ``seed``, ...), the optional second
-    segment a field inside that nested spec or params mapping. The matrix
-    expands to the full cross product, one cell per combination.
+    segment a field inside that nested spec or params mapping. A mapping
+    value on a field that holds a nested spec (``crawler.faults``,
+    ``crawler.retry``) is built with that spec's ``from_dict``; ``None``
+    clears the field. Every value is applied to ``base`` on construction,
+    so a bad one is refused before any cell runs. The matrix expands to
+    the full cross product, one cell per combination.
 
     Example::
 
@@ -552,7 +556,8 @@ class ScenarioMatrix:
                 raise ValueError(f"axis {path!r} must map to a sequence of values")
             if len(values) == 0:
                 raise ValueError(f"axis {path!r} has no values")
-            self._apply(self.base, path, values[0])  # validate the path
+            for value in values:  # validate the path and every value
+                self._apply(self.base, path, value)
 
     def cells(self) -> List[Tuple[Dict[str, Any], ExperimentSpec]]:
         """Expand the cross product into ``(axis assignment, spec)`` cells."""
@@ -584,6 +589,9 @@ class ScenarioMatrix:
                                  f"spec has no {head} spec")
             if not rest:
                 raise ValueError(f"axis {head!r} needs a field, e.g. '{head}.seed'")
+            nested_cls = type(nested)._nested_spec_fields().get(rest)
+            if nested_cls is not None and isinstance(value, Mapping):
+                value = nested_cls.from_dict(value)
             return spec.replace(**{head: nested.replace(**{rest: value})})
         if rest:
             raise ValueError(f"unknown axis path {path!r}")

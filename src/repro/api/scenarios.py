@@ -12,44 +12,148 @@ that :func:`repro.api.runner.run` wraps into an
 :class:`~repro.api.runner.ExperimentResult`. All Monte-Carlo work routes
 through the vectorized kernels of :mod:`repro.simulation.crawler_sim` and
 :mod:`repro.freshness.optimal_allocation`.
+
+The module also holds the paper's Section 4 parameters, so the scenarios,
+tests and examples all agree on them. Table 2 assumes that "all pages
+change with an average 4 month interval", that "the steady crawler
+revisits pages steadily over a month", and that "the batch-mode crawler
+recrawls pages only in the first week of every month". The sensitivity
+example uses pages that change every month and a batch crawler that works
+for the first two weeks of each month.
+
+Crawl experiments are specs, not scenarios: a sweep over crawl settings is
+a :class:`~repro.api.runner.ScenarioMatrix` (``examples/specs/
+polite_crawl.json`` and ``chaos_sweep.json``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.api.registry import ESTIMATORS, REVISIT_POLICIES, register_scenario
-from repro.api.specs import (
-    CrawlerSpec,
-    FaultModelSpec,
-    FaultsSpec,
-    PolicySpec,
-    RetrySpec,
-    WebSpec,
-)
-from repro.core.incremental_crawler import IncrementalCrawler
-from repro.freshness.analytic import freshness_trajectory, time_averaged_freshness
+from repro.api.registry import REVISIT_POLICIES, register_scenario
 from repro.freshness.analytic import (
+    CrawlMode,
+    CrawlPolicy,
+    UpdateMode,
     batch_inplace_freshness_at,
     batch_shadow_freshness_at,
+    freshness_trajectory,
     steady_inplace_freshness_at,
     steady_shadow_freshness_at,
+    time_averaged_freshness,
 )
 from repro.freshness.optimal_allocation import total_freshness
 from repro.simulation.crawler_sim import simulate_crawl_policy, simulate_revisit_allocation
-from repro.simulation.scenarios import (
-    PAPER_SENSITIVITY_FRESHNESS,
-    PAPER_TABLE2_FRESHNESS,
-    figure7_change_rate,
-    figure7_policies,
-    figure8_policies,
-    paper_table2_policies,
-    sensitivity_example_policies,
-    sensitivity_scenario_rate,
-    table2_scenario_rate,
-)
 from repro.simweb.domains import sample_calibrated_rates
-from repro.simweb.generator import generate_web
+
+
+# --------------------------------------------------------------------- #
+# Section 4 parameters
+# --------------------------------------------------------------------- #
+#: Days per month used by the Section 4 scenarios.
+DAYS_PER_MONTH = 30.0
+
+#: The paper's Table 2 values, for paper-vs-measured comparisons.
+PAPER_TABLE2_FRESHNESS: Dict[str, float] = {
+    "steady / in-place": 0.88,
+    "batch / in-place": 0.88,
+    "steady / shadowing": 0.77,
+    "batch / shadowing": 0.86,
+}
+
+#: The paper's sensitivity-example values (Section 4, design choice 2).
+PAPER_SENSITIVITY_FRESHNESS: Dict[str, float] = {
+    "batch / in-place": 0.63,
+    "batch / shadowing": 0.50,
+}
+
+
+def table2_scenario_rate() -> float:
+    """Page change rate of the Table 2 scenario (4-month mean interval)."""
+    return 1.0 / (4.0 * DAYS_PER_MONTH)
+
+
+def sensitivity_scenario_rate() -> float:
+    """Page change rate of the sensitivity example (1-month mean interval)."""
+    return 1.0 / DAYS_PER_MONTH
+
+
+def paper_table2_policies() -> Dict[str, CrawlPolicy]:
+    """The four Table 2 policy combinations with the paper's parameters."""
+    cycle = DAYS_PER_MONTH
+    batch_duration = 7.0
+    return {
+        "steady / in-place": CrawlPolicy(
+            CrawlMode.STEADY, UpdateMode.IN_PLACE, cycle_days=cycle
+        ),
+        "batch / in-place": CrawlPolicy(
+            CrawlMode.BATCH, UpdateMode.IN_PLACE, cycle_days=cycle,
+            batch_duration_days=batch_duration,
+        ),
+        "steady / shadowing": CrawlPolicy(
+            CrawlMode.STEADY, UpdateMode.SHADOW, cycle_days=cycle
+        ),
+        "batch / shadowing": CrawlPolicy(
+            CrawlMode.BATCH, UpdateMode.SHADOW, cycle_days=cycle,
+            batch_duration_days=batch_duration,
+        ),
+    }
+
+
+def sensitivity_example_policies() -> Dict[str, CrawlPolicy]:
+    """The two policies of the Section 4 sensitivity example.
+
+    Pages change every month; the batch crawler operates for the first two
+    weeks of each monthly cycle.
+    """
+    cycle = DAYS_PER_MONTH
+    batch_duration = 14.0
+    return {
+        "batch / in-place": CrawlPolicy(
+            CrawlMode.BATCH, UpdateMode.IN_PLACE, cycle_days=cycle,
+            batch_duration_days=batch_duration,
+        ),
+        "batch / shadowing": CrawlPolicy(
+            CrawlMode.BATCH, UpdateMode.SHADOW, cycle_days=cycle,
+            batch_duration_days=batch_duration,
+        ),
+    }
+
+
+def figure7_policies() -> Dict[str, CrawlPolicy]:
+    """Policies for the Figure 7 trajectories (batch vs. steady, in place).
+
+    The paper notes it uses "a high page change rate to obtain curves that
+    more clearly show the trends"; the scenario uses a rate of one change
+    per week with a monthly cycle and a one-week batch window.
+    """
+    return {
+        "batch-mode": CrawlPolicy(
+            CrawlMode.BATCH, UpdateMode.IN_PLACE, cycle_days=DAYS_PER_MONTH,
+            batch_duration_days=7.0,
+        ),
+        "steady": CrawlPolicy(
+            CrawlMode.STEADY, UpdateMode.IN_PLACE, cycle_days=DAYS_PER_MONTH
+        ),
+    }
+
+
+def figure8_policies() -> Dict[str, CrawlPolicy]:
+    """Policies for the Figure 8 trajectories (shadowing variants)."""
+    return {
+        "steady with shadowing": CrawlPolicy(
+            CrawlMode.STEADY, UpdateMode.SHADOW, cycle_days=DAYS_PER_MONTH
+        ),
+        "batch-mode with shadowing": CrawlPolicy(
+            CrawlMode.BATCH, UpdateMode.SHADOW, cycle_days=DAYS_PER_MONTH,
+            batch_duration_days=7.0,
+        ),
+    }
+
+
+def figure7_change_rate() -> float:
+    """The illustrative (high) change rate used for Figures 7 and 8."""
+    return 1.0 / 7.0
 
 
 # --------------------------------------------------------------------- #
@@ -196,227 +300,6 @@ def figure8(variant: str = "steady", rate: Optional[float] = None,
             "max_inplace_advantage": max(gap),
         },
         "tables": {},
-    }
-
-
-# --------------------------------------------------------------------- #
-# Section 5: polite incremental crawling
-# --------------------------------------------------------------------- #
-@register_scenario("polite-crawl")
-def polite_crawl(
-    site_scale: float = 0.05,
-    pages_per_site: int = 12,
-    duration_days: float = 10.0,
-    collection_capacity: int = 60,
-    crawl_budget_per_day: float = 300.0,
-    min_delay_seconds: float = 10.0,
-    night_window: bool = True,
-    revisit_policy: str = "optimal",
-    estimator: str = "ep",
-    seed: int = 31,
-) -> Dict[str, Any]:
-    """Incremental crawl under the paper's politeness constraints.
-
-    Runs the Section 5 incremental crawler twice on the same synthetic
-    multi-site web — once unconstrained, once with the per-site minimum
-    delay and (optionally) the nightly crawl window — so the freshness
-    cost of politeness is directly visible. Politeness is resolved inside
-    the crawl loop's one replay.
-
-    Args:
-        site_scale: Site-count scale of the generated web.
-        pages_per_site: Mean pages per generated site.
-        duration_days: Virtual days to crawl.
-        collection_capacity: Target collection size.
-        crawl_budget_per_day: Pages fetched per virtual day.
-        min_delay_seconds: Minimum (virtual) seconds between two requests
-            to one site; the paper used 10.
-        night_window: Also restrict fetching to the nightly crawl window.
-        revisit_policy: Registered revisit-policy name.
-        estimator: Registered change-rate estimator name.
-        seed: Web-generation seed.
-    """
-    policy = PolicySpec(revisit_policy=revisit_policy, estimator=estimator)
-    web_spec = WebSpec(
-        site_scale=site_scale,
-        pages_per_site=pages_per_site,
-        horizon_days=duration_days + 30.0,
-        seed=seed,
-    )
-
-    def _run(polite: bool):
-        crawler = IncrementalCrawler(
-            generate_web(web_spec),
-            CrawlerSpec(
-                collection_capacity=collection_capacity,
-                crawl_budget_per_day=crawl_budget_per_day,
-                duration_days=duration_days,
-                measurement_interval_days=0.5,
-                track_quality=False,
-                use_politeness=polite,
-                politeness_min_delay_seconds=min_delay_seconds,
-                politeness_night_window=night_window,
-            ),
-            policy,
-        )
-        return crawler.run()
-
-    impolite = _run(False)
-    polite = _run(True)
-    series: Dict[str, List[float]] = {}
-    for name, outcome in (("impolite", impolite), ("polite", polite)):
-        times, freshness = outcome.freshness.as_series()
-        series[f"{name}/times"] = [float(t) for t in times]
-        series[f"{name}/freshness"] = [float(f) for f in freshness]
-    return {
-        "series": series,
-        "summary": {
-            "min_delay_seconds": min_delay_seconds,
-            "night_window": night_window,
-            "duration_days": duration_days,
-            "pages_crawled_impolite": impolite.pages_crawled,
-            "pages_crawled_polite": polite.pages_crawled,
-        },
-        "tables": {
-            "mean_freshness": {
-                "impolite": impolite.mean_freshness(),
-                "polite": polite.mean_freshness(),
-            },
-            "changes_detected": {
-                "impolite": impolite.changes_detected,
-                "polite": polite.changes_detected,
-            },
-        },
-    }
-
-
-# --------------------------------------------------------------------- #
-# Fault regimes: which policies/estimators degrade under failures
-# --------------------------------------------------------------------- #
-#: Default fault regimes of the ``chaos-crawl`` scenario, each a stack of
-#: ``(kind, params)`` fault models (see :data:`repro.api.registry.FAULT_MODELS`).
-DEFAULT_CHAOS_REGIMES: Dict[str, List] = {
-    "transient": [("transient", {"rate": 0.1})],
-    "outages": [
-        ("site_outage", {"rate": 0.3, "period_days": 5.0, "duration_days": 1.0})
-    ],
-    "rate_limited": [("rate_limit", {"rate": 0.1, "retry_after_days": 0.5})],
-    "soft_404": [("soft_404", {"rate": 0.08, "flap_period_days": 3.0})],
-}
-
-
-@register_scenario("chaos-crawl")
-def chaos_crawl(
-    site_scale: float = 0.03,
-    pages_per_site: int = 10,
-    duration_days: float = 15.0,
-    collection_capacity: int = 80,
-    crawl_budget_per_day: float = 300.0,
-    policies: Sequence[str] = ("uniform", "optimal"),
-    estimators: Sequence[str] = ("ep", "eb"),
-    regimes: Optional[Dict[str, Sequence]] = None,
-    fault_seed: int = 3,
-    max_attempts: int = 3,
-    seed: int = 31,
-) -> Dict[str, Any]:
-    """Incremental crawls under seeded fault regimes, per policy/estimator.
-
-    Runs every ``revisit policy x estimator`` combination once without
-    faults and once per fault regime on the same synthetic web, with the
-    failure-aware engine (retry, backoff, circuit breaker) armed for the
-    faulty runs. The result tables show which combinations degrade under
-    which failure mode — e.g. soft-404 flapping hurts change-frequency
-    estimators more than correlated site outages do.
-
-    Args:
-        site_scale: Site-count scale of the generated web.
-        pages_per_site: Mean pages per generated site.
-        duration_days: Virtual days to crawl.
-        collection_capacity: Target collection size.
-        crawl_budget_per_day: Pages fetched per virtual day.
-        policies: Registered revisit-policy names to cross.
-        estimators: Registered change-rate estimator names to cross.
-        regimes: ``name -> list of (kind, params)`` fault-model stacks;
-            defaults to :data:`DEFAULT_CHAOS_REGIMES`.
-        fault_seed: Seed of the fault layer and retry jitter.
-        max_attempts: Retry attempts per URL in the faulty runs.
-        seed: Web-generation seed.
-    """
-    for name in policies:
-        REVISIT_POLICIES.validate(name)
-    for name in estimators:
-        ESTIMATORS.validate(name)
-    if regimes is None:
-        regimes = DEFAULT_CHAOS_REGIMES
-    regime_faults = {
-        str(name): FaultsSpec(
-            models=tuple(
-                FaultModelSpec(kind=str(kind), params=dict(params))
-                for kind, params in models
-            ),
-            seed=fault_seed,
-        )
-        for name, models in regimes.items()
-    }
-    web_spec = WebSpec(
-        site_scale=site_scale,
-        pages_per_site=pages_per_site,
-        horizon_days=duration_days + 30.0,
-        seed=seed,
-    )
-
-    def _run(policy: str, estimator: str, faults: Optional[FaultsSpec]):
-        crawler = IncrementalCrawler(
-            generate_web(web_spec),
-            CrawlerSpec(
-                collection_capacity=collection_capacity,
-                crawl_budget_per_day=crawl_budget_per_day,
-                duration_days=duration_days,
-                measurement_interval_days=0.5,
-                track_quality=False,
-                faults=faults,
-                retry=RetrySpec(max_attempts=max_attempts) if faults else None,
-            ),
-            PolicySpec(revisit_policy=policy, estimator=estimator),
-        )
-        outcome = crawler.run()
-        return outcome, crawler.failure_counters()
-
-    mean_freshness: Dict[str, Dict[str, float]] = {}
-    degradation: Dict[str, Dict[str, float]] = {}
-    failures: Dict[str, Dict[str, int]] = {}
-    for policy in policies:
-        for estimator in estimators:
-            combo = f"{policy}/{estimator}"
-            baseline, _ = _run(policy, estimator, None)
-            base = baseline.mean_freshness()
-            mean_freshness[combo] = {"none": base}
-            degradation[combo] = {}
-            for regime, faults in regime_faults.items():
-                outcome, counters = _run(policy, estimator, faults)
-                value = outcome.mean_freshness()
-                mean_freshness[combo][regime] = value
-                degradation[combo][regime] = base - value
-                failures[f"{combo}/{regime}"] = counters
-    worst: Dict[str, Dict[str, Any]] = {}
-    for regime in regime_faults:
-        combo = max(degradation, key=lambda c: degradation[c][regime])
-        worst[regime] = {
-            "combo": combo,
-            "freshness_loss": degradation[combo][regime],
-        }
-    return {
-        "summary": {
-            "duration_days": duration_days,
-            "regimes": sorted(regime_faults),
-            "combos": sorted(mean_freshness),
-            "worst_degradation": worst,
-        },
-        "tables": {
-            "mean_freshness": mean_freshness,
-            "degradation": degradation,
-            "failures": failures,
-        },
     }
 
 

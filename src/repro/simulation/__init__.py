@@ -20,11 +20,6 @@ from repro.simulation.crawler_sim import (
     simulate_crawl_policy,
     simulate_revisit_allocation,
 )
-from repro.simulation.scenarios import (
-    paper_table2_policies,
-    sensitivity_example_policies,
-    table2_scenario_rate,
-)
 
 __all__ = [
     "FreshnessTracker",
@@ -32,7 +27,4 @@ __all__ = [
     "PolicySimulationResult",
     "simulate_crawl_policy",
     "simulate_revisit_allocation",
-    "paper_table2_policies",
-    "sensitivity_example_policies",
-    "table2_scenario_rate",
 ]

@@ -315,6 +315,8 @@ class TestSpecRoundTrip:
     @pytest.mark.parametrize("file_name, expected", [
         ("chaos_crawl.json",
          "6c57813252efec11e032083d412f5260eb6ade243d28fbd0c08f5056e4fbec80"),
+        ("chaos_sweep.json",
+         "08316d6d4df6b4028dd29e9d50d3c073f22b9a87fa45591008f165d5950b6d21"),
         ("incremental_crawl.json",
          "2733ec3e1265cab9f769a692745528fd27067bb12f3919041bb97333c4188764"),
         ("matrix_sweep.json",
@@ -322,7 +324,7 @@ class TestSpecRoundTrip:
         ("periodic_crawl.json",
          "420095d87d26ee946dd3ababdf1622a43adb3bbfbb2c22b036c8221d19d2eaa6"),
         ("polite_crawl.json",
-         "fb4ed5067398bdfc2ec1665041b2a8d5343f793507760fa4d2313390921e6560"),
+         "329b3d2b141561e091d9c88a7e1ac687034d9189c3c1c57235a82979d7b007d0"),
         ("sharded_crawl.json",
          "67fcf43933036191e96bd80825a1faffe43795888d381dbc0472ce17fd4d683b"),
         ("table2_scenario.json",
@@ -539,6 +541,86 @@ class TestScenarioMatrix:
         assert len(result.cells) == 2
         for (_, spec), cell in zip(matrix.cells(), result.cells):
             assert _without_wall_time(cell) == _without_wall_time(run(spec))
+
+
+    def test_every_axis_value_is_validated_on_construction(self):
+        with pytest.raises(ValueError, match="collection_capacity"):
+            ScenarioMatrix(
+                base=TINY_CRAWL, axes={"crawler.collection_capacity": [30, -5]}
+            )
+
+    def test_nested_spec_axis_values_are_built_from_dicts(self):
+        transient = {"seed": 3, "models": [
+            {"kind": "transient", "params": {"rate": 0.1}}
+        ]}
+        base = TINY_CRAWL.replace(crawler=TINY_CRAWL.crawler.replace(
+            faults=FaultsSpec.from_dict(transient)
+        ))
+        matrix = ScenarioMatrix(base=base, axes={
+            "crawler.faults": [None, transient],
+            "crawler.retry": [{"max_attempts": 2}],
+        })
+        (_, cleared), (_, faulty) = matrix.cells()
+        assert cleared.crawler.faults is None
+        assert faulty.crawler.faults == FaultsSpec(
+            models=(FaultModelSpec("transient", {"rate": 0.1}),), seed=3
+        )
+        assert cleared.crawler.retry == faulty.crawler.retry == RetrySpec(max_attempts=2)
+
+    @pytest.mark.parametrize("bad", [
+        {"models": [{"kind": "bogus"}]},
+        {"models": [{"kind": "transient", "params": {"rate": 2.0}}]},
+        {"models": [{"kind": "transient", "params": {"speed": 1}}]},
+        {"models": []},
+        {"seed": 3, "weather": "rain", "models": [{"kind": "transient"}]},
+    ])
+    def test_malformed_fault_dict_is_refused_on_construction(self, bad):
+        with pytest.raises(ValueError):
+            ScenarioMatrix(base=TINY_CRAWL, axes={"crawler.faults": [None, bad]})
+
+
+def _example_matrix(file_name, duration_days):
+    """An example matrix file as the CLI loads it, its crawl shortened."""
+    document = json.loads((EXAMPLE_SPECS / file_name).read_text(encoding="utf-8"))
+    base = ExperimentSpec.from_dict(document["base"]).replace(name=document["name"])
+    base = base.replace(crawler=base.crawler.replace(duration_days=duration_days))
+    return ScenarioMatrix(base=base, axes=document["axes"])
+
+
+class TestExampleSweeps:
+    """The polite and chaos sweeps, at a reduced size."""
+
+    @pytest.mark.parametrize("file_name, duration_days, n_cells", [
+        ("polite_crawl.json", 3.0, 2),
+        ("chaos_sweep.json", 3.0, 20),
+    ])
+    def test_cells_are_equal_at_one_and_two_workers(
+        self, file_name, duration_days, n_cells
+    ):
+        matrix = _example_matrix(file_name, duration_days)
+        serial = run_matrix(matrix)
+        parallel = run_matrix(matrix, workers=2)
+        assert len(serial.cells) == n_cells
+        assert [_without_wall_time(cell) for cell in serial.cells] == [
+            _without_wall_time(cell) for cell in parallel.cells
+        ]
+
+    def test_politeness_costs_fetches_and_freshness(self):
+        impolite, polite = run_matrix(_example_matrix("polite_crawl.json", 3.0)).cells
+        assert "use_politeness=False" in impolite.name
+        assert "use_politeness=True" in polite.name
+        assert polite.summary["pages_crawled"] <= impolite.summary["pages_crawled"]
+        assert polite.summary["mean_freshness"] <= impolite.summary["mean_freshness"]
+
+    def test_chaos_sweep_counts_failures_only_under_faults(self):
+        cells = run_matrix(_example_matrix("chaos_sweep.json", 3.0)).cells
+        for index, cell in enumerate(cells):
+            failures = cell.summary["failures"]
+            if index % 5 == 0:  # the clear-weather cell of each combo
+                assert "crawler.faults=None" in cell.name
+                assert sum(failures.values()) == 0
+            else:
+                assert sum(failures.values()) > 0
 
 
 def _without_wall_time(result):

@@ -176,6 +176,21 @@ class TestCommands:
         assert main(["run-matrix", str(path)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_run_matrix_bad_second_value_is_an_invalid_matrix(self, tmp_path, capsys):
+        path = tmp_path / "bad_value.json"
+        path.write_text(json.dumps({
+            "base": {
+                "name": "cell", "kind": "crawl",
+                "web": {"site_scale": 0.03, "pages_per_site": 10,
+                        "horizon_days": 30.0, "seed": 3},
+                "crawler": {"kind": "incremental", "collection_capacity": 25,
+                            "crawl_budget_per_day": 80.0, "duration_days": 3.0},
+            },
+            "axes": {"crawler.collection_capacity": [30, -5]},
+        }))
+        assert main(["run-matrix", str(path)]) == 2
+        assert "invalid scenario matrix" in capsys.readouterr().err
+
     def test_every_subcommand_smokes(self, capsys, tmp_path):
         """Each subcommand exits 0 and prints something on a tiny input."""
         matrix_path = tmp_path / "matrix.json"

@@ -4,6 +4,14 @@ import math
 
 import pytest
 
+from repro.api.scenarios import (
+    PAPER_SENSITIVITY_FRESHNESS,
+    PAPER_TABLE2_FRESHNESS,
+    paper_table2_policies,
+    sensitivity_example_policies,
+    sensitivity_scenario_rate,
+    table2_scenario_rate,
+)
 from repro.freshness.analytic import (
     CrawlMode,
     CrawlPolicy,
@@ -18,14 +26,6 @@ from repro.freshness.analytic import (
     steady_inplace_freshness_at,
     steady_shadow_freshness_at,
     time_averaged_freshness,
-)
-from repro.simulation.scenarios import (
-    PAPER_SENSITIVITY_FRESHNESS,
-    PAPER_TABLE2_FRESHNESS,
-    paper_table2_policies,
-    sensitivity_example_policies,
-    sensitivity_scenario_rate,
-    table2_scenario_rate,
 )
 
 

@@ -21,6 +21,12 @@ import pytest
 from repro.analysis.statistics import fit_exponential
 from repro.api import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec, run
 from repro.api.runner import build_web
+from repro.api.scenarios import (
+    PAPER_TABLE2_FRESHNESS,
+    figure8_policies,
+    paper_table2_policies,
+    table2_scenario_rate,
+)
 from repro.estimation.bayesian_estimator import BayesianClassEstimator
 from repro.estimation.change_history import ChangeHistory
 from repro.estimation.poisson_estimator import (
@@ -37,12 +43,6 @@ from repro.freshness.optimal_allocation import (
     uniform_revisit_frequencies,
 )
 from repro.simulation.crawler_sim import simulate_crawl_policy
-from repro.simulation.scenarios import (
-    PAPER_TABLE2_FRESHNESS,
-    figure8_policies,
-    paper_table2_policies,
-    table2_scenario_rate,
-)
 from repro.simweb.domains import sample_calibrated_rates
 
 

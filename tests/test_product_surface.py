@@ -55,6 +55,8 @@ RETIRED_NAMES = {
     "population_time_averaged_freshness", "importance_of_collection",
     # The refinement scan keeps its scores in arrays and clamps them there.
     "_clamp_residue",
+    # Crawl sweeps are ScenarioMatrix files, not hand-wired scenarios.
+    "polite_crawl", "chaos_crawl", "DEFAULT_CHAOS_REGIMES",
 }
 
 

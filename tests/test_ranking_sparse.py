@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse as scipy_sparse
 
 from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
 from repro.core.incremental_crawler import IncrementalCrawler
@@ -180,6 +181,37 @@ class TestLinkGraphProperties:
         for url in dense_hubs:
             assert sparse_hubs[url] == pytest.approx(dense_hubs[url], abs=1e-7)
             assert sparse_auth[url] == pytest.approx(dense_auth[url], abs=1e-7)
+
+    @given(ops=delta_sequence_strategy())
+    @settings(max_examples=120, deadline=None)
+    def test_direct_transpose_equals_transposing_the_adjacency(self, ops):
+        """The CSR view builds its transpose straight from the COO arrays;
+        it must be the canonical ``matrix.T.tocsr()`` of the adjacency,
+        duplicate edges summed, array for array."""
+        graph = LinkGraph()
+        final = {}
+        for op, url, targets in ops:
+            if op == "set":
+                graph.set_outlinks(url, targets)
+                final[url] = list(targets)
+            else:
+                graph.remove_page(url)
+                final.pop(url, None)
+        view = graph.csr()
+        index = {url: i for i, url in enumerate(graph.active_urls())}
+        edges = [(index[src], index[dst]) for src, targets in final.items()
+                 for dst in targets]
+        rows = np.array([row for row, _ in edges], dtype=np.int64)
+        cols = np.array([col for _, col in edges], dtype=np.int64)
+        adjacency = scipy_sparse.csr_matrix(
+            (np.ones(len(edges)), (rows, cols)), shape=(view.n, view.n)
+        )
+        for ours, expected in ((view.matrix_t, adjacency.T.tocsr()),
+                               (view.matrix, adjacency)):
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(ours, name), getattr(expected, name)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
     @given(graph=adjacency_strategy())
     @settings(max_examples=60, deadline=None)

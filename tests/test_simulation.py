@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.freshness.analytic import CrawlMode, CrawlPolicy, UpdateMode, time_averaged_freshness
-from repro.simulation.crawler_sim import (
-    simulate_crawl_policy,
-    simulate_revisit_allocation,
-)
-from repro.simulation.freshness_tracker import FreshnessTimeSeries
-from repro.simulation.scenarios import (
+from repro.api.scenarios import (
     figure7_change_rate,
     figure7_policies,
     figure8_policies,
     paper_table2_policies,
     table2_scenario_rate,
 )
+from repro.freshness.analytic import CrawlMode, CrawlPolicy, UpdateMode, time_averaged_freshness
+from repro.simulation.crawler_sim import (
+    simulate_crawl_policy,
+    simulate_revisit_allocation,
+)
+from repro.simulation.freshness_tracker import FreshnessTimeSeries
 
 
 class TestFreshnessTimeSeries:

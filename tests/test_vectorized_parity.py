@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.scenarios import paper_table2_policies
 from repro.freshness.analytic import CrawlMode, CrawlPolicy, UpdateMode
 from repro.freshness.metrics import collection_age, collection_freshness
 from repro.freshness.optimal_allocation import (
@@ -25,7 +26,6 @@ from repro.simulation.crawler_sim import (
     simulate_crawl_policy,
     simulate_revisit_allocation,
 )
-from repro.simulation.scenarios import paper_table2_policies
 from repro.storage.records import PageRecord
 
 from reference.kernels import (
