@@ -1,0 +1,148 @@
+#!/usr/bin/env python
+"""Which ``src/repro`` functions does no product entry point call?
+
+Runs every product entry point in its own subprocess under
+``sys.setprofile`` and records each ``src/repro`` function that starts
+executing: the ``examples/*.py`` scripts, every ``examples/specs/*.json``
+through ``run-spec`` (``run-matrix`` for a file with ``axes``), and every
+end-to-end benchmark workload at ``--smoke``. It then prints each function
+defined under ``src/repro`` that none of them called, with its line count,
+grouped by module, and the total.
+
+Worker processes (forked pool workers and spawned shard workers) are not
+profiled: a function only they run is listed as uncalled. Tests are not
+entry points, so a function only tests call is listed too. Stdlib only;
+takes a few minutes:
+
+    python scripts/product_reach.py
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+import threading
+from collections import defaultdict
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+E2E_RUN = REPO / "benchmarks" / "e2e" / "run.py"
+WORKLOADS = ("plain", "polite", "chaos", "durable", "resume", "sharded")
+
+
+def entry_points() -> List[Tuple[str, List[str]]]:
+    """``(label, argv)`` per entry point; argv[0] is a script or ``-m``."""
+    points = [
+        (f"examples/{path.name}", [str(path)])
+        for path in sorted((REPO / "examples").glob("*.py"))
+    ]
+    for path in sorted((REPO / "examples" / "specs").glob("*.json")):
+        command = "run-matrix" if "axes" in json.loads(path.read_text()) else "run-spec"
+        points.append((f"{command} {path.name}", ["-m", "repro", command, str(path)]))
+    for workload in WORKLOADS:
+        points.append((
+            f"e2e {workload} --smoke",
+            [str(E2E_RUN), "--workload", workload, "--smoke"],
+        ))
+    return points
+
+
+def _child(out_path: str, argv: List[str]) -> None:
+    """Run one entry point in this process and dump what it called."""
+    src_prefix = str(SRC) + os.sep
+    called: Set[Tuple[str, int]] = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(src_prefix):
+                called.add((code.co_filename, code.co_firstlineno))
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        if argv[0] == "-m":
+            sys.argv = [argv[1], *argv[2:]]
+            runpy.run_module(argv[1], run_name="__main__", alter_sys=True)
+        else:
+            sys.argv = list(argv)
+            sys.path.insert(0, str(Path(argv[0]).parent))
+            runpy.run_path(argv[0], run_name="__main__")
+    except SystemExit:
+        pass
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+        Path(out_path).write_text(json.dumps(sorted(called)))
+
+
+def defined_functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
+    """``(file, first line) -> (qualified name, line count)`` for every
+    function under ``src/repro``; the first line is the first decorator's,
+    as in ``co_firstlineno``."""
+    found: Dict[Tuple[str, int], Tuple[str, int]] = {}
+
+    def visit(node: ast.AST, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                name = prefix + child.name
+                found[(path, first)] = (name, child.end_lineno - first + 1)
+                visit(child, path, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, prefix + child.name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), "")
+    return found
+
+
+def main() -> int:
+    if len(sys.argv) > 2 and sys.argv[1] == "--child":
+        _child(sys.argv[2], sys.argv[3:])
+        return 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
+    )
+    called: Set[Tuple[str, int]] = set()
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, (label, argv) in enumerate(entry_points()):
+            out = os.path.join(scratch, f"{index}.json")
+            print(f"running {label}", file=sys.stderr, flush=True)
+            subprocess.run(
+                [sys.executable, __file__, "--child", out, *argv],
+                cwd=REPO, env=env, stdout=subprocess.DEVNULL, check=False,
+            )
+            if not os.path.exists(out):
+                print(f"  {label} left no profile", file=sys.stderr)
+                continue
+            called.update((path, line) for path, line in json.loads(Path(out).read_text()))
+    by_module: Dict[str, List[Tuple[str, int]]] = defaultdict(list)
+    for (path, line), (name, length) in defined_functions().items():
+        if (path, line) not in called:
+            module = str(Path(path).relative_to(SRC.parent))
+            by_module[module].append((f"{name}:{line}", length))
+    total = 0
+    for module in sorted(by_module):
+        print(module)
+        for name, length in by_module[module]:
+            print(f"  {name:60s} {length:5d}")
+            total += length
+    count = sum(len(rows) for rows in by_module.values())
+    print(f"{count} functions, {total} lines no entry point calls "
+          "(worker processes not profiled)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

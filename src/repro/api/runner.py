@@ -438,6 +438,12 @@ def _run_crawl(
     return _crawl_series(outcome), summary, {}, artifacts
 
 
+#: The ``params`` a ``monitor`` experiment reads.
+MONITOR_PARAMS = (
+    "start_day", "end_day", "n_candidates", "consent_rate", "selection_seed",
+)
+
+
 def _run_monitor(spec: ExperimentSpec, web: Optional[SimulatedWeb]) -> _RunPayload:
     assert spec.web is not None
     if web is None:
@@ -464,7 +470,7 @@ def _run_monitor(spec: ExperimentSpec, web: Optional[SimulatedWeb]) -> _RunPaylo
     if params:
         raise ValueError(
             f"unknown monitor parameter(s) {sorted(params)}; valid: "
-            "start_day, end_day, n_candidates, consent_rate, selection_seed"
+            f"{', '.join(MONITOR_PARAMS)}"
         )
 
     log = ActiveMonitor(web, site_ids=site_ids).run(start_day=start_day, end_day=end_day)
@@ -533,8 +539,10 @@ class ScenarioMatrix:
     value on a field that holds a nested spec (``crawler.faults``,
     ``crawler.retry``) is built with that spec's ``from_dict``; ``None``
     clears the field. Every value is applied to ``base`` on construction,
-    so a bad one is refused before any cell runs. The matrix expands to
-    the full cross product, one cell per combination.
+    so a bad one is refused before any cell runs: a ``params.*`` key must
+    be a parameter of the base's scenario or monitor. The matrix expands
+    to the full cross product, one cell per combination, named by its
+    axis values in compact JSON (``crawler.faults=null``).
 
     Example::
 
@@ -568,7 +576,10 @@ class ScenarioMatrix:
             spec = self.base
             for path, value in assignment.items():
                 spec = self._apply(spec, path, value)
-            label = ", ".join(f"{path}={value}" for path, value in assignment.items())
+            label = ", ".join(
+                f"{path}={json.dumps(value, sort_keys=True, separators=(',', ':'))}"
+                for path, value in assignment.items()
+            )
             spec = spec.replace(name=f"{self.base.name}[{label}]")
             out.append((assignment, spec))
         return out
@@ -579,6 +590,16 @@ class ScenarioMatrix:
         if head == "params":
             if not rest:
                 raise ValueError("axis 'params' needs a key, e.g. 'params.rate'")
+            if spec.kind == "monitor" and rest not in MONITOR_PARAMS:
+                raise ValueError(f"axis {path!r}: monitor parameters are "
+                                 f"{', '.join(MONITOR_PARAMS)}")
+            if spec.kind == "scenario":
+                signature = inspect.signature(SCENARIOS.get(spec.scenario))
+                try:
+                    signature.bind_partial(**{rest: value})
+                except TypeError as error:
+                    raise ValueError(f"axis {path!r}: scenario "
+                                     f"{spec.scenario!r} {error}") from error
             params = dict(spec.params)
             params[rest] = value
             return spec.replace(params=params)

@@ -22,6 +22,10 @@ from typing import Dict, List, Optional, Sequence
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.simweb.web import SimulatedWeb
 
+#: Time of day of the daily visit (0.9 ~ "at night", matching the paper's
+#: nightly crawl).
+VISIT_HOUR_FRACTION = 0.9
+
 
 @dataclass
 class PageObservationHistory:
@@ -134,35 +138,28 @@ class ObservationLog:
 class ActiveMonitor:
     """Runs the daily monitoring loop over a set of sites.
 
+    Observations go through a plain :class:`SimulatedFetcher` without
+    politeness delays: the experiment's correctness does not depend on
+    politeness, only its feasibility did (Section 2.3).
+
     Args:
         web: The synthetic web.
         site_ids: Sites to monitor; defaults to every site in the web.
-        fetcher: Optional fetcher to route observations through. When
-            omitted a plain fetcher without politeness delays is used — the
-            experiment's correctness does not depend on politeness, only its
-            feasibility did (Section 2.3).
-        visit_hour_fraction: Time of day at which the daily visit happens
-            (0.9 ~ "at night", matching the paper's nightly crawl).
     """
 
-    def __init__(
-        self,
-        web: SimulatedWeb,
-        site_ids: Optional[Sequence[str]] = None,
-        fetcher: Optional[SimulatedFetcher] = None,
-        visit_hour_fraction: float = 0.9,
-    ) -> None:
-        if not 0.0 <= visit_hour_fraction < 1.0:
-            raise ValueError("visit_hour_fraction must be within [0, 1)")
+    def __init__(self, web: SimulatedWeb, site_ids: Optional[Sequence[str]] = None) -> None:
         self._web = web
         self._site_ids = list(site_ids) if site_ids is not None else [
             site.site_id for site in web.sites
         ]
-        self._fetcher = fetcher if fetcher is not None else SimulatedFetcher(web)
-        self._visit_hour_fraction = visit_hour_fraction
+        self._fetcher = SimulatedFetcher(web)
 
     def run(self, start_day: int = 0, end_day: Optional[int] = None) -> ObservationLog:
         """Monitor every selected site daily from ``start_day`` to ``end_day``.
+
+        Each day is one :meth:`SimulatedFetcher.fetch_many` over every
+        monitored site's window at the visit time, recorded site by site
+        in window order.
 
         Args:
             start_day: First day of the experiment.
@@ -171,8 +168,9 @@ class ActiveMonitor:
         Returns:
             The populated :class:`ObservationLog`.
         """
+        web = self._web
         if end_day is None:
-            end_day = int(self._web.horizon_days) - 1
+            end_day = int(web.horizon_days) - 1
         if end_day < start_day:
             raise ValueError("end_day must not precede start_day")
         log = ObservationLog(
@@ -180,34 +178,24 @@ class ActiveMonitor:
             end_day=end_day,
             monitored_site_ids=tuple(self._site_ids),
         )
+        sites = [web.site(site_id) for site_id in self._site_ids]
         last_versions: Dict[str, int] = {}
         for day in range(start_day, end_day + 1):
-            visit_time = min(
-                day + self._visit_hour_fraction, self._web.horizon_days
+            visit_time = min(day + VISIT_HOUR_FRACTION, web.horizon_days)
+            visits = [
+                (site, page.url) for site in sites for page in site.window_at(visit_time)
+            ]
+            result = self._fetcher.fetch_many(
+                [url for _, url in visits], [visit_time] * len(visits)
             )
-            for site_id in self._site_ids:
-                self._observe_site(site_id, day, visit_time, log, last_versions)
+            for (site, url), ok, version in zip(
+                visits, result.ok.tolist(), result.versions.tolist()
+            ):
+                if ok:
+                    self._record_observation(
+                        log, last_versions, url, site.site_id, site.domain, day, version
+                    )
         return log
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _observe_site(
-        self,
-        site_id: str,
-        day: int,
-        visit_time: float,
-        log: ObservationLog,
-        last_versions: Dict[str, int],
-    ) -> None:
-        site = self._web.site(site_id)
-        for page in site.window_at(visit_time):
-            result = self._fetcher.fetch(page.url, at=visit_time)
-            if not result.ok:
-                continue
-            self._record_observation(
-                log, last_versions, page.url, site_id, site.domain, day, result.version
-            )
 
     @staticmethod
     def _record_observation(

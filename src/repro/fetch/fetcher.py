@@ -277,10 +277,11 @@ class SimulatedFetcher:
         Semantically equivalent to one :meth:`fetch` per ``(url, time)``
         pair, in order: the same completion times, the same success
         criteria, the same fetch counting. With a politeness policy
-        configured the per-site delays are resolved in one batched pass
-        (or accepted pre-resolved via ``resolved_at``); the whole batch
-        costs one URL-id lookup, one existence mask and one vectorized
-        version search.
+        configured the per-site delays run through the policy's scalar
+        recurrence, request by request (or arrive pre-resolved via
+        ``resolved_at``); the oracle side of the whole batch costs one
+        URL-id lookup, one existence mask and one vectorized version
+        search.
 
         Args:
             urls: URLs to fetch.

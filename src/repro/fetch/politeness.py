@@ -14,14 +14,10 @@ classes here reproduce both constraints in virtual time:
 All times are virtual days; ten real-world seconds are
 ``10 / 86400`` virtual days.
 
-Both constraints expose a batch API alongside the scalar one:
-:meth:`PolitenessPolicy.earliest_allowed_many` resolves a whole pop-order
-sequence of requests at once (grouped by site, each site's chain evaluated
-with the exact float operations of the sequential recurrence, so the
-results are bit-identical to repeated :meth:`~PolitenessPolicy
-.earliest_allowed` / :meth:`~PolitenessPolicy.record_request` calls), and
-:meth:`PolitenessPolicy.record_requests` commits an accepted prefix into
-the per-site state carried across tick windows.
+The crawl loop applies both through one scalar recurrence,
+:meth:`PolitenessPolicy.earliest_allowed` followed by
+:meth:`PolitenessPolicy.record_request`; the batch entry points run that
+same recurrence over a sequence of requests.
 """
 
 from __future__ import annotations
@@ -71,18 +67,6 @@ class NightWindow:
             offset += 1.0
         return offset < self.duration_fraction
 
-    def is_open_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_open` with element-wise identical results.
-
-        Uses the exact float operations of the scalar test so a time is
-        classified open by one path if and only if the other agrees —
-        including boundary instants whose day fraction rounds a few ulps
-        away from ``start_fraction``.
-        """
-        offset = (t - np.floor(t)) - self.start_fraction
-        offset = np.where(offset < 0, offset + 1.0, offset)
-        return offset < self.duration_fraction
-
     def next_open(self, t: float) -> float:
         """Earliest time at or after ``t`` when the window is open.
 
@@ -102,107 +86,6 @@ class NightWindow:
         while not self.is_open(candidate):
             candidate = math.nextafter(candidate, math.inf)
         return candidate
-
-    def next_open_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`next_open` with element-wise identical results.
-
-        Open instants pass through untouched; closed ones snap to the same
-        ``floor(t) + start_fraction`` candidate the scalar path computes,
-        including its ulp nudge up to the first representable open instant
-        (the nudge loop runs over the whole closed set at once and
-        terminates after at most a few ulps).
-        """
-        out = t.copy()
-        closed = ~self.is_open_array(t)
-        if closed.any():
-            tc = t[closed]
-            candidate = np.floor(tc) + self.start_fraction
-            candidate = np.where(candidate < tc, candidate + 1.0, candidate)
-            still = ~self.is_open_array(candidate)
-            while still.any():
-                candidate[still] = np.nextafter(candidate[still], np.inf)
-                still = ~self.is_open_array(candidate)
-            out[closed] = candidate
-        return out
-
-
-def _leading_true(mask: np.ndarray) -> int:
-    """Length of the leading all-True run of a boolean array."""
-    first_false = int(np.argmin(mask))
-    if first_false == 0 and mask[0]:
-        return mask.shape[0]
-    return first_false
-
-
-def _resolve_site_chain(
-    times: np.ndarray,
-    last: Optional[float],
-    delay: float,
-    window: Optional[NightWindow],
-) -> np.ndarray:
-    """Earliest-allowed instants for one site's request sequence.
-
-    Replays the sequential recurrence ``s_k = next_open(max(t_k, s_{k-1} +
-    delay))`` with bit-identical float arithmetic, but in vectorized runs:
-
-    * an *idle run* — consecutive requests already spaced at least ``delay``
-      apart and landing inside the window go out at their own times;
-    * a *backlog run* — requests throttled by the delay chain go out at
-      ``s_{k-1} + delay`` each, computed with :func:`np.add.accumulate`,
-      which performs the same left-to-right float additions the scalar
-      recurrence does (a closed form like ``s_j + k * delay`` would not).
-
-    Transitions between regimes (and night-window snaps) fall back to one
-    scalar step, which is exactly :meth:`PolitenessPolicy.earliest_allowed`.
-    """
-    m = times.shape[0]
-    out = np.empty(m, dtype=float)
-    i = 0
-    while i < m:
-        # Scalar head step: the exact operations of earliest_allowed().
-        allowed = times[i]
-        if last is not None:
-            candidate = last + delay
-            if candidate > allowed:
-                allowed = candidate
-        if window is not None:
-            allowed = window.next_open(allowed)
-        out[i] = allowed
-        last = allowed
-        i += 1
-        if i == m:
-            break
-        rest = times[i:]
-        # Idle run: every accepted entry goes out at its own request time,
-        # so the previous *start* equals the previous request time and the
-        # delay test reduces to pairwise spacing of the request times.
-        previous = np.empty(rest.shape[0], dtype=float)
-        previous[0] = last
-        previous[1:] = rest[:-1]
-        idle = rest >= previous + delay
-        if window is not None:
-            idle &= window.is_open_array(rest)
-        run = _leading_true(idle)
-        if run:
-            out[i : i + run] = rest[:run]
-            last = float(rest[run - 1])
-            i += run
-            continue
-        # Backlog run: the delay chain outruns the request times, so each
-        # start is exactly the previous start plus the delay.
-        chain = np.empty(rest.shape[0] + 1, dtype=float)
-        chain[0] = last
-        chain[1:] = delay
-        candidates = np.add.accumulate(chain)[1:]
-        backlog = candidates >= rest
-        if window is not None:
-            backlog &= window.is_open_array(candidates)
-        run = _leading_true(backlog)
-        if run:
-            out[i : i + run] = candidates[:run]
-            last = float(candidates[run - 1])
-            i += run
-    return out
 
 
 class PolitenessPolicy:
@@ -236,23 +119,22 @@ class PolitenessPolicy:
         self.night_window = night_window
         self.allowed_sites = allowed_sites
         self._last_request: Dict[str, float] = {}
-        # Dense mirror of _last_request used by the indexed batch API:
-        # _dense[i] is the last recorded request to _dense_names[i], or
-        # -inf for "never". The string dict stays authoritative; every
-        # mutation path writes through to the mirror while it is active.
-        self._dense: Optional[np.ndarray] = None
-        self._dense_names: Optional[List[str]] = None
-        self._dense_map: Optional[Dict[str, int]] = None
+        # Site-name table of the last indexed peek, for the commit after it.
+        self._site_names: List[str] = []
 
-    def earliest_allowed(self, site_id: str, t: float) -> float:
-        """Earliest time at or after ``t`` a request to ``site_id`` may go out."""
+    def _allowed_after(self, last: Optional[float], t: float) -> float:
+        """The recurrence: ``t``, held ``min_delay`` after ``last`` (the
+        site's previous request, ``None`` for none), then night-snapped."""
         allowed = t
-        last = self._last_request.get(site_id)
         if last is not None:
             allowed = max(allowed, last + self.min_delay_days)
         if self.night_window is not None:
             allowed = self.night_window.next_open(allowed)
         return allowed
+
+    def earliest_allowed(self, site_id: str, t: float) -> float:
+        """Earliest time at or after ``t`` a request to ``site_id`` may go out."""
+        return self._allowed_after(self._last_request.get(site_id), t)
 
     def record_request(self, site_id: str, t: float) -> None:
         """Record that a request to ``site_id`` was issued at time ``t``."""
@@ -264,26 +146,16 @@ class PolitenessPolicy:
         last = self._last_request.get(site_id)
         if last is None or t > last:
             self._last_request[site_id] = t
-            if self._dense is not None:
-                index = self._dense_map.get(site_id)
-                if index is not None:
-                    self._dense[index] = t
 
     def earliest_allowed_many(
-        self,
-        site_ids: Sequence[Optional[str]],
-        times: Sequence[float],
+        self, site_ids: Sequence[Optional[str]], times: Sequence[float]
     ) -> np.ndarray:
         """Resolve a whole request sequence at once, without recording it.
 
-        Bit-identical to the sequential loop ``start = earliest_allowed(
-        site, t); record_request(site, start)`` over the pairs in order —
-        every float operation of the per-site recurrence is replayed
-        exactly — but evaluated per site with vectorized runs. The policy
-        state is *not* mutated: callers accept a prefix of the returned
-        starts with :meth:`record_requests` (the batched crawl engine cuts
-        batches at queue-overtake and reallocation boundaries, so a peek /
-        commit split is essential).
+        Equal to the loop ``start = earliest_allowed(site, t);
+        record_request(site, start)`` over the pairs in order, but the
+        recorded starts go to a scratch dict, so the policy is not mutated:
+        callers commit an accepted prefix with :meth:`record_requests`.
 
         Args:
             site_ids: Owning site of each request; ``None`` marks a request
@@ -294,241 +166,57 @@ class PolitenessPolicy:
         Returns:
             Array of allowed start instants, one per request, in order.
         """
-        times_arr = np.asarray(times, dtype=float)
-        out = times_arr.copy()
-        last_map = self._last_request
-        delay = self.min_delay_days
-        window = self.night_window
-        # Sites hit once in the batch — the common case when many sites
-        # interleave in the queue — have no intra-batch dependency: their
-        # start is max(t, last + delay) night-snapped, resolved for the
-        # whole batch in one vectorized pass. Only sites hit repeatedly
-        # need their sequential chain replayed.
-        counts: Dict[str, int] = {}
-        for site_id in site_ids:
-            if site_id is not None:
-                counts[site_id] = counts.get(site_id, 0) + 1
-        single_pos: List[int] = []
-        single_cand: List[float] = []
-        chains: Dict[str, List[int]] = {}
-        for index, site_id in enumerate(site_ids):
+        out = np.array(times, dtype=float)
+        scratch: Dict[str, float] = {}
+        for index, (site_id, t) in enumerate(zip(site_ids, out.tolist())):
             if site_id is None:
                 continue
-            if counts[site_id] > 1:
-                chains.setdefault(site_id, []).append(index)
-                continue
-            last = last_map.get(site_id)
+            last = scratch.get(site_id)
             if last is None:
-                if window is None:
-                    continue  # start is the request time; out already holds it
-                single_pos.append(index)
-                single_cand.append(-math.inf)
-            else:
-                single_pos.append(index)
-                single_cand.append(last + delay)
-        if single_pos:
-            idx = np.asarray(single_pos, dtype=np.intp)
-            t = times_arr[idx]
-            cand = np.asarray(single_cand, dtype=float)
-            # max(t, cand) with the scalar path's tie behaviour; the -inf
-            # sentinel (no previous request) always loses the comparison.
-            allowed = np.where(cand > t, cand, t)
-            if window is not None:
-                allowed = window.next_open_array(allowed)
-            out[idx] = allowed
-        for site_id, indices in chains.items():
-            last = last_map.get(site_id)
-            if len(indices) <= 8:
-                # Short chains: the scalar recurrence beats NumPy's
-                # fixed per-array costs. Identical operations, one entry
-                # at a time.
-                for index in indices:
-                    allowed = times_arr[index]
-                    if last is not None:
-                        candidate = last + delay
-                        if candidate > allowed:
-                            allowed = candidate
-                    if window is not None:
-                        allowed = window.next_open(allowed)
-                    out[index] = allowed
-                    last = allowed
-                continue
-            out[indices] = _resolve_site_chain(times_arr[indices], last, delay, window)
+                last = self._last_request.get(site_id)
+            out[index] = scratch[site_id] = self._allowed_after(last, t)
         return out
 
     def record_requests(
-        self,
-        site_ids: Sequence[Optional[str]],
-        starts: Sequence[float],
+        self, site_ids: Sequence[Optional[str]], starts: Sequence[float]
     ) -> None:
-        """Commit the accepted prefix of a batch resolved by
-        :meth:`earliest_allowed_many` into the per-site state.
-
-        Equivalent to :meth:`record_request` per pair, in order; ``None``
-        site ids are skipped exactly as the scalar fetch path skips
-        politeness for unknown URLs.
-        """
-        last_map = self._last_request
-        # Per-site starts within one resolved batch are nondecreasing (the
-        # chain recurrence only moves forward), so the last occurrence per
-        # site is the one that sticks — dict(zip(...)) keeps exactly that.
-        dense = self._dense
-        dense_map = self._dense_map
-        allowed_sites = self.allowed_sites
-        for site_id, start in dict(zip(site_ids, starts)).items():
-            if site_id is None:
-                continue
-            if allowed_sites is not None and site_id not in allowed_sites:
-                raise ValueError(
-                    f"request to site {site_id!r} crosses the shard boundary: "
-                    "this policy only owns politeness state for its shard's sites"
-                )
-            value = float(start)
-            previous = last_map.get(site_id)
-            if previous is None or value > previous:
-                last_map[site_id] = value
-                if dense is not None:
-                    index = dense_map.get(site_id)
-                    if index is not None:
-                        dense[index] = value
-
-    def _dense_view(self, site_names: List[str]) -> np.ndarray:
-        """The dense last-request mirror for ``site_names``, built lazily.
-
-        ``site_names`` is compared by identity: the caller passes the same
-        stable table (one per :class:`~repro.simweb.web.OracleArrays`) on
-        every call, so a switch of webs rebuilds the mirror from the
-        authoritative string dict.
-        """
-        if self._dense is None or self._dense_names is not site_names:
-            self._dense_names = site_names
-            self._dense_map = {name: i for i, name in enumerate(site_names)}
-            dense = np.full(len(site_names), -math.inf)
-            get = self._dense_map.get
-            for name, value in self._last_request.items():
-                index = get(name)
-                if index is not None:
-                    dense[index] = value
-            self._dense = dense
-        return self._dense
+        """:meth:`record_request` per pair, in order; ``None`` site ids are
+        skipped, as the fetch path skips politeness for unknown URLs."""
+        for site_id, start in zip(site_ids, starts):
+            if site_id is not None:
+                self.record_request(site_id, float(start))
 
     def earliest_allowed_many_indexed(
-        self,
-        site_indices: np.ndarray,
-        site_names: List[str],
-        times: np.ndarray,
+        self, site_indices: np.ndarray, site_names: List[str], times: np.ndarray
     ) -> np.ndarray:
-        """Integer-site variant of :meth:`earliest_allowed_many`.
-
-        Same peek semantics and bit-identical results, but sites arrive as
-        indices into ``site_names`` (``-1`` marks "no site": the start is
-        the request time), so singleton detection (`np.bincount`) and the
-        last-request gather are vectorized instead of hashing one site
-        string per entry. This is the hot path of the batched crawl
-        engine, which already holds integer page ids.
-
-        Args:
-            site_indices: Owning site index per request (``-1`` = none).
-            site_names: The stable site-name table the indices refer to.
-            times: Request time per entry, aligned with ``site_indices``.
-
-        Returns:
-            Array of allowed start instants, one per request, in order.
-        """
-        times_arr = np.asarray(times, dtype=float)
-        out = times_arr.copy()
-        delay = self.min_delay_days
-        window = self.night_window
-        dense = self._dense_view(site_names)
-        valid = site_indices >= 0
-        safe = np.maximum(site_indices, 0)
-        counts = np.bincount(site_indices[valid], minlength=len(site_names))
-        repeated = valid & (counts[safe] > 1)
-        single = valid & ~repeated
-        if single.any():
-            # The -inf sentinel (no previous request) always loses the
-            # max comparison, so one vectorized pass covers both the
-            # "has history" and "first contact" singles.
-            cand = dense[site_indices[single]] + delay
-            t = times_arr[single]
-            allowed = np.where(cand > t, cand, t)
-            if window is not None:
-                allowed = window.next_open_array(allowed)
-            out[single] = allowed
-        if repeated.any():
-            chains: Dict[int, List[int]] = {}
-            for pos in np.flatnonzero(repeated).tolist():
-                chains.setdefault(int(site_indices[pos]), []).append(pos)
-            for site_pos, indices in chains.items():
-                # np.float64 state: same-bit arithmetic as the python
-                # floats of the string path (-inf = no previous request,
-                # losing every candidate comparison like None does).
-                last = dense[site_pos]
-                if len(indices) <= 8:
-                    for index in indices:
-                        allowed = times_arr[index]
-                        candidate = last + delay
-                        if candidate > allowed:
-                            allowed = candidate
-                        if window is not None:
-                            allowed = window.next_open(allowed)
-                        out[index] = allowed
-                        last = allowed
-                    continue
-                out[indices] = _resolve_site_chain(
-                    times_arr[indices], float(last), delay, window
-                )
-        return out
+        """:meth:`earliest_allowed_many` on sites given as indices into
+        ``site_names`` (``-1`` = none). It stays only while the benchmark's
+        layer tracer names it; the change that may edit ``benchmarks/e2e/``
+        drops its row and this adapter."""
+        self._site_names = site_names
+        return self.earliest_allowed_many(
+            [site_names[i] if i >= 0 else None for i in site_indices.tolist()], times
+        )
 
     def record_requests_indexed(
-        self,
-        site_indices: np.ndarray,
-        starts: np.ndarray,
+        self, site_indices: np.ndarray, starts: np.ndarray
     ) -> None:
-        """Commit an accepted prefix resolved by
-        :meth:`earliest_allowed_many_indexed`.
-
-        Semantically identical to :meth:`record_requests` on the
-        corresponding site names. ``np.maximum.at`` applies the committed
-        starts per site (starts are nondecreasing within a resolved batch
-        and never precede the recorded state, so max-select equals
-        last-occurrence-wins), then the touched names sync back into the
-        authoritative string dict.
-        """
-        valid = site_indices >= 0
-        if not valid.any():
-            return
-        dense = self._dense
-        touched = site_indices[valid]
-        np.maximum.at(dense, touched, starts[valid])
-        last_map = self._last_request
-        names = self._dense_names
-        allowed_sites = self.allowed_sites
-        for site_pos in np.unique(touched).tolist():
-            name = names[site_pos]
-            if allowed_sites is not None and name not in allowed_sites:
-                raise ValueError(
-                    f"request to site {name!r} crosses the shard boundary: "
-                    "this policy only owns politeness state for its shard's sites"
-                )
-            last_map[name] = float(dense[site_pos])
+        """:meth:`record_requests` on the site table of the last indexed
+        peek. Kept, like that peek, only for the tracer row naming it."""
+        names = self._site_names
+        self.record_requests(
+            [names[i] if i >= 0 else None for i in site_indices.tolist()], starts
+        )
 
     def reset(self) -> None:
         """Forget all recorded requests (used between simulation runs)."""
         self._last_request.clear()
-        self._dense = None
-        self._dense_names = None
-        self._dense_map = None
 
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
-        """JSON-serializable per-site last-request state.
-
-        Only the authoritative ``_last_request`` map is captured; the dense
-        mirror is a lazily rebuilt cache whose contents are value-identical.
-        """
+        """JSON-serializable per-site last-request state."""
         return {"last_request": dict(self._last_request)}
 
     def restore_snapshot(self, state: dict) -> None:
@@ -536,9 +224,6 @@ class PolitenessPolicy:
         self._last_request = {
             str(site): float(time) for site, time in state["last_request"].items()
         }
-        self._dense = None
-        self._dense_names = None
-        self._dense_map = None
 
     def max_requests_per_day(self) -> float:
         """Upper bound on requests per site per virtual day under this policy.

@@ -3,22 +3,14 @@
 :class:`SimulatedWeb` aggregates all sites and pages, provides URL lookup,
 and exposes the oracle queries the rest of the system needs:
 
-* ``snapshot(url, t)`` — what a fetch of ``url`` at virtual time ``t``
-  returns (used by the fetcher);
-* ``exists(url, t)`` — whether the URL resolves at time ``t``;
-* ``is_up_to_date(url, stored_version, t)`` — whether a stored copy taken
-  at some earlier version is still current (used by the freshness metric,
-  which by definition compares the local collection against the live web);
+* ``snapshot(url, t)`` — what a scalar fetch of ``url`` at virtual time
+  ``t`` returns;
+* :meth:`SimulatedWeb.oracle_arrays` — :class:`OracleArrays`, a lazily
+  built flat array of every page's change times plus per-page offsets,
+  whose ``lookup``/``exists``/``versions`` answer a whole batch of fetches
+  (and a freshness measurement over an N-page collection) in a few NumPy
+  passes instead of N Python-level oracle calls;
 * per-domain and per-site enumeration used by the experiment package.
-
-Besides the scalar queries there is a *batched* oracle API —
-:meth:`SimulatedWeb.versions_at`, :meth:`SimulatedWeb.exists_mask` and
-:meth:`SimulatedWeb.up_to_date_mask` — backed by :class:`OracleArrays`, a
-lazily built flat array of every page's change times plus per-page offsets.
-A freshness measurement over an N-page collection is then a few NumPy
-passes (one vectorized binary search over the flat event array) instead of
-N Python-level oracle calls, which is what makes frequent measurement
-events affordable inside ``IncrementalCrawler.run()``.
 
 The web also owns the ground truth the crawler's *quality* is scored
 against (Section 5.1): :meth:`SimulatedWeb.true_importance`, PageRank over
@@ -290,12 +282,6 @@ class SimulatedWeb:
     # ------------------------------------------------------------------ #
     # Oracle queries
     # ------------------------------------------------------------------ #
-    def exists(self, url: str, t: float) -> bool:
-        """True when ``url`` resolves at virtual time ``t``."""
-        self._check_time(t)
-        page = self._pages.get(url)
-        return page is not None and page.exists_at(t)
-
     def snapshot(self, url: str, t: float) -> Optional[PageSnapshot]:
         """Snapshot of ``url`` at time ``t`` or ``None`` when it is missing."""
         self._check_time(t)
@@ -304,26 +290,6 @@ class SimulatedWeb:
             return None
         return page.snapshot_at(t)
 
-    def current_version(self, url: str, t: float) -> Optional[int]:
-        """Live content version of ``url`` at time ``t`` (None when missing)."""
-        self._check_time(t)
-        page = self._pages.get(url)
-        if page is None or not page.exists_at(t):
-            return None
-        return page.version_at(t)
-
-    def is_up_to_date(self, url: str, stored_version: int, t: float) -> bool:
-        """Whether a copy stored at ``stored_version`` is still current at ``t``.
-
-        A copy of a page that no longer exists is, by definition, not
-        up to date (the real-world counterpart of the local copy is gone).
-        """
-        live_version = self.current_version(url, t)
-        return live_version is not None and live_version == stored_version
-
-    # ------------------------------------------------------------------ #
-    # Batched oracle queries
-    # ------------------------------------------------------------------ #
     def oracle_arrays(self) -> OracleArrays:
         """The cached array view of all pages for batched queries.
 
@@ -345,83 +311,6 @@ class SimulatedWeb:
         """
         self._oracle_arrays = None
         self._true_importance = None
-
-    def versions_at(self, urls: Sequence[str], t: TimeLike) -> np.ndarray:
-        """Content versions of many pages at once.
-
-        Args:
-            urls: Page URLs; every URL must be known to the web.
-            t: Evaluation instant — a scalar applied to all pages, or one
-                instant per URL.
-
-        Returns:
-            ``int64`` array of content versions, one per URL, matching
-            :meth:`SimulatedPage.version_at` exactly. Existence is *not*
-            consulted (a deleted page still has a last version); combine
-            with :meth:`exists_mask` for ``current_version`` semantics.
-
-        Raises:
-            KeyError: If any URL is unknown.
-        """
-        self._check_time_array(t)
-        arrays = self.oracle_arrays()
-        ids, known = arrays.lookup(urls)
-        if not known.all():
-            missing = [url for url, ok in zip(urls, known) if not ok]
-            raise KeyError(f"unknown URL(s): {missing[:3]}")
-        return arrays.versions(ids, t)
-
-    def exists_mask(self, urls: Sequence[str], t: TimeLike) -> np.ndarray:
-        """Batched :meth:`exists`: one boolean per URL (False when unknown)."""
-        self._check_time_array(t)
-        arrays = self.oracle_arrays()
-        ids, known = arrays.lookup(urls)
-        result = np.zeros(len(ids), dtype=bool)
-        if known.any():
-            t_known = t if np.ndim(t) == 0 else np.asarray(t, dtype=float)[known]
-            result[known] = arrays.exists(ids[known], t_known)
-        return result
-
-    def up_to_date_mask(
-        self, url_version_pairs: Sequence[Tuple[str, int]], t: TimeLike
-    ) -> np.ndarray:
-        """Batched :meth:`is_up_to_date` over ``(url, stored_version)`` pairs.
-
-        Args:
-            url_version_pairs: Stored copies to check, as
-                ``(url, version-at-fetch-time)`` pairs.
-            t: Evaluation instant — scalar or one instant per pair.
-
-        Returns:
-            Boolean array: True where the stored copy still matches the live
-            page. Unknown URLs and pages that no longer exist are False,
-            exactly like the scalar query.
-        """
-        self._check_time_array(t)
-        arrays = self.oracle_arrays()
-        urls = [pair[0] for pair in url_version_pairs]
-        stored = np.array([pair[1] for pair in url_version_pairs], dtype=np.int64)
-        ids, known = arrays.lookup(urls)
-        result = np.zeros(len(ids), dtype=bool)
-        if known.any():
-            t_known = t if np.ndim(t) == 0 else np.asarray(t, dtype=float)[known]
-            sub_ids = ids[known]
-            alive = arrays.exists(sub_ids, t_known)
-            live_versions = arrays.versions(sub_ids, t_known)
-            result[known] = alive & (live_versions == stored[known])
-        return result
-
-    def _check_time_array(self, t: TimeLike) -> None:
-        t = np.asarray(t, dtype=float)
-        if t.size == 0:
-            return
-        self._check_time(float(t.min()))
-        self._check_time(float(t.max()))
-
-    def live_urls_at(self, t: float) -> List[str]:
-        """URLs of all pages that exist at time ``t``."""
-        self._check_time(t)
-        return [url for url, page in self._pages.items() if page.exists_at(t)]
 
     def mean_change_rate(self) -> float:
         """Average page change rate over the whole web (changes/day)."""

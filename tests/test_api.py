@@ -543,6 +543,27 @@ class TestScenarioMatrix:
             assert _without_wall_time(cell) == _without_wall_time(run(spec))
 
 
+    def test_cell_names_label_values_in_json(self):
+        base = ExperimentSpec(name="sweep", kind="scenario", scenario="figure8")
+        matrix = ScenarioMatrix(base=base, axes={
+            "params.variant": ["steady"], "params.rate": [None, 0.5],
+        })
+        assert [spec.name for _, spec in matrix.cells()] == [
+            'sweep[params.variant="steady", params.rate=null]',
+            'sweep[params.variant="steady", params.rate=0.5]',
+        ]
+
+    @pytest.mark.parametrize("kind,axis", [
+        ("scenario", "params.bogus"), ("monitor", "params.visit_hour"),
+    ])
+    def test_unknown_param_axis_is_refused_on_construction(self, kind, axis):
+        if kind == "scenario":
+            base = ExperimentSpec(name="x", kind="scenario", scenario="sensitivity")
+        else:
+            base = ExperimentSpec(name="x", kind="monitor", web=TINY_CRAWL.web)
+        with pytest.raises(ValueError, match=axis.split(".")[1]):
+            ScenarioMatrix(base=base, axes={axis: [1]})
+
     def test_every_axis_value_is_validated_on_construction(self):
         with pytest.raises(ValueError, match="collection_capacity"):
             ScenarioMatrix(
@@ -607,8 +628,8 @@ class TestExampleSweeps:
 
     def test_politeness_costs_fetches_and_freshness(self):
         impolite, polite = run_matrix(_example_matrix("polite_crawl.json", 3.0)).cells
-        assert "use_politeness=False" in impolite.name
-        assert "use_politeness=True" in polite.name
+        assert "use_politeness=false" in impolite.name
+        assert "use_politeness=true" in polite.name
         assert polite.summary["pages_crawled"] <= impolite.summary["pages_crawled"]
         assert polite.summary["mean_freshness"] <= impolite.summary["mean_freshness"]
 
@@ -617,7 +638,7 @@ class TestExampleSweeps:
         for index, cell in enumerate(cells):
             failures = cell.summary["failures"]
             if index % 5 == 0:  # the clear-weather cell of each combo
-                assert "crawler.faults=None" in cell.name
+                assert "crawler.faults=null" in cell.name
                 assert sum(failures.values()) == 0
             else:
                 assert sum(failures.values()) > 0

@@ -191,6 +191,21 @@ class TestCommands:
         assert main(["run-matrix", str(path)]) == 2
         assert "invalid scenario matrix" in capsys.readouterr().err
 
+    def test_run_matrix_unknown_scenario_param_is_an_invalid_matrix(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr("repro.api.runner.run", lambda *a, **k: ran.append(a))
+        path = tmp_path / "bad_param.json"
+        path.write_text(json.dumps({
+            "base": {"name": "x", "kind": "scenario", "scenario": "sensitivity"},
+            "axes": {"params.bogus": [1]},
+        }))
+        assert main(["run-matrix", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario matrix" in err and "bogus" in err
+        assert ran == []
+
     def test_every_subcommand_smokes(self, capsys, tmp_path):
         """Each subcommand exits 0 and prints something on a tiny input."""
         matrix_path = tmp_path / "matrix.json"

@@ -1,8 +1,16 @@
 """Tests for the monitoring experiment machinery (Sections 2-3 pipeline)."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.experiment.monitor import ActiveMonitor, ObservationLog, PageObservationHistory
+from repro.experiment.monitor import (
+    VISIT_HOUR_FRACTION,
+    ActiveMonitor,
+    ObservationLog,
+    PageObservationHistory,
+)
 from repro.experiment.site_selection import (
     PAPER_TABLE1_SITE_COUNTS,
     domain_share,
@@ -106,7 +114,7 @@ class TestActiveMonitor:
     def test_change_days_are_the_days_the_version_moved(
         self, observation_log, small_web
     ):
-        visit = 0.9
+        visit = VISIT_HOUR_FRACTION
         checked = 0
         for url, history in list(observation_log.pages.items())[:80]:
             page = small_web.page(url)
@@ -119,6 +127,21 @@ class TestActiveMonitor:
             assert history.change_days == expected
             checked += len(expected)
         assert checked > 0
+
+    def test_observation_log_is_pinned(self, observation_log):
+        """Every page's history, hashed: any change to what the monitor
+        observes (its fetch path, visit time or window walk) shows here."""
+        rows = [
+            [url, h.first_seen_day, h.last_seen_day, h.days_observed, h.change_days]
+            for url, h in sorted(observation_log.pages.items())
+        ]
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert len(rows) == 797
+        assert digest == (
+            "ec57963c3ccdb70b061db0710cbfcb10dd50e1454bec9a3c5603fe3c1dd1fdd3"
+        )
 
     def test_pages_in_domain_filter(self, observation_log):
         com_pages = observation_log.pages_in_domain("com")
@@ -151,10 +174,6 @@ class TestActiveMonitor:
         monitor = ActiveMonitor(small_web)
         with pytest.raises(ValueError):
             monitor.run(start_day=10, end_day=5)
-
-    def test_invalid_visit_hour(self, small_web):
-        with pytest.raises(ValueError):
-            ActiveMonitor(small_web, visit_hour_fraction=1.5)
 
 
 class TestObservationHistoryHelpers:

@@ -104,46 +104,6 @@ class TestNightWindowBoundaries:
         assert snapped == 1.25
         assert window.is_open(snapped)
 
-    def test_is_open_array_matches_scalar(self):
-        import numpy as np
-
-        for start, duration in [(0.875, 0.375), (0.3, 0.2), (0.1, 0.1)]:
-            window = NightWindow(start_fraction=start, duration_fraction=duration)
-            rng = np.random.default_rng(5)
-            times = np.concatenate(
-                [
-                    rng.uniform(0.0, 30.0, size=500),
-                    # Exact boundary instants and their ulp neighbours.
-                    np.array(
-                        [
-                            d + start
-                            for d in range(10)
-                        ]
-                    ),
-                    np.array(
-                        [
-                            np.nextafter(d + start, -np.inf)
-                            for d in range(10)
-                        ]
-                    ),
-                ]
-            )
-            batch = window.is_open_array(times)
-            for t, open_batch in zip(times.tolist(), batch.tolist()):
-                assert open_batch == window.is_open(t)
-
-    def test_next_open_array_matches_scalar(self):
-        import numpy as np
-
-        for start, duration in [(0.875, 0.375), (0.3, 0.2), (0.7, 0.05)]:
-            window = NightWindow(start_fraction=start, duration_fraction=duration)
-            rng = np.random.default_rng(7)
-            times = rng.uniform(0.0, 30.0, size=1000)
-            batch = window.next_open_array(times)
-            for t, snapped in zip(times.tolist(), batch.tolist()):
-                assert snapped == window.next_open(t)
-                assert window.is_open(snapped)
-
 
 class TestPolitenessBatchResolution:
     """The batch politeness API must replay the scalar recurrence exactly."""

@@ -11,7 +11,6 @@ full batched crawl engine.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,28 +113,10 @@ class TestPolicyProperties:
         assert snapped >= t
         assert window.is_open(snapped)
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        start=st.floats(min_value=0.0, max_value=0.999, allow_nan=False),
-        duration=st.floats(min_value=0.001, max_value=1.0, allow_nan=False),
-        times=st.lists(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            min_size=1,
-            max_size=50,
-        ),
-    )
-    def test_array_window_ops_match_scalar(self, start, duration, times):
-        window = NightWindow(start_fraction=start, duration_fraction=duration)
-        arr = np.asarray(times, dtype=float)
-        open_batch = window.is_open_array(arr)
-        next_batch = window.next_open_array(arr)
-        for t, open_b, next_b in zip(times, open_batch.tolist(), next_batch.tolist()):
-            assert open_b == window.is_open(t)
-            assert next_b == window.next_open(t)
-
 
 class RecordingPolicy(PolitenessPolicy):
-    """Politeness policy that logs every committed (site, start) pair."""
+    """Politeness policy that logs every committed (site, start) pair
+    (every commit path, batch and indexed, ends in ``record_request``)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -144,19 +125,6 @@ class RecordingPolicy(PolitenessPolicy):
     def record_request(self, site_id, t):
         self.committed.append((site_id, float(t)))
         super().record_request(site_id, t)
-
-    def record_requests(self, site_ids, starts):
-        for site_id, start in zip(site_ids, starts):
-            if site_id is not None:
-                self.committed.append((site_id, float(start)))
-        super().record_requests(site_ids, starts)
-
-    def record_requests_indexed(self, site_indices, starts):
-        names = self._dense_names
-        for site_pos, start in zip(site_indices.tolist(), starts.tolist()):
-            if site_pos >= 0:
-                self.committed.append((names[site_pos], float(start)))
-        super().record_requests_indexed(site_indices, starts)
 
 
 @pytest.mark.parametrize("seed", [3, 23])

@@ -57,6 +57,12 @@ RETIRED_NAMES = {
     "_clamp_residue",
     # Crawl sweeps are ScenarioMatrix files, not hand-wired scenarios.
     "polite_crawl", "chaos_crawl", "DEFAULT_CHAOS_REGIMES",
+    # One politeness recurrence (no vectorized chain resolver, dense
+    # mirror or array window), one batch oracle (OracleArrays) and one
+    # monitor fetch (a day's fetch_many).
+    "_resolve_site_chain", "_leading_true", "is_open_array", "next_open_array",
+    "_dense_view", "versions_at", "exists_mask", "up_to_date_mask",
+    "is_up_to_date", "current_version", "live_urls_at", "_observe_site",
 }
 
 

@@ -159,20 +159,27 @@ class TestSimulatedWeb:
     def test_snapshot_of_unknown_url(self, small_web):
         assert small_web.snapshot("http://unknown/", 1.0) is None
 
-    def test_is_up_to_date(self, small_web):
+    def test_oracle_arrays_match_the_page(self, small_web):
         url = small_web.seed_urls()[0]
-        version = small_web.current_version(url, 1.0)
-        assert small_web.is_up_to_date(url, version, 1.0)
+        arrays = small_web.oracle_arrays()
+        ids, known = arrays.lookup([url])
+        assert known.tolist() == [True]
+        assert arrays.exists(ids, 1.0).tolist() == [small_web.page(url).exists_at(1.0)]
+        assert arrays.versions(ids, 1.0).tolist() == [small_web.page(url).version_at(1.0)]
 
     def test_stale_version_not_up_to_date(self, small_web):
         # Find a page that changes at least once.
+        arrays = small_web.oracle_arrays()
         for page in small_web.pages():
             times = page.change_process.change_times()
             if times and page.created_at == 0.0 and page.exists_at(times[0] + 1.0):
                 t_before = times[0] - 1e-6 + page.created_at
                 t_after = times[0] + 1e-6 + page.created_at
-                version_before = small_web.current_version(page.url, t_before)
-                assert not small_web.is_up_to_date(page.url, version_before, t_after)
+                ids, _ = arrays.lookup([page.url])
+                version_before = int(arrays.versions(ids, t_before)[0])
+                assert version_before == page.version_at(t_before)
+                assert arrays.exists(ids, t_after).all()
+                assert arrays.versions(ids, t_after)[0] != version_before
                 return
         pytest.skip("no changing page found in the small web")
 
@@ -187,9 +194,13 @@ class TestSimulatedWeb:
         with pytest.raises(ValueError):
             small_web.add_site(small_web.sites[0])
 
-    def test_live_urls_subset_of_all(self, small_web):
-        live = set(small_web.live_urls_at(1.0))
-        assert live <= set(small_web.urls())
+    def test_live_urls_match_the_pages(self, small_web):
+        urls = list(small_web.urls())
+        arrays = small_web.oracle_arrays()
+        ids, _ = arrays.lookup(urls)
+        live = {url for url, alive in zip(urls, arrays.exists(ids, 1.0)) if alive}
+        assert live == {page.url for page in small_web.pages() if page.exists_at(1.0)}
+        assert 0 < len(live) < len(urls)
 
     def test_mean_change_rate_positive(self, small_web):
         assert small_web.mean_change_rate() > 0.0

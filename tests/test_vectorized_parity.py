@@ -165,39 +165,56 @@ class TestOracleParity:
         assert collection_freshness([], small_web, 1.0) == 0.0
         assert collection_age([], small_web, 1.0) == 0.0
 
-    def test_versions_at_matches_scalar_oracle(self, small_web):
+    def test_versions_match_scalar_oracle(self, small_web):
         urls = list(small_web.urls())[:200]
+        arrays = small_web.oracle_arrays()
+        ids, known = arrays.lookup(urls)
+        assert known.all()
         for t in (0.0, 30.0, 126.0):
-            batched = small_web.versions_at(urls, t)
+            batched = arrays.versions(ids, t)
             scalar = [small_web.page(url).version_at(t) for url in urls]
             assert [int(v) for v in batched] == scalar
 
-    def test_versions_at_per_record_times(self, small_web):
+    def test_versions_per_record_times(self, small_web):
         urls = list(small_web.urls())[:100]
         times = np.linspace(0.0, 120.0, len(urls))
-        batched = small_web.versions_at(urls, times)
+        ids, _ = small_web.oracle_arrays().lookup(urls)
+        batched = small_web.oracle_arrays().versions(ids, times)
         scalar = [small_web.page(u).version_at(float(t)) for u, t in zip(urls, times)]
         assert [int(v) for v in batched] == scalar
 
-    def test_versions_at_unknown_url_raises(self, small_web):
-        with pytest.raises(KeyError):
-            small_web.versions_at(["http://gone.example/zzz"], 1.0)
+    def test_lookup_flags_unknown_url(self, small_web):
+        urls = [small_web.seed_urls()[0], "http://gone.example/zzz"]
+        ids, known = small_web.oracle_arrays().lookup(urls)
+        assert known.tolist() == [True, False]
+        assert ids[1] == -1
 
-    def test_exists_mask_matches_scalar_oracle(self, small_web):
-        urls = list(small_web.urls())[:200] + ["http://gone.example/zzz"]
-        for t in (0.0, 60.0, 126.0):
-            batched = small_web.exists_mask(urls, t)
-            scalar = [small_web.exists(url, t) for url in urls]
-            assert [bool(v) for v in batched] == scalar
-
-    def test_up_to_date_mask_matches_scalar_oracle(self, small_web):
+    def test_exists_matches_scalar_oracle(self, small_web):
         urls = list(small_web.urls())[:200]
-        pairs = [(url, small_web.page(url).version_at(10.0)) for url in urls]
-        pairs.append(("http://gone.example/zzz", 0))
-        for t in (10.0, 80.0, 126.0):
-            batched = small_web.up_to_date_mask(pairs, t)
-            scalar = [small_web.is_up_to_date(url, version, t) for url, version in pairs]
+        arrays = small_web.oracle_arrays()
+        ids, _ = arrays.lookup(urls)
+        for t in (0.0, 60.0, 126.0):
+            batched = arrays.exists(ids, t)
+            scalar = [small_web.page(url).exists_at(t) for url in urls]
             assert [bool(v) for v in batched] == scalar
+
+    def test_up_to_date_matches_scalar_oracle(self, small_web):
+        # A stored copy is current when the page exists and its version
+        # still equals the stored one: the freshness metric's test.
+        urls = list(small_web.urls())[:200]
+        stored = np.array([small_web.page(url).version_at(10.0) for url in urls])
+        arrays = small_web.oracle_arrays()
+        ids, _ = arrays.lookup(urls)
+        for t in (10.0, 80.0, 126.0):
+            batched = arrays.exists(ids, t) & (arrays.versions(ids, t) == stored)
+            scalar = [
+                small_web.page(url).exists_at(t)
+                and small_web.page(url).version_at(t) == version
+                for url, version in zip(urls, stored.tolist())
+            ]
+            assert [bool(v) for v in batched] == scalar
+            if t > 10.0:
+                assert not all(scalar)  # some copies went stale
 
     def test_oracle_cache_invalidated_on_mutation(self, tiny_web):
         arrays = tiny_web.oracle_arrays()
