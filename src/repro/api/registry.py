@@ -139,8 +139,8 @@ ESTIMATORS = Registry("estimator")
 CHANGE_MODELS = Registry("change model")
 #: Canned experiment scenarios: name -> scenario function (see repro.api.scenarios).
 SCENARIOS = Registry("scenario")
-#: Collection storage backends: name -> StorageBackend factory
-#: (see repro.storage.backends).
+#: Collection storage backends: name -> store class; ``sqlite`` is the one
+#: registered (see repro.storage.backends).
 STORAGE_BACKENDS = Registry("storage backend")
 #: Fault models for deterministic fault injection: name -> FaultModel factory
 #: (see repro.faults).

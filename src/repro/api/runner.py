@@ -33,8 +33,7 @@ from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.periodic_crawler import PeriodicCrawler
 from repro.core.sharded_crawler import ShardedCrawler
 from repro.core.worker_pool import Job, run_jobs
-from repro.storage import backends as _backends  # noqa: F401  (registration side effect)
-from repro.storage.backends import StorageBackend
+from repro.storage.backends import SqliteBackend  # also registers "sqlite"
 from repro.storage.checkpoint import (
     RESULT_STATE_KEY,
     CollectionJournal,
@@ -180,14 +179,14 @@ def run(
         web: Optional pre-generated web to crawl/monitor instead of
             generating one from ``spec.web`` (used by the matrix runner to
             share webs across cells; ignored for scenario experiments).
-        store: Optional path for the storage backend named by
-            ``spec.crawler.storage`` (e.g. a SQLite file). Defaults to the
-            backend's volatile/in-memory form when omitted.
+        store: Optional SQLite file for the store ``spec.crawler.storage``
+            names. Without it the store is an in-memory database that dies
+            with the run.
         resume: Continue a killed run from the last checkpoint in the
-            store (requires ``spec.crawler.checkpoint_every``). When the
-            store already holds the run's final result, it is returned
-            without re-running anything; the resumed run is bit-identical
-            to an uninterrupted one.
+            store (requires ``store`` and ``spec.crawler.checkpoint_every``).
+            When the store already holds the run's final result, it is
+            returned without re-running anything; the resumed run is
+            bit-identical to an uninterrupted one.
 
     Returns:
         A structured :class:`ExperimentResult` with provenance.
@@ -236,7 +235,7 @@ def run(
 
 def _open_backend(
     spec: ExperimentSpec, store: Optional[str], resume: bool
-) -> Optional[StorageBackend]:
+) -> Optional[SqliteBackend]:
     """Instantiate the spec's storage backend, or ``None`` when unset."""
     storage = spec.crawler.storage if spec.crawler is not None else None
     if storage is None:
@@ -251,6 +250,12 @@ def _open_backend(
                 "and crawler.checkpoint_every in the spec"
             )
         return None
+    if resume and store is None:
+        raise ValueError(
+            "resume reads the checkpoint from a store file; pass store= "
+            "(--store PATH on the command line), since a store without a "
+            "path is in memory and holds no checkpoint"
+        )
     return STORAGE_BACKENDS.create(storage, path=store)
 
 
@@ -386,7 +391,7 @@ def _crawl_summary(
 def _run_crawl(
     spec: ExperimentSpec,
     web: Optional[SimulatedWeb],
-    backend: Optional[StorageBackend] = None,
+    backend: Optional[SqliteBackend] = None,
     resume: bool = False,
     store: Optional[str] = None,
 ) -> _RunPayload:

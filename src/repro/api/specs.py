@@ -465,9 +465,9 @@ class CrawlerSpec(_SpecBase):
             (``engine="sharded"`` only); capped at ``shards``. ``1`` with
             ``shards=1`` runs inline, with no processes started.
         storage: Optional registered storage-backend name
-            (:data:`repro.api.registry.STORAGE_BACKENDS` — ``"memory"``
-            or ``"sqlite"`` out of the box). When set, the
-            run journals its collection and change events into the backend,
+            (:data:`repro.api.registry.STORAGE_BACKENDS`; ``"sqlite"`` is
+            the one registered). When set, the
+            run journals its collection and change events into the store,
             committed with each checkpoint and with the final result, so a
             killed run's store is its last committed checkpoint; incremental
             crawls only.

@@ -69,13 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_spec.add_argument(
         "--store", default=None, metavar="PATH",
-        help="path for the spec's storage backend (e.g. a SQLite file); "
+        help="SQLite file for the spec's store (in memory without it); "
              "requires crawler.storage in the spec",
     )
     run_spec.add_argument(
         "--resume", action="store_true",
         help="continue a killed run from its last checkpoint in the store "
-             "(requires crawler.checkpoint_every in the spec)",
+             "(requires --store and crawler.checkpoint_every in the spec)",
     )
 
     run_matrix = subparsers.add_parser(
@@ -217,11 +217,9 @@ def _cmd_list_backends(args: argparse.Namespace) -> int:
 
     rows = []
     for name in STORAGE_BACKENDS.names():
-        factory = STORAGE_BACKENDS.get(name)
-        doc = (factory.__doc__ or "").strip().splitlines()
-        durable = "yes" if getattr(factory, "can_persist", False) else "no"
-        rows.append((name, durable, doc[0] if doc else ""))
-    print(format_table(["name", "durable", "description"], rows,
+        doc = (STORAGE_BACKENDS.get(name).__doc__ or "").strip().splitlines()
+        rows.append((name, doc[0] if doc else ""))
+    print(format_table(["name", "description"], rows,
                        title="registered storage backends"))
     return 0
 

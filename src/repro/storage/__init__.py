@@ -13,11 +13,9 @@ This package provides:
   disciplines the paper compares, behind a common, capacity-bounded
   :class:`Collection` interface (what users/queries see is
   ``current_records``);
-* :class:`StorageBackend` and its two implementations,
-  :class:`MemoryBackend` (in-process, the default) and
-  :class:`SqliteBackend` (the persistent store) — pluggable stores for
-  crawl records, change events and checkpoint state, selected through
-  :data:`repro.api.registry.STORAGE_BACKENDS`;
+* :class:`SqliteBackend` — the one store for crawl records, change events
+  and checkpoint state, volatile in memory or durable in a file, registered
+  as ``sqlite`` in :data:`repro.api.registry.STORAGE_BACKENDS`;
 * :class:`CollectionJournal` and :class:`CrawlCheckpointer` — the mirror
   that writes a running crawl's records and events into a backend and the
   resumable-state snapshotter whose save commits them.
@@ -25,11 +23,7 @@ This package provides:
 
 from repro.storage.records import PageRecord, record_to_dict
 from repro.storage.collection import Collection, InPlaceCollection, ShadowCollection
-from repro.storage.backends import (
-    MemoryBackend,
-    SqliteBackend,
-    StorageBackend,
-)
+from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import CollectionJournal, CrawlCheckpointer
 
 __all__ = [
@@ -38,8 +32,6 @@ __all__ = [
     "Collection",
     "InPlaceCollection",
     "ShadowCollection",
-    "StorageBackend",
-    "MemoryBackend",
     "SqliteBackend",
     "CollectionJournal",
     "CrawlCheckpointer",

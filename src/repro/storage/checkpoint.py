@@ -1,7 +1,7 @@
 """Durable crawl provenance: the collection journal and the checkpointer.
 
 Two cooperating pieces sit between the crawler and a
-:class:`~repro.storage.backends.StorageBackend`:
+:class:`~repro.storage.backends.SqliteBackend` store:
 
 * :class:`CollectionJournal` mirrors the live collection into the backend.
   Per-fetch change events are appended at ``process_batch`` boundaries;
@@ -41,7 +41,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (records and core import this)
     from repro.core.crawl_module import BatchCrawlOutcome, CrawlOutcome
-    from repro.storage.backends import StorageBackend
+    from repro.storage.backends import SqliteBackend
     from repro.storage.collection import Collection
     from repro.storage.records import PageRecord
 
@@ -129,7 +129,7 @@ class CollectionJournal:
         backend: The destination store.
     """
 
-    def __init__(self, backend: StorageBackend) -> None:
+    def __init__(self, backend: SqliteBackend) -> None:
         self.backend = backend
         #: Number of events appended through this journal (checkpointed, so
         #: a resume can check the store against it).
@@ -268,7 +268,7 @@ class CrawlCheckpointer:
 
     def __init__(
         self,
-        backend: StorageBackend,
+        backend: SqliteBackend,
         every_days: float,
         spec_hash: Optional[str] = None,
         namespace: Optional[str] = None,

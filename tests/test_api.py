@@ -179,7 +179,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_optional_bounds_reject_non_finite(self, value):
         with pytest.raises(ValueError, match="checkpoint_every"):
-            CrawlerSpec(storage="memory", checkpoint_every=value)
+            CrawlerSpec(storage="sqlite", checkpoint_every=value)
         with pytest.raises(ValueError, match="shards"):
             CrawlerSpec(engine="sharded", shards=value)
         with pytest.raises(ValueError, match="workers"):

@@ -24,7 +24,7 @@ from repro.core.collurls import CollUrls
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.update_module import UpdateModule
 from repro.estimation.change_history import ChangeHistory
-from repro.storage.backends import MemoryBackend
+from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     CrawlCheckpointer,
@@ -93,7 +93,7 @@ def test_allurls_snapshot_with_a_never_failed_url_restores_equal():
 
 
 def _float_tokens_and_size(web, capacity):
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     crawler = IncrementalCrawler(
         web,
         CrawlerSpec(

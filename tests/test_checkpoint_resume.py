@@ -27,7 +27,7 @@ from repro.api.specs import (
 )
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.ranking.sparse import LinkGraph
-from repro.storage.backends import MemoryBackend, SqliteBackend
+from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_PREV_STATE_KEY,
@@ -94,7 +94,7 @@ def test_journaled_run_is_bit_identical(tiny_web, estimator, use_politeness):
     plain = build_crawler(tiny_web, estimator=estimator, use_politeness=use_politeness)
     expected = result_fingerprint(plain, plain.run())
 
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     journaled = build_crawler(
         tiny_web, estimator=estimator, use_politeness=use_politeness
     )
@@ -114,7 +114,7 @@ def test_journaled_run_is_bit_identical(tiny_web, estimator, use_politeness):
 
 
 def test_journal_works_on_reference_engine(tiny_web):
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     crawler = ReferenceIncrementalCrawler(
         tiny_web, crawler_spec(track_quality=False, duration_days=10.0), PolicySpec()
     )
@@ -131,7 +131,7 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
     plain = build_crawler(tiny_web, use_politeness=use_politeness)
     expected = result_fingerprint(plain, plain.run())
 
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
     states = []
     # Deep-copy through JSON: exactly what a persistent backend stores.
@@ -144,7 +144,7 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
     assert result_fingerprint(full, full_outcome) == expected
 
     for state in states:
-        resume_backend = MemoryBackend()
+        resume_backend = SqliteBackend()
         resumed = build_crawler(tiny_web, use_politeness=use_politeness)
         outcome = resumed.run(
             journal=CollectionJournal(resume_backend),
@@ -312,7 +312,7 @@ def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):
         calls["dumps"] += 1
         return real_dumps(*args, **kwargs)
 
-    class CountingBackend(MemoryBackend):
+    class CountingBackend(SqliteBackend):
         def save_state_text(self, key, text):
             calls["writes"].append(key)
             super().save_state_text(key, text)
@@ -344,7 +344,7 @@ def test_a_checkpoint_with_the_retired_age_column_still_resumes(tiny_web):
     age column carry ``freshness["age"]``; they resume bit-identically."""
     plain = build_crawler(tiny_web)
     expected = result_fingerprint(plain, plain.run())
-    checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=7.0)
+    checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=7.0)
     states = []
     checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
     build_crawler(tiny_web).run(checkpointer=checkpointer)
@@ -353,7 +353,7 @@ def test_a_checkpoint_with_the_retired_age_column_still_resumes(tiny_web):
     assert "age" not in state["freshness"]
     state["freshness"]["age"] = [0.0] * len(state["freshness"]["times"])
 
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     CrawlCheckpointer(backend, every_days=7.0).save(state, state["checkpoint_at"])
     loader = CrawlCheckpointer(backend, every_days=7.0)
     resumed = build_crawler(tiny_web)
@@ -373,7 +373,7 @@ def test_a_checkpoint_with_the_retired_duplicate_tables_still_resumes(
     policy = PolicySpec(revisit_policy="optimal", use_importance=use_importance)
     plain = IncrementalCrawler(tiny_web, crawler_spec(), policy)
     expected = result_fingerprint(plain, plain.run())
-    checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=7.0)
+    checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=7.0)
     states = []
     checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
     IncrementalCrawler(tiny_web, crawler_spec(), policy).run(checkpointer=checkpointer)
@@ -406,7 +406,7 @@ def test_a_checkpoint_with_the_retired_duplicate_tables_still_resumes(
             "urls": scored, "values": pack_floats([1.0 / len(scored)] * len(scored))
         }
 
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     CrawlCheckpointer(backend, every_days=7.0).save(state, state["checkpoint_at"])
     loader = CrawlCheckpointer(backend, every_days=7.0)
     resumed = IncrementalCrawler(tiny_web, crawler_spec(), policy)
@@ -415,7 +415,7 @@ def test_a_checkpoint_with_the_retired_duplicate_tables_still_resumes(
 
 
 def test_resume_rejects_mismatched_run_shape(tiny_web):
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
     crawler = build_crawler(tiny_web)
     crawler.run(checkpointer=checkpointer)
@@ -440,18 +440,18 @@ def test_resume_rejects_mismatched_run_shape(tiny_web):
 
 def test_checkpoint_requires_batched_engine(tiny_web):
     crawler = ReferenceIncrementalCrawler(tiny_web, crawler_spec(), PolicySpec())
-    checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=5.0)
+    checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=5.0)
     with pytest.raises(ValueError, match="batched"):
         crawler.run(checkpointer=checkpointer)
 
 
 def test_checkpointer_validates_spacing():
     with pytest.raises(ValueError, match="positive"):
-        CrawlCheckpointer(MemoryBackend(), every_days=0.0)
+        CrawlCheckpointer(SqliteBackend(), every_days=0.0)
 
 
 def test_checkpointer_spec_hash_guard():
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     writer = CrawlCheckpointer(backend, every_days=1.0, spec_hash="a" * 64)
     writer.save({"format": 1}, at=0.0)
     reader = CrawlCheckpointer(backend, every_days=1.0, spec_hash="b" * 64)
@@ -462,7 +462,7 @@ def test_checkpointer_spec_hash_guard():
 
 
 def test_journal_truncates_event_tail_on_resume():
-    backend = MemoryBackend()
+    backend = SqliteBackend()
     journal = CollectionJournal(backend)
     backend.append_events([("u", float(i), False, True) for i in range(5)])
     journal.events_logged = 5
@@ -489,11 +489,11 @@ CRAWLER_SPEC = CrawlerSpec(
 )
 
 
-def test_runner_memory_backend_matches_plain_run():
+def test_runner_in_memory_store_matches_plain_run():
     plain = run(ExperimentSpec(name="p", web=WEB_SPEC, crawler=CRAWLER_SPEC))
     stored = run(ExperimentSpec(
         name="p", web=WEB_SPEC,
-        crawler=CRAWLER_SPEC.replace(storage="memory", checkpoint_every=5.0),
+        crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
     ))
     assert stored.series == plain.series
     assert stored.summary == plain.summary
@@ -574,6 +574,19 @@ def test_runner_resume_without_checkpoint_errors(tmp_path):
         run(spec, store=str(tmp_path / "empty.sqlite"), resume=True)
 
 
+@pytest.mark.parametrize(
+    "engine", [{}, {"engine": "sharded", "shards": 2}], ids=["batched", "sharded"]
+)
+def test_runner_resume_without_a_store_path_fails_at_once(engine):
+    # A store without a path is in memory: it can never hold a checkpoint.
+    spec = ExperimentSpec(
+        name="no-path", web=WEB_SPEC,
+        crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0, **engine),
+    )
+    with pytest.raises(ValueError, match=r"pass store= \(--store PATH"):
+        run(spec, resume=True)
+
+
 def test_runner_store_requires_storage_in_spec():
     spec = ExperimentSpec(name="x", web=WEB_SPEC, crawler=CRAWLER_SPEC)
     with pytest.raises(ValueError, match="storage"):
@@ -583,4 +596,4 @@ def test_runner_store_requires_storage_in_spec():
 
 
 def test_storage_backends_registry_reachable_from_api():
-    assert {"memory", "sqlite"} <= set(STORAGE_BACKENDS.names())
+    assert STORAGE_BACKENDS.names() == ["sqlite"]

@@ -84,6 +84,34 @@ class TestCommands:
         assert "bogus" in captured.err
         assert "table2" in captured.err  # the error lists registered scenarios
 
+    @staticmethod
+    def _stored_spec(tmp_path):
+        path = tmp_path / "stored.json"
+        path.write_text(json.dumps({
+            "name": "x", "kind": "crawl",
+            "web": {"site_scale": 0.03, "pages_per_site": 10, "seed": 3},
+            "crawler": {"collection_capacity": 25, "crawl_budget_per_day": 80.0,
+                        "duration_days": 2.0, "storage": "sqlite",
+                        "checkpoint_every": 1.0},
+        }))
+        return str(path)
+
+    def test_run_spec_resume_without_store_fails_cleanly(self, tmp_path, capsys):
+        assert main(["run-spec", self._stored_spec(tmp_path), "--resume"]) == 2
+        assert "--store" in capsys.readouterr().err
+
+    def test_run_spec_store_in_a_missing_directory_fails_cleanly(self, tmp_path, capsys):
+        store = tmp_path / "missing" / "x.db"
+        assert main(["run-spec", self._stored_spec(tmp_path), "--store", str(store)]) == 2
+        assert f"cannot open store {str(store)!r}" in capsys.readouterr().err
+
+    def test_run_spec_store_that_is_not_a_database_fails_cleanly(self, tmp_path, capsys):
+        store = tmp_path / "notes.txt"
+        store.write_bytes(b"not a database\n" * 64)
+        assert main(["run-spec", self._stored_spec(tmp_path), "--store", str(store)]) == 2
+        assert "not a database" in capsys.readouterr().err
+        assert store.read_bytes() == b"not a database\n" * 64
+
     def test_run_spec_non_finite_field_fails_cleanly(self, tmp_path, capsys):
         # A NaN budget used to pass validation and crawl a single page.
         path = tmp_path / "nan.json"

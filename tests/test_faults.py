@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sqlite3
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from repro.faults import (
     _uniform01,
 )
 from repro.simweb.generator import generate_web
-from repro.storage.backends import MemoryBackend
+from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_PREV_STATE_KEY,
@@ -882,7 +883,7 @@ def _two_saves(backend, payload=(0.1, "two", 2.5)):
 
 class TestCheckpointIntegrity:
     def test_checksum_covers_the_stored_bytes_and_excludes_itself(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         state = {"a": 1, "b": [1.5, 2.5]}
         _checkpointer(backend).save(state, at=1.0)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
@@ -890,11 +891,11 @@ class TestCheckpointIntegrity:
         assert _stored_digest(text) == state["integrity"]
         # Saving a document that already carries a digest hashes the same bytes.
         again = dict(state, integrity="stale")
-        _checkpointer(MemoryBackend()).save(again, at=1.0)
+        _checkpointer(SqliteBackend()).save(again, at=1.0)
         assert again["integrity"] == state["integrity"]
 
     def test_save_stamps_and_load_verifies(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         saver = _checkpointer(backend)
         saver.save({"tick": 1}, at=1.0)
         state = _checkpointer(backend).load()
@@ -904,7 +905,7 @@ class TestCheckpointIntegrity:
         assert backend.load_state(CHECKPOINT_STATE_KEY) == state
 
     def test_previous_slot_is_the_last_stored_text_byte_for_byte(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         first = _two_saves(backend)
         assert backend.load_state_text(CHECKPOINT_PREV_STATE_KEY) == first
         # A loaded (verified) text is demoted the same way, not re-dumped.
@@ -917,7 +918,7 @@ class TestCheckpointIntegrity:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_one_changed_character_falls_back(self, data):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         payload = data.draw(
             st.lists(st.floats(allow_nan=False) | st.text(max_size=8), max_size=6),
             label="payload",
@@ -943,7 +944,7 @@ class TestCheckpointIntegrity:
             _checkpointer(backend).load()
 
     def test_whitespace_change_a_parser_cannot_see_falls_back(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         _two_saves(backend)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
         spaces = [at for at, char in enumerate(text) if char == " "]
@@ -955,26 +956,37 @@ class TestCheckpointIntegrity:
             assert _checkpointer(backend).load()["tick"] == 1
 
     @pytest.mark.parametrize("position", [20, -5])  # inside the header, inside the body
-    def test_unencodable_character_falls_back_instead_of_raising(self, position):
-        # A damaged text may decode to a lone surrogate, which strict UTF-8
-        # cannot encode; it must hash to a mismatch, not escape load().
-        backend = MemoryBackend()
+    def test_unencodable_character_falls_back_instead_of_raising(self, position, tmp_path):
+        # Damaged bytes may not decode as UTF-8 (here: an encoded lone
+        # surrogate); the unreadable slot must fall back, not escape load().
+        path = str(tmp_path / "store.sqlite")
+        backend = SqliteBackend(path)
         _two_saves(backend)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
         at = position % len(text)
-        backend.save_state_text(CHECKPOINT_STATE_KEY, text[:at] + "\ud800" + text[at + 1:])
+        damaged = text[:at].encode() + b"\xed\xa0\x80" + text[at + 1:].encode()
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE state SET value = CAST(? AS TEXT) WHERE key = ?",
+            (damaged, CHECKPOINT_STATE_KEY),
+        )
+        conn.commit()
+        conn.close()
+        with pytest.raises(sqlite3.OperationalError):
+            backend.load_state_text(CHECKPOINT_STATE_KEY)
         assert _checkpointer(backend).load()["tick"] == 1
+        backend.close()
 
     @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99])
     def test_torn_current_slot_falls_back_to_previous(self, keep):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         _two_saves(backend)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
         backend.save_state_text(CHECKPOINT_STATE_KEY, text[: int(len(text) * keep)])
         assert _checkpointer(backend).load()["tick"] == 1
 
     def test_corrupt_current_slot_falls_back_to_previous(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         saver = _checkpointer(backend)
         saver.save({"tick": 1}, at=1.0)
         saver.save({"tick": 2}, at=2.0)
@@ -986,7 +998,7 @@ class TestCheckpointIntegrity:
         assert state["tick"] == 1  # the demoted previous snapshot
 
     def test_both_slots_corrupt_raises(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         saver = _checkpointer(backend)
         saver.save({"tick": 1}, at=1.0)
         saver.save({"tick": 2}, at=2.0)
@@ -998,7 +1010,7 @@ class TestCheckpointIntegrity:
             _checkpointer(backend).load()
 
     def test_corrupt_current_without_previous_raises(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         saver = _checkpointer(backend)
         saver.save({"tick": 1}, at=1.0)
         damaged = dict(backend.load_state(CHECKPOINT_STATE_KEY))
@@ -1008,7 +1020,7 @@ class TestCheckpointIntegrity:
             _checkpointer(backend).load()
 
     def test_checksum_less_legacy_checkpoint_is_refused(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         backend.save_state(CHECKPOINT_STATE_KEY, {"tick": 7})
         with pytest.raises(
             ValueError, match=f"format none .* format {CHECKPOINT_FORMAT}"
@@ -1020,7 +1032,7 @@ class TestCheckpointIntegrity:
     def test_older_format_checkpoint_is_refused_naming_both_formats(self, old_format):
         # Format 2's layout: ``integrity`` last, the sha256 of a canonical
         # re-dump. Both slots are equally old, so no fallback.
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         for key, tick in ((CHECKPOINT_PREV_STATE_KEY, 6), (CHECKPOINT_STATE_KEY, 7)):
             state = {"format": old_format, "tick": tick}
             canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
@@ -1033,7 +1045,7 @@ class TestCheckpointIntegrity:
         assert "corrupt" not in str(refusal.value)
 
     def test_spec_hash_guard_still_applies_after_fallback(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         saver = _checkpointer(backend, spec_hash="a" * 64)
         saver.save({"tick": 1}, at=1.0)
         with pytest.raises(ValueError, match="different spec"):

@@ -9,8 +9,9 @@ it, so a definition is caught even where nothing imports it.
 The benchmark's layer tracer patches entry points on their owning classes,
 so two tests hold the one engine to that contract: every traced name is
 still defined where the tracer looks, and the crawl loop reaches its stages
-through those owners rather than through captured references. The last test
-keeps every check where pytest collects it.
+through those owners rather than through captured references. Every dotted
+``repro.…`` name the README cites must resolve, and the last test keeps every
+check where pytest collects it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import ast
 import fnmatch
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.incremental_crawler import IncrementalCrawler
-from repro.storage.backends import MemoryBackend
+from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import CrawlCheckpointer
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,6 +65,8 @@ RETIRED_NAMES = {
     "_resolve_site_chain", "_leading_true", "is_open_array", "next_open_array",
     "_dense_view", "versions_at", "exists_mask", "up_to_date_mask",
     "is_up_to_date", "current_version", "live_urls_at", "_observe_site",
+    # One store: SqliteBackend, in memory without a path and durable with one.
+    "MemoryBackend", "StorageBackend", "can_persist",
 }
 
 
@@ -160,7 +164,7 @@ def test_the_crawl_loop_reaches_its_stages_through_their_owners(tiny_web):
         measurement_interval_days=1.0,
         track_quality=True,
     ), PolicySpec())
-    checkpointer = CrawlCheckpointer(MemoryBackend(), every_days=7.0)
+    checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=7.0)
     with tracing.Tracer() as tracer, tracer.root():
         crawler.run(checkpointer=checkpointer)
 
@@ -181,6 +185,32 @@ def test_the_crawl_loop_reaches_its_stages_through_their_owners(tiny_web):
         for span in tracer.spans
         if span[0] in ("core.update_module:process_slots", "core.ranking_module:refine")
     )
+
+
+def _resolve_dotted(name):
+    """The object a dotted ``repro.…`` name denotes: each part an attribute
+    of the one before, importing a submodule where no attribute exists yet."""
+    parts = name.split(".")
+    found = importlib.import_module(parts[0])
+    for at, part in enumerate(parts[1:], start=2):
+        if not hasattr(found, part):
+            importlib.import_module(".".join(parts[:at]))
+        found = getattr(found, part)
+    return found
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    names = sorted(set(re.findall(
+        r"`(repro(?:\.[A-Za-z_]\w*)+)`", (REPO / "README.md").read_text(encoding="utf-8")
+    )))
+    assert len(names) >= 10
+    unresolved = []
+    for name in names:
+        try:
+            _resolve_dotted(name)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert unresolved == []
 
 
 def test_every_module_that_defines_tests_is_collected():

@@ -1,31 +1,26 @@
-"""Contract tests for the pluggable storage backends.
+"""Contract tests for the SQLite collection store.
 
-Every backend must honour one contract — put/get/scan with first-put scan
-order, idempotent deletes, append-only event logs with resume truncation,
-and JSON state blobs that round-trip floats bit-exactly — so the tests are
-parametrized over all registered backends. SQLite adds one rule: ``flush``
-is its only commit, and ``close`` without it drops the unflushed writes.
+The store honours one contract in both its forms — put/get/scan with
+first-put scan order, idempotent deletes, append-only event logs with
+resume truncation, and JSON state blobs that round-trip floats bit-exactly —
+so the contract tests run on an in-memory store and on a WAL file. The file
+form adds one rule: ``flush`` is its only commit, and ``close`` without it
+drops the unflushed writes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sqlite3
 
 import pytest
 
 from repro.api.registry import STORAGE_BACKENDS
 from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
-from repro.storage import (
-    MemoryBackend,
-    PageRecord,
-    SqliteBackend,
-    record_to_dict,
-)
+from repro.storage import PageRecord, SqliteBackend, record_to_dict
 from repro.storage.records import records_from_columns, records_to_columns
-
-BACKEND_NAMES = ("memory", "sqlite")
 
 
 def make_record(url: str, fetched_at: float = 1.5, **overrides) -> PageRecord:
@@ -43,9 +38,10 @@ def make_record(url: str, fetched_at: float = 1.5, **overrides) -> PageRecord:
     return PageRecord(**fields)
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def backend(request):
-    instance = STORAGE_BACKENDS.create(request.param, path=None)
+@pytest.fixture(params=("memory", "file"))
+def backend(request, tmp_path):
+    path = str(tmp_path / "store.sqlite") if request.param == "file" else None
+    instance = STORAGE_BACKENDS.create("sqlite", path=path)
     yield instance
     instance.close()
 
@@ -53,38 +49,36 @@ def backend(request):
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
-def test_backends_are_registered():
-    names = STORAGE_BACKENDS.names()
-    for name in BACKEND_NAMES:
-        assert name in names
+def test_storage_registry_holds_exactly_sqlite():
+    assert STORAGE_BACKENDS.names() == ["sqlite"]
+    created = STORAGE_BACKENDS.create("sqlite")
+    try:
+        assert isinstance(created, SqliteBackend)
+    finally:
+        created.close()
 
 
-def test_registry_creates_expected_classes():
-    assert isinstance(STORAGE_BACKENDS.create("memory"), MemoryBackend)
-    assert isinstance(STORAGE_BACKENDS.create("sqlite"), SqliteBackend)
-
-
-def test_columnar_storage_is_refused_naming_the_backends():
+@pytest.mark.parametrize("name", ["columnar", "memory"])
+def test_columnar_storage_is_refused_naming_the_backends(name):
     with pytest.raises(ValueError) as refused:
-        CrawlerSpec(storage="columnar")
-    assert "'memory'" in str(refused.value)
+        CrawlerSpec(storage=name)
     assert "'sqlite'" in str(refused.value)
 
 
-def test_storage_registry_holds_exactly_memory_and_sqlite():
-    assert set(STORAGE_BACKENDS.names()) == set(BACKEND_NAMES)
-
-
-@pytest.mark.parametrize("name", BACKEND_NAMES)
+@pytest.mark.parametrize("name", ["sqlite"])
 def test_crawler_spec_accepts_each_storage_backend(name):
     assert CrawlerSpec(storage=name).storage == name
 
 
-def test_durability_flags():
-    assert not MemoryBackend.can_persist
-    assert SqliteBackend.can_persist
-    assert not MemoryBackend().persistent
-    assert not SqliteBackend().persistent  # in-memory form
+def test_path_names_the_durable_form(tmp_path):
+    volatile = SqliteBackend()
+    durable = SqliteBackend(str(tmp_path / "store.sqlite"))
+    try:
+        assert volatile.path is None
+        assert durable.path == str(tmp_path / "store.sqlite")
+    finally:
+        volatile.close()
+        durable.close()
 
 
 # --------------------------------------------------------------------- #
@@ -222,7 +216,7 @@ def test_state_documents_are_detached_copies(backend):
     payload["values"].append(3)
     assert backend.load_state("k") == {"values": [1, 2]}
     # ... and in the other direction: mutating a loaded document must not
-    # reach the store (memory once handed out the stored dict).
+    # reach the store.
     backend.load_state("k")["values"].append(4)
     assert backend.load_state("k") == {"values": [1, 2]}
 
@@ -249,7 +243,7 @@ def test_non_serialisable_state_fails_loudly_in_save_state(backend):
 def test_sqlite_file_persistence(tmp_path):
     path = str(tmp_path / "store.sqlite")
     first = SqliteBackend(path)
-    assert first.persistent
+    assert first.path is not None
     first.put_records([make_record("b"), make_record("a")])
     first.append_events([("b", 0.5, True, True)])
     first.save_state("chk", {"n": 7})
@@ -349,6 +343,22 @@ def test_sqlite_refuses_a_records_table_missing_a_column(tmp_path):
         SqliteBackend(path)
 
 
+def test_sqlite_refuses_a_path_it_cannot_open(tmp_path):
+    path = str(tmp_path / "missing" / "store.sqlite")
+    with pytest.raises(ValueError, match="cannot open store .*missing"):
+        SqliteBackend(path)
+    assert not os.path.exists(tmp_path / "missing")
+
+
+def test_sqlite_refuses_a_file_that_is_not_a_database(tmp_path):
+    path = tmp_path / "notes.txt"
+    data = b"crawl notes, not a database\n" * 64
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="cannot open store .*notes.txt.*not a database"):
+        SqliteBackend(str(path))
+    assert path.read_bytes() == data
+
+
 def test_sqlite_adds_its_tables_to_a_file_without_records(tmp_path):
     path = str(tmp_path / "other.sqlite")
     conn = sqlite3.connect(path)
@@ -401,11 +411,10 @@ def test_update_fetches_rewrites_only_the_refetch_columns(backend):
     backend.update_fetches([refetched])
     stored = backend.get_record("b")
     assert (stored.fetched_at, stored.visit_count, stored.importance) == (4.0, 5, 0.5)
-    if isinstance(backend, SqliteBackend):
-        # The narrow update leaves the other columns as last put.
-        assert (stored.version, stored.outlinks, stored.change_count) == (
-            7, ("b/a", "b/b"), 1
-        )
+    # The narrow update leaves the other columns as last put.
+    assert (stored.version, stored.outlinks, stored.change_count) == (
+        7, ("b/a", "b/b"), 1
+    )
     assert backend.get_record("a") == make_record("a")
     assert [r.url for r in backend.scan_records()] == ["a", "b"]
 
@@ -452,7 +461,7 @@ def test_spec_hashes_stable_without_storage_fields():
 
 
 def test_spec_hash_changes_when_storage_set():
-    assert CrawlerSpec(storage="memory").spec_hash() != CrawlerSpec().spec_hash()
+    assert CrawlerSpec(storage="sqlite").spec_hash() != CrawlerSpec().spec_hash()
 
 
 @pytest.mark.parametrize(
