@@ -11,11 +11,11 @@ Three runs of the same spec:
 The store commits only with a checkpoint, so before each resume the
 killed store's event count must equal its checkpoint's ``events_logged``.
 The resumed run must reproduce the uninterrupted run's result exactly —
-summary, series, spec hash — and the two stores must hold identical
-per-URL records (fetch timestamps included), identical event logs and the
-same text for their latest checkpoint: what a resume rebuilds instead of
-reading from the checkpoint must come back whole, or a later checkpoint
-would differ.
+summary, series, spec hash — and the two stores must hold the same text
+for their final collection image (every record, fetch timestamps
+included), identical event logs and the same text for their latest
+checkpoint: what a resume rebuilds instead of reading from the checkpoint
+must come back whole, or a later checkpoint would differ.
 This is the paper's "incremental crawler you can stop and restart"
 property, end to end.
 
@@ -175,12 +175,12 @@ def query(store: str, sql: str, params: tuple = ()) -> list:
         conn.close()
 
 
-def records_table(store: str) -> list:
-    return query(
-        store,
-        "SELECT url, fetched_at, first_fetched_at, visit_count,"
-        " change_count, version, importance FROM records ORDER BY url",
-    )
+def state_text(store: str, key: str) -> list:
+    """The stored text of state ``key``, as a one-row list."""
+    rows = query(store, "SELECT value FROM state WHERE key = ?", (key,))
+    if not rows:
+        raise SystemExit(f"FAIL: {os.path.basename(store)} holds no {key!r}")
+    return rows
 
 
 def event_log(store: str) -> list:
@@ -201,22 +201,15 @@ def check_store_is_its_checkpoint(store: str, key: str = "checkpoint") -> int:
     return count
 
 
-def latest_checkpoint(store: str, key: str) -> list:
-    """The stored text of checkpoint ``key``, as a one-row list."""
-    rows = query(store, "SELECT value FROM state WHERE key = ?", (key,))
-    if not rows:
-        raise SystemExit(f"FAIL: {os.path.basename(store)} holds no {key!r}")
-    return rows
-
-
 def compare_stores(label: str, pairs: list) -> int:
-    """Records, event logs and the latest checkpoint's text of each
-    (uninterrupted, interrupted, checkpoint key) store triple."""
-    for reference, interrupted, key in pairs:
+    """Final collection images, event logs and the latest checkpoint's text
+    of each (uninterrupted, interrupted, state-key namespace) store triple;
+    the number of records the reference images hold."""
+    for reference, interrupted, prefix in pairs:
         for what, read in (
-            ("records", records_table),
+            ("final collection images", lambda store: state_text(store, prefix + "collection")),
             ("event logs", event_log),
-            ("latest checkpoints", lambda store: latest_checkpoint(store, key)),
+            ("latest checkpoints", lambda store: state_text(store, prefix + "checkpoint")),
         ):
             rows_a, rows_b = read(reference), read(interrupted)
             if rows_a != rows_b:
@@ -224,7 +217,10 @@ def compare_stores(label: str, pairs: list) -> int:
                     f"FAIL: {label}: the stores hold different {what} "
                     f"({len(rows_a)} vs {len(rows_b)} rows)"
                 )
-    return sum(len(records_table(reference)) for reference, _, _ in pairs)
+    return sum(
+        len(json.loads(state_text(reference, prefix + "collection")[0][0])["url"])
+        for reference, _, prefix in pairs
+    )
 
 
 def result_doc(path: str) -> dict:
@@ -293,11 +289,11 @@ def main() -> int:
     if a["provenance"]["spec_hash"] != b["provenance"]["spec_hash"]:
         raise SystemExit("FAIL: spec hash mismatch between runs")
 
-    records = compare_stores("resume", [(store_a, store_b, "checkpoint")])
+    records = compare_stores("resume", [(store_a, store_b, "")])
     say(
         f"PASS: resumed run is bit-identical to the uninterrupted run "
-        f"({records} records, the event log and the latest checkpoint, mean freshness "
-        f"{a['summary']['mean_freshness']:.4f})"
+        f"({records} records in the final image, the event log and the latest "
+        f"checkpoint, mean freshness {a['summary']['mean_freshness']:.4f})"
     )
 
     sharded_phase(tmp)
@@ -319,7 +315,7 @@ def any_shard_checkpoint(base: str, n_shards: int) -> bool:
 
 def shard_pairs(reference: str, interrupted: str, n_shards: int) -> list:
     return [
-        (reference_path, interrupted_path, f"shard{k:02d}/checkpoint")
+        (reference_path, interrupted_path, f"shard{k:02d}/")
         for k, (reference_path, interrupted_path) in enumerate(zip(
             shard_store_paths(reference, n_shards),
             shard_store_paths(interrupted, n_shards),
@@ -402,7 +398,7 @@ def sharded_phase(tmp: str) -> None:
     records = compare_stores("sharded resume", shard_pairs(store_c, store_d, n_shards))
     say(
         f"PASS: resumed sharded run is bit-identical to the uninterrupted "
-        f"run ({records} records, the event logs and the latest checkpoints "
+        f"run ({records} records in the final images, the event logs and the latest checkpoints "
         f"across {n_shards} shard stores, mean freshness {c['summary']['mean_freshness']:.4f})"
     )
 
@@ -500,11 +496,9 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str, store_reference: st
                     f"FAIL: resume after a {label} checkpoint differs from the "
                     f"uninterrupted run in {key!r}"
                 )
-        # The fallback trimmed the events past the previous slot and resynced
-        # the records: the store ends as the uninterrupted run's.
-        compare_stores(
-            f"{label} fallback", [(store_reference, damaged_store, "checkpoint")]
-        )
+        # The fallback trimmed the events past the previous slot: the store
+        # ends as the uninterrupted run's.
+        compare_stores(f"{label} fallback", [(store_reference, damaged_store, "")])
         say(
             f"PASS: {label} checkpoint detected, previous snapshot resumed "
             f"bit-identically (mean freshness {b['summary']['mean_freshness']:.4f})"
@@ -592,7 +586,7 @@ def worker_kill_phase(tmp: str) -> None:
     ))
     say(
         "PASS: coordinator recovered the SIGKILLed worker bit-identically "
-        f"({records} records, the event logs and the latest checkpoints, "
+        f"({records} records in the final images, the event logs and the latest checkpoints, "
         f"mean freshness {d['summary']['mean_freshness']:.4f})"
     )
 

@@ -25,6 +25,7 @@ Three experiment kinds are supported by :func:`repro.api.runner.run`:
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import inspect
 import json
@@ -76,6 +77,27 @@ def _unknown_choice(kind: str, name: object, choices: Tuple[str, ...]) -> ValueE
     return ValueError(f"unknown {kind} {name!r}; valid choices: {listed}")
 
 
+def _refuse_unknown_fields(cls: type, data: Mapping[str, Any], valid: list) -> None:
+    """Refuse keys of ``data`` outside ``valid``, listing the valid fields
+    and naming the nearest one to each misspelt key."""
+    unknown = sorted(set(data) - set(valid))
+    if not unknown:
+        return
+    hints = [
+        (key, match[0]) for key in unknown
+        for match in [difflib.get_close_matches(str(key), valid, n=1)] if match
+    ]
+    hint = ""
+    if len(unknown) == 1 and hints:
+        hint = f"; did you mean {hints[0][1]!r}?"
+    elif hints:
+        hint = "; did you mean " + ", ".join(f"{m!r} for {k!r}" for k, m in hints) + "?"
+    raise ValueError(
+        f"unknown {cls.__name__} field(s) {', '.join(map(repr, unknown))}; "
+        f"valid fields: {', '.join(sorted(valid))}{hint}"
+    )
+
+
 @dataclass(frozen=True)
 class _SpecBase:
     """Shared to_dict/from_dict/hash machinery for the spec dataclasses."""
@@ -111,13 +133,7 @@ class _SpecBase:
         if not isinstance(data, Mapping):
             raise ValueError(f"{cls.__name__} must be built from a mapping, "
                              f"got {type(data).__name__}")
-        valid = {spec_field.name: spec_field for spec_field in fields(cls)}
-        unknown = sorted(set(data) - set(valid))
-        if unknown:
-            raise ValueError(
-                f"unknown {cls.__name__} field(s) {', '.join(map(repr, unknown))}; "
-                f"valid fields: {', '.join(sorted(valid))}"
-            )
+        _refuse_unknown_fields(cls, data, [spec_field.name for spec_field in fields(cls)])
         kwargs = dict(data)
         for name, nested_cls in cls._nested_spec_fields().items():
             if kwargs.get(name) is not None:
@@ -350,12 +366,7 @@ class FaultsSpec(_SpecBase):
         if not isinstance(data, Mapping):
             raise ValueError(f"{cls.__name__} must be built from a mapping, "
                              f"got {type(data).__name__}")
-        unknown = sorted(set(data) - {"models", "seed"})
-        if unknown:
-            raise ValueError(
-                f"unknown {cls.__name__} field(s) {', '.join(map(repr, unknown))}; "
-                f"valid fields: models, seed"
-            )
+        _refuse_unknown_fields(cls, data, ["models", "seed"])
         models = data.get("models", ())
         if isinstance(models, Mapping) or isinstance(models, str):
             raise ValueError("FaultsSpec models must be a list of fault models")

@@ -131,12 +131,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # --------------------------------------------------------------------- #
 # Commands
 # --------------------------------------------------------------------- #
-def _read_input(path: str) -> str:
-    """The text of ``path``, or of stdin when ``path`` is ``'-'``."""
+def _read_input(path: str) -> Optional[str]:
+    """The text of ``path``, or of stdin when ``path`` is ``'-'``; ``None``
+    once it has reported a file that cannot be read."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as error:
+        print(f"cannot read {path!r}: {error.strerror or error}", file=sys.stderr)
+        return None
 
 
 def _emit(
@@ -152,8 +157,11 @@ def _emit(
 
 
 def _cmd_run_spec(args: argparse.Namespace) -> int:
+    text = _read_input(args.spec)
+    if text is None:
+        return 2
     try:
-        spec = ExperimentSpec.from_json(_read_input(args.spec))
+        spec = ExperimentSpec.from_json(text)
     except (TypeError, ValueError, json.JSONDecodeError) as error:
         # TypeError covers wrongly-typed field values (e.g. a quoted number)
         # surfacing from the spec/config validators.
@@ -169,8 +177,11 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_matrix(args: argparse.Namespace) -> int:
+    text = _read_input(args.matrix)
+    if text is None:
+        return 2
     try:
-        document = json.loads(_read_input(args.matrix))
+        document = json.loads(text)
         if not isinstance(document, dict) or "base" not in document:
             raise ValueError("a matrix file needs a 'base' experiment spec")
         axes = document.get("axes")

@@ -104,8 +104,8 @@ class CrawlModule:
         self._link_filter = link_filter
         self.pages_fetched = 0
         self.pages_failed = 0
-        # Optional CollectionJournal mirroring stored records and change
-        # events into a storage backend (set by IncrementalCrawler.run).
+        # Optional CollectionJournal appending change events to a storage
+        # backend (set by IncrementalCrawler.run).
         self.journal = None
 
     @property
@@ -295,10 +295,7 @@ class CrawlModule:
 
     def discard(self, url: str) -> Optional[PageRecord]:
         """Remove a page from the working collection (refinement decision)."""
-        discarded = self._collection.discard(url)
-        if discarded is not None and self.journal is not None:
-            self.journal.on_discard(url)
-        return discarded
+        return self._collection.discard(url)
 
     # ------------------------------------------------------------------ #
     # Checkpointing

@@ -234,12 +234,12 @@ class IncrementalCrawler:
         ``start_time`` (cut at the web's horizon).
 
         Args:
-            journal: Optional :class:`CollectionJournal` mirroring records
-                and change events into a storage backend. Its writes stay in
-                the backend's open transaction: the journal is flushed
-                before each checkpoint (whose save commits it) and at the
-                end of the run, after which the caller commits with
-                ``backend.flush()``.
+            journal: Optional :class:`CollectionJournal` appending change
+                events into a storage backend. Its writes stay in the
+                backend's open transaction, which each checkpoint save
+                commits; at the end of the run it writes the final
+                collection image, which the caller commits with the result
+                (``backend.flush()``).
             checkpointer: Optional :class:`CrawlCheckpointer` persisting
                 resumable state snapshots at event boundaries.
             resume_state: A checkpoint previously written by this
@@ -248,7 +248,8 @@ class IncrementalCrawler:
                 the checkpoint and produces results bit-identical to an
                 uninterrupted run. When ``checkpointer`` loaded it from
                 its latest slot, the journal's store is taken as committed
-                with it and left as it is; otherwise the store is resynced.
+                with it and left as it is; otherwise its event log is
+                truncated to the checkpoint's.
 
         Returns:
             A :class:`CrawlRunResult` with freshness/quality series and
@@ -288,7 +289,7 @@ class IncrementalCrawler:
             scheduler=scheduler,
         )
         if journal is not None:
-            journal.flush(self._collection)
+            journal.finish(self._collection)
 
         result.pages_crawled = self._crawl_module.pages_fetched
         result.pages_failed = self._crawl_module.pages_failed
@@ -343,16 +344,12 @@ class IncrementalCrawler:
         spec = self._spec
         crawl_period = 1.0 / spec.crawl_budget_per_day
         limit = end_time + 1e-12
-        journal = self._crawl_module.journal
 
         while True:
             head = scheduler.peek()
             if head is None or head[0] > limit:
                 break
             if checkpointer is not None and checkpointer.due(head[0]):
-                if journal is not None:
-                    # Written into the transaction the save commits.
-                    journal.flush(self._collection)
                 # No local name for the state: it would keep the last
                 # snapshot alive, doubling the next save's peak memory.
                 checkpointer.save(
@@ -392,7 +389,6 @@ class IncrementalCrawler:
                 refinement = self._ranking_module.refine(at)
                 if self._use_importance:  # the only reader of the score dict
                     self._update_module.set_importance(refinement.importance)
-                self._refresh_journal_records()
                 scheduler.schedule(at + spec.ranking_interval_days, "ranking")
             else:
                 tracker.sample(at)
@@ -450,12 +446,6 @@ class IncrementalCrawler:
         if self._quality_cache is None:
             return None
         return self._quality_cache.attainable_mass
-
-    def _refresh_journal_records(self) -> None:
-        """Tell the journal a ranking scan rewrote the collection's importance."""
-        journal = self._crawl_module.journal
-        if journal is not None:
-            journal.refresh_records(self._collection.working_records())
 
     # ------------------------------------------------------------------ #
     # Checkpoint / resume
@@ -520,8 +510,8 @@ class IncrementalCrawler:
         restoration *replays* collection stores in checkpoint order so the
         repository's insertion order — and with it every scan order
         downstream — matches the uninterrupted run. ``committed`` says the
-        journal's store committed together with this checkpoint, so it
-        already mirrors the restored collection.
+        journal's store committed together with this checkpoint, so its
+        event log already ends where the checkpoint does.
         """
         fmt = state.get("format")
         if fmt != CHECKPOINT_FORMAT:
@@ -571,11 +561,6 @@ class IncrementalCrawler:
         result.quality[:] = [float(v) for v in quality["values"]]
         result.quality_times[:] = [float(t) for t in quality["times"]]
 
-        if journal is not None:
-            if not committed:
-                # The store may have moved past this checkpoint (the load
-                # fell back a slot); it must mirror the restored collection.
-                journal.backend.replace_records(self._collection.working_records())
-            if state.get("journal") is not None:
-                journal.restore_snapshot(state["journal"], committed)
+        if journal is not None and state.get("journal") is not None:
+            journal.restore_snapshot(state["journal"], committed)
         return scheduler

@@ -140,7 +140,7 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
     try:
         if spec.storage is not None:
             backend = STORAGE_BACKENDS.create(spec.storage, path=job.store_path)
-            journal = CollectionJournal(backend)
+            journal = CollectionJournal(backend, namespace=namespace)
             if spec.checkpoint_every is not None:
                 checkpointer = CrawlCheckpointer(
                     backend,

@@ -483,7 +483,7 @@ class UpdateModule:
             )
         journal = self._crawl_module.journal
         if journal is not None:
-            journal.on_batch(outcome, self._crawl_module.collection)
+            journal.on_batch(outcome)
         return outcome
 
     # ------------------------------------------------------------------ #

@@ -3,18 +3,21 @@
 Two cooperating pieces sit between the crawler and a
 :class:`~repro.storage.backends.SqliteBackend` store:
 
-* :class:`CollectionJournal` mirrors the live collection into the backend.
-  Per-fetch change events are appended at ``process_batch`` boundaries;
-  records are only *marked* there (new or changed, re-fetched unchanged,
-  discarded) and written out by :meth:`CollectionJournal.flush` just before
-  each checkpoint and at run end. The crawler never reads through it (the
-  hot path stays in memory).
+* :class:`CollectionJournal` appends per-fetch change events at
+  ``process_batch`` boundaries into the backend's open transaction, and at
+  run end writes the final collection image once. It mirrors no records:
+  the crawler never reads through it (the hot path stays in memory).
 * :class:`CrawlCheckpointer` periodically persists a full crawler state
-  snapshot (queue order, estimator sums, politeness map — assembled by
-  ``IncrementalCrawler``) as a named state blob, from which a killed run
+  snapshot (queue order, estimator sums, politeness map, and the
+  collection itself as ``collection`` columns — assembled by
+  ``IncrementalCrawler``) as a named state text, from which a killed run
   resumes bit-identically. Its ``backend.flush()`` is the store's commit:
-  the journal's records and events land in the same transaction as the
-  checkpoint, so a killed run's store *is* its last committed checkpoint.
+  the events land in the same transaction as the checkpoint, so a killed
+  run's store *is* its last committed checkpoint.
+
+The store therefore holds the collection once: in each checkpoint, and in
+the final image (:data:`COLLECTION_STATE_KEY`), which commits together
+with the run's result.
 
 One rule governs a checkpoint's bytes: the document is serialised **once**;
 ``integrity`` is the sha256 **of the stored bytes** that follow its
@@ -22,11 +25,10 @@ fixed-width header; the previous slot receives the **last text this process
 wrote or verified**, never a second dump; a load re-hashes before it parses.
 
 On the normal resume path (the latest slot verified) the store already
-holds the checkpoint's records and exactly its ``events_logged`` events, so
-nothing is rewritten, and a store that disagrees is refused. Only when the
-load fell back to the previous slot is the store ahead of the checkpoint:
-its event log is then truncated to the checkpoint's count and its records
-resynced wholesale from the checkpoint's collection image.
+holds exactly the checkpoint's ``events_logged`` events, so nothing is
+rewritten, and a store that disagrees is refused. Only when the load fell
+back to the previous slot is the store ahead of the checkpoint: its event
+log is then truncated to the checkpoint's count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import base64
 import hashlib
 import json
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -43,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (records and core imp
     from repro.core.crawl_module import BatchCrawlOutcome, CrawlOutcome
     from repro.storage.backends import SqliteBackend
     from repro.storage.collection import Collection
-    from repro.storage.records import PageRecord
 
 #: Backend state key under which crawl checkpoints are stored.
 CHECKPOINT_STATE_KEY = "checkpoint"
@@ -53,6 +54,9 @@ CHECKPOINT_STATE_KEY = "checkpoint"
 CHECKPOINT_PREV_STATE_KEY = "checkpoint_prev"
 #: Backend state key under which a completed run's result is stored.
 RESULT_STATE_KEY = "result"
+#: Backend state key under which a completed run's final collection image
+#: (:func:`~repro.storage.records.records_to_columns`) is stored.
+COLLECTION_STATE_KEY = "collection"
 #: Version stamp of the checkpoint document layout. Format 2 added the
 #: RankingModule's link-graph and warm-start state (sparse incremental
 #: ranking); format-1 checkpoints predate it and cannot resume here.
@@ -118,107 +122,59 @@ def _digest(text: str, start: int) -> str:
 
 
 class CollectionJournal:
-    """Mirrors crawl outcomes into a storage backend, one checkpoint at a time.
+    """Appends crawl outcomes to a store's event log, one checkpoint at a time.
 
-    Events are appended per batch into the backend's open transaction.
-    Records are marked per batch and written by :meth:`flush`, which the
-    crawler calls before each checkpoint and at run end; the checkpoint's
-    ``backend.flush()`` then commits both with the checkpoint blob.
+    Events are appended per batch into the backend's open transaction, which
+    the next checkpoint save (or the run's result) commits. The collection
+    is not mirrored: each checkpoint carries it, and :meth:`finish` writes
+    the final image once at run end.
 
     Args:
         backend: The destination store.
+        namespace: Optional state-key namespace (see
+            :func:`namespaced_state_key`), the same as the run's checkpointer.
     """
 
-    def __init__(self, backend: SqliteBackend) -> None:
+    def __init__(self, backend: SqliteBackend, namespace: Optional[str] = None) -> None:
         self.backend = backend
         #: Number of events appended through this journal (checkpointed, so
         #: a resume can check the store against it).
         self.events_logged = 0
-        # URLs whose whole record is rewritten at the next flush (new,
-        # changed or re-admitted pages), in first-mark order so new rows
-        # take their collection order.
-        self._dirty: Dict[str, None] = {}
-        # URLs re-fetched unchanged since the last flush: only fetched_at,
-        # visit_count (and importance) moved.
-        self._refetched: Set[str] = set()
-        # URLs whose importance a ranking scan rewrote since the last flush.
-        self._rescored: Set[str] = set()
-        # URLs that left the collection since the last flush: rows to delete.
-        self._discarded: Set[str] = set()
+        self._image_key = namespaced_state_key(namespace, COLLECTION_STATE_KEY)
 
     # ------------------------------------------------------------------ #
     # Crawl hooks
     # ------------------------------------------------------------------ #
-    def on_batch(self, outcome: "BatchCrawlOutcome", collection: "Collection") -> None:
-        """Append one resolved batch's events and mark its stored records.
-
-        A URL may recur within a batch, so a page stored and then dropped by
-        a later slot is no longer in ``collection``: its discard already
-        queued the delete, and it is not marked.
-        """
-        dirty = self._dirty
-        refetched = self._refetched
-        get = collection.get_working
-        for url, stored, changed in zip(outcome.urls, outcome.stored, outcome.changed):
-            if not stored or get(url) is None:
-                continue
-            if changed:
-                dirty[url] = None
-            else:
-                refetched.add(url)
+    def on_batch(self, outcome: "BatchCrawlOutcome") -> None:
+        """Append one resolved batch's events."""
         self.backend.append_events(list(zip(
             outcome.urls, outcome.completed_at.tolist(), outcome.changed, outcome.stored
         )))
         self.events_logged += len(outcome.urls)
 
-    def on_outcome(self, outcome: "CrawlOutcome", collection: "Collection") -> None:
+    def on_outcome(self, outcome: "CrawlOutcome") -> None:
         """Scalar variant of :meth:`on_batch` for one crawl outcome."""
-        if outcome.stored:
-            if outcome.changed:
-                self._dirty[outcome.url] = None
-            else:
-                self._refetched.add(outcome.url)
         self.backend.append_events(
             [(outcome.url, outcome.completed_at, outcome.changed, outcome.stored)]
         )
         self.events_logged += 1
 
     def on_discard(self, url: str) -> None:
-        """A page left the working collection (refinement or failure)."""
-        self._dirty.pop(url, None)
-        self._refetched.discard(url)
-        self._rescored.discard(url)
-        self._discarded.add(url)
+        """Not called: the store keeps no per-page rows to delete. Defined
+        only because the e2e benchmark's tracer table names it."""
 
-    def refresh_records(self, records: List[PageRecord]) -> None:
-        """Mark ``records``' importance stale after a ranking scan rewrote it."""
-        self._rescored.update(record.url for record in records)
+    def refresh_records(self, records: list) -> None:
+        """Not called: the store keeps no per-page importance to refresh.
+        Defined only because the e2e benchmark's tracer table names it."""
 
-    def flush(self, collection: "Collection") -> None:
-        """Write every record change since the last flush; commits nothing.
+    def finish(self, collection: "Collection") -> None:
+        """Write the final collection image into the open transaction; the
+        run's result commits it. A completed store thus holds its collection."""
+        from repro.storage.records import records_to_columns  # records imports this module
 
-        Deletes go first: a page discarded and re-admitted is dirty again,
-        so its row is deleted and re-inserted at the end, where its first
-        put would have left it. Then dirty pages are upserted whole,
-        unchanged re-fetches get the narrow update, and every other row a
-        ranking scan rescored gets its importance.
-        """
-        backend = self.backend
-        for url in self._discarded:
-            backend.delete_record(url)
-        dirty = self._dirty
-        get = collection.get_working
-        backend.put_records([get(url) for url in dirty])
-        refetched = self._refetched
-        backend.update_fetches([get(url) for url in refetched if url not in dirty])
-        backend.update_importance([
-            get(url) for url in self._rescored
-            if url not in dirty and url not in refetched
-        ])
-        dirty.clear()
-        refetched.clear()
-        self._rescored.clear()
-        self._discarded.clear()
+        self.backend.save_state(
+            self._image_key, records_to_columns(collection.working_records())
+        )
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -235,7 +191,7 @@ class CollectionJournal:
         checked, and nothing is written. Otherwise the store may be ahead
         of the checkpoint, and the events past it describe fetches the
         resumed run will re-execute; they are truncated so nothing is
-        double-counted (the caller rewrites the records).
+        double-counted.
         """
         self.events_logged = int(state["events_logged"])
         if not committed:
@@ -287,7 +243,7 @@ class CrawlCheckpointer:
         #: Optional test/observer hook called with each saved state dict.
         self.on_save: Optional[Callable[[dict], None]] = None
         #: Whether the last :meth:`load` returned the latest slot, which the
-        #: store committed together with its records and events. False
+        #: store committed together with its events. False
         #: before a load and after a fallback to the previous slot, whose
         #: store has moved past it.
         self.loaded_latest = False

@@ -98,7 +98,7 @@ def process_next(update: UpdateModule, at: float) -> Optional[CrawlOutcome]:
         collurls.schedule(url, completed + update._interval_for(url))
     journal = crawl_module.journal
     if journal is not None:
-        journal.on_outcome(outcome, crawl_module.collection)
+        journal.on_outcome(outcome)
     return outcome
 
 
@@ -148,7 +148,6 @@ class ReferenceIncrementalCrawler(IncrementalCrawler):
         def ranking_step(at: float) -> None:
             refinement = self._ranking_module.refine(at)
             self._update_module.set_importance(refinement.importance)
-            self._refresh_journal_records()
             queue.schedule(
                 at + spec.ranking_interval_days, ranking_step, label="ranking"
             )

@@ -284,6 +284,32 @@ class TestSpecValidation:
         message = str(excinfo.value)
         assert "bogus" in message and "scenario" in message
 
+    @pytest.mark.parametrize("cls, data, nearest", [
+        (CrawlerSpec, {"collection_capacty": 10}, "collection_capacity"),
+        (WebSpec, {"site_scal": 0.5}, "site_scale"),
+        (PolicySpec, {"estimater": "eb"}, "estimator"),
+        (RetrySpec, {"max_attempt": 2}, "max_attempts"),
+        (FaultsSpec, {"sed": 3}, "seed"),
+        (ExperimentSpec, {"name": "x", "crawlr": {}}, "crawler"),
+        (ExperimentSpec, {"name": "x", "crawler": {"storag": "sqlite"}}, "storage"),
+    ])
+    def test_an_unknown_field_names_the_nearest_valid_one(self, cls, data, nearest):
+        with pytest.raises(ValueError, match=f"valid fields: .*; did you mean {nearest!r}\\?$"):
+            cls.from_dict(data)
+
+    def test_each_misspelt_field_gets_its_own_suggestion(self):
+        with pytest.raises(ValueError) as excinfo:
+            CrawlerSpec.from_dict({"storag": "sqlite", "shard": 2, "zzzz": 1})
+        assert str(excinfo.value).endswith(
+            "did you mean 'shards' for 'shard', 'storage' for 'storag'?"
+        )
+
+    def test_an_unknown_field_with_no_near_name_gets_no_suggestion(self):
+        with pytest.raises(ValueError) as excinfo:
+            CrawlerSpec.from_dict({"zzzz": 1})
+        assert "did you mean" not in str(excinfo.value)
+        assert str(excinfo.value).endswith("workers")
+
     def test_params_must_be_json_serializable(self):
         with pytest.raises(ValueError, match="JSON"):
             ExperimentSpec(name="x", kind="scenario", scenario="table2",

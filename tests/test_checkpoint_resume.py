@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sqlite3
 
 import pytest
 
@@ -26,20 +27,24 @@ from repro.api.specs import (
     WebSpec,
 )
 from repro.core.incremental_crawler import IncrementalCrawler
+from repro.core.sharded_crawler import shard_namespace, shard_store_path
 from repro.ranking.sparse import LinkGraph
 from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_PREV_STATE_KEY,
     CHECKPOINT_STATE_KEY,
+    COLLECTION_STATE_KEY,
     RESULT_STATE_KEY,
     CollectionJournal,
     CrawlCheckpointer,
+    namespaced_state_key,
     pack_floats,
 )
-from repro.storage.records import records_from_columns
+from repro.storage.records import record_to_dict, records_from_columns
 
 from reference.crawl import ReferenceIncrementalCrawler
+from test_storage_backends import OLD_RECORDS_DDL, records_table
 
 DURATION = 30.0
 
@@ -85,6 +90,12 @@ def result_fingerprint(crawler, result):
     }
 
 
+def final_image(backend, namespace=None):
+    """The collection image a completed journal wrote, as records."""
+    key = namespaced_state_key(namespace, COLLECTION_STATE_KEY)
+    return records_from_columns(backend.load_state(key))
+
+
 # --------------------------------------------------------------------- #
 # Journal parity
 # --------------------------------------------------------------------- #
@@ -101,9 +112,9 @@ def test_journaled_run_is_bit_identical(tiny_web, estimator, use_politeness):
     outcome = journaled.run(journal=CollectionJournal(backend))
     assert result_fingerprint(journaled, outcome) == expected
 
-    # The backend mirrors the final working collection exactly.
+    # The store's final image is the final working collection exactly.
     live = {r.url: r for r in journaled.collection.working_records()}
-    stored = {r.url: r for r in backend.scan_records()}
+    stored = {r.url: r for r in final_image(backend)}
     assert set(stored) == set(live)
     for url, record in live.items():
         assert stored[url].fetched_at == record.fetched_at
@@ -119,7 +130,7 @@ def test_journal_works_on_reference_engine(tiny_web):
         tiny_web, crawler_spec(track_quality=False, duration_days=10.0), PolicySpec()
     )
     crawler.run(journal=CollectionJournal(backend))
-    assert backend.record_count() == len(crawler.collection.working_records())
+    assert final_image(backend) == crawler.collection.working_records()
     assert backend.event_count() > 0
 
 
@@ -164,39 +175,54 @@ CHURN_FAULTS = FaultsSpec(
 )
 
 
-class FlushProbe(CollectionJournal):
-    """A journal that records the store and the collection after every flush."""
-
-    def __init__(self, backend):
-        super().__init__(backend)
-        self.flushes = []
-
-    def flush(self, collection):
-        super().flush(collection)
-        # Copies: the crawl keeps refreshing the live records in place.
-        self.flushes.append(
-            (self.backend.scan_records(), copy.deepcopy(collection.working_records()))
-        )
-
-
 @pytest.mark.parametrize("faults", [None, CHURN_FAULTS], ids=["plain", "churn"])
-def test_every_journal_flush_leaves_the_store_equal_to_the_collection(tiny_web, faults):
+def test_every_checkpoint_and_the_final_image_hold_the_collection(tiny_web, faults):
     backend = SqliteBackend()
-    journal = FlushProbe(backend)
+    journal = CollectionJournal(backend)
     crawler = build_crawler(
         tiny_web, faults=faults,
         retry=RetrySpec(max_attempts=2) if faults is not None else None,
     )
     checkpointer = CrawlCheckpointer(backend, every_days=3.0)
+    images = []
+
+    def look(state):
+        # What the store holds, against a copy of the live records (the
+        # crawl keeps refreshing them in place).
+        stored = backend.load_state(CHECKPOINT_STATE_KEY)["collection"]
+        images.append(
+            (records_from_columns(stored), copy.deepcopy(crawler.collection.working_records()))
+        )
+
+    checkpointer.on_save = look
     outcome = crawler.run(journal=journal, checkpointer=checkpointer)
+    images.append((final_image(backend), crawler.collection.working_records()))
     assert outcome.pages_replaced > 0
-    # One flush per checkpoint, one at run end.
-    assert len(journal.flushes) == checkpointer.saves + 1 >= 8
-    for in_store, working in journal.flushes:
+    # One image per checkpoint, one at run end.
+    assert len(images) == checkpointer.saves + 1 >= 8
+    for in_store, working in images:
         # Field for field and in collection order, importance included.
         assert in_store == working
     assert backend.event_count() == journal.events_logged == outcome.pages_crawled \
         + outcome.pages_failed
+
+
+def test_the_journal_writes_events_until_run_end_and_one_image_then(tiny_web):
+    writes = []
+
+    class CountingBackend(SqliteBackend):
+        def save_state_text(self, key, text):
+            writes.append(key)
+            super().save_state_text(key, text)
+
+    backend = CountingBackend()
+    checkpointer = CrawlCheckpointer(backend, every_days=7.0)
+    build_crawler(tiny_web).run(journal=CollectionJournal(backend), checkpointer=checkpointer)
+    assert checkpointer.saves >= 3
+    # Checkpoint slots only, then the final image, written once and last.
+    assert writes[-1] == COLLECTION_STATE_KEY
+    assert set(writes[:-1]) == {CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY}
+    assert len(writes) == 2 * checkpointer.saves
 
 
 def _run_killed_after_second_save(tiny_web, backend):
@@ -218,27 +244,37 @@ def _run_killed_after_second_save(tiny_web, backend):
 
 
 class FirstBatchProbe(CollectionJournal):
-    """A journal that records the store as the resumed run's first batch lands."""
+    """A journal that records the store as the resumed run's first batch
+    lands: its event count, and the collection a resume from it restores."""
 
     def __init__(self, backend):
         super().__init__(backend)
         self.first = None
 
-    def on_batch(self, outcome, collection):
+    def on_batch(self, outcome):
         if self.first is None:
-            self.first = (self.backend.event_count(), self.backend.scan_records())
-        super().on_batch(outcome, collection)
+            state = CrawlCheckpointer(self.backend, every_days=7.0).load()
+            self.first = (
+                self.backend.event_count(), records_from_columns(state["collection"])
+            )
+        super().on_batch(outcome)
 
 
-def test_a_fallback_resume_trims_events_and_resyncs_records_first(tiny_web):
+def test_a_fallback_resume_trims_events_first(tiny_web):
     """The latest slot is corrupt, so the resume falls back one checkpoint.
 
     The store committed with the *latest* checkpoint, so it is ahead of the
     one resumed from: its events past that checkpoint's count are trimmed
-    and its records rewritten before the first batch is journaled.
+    before the first batch is journaled, and the run ends holding what an
+    uninterrupted run's store holds.
     """
     plain = build_crawler(tiny_web)
     expected = result_fingerprint(plain, plain.run())
+    reference = SqliteBackend()
+    build_crawler(tiny_web).run(
+        journal=CollectionJournal(reference),
+        checkpointer=CrawlCheckpointer(reference, every_days=7.0),
+    )
     backend = SqliteBackend()
     first, second = _run_killed_after_second_save(tiny_web, backend)
     assert backend.event_count() == second["journal"]["events_logged"]
@@ -260,7 +296,9 @@ def test_a_fallback_resume_trims_events_and_resyncs_records_first(tiny_web):
     assert trimmed == first["journal"]["events_logged"] < second["journal"]["events_logged"]
     assert records == records_from_columns(first["collection"])
     assert result_fingerprint(resumed, outcome) == expected
-    assert backend.scan_records() == resumed.collection.working_records()
+    assert final_image(backend) == resumed.collection.working_records()
+    assert final_image(backend) == final_image(reference)
+    assert backend.scan_events() == reference.scan_events()
 
 
 def test_a_normal_resume_writes_nothing_and_refuses_a_disagreeing_store(
@@ -279,7 +317,6 @@ def test_a_normal_resume_writes_nothing_and_refuses_a_disagreeing_store(
         raise AssertionError("a normal resume rewrote the store")
 
     with monkeypatch.context() as patched:
-        patched.setattr(SqliteBackend, "replace_records", rewrite)
         patched.setattr(SqliteBackend, "truncate_events", rewrite)
         probe = FirstBatchProbe(backend)
         resumed = build_crawler(tiny_web)
@@ -511,7 +548,7 @@ def test_runner_sqlite_store_and_result_short_circuit(tmp_path):
     try:
         assert probe.load_state(RESULT_STATE_KEY) is not None
         assert probe.load_state(CHECKPOINT_STATE_KEY) is not None
-        assert probe.record_count() == first.summary["collection_size"]
+        assert len(final_image(probe)) == first.summary["collection_size"]
         assert probe.event_count() > 0
     finally:
         probe.close()
@@ -522,17 +559,9 @@ def test_runner_sqlite_store_and_result_short_circuit(tmp_path):
     assert resumed.spec_hash == first.spec_hash
 
 
-def test_runner_resume_continues_interrupted_run(tmp_path):
-    """Simulate a kill: run only long enough to checkpoint, then resume."""
-    path = str(tmp_path / "killed.sqlite")
-    spec = ExperimentSpec(
-        name="kill", web=WEB_SPEC,
-        crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
-    )
-    uninterrupted = run(spec)
-
-    # "Kill" the run by checkpointing manually mid-run, as the engine would
-    # have at the moment of death: persist a mid-run state, not a result.
+def _kill_runner_store_after_second_save(path, spec):
+    """Leave ``spec``'s store at ``path`` as a kill right after its second
+    checkpoint would: that checkpoint committed, no result. Returns it."""
     from repro.api.runner import build_web
 
     web = build_web(WEB_SPEC)
@@ -559,10 +588,114 @@ def test_runner_resume_continues_interrupted_run(tmp_path):
             checkpointer=checkpointer,
         )
     backend.close()
+    return captured["state"]
+
+
+def test_runner_resume_continues_interrupted_run(tmp_path):
+    """Simulate a kill: run only long enough to checkpoint, then resume."""
+    path = str(tmp_path / "killed.sqlite")
+    spec = ExperimentSpec(
+        name="kill", web=WEB_SPEC,
+        crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
+    )
+    uninterrupted = run(spec)
+    _kill_runner_store_after_second_save(path, spec)
 
     resumed = run(spec, store=path, resume=True)
     assert resumed.series == uninterrupted.series
     assert resumed.summary == uninterrupted.summary
+
+
+@pytest.mark.parametrize("slot", ["latest", "fallback"])
+def test_a_store_with_the_old_records_table_resumes_and_leaves_it_untouched(
+    tmp_path, slot
+):
+    """The previous build mirrored the collection into a ``records`` table
+    committed with each checkpoint. Such a store resumes, from either slot,
+    to the uninterrupted result, and the table is neither read nor written."""
+    path = str(tmp_path / "old.sqlite")
+    spec = ExperimentSpec(
+        name="old", web=WEB_SPEC,
+        crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
+    )
+    uninterrupted = run(spec)
+    state = _kill_runner_store_after_second_save(path, spec)
+    conn = sqlite3.connect(path)
+    conn.execute(OLD_RECORDS_DDL["mirror"])
+    conn.executemany("INSERT INTO records VALUES (?, ?, ?, ?, ?, ?, ?, ?)", [
+        (r.url, r.version, r.fetched_at, r.first_fetched_at, json.dumps(list(r.outlinks)),
+         r.importance, r.visit_count, r.change_count)
+        for r in records_from_columns(state["collection"])
+    ])
+    if slot == "fallback":
+        (text,) = conn.execute(
+            "SELECT value FROM state WHERE key = ?", (CHECKPOINT_STATE_KEY,)
+        ).fetchone()
+        flipped = "1" if text[-40] == "0" else "0"
+        conn.execute("UPDATE state SET value = ? WHERE key = ?",
+                     (text[:-40] + flipped + text[-39:], CHECKPOINT_STATE_KEY))
+    conn.commit()
+    conn.close()
+    before = records_table(path)
+    assert len(before[1]) == len(state["collection"]["url"]) > 0
+
+    resumed = run(spec, store=path, resume=True)
+    assert resumed.series == uninterrupted.series
+    assert resumed.summary == uninterrupted.summary
+    assert records_table(path) == before
+
+
+@pytest.mark.parametrize(
+    "engine", [{}, {"engine": "sharded", "shards": 2}], ids=["batched", "sharded"]
+)
+def test_a_completed_store_holds_its_final_collection(tmp_path, engine):
+    path = str(tmp_path / "done.sqlite")
+    spec = ExperimentSpec(
+        name="done", web=WEB_SPEC,
+        crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0, **engine),
+    )
+    result = run(spec, store=path)
+    if not engine:
+        backend = SqliteBackend(path)
+        try:
+            assert final_image(backend) == result.artifacts["crawler"].collection.working_records()
+        finally:
+            backend.close()
+        return
+    collected = 0
+    for index in range(2):
+        namespace = shard_namespace(index)
+        backend = SqliteBackend(shard_store_path(path, index))
+        try:
+            image = final_image(backend, namespace)
+            saved = backend.load_state(namespaced_state_key(namespace, RESULT_STATE_KEY))
+        finally:
+            backend.close()
+        # The shard result's records, which the merge reads, are the image.
+        assert [record_to_dict(record) for record in image] == saved["records"]
+        collected += len(image)
+    assert collected == result.summary["collection_size"] > 0
+
+
+def test_a_store_without_checkpoints_holds_its_result_and_one_image(tmp_path):
+    path = str(tmp_path / "plain.sqlite")
+    spec = ExperimentSpec(
+        name="plain", web=WEB_SPEC, crawler=CRAWLER_SPEC.replace(storage="sqlite"),
+    )
+    result = run(spec, store=path)
+    conn = sqlite3.connect(path)
+    try:
+        keys = {key for (key,) in conn.execute("SELECT key FROM state")}
+        events = conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
+    finally:
+        conn.close()
+    assert keys == {RESULT_STATE_KEY, COLLECTION_STATE_KEY}
+    assert events == result.summary["pages_crawled"] + result.summary["pages_failed"]
+    backend = SqliteBackend(path)
+    try:
+        assert len(final_image(backend)) == result.summary["collection_size"]
+    finally:
+        backend.close()
 
 
 def test_runner_resume_without_checkpoint_errors(tmp_path):

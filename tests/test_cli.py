@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import sqlite3
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
@@ -111,6 +116,36 @@ class TestCommands:
         assert main(["run-spec", self._stored_spec(tmp_path), "--store", str(store)]) == 2
         assert "not a database" in capsys.readouterr().err
         assert store.read_bytes() == b"not a database\n" * 64
+
+    def test_run_spec_on_a_locked_store_fails_before_crawling(self, tmp_path):
+        # A second connection holds the write lock: the run must stop at
+        # open (after SQLite's busy timeout), not die mid-crawl.
+        store = tmp_path / "held.sqlite"
+        sqlite3.connect(store).close()
+        holder = sqlite3.connect(store)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "run-spec", self._stored_spec(tmp_path),
+                 "--store", str(store)],
+                env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))},
+                capture_output=True, text=True, timeout=120,
+            )
+        finally:
+            holder.rollback()
+            holder.close()
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert f"cannot open store {str(store)!r}: database is locked" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["run-spec", "run-matrix"])
+    def test_an_unreadable_input_file_fails_cleanly(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.json"
+        assert main([command, str(missing)]) == 2
+        assert f"cannot read {str(missing)!r}: No such file or directory" in (
+            capsys.readouterr().err
+        )
 
     def test_run_spec_non_finite_field_fails_cleanly(self, tmp_path, capsys):
         # A NaN budget used to pass validation and crawl a single page.

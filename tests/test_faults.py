@@ -963,6 +963,7 @@ class TestCheckpointIntegrity:
         backend = SqliteBackend(path)
         _two_saves(backend)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        backend.close()  # an open store holds the write lock
         at = position % len(text)
         damaged = text[:at].encode() + b"\xed\xa0\x80" + text[at + 1:].encode()
         conn = sqlite3.connect(path)
@@ -972,6 +973,7 @@ class TestCheckpointIntegrity:
         )
         conn.commit()
         conn.close()
+        backend = SqliteBackend(path)
         with pytest.raises(sqlite3.OperationalError):
             backend.load_state_text(CHECKPOINT_STATE_KEY)
         assert _checkpointer(backend).load()["tick"] == 1

@@ -67,6 +67,12 @@ RETIRED_NAMES = {
     "is_up_to_date", "current_version", "live_urls_at", "_observe_site",
     # One store: SqliteBackend, in memory without a path and durable with one.
     "MemoryBackend", "StorageBackend", "can_persist",
+    # The store writes the collection once, in its checkpoints and final
+    # image: no records table mirrors it row by row.
+    "put_records", "update_fetches", "update_importance", "_update_rows",
+    "get_record", "delete_record", "scan_records", "record_count",
+    "clear_records", "replace_records", "_row_to_record", "_RECORD_COLUMNS",
+    "_SELECT_RECORDS", "_refresh_journal_records",
 }
 
 

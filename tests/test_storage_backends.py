@@ -1,15 +1,17 @@
 """Contract tests for the SQLite collection store.
 
-The store honours one contract in both its forms — put/get/scan with
-first-put scan order, idempotent deletes, append-only event logs with
-resume truncation, and JSON state blobs that round-trip floats bit-exactly —
-so the contract tests run on an in-memory store and on a WAL file. The file
-form adds one rule: ``flush`` is its only commit, and ``close`` without it
-drops the unflushed writes.
+The store honours one contract in both its forms — append-only event logs
+with resume truncation, and state texts (JSON documents among them) that
+round-trip floats bit-exactly — so the contract tests run on an in-memory
+store and on a WAL file. The file form adds two rules: ``flush`` is its
+only commit, and ``close`` without it drops the unflushed writes; and the
+store holds SQLite's write lock from open to close, so a store another
+connection holds is refused at open.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -82,87 +84,6 @@ def test_path_names_the_durable_form(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Record contract
-# --------------------------------------------------------------------- #
-def test_put_get_roundtrip_exact(backend):
-    record = make_record("u/1", fetched_at=1.0 / 3.0, importance=0.1 + 0.2)
-    backend.put_records([record])
-    loaded = backend.get_record("u/1")
-    assert loaded is not None
-    assert record_to_dict(loaded) == record_to_dict(record)
-    assert loaded.fetched_at == record.fetched_at  # bit-exact, not approx
-    assert loaded.importance == record.importance
-    assert isinstance(loaded.outlinks, tuple)
-
-
-def test_version_roundtrips_as_an_exact_int(backend):
-    versions = {"a": 0, "b": 1, "c": 2**40 + 3}
-    backend.put_records([make_record(url, version=v) for url, v in versions.items()])
-    for url, version in versions.items():
-        stored = backend.get_record(url).version
-        assert stored == version
-        assert type(stored) is int
-    assert [r.version for r in backend.scan_records()] == list(versions.values())
-
-
-def test_get_missing_returns_none(backend):
-    assert backend.get_record("nope") is None
-
-
-def test_scan_order_is_first_put(backend):
-    backend.put_records([make_record("b"), make_record("a"), make_record("c")])
-    assert [r.url for r in backend.scan_records()] == ["b", "a", "c"]
-
-
-def test_upsert_keeps_scan_position(backend):
-    backend.put_records([make_record("b"), make_record("a"), make_record("c")])
-    backend.put_records([make_record("a", fetched_at=9.0, visit_count=7)])
-    assert [r.url for r in backend.scan_records()] == ["b", "a", "c"]
-    assert backend.get_record("a").visit_count == 7
-    assert backend.record_count() == 3
-
-
-def test_delete_then_reput_moves_to_end(backend):
-    backend.put_records([make_record("b"), make_record("a"), make_record("c")])
-    assert backend.delete_record("b") is True
-    assert backend.delete_record("b") is False  # idempotent
-    assert backend.record_count() == 2
-    backend.put_records([make_record("b")])
-    assert [r.url for r in backend.scan_records()] == ["a", "c", "b"]
-
-
-def test_clear_and_replace_records(backend):
-    backend.put_records([make_record("a"), make_record("b")])
-    backend.clear_records()
-    assert backend.record_count() == 0
-    assert backend.scan_records() == []
-    backend.replace_records([make_record("z"), make_record("y")])
-    assert [r.url for r in backend.scan_records()] == ["z", "y"]
-
-
-def test_scan_skips_deleted_records(backend):
-    backend.put_records(
-        [make_record("a", fetched_at=1.0), make_record("b", fetched_at=2.0),
-         make_record("c", fetched_at=3.0)]
-    )
-    backend.delete_record("b")
-    assert backend.get_record("b") is None
-    assert [r.url for r in backend.scan_records()] == ["a", "c"]
-    assert [r.fetched_at for r in backend.scan_records()] == [1.0, 3.0]
-    assert backend.record_count() == 2
-
-
-def test_many_records_keep_put_order(backend):
-    n = 3000
-    backend.put_records([make_record(f"u/{i}", fetched_at=float(i)) for i in range(n)])
-    assert backend.record_count() == n
-    assert backend.get_record("u/2999").fetched_at == 2999.0
-    urls = [r.url for r in backend.scan_records()]
-    assert urls[:3] == ["u/0", "u/1", "u/2"]
-    assert urls[-1] == "u/2999"
-
-
-# --------------------------------------------------------------------- #
 # Event contract
 # --------------------------------------------------------------------- #
 def test_events_append_scan_truncate(backend):
@@ -179,6 +100,26 @@ def test_events_append_scan_truncate(backend):
     assert backend.scan_events() == events[:2]
     backend.truncate_events(0)
     assert backend.event_count() == 0
+
+
+def test_truncation_past_the_log_keeps_it_and_below_zero_empties_it(backend):
+    events = [("u", float(i), False, True) for i in range(3)]
+    backend.append_events(events)
+    backend.truncate_events(10)
+    assert backend.scan_events() == events
+    backend.truncate_events(-1)
+    assert backend.event_count() == 0
+
+
+def test_events_appended_after_a_flush_or_a_truncation_follow_in_order(backend):
+    events = [("u", float(i), i % 2 == 0, True) for i in range(6)]
+    backend.append_events(events[:3])
+    backend.flush()
+    backend.append_events(events[3:])
+    assert backend.scan_events() == events
+    backend.truncate_events(2)
+    backend.append_events(events[4:])
+    assert backend.scan_events() == events[:2] + events[4:]
 
 
 def test_event_times_roundtrip_exact(backend):
@@ -240,11 +181,35 @@ def test_non_serialisable_state_fails_loudly_in_save_state(backend):
 # --------------------------------------------------------------------- #
 # SQLite specifics
 # --------------------------------------------------------------------- #
+def test_the_contract_is_events_state_flush_and_close():
+    public = {name for name in vars(SqliteBackend) if not name.startswith("_")}
+    assert public == {
+        "path", "append_events", "scan_events", "event_count", "truncate_events",
+        "save_state_text", "load_state_text", "delete_state", "save_state",
+        "load_state", "flush", "close",
+    }
+
+
+def tables_of(path):
+    conn = sqlite3.connect(path)
+    try:
+        return {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )}
+    finally:
+        conn.close()
+
+
+def test_a_fresh_store_holds_an_event_log_and_state_only(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    SqliteBackend(path).close()
+    assert tables_of(path) == {"events", "state"}
+
+
 def test_sqlite_file_persistence(tmp_path):
     path = str(tmp_path / "store.sqlite")
     first = SqliteBackend(path)
     assert first.path is not None
-    first.put_records([make_record("b"), make_record("a")])
     first.append_events([("b", 0.5, True, True)])
     first.save_state("chk", {"n": 7})
     first.flush()
@@ -252,7 +217,6 @@ def test_sqlite_file_persistence(tmp_path):
 
     reopened = SqliteBackend(path)
     try:
-        assert [r.url for r in reopened.scan_records()] == ["b", "a"]
         assert reopened.scan_events() == [("b", 0.5, True, True)]
         assert reopened.load_state("chk") == {"n": 7}
     finally:
@@ -262,85 +226,146 @@ def test_sqlite_file_persistence(tmp_path):
 def test_sqlite_drops_unflushed_writes_on_close(tmp_path):
     path = str(tmp_path / "store.sqlite")
     first = SqliteBackend(path)
-    first.put_records([make_record("a")])
     first.append_events([("a", 0.5, True, True)])
     first.save_state("chk", {"n": 1})
     first.flush()
-    first.put_records([make_record("b"), make_record("a", visit_count=9)])
-    first.delete_record("a")
-    first.update_fetches([make_record("b", visit_count=4)])
     first.append_events([("b", 0.75, True, True)])
+    first.truncate_events(0)
+    first.append_events([("c", 1.0, True, True)])
     first.save_state("chk", {"n": 2})
-    assert first.record_count() == 1  # visible to the writer before the flush
+    first.save_state("other", {"n": 3})
+    assert first.event_count() == 1  # visible to the writer before the flush
     first.close()
 
     reopened = SqliteBackend(path)
     try:
-        assert reopened.scan_records() == [make_record("a")]
         assert reopened.scan_events() == [("a", 0.5, True, True)]
         assert reopened.load_state("chk") == {"n": 1}
+        assert reopened.load_state("other") is None
     finally:
         reopened.close()
 
 
-#: The ``records`` table a store written by a format-4 build holds: the page
-#: body and its SHA-1 where this build keeps the content version.
-_BODY_RECORDS_DDL = """
-    CREATE TABLE IF NOT EXISTS records (
-        url TEXT PRIMARY KEY,
-        content TEXT NOT NULL,
-        checksum TEXT NOT NULL,
-        fetched_at REAL NOT NULL,
-        first_fetched_at REAL NOT NULL,
-        outlinks TEXT NOT NULL,
-        importance REAL NOT NULL,
-        visit_count INTEGER NOT NULL,
-        change_count INTEGER NOT NULL
-    );
-"""
+def test_a_reader_sees_only_what_a_flush_committed(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    writer = SqliteBackend(path)
+    reader = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    try:
+        writer.append_events([("a", 0.5, True, True)])
+        writer.save_state_text("k", "{}")
+        assert reader.execute("SELECT COUNT(*) FROM events").fetchone() == (0,)
+        writer.flush()
+        assert reader.execute("SELECT COUNT(*) FROM events").fetchone() == (1,)
+        assert reader.execute("SELECT value FROM state").fetchall() == [("{}",)]
+    finally:
+        reader.close()
+        writer.close()
 
 
-def test_sqlite_refuses_a_store_with_another_record_layout(tmp_path):
-    path = str(tmp_path / "old.sqlite")
-    conn = sqlite3.connect(path)
-    conn.executescript(_BODY_RECORDS_DDL)
-    conn.close()
-    with pytest.raises(ValueError, match=r"'content', 'checksum'.*'url', 'version'"):
-        SqliteBackend(path)
+@pytest.fixture
+def short_busy_timeout(monkeypatch):
+    """Connections give up on a held lock at once instead of after 5 s."""
+    monkeypatch.setattr(sqlite3, "connect", functools.partial(sqlite3.connect, timeout=0.01))
 
 
-def test_sqlite_refusal_leaves_the_old_store_untouched(tmp_path):
-    path = str(tmp_path / "old.sqlite")
-    conn = sqlite3.connect(path)
-    conn.executescript(_BODY_RECORDS_DDL)
-    conn.execute(
-        "INSERT INTO records VALUES ('u', 'body', 'sha', 1.0, 1.0, '[]', 0.0, 1, 0)"
-    )
-    conn.commit()
-    conn.close()
-    with pytest.raises(ValueError):
-        SqliteBackend(path)
+def test_a_store_another_connection_holds_is_refused_at_open(tmp_path, short_busy_timeout):
+    path = str(tmp_path / "store.sqlite")
+    SqliteBackend(path).close()
+    holder = sqlite3.connect(path)
+    holder.execute("BEGIN EXCLUSIVE")
+    try:
+        with pytest.raises(ValueError, match=r"cannot open store .*store\.sqlite.*locked"):
+            SqliteBackend(path)
+    finally:
+        holder.rollback()
+        holder.close()
+    SqliteBackend(path).close()
+
+
+def test_the_write_lock_is_taken_again_after_each_flush(tmp_path, short_busy_timeout):
+    path = str(tmp_path / "store.sqlite")
+    first = SqliteBackend(path)
+    try:
+        first.append_events([("a", 0.5, True, True)])
+        first.flush()
+        with pytest.raises(ValueError, match="locked"):
+            SqliteBackend(path)
+    finally:
+        first.close()
+    second = SqliteBackend(path)
+    try:
+        assert second.event_count() == 1
+    finally:
+        second.close()
+
+
+#: The ``records`` table older builds kept beside the checkpoints: the
+#: collection mirrored row by row (the layout the previous build wrote, and
+#: the format-4 one with a page body and its SHA-1 in place of ``version``).
+OLD_RECORDS_DDL = {
+    "mirror": """
+        CREATE TABLE records (
+            url TEXT PRIMARY KEY,
+            version INTEGER NOT NULL,
+            fetched_at REAL NOT NULL,
+            first_fetched_at REAL NOT NULL,
+            outlinks TEXT NOT NULL,
+            importance REAL NOT NULL,
+            visit_count INTEGER NOT NULL,
+            change_count INTEGER NOT NULL
+        )""",
+    "bodies": """
+        CREATE TABLE records (
+            url TEXT PRIMARY KEY,
+            content TEXT NOT NULL,
+            checksum TEXT NOT NULL,
+            fetched_at REAL NOT NULL,
+            first_fetched_at REAL NOT NULL,
+            outlinks TEXT NOT NULL,
+            importance REAL NOT NULL,
+            visit_count INTEGER NOT NULL,
+            change_count INTEGER NOT NULL
+        )""",
+}
+OLD_RECORD_ROWS = {
+    "mirror": [("u", 3, 1.0 / 3.0, 0.25, '["v"]', 0.5, 2, 1)],
+    "bodies": [("u", "body", "sha", 1.0 / 3.0, 0.25, '["v"]', 0.5, 2, 1)],
+}
+
+
+def records_table(path):
+    """The ``records`` table's schema text and every row with its rowid."""
     conn = sqlite3.connect(path)
     try:
-        columns = [row[1] for row in conn.execute("PRAGMA table_info(records)")]
-        rows = conn.execute("SELECT url, content FROM records").fetchall()
-        tables = {row[0] for row in conn.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table'"
-        )}
+        schema = conn.execute(
+            "SELECT sql FROM sqlite_master WHERE name = 'records'"
+        ).fetchone()
+        return schema, conn.execute("SELECT rowid, * FROM records").fetchall()
     finally:
         conn.close()
-    assert columns[:3] == ["url", "content", "checksum"]
-    assert rows == [("u", "body")]
-    assert tables == {"records"}
 
 
-def test_sqlite_refuses_a_records_table_missing_a_column(tmp_path):
-    path = str(tmp_path / "partial.sqlite")
+@pytest.mark.parametrize("layout", sorted(OLD_RECORDS_DDL))
+def test_an_old_records_table_is_neither_read_nor_written(tmp_path, layout):
+    path = str(tmp_path / "old.sqlite")
     conn = sqlite3.connect(path)
-    conn.execute("CREATE TABLE records (url TEXT PRIMARY KEY, version INTEGER)")
+    conn.execute(OLD_RECORDS_DDL[layout])
+    rows = OLD_RECORD_ROWS[layout]
+    conn.executemany(f"INSERT INTO records VALUES ({', '.join('?' * len(rows[0]))})", rows)
+    conn.commit()
     conn.close()
-    with pytest.raises(ValueError, match=r"\['url', 'version'\]: this build"):
-        SqliteBackend(path)
+    before = records_table(path)
+
+    backend = SqliteBackend(path)
+    try:
+        backend.append_events([("u", 0.5, True, True)])
+        backend.save_state("chk", {"n": 1})
+        backend.truncate_events(0)
+        backend.flush()
+    finally:
+        backend.close()
+    assert records_table(path) == before
+    assert tables_of(path) == {"records", "events", "state"}
 
 
 def test_sqlite_refuses_a_path_it_cannot_open(tmp_path):
@@ -359,17 +384,26 @@ def test_sqlite_refuses_a_file_that_is_not_a_database(tmp_path):
     assert path.read_bytes() == data
 
 
-def test_sqlite_adds_its_tables_to_a_file_without_records(tmp_path):
+def test_sqlite_adds_its_tables_to_a_file_with_other_tables(tmp_path):
     path = str(tmp_path / "other.sqlite")
     conn = sqlite3.connect(path)
     conn.execute("CREATE TABLE unrelated (x INTEGER)")
+    conn.execute("INSERT INTO unrelated VALUES (5)")
+    conn.commit()
     conn.close()
     backend = SqliteBackend(path)
     try:
-        backend.put_records([make_record("a")])
-        assert backend.get_record("a") == make_record("a")
+        backend.append_events([("a", 0.5, True, True)])
+        backend.flush()
+        assert backend.scan_events() == [("a", 0.5, True, True)]
     finally:
         backend.close()
+    assert tables_of(path) == {"unrelated", "events", "state"}
+    conn = sqlite3.connect(path)
+    try:
+        assert conn.execute("SELECT x FROM unrelated").fetchall() == [(5,)]
+    finally:
+        conn.close()
 
 
 # --------------------------------------------------------------------- #
@@ -392,40 +426,6 @@ def test_record_columns_hold_one_column_per_field():
         "importance", "visit_count", "change_count",
     ]
     assert columns["version"] == [4, 9]
-
-
-def test_update_importance_rewrites_importance(backend):
-    backend.put_records([make_record("a"), make_record("b")])
-    backend.update_importance([make_record("b", importance=0.75)])
-    assert backend.get_record("b").importance == 0.75
-    assert backend.get_record("a").importance == 0.125
-    assert [r.url for r in backend.scan_records()] == ["a", "b"]
-
-
-def test_update_fetches_rewrites_only_the_refetch_columns(backend):
-    backend.put_records([make_record("a"), make_record("b")])
-    refetched = make_record(
-        "b", fetched_at=4.0, visit_count=5, importance=0.5,
-        version=8, outlinks=(), change_count=2,
-    )
-    backend.update_fetches([refetched])
-    stored = backend.get_record("b")
-    assert (stored.fetched_at, stored.visit_count, stored.importance) == (4.0, 5, 0.5)
-    # The narrow update leaves the other columns as last put.
-    assert (stored.version, stored.outlinks, stored.change_count) == (
-        7, ("b/a", "b/b"), 1
-    )
-    assert backend.get_record("a") == make_record("a")
-    assert [r.url for r in backend.scan_records()] == ["a", "b"]
-
-
-def test_sqlite_update_importance_requires_every_row():
-    backend = SqliteBackend()
-    backend.put_records([make_record("a")])
-    with pytest.raises(RuntimeError, match="1 of 2"):
-        backend.update_importance([make_record("a"), make_record("b")])
-    with pytest.raises(RuntimeError, match="fetch update matched 1 of 2"):
-        backend.update_fetches([make_record("a"), make_record("b")])
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,12 @@
 """SIGKILL a checkpointed crawl at random points: its store is a checkpoint.
 
 A file-backed store commits only with a checkpoint (or with the final
-result), so whenever a crawl process dies the store must be *exactly* one
-checkpoint an uninterrupted run commits: the checkpoint slot byte for
-byte, the records field for field and in collection order, and the event
-log that run's first ``events_logged`` events — never a half-written
-interval past it.
+result and collection image), so whenever a crawl process dies the store
+must be *exactly* one checkpoint an uninterrupted run commits: the
+checkpoint slot byte for byte (the collection is its ``collection``
+columns), no final image, and the event log that run's first
+``events_logged`` events — never a half-written interval past it. A
+completed store holds the uninterrupted run's final image and events.
 
 Each kill lands on a fresh ``repro run-spec`` process, which resumes the
 previous kill's store whenever that store holds a checkpoint (exercising
@@ -32,6 +33,7 @@ from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_PREV_STATE_KEY,
     CHECKPOINT_STATE_KEY,
+    COLLECTION_STATE_KEY,
     RESULT_STATE_KEY,
     CrawlCheckpointer,
 )
@@ -60,8 +62,8 @@ TIMEOUT_S = 60.0
 def committed_checkpoints(monkeypatch, path):
     """Run the spec uninterrupted; every checkpoint's store, and the final one.
 
-    Returns ``{checkpoint text: (index, records, events logged)}`` and the
-    completed store's ``(records, events)``.
+    Returns ``{checkpoint text: (index, events logged)}`` and the completed
+    store's ``(final collection image, events)``.
     """
     seen = {}
     original = CrawlCheckpointer.save
@@ -70,14 +72,14 @@ def committed_checkpoints(monkeypatch, path):
         original(checkpointer, state, at)
         backend = checkpointer.backend
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
-        seen[text] = (len(seen), backend.scan_records(), backend.event_count())
+        seen[text] = (len(seen), backend.event_count())
 
     with monkeypatch.context() as patched:
         patched.setattr(CrawlCheckpointer, "save", save_and_look)
         run(ExperimentSpec.from_dict(SPEC), store=path)
     backend = SqliteBackend(path)
     try:
-        final = backend.scan_records(), backend.scan_events()
+        final = backend.load_state_text(COLLECTION_STATE_KEY), backend.scan_events()
     finally:
         backend.close()
     return seen, final
@@ -95,7 +97,7 @@ def start(spec_path, store, resume):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs SIGKILL")
 def test_a_killed_crawl_leaves_its_last_committed_checkpoint(tmp_path, monkeypatch):
-    checkpoints, (final_records, final_events) = committed_checkpoints(
+    checkpoints, (final_image, final_events) = committed_checkpoints(
         monkeypatch, str(tmp_path / "reference.sqlite")
     )
     assert len(checkpoints) >= 30
@@ -127,17 +129,18 @@ def test_a_killed_crawl_leaves_its_last_committed_checkpoint(tmp_path, monkeypat
             if backend.load_state_text(RESULT_STATE_KEY) is not None:
                 # Finished before the kill: the store is the completed run's.
                 assert returncode in (0, -signal.SIGKILL)
-                assert backend.scan_records() == final_records
+                assert backend.load_state_text(COLLECTION_STATE_KEY) == final_image
                 assert backend.scan_events() == final_events
                 done = True
             elif text is None:
                 # Killed before the first checkpoint: nothing was committed.
-                assert backend.record_count() == backend.event_count() == 0
+                assert backend.load_state_text(COLLECTION_STATE_KEY) is None
+                assert backend.event_count() == 0
                 done = False
             else:
                 assert text in checkpoints, "the store holds a checkpoint no run committed"
-                index, records, events_logged = checkpoints[text]
-                assert backend.scan_records() == records
+                index, events_logged = checkpoints[text]
+                assert backend.load_state_text(COLLECTION_STATE_KEY) is None
                 assert backend.scan_events() == final_events[:events_logged]
                 if index > 0:
                     previous = backend.load_state_text(CHECKPOINT_PREV_STATE_KEY)
