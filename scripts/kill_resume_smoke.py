@@ -9,13 +9,13 @@ Three runs of the same spec:
 3. ``run-spec --resume`` against the killed store.
 
 The store commits only with a checkpoint, so before each resume the
-killed store's event count must equal its checkpoint's ``events_logged``.
-The resumed run must reproduce the uninterrupted run's result exactly —
-summary, series, spec hash — and the two stores must hold the same text
-for their final collection image (every record, fetch timestamps
-included), identical event logs and the same text for their latest
-checkpoint: what a resume rebuilds instead of reading from the checkpoint
-must come back whole, or a later checkpoint would differ.
+killed store must hold nothing past its last one: no final collection
+image and no result. The resumed run must reproduce the uninterrupted
+run's result exactly — summary, series, spec hash — and the two stores
+must hold the same text for their final collection image (every record,
+fetch timestamps included) and the same text for their latest checkpoint:
+what a resume rebuilds instead of reading from the checkpoint must come
+back whole, or a later checkpoint would differ.
 This is the paper's "incremental crawler you can stop and restart"
 property, end to end.
 
@@ -183,32 +183,27 @@ def state_text(store: str, key: str) -> list:
     return rows
 
 
-def event_log(store: str) -> list:
-    return query(store, "SELECT url, time, changed, stored FROM events ORDER BY seq")
-
-
-def check_store_is_its_checkpoint(store: str, key: str = "checkpoint") -> int:
-    """A killed store's event count must equal its checkpoint's ``events_logged``
-    (zero without a checkpoint): it holds nothing past its last commit."""
-    rows = query(store, "SELECT value FROM state WHERE key = ?", (key,))
-    logged = json.loads(rows[0][0])["journal"]["events_logged"] if rows else 0
-    count = query(store, "SELECT COUNT(*) FROM events")[0][0]
-    if count != logged:
+def check_store_is_its_checkpoint(store: str, prefix: str = "") -> None:
+    """A killed store holds nothing past its last commit: neither a final
+    collection image nor a result, which only a completed run commits."""
+    past = [
+        key for (key,) in query(store, "SELECT key FROM state")
+        if key in (prefix + "collection", prefix + "result")
+    ]
+    if past:
         raise SystemExit(
-            f"FAIL: killed store {os.path.basename(store)} holds {count} events "
-            f"but its checkpoint {key!r} logged {logged}"
+            f"FAIL: killed store {os.path.basename(store)} holds {past} "
+            "past its last checkpoint"
         )
-    return count
 
 
 def compare_stores(label: str, pairs: list) -> int:
-    """Final collection images, event logs and the latest checkpoint's text
-    of each (uninterrupted, interrupted, state-key namespace) store triple;
-    the number of records the reference images hold."""
+    """Final collection images and the latest checkpoint's text of each
+    (uninterrupted, interrupted, state-key namespace) store triple; the
+    number of records the reference images hold."""
     for reference, interrupted, prefix in pairs:
         for what, read in (
             ("final collection images", lambda store: state_text(store, prefix + "collection")),
-            ("event logs", event_log),
             ("latest checkpoints", lambda store: state_text(store, prefix + "checkpoint")),
         ):
             rows_a, rows_b = read(reference), read(interrupted)
@@ -273,9 +268,9 @@ def main() -> int:
     keys_after_kill = state_keys(store_b)
     assert "checkpoint" in keys_after_kill and "result" not in keys_after_kill
     assert not os.path.exists(out_b), "killed run must not have written a result"
-    events = check_store_is_its_checkpoint(store_b)
+    check_store_is_its_checkpoint(store_b)
     say(f"      killed mid-run (returncode {proc.returncode}); store holds its "
-        f"checkpoint's {events} events")
+        "checkpoint and nothing past it")
 
     phase = "[3/3] resume from the checkpoint"
     say(f"{phase} ...")
@@ -292,8 +287,8 @@ def main() -> int:
     records = compare_stores("resume", [(store_a, store_b, "")])
     say(
         f"PASS: resumed run is bit-identical to the uninterrupted run "
-        f"({records} records in the final image, the event log and the latest "
-        f"checkpoint, mean freshness {a['summary']['mean_freshness']:.4f})"
+        f"({records} records in the final image and the latest checkpoint, "
+        f"mean freshness {a['summary']['mean_freshness']:.4f})"
     )
 
     sharded_phase(tmp)
@@ -326,7 +321,7 @@ def shard_pairs(reference: str, interrupted: str, n_shards: int) -> list:
 def check_shard_stores(base: str, n_shards: int) -> None:
     for k, path in enumerate(shard_store_paths(base, n_shards)):
         if os.path.exists(path):
-            check_store_is_its_checkpoint(path, f"shard{k:02d}/checkpoint")
+            check_store_is_its_checkpoint(path, f"shard{k:02d}/")
 
 
 def sharded_phase(tmp: str) -> None:
@@ -379,7 +374,7 @@ def sharded_phase(tmp: str) -> None:
     time.sleep(0.5)
     check_shard_stores(store_d, n_shards)
     say(f"      killed mid-run (returncode {proc.returncode}); each shard store "
-        "holds its checkpoint's events")
+        "holds its checkpoint and nothing past it")
 
     phase = "[3/3] resume the sharded run from the per-shard stores"
     say(f"{phase} ...")
@@ -398,7 +393,7 @@ def sharded_phase(tmp: str) -> None:
     records = compare_stores("sharded resume", shard_pairs(store_c, store_d, n_shards))
     say(
         f"PASS: resumed sharded run is bit-identical to the uninterrupted "
-        f"run ({records} records in the final images, the event logs and the latest checkpoints "
+        f"run ({records} records in the final images and the latest checkpoints "
         f"across {n_shards} shard stores, mean freshness {c['summary']['mean_freshness']:.4f})"
     )
 
@@ -496,8 +491,8 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str, store_reference: st
                     f"FAIL: resume after a {label} checkpoint differs from the "
                     f"uninterrupted run in {key!r}"
                 )
-        # The fallback trimmed the events past the previous slot: the store
-        # ends as the uninterrupted run's.
+        # Resumed from the previous slot, the store still ends as the
+        # uninterrupted run's.
         compare_stores(f"{label} fallback", [(store_reference, damaged_store, "")])
         say(
             f"PASS: {label} checkpoint detected, previous snapshot resumed "
@@ -586,7 +581,7 @@ def worker_kill_phase(tmp: str) -> None:
     ))
     say(
         "PASS: coordinator recovered the SIGKILLed worker bit-identically "
-        f"({records} records in the final images, the event logs and the latest checkpoints, "
+        f"({records} records in the final images and the latest checkpoints, "
         f"mean freshness {d['summary']['mean_freshness']:.4f})"
     )
 

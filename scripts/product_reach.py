@@ -15,10 +15,14 @@ entry points, so a function only tests call is listed too. Stdlib only;
 takes a few minutes:
 
     python scripts/product_reach.py
+
+With ``--max-lines N`` it exits 1 when the unreached total exceeds ``N``,
+so CI can hold a ceiling that only goes down.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
@@ -110,6 +114,14 @@ def main() -> int:
     if len(sys.argv) > 2 and sys.argv[1] == "--child":
         _child(sys.argv[2], sys.argv[3:])
         return 0
+    parser = argparse.ArgumentParser(
+        description="List the src/repro functions no product entry point calls."
+    )
+    parser.add_argument(
+        "--max-lines", type=int, metavar="N",
+        help="exit 1 when more than N lines are unreached",
+    )
+    args = parser.parse_args()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
@@ -141,6 +153,10 @@ def main() -> int:
     count = sum(len(rows) for rows in by_module.values())
     print(f"{count} functions, {total} lines no entry point calls "
           "(worker processes not profiled)")
+    if args.max_lines is not None and total > args.max_lines:
+        print(f"FAIL: {total} unreached lines exceed the ceiling of {args.max_lines}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -323,7 +323,7 @@ def _run_sharded_crawl(
 ) -> _RunPayload:
     """The ``engine="sharded"`` crawl path: fan out, merge, summarize.
 
-    Per-shard persistence (journals, checkpoints, shard results) lives in
+    Per-shard persistence (checkpoints, final images, shard results) lives in
     the coordinator's sibling stores; the base backend opened by
     :func:`run` only holds the merged result document, and is closed while
     the shards run.

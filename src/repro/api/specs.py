@@ -478,9 +478,10 @@ class CrawlerSpec(_SpecBase):
         storage: Optional registered storage-backend name
             (:data:`repro.api.registry.STORAGE_BACKENDS`; ``"sqlite"`` is
             the one registered). When set, the
-            run journals its collection and change events into the store,
-            committed with each checkpoint and with the final result, so a
-            killed run's store is its last committed checkpoint; incremental
+            run stores its checkpoints (each holding the collection and
+            every page's change history), committed one at a time, and at
+            run end its final collection image with its result, so a killed
+            run's store is its last committed checkpoint; incremental
             crawls only.
         checkpoint_every: Optional virtual-day spacing between resumable
             state checkpoints. Requires ``storage``; a killed run resumes

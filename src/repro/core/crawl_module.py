@@ -104,9 +104,6 @@ class CrawlModule:
         self._link_filter = link_filter
         self.pages_fetched = 0
         self.pages_failed = 0
-        # Optional CollectionJournal appending change events to a storage
-        # backend (set by IncrementalCrawler.run).
-        self.journal = None
 
     @property
     def collection(self) -> Collection:

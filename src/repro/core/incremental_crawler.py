@@ -234,11 +234,9 @@ class IncrementalCrawler:
         ``start_time`` (cut at the web's horizon).
 
         Args:
-            journal: Optional :class:`CollectionJournal` appending change
-                events into a storage backend. Its writes stay in the
-                backend's open transaction, which each checkpoint save
-                commits; at the end of the run it writes the final
-                collection image, which the caller commits with the result
+            journal: Optional :class:`CollectionJournal` that writes the
+                final collection image into its storage backend at the end
+                of the run, which the caller commits with the result
                 (``backend.flush()``).
             checkpointer: Optional :class:`CrawlCheckpointer` persisting
                 resumable state snapshots at event boundaries.
@@ -246,10 +244,7 @@ class IncrementalCrawler:
                 configuration, loaded via ``CrawlCheckpointer.load()``. The
                 crawler must be freshly constructed; the run continues from
                 the checkpoint and produces results bit-identical to an
-                uninterrupted run. When ``checkpointer`` loaded it from
-                its latest slot, the journal's store is taken as committed
-                with it and left as it is; otherwise its event log is
-                truncated to the checkpoint's.
+                uninterrupted run.
 
         Returns:
             A :class:`CrawlRunResult` with freshness/quality series and
@@ -265,14 +260,10 @@ class IncrementalCrawler:
             denominator=self._spec.collection_capacity,
         )
         result = CrawlRunResult(freshness=tracker.series, duration_days=duration_days)
-        self._crawl_module.journal = journal
 
         scheduler: Optional[StreamScheduler] = None
         if resume_state is not None:
-            committed = checkpointer is not None and checkpointer.loaded_latest
-            scheduler = self._restore_state(
-                resume_state, tracker, result, journal, committed
-            )
+            scheduler = self._restore_state(resume_state, tracker, result)
             if checkpointer is not None:
                 checkpointer.start(float(resume_state["checkpoint_at"]))
         else:
@@ -468,7 +459,6 @@ class IncrementalCrawler:
         order — which feeds ordered float reductions in the UpdateModule —
         survives serialization.
         """
-        journal = self._crawl_module.journal
         politeness = self._fetcher.politeness
         return {
             "format": CHECKPOINT_FORMAT,
@@ -493,7 +483,6 @@ class IncrementalCrawler:
                 "times": list(result.quality_times),
                 "values": list(result.quality),
             },
-            "journal": journal.snapshot() if journal is not None else None,
         }
 
     def _restore_state(
@@ -501,17 +490,14 @@ class IncrementalCrawler:
         state: dict,
         tracker: FreshnessTracker,
         result: CrawlRunResult,
-        journal: Optional[CollectionJournal],
-        committed: bool,
     ) -> StreamScheduler:
         """Rebuild crawler state from a checkpoint and return the scheduler.
 
         The crawler must be freshly constructed (as after a process kill):
         restoration *replays* collection stores in checkpoint order so the
         repository's insertion order — and with it every scan order
-        downstream — matches the uninterrupted run. ``committed`` says the
-        journal's store committed together with this checkpoint, so its
-        event log already ends where the checkpoint does.
+        downstream — matches the uninterrupted run. A ``journal`` key,
+        which older builds wrote to count their event log, is ignored.
         """
         fmt = state.get("format")
         if fmt != CHECKPOINT_FORMAT:
@@ -560,7 +546,4 @@ class IncrementalCrawler:
         quality = state["quality"]
         result.quality[:] = [float(v) for v in quality["values"]]
         result.quality_times[:] = [float(t) for t in quality["times"]]
-
-        if journal is not None and state.get("journal") is not None:
-            journal.restore_snapshot(state["journal"], committed)
         return scheduler

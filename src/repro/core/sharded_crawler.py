@@ -84,7 +84,7 @@ class ShardRunSpec:
 
         Without a persistent store it re-runs as is; with a checkpointed
         one it resumes. A store without checkpoints has nothing to resume
-        from (its journal commits only with the shard's result), so the
+        from (it commits only with the shard's result), so the
         death is fatal.
         """
         if self.crawler.storage is None or self.store_path is None:
@@ -174,8 +174,8 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
             # resume covers every shard, and a worker that died is retried
             # as a resume (ShardRunSpec.retried), so a shard killed before
             # its first checkpoint must still run; a fresh start contradicts
-            # nothing in its store, whose journal commits only with a
-            # checkpoint or with the shard's result.
+            # nothing in its store, which commits only with a checkpoint
+            # or with the shard's result.
 
         if job.view.is_total:
             # Total view: the plain crawler, seeds carried through the view

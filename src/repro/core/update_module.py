@@ -481,9 +481,6 @@ class UpdateModule:
                     for url, completed_i in zip(reschedule_urls, reschedule_completed)
                 ],
             )
-        journal = self._crawl_module.journal
-        if journal is not None:
-            journal.on_batch(outcome)
         return outcome
 
     # ------------------------------------------------------------------ #

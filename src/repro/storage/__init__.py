@@ -13,13 +13,13 @@ This package provides:
   disciplines the paper compares, behind a common, capacity-bounded
   :class:`Collection` interface (what users/queries see is
   ``current_records``);
-* :class:`SqliteBackend` — the one store for change events, checkpoint
-  state and a completed run's result and final collection image, volatile
-  in memory or durable in a file, registered as ``sqlite`` in
+* :class:`SqliteBackend` — the one store for checkpoint state and a
+  completed run's result and final collection image, volatile in memory or
+  durable in a file, registered as ``sqlite`` in
   :data:`repro.api.registry.STORAGE_BACKENDS`;
-* :class:`CollectionJournal` and :class:`CrawlCheckpointer` — the event log
-  writer of a running crawl and the resumable-state snapshotter whose save
-  commits it.
+* :class:`CollectionJournal` and :class:`CrawlCheckpointer` — the writer of
+  a run's final collection image and the resumable-state snapshotter whose
+  save commits the store.
 """
 
 from repro.storage.records import PageRecord, record_to_dict

@@ -1,19 +1,16 @@
 """The collection store: one SQLite database per crawl.
 
 The paper's WebBase crawler maintains a *long-lived* collection. A
-:class:`SqliteBackend` persists two kinds of data:
+:class:`SqliteBackend` persists it as **named state texts** — JSON documents
+stored as the text that was written: the two checkpoint slots (full crawler
+snapshots, see :mod:`repro.storage.checkpoint`), a completed run's result and
+its final collection image.
 
-* **change-history events** — an append-only log of per-fetch observations
-  ``(url, time, changed, stored)``, the durable form of what feeds the
-  frequency estimators;
-* **named state texts** — JSON documents stored as the text that was
-  written: the two checkpoint slots (full crawler snapshots, see
-  :mod:`repro.storage.checkpoint`), a completed run's result and its final
-  collection image.
-
-The collection itself is stored once: as the ``collection`` columns of each
-checkpoint, and at run end as the final image. A ``records`` table left by
-an older build, which mirrored the collection row by row, is neither read
+The collection is stored once: as the ``collection`` columns of each
+checkpoint, and at run end as the final image. Each page's observations
+(visit times, changed bits, intervals) live in the checkpoint's estimator
+histories. ``records`` and ``events`` tables left by older builds, which
+mirrored the collection row by row and logged every fetch, are neither read
 nor written.
 
 It is registered as ``sqlite`` in the ``STORAGE_BACKENDS`` registry
@@ -31,38 +28,24 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.api.registry import register_storage_backend
-
-#: One change-history event: (url, virtual time, change detected, page stored).
-ChangeEvent = Tuple[str, float, bool, bool]
-
 
 @register_storage_backend("sqlite")
 class SqliteBackend:
     """SQLite collection store: in memory without a path, durable WAL with one.
 
-    The contract is events (append, scan, count, truncate), state texts
-    (save, load, delete, plus the JSON pair), :meth:`flush` as the only
-    commit, and :meth:`close`. ``append_events`` takes a sequence because
-    the batched crawl engine produces whole tick windows of outcomes at
-    once. SQLite ``REAL`` columns are IEEE-754 doubles, so event times
-    round-trip bit-exactly.
+    The contract is state texts (save, load, delete, plus the JSON pair),
+    :meth:`flush` as the only commit, and :meth:`close`.
 
     A path that cannot be opened as a database, or whose write lock another
     connection holds past SQLite's busy timeout, is refused with a
-    ``ValueError`` naming the path.
+    ``ValueError`` naming the path; so is a write or a commit SQLite fails
+    (a full disk among them).
     """
 
     _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS events (
-        seq INTEGER PRIMARY KEY,
-        url TEXT NOT NULL,
-        time REAL NOT NULL,
-        changed INTEGER NOT NULL,
-        stored INTEGER NOT NULL
-    );
     CREATE TABLE IF NOT EXISTS state (
         key TEXT PRIMARY KEY,
         value TEXT NOT NULL
@@ -90,42 +73,16 @@ class SqliteBackend:
         """The database file path (``None`` for in-memory)."""
         return self._path
 
-    def append_events(self, events: Sequence[ChangeEvent]) -> None:
-        if not events:
-            return
-        self._conn.executemany(
-            "INSERT INTO events (url, time, changed, stored) VALUES (?, ?, ?, ?)",
-            (
-                (str(url), float(time), int(bool(changed)), int(bool(stored)))
-                for url, time, changed, stored in events
-            ),
-        )
-
-    def scan_events(self) -> List[ChangeEvent]:
-        rows = self._conn.execute(
-            "SELECT url, time, changed, stored FROM events ORDER BY seq"
-        ).fetchall()
-        return [(url, time, bool(changed), bool(stored)) for url, time, changed, stored in rows]
-
-    def event_count(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
-
-    def truncate_events(self, count: int) -> None:
-        """Keep only the first ``count`` events: on resume, drops what a
-        killed run appended after the checkpoint being restored."""
-        self._conn.execute(
-            "DELETE FROM events WHERE seq NOT IN"
-            " (SELECT seq FROM events ORDER BY seq LIMIT ?)",
-            (max(0, count),),
-        )
-
     def save_state_text(self, key: str, text: str) -> None:
         """Store ``text`` verbatim under ``key`` (overwrites)."""
-        self._conn.execute(
-            "INSERT INTO state (key, value) VALUES (?, ?)"
-            " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-            (key, text),
-        )
+        try:
+            self._conn.execute(
+                "INSERT INTO state (key, value) VALUES (?, ?)"
+                " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
+                (key, text),
+            )
+        except sqlite3.Error as error:
+            raise ValueError(f"cannot write store {self._path!r}: {error}") from error
 
     def load_state_text(self, key: str) -> Optional[str]:
         row = self._conn.execute(
@@ -151,7 +108,10 @@ class SqliteBackend:
         """Commit every write since the last flush, atomically (the only
         point at which the file's contents change), and take the write lock
         again for the next."""
-        self._conn.commit()
+        try:
+            self._conn.commit()
+        except sqlite3.Error as error:
+            raise ValueError(f"cannot commit store {self._path!r}: {error}") from error
         try:
             self._conn.execute("BEGIN IMMEDIATE")
         except sqlite3.Error as error:

@@ -3,32 +3,28 @@
 Two cooperating pieces sit between the crawler and a
 :class:`~repro.storage.backends.SqliteBackend` store:
 
-* :class:`CollectionJournal` appends per-fetch change events at
-  ``process_batch`` boundaries into the backend's open transaction, and at
-  run end writes the final collection image once. It mirrors no records:
-  the crawler never reads through it (the hot path stays in memory).
+* :class:`CollectionJournal` writes the final collection image once, at
+  run end. It writes nothing while the crawl runs: the crawler never reads
+  through it (the hot path stays in memory).
 * :class:`CrawlCheckpointer` periodically persists a full crawler state
-  snapshot (queue order, estimator sums, politeness map, and the
-  collection itself as ``collection`` columns — assembled by
+  snapshot (queue order, estimator sums and change histories, politeness
+  map, and the collection itself as ``collection`` columns — assembled by
   ``IncrementalCrawler``) as a named state text, from which a killed run
-  resumes bit-identically. Its ``backend.flush()`` is the store's commit:
-  the events land in the same transaction as the checkpoint, so a killed
-  run's store *is* its last committed checkpoint.
+  resumes bit-identically. Its ``backend.flush()`` is the store's commit,
+  so a killed run's store *is* its last committed checkpoint.
 
-The store therefore holds the collection once: in each checkpoint, and in
-the final image (:data:`COLLECTION_STATE_KEY`), which commits together
-with the run's result.
+The store therefore holds the collection and each page's observations
+once per commit, in the checkpoint, and at run end the collection's final
+image (:data:`COLLECTION_STATE_KEY`), which commits together with the
+run's result.
 
 One rule governs a checkpoint's bytes: the document is serialised **once**;
 ``integrity`` is the sha256 **of the stored bytes** that follow its
 fixed-width header; the previous slot receives the **last text this process
 wrote or verified**, never a second dump; a load re-hashes before it parses.
 
-On the normal resume path (the latest slot verified) the store already
-holds exactly the checkpoint's ``events_logged`` events, so nothing is
-rewritten, and a store that disagrees is refused. Only when the load fell
-back to the previous slot is the store ahead of the checkpoint: its event
-log is then truncated to the checkpoint's count.
+A resume writes nothing to the store before its first checkpoint, from
+whichever slot it loaded: the resumed run rewrites both slots as it goes.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (records and core import this)
-    from repro.core.crawl_module import BatchCrawlOutcome, CrawlOutcome
     from repro.storage.backends import SqliteBackend
     from repro.storage.collection import Collection
 
@@ -122,12 +117,11 @@ def _digest(text: str, start: int) -> str:
 
 
 class CollectionJournal:
-    """Appends crawl outcomes to a store's event log, one checkpoint at a time.
+    """Writes a run's final collection image into its store.
 
-    Events are appended per batch into the backend's open transaction, which
-    the next checkpoint save (or the run's result) commits. The collection
-    is not mirrored: each checkpoint carries it, and :meth:`finish` writes
-    the final image once at run end.
+    The store keeps no per-fetch log: every checkpoint carries the
+    collection and each page's change history, and :meth:`finish` writes the
+    final image once at run end, in the transaction the run's result commits.
 
     Args:
         backend: The destination store.
@@ -137,27 +131,15 @@ class CollectionJournal:
 
     def __init__(self, backend: SqliteBackend, namespace: Optional[str] = None) -> None:
         self.backend = backend
-        #: Number of events appended through this journal (checkpointed, so
-        #: a resume can check the store against it).
-        self.events_logged = 0
         self._image_key = namespaced_state_key(namespace, COLLECTION_STATE_KEY)
 
-    # ------------------------------------------------------------------ #
-    # Crawl hooks
-    # ------------------------------------------------------------------ #
-    def on_batch(self, outcome: "BatchCrawlOutcome") -> None:
-        """Append one resolved batch's events."""
-        self.backend.append_events(list(zip(
-            outcome.urls, outcome.completed_at.tolist(), outcome.changed, outcome.stored
-        )))
-        self.events_logged += len(outcome.urls)
+    def on_batch(self, outcome) -> None:
+        """Not called: the store keeps no per-fetch log. Defined only
+        because the e2e benchmark's tracer table names it."""
 
-    def on_outcome(self, outcome: "CrawlOutcome") -> None:
-        """Scalar variant of :meth:`on_batch` for one crawl outcome."""
-        self.backend.append_events(
-            [(outcome.url, outcome.completed_at, outcome.changed, outcome.stored)]
-        )
-        self.events_logged += 1
+    def on_outcome(self, outcome) -> None:
+        """Not called: the store keeps no per-fetch log. Defined only
+        because the e2e benchmark's tracer table names it."""
 
     def on_discard(self, url: str) -> None:
         """Not called: the store keeps no per-page rows to delete. Defined
@@ -175,36 +157,6 @@ class CollectionJournal:
         self.backend.save_state(
             self._image_key, records_to_columns(collection.working_records())
         )
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """The journal's own state (folded into the crawl checkpoint)."""
-        return {"events_logged": self.events_logged}
-
-    def restore_snapshot(self, state: dict, committed: bool = False) -> None:
-        """Resume the journal at a checkpoint.
-
-        ``committed`` says the store committed together with this very
-        checkpoint, so it holds exactly ``events_logged`` events: that is
-        checked, and nothing is written. Otherwise the store may be ahead
-        of the checkpoint, and the events past it describe fetches the
-        resumed run will re-execute; they are truncated so nothing is
-        double-counted.
-        """
-        self.events_logged = int(state["events_logged"])
-        if not committed:
-            self.backend.truncate_events(self.events_logged)
-            return
-        stored = self.backend.event_count()
-        if stored != self.events_logged:
-            raise ValueError(
-                f"the store holds {stored} events but its checkpoint logged "
-                f"{self.events_logged}, so it was not committed together with that "
-                "checkpoint (written by a build that committed every batch, or "
-                "altered since)"
-            )
 
 
 class CrawlCheckpointer:
@@ -242,11 +194,6 @@ class CrawlCheckpointer:
         self._last_text: Optional[str] = None
         #: Optional test/observer hook called with each saved state dict.
         self.on_save: Optional[Callable[[dict], None]] = None
-        #: Whether the last :meth:`load` returned the latest slot, which the
-        #: store committed together with its events. False
-        #: before a load and after a fallback to the previous slot, whose
-        #: store has moved past it.
-        self.loaded_latest = False
 
     def start(self, at: float) -> None:
         """Anchor the checkpoint clock at the run (or resume) start."""
@@ -262,9 +209,8 @@ class CrawlCheckpointer:
         The save is read-only with respect to the crawler: the state dict
         was assembled from snapshots, and flushing the backend has no effect
         on in-memory crawl structures — which is why checkpointing cannot
-        perturb the run. That flush is the store's commit: both slots and
-        whatever the journal wrote since the last save become durable
-        together, or (killed first) not at all.
+        perturb the run. That flush is the store's commit: both slots
+        become durable together, or (killed first) not at all.
 
         The document is serialised exactly once. ``state["integrity"]``
         becomes the sha256 of those bytes, and the text written is the same
@@ -338,12 +284,10 @@ class CrawlCheckpointer:
         header and parsed only once verified (never re-serialised); on
         damage the load falls back to the previous good snapshot
         (resuming from it is bit-identical to having crashed one
-        checkpoint earlier), and :attr:`loaded_latest` reports which slot
-        was used. Only when both slots are damaged does the load raise. A
+        checkpoint earlier). Only when both slots are damaged does the load raise. A
         store written by an older format is refused by name.
         """
         text, error = self._load_verified(self._state_key)
-        self.loaded_latest = error is None and text is not None
         if error is not None:
             text, fallback_error = self._load_verified(self._prev_key)
             if text is None:

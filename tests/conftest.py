@@ -7,6 +7,8 @@ not regenerate them.
 
 from __future__ import annotations
 
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,18 @@ def collection_stays_queued(monkeypatch):
         return result
 
     monkeypatch.setattr(RankingModule, "refine", checked)
+
+
+@pytest.fixture()
+def full_disk(monkeypatch):
+    """Every SQLite connection opened in this test stops its database at a
+    few pages, so a write past them fails as on a full disk ("database or
+    disk is full"). Only the test's own connections change; no disk does."""
+    connect = sqlite3.connect
+
+    def connect_small(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.execute("PRAGMA max_page_count = 8")
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", connect_small)

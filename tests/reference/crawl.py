@@ -96,9 +96,6 @@ def process_next(update: UpdateModule, at: float) -> Optional[CrawlOutcome]:
         _observe(update, url, completed, outcome)
         update._maybe_reallocate(completed)
         collurls.schedule(url, completed + update._interval_for(url))
-    journal = crawl_module.journal
-    if journal is not None:
-        journal.on_outcome(outcome)
     return outcome
 
 

@@ -44,7 +44,7 @@ from repro.storage.checkpoint import (
 from repro.storage.records import record_to_dict, records_from_columns
 
 from reference.crawl import ReferenceIncrementalCrawler
-from test_storage_backends import OLD_RECORDS_DDL, records_table
+from test_storage_backends import OLD_EVENTS_DDL, OLD_RECORDS_DDL, old_table, tables_of
 
 DURATION = 30.0
 
@@ -121,7 +121,6 @@ def test_journaled_run_is_bit_identical(tiny_web, estimator, use_politeness):
         assert stored[url].visit_count == record.visit_count
         assert stored[url].change_count == record.change_count
         assert stored[url].importance == record.importance
-    assert backend.event_count() > 0
 
 
 def test_journal_works_on_reference_engine(tiny_web):
@@ -131,7 +130,6 @@ def test_journal_works_on_reference_engine(tiny_web):
     )
     crawler.run(journal=CollectionJournal(backend))
     assert final_image(backend) == crawler.collection.working_records()
-    assert backend.event_count() > 0
 
 
 # --------------------------------------------------------------------- #
@@ -203,11 +201,9 @@ def test_every_checkpoint_and_the_final_image_hold_the_collection(tiny_web, faul
     for in_store, working in images:
         # Field for field and in collection order, importance included.
         assert in_store == working
-    assert backend.event_count() == journal.events_logged == outcome.pages_crawled \
-        + outcome.pages_failed
 
 
-def test_the_journal_writes_events_until_run_end_and_one_image_then(tiny_web):
+def test_the_journal_writes_one_image_at_run_end(tiny_web):
     writes = []
 
     class CountingBackend(SqliteBackend):
@@ -243,30 +239,35 @@ def _run_killed_after_second_save(tiny_web, backend):
     return states
 
 
-class FirstBatchProbe(CollectionJournal):
-    """A journal that records the store as the resumed run's first batch
-    lands: its event count, and the collection a resume from it restores."""
+def store_texts(backend):
+    """Every state text a single-crawler store can hold, by key."""
+    return {
+        key: backend.load_state_text(key)
+        for key in (CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY,
+                    COLLECTION_STATE_KEY, RESULT_STATE_KEY)
+    }
+
+
+class FirstSaveProbe(CrawlCheckpointer):
+    """A checkpointer that records the store's texts as the resumed run's
+    first checkpoint save begins."""
 
     def __init__(self, backend):
-        super().__init__(backend)
+        super().__init__(backend, every_days=7.0)
         self.first = None
 
-    def on_batch(self, outcome):
+    def save(self, state, at):
         if self.first is None:
-            state = CrawlCheckpointer(self.backend, every_days=7.0).load()
-            self.first = (
-                self.backend.event_count(), records_from_columns(state["collection"])
-            )
-        super().on_batch(outcome)
+            self.first = store_texts(self.backend)
+        super().save(state, at)
 
 
-def test_a_fallback_resume_trims_events_first(tiny_web):
+def test_a_fallback_resume_ends_as_the_uninterrupted_store(tiny_web):
     """The latest slot is corrupt, so the resume falls back one checkpoint.
 
-    The store committed with the *latest* checkpoint, so it is ahead of the
-    one resumed from: its events past that checkpoint's count are trimmed
-    before the first batch is journaled, and the run ends holding what an
-    uninterrupted run's store holds.
+    Nothing is written before the resumed run's first checkpoint, and the
+    run ends holding what an uninterrupted run's store holds: the same final
+    image and the same latest checkpoint text.
     """
     plain = build_crawler(tiny_web)
     expected = result_fingerprint(plain, plain.run())
@@ -277,67 +278,44 @@ def test_a_fallback_resume_trims_events_first(tiny_web):
     )
     backend = SqliteBackend()
     first, second = _run_killed_after_second_save(tiny_web, backend)
-    assert backend.event_count() == second["journal"]["events_logged"]
     text = backend.load_state_text(CHECKPOINT_STATE_KEY)
     flipped = "1" if text[-40] == "0" else "0"
     backend.save_state_text(CHECKPOINT_STATE_KEY, text[:-40] + flipped + text[-39:])
     backend.flush()
+    before = store_texts(backend)
 
-    loader = CrawlCheckpointer(backend, every_days=7.0)
+    loader = FirstSaveProbe(backend)
     state = loader.load()
-    assert not loader.loaded_latest
-    assert state["checkpoint_at"] == first["checkpoint_at"]
-    probe = FirstBatchProbe(backend)
+    assert state["checkpoint_at"] == first["checkpoint_at"] < second["checkpoint_at"]
     resumed = build_crawler(tiny_web)
     outcome = resumed.run(
-        journal=probe, checkpointer=loader, resume_state=state
+        journal=CollectionJournal(backend), checkpointer=loader, resume_state=state
     )
-    trimmed, records = probe.first
-    assert trimmed == first["journal"]["events_logged"] < second["journal"]["events_logged"]
-    assert records == records_from_columns(first["collection"])
+    assert loader.first == before
     assert result_fingerprint(resumed, outcome) == expected
     assert final_image(backend) == resumed.collection.working_records()
     assert final_image(backend) == final_image(reference)
-    assert backend.scan_events() == reference.scan_events()
+    assert backend.load_state_text(CHECKPOINT_STATE_KEY) == reference.load_state_text(
+        CHECKPOINT_STATE_KEY
+    )
 
 
-def test_a_normal_resume_writes_nothing_and_refuses_a_disagreeing_store(
-    tiny_web, monkeypatch
-):
+def test_a_normal_resume_writes_nothing_before_its_first_checkpoint(tiny_web):
     plain = build_crawler(tiny_web)
     expected = result_fingerprint(plain, plain.run())
     backend = SqliteBackend()
     _, second = _run_killed_after_second_save(tiny_web, backend)
+    before = store_texts(backend)
 
-    loader = CrawlCheckpointer(backend, every_days=7.0)
+    loader = FirstSaveProbe(backend)
     state = loader.load()
-    assert loader.loaded_latest
-
-    def rewrite(*args):
-        raise AssertionError("a normal resume rewrote the store")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(SqliteBackend, "truncate_events", rewrite)
-        probe = FirstBatchProbe(backend)
-        resumed = build_crawler(tiny_web)
-        outcome = resumed.run(
-            journal=probe, checkpointer=loader, resume_state=state
-        )
-    assert probe.first == (
-        second["journal"]["events_logged"], records_from_columns(second["collection"])
+    assert state["checkpoint_at"] == second["checkpoint_at"]
+    resumed = build_crawler(tiny_web)
+    outcome = resumed.run(
+        journal=CollectionJournal(backend), checkpointer=loader, resume_state=state
     )
+    assert loader.first == before
     assert result_fingerprint(resumed, outcome) == expected
-
-    backend = SqliteBackend()
-    _run_killed_after_second_save(tiny_web, backend)
-    backend.append_events([("stray", 1.0, False, True)])
-    backend.flush()
-    loader = CrawlCheckpointer(backend, every_days=7.0)
-    with pytest.raises(ValueError, match=r"holds \d+ events but its checkpoint logged"):
-        build_crawler(tiny_web).run(
-            journal=CollectionJournal(backend), checkpointer=loader,
-            resume_state=loader.load(),
-        )
 
 
 def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):
@@ -498,21 +476,6 @@ def test_checkpointer_spec_hash_guard():
     assert same.load() is not None
 
 
-def test_journal_truncates_event_tail_on_resume():
-    backend = SqliteBackend()
-    journal = CollectionJournal(backend)
-    backend.append_events([("u", float(i), False, True) for i in range(5)])
-    journal.events_logged = 5
-    snapshot = journal.snapshot()
-    # The "killed run" appends two more events after the checkpoint.
-    backend.append_events([("u", 5.0, False, True), ("u", 6.0, False, True)])
-    assert backend.event_count() == 7
-    restored = CollectionJournal(backend)
-    restored.restore_snapshot(snapshot)
-    assert backend.event_count() == 5
-    assert restored.events_logged == 5
-
-
 # --------------------------------------------------------------------- #
 # Runner-level persistence
 # --------------------------------------------------------------------- #
@@ -549,7 +512,6 @@ def test_runner_sqlite_store_and_result_short_circuit(tmp_path):
         assert probe.load_state(RESULT_STATE_KEY) is not None
         assert probe.load_state(CHECKPOINT_STATE_KEY) is not None
         assert len(final_image(probe)) == first.summary["collection_size"]
-        assert probe.event_count() > 0
     finally:
         probe.close()
 
@@ -606,6 +568,16 @@ def test_runner_resume_continues_interrupted_run(tmp_path):
     assert resumed.summary == uninterrupted.summary
 
 
+def flip_latest_slot(conn):
+    """Damage one character of the latest checkpoint slot's stored text."""
+    (text,) = conn.execute(
+        "SELECT value FROM state WHERE key = ?", (CHECKPOINT_STATE_KEY,)
+    ).fetchone()
+    flipped = "1" if text[-40] == "0" else "0"
+    conn.execute("UPDATE state SET value = ? WHERE key = ?",
+                 (text[:-40] + flipped + text[-39:], CHECKPOINT_STATE_KEY))
+
+
 @pytest.mark.parametrize("slot", ["latest", "fallback"])
 def test_a_store_with_the_old_records_table_resumes_and_leaves_it_untouched(
     tmp_path, slot
@@ -628,21 +600,68 @@ def test_a_store_with_the_old_records_table_resumes_and_leaves_it_untouched(
         for r in records_from_columns(state["collection"])
     ])
     if slot == "fallback":
-        (text,) = conn.execute(
-            "SELECT value FROM state WHERE key = ?", (CHECKPOINT_STATE_KEY,)
-        ).fetchone()
-        flipped = "1" if text[-40] == "0" else "0"
-        conn.execute("UPDATE state SET value = ? WHERE key = ?",
-                     (text[:-40] + flipped + text[-39:], CHECKPOINT_STATE_KEY))
+        flip_latest_slot(conn)
     conn.commit()
     conn.close()
-    before = records_table(path)
+    before = old_table(path, "records")
     assert len(before[1]) == len(state["collection"]["url"]) > 0
 
     resumed = run(spec, store=path, resume=True)
     assert resumed.series == uninterrupted.series
     assert resumed.summary == uninterrupted.summary
-    assert records_table(path) == before
+    assert old_table(path, "records") == before
+
+
+@pytest.mark.parametrize("slot", ["latest", "fallback"])
+def test_a_store_with_the_old_event_log_resumes_and_leaves_it_untouched(tmp_path, slot):
+    """The previous build appended every fetch to an ``events`` table and
+    counted them in each checkpoint's ``journal`` key. Such a store resumes,
+    from either slot, to the uninterrupted result and final image, and the
+    table is neither read nor written."""
+    path = str(tmp_path / "old.sqlite")
+    spec = ExperimentSpec(
+        name="old", web=WEB_SPEC,
+        crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
+    )
+    uninterrupted = run(spec)
+    _kill_runner_store_after_second_save(path, spec)
+
+    # Both slots as that build wrote them: the same checkpoints with the
+    # journal's event count, saved in order so the first is demoted.
+    backend = SqliteBackend(path)
+    slots = [backend.load_state(CHECKPOINT_PREV_STATE_KEY),
+             backend.load_state(CHECKPOINT_STATE_KEY)]
+    writer = CrawlCheckpointer(backend, every_days=5.0, spec_hash=spec.spec_hash())
+    for state in slots:
+        crawled = state["crawl"]
+        state["journal"] = {"events_logged": crawled["pages_fetched"] + crawled["pages_failed"]}
+        writer.save(state, state["checkpoint_at"])
+    backend.close()
+    logged = slots[-1]["journal"]["events_logged"]
+    urls = slots[-1]["collection"]["url"]
+    conn = sqlite3.connect(path)
+    conn.execute(OLD_EVENTS_DDL)
+    conn.executemany("INSERT INTO events VALUES (?, ?, ?, ?, ?)", [
+        (seq, urls[seq % len(urls)], seq / 7.0, seq % 3 == 0, seq % 5 != 0)
+        for seq in range(1, logged + 1)
+    ])
+    if slot == "fallback":
+        flip_latest_slot(conn)
+    conn.commit()
+    conn.close()
+    before = old_table(path, "events")
+    assert len(before[1]) == logged > slots[0]["journal"]["events_logged"] > 0
+
+    resumed = run(spec, store=path, resume=True)
+    assert resumed.series == uninterrupted.series
+    assert resumed.summary == uninterrupted.summary
+    backend = SqliteBackend(path)
+    try:
+        assert final_image(backend) == \
+            uninterrupted.artifacts["crawler"].collection.working_records()
+    finally:
+        backend.close()
+    assert old_table(path, "events") == before
 
 
 @pytest.mark.parametrize(
@@ -686,11 +705,10 @@ def test_a_store_without_checkpoints_holds_its_result_and_one_image(tmp_path):
     conn = sqlite3.connect(path)
     try:
         keys = {key for (key,) in conn.execute("SELECT key FROM state")}
-        events = conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     finally:
         conn.close()
     assert keys == {RESULT_STATE_KEY, COLLECTION_STATE_KEY}
-    assert events == result.summary["pages_crawled"] + result.summary["pages_failed"]
+    assert tables_of(path) == {"state"}
     backend = SqliteBackend(path)
     try:
         assert len(final_image(backend)) == result.summary["collection_size"]

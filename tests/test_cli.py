@@ -139,6 +139,17 @@ class TestCommands:
         assert f"cannot open store {str(store)!r}: database is locked" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_run_spec_on_a_full_disk_fails_cleanly(self, tmp_path, capsys, full_disk):
+        # The first checkpoint does not fit: the run stops naming the store.
+        store = tmp_path / "full.sqlite"
+        assert main(["run-spec", self._stored_spec(tmp_path), "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"experiment failed: cannot write store {str(store)!r}: database or disk is full"
+            in captured.err
+        )
+
     @pytest.mark.parametrize("command", ["run-spec", "run-matrix"])
     def test_an_unreadable_input_file_fails_cleanly(self, tmp_path, capsys, command):
         missing = tmp_path / "missing.json"

@@ -73,6 +73,10 @@ RETIRED_NAMES = {
     "get_record", "delete_record", "scan_records", "record_count",
     "clear_records", "replace_records", "_row_to_record", "_RECORD_COLUMNS",
     "_SELECT_RECORDS", "_refresh_journal_records",
+    # Every checkpoint holds the pages' change histories: no event log
+    # keeps the observations a second time.
+    "append_events", "scan_events", "event_count", "truncate_events",
+    "events_logged", "ChangeEvent", "loaded_latest",
 }
 
 
@@ -109,6 +113,8 @@ def _defined_names(tree: ast.Module):
             yield node.lineno, node.name
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.lineno, node.attr
 
 
 def test_retired_names_are_not_defined():

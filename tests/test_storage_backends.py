@@ -1,12 +1,12 @@
 """Contract tests for the SQLite collection store.
 
-The store honours one contract in both its forms — append-only event logs
-with resume truncation, and state texts (JSON documents among them) that
-round-trip floats bit-exactly — so the contract tests run on an in-memory
-store and on a WAL file. The file form adds two rules: ``flush`` is its
-only commit, and ``close`` without it drops the unflushed writes; and the
-store holds SQLite's write lock from open to close, so a store another
-connection holds is refused at open.
+The store honours one contract in both its forms — state texts (JSON
+documents among them) that round-trip floats bit-exactly — so the contract
+tests run on an in-memory store and on a WAL file. The file form adds two
+rules: ``flush`` is its only commit, and ``close`` without it drops the
+unflushed writes; and the store holds SQLite's write lock from open to
+close, so a store another connection holds is refused at open. A write or
+a commit SQLite fails, a full disk among them, is refused naming the store.
 """
 
 from __future__ import annotations
@@ -84,51 +84,6 @@ def test_path_names_the_durable_form(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Event contract
-# --------------------------------------------------------------------- #
-def test_events_append_scan_truncate(backend):
-    events = [
-        ("u/1", 0.5, True, True),
-        ("u/2", 0.75, False, True),
-        ("u/3", 1.0, False, False),
-    ]
-    backend.append_events(events)
-    backend.append_events([])  # no-op
-    assert backend.event_count() == 3
-    assert backend.scan_events() == events
-    backend.truncate_events(2)
-    assert backend.scan_events() == events[:2]
-    backend.truncate_events(0)
-    assert backend.event_count() == 0
-
-
-def test_truncation_past_the_log_keeps_it_and_below_zero_empties_it(backend):
-    events = [("u", float(i), False, True) for i in range(3)]
-    backend.append_events(events)
-    backend.truncate_events(10)
-    assert backend.scan_events() == events
-    backend.truncate_events(-1)
-    assert backend.event_count() == 0
-
-
-def test_events_appended_after_a_flush_or_a_truncation_follow_in_order(backend):
-    events = [("u", float(i), i % 2 == 0, True) for i in range(6)]
-    backend.append_events(events[:3])
-    backend.flush()
-    backend.append_events(events[3:])
-    assert backend.scan_events() == events
-    backend.truncate_events(2)
-    backend.append_events(events[4:])
-    assert backend.scan_events() == events[:2] + events[4:]
-
-
-def test_event_times_roundtrip_exact(backend):
-    time = 1.0 / 3.0 + 1e-9
-    backend.append_events([("u", time, True, True)])
-    assert backend.scan_events()[0][1] == time
-
-
-# --------------------------------------------------------------------- #
 # State contract
 # --------------------------------------------------------------------- #
 def test_state_save_load_delete(backend):
@@ -181,11 +136,10 @@ def test_non_serialisable_state_fails_loudly_in_save_state(backend):
 # --------------------------------------------------------------------- #
 # SQLite specifics
 # --------------------------------------------------------------------- #
-def test_the_contract_is_events_state_flush_and_close():
+def test_the_contract_is_state_flush_and_close():
     public = {name for name in vars(SqliteBackend) if not name.startswith("_")}
     assert public == {
-        "path", "append_events", "scan_events", "event_count", "truncate_events",
-        "save_state_text", "load_state_text", "delete_state", "save_state",
+        "path", "save_state_text", "load_state_text", "delete_state", "save_state",
         "load_state", "flush", "close",
     }
 
@@ -200,24 +154,22 @@ def tables_of(path):
         conn.close()
 
 
-def test_a_fresh_store_holds_an_event_log_and_state_only(tmp_path):
+def test_a_fresh_store_holds_state_only(tmp_path):
     path = str(tmp_path / "store.sqlite")
     SqliteBackend(path).close()
-    assert tables_of(path) == {"events", "state"}
+    assert tables_of(path) == {"state"}
 
 
 def test_sqlite_file_persistence(tmp_path):
     path = str(tmp_path / "store.sqlite")
     first = SqliteBackend(path)
     assert first.path is not None
-    first.append_events([("b", 0.5, True, True)])
     first.save_state("chk", {"n": 7})
     first.flush()
     first.close()
 
     reopened = SqliteBackend(path)
     try:
-        assert reopened.scan_events() == [("b", 0.5, True, True)]
         assert reopened.load_state("chk") == {"n": 7}
     finally:
         reopened.close()
@@ -226,20 +178,15 @@ def test_sqlite_file_persistence(tmp_path):
 def test_sqlite_drops_unflushed_writes_on_close(tmp_path):
     path = str(tmp_path / "store.sqlite")
     first = SqliteBackend(path)
-    first.append_events([("a", 0.5, True, True)])
     first.save_state("chk", {"n": 1})
     first.flush()
-    first.append_events([("b", 0.75, True, True)])
-    first.truncate_events(0)
-    first.append_events([("c", 1.0, True, True)])
     first.save_state("chk", {"n": 2})
     first.save_state("other", {"n": 3})
-    assert first.event_count() == 1  # visible to the writer before the flush
+    assert first.load_state("chk") == {"n": 2}  # visible to the writer before the flush
     first.close()
 
     reopened = SqliteBackend(path)
     try:
-        assert reopened.scan_events() == [("a", 0.5, True, True)]
         assert reopened.load_state("chk") == {"n": 1}
         assert reopened.load_state("other") is None
     finally:
@@ -251,11 +198,9 @@ def test_a_reader_sees_only_what_a_flush_committed(tmp_path):
     writer = SqliteBackend(path)
     reader = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     try:
-        writer.append_events([("a", 0.5, True, True)])
         writer.save_state_text("k", "{}")
-        assert reader.execute("SELECT COUNT(*) FROM events").fetchone() == (0,)
+        assert reader.execute("SELECT value FROM state").fetchall() == []
         writer.flush()
-        assert reader.execute("SELECT COUNT(*) FROM events").fetchone() == (1,)
         assert reader.execute("SELECT value FROM state").fetchall() == [("{}",)]
     finally:
         reader.close()
@@ -286,7 +231,7 @@ def test_the_write_lock_is_taken_again_after_each_flush(tmp_path, short_busy_tim
     path = str(tmp_path / "store.sqlite")
     first = SqliteBackend(path)
     try:
-        first.append_events([("a", 0.5, True, True)])
+        first.save_state_text("k", "{}")
         first.flush()
         with pytest.raises(ValueError, match="locked"):
             SqliteBackend(path)
@@ -294,9 +239,56 @@ def test_the_write_lock_is_taken_again_after_each_flush(tmp_path, short_busy_tim
         first.close()
     second = SqliteBackend(path)
     try:
-        assert second.event_count() == 1
+        assert second.load_state_text("k") == "{}"
     finally:
         second.close()
+
+
+def test_a_write_past_a_full_disk_is_refused_naming_the_store(tmp_path, full_disk):
+    path = str(tmp_path / "store.sqlite")
+    backend = SqliteBackend(path)
+    try:
+        backend.save_state_text("small", "{}")
+        backend.flush()
+        with pytest.raises(
+            ValueError, match=r"cannot write store .*store\.sqlite.*: database or disk is full"
+        ):
+            backend.save_state_text("big", "x" * 100_000)
+    finally:
+        backend.close()
+    reopened = SqliteBackend(path)
+    try:
+        assert reopened.load_state_text("small") == "{}"
+        assert reopened.load_state_text("big") is None
+    finally:
+        reopened.close()
+
+
+class CommitFails:
+    """A connection whose commit fails as SQLite's does when the disk fills."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def commit(self):
+        raise sqlite3.OperationalError("database or disk is full")
+
+
+def test_a_failed_commit_is_refused_naming_the_store(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    backend = SqliteBackend(path)
+    backend._conn = CommitFails(backend._conn)
+    try:
+        backend.save_state_text("k", "{}")
+        with pytest.raises(
+            ValueError, match=r"cannot commit store .*store\.sqlite.*: database or disk is full"
+        ):
+            backend.flush()
+    finally:
+        backend.close()
 
 
 #: The ``records`` table older builds kept beside the checkpoints: the
@@ -333,39 +325,58 @@ OLD_RECORD_ROWS = {
 }
 
 
-def records_table(path):
-    """The ``records`` table's schema text and every row with its rowid."""
+#: The ``events`` table every older build appended each fetch to.
+OLD_EVENTS_DDL = """
+    CREATE TABLE events (
+        seq INTEGER PRIMARY KEY,
+        url TEXT NOT NULL,
+        time REAL NOT NULL,
+        changed INTEGER NOT NULL,
+        stored INTEGER NOT NULL
+    )"""
+OLD_EVENT_ROWS = [(1, "u", 1.0 / 3.0, 1, 1), (2, "v", 0.5, 0, 0)]
+
+
+def old_table(path, name):
+    """An older build's table ``name``: its schema text and every row with its rowid."""
     conn = sqlite3.connect(path)
     try:
         schema = conn.execute(
-            "SELECT sql FROM sqlite_master WHERE name = 'records'"
+            "SELECT sql FROM sqlite_master WHERE name = ?", (name,)
         ).fetchone()
-        return schema, conn.execute("SELECT rowid, * FROM records").fetchall()
+        return schema, conn.execute(f"SELECT rowid, * FROM {name}").fetchall()
     finally:
         conn.close()
 
 
-@pytest.mark.parametrize("layout", sorted(OLD_RECORDS_DDL))
-def test_an_old_records_table_is_neither_read_nor_written(tmp_path, layout):
+@pytest.mark.parametrize("layout", ["events", *sorted(OLD_RECORDS_DDL)])
+def test_an_older_builds_tables_are_neither_read_nor_written(tmp_path, layout):
+    """The previous build kept an event log; the builds before it also
+    mirrored the collection into a ``records`` table (in two layouts)."""
     path = str(tmp_path / "old.sqlite")
     conn = sqlite3.connect(path)
-    conn.execute(OLD_RECORDS_DDL[layout])
-    rows = OLD_RECORD_ROWS[layout]
-    conn.executemany(f"INSERT INTO records VALUES ({', '.join('?' * len(rows[0]))})", rows)
+    conn.execute(OLD_EVENTS_DDL)
+    conn.executemany("INSERT INTO events VALUES (?, ?, ?, ?, ?)", OLD_EVENT_ROWS)
+    old = {"events"}
+    if layout in OLD_RECORDS_DDL:
+        conn.execute(OLD_RECORDS_DDL[layout])
+        rows = OLD_RECORD_ROWS[layout]
+        conn.executemany(
+            f"INSERT INTO records VALUES ({', '.join('?' * len(rows[0]))})", rows
+        )
+        old.add("records")
     conn.commit()
     conn.close()
-    before = records_table(path)
+    before = {name: old_table(path, name) for name in old}
 
     backend = SqliteBackend(path)
     try:
-        backend.append_events([("u", 0.5, True, True)])
         backend.save_state("chk", {"n": 1})
-        backend.truncate_events(0)
         backend.flush()
     finally:
         backend.close()
-    assert records_table(path) == before
-    assert tables_of(path) == {"records", "events", "state"}
+    assert {name: old_table(path, name) for name in old} == before
+    assert tables_of(path) == old | {"state"}
 
 
 def test_sqlite_refuses_a_path_it_cannot_open(tmp_path):
@@ -393,12 +404,12 @@ def test_sqlite_adds_its_tables_to_a_file_with_other_tables(tmp_path):
     conn.close()
     backend = SqliteBackend(path)
     try:
-        backend.append_events([("a", 0.5, True, True)])
+        backend.save_state_text("k", "{}")
         backend.flush()
-        assert backend.scan_events() == [("a", 0.5, True, True)]
+        assert backend.load_state_text("k") == "{}"
     finally:
         backend.close()
-    assert tables_of(path) == {"unrelated", "events", "state"}
+    assert tables_of(path) == {"unrelated", "state"}
     conn = sqlite3.connect(path)
     try:
         assert conn.execute("SELECT x FROM unrelated").fetchall() == [(5,)]

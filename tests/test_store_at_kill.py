@@ -4,14 +4,15 @@ A file-backed store commits only with a checkpoint (or with the final
 result and collection image), so whenever a crawl process dies the store
 must be *exactly* one checkpoint an uninterrupted run commits: the
 checkpoint slot byte for byte (the collection is its ``collection``
-columns), no final image, and the event log that run's first
-``events_logged`` events — never a half-written interval past it. A
-completed store holds the uninterrupted run's final image and events.
+columns), the previous slot one checkpoint behind it, and no final image or
+result — nothing written past the commit. A completed store holds the
+uninterrupted run's final image. The uninterrupted run is itself checked at
+every commit, so a commit that lands between checkpoints (a final image
+without its result) fails even where no random kill falls.
 
 Each kill lands on a fresh ``repro run-spec`` process, which resumes the
-previous kill's store whenever that store holds a checkpoint (exercising
-the resume path that writes nothing), so the kills walk forward through
-the run.
+previous kill's store whenever that store holds a checkpoint, so the kills
+walk forward through the run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     COLLECTION_STATE_KEY,
     RESULT_STATE_KEY,
-    CrawlCheckpointer,
 )
 
 SPEC = {
@@ -60,28 +60,34 @@ TIMEOUT_S = 60.0
 
 
 def committed_checkpoints(monkeypatch, path):
-    """Run the spec uninterrupted; every checkpoint's store, and the final one.
+    """Run the spec uninterrupted, looking at its store after every commit.
 
-    Returns ``{checkpoint text: (index, events logged)}`` and the completed
-    store's ``(final collection image, events)``.
+    Each commit but the last must leave a new checkpoint and no final image
+    or result; the last leaves both. Returns ``{checkpoint text: index}``
+    and the completed store's final collection image.
     """
     seen = {}
-    original = CrawlCheckpointer.save
+    original = SqliteBackend.flush
 
-    def save_and_look(checkpointer, state, at):
-        original(checkpointer, state, at)
-        backend = checkpointer.backend
-        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
-        seen[text] = (len(seen), backend.event_count())
+    def flush_and_look(backend):
+        original(backend)
+        # Right after a commit, what the writer sees is what it committed.
+        if backend.load_state_text(RESULT_STATE_KEY) is None:
+            assert backend.load_state_text(COLLECTION_STATE_KEY) is None, \
+                "a commit left a final image without its result"
+            text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+            assert text not in seen, "a commit between checkpoints"
+            seen[text] = len(seen)
 
     with monkeypatch.context() as patched:
-        patched.setattr(CrawlCheckpointer, "save", save_and_look)
+        patched.setattr(SqliteBackend, "flush", flush_and_look)
         run(ExperimentSpec.from_dict(SPEC), store=path)
     backend = SqliteBackend(path)
     try:
-        final = backend.load_state_text(COLLECTION_STATE_KEY), backend.scan_events()
+        final = backend.load_state_text(COLLECTION_STATE_KEY)
     finally:
         backend.close()
+    assert final is not None
     return seen, final
 
 
@@ -97,7 +103,7 @@ def start(spec_path, store, resume):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs SIGKILL")
 def test_a_killed_crawl_leaves_its_last_committed_checkpoint(tmp_path, monkeypatch):
-    checkpoints, (final_image, final_events) = committed_checkpoints(
+    checkpoints, final_image = committed_checkpoints(
         monkeypatch, str(tmp_path / "reference.sqlite")
     )
     assert len(checkpoints) >= 30
@@ -130,21 +136,21 @@ def test_a_killed_crawl_leaves_its_last_committed_checkpoint(tmp_path, monkeypat
                 # Finished before the kill: the store is the completed run's.
                 assert returncode in (0, -signal.SIGKILL)
                 assert backend.load_state_text(COLLECTION_STATE_KEY) == final_image
-                assert backend.scan_events() == final_events
                 done = True
             elif text is None:
                 # Killed before the first checkpoint: nothing was committed.
                 assert backend.load_state_text(COLLECTION_STATE_KEY) is None
-                assert backend.event_count() == 0
+                assert backend.load_state_text(CHECKPOINT_PREV_STATE_KEY) is None
                 done = False
             else:
                 assert text in checkpoints, "the store holds a checkpoint no run committed"
-                index, events_logged = checkpoints[text]
+                index = checkpoints[text]
+                # Nothing past the commit: no final image (the result is
+                # absent by this branch).
                 assert backend.load_state_text(COLLECTION_STATE_KEY) is None
-                assert backend.scan_events() == final_events[:events_logged]
                 if index > 0:
                     previous = backend.load_state_text(CHECKPOINT_PREV_STATE_KEY)
-                    assert checkpoints[previous][0] == index - 1
+                    assert checkpoints[previous] == index - 1
                 assert index >= reached, "a kill lost a committed checkpoint"
                 reached = index
                 done = False
