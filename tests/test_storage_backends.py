@@ -16,6 +16,8 @@ import json
 import math
 import os
 import sqlite3
+import struct
+import sys
 
 import pytest
 
@@ -106,6 +108,25 @@ def test_state_save_load_delete(backend):
     assert backend.load_state("chk") is None
 
 
+def test_keys_are_independent(backend):
+    backend.save_state_text("latest", '{"n": 1}')
+    backend.save_state_text("previous", '{"n": 0}')
+    backend.save_state_text("latest", '{"n": 2}')
+    assert backend.load_state_text("previous") == '{"n": 0}'
+    assert backend.delete_state("previous") is True
+    assert backend.load_state_text("latest") == '{"n": 2}'
+    assert backend.load_state_text("previous") is None
+
+
+def test_state_floats_roundtrip_bit_exactly(backend):
+    values = [
+        -0.0, 5e-324, 1.0 / 3.0, 0.1 + 0.2, sys.float_info.max,
+        -sys.float_info.min, math.nextafter(1.0, 2.0), -math.inf,
+    ]
+    backend.save_state("floats", {"values": values})
+    loaded = backend.load_state("floats")["values"]
+    assert [struct.pack("<d", v) for v in loaded] == [struct.pack("<d", v) for v in values]
+
 def test_state_documents_are_detached_copies(backend):
     payload = {"values": [1, 2]}
     backend.save_state("k", payload)
@@ -193,6 +214,21 @@ def test_sqlite_drops_unflushed_writes_on_close(tmp_path):
         reopened.close()
 
 
+def test_a_delete_without_a_flush_is_dropped_on_close(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    first = SqliteBackend(path)
+    first.save_state_text("chk", "{}")
+    first.flush()
+    assert first.delete_state("chk") is True
+    assert first.load_state_text("chk") is None
+    first.close()
+
+    reopened = SqliteBackend(path)
+    try:
+        assert reopened.load_state_text("chk") == "{}"
+    finally:
+        reopened.close()
+
 def test_a_reader_sees_only_what_a_flush_committed(tmp_path):
     path = str(tmp_path / "store.sqlite")
     writer = SqliteBackend(path)
@@ -243,6 +279,38 @@ def test_the_write_lock_is_taken_again_after_each_flush(tmp_path, short_busy_tim
     finally:
         second.close()
 
+
+class LockTakenAtCommit:
+    """A connection another writer locks the store behind, between its
+    commit and the flush's next ``BEGIN IMMEDIATE``."""
+
+    def __init__(self, conn, holder):
+        self._conn = conn
+        self._holder = holder
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def commit(self):
+        self._conn.commit()
+        self._holder.execute("BEGIN EXCLUSIVE")
+
+
+def test_a_lock_lost_after_a_commit_is_refused_naming_the_store(tmp_path, short_busy_timeout):
+    path = str(tmp_path / "store.sqlite")
+    backend = SqliteBackend(path)
+    holder = sqlite3.connect(path)
+    backend._conn = LockTakenAtCommit(backend._conn, holder)
+    try:
+        backend.save_state_text("k", "{}")
+        with pytest.raises(ValueError, match=r"cannot lock store .*store\.sqlite.*locked"):
+            backend.flush()
+        # The commit before the lost lock still holds.
+        assert holder.execute("SELECT value FROM state").fetchall() == [("{}",)]
+    finally:
+        holder.rollback()
+        holder.close()
+        backend.close()
 
 def test_a_write_past_a_full_disk_is_refused_naming_the_store(tmp_path, full_disk):
     path = str(tmp_path / "store.sqlite")
