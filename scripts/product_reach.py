@@ -16,8 +16,10 @@ takes a few minutes:
 
     python scripts/product_reach.py
 
-With ``--max-lines N`` it exits 1 when the unreached total exceeds ``N``,
-so CI can hold a ceiling that only goes down.
+It exits 1 when an entry point exits with a non-zero status or leaves no
+profile, since a failed entry point does not reach what it would have run.
+With ``--max-lines N`` it also exits 1 when the unreached total exceeds
+``N``, so CI can hold a ceiling that only goes down.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ def entry_points() -> List[Tuple[str, List[str]]]:
     return points
 
 
-def _child(out_path: str, argv: List[str]) -> None:
-    """Run one entry point in this process and dump what it called."""
+def _child(out_path: str, argv: List[str]):
+    """Run one entry point in this process, dump what it called and return
+    the entry point's exit status (a ``SystemExit`` code)."""
+    status = 0
     src_prefix = str(SRC) + os.sep
     called: Set[Tuple[str, int]] = set()
 
@@ -79,12 +83,13 @@ def _child(out_path: str, argv: List[str]) -> None:
             sys.argv = list(argv)
             sys.path.insert(0, str(Path(argv[0]).parent))
             runpy.run_path(argv[0], run_name="__main__")
-    except SystemExit:
-        pass
+    except SystemExit as exit_request:
+        status = exit_request.code
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
         Path(out_path).write_text(json.dumps(sorted(called)))
+    return status
 
 
 def defined_functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
@@ -112,8 +117,7 @@ def defined_functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
 
 def main() -> int:
     if len(sys.argv) > 2 and sys.argv[1] == "--child":
-        _child(sys.argv[2], sys.argv[3:])
-        return 0
+        return _child(sys.argv[2], sys.argv[3:])
     parser = argparse.ArgumentParser(
         description="List the src/repro functions no product entry point calls."
     )
@@ -127,16 +131,19 @@ def main() -> int:
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
     )
     called: Set[Tuple[str, int]] = set()
+    failures: List[str] = []
     with tempfile.TemporaryDirectory() as scratch:
         for index, (label, argv) in enumerate(entry_points()):
             out = os.path.join(scratch, f"{index}.json")
             print(f"running {label}", file=sys.stderr, flush=True)
-            subprocess.run(
+            child = subprocess.run(
                 [sys.executable, __file__, "--child", out, *argv],
                 cwd=REPO, env=env, stdout=subprocess.DEVNULL, check=False,
             )
+            if child.returncode != 0:
+                failures.append(f"{label} exited with status {child.returncode}")
             if not os.path.exists(out):
-                print(f"  {label} left no profile", file=sys.stderr)
+                failures.append(f"{label} left no profile")
                 continue
             called.update((path, line) for path, line in json.loads(Path(out).read_text()))
     by_module: Dict[str, List[Tuple[str, int]]] = defaultdict(list)
@@ -153,6 +160,10 @@ def main() -> int:
     count = sum(len(rows) for rows in by_module.values())
     print(f"{count} functions, {total} lines no entry point calls "
           "(worker processes not profiled)")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
     if args.max_lines is not None and total > args.max_lines:
         print(f"FAIL: {total} unreached lines exceed the ceiling of {args.max_lines}",
               file=sys.stderr)

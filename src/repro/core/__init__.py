@@ -28,7 +28,7 @@ collection, swapped at the end of each cycle).
 
 from repro.core.allurls import AllUrls, UrlInfo
 from repro.core.collurls import CollUrls
-from repro.core.crawl_module import CrawlModule, CrawlOutcome
+from repro.core.crawl_module import CrawlModule
 from repro.core.update_module import UpdateModule
 from repro.core.ranking_module import RankingModule
 from repro.core.incremental_crawler import CrawlRunResult, IncrementalCrawler
@@ -39,7 +39,6 @@ __all__ = [
     "UrlInfo",
     "CollUrls",
     "CrawlModule",
-    "CrawlOutcome",
     "UpdateModule",
     "RankingModule",
     "IncrementalCrawler",

@@ -82,14 +82,6 @@ class AllUrls:
         """The registry entry for ``url`` (raises ``KeyError`` when unknown)."""
         return self._urls[url]
 
-    def get(self, url: str) -> Optional[UrlInfo]:
-        """The registry entry for ``url`` or ``None``."""
-        return self._urls.get(url)
-
-    def urls(self) -> List[str]:
-        """All known URLs."""
-        return list(self._urls.keys())
-
     def candidates(self, exclude: Container[str]) -> List[str]:
         """Known URLs not in ``exclude`` (the refinement candidates), in
         discovery order; ``exclude`` is read as given, so pass a set.

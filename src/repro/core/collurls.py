@@ -1,10 +1,10 @@
 """CollUrls: the priority queue of collection URLs.
 
 Figure 12: "CollUrls is implemented as a priority-queue, where the URLs to
-be crawled early are placed in the front." The UpdateModule pops the head,
-crawls it and pushes it back with its next scheduled visit time; the
-RankingModule pushes newly admitted URLs to the very front so they are
-crawled immediately, and removes URLs it decides to drop from the
+be crawled early are placed in the front." The UpdateModule pops the due
+heads, crawls them and pushes them back with their next scheduled visit
+times; the RankingModule pushes newly admitted URLs to the very front so
+they are crawled immediately, and removes URLs it decides to drop from the
 collection.
 
 The implementation is a binary heap keyed by ``(scheduled_time, sequence)``
@@ -15,10 +15,9 @@ counter instead of nudging times by epsilons, which keeps bulk scheduling
 collision-safe: identical times never collide ambiguously and no float
 granularity games are needed.
 
-Besides the scalar operations there is a bulk interface —
-:meth:`pop_due` / :meth:`schedule_many` / :meth:`restore` — used by the
-batched crawl engine to drain and refill all crawl slots of a tick window
-in a handful of calls instead of one heap round-trip per fetched page;
+The crawl loop drains and refills all crawl slots of a tick window with
+:meth:`pop_due` / :meth:`schedule_many` / :meth:`restore`, a handful of
+calls instead of one heap round-trip per fetched page;
 :meth:`schedule_front_many` queues a refinement scan's admissions at once.
 """
 
@@ -65,23 +64,16 @@ class CollUrls:
         return len(self._scheduled)
 
     def schedule(self, url: str, visit_time: float) -> None:
-        """Insert ``url`` with the given visit time (rescheduling if present).
-
-        Rescheduling replaces the previous entry; the old heap entry is
-        invalidated lazily. Entries scheduled at the same time keep their
-        scheduling order (sequence numbers are the tie-break).
-        """
-        entry = (visit_time, self._counter, url)
-        self._counter += 1
-        self._scheduled[url] = entry
-        heapq.heappush(self._heap, entry)
+        """Not called: the crawl loop runs :meth:`schedule_many`. Defined
+        only because the e2e benchmark's tracer table names it."""
 
     def schedule_many(self, urls: Sequence[str], visit_times: Sequence[float]) -> None:
-        """Bulk :meth:`schedule`: one call for a whole batch of reschedules.
+        """Insert each ``url`` with its visit time, rescheduling it if queued.
 
-        Equivalent to calling :meth:`schedule` once per ``(url, time)`` pair
-        in order — including the sequence-number assignment, so ties between
-        equal times resolve identically.
+        One call for a whole batch of reschedules. The pairs take sequence
+        numbers in order, so entries scheduled at the same time keep their
+        scheduling order; a rescheduled URL's old heap entry is invalidated
+        lazily.
         """
         if len(urls) != len(visit_times):
             raise ValueError("urls and visit_times must have the same length")
@@ -143,19 +135,9 @@ class CollUrls:
             for entry in entries:
                 heapq.heappush(self._heap, entry)
 
-    def pop(self) -> Optional[Tuple[str, float]]:
-        """Remove and return ``(url, scheduled_time)`` of the earliest entry.
-
-        Returns ``None`` when the queue is empty.
-        """
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            url = entry[2]
-            if self._scheduled.get(url) is not entry:
-                continue
-            del self._scheduled[url]
-            return url, entry[0]
-        return None
+    def pop(self) -> None:
+        """Not called: the crawl loop runs :meth:`pop_due`. Defined only
+        because the e2e benchmark's tracer table names it."""
 
     def pop_due(
         self, until: float = math.inf, max_n: Optional[int] = None
@@ -163,16 +145,15 @@ class CollUrls:
         """Pop up to ``max_n`` entries scheduled at or before ``until``.
 
         Entries come out in exact queue order — ``(scheduled_time,
-        sequence)`` ascending — i.e. the same sequence of URLs that repeated
-        :meth:`pop` calls would produce. The batched crawl engine drains a
-        whole tick window with one call and puts any unconsumed tail back
-        with :meth:`restore`.
+        sequence)`` ascending. The crawl loop drains a whole tick window
+        with one call and puts any unconsumed tail back with
+        :meth:`restore`.
 
         Args:
             until: Only entries with ``scheduled_time <= until`` are popped
-                (the default pops regardless of time, matching :meth:`pop`,
-                which serves the head to every crawl slot even when it is
-                scheduled in the future).
+                (the default pops regardless of time: the head is served
+                to every crawl slot even when it is scheduled in the
+                future).
             max_n: Cap on the number of entries popped (``None`` = no cap).
 
         Returns:

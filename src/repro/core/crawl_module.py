@@ -17,50 +17,32 @@ import numpy as np
 
 from repro.core.allurls import AllUrls
 from repro.faults import STATUS_EXCLUDED, STATUS_NOT_FOUND
-from repro.fetch.fetcher import FetchResult, FetchStatus, SimulatedFetcher
+from repro.fetch.fetcher import SimulatedFetcher
 from repro.storage.collection import Collection
 from repro.storage.records import PageRecord
 
-#: Statuses that are *permanent* verdicts on the URL itself. Only these may
-#: reach ``AllUrls.record_failure`` (which excludes the URL from future
+#: Status codes that are *permanent* verdicts on the URL itself. Only these
+#: may reach ``AllUrls.record_failure`` (which excludes the URL from future
 #: collection candidates); transient fault statuses say nothing about the
 #: page and must not poison the discovered-URL registry.
-_TERMINAL_STATUSES = (FetchStatus.NOT_FOUND, FetchStatus.EXCLUDED)
 _TERMINAL_CODES = (STATUS_NOT_FOUND, STATUS_EXCLUDED)
-
-
-@dataclass(frozen=True)
-class CrawlOutcome:
-    """What happened when the CrawlModule processed one URL.
-
-    Attributes:
-        url: The crawled URL.
-        fetch: The raw fetch result.
-        stored: Whether a copy was stored (False for missing/excluded pages).
-        changed: For a re-fetch of a stored page, whether the version
-            differed from the stored copy's; always True for first fetches
-            (the page is new to the collection).
-        was_new: Whether the page was not previously in the working
-            collection.
-        completed_at: Virtual time the crawl completed.
-    """
-
-    url: str
-    fetch: FetchResult
-    stored: bool
-    changed: bool
-    was_new: bool
-    completed_at: float
 
 
 @dataclass
 class BatchCrawlOutcome:
     """What happened when the CrawlModule processed a batch of URLs.
 
-    Per-index sequences aligned with ``urls``; the semantics of each flag
-    match the scalar :class:`CrawlOutcome` field of the same name. Flag
-    sequences are plain lists (they are consumed element-wise on the hot
-    path); the time columns stay NumPy arrays.
+    Per-index sequences aligned with ``urls``. Flag sequences are plain
+    lists (they are consumed element-wise on the hot path); the time
+    columns stay NumPy arrays.
+
+    Attributes:
+        stored: Whether a copy was stored (False for failed fetches).
+        changed: For a re-fetch of a stored page, whether the version
+            differed from the stored copy's; always True for first fetches
+            (the page is new to the collection).
+        was_new: Whether the page was not previously in the working
+            collection.
     """
 
     urls: Sequence[str]
@@ -115,71 +97,9 @@ class CrawlModule:
         """The fetch substrate (exposed for the batched crawl engine)."""
         return self._fetcher
 
-    def site_of(self, url: str) -> Optional[str]:
-        """The owning site id of ``url`` (for the failure-aware engine)."""
-        return self._fetcher.site_of(url)
-
-    def crawl(self, url: str, at: float) -> CrawlOutcome:
-        """Fetch ``url`` at virtual time ``at``, store it and forward links.
-
-        Args:
-            url: The URL to crawl.
-            at: Virtual time the crawl is issued.
-
-        Returns:
-            A :class:`CrawlOutcome` describing what happened.
-        """
-        result = self._fetcher.fetch(url, at=at)
-        if not result.ok:
-            self.pages_failed += 1
-            if result.status in _TERMINAL_STATUSES:
-                self._allurls.record_failure(url, at)
-            return CrawlOutcome(
-                url=url,
-                fetch=result,
-                stored=False,
-                changed=False,
-                was_new=self._collection.get_working(url) is None,
-                completed_at=result.completed_at,
-            )
-
-        self.pages_fetched += 1
-        self._forward_links(url, result.outlinks, result.completed_at)
-
-        existing = self._collection.get_working(url)
-        if existing is None:
-            record = PageRecord(
-                url=url,
-                version=result.version,
-                fetched_at=result.completed_at,
-                first_fetched_at=result.completed_at,
-                outlinks=tuple(result.outlinks),
-            )
-            self._collection.store(record)
-            return CrawlOutcome(
-                url=url,
-                fetch=result,
-                stored=True,
-                changed=True,
-                was_new=True,
-                completed_at=result.completed_at,
-            )
-
-        changed = existing.version != result.version
-        refreshed = existing.refreshed(
-            version=result.version,
-            fetched_at=result.completed_at,
-            outlinks=result.outlinks,
-        )
-        self._collection.store(refreshed)
-        return CrawlOutcome(
-            url=url,
-            fetch=result,
-            stored=True,
-            changed=changed,
-            was_new=False,
-            completed_at=result.completed_at,
-        )
+    def crawl(self, url: str, at: float) -> None:
+        """Not called: the crawl loop runs :meth:`crawl_many`. Defined only
+        because the e2e benchmark's tracer table names it."""
 
     def crawl_many(
         self,
@@ -189,11 +109,12 @@ class CrawlModule:
     ) -> BatchCrawlOutcome:
         """Process a batch of URLs: one oracle pass, then bulk store/forward.
 
-        Equivalent to calling :meth:`crawl` once per ``(url, time)`` pair in
-        order — the same counters, stored records and AllUrls state — but
-        the fetches resolve through :meth:`SimulatedFetcher.fetch_many`,
-        unchanged re-fetches refresh the stored record in place, and a
-        page's links are forwarded only when its fetch stores a new record.
+        Equivalent to crawling one ``(url, time)`` pair at a time in order
+        (the per-URL crawl of ``tests/reference/crawl.py``) — the same
+        counters, stored records and AllUrls state — but the fetches
+        resolve through :meth:`SimulatedFetcher.fetch_many`, unchanged
+        re-fetches refresh the stored record in place, and a page's links
+        are forwarded only when its fetch stores a new record.
         A page's out-links are constant and AllUrls keeps the first
         discovery of a URL, so every later forward would change nothing.
 
@@ -248,15 +169,12 @@ class CrawlModule:
             elif existing.version == version_i:
                 # Unchanged re-fetch: every field except the fetch
                 # bookkeeping keeps its value, so the stored record is
-                # refreshed in place. Field values end up identical to the
-                # scalar path's replacement copy; only the object identity
-                # differs.
+                # refreshed in place.
                 existing.fetched_at = completed_i
                 existing.visit_count += 1
             else:
-                # Direct construction of the refreshed record: equivalent to
-                # PageRecord.refreshed() (same fields, same validation) but
-                # without dataclasses.replace overhead on the hottest path.
+                # Changed re-fetch: a new record that keeps the page's
+                # history and counts one more visit and one more change.
                 collection.store(
                     PageRecord(
                         url=url,

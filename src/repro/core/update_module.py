@@ -500,10 +500,6 @@ class UpdateModule:
         if self._use_importance:
             self._importance = dict(importance)
 
-    def forget(self, url: str) -> None:
-        """Drop all statistics for a page removed from the collection."""
-        self._forget(url)
-
     def history(self, url: str) -> Optional[ChangeHistory]:
         """The change history of ``url`` (``None`` before its first visit)."""
         return self._histories.get(url)

@@ -44,9 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - the spec layer imports this module
 # --------------------------------------------------------------------------- #
 # Integer status codes
 # --------------------------------------------------------------------------- #
-# The fetch path resolves statuses in bulk, so FetchStatus values travel as
-# small integers inside NumPy arrays. ``repro.fetch.fetcher`` maps them back
-# to FetchStatus members; the codes themselves are part of the checkpoint
+# The fetch path resolves statuses in bulk, so a fetch's status travels as a
+# small integer inside NumPy arrays. The codes are part of the checkpoint
 # format and must stay stable.
 
 STATUS_OK = 0
@@ -465,7 +464,7 @@ class FaultLayer:
                 fixed sentinel).
             times: Virtual *request* time per URL — faults are a function of
                 when the fetch was issued, not of politeness-delayed starts,
-                so scalar and batched paths agree by construction.
+                so a fetch's fault does not depend on how it was batched.
 
         Returns:
             ``(codes, retry_after)``: int64 status codes (0 = no fault) and
@@ -488,12 +487,9 @@ class FaultLayer:
             model.claim(z[row], u[row], t, codes, retry_after)
         return codes, retry_after
 
-    def resolve_one(
-        self, url: str, site: Optional[str], time: float
-    ) -> Tuple[int, float]:
-        """Scalar resolve, delegating to the vectorized path (bit-identical)."""
-        codes, retry_after = self.resolve([url], [site], [time])
-        return int(codes[0]), float(retry_after[0])
+    def resolve_one(self, url: str, site: Optional[str], time: float) -> None:
+        """Not called: the fetch path runs :meth:`resolve`. Defined only
+        because the e2e benchmark's tracer table names it."""
 
     def latency_factors(self, times: Sequence[float]) -> np.ndarray:
         """Latency multiplier per request time (1.0 where uncongested)."""
@@ -503,11 +499,9 @@ class FaultLayer:
             factors = factors * model.factors(t, self.seed)
         return factors
 
-    def latency_factor_one(self, time: float) -> float:
-        """Scalar latency multiplier, via the vectorized path."""
-        if not self._latency_models:
-            return 1.0
-        return float(self.latency_factors(np.asarray([time], dtype=np.float64))[0])
+    def latency_factor_one(self, time: float) -> None:
+        """Not called: the fetch path runs :meth:`latency_factors`. Defined
+        only because the e2e benchmark's tracer table names it."""
 
 
 # --------------------------------------------------------------------------- #

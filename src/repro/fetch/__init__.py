@@ -11,12 +11,10 @@ version. The version plays the paper's checksum — the signal the
 UpdateModule compares across visits to detect changes (Section 5.3).
 """
 
-from repro.fetch.fetcher import FetchResult, FetchStatus, SimulatedFetcher
+from repro.fetch.fetcher import SimulatedFetcher
 from repro.fetch.politeness import NightWindow, PolitenessPolicy
 
 __all__ = [
-    "FetchResult",
-    "FetchStatus",
     "SimulatedFetcher",
     "PolitenessPolicy",
     "NightWindow",

@@ -1,19 +1,19 @@
 """The simulated fetcher.
 
 :class:`SimulatedFetcher` is the only way crawler code observes the
-synthetic web: it resolves a URL through the
-:class:`~repro.simweb.web.SimulatedWeb` oracle at a given virtual time and
-returns a :class:`FetchResult` carrying the content version and the
-extracted out-links — what an HTTP fetch plus link extraction gives a real
-crawler, with the version standing in for the body's checksum (two fetches
-see the same content exactly when they see the same version). Politeness is
-applied here, and each fetch charges a configurable amount of virtual time,
-which is how crawl bandwidth limits enter the simulation.
+synthetic web: it resolves a batch of URLs through the
+:class:`~repro.simweb.web.SimulatedWeb` oracle at given virtual times and
+returns a :class:`BatchFetchResult` carrying each content version — what
+an HTTP fetch gives a real crawler, with the version standing in for the
+body's checksum (two fetches see the same content exactly when they see
+the same version); a fetched page's out-links come from
+:meth:`SimulatedFetcher.outlinks_of`. Politeness is applied here, and each
+fetch charges a configurable amount of virtual time, which is how crawl
+bandwidth limits enter the simulation.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,73 +31,6 @@ from repro.fetch.politeness import PolitenessPolicy
 from repro.simweb.web import SimulatedWeb
 
 
-class FetchStatus(enum.Enum):
-    """Outcome of a simulated fetch.
-
-    ``OK``/``NOT_FOUND`` are the fair-weather outcomes; the rest but
-    ``EXCLUDED`` are injected by a :class:`~repro.faults.FaultLayer` and
-    are *transient* — they say nothing about whether the page exists, so
-    the crawler must not treat them as deletions. ``EXCLUDED`` is never
-    produced any more; it keeps its wire code so every stored code keeps
-    its meaning.
-    """
-
-    OK = "ok"
-    NOT_FOUND = "not_found"
-    EXCLUDED = "excluded"
-    TIMEOUT = "timeout"
-    SERVER_ERROR = "server_error"
-    RATE_LIMITED = "rate_limited"
-    SOFT_404 = "soft_404"
-
-
-#: FetchStatus member per integer wire code (see repro.faults.STATUS_*).
-CODE_TO_STATUS = (
-    FetchStatus.OK,
-    FetchStatus.NOT_FOUND,
-    FetchStatus.EXCLUDED,
-    FetchStatus.TIMEOUT,
-    FetchStatus.SERVER_ERROR,
-    FetchStatus.RATE_LIMITED,
-    FetchStatus.SOFT_404,
-)
-
-#: Integer wire code per FetchStatus member.
-STATUS_TO_CODE = {status: code for code, status in enumerate(CODE_TO_STATUS)}
-
-
-@dataclass(frozen=True)
-class FetchResult:
-    """Result of fetching one URL.
-
-    Attributes:
-        url: The requested URL.
-        status: Outcome of the fetch.
-        requested_at: Virtual time the fetch was requested.
-        completed_at: Virtual time the fetch completed (after politeness
-            delays and transfer latency).
-        outlinks: URLs extracted from the page (empty for non-OK fetches).
-        version: Content version of the fetched snapshot at the
-            politeness-delayed fetch instant (0 for non-OK fetches); it
-            plays the paper's checksum in change detection.
-        retry_after: Server-suggested retry delay in virtual days
-            (``RATE_LIMITED`` fetches only; 0 elsewhere).
-    """
-
-    url: str
-    status: FetchStatus
-    requested_at: float
-    completed_at: float
-    outlinks: Sequence[str] = ()
-    version: int = 0
-    retry_after: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        """True when the page was fetched successfully."""
-        return self.status is FetchStatus.OK
-
-
 @dataclass
 class BatchFetchResult:
     """Result of fetching many URLs in one batched oracle pass.
@@ -109,8 +42,8 @@ class BatchFetchResult:
     Attributes:
         urls: The requested URLs, in request order.
         requested_at: Virtual request time per URL.
-        completed_at: Virtual completion time per URL (latency charged,
-            clamped to the horizon) — identical to the scalar path.
+        completed_at: Virtual completion time per URL (politeness delay
+            and latency charged, clamped to the horizon).
         ok: Whether each fetch succeeded (page known and alive).
         versions: Content version per URL at fetch time (valid where
             ``ok``; 0 elsewhere).
@@ -192,79 +125,9 @@ class SimulatedFetcher:
         crawl loop, which predicts statuses per popped run)."""
         return self._faults
 
-    def site_of(self, url: str) -> Optional[str]:
-        """The owning site id of ``url`` (``None`` if the web doesn't know it)."""
-        return self._site_id_of(url)
-
-    def fetch(self, url: str, at: float) -> FetchResult:
-        """Fetch ``url`` at virtual time ``at``.
-
-        The returned result's ``completed_at`` reflects politeness delays and
-        transfer latency; callers that simulate a sequential crawler should
-        advance their clock to ``completed_at``.
-
-        Args:
-            url: URL to fetch.
-            at: Virtual time the request is issued.
-
-        Returns:
-            A :class:`FetchResult`; ``status`` distinguishes success, a
-            missing page and an injected fault.
-        """
-        site_id = self._site_id_of(url)
-        start = at
-        if self._politeness is not None and site_id is not None:
-            start = self._politeness.earliest_allowed(site_id, at)
-            self._politeness.record_request(site_id, start)
-        latency = self.latency_days
-        code = STATUS_OK
-        retry_after = 0.0
-        if self._faults is not None:
-            # Faults are a function of the *request* time, and the scalar
-            # path delegates to the vectorized resolution on a batch of one,
-            # so scalar and batched fetches agree bit for bit.
-            if self._faults.has_latency_models:
-                latency = latency * self._faults.latency_factor_one(at)
-            if site_id is not None and self._faults.has_status_models:
-                code, retry_after = self._faults.resolve_one(url, site_id, at)
-        completed = min(start + latency, self._web.horizon_days)
-        self._fetch_count += 1
-        if STATUS_TIMEOUT <= code <= STATUS_RATE_LIMITED:
-            # Hard transient fault: the fetch never reached the page, so the
-            # oracle is not consulted — the status says nothing about
-            # whether the page exists.
-            return FetchResult(
-                url=url,
-                status=CODE_TO_STATUS[code],
-                requested_at=at,
-                completed_at=completed,
-                retry_after=retry_after,
-            )
-        snapshot = self._web.snapshot(url, min(start, self._web.horizon_days))
-        if snapshot is None:
-            return FetchResult(
-                url=url,
-                status=FetchStatus.NOT_FOUND,
-                requested_at=at,
-                completed_at=completed,
-            )
-        if code == STATUS_SOFT_404:
-            # The page is alive but served an error body: a false deletion
-            # signal, reported distinctly so the engine can ignore it.
-            return FetchResult(
-                url=url,
-                status=FetchStatus.SOFT_404,
-                requested_at=at,
-                completed_at=completed,
-            )
-        return FetchResult(
-            url=url,
-            status=FetchStatus.OK,
-            requested_at=at,
-            completed_at=completed,
-            outlinks=tuple(snapshot.outlinks),
-            version=snapshot.version,
-        )
+    def fetch(self, url: str, at: float) -> None:
+        """Not called: the crawl loop runs :meth:`fetch_many`. Defined only
+        because the e2e benchmark's tracer table names it."""
 
     def fetch_many(
         self,
@@ -274,14 +137,14 @@ class SimulatedFetcher:
     ) -> BatchFetchResult:
         """Fetch many URLs in one call, resolving through the batched oracle.
 
-        Semantically equivalent to one :meth:`fetch` per ``(url, time)``
-        pair, in order: the same completion times, the same success
-        criteria, the same fetch counting. With a politeness policy
-        configured the per-site delays run through the policy's scalar
-        recurrence, request by request (or arrive pre-resolved via
-        ``resolved_at``); the oracle side of the whole batch costs one
-        URL-id lookup, one existence mask and one vectorized version
-        search.
+        The requests are served in order, as one fetch at a time would
+        serve them. With a politeness policy configured the per-site
+        delays run through the policy's scalar recurrence
+        (:meth:`PolitenessPolicy.earliest_allowed` then
+        :meth:`PolitenessPolicy.record_request`), request by request, or
+        arrive pre-resolved via ``resolved_at``; the oracle side of the
+        whole batch costs one URL-id lookup, one existence mask and one
+        vectorized version search.
 
         Args:
             urls: URLs to fetch.
@@ -312,8 +175,12 @@ class SimulatedFetcher:
         if resolved_at is not None:
             starts = np.asarray(resolved_at, dtype=float)
         elif self._politeness is not None:
-            starts = self._politeness.earliest_allowed_many(sites, requested)
-            self._politeness.record_requests(sites, starts)
+            politeness = self._politeness
+            starts = requested.copy()
+            for index, (site, at) in enumerate(zip(sites, requested.tolist())):
+                if site is not None:
+                    starts[index] = start = politeness.earliest_allowed(site, at)
+                    politeness.record_request(site, start)
         else:
             starts = requested
         latency = self.latency_days
@@ -353,9 +220,3 @@ class SimulatedFetcher:
     def outlinks_of(self, url: str) -> Sequence[str]:
         """The (constant) out-links of ``url`` as the fetch would report them."""
         return self._web.page(url).outlinks
-
-    def _site_id_of(self, url: str) -> Optional[str]:
-        """Map a URL to its owning site id via the oracle (None if unknown)."""
-        if url in self._web:
-            return self._web.page(url).site_id
-        return None

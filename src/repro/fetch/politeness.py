@@ -14,19 +14,18 @@ classes here reproduce both constraints in virtual time:
 All times are virtual days; ten real-world seconds are
 ``10 / 86400`` virtual days.
 
-The crawl loop applies both through one scalar recurrence,
+Every fetch applies both through one scalar recurrence,
 :meth:`PolitenessPolicy.earliest_allowed` followed by
-:meth:`PolitenessPolicy.record_request`; the batch entry points run that
-same recurrence over a sequence of requests.
+:meth:`PolitenessPolicy.record_request`, folded request by request over a
+batch (by the crawl loop, or by ``SimulatedFetcher.fetch_many`` when it is
+handed no resolved start instants).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional
 
 #: Number of seconds in a virtual day.
 SECONDS_PER_DAY = 86400.0
@@ -119,8 +118,6 @@ class PolitenessPolicy:
         self.night_window = night_window
         self.allowed_sites = allowed_sites
         self._last_request: Dict[str, float] = {}
-        # Site-name table of the last indexed peek, for the commit after it.
-        self._site_names: List[str] = []
 
     def _allowed_after(self, last: Optional[float], t: float) -> float:
         """The recurrence: ``t``, held ``min_delay`` after ``last`` (the
@@ -147,70 +144,22 @@ class PolitenessPolicy:
         if last is None or t > last:
             self._last_request[site_id] = t
 
-    def earliest_allowed_many(
-        self, site_ids: Sequence[Optional[str]], times: Sequence[float]
-    ) -> np.ndarray:
-        """Resolve a whole request sequence at once, without recording it.
+    def earliest_allowed_many(self, site_ids, times) -> None:
+        """Not called: the crawl loop folds :meth:`earliest_allowed` and
+        :meth:`record_request` request by request. Defined only because the
+        e2e benchmark's tracer table names it."""
 
-        Equal to the loop ``start = earliest_allowed(site, t);
-        record_request(site, start)`` over the pairs in order, but the
-        recorded starts go to a scratch dict, so the policy is not mutated:
-        callers commit an accepted prefix with :meth:`record_requests`.
+    def record_requests(self, site_ids, starts) -> None:
+        """Not called (see :meth:`earliest_allowed_many`). Defined only
+        because the e2e benchmark's tracer table names it."""
 
-        Args:
-            site_ids: Owning site of each request; ``None`` marks a request
-                politeness does not apply to (unknown URL), whose start is
-                its own request time.
-            times: Request time of each entry, aligned with ``site_ids``.
+    def earliest_allowed_many_indexed(self, site_indices, site_names, times) -> None:
+        """Not called (see :meth:`earliest_allowed_many`). Defined only
+        because the e2e benchmark's tracer table names it."""
 
-        Returns:
-            Array of allowed start instants, one per request, in order.
-        """
-        out = np.array(times, dtype=float)
-        scratch: Dict[str, float] = {}
-        for index, (site_id, t) in enumerate(zip(site_ids, out.tolist())):
-            if site_id is None:
-                continue
-            last = scratch.get(site_id)
-            if last is None:
-                last = self._last_request.get(site_id)
-            out[index] = scratch[site_id] = self._allowed_after(last, t)
-        return out
-
-    def record_requests(
-        self, site_ids: Sequence[Optional[str]], starts: Sequence[float]
-    ) -> None:
-        """:meth:`record_request` per pair, in order; ``None`` site ids are
-        skipped, as the fetch path skips politeness for unknown URLs."""
-        for site_id, start in zip(site_ids, starts):
-            if site_id is not None:
-                self.record_request(site_id, float(start))
-
-    def earliest_allowed_many_indexed(
-        self, site_indices: np.ndarray, site_names: List[str], times: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`earliest_allowed_many` on sites given as indices into
-        ``site_names`` (``-1`` = none). It stays only while the benchmark's
-        layer tracer names it; the change that may edit ``benchmarks/e2e/``
-        drops its row and this adapter."""
-        self._site_names = site_names
-        return self.earliest_allowed_many(
-            [site_names[i] if i >= 0 else None for i in site_indices.tolist()], times
-        )
-
-    def record_requests_indexed(
-        self, site_indices: np.ndarray, starts: np.ndarray
-    ) -> None:
-        """:meth:`record_requests` on the site table of the last indexed
-        peek. Kept, like that peek, only for the tracer row naming it."""
-        names = self._site_names
-        self.record_requests(
-            [names[i] if i >= 0 else None for i in site_indices.tolist()], starts
-        )
-
-    def reset(self) -> None:
-        """Forget all recorded requests (used between simulation runs)."""
-        self._last_request.clear()
+    def record_requests_indexed(self, site_indices, starts) -> None:
+        """Not called (see :meth:`earliest_allowed_many`). Defined only
+        because the e2e benchmark's tracer table names it."""
 
     # ------------------------------------------------------------------ #
     # Checkpointing

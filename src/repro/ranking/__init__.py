@@ -10,7 +10,7 @@ This package implements all three:
 * :func:`pagerank` — page-level PageRank by sparse power iteration;
 * :func:`site_pagerank` — PageRank over the site hypergraph built by
   collapsing page-level links;
-* :func:`hits` — Kleinberg's hubs-and-authorities scores.
+* :func:`hits_scores` — Kleinberg's hubs-and-authorities scores.
 
 All three ride the sparse kernels in :mod:`repro.ranking.sparse`: a
 :class:`~repro.ranking.sparse.LinkGraph` interns URLs to dense integer ids
@@ -21,9 +21,8 @@ score vector. The retired dense loops are kept as test oracles in
 ``tests/reference/kernels.py``.
 """
 
-from repro.ranking.pagerank import cho_pagerank, pagerank
+from repro.ranking.pagerank import pagerank
 from repro.ranking.site_rank import build_site_graph, site_pagerank
-from repro.ranking.hits import hits
 from repro.ranking.sparse import (
     LinkGraph,
     hits_scores,
@@ -32,10 +31,8 @@ from repro.ranking.sparse import (
 
 __all__ = [
     "pagerank",
-    "cho_pagerank",
     "site_pagerank",
     "build_site_graph",
-    "hits",
     "LinkGraph",
     "pagerank_scores",
     "hits_scores",

@@ -8,9 +8,8 @@ with a "damping factor" of 0.9. In the more common normalisation
 (Page & Brin, 1998) the link-following weight is called the damping factor
 ``alpha`` and the equation reads ``PR(P) = (1 - alpha) + alpha * sum(...)``;
 the paper's ``d`` therefore corresponds to ``1 - alpha``. We implement the
-standard form (:func:`pagerank`, default ``damping=0.85``) and a thin
-wrapper (:func:`cho_pagerank`) that accepts the paper's parameterisation so
-experiments can quote the paper exactly as written.
+standard form (:func:`pagerank`, default ``damping=0.85``); the paper's
+parameterisation is ``pagerank(graph, damping=1 - d)``.
 
 :func:`pagerank` computes by sparse power iteration — the dict adjacency is
 interned into a :class:`repro.ranking.sparse.LinkGraph` and solved with one
@@ -59,30 +58,3 @@ def pagerank(
     )
     urls = link_graph.urls()
     return {urls[node]: score for node, score in zip(ids.tolist(), scores.tolist())}
-
-
-def cho_pagerank(
-    graph: Graph,
-    d: float = 0.9,
-    tolerance: float = 1e-10,
-    max_iterations: int = 200,
-) -> Dict[str, float]:
-    """PageRank with the paper's parameterisation ``PR = d + (1-d) * sum``.
-
-    Args:
-        graph: Adjacency mapping (see :func:`pagerank`).
-        d: The paper's "damping factor" (0.9 in the experiment); the
-            link-following weight is ``1 - d``.
-
-    Returns:
-        Scores normalised to sum to 1.
-    """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("d must be within [0, 1]")
-    return pagerank(
-        graph,
-        damping=1.0 - d,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-    )
-

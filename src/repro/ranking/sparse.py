@@ -2,11 +2,11 @@
 
 The RankingModule "constantly scans" AllUrls and the Collection (Section
 5.3), which means PageRank/HITS run over the collection's link structure on
-every refinement scan. The dense implementations in
-:mod:`repro.ranking.pagerank` / :mod:`repro.ranking.hits` walk a dict
-adjacency list one node at a time and restart power iteration from the
-uniform prior on every scan — fine for toy graphs, hopeless at the
-million-page collections the rest of the engine now handles.
+every refinement scan. The dense loops this module replaced (kept as test
+oracles in ``tests/reference/kernels.py``) walk a dict adjacency list one
+node at a time and restart power iteration from the uniform prior on every
+scan — fine for toy graphs, hopeless at the million-page collections the
+rest of the engine now handles.
 
 This module supplies the scale path:
 
@@ -21,9 +21,8 @@ This module supplies the scale path:
 * :func:`pagerank_scores` / :func:`hits_scores` — fully vectorized power
   iteration over the CSR view: one sparse matrix-vector product per
   iteration, dangling mass folded in as a single masked sum, the same
-  teleport/normalisation conventions as the dense reference (including the
-  paper's ``cho_pagerank`` parameterisation, which reaches this kernel
-  through ``damping = 1 - d``).
+  teleport/normalisation conventions as the dense reference (the paper's
+  parameterisation ``PR = d + (1 - d) * sum`` is ``damping = 1 - d``).
 * Warm starts — both kernels accept the previous score vector as ``x0``, so
   a refinement scan that only perturbed a small fraction of the edges saves
   iterations against a cold run. It still runs 77–99 of them: the warm
@@ -32,9 +31,9 @@ This module supplies the scale path:
   waits for a regeneration of ``benchmarks/e2e/golden.json``.
 
 SciPy is a hard dependency: every matrix-vector product is a
-``scipy.sparse`` CSR product. The dict-adjacency entry points,
-:func:`repro.ranking.pagerank.pagerank` and :func:`repro.ranking.hits.hits`,
-intern their input into a :class:`LinkGraph` and call these kernels.
+``scipy.sparse`` CSR product. The dict-adjacency entry point
+:func:`repro.ranking.pagerank.pagerank` interns its input into a
+:class:`LinkGraph` and calls :func:`pagerank_scores`.
 """
 
 from __future__ import annotations

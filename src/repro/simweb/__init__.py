@@ -14,9 +14,9 @@ statistical behaviour is calibrated to the paper's reported measurements:
   that PageRank-based "popularity" is meaningful (Section 2.2).
 
 The simulated web exposes an oracle interface (`SimulatedWeb`) that the
-fetch substrate queries: what does this URL's content look like at virtual
-time ``t``, which pages exist, what are the out-links. The crawlers under
-test never see the oracle directly; they only observe fetched snapshots.
+fetch substrate queries: which content version a URL has at virtual time
+``t``, which pages exist, what are the out-links. The crawlers under test
+never see the oracle directly; they only observe fetch results.
 """
 
 from repro.simweb.change_models import (
@@ -32,7 +32,7 @@ from repro.simweb.domains import (
     profile_for,
 )
 from repro.simweb.lifespan import LifespanModel, sample_lifespan
-from repro.simweb.page import PageSnapshot, SimulatedPage
+from repro.simweb.page import SimulatedPage
 from repro.simweb.site import SimulatedSite
 from repro.simweb.web import OracleArrays, SimulatedWeb
 from repro.simweb.generator import generate_web
@@ -50,7 +50,6 @@ __all__ = [
     "LifespanModel",
     "sample_lifespan",
     "SimulatedPage",
-    "PageSnapshot",
     "SimulatedSite",
     "SimulatedWeb",
     "OracleArrays",

@@ -16,8 +16,9 @@ Two additional processes are provided for ablations and tests:
   the interval between *batches* of changes.
 
 All processes expose the same interface: a sorted array of change times over
-a horizon, and helpers to count changes and look up the version of the page
-at a given virtual time. Virtual time is measured in days.
+a horizon; a page's version at a virtual time is the number of change times
+at or before it, which the web's batched oracle looks up for many pages at
+once. Virtual time is measured in days.
 
 The concrete processes register themselves in
 :data:`repro.api.registry.CHANGE_MODELS` (``"poisson"``, ``"periodic"``,
@@ -27,7 +28,6 @@ model by name.
 
 from __future__ import annotations
 
-import bisect
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
@@ -48,7 +48,6 @@ class ChangeProcess(ABC):
     def __init__(self) -> None:
         self._change_times: Optional[List[float]] = None
         self._change_times_array: Optional[np.ndarray] = None
-        self._horizon: float = 0.0
 
     @abstractmethod
     def _sample_change_times(self, horizon: float, rng: np.random.Generator) -> List[float]:
@@ -68,7 +67,6 @@ class ChangeProcess(ABC):
         """
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        self._horizon = horizon
         self._change_times = sorted(self._sample_change_times(horizon, rng))
         self._change_times_array = None
 
@@ -83,9 +81,6 @@ class ChangeProcess(ABC):
             raise ValueError("horizon must be non-negative")
         array = np.ascontiguousarray(times, dtype=float)
         array.setflags(write=False)
-        self._horizon = float(horizon)
-        # A sorted ndarray satisfies every sequence use the scalar paths
-        # make of the change-time list (bisect, len, iteration, indexing).
         self._change_times = array
         self._change_times_array = array
 
@@ -115,11 +110,6 @@ class ChangeProcess(ABC):
         """True once :meth:`materialise` has been called."""
         return self._change_times is not None
 
-    @property
-    def horizon(self) -> float:
-        """The horizon over which change times were sampled."""
-        return self._horizon
-
     def change_times(self) -> Sequence[float]:
         """All sampled change times, sorted ascending."""
         self._require_materialised()
@@ -138,48 +128,6 @@ class ChangeProcess(ABC):
             array.setflags(write=False)
             self._change_times_array = array
         return self._change_times_array
-
-    def version_at(self, t: float) -> int:
-        """Number of changes that occurred at or before time ``t``.
-
-        Version 0 is the content the page was created with; each change
-        increments the version.
-        """
-        self._require_materialised()
-        if t < 0:
-            return 0
-        return bisect.bisect_right(self._change_times, t)  # type: ignore[arg-type]
-
-    def changes_between(self, t0: float, t1: float) -> int:
-        """Number of changes in the half-open interval ``(t0, t1]``."""
-        if t1 < t0:
-            raise ValueError("t1 must not precede t0")
-        return self.version_at(t1) - self.version_at(t0)
-
-    def changed_between(self, t0: float, t1: float) -> bool:
-        """True when at least one change occurred in ``(t0, t1]``."""
-        return self.changes_between(t0, t1) > 0
-
-    def next_change_after(self, t: float) -> Optional[float]:
-        """Time of the first change strictly after ``t``, or None if none."""
-        self._require_materialised()
-        index = bisect.bisect_right(self._change_times, t)  # type: ignore[arg-type]
-        if index >= len(self._change_times):  # type: ignore[arg-type]
-            return None
-        return self._change_times[index]  # type: ignore[index]
-
-    def last_change_at_or_before(self, t: float) -> Optional[float]:
-        """Time of the most recent change at or before ``t``, or None."""
-        self._require_materialised()
-        index = bisect.bisect_right(self._change_times, t)  # type: ignore[arg-type]
-        if index == 0:
-            return None
-        return self._change_times[index - 1]  # type: ignore[index]
-
-    def observed_intervals(self) -> List[float]:
-        """Intervals between successive changes (used by the Figure 6 fit)."""
-        times = self.change_times()
-        return [b - a for a, b in zip(times, times[1:])]
 
     def _require_materialised(self) -> None:
         if self._change_times is None:

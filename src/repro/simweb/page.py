@@ -9,36 +9,19 @@ of changes so far. Two fetches see the same content exactly when they see
 the same version, so the version plays the part of the paper's checksum
 (Section 5.3) without hashing anything.
 
-Crawlers never read a page object directly; they receive a
-:class:`PageSnapshot` from the fetch substrate, which is what an HTTP fetch
-would have returned at that virtual instant.
+Crawlers never read a page object directly; the fetch substrate resolves
+their fetches through the web's batched oracle
+(:class:`~repro.simweb.web.OracleArrays`), which answers what an HTTP
+fetch would have returned at that virtual instant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.simweb.change_models import ChangeProcess
-
-
-@dataclass(frozen=True)
-class PageSnapshot:
-    """What a fetch of a page returns at a particular virtual time.
-
-    Attributes:
-        url: The page URL.
-        fetched_at: Virtual time (days) of the fetch.
-        version: Content version at fetch time (0 for the original content).
-        outlinks: URLs the page links to at fetch time.
-    """
-
-    url: str
-    fetched_at: float
-    version: int
-    outlinks: Sequence[str]
 
 
 class SimulatedPage:
@@ -136,10 +119,6 @@ class SimulatedPage:
             self._outlinks.append(url)
             self._outlinks_tuple = None
 
-    def version_at(self, t: float) -> int:
-        """Content version at time ``t`` (number of changes so far)."""
-        return self.change_process.version_at(max(0.0, t - self.created_at))
-
     def change_times_array(self) -> np.ndarray:
         """The page's change times (relative to creation) as a cached array.
 
@@ -147,25 +126,6 @@ class SimulatedPage:
         build its flat event arrays without touching per-call Python lists.
         """
         return self.change_process.change_times_array()
-
-    def changed_between(self, t0: float, t1: float) -> bool:
-        """True when the content changed in the interval ``(t0, t1]``."""
-        return self.version_at(t1) != self.version_at(t0)
-
-    def snapshot_at(self, t: float) -> PageSnapshot:
-        """Build the :class:`PageSnapshot` a fetch at time ``t`` would return.
-
-        Raises:
-            LookupError: If the page does not exist at ``t``.
-        """
-        if not self.exists_at(t):
-            raise LookupError(f"page {self.url} does not exist at t={t}")
-        return PageSnapshot(
-            url=self.url,
-            fetched_at=t,
-            version=self.version_at(t),
-            outlinks=self.outlinks,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -129,10 +129,6 @@ class SimulatedSite:
                 ordered.append(page)
         return ordered
 
-    def window_urls_at(self, t: float) -> List[str]:
-        """URLs inside the monitoring window at time ``t``."""
-        return [page.url for page in self.window_at(t)]
-
     # ------------------------------------------------------------------ #
     # Convenience statistics
     # ------------------------------------------------------------------ #

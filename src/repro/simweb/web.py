@@ -3,8 +3,6 @@
 :class:`SimulatedWeb` aggregates all sites and pages, provides URL lookup,
 and exposes the oracle queries the rest of the system needs:
 
-* ``snapshot(url, t)`` — what a scalar fetch of ``url`` at virtual time
-  ``t`` returns;
 * :meth:`SimulatedWeb.oracle_arrays` — :class:`OracleArrays`, a lazily
   built flat array of every page's change times plus per-page offsets,
   whose ``lookup``/``exists``/``versions`` answer a whole batch of fetches
@@ -26,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.ranking.sparse import LinkGraph, pagerank_scores
-from repro.simweb.page import PageSnapshot, SimulatedPage
+from repro.simweb.page import SimulatedPage
 from repro.simweb.site import SimulatedSite
 
 TimeLike = Union[float, np.ndarray, Sequence[float]]
@@ -67,7 +65,7 @@ class OracleArrays:
 
     Built lazily by :meth:`SimulatedWeb.oracle_arrays` and cached until the
     web is mutated. All change times are stored relative to each page's
-    creation day (the same convention as :meth:`SimulatedPage.version_at`),
+    creation day (as :meth:`SimulatedPage.change_times_array` holds them),
     concatenated into one flat array with per-page offsets.
     """
 
@@ -123,12 +121,12 @@ class OracleArrays:
     def versions(self, ids: np.ndarray, t: TimeLike) -> np.ndarray:
         """Content version of each page at time ``t`` (scalar or per-page).
 
-        Matches :meth:`SimulatedPage.version_at`, including its clamp of
-        pre-creation queries to relative time zero.
+        A page's version is the number of its changes at or before ``t``;
+        queries before a page's creation read version 0.
 
         Raises:
             RuntimeError: If any queried page's change process has not been
-                materialised (mirroring the scalar oracle).
+                materialised.
         """
         if not self.materialised[ids].all():
             raise RuntimeError(
@@ -146,8 +144,8 @@ class OracleArrays:
         Given the version counts at some instant (i.e. the number of changes
         at or before it), the next change is simply the event at that index
         in each page's segment — ``inf`` when the page never changes again.
-        Times are relative to each page's creation, like
-        :meth:`ChangeProcess.next_change_after`.
+        Times are relative to each page's creation, like the change times
+        themselves.
         """
         next_times = np.full(ids.shape, np.inf)
         selected = np.nonzero(versions < self.lengths[ids])[0]
@@ -163,8 +161,8 @@ class SimulatedWeb:
 
     Args:
         horizon_days: The virtual-time horizon over which every page's change
-            process has been materialised. Queries past the horizon are
-            rejected to avoid silently reading unsampled behaviour.
+            process has been materialised; the fetcher clamps its fetch
+            instants to it, so no query reads unsampled behaviour.
     """
 
     def __init__(self, horizon_days: float) -> None:
@@ -248,10 +246,6 @@ class SimulatedWeb:
         """All sites belonging to the given top-level domain."""
         return [site for site in self._sites.values() if site.domain == domain]
 
-    def domains(self) -> List[str]:
-        """Sorted list of domains present in the web."""
-        return sorted({site.domain for site in self._sites.values()})
-
     def links_within(self) -> Iterator[Tuple[str, Tuple[str, ...]]]:
         """The whole-web link graph: ``(url, outlinks)`` for every page.
 
@@ -282,14 +276,6 @@ class SimulatedWeb:
     # ------------------------------------------------------------------ #
     # Oracle queries
     # ------------------------------------------------------------------ #
-    def snapshot(self, url: str, t: float) -> Optional[PageSnapshot]:
-        """Snapshot of ``url`` at time ``t`` or ``None`` when it is missing."""
-        self._check_time(t)
-        page = self._pages.get(url)
-        if page is None or not page.exists_at(t):
-            return None
-        return page.snapshot_at(t)
-
     def oracle_arrays(self) -> OracleArrays:
         """The cached array view of all pages for batched queries.
 
@@ -318,12 +304,3 @@ class SimulatedWeb:
             return 0.0
         total = sum(page.change_process.mean_rate for page in self._pages.values())
         return total / len(self._pages)
-
-    def _check_time(self, t: float) -> None:
-        if t < 0:
-            raise ValueError("virtual time cannot be negative")
-        if t > self.horizon_days + 1e-9:
-            raise ValueError(
-                f"virtual time {t} is beyond the simulated horizon "
-                f"({self.horizon_days} days)"
-            )

@@ -10,7 +10,7 @@ has visited and seen the page change (for the frequency estimators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 from repro.storage.checkpoint import pack_floats, unpack_floats
@@ -50,40 +50,6 @@ class PageRecord:
             raise ValueError("a stored record implies at least one visit")
         if self.change_count < 0 or self.change_count > self.visit_count:
             raise ValueError("change_count must be between 0 and visit_count")
-
-    def refreshed(
-        self,
-        version: int,
-        fetched_at: float,
-        outlinks: Sequence[str],
-    ) -> "PageRecord":
-        """Return a new record reflecting a re-fetch of the page.
-
-        The change counter is incremented when the version differs from the
-        stored one, which is exactly how the UpdateModule detects changes.
-        """
-        if fetched_at < self.fetched_at:
-            raise ValueError("re-fetch time cannot precede the previous fetch")
-        changed = version != self.version
-        return replace(
-            self,
-            version=version,
-            fetched_at=fetched_at,
-            outlinks=tuple(outlinks),
-            visit_count=self.visit_count + 1,
-            change_count=self.change_count + (1 if changed else 0),
-        )
-
-    @property
-    def observed_change_fraction(self) -> float:
-        """Fraction of visits at which a change was observed."""
-        if self.visit_count == 0:
-            return 0.0
-        return self.change_count / self.visit_count
-
-    def observation_span(self) -> float:
-        """Days between the first and the most recent fetch."""
-        return self.fetched_at - self.first_fetched_at
 
 
 def record_to_dict(record: PageRecord) -> dict:

@@ -57,6 +57,8 @@ from repro.simulation.crawler_sim import (
 from repro.simweb.web import SimulatedWeb
 from repro.storage.records import PageRecord
 
+from reference.oracle import next_change_after, page_changed_between
+
 Graph = Mapping[str, Sequence[str]]
 
 
@@ -74,7 +76,7 @@ def collection_freshness_reference(
         page = web.page(record.url) if record.url in web else None
         if page is None or not page.exists_at(at):
             continue
-        if not page.changed_between(record.fetched_at, at):
+        if not page_changed_between(page, record.fetched_at, at):
             fresh += 1
     return fresh / len(records)
 
@@ -104,7 +106,7 @@ def _record_age(record: PageRecord, web: SimulatedWeb, at: float) -> float:
         return max(0.0, at - stale_since)
     relative_fetch = max(0.0, record.fetched_at - page.created_at)
     relative_now = max(0.0, at - page.created_at)
-    next_change = page.change_process.next_change_after(relative_fetch)
+    next_change = next_change_after(page.change_process, relative_fetch)
     if next_change is None or next_change > relative_now:
         return 0.0
     return relative_now - next_change

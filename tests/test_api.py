@@ -343,6 +343,10 @@ class TestSpecRoundTrip:
          "6c57813252efec11e032083d412f5260eb6ade243d28fbd0c08f5056e4fbec80"),
         ("chaos_sweep.json",
          "08316d6d4df6b4028dd29e9d50d3c073f22b9a87fa45591008f165d5950b6d21"),
+        ("figure7_scenario.json",
+         "85313494173d7014a8777880ac869421cd3f2d4bbf92d05a0359ffc667a7fd41"),
+        ("figure8_scenario.json",
+         "b9603c89151ff4e9357dbdb09ac872ee6bd51692409630466a32a43d880461bb"),
         ("incremental_crawl.json",
          "2733ec3e1265cab9f769a692745528fd27067bb12f3919041bb97333c4188764"),
         ("matrix_sweep.json",
@@ -353,6 +357,8 @@ class TestSpecRoundTrip:
          "329b3d2b141561e091d9c88a7e1ac687034d9189c3c1c57235a82979d7b007d0"),
         ("sharded_crawl.json",
          "67fcf43933036191e96bd80825a1faffe43795888d381dbc0472ce17fd4d683b"),
+        ("sensitivity_scenario.json",
+         "0197d436819c947fae6b6ad24522b1dc681c1b1f77900059e8f6a9c4b4d57b15"),
         ("table2_scenario.json",
          "840fa3a86a3b355924a46d3e5ebfd3f624d5818a232eb14021fc5b3b5f701e57"),
         ("web_evolution.json",

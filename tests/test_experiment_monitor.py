@@ -17,6 +17,8 @@ from repro.experiment.site_selection import (
     select_sites,
 )
 
+from reference.oracle import page_version_at
+
 
 class TestSiteSelection:
     def test_selects_requested_number_of_candidates(self, small_web):
@@ -122,7 +124,7 @@ class TestActiveMonitor:
                 day
                 for day in range(history.first_seen_day + 1, history.last_seen_day + 1)
                 if page.exists_at(day + visit) and page.exists_at(day - 1 + visit)
-                and page.version_at(day + visit) != page.version_at(day - 1 + visit)
+                and page_version_at(page, day + visit) != page_version_at(page, day - 1 + visit)
             ]
             assert history.change_days == expected
             checked += len(expected)

@@ -116,14 +116,14 @@ class TestFaultModels:
         b = _layer(FAULT_MODELS, seed=8).resolve(urls, sites, times)[0]
         assert not np.array_equal(a, b)
 
-    def test_scalar_resolve_matches_vector(self):
+    def test_a_fetch_alone_sees_the_weather_it_sees_in_a_batch(self):
         urls, sites, times = _batch(n=64)
         layer = _layer(FAULT_MODELS, seed=3)
         codes, retry_after = layer.resolve(urls, sites, times)
         for i, (url, site, at) in enumerate(zip(urls, sites, times)):
-            code, hint = layer.resolve_one(url, site, at)
-            assert code == codes[i]
-            assert hint == retry_after[i]
+            code, hint = layer.resolve([url], [site], [at])
+            assert code.tolist() == [codes[i]]
+            assert hint.tolist() == [retry_after[i]]
 
     def test_first_model_wins(self):
         urls, sites, times = _batch(n=50)
@@ -206,7 +206,7 @@ class TestFaultModels:
         assert set(np.unique(factors)) <= {1.0, 4.0}
         assert 1.0 in factors and 4.0 in factors
         for i in (0, 57, 133):
-            assert layer.latency_factor_one(float(times[i])) == factors[i]
+            assert layer.latency_factors([float(times[i])]).tolist() == [factors[i]]
         assert not layer.has_status_models
         assert layer.has_latency_models
 
@@ -746,11 +746,7 @@ class TestEngineParityUnderFaults:
         )
 
     def test_batched_replay_resolves_weather_per_run(self, monkeypatch):
-        """Active weather never takes the scalar resolvers on the batched path."""
-
-        def scalar(*args, **kwargs):
-            raise AssertionError("scalar fault resolution on the batched engine")
-
+        """Active weather is resolved once per popped run, not per fetch."""
         calls = []
         resolve = FaultLayer.resolve
 
@@ -758,8 +754,6 @@ class TestEngineParityUnderFaults:
             calls.append(len(urls))
             return resolve(self, urls, sites, times)
 
-        monkeypatch.setattr(FaultLayer, "resolve_one", scalar)
-        monkeypatch.setattr(FaultLayer, "latency_factor_one", scalar)
         monkeypatch.setattr(FaultLayer, "resolve", spy)
         # A collection that fills and an even revisit policy keep the queue
         # loaded, so popped runs are long; with one hot page refetched every

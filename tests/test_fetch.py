@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.fetch.fetcher import FetchStatus, SimulatedFetcher
+from repro.fetch.fetcher import SimulatedFetcher
 from repro.fetch.politeness import NightWindow, PolitenessPolicy, seconds_to_days
+
+from reference.crawl import FetchStatus, fetch
+from reference.oracle import page_changed_between, page_version_at
 
 
 class TestNightWindow:
@@ -66,12 +69,6 @@ class TestPolitenessPolicy:
         policy = PolitenessPolicy(min_delay_seconds=0.0)
         assert policy.max_requests_per_day() == float("inf")
 
-    def test_reset(self):
-        policy = PolitenessPolicy(min_delay_seconds=10.0)
-        policy.record_request("a", 0.0)
-        policy.reset()
-        assert policy.earliest_allowed("a", 0.0) == 0.0
-
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             PolitenessPolicy(min_delay_seconds=-1.0)
@@ -105,156 +102,106 @@ class TestNightWindowBoundaries:
         assert window.is_open(snapped)
 
 
-class TestPolitenessBatchResolution:
-    """The batch politeness API must replay the scalar recurrence exactly."""
+class TestPoliteFetchMany:
+    """``fetch_many`` handed no resolved start instants folds the scalar
+    politeness recurrence request by request, as one fetch at a time does."""
 
     @staticmethod
-    def _scalar_fold(policy, sites, times):
-        starts = []
-        for site, t in zip(sites, times):
-            if site is None:
-                starts.append(t)
-                continue
-            start = policy.earliest_allowed(site, t)
-            policy.record_request(site, start)
-            starts.append(start)
-        return starts
+    def _urls(web):
+        """Three sites' roots, a second page of the first site and a URL
+        the web does not know (politeness skips it)."""
+        sites = web.sites[:3]
+        roots = [site.root_url for site in sites]
+        second = next(p.url for p in sites[0].all_pages if p.url != roots[0])
+        return roots + [second, "http://unknown.example/"]
 
-    def _assert_batch_matches_scalar(self, make_policy, sites, times):
+    def _assert_fetch_many_matches_per_url_fetches(self, web, make_policy, urls, times):
         batch_policy = make_policy()
-        scalar_policy = make_policy()
-        batch = batch_policy.earliest_allowed_many(sites, times)
-        batch_policy.record_requests(sites, batch)
-        scalar = self._scalar_fold(scalar_policy, sites, times)
-        assert batch.tolist() == scalar
-        assert batch_policy._last_request == scalar_policy._last_request
+        batch = SimulatedFetcher(web, politeness=batch_policy).fetch_many(urls, times)
+        fetcher = SimulatedFetcher(web, politeness=make_policy())
+        per_url = [fetch(fetcher, url, at=t) for url, t in zip(urls, times)]
+        assert batch.completed_at.tolist() == [r.completed_at for r in per_url]
+        assert batch.ok.tolist() == [r.ok for r in per_url]
+        assert batch.versions.tolist() == [r.version for r in per_url]
+        assert batch_policy.snapshot() == fetcher.politeness.snapshot()
 
-    def test_exact_min_delay_gap_is_allowed(self):
+    def _pattern(self, web, seed, size, span):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        urls = self._urls(web)
+        picked = [urls[int(i)] for i in rng.integers(0, len(urls), size=size)]
+        return picked, np.sort(rng.uniform(0.0, span, size=size)).tolist()
+
+    def test_exact_min_delay_gap_is_allowed(self, small_web):
         policy = PolitenessPolicy(min_delay_seconds=10.0)
         delay = policy.min_delay_days
-        policy.record_request("a", 1.0)
-        # A request at exactly last + delay goes out untouched, both
-        # scalar and batched.
-        assert policy.earliest_allowed("a", 1.0 + delay) == 1.0 + delay
-        batch = policy.earliest_allowed_many(["a"], [1.0 + delay])
-        assert batch.tolist() == [1.0 + delay]
+        url = small_web.seed_urls()[0]
+        site = small_web.page(url).site_id
+        policy.record_request(site, 1.0)
+        # A request at exactly last + delay goes out untouched.
+        assert policy.earliest_allowed(site, 1.0 + delay) == 1.0 + delay
+        fetcher = SimulatedFetcher(small_web, politeness=policy, latency_days=0.0)
+        batch = fetcher.fetch_many([url], [1.0 + delay])
+        assert batch.completed_at.tolist() == [1.0 + delay]
 
-    def test_batch_matches_scalar_with_delay(self):
-        import numpy as np
-
-        rng = np.random.default_rng(11)
-        sites = [f"s{int(i)}" for i in rng.integers(0, 5, size=200)]
-        times = np.sort(rng.uniform(0.0, 0.05, size=200)).tolist()
-        self._assert_batch_matches_scalar(
-            lambda: PolitenessPolicy(min_delay_seconds=30.0), sites, times
+    def test_with_delay(self, small_web):
+        urls, times = self._pattern(small_web, 11, 200, 0.05)
+        self._assert_fetch_many_matches_per_url_fetches(
+            small_web, lambda: PolitenessPolicy(min_delay_seconds=30.0), urls, times
         )
 
-    def test_batch_matches_scalar_with_night_window(self):
-        import numpy as np
-
-        rng = np.random.default_rng(13)
-        sites = [f"s{int(i)}" for i in rng.integers(0, 4, size=150)]
-        times = np.sort(rng.uniform(0.0, 3.0, size=150)).tolist()
-        self._assert_batch_matches_scalar(
-            lambda: PolitenessPolicy(
-                min_delay_seconds=0.0, night_window=NightWindow()
-            ),
-            sites,
+    def test_with_night_window(self, small_web):
+        urls, times = self._pattern(small_web, 13, 150, 3.0)
+        self._assert_fetch_many_matches_per_url_fetches(
+            small_web,
+            lambda: PolitenessPolicy(min_delay_seconds=0.0, night_window=NightWindow()),
+            urls,
             times,
         )
 
-    def test_batch_matches_scalar_with_both_and_awkward_window(self):
-        import numpy as np
-
-        rng = np.random.default_rng(17)
-        sites = [f"s{int(i)}" for i in rng.integers(0, 3, size=150)]
-        sites = [None if i % 29 == 0 else s for i, s in enumerate(sites)]
-        times = np.sort(rng.uniform(0.0, 2.0, size=150)).tolist()
-        self._assert_batch_matches_scalar(
+    def test_with_both_and_awkward_window(self, small_web):
+        urls, times = self._pattern(small_web, 17, 150, 2.0)
+        self._assert_fetch_many_matches_per_url_fetches(
+            small_web,
             lambda: PolitenessPolicy(
                 min_delay_seconds=1800.0,
                 night_window=NightWindow(start_fraction=0.3, duration_fraction=0.2),
             ),
-            sites,
+            urls,
             times,
         )
 
-    def test_batch_at_exact_boundary_instants(self):
+    def test_at_exact_boundary_instants(self, small_web):
         """Request times sitting exactly on last + delay and exactly on the
         window start resolve identically through both paths."""
         window = NightWindow(start_fraction=0.875, duration_fraction=0.375)
-        policy = PolitenessPolicy(min_delay_seconds=10.0, night_window=window)
-        delay = policy.min_delay_days
-        policy.record_request("a", 0.875)
-        times = [0.875 + delay, 0.875 + 2 * delay, 1.875]
-        sites = ["a", "a", "a"]
-        scalar_policy = PolitenessPolicy(min_delay_seconds=10.0, night_window=window)
-        scalar_policy.record_request("a", 0.875)
-        batch = policy.earliest_allowed_many(sites, times)
-        scalar = self._scalar_fold(scalar_policy, sites, times)
-        assert batch.tolist() == scalar
-
-    def test_peek_does_not_mutate_state(self):
-        policy = PolitenessPolicy(min_delay_seconds=10.0, night_window=NightWindow())
-        policy.record_request("a", 0.9)
-        before = dict(policy._last_request)
-        policy.earliest_allowed_many(["a", "b", "a"], [0.9, 0.9, 0.9])
-        assert policy._last_request == before
-
-    def test_indexed_api_matches_string_api(self):
-        """The integer-site batch API (the crawl engine's hot path) must
-        resolve and commit exactly like the string API, across chunks and
-        interleaved scalar records, including pre-existing state."""
-        import numpy as np
-
-        site_names = [f"s{i}" for i in range(6)]
-        rng = np.random.default_rng(23)
 
         def make_policy():
-            policy = PolitenessPolicy(
-                min_delay_seconds=1800.0,
-                night_window=NightWindow(start_fraction=0.3, duration_fraction=0.2),
-            )
-            policy.record_request("s1", 0.05)  # state predating the mirror
+            policy = PolitenessPolicy(min_delay_seconds=10.0, night_window=window)
+            policy.record_request(small_web.sites[0].site_id, 0.875)
             return policy
 
-        indexed = make_policy()
-        stringed = make_policy()
-        t = 0.1
-        for chunk_size in (1, 7, 40, 3, 25):
-            idx = rng.integers(-1, 6, size=chunk_size)
-            times = np.sort(rng.uniform(t, t + 0.4, size=chunk_size))
-            t = float(times[-1])
-            sites = [site_names[i] if i >= 0 else None for i in idx.tolist()]
-            got = indexed.earliest_allowed_many_indexed(
-                idx.astype(np.int64), site_names, times
-            )
-            want = stringed.earliest_allowed_many(sites, times)
-            assert got.tolist() == want.tolist()
-            cut = chunk_size // 2 + 1  # commit a prefix, drop the tail
-            indexed.record_requests_indexed(idx[:cut].astype(np.int64), got[:cut])
-            stringed.record_requests(sites[:cut], want[:cut])
-            assert indexed._last_request == stringed._last_request
-            # Scalar records (the m==1 fast path) must keep the dense
-            # mirror in sync with the dict.
-            indexed.record_request("s2", t)
-            stringed.record_request("s2", t)
-        assert indexed._last_request == stringed._last_request
+        delay = make_policy().min_delay_days
+        url = small_web.sites[0].root_url
+        self._assert_fetch_many_matches_per_url_fetches(
+            small_web, make_policy, [url] * 3, [0.875 + delay, 0.875 + 2 * delay, 1.875]
+        )
 
 
 class TestSimulatedFetcher:
     def test_fetch_live_page(self, small_web):
         fetcher = SimulatedFetcher(small_web)
         url = small_web.seed_urls()[0]
-        result = fetcher.fetch(url, at=1.0)
+        result = fetch(fetcher, url, at=1.0)
         assert result.ok
         assert result.status is FetchStatus.OK
-        assert result.version == small_web.page(url).version_at(1.0)
+        assert result.version == page_version_at(small_web.page(url), 1.0)
         assert result.outlinks == tuple(small_web.page(url).outlinks)
 
     def test_fetch_unknown_url(self, small_web):
         fetcher = SimulatedFetcher(small_web)
-        result = fetcher.fetch("http://nonexistent/", at=1.0)
+        result = fetch(fetcher, "http://nonexistent/", at=1.0)
         assert not result.ok
         assert result.status is FetchStatus.NOT_FOUND
 
@@ -267,7 +214,7 @@ class TestSimulatedFetcher:
         )
         if dead is None:
             pytest.skip("no dead page in the small web")
-        result = fetcher.fetch(dead.url, at=dead.deleted_at + 0.5)
+        result = fetch(fetcher, dead.url, at=dead.deleted_at + 0.5)
         assert result.status is FetchStatus.NOT_FOUND
 
     def test_version_stable_without_change(self, small_web):
@@ -277,8 +224,8 @@ class TestSimulatedFetcher:
             if p.change_process.mean_rate == 0.0 and p.created_at == 0.0
             and p.lifespan is None
         )
-        first = fetcher.fetch(static.url, at=1.0)
-        second = fetcher.fetch(static.url, at=50.0)
+        first = fetch(fetcher, static.url, at=1.0)
+        second = fetch(fetcher, static.url, at=50.0)
         assert first.version == second.version
 
     def test_version_changes_when_page_changes(self, small_web):
@@ -289,8 +236,8 @@ class TestSimulatedFetcher:
             and len(p.change_process.change_times()) > 0
         )
         change_time = changing.change_process.change_times()[0]
-        before = fetcher.fetch(changing.url, at=max(0.0, change_time - 1e-3))
-        after = fetcher.fetch(changing.url, at=change_time + 1e-3)
+        before = fetch(fetcher, changing.url, at=max(0.0, change_time - 1e-3))
+        after = fetch(fetcher, changing.url, at=change_time + 1e-3)
         assert before.version != after.version
 
     def test_version_counts_changes_since_creation(self, small_web):
@@ -302,7 +249,7 @@ class TestSimulatedFetcher:
         )
         change_times = page.change_process.change_times()
         for k, change_time in enumerate(change_times[:3], start=1):
-            assert fetcher.fetch(page.url, at=change_time + 1e-6).version == k
+            assert fetch(fetcher, page.url, at=change_time + 1e-6).version == k
 
     def test_equal_versions_mean_no_change_between_fetches(self, small_web):
         fetcher = SimulatedFetcher(small_web)
@@ -310,11 +257,11 @@ class TestSimulatedFetcher:
         for page in pages:
             t0 = page.created_at + 1.0
             t1 = t0 + 7.0
-            first = fetcher.fetch(page.url, at=t0)
-            second = fetcher.fetch(page.url, at=t1)
+            first = fetch(fetcher, page.url, at=t0)
+            second = fetch(fetcher, page.url, at=t1)
             assert first.ok and second.ok
             assert (first.version == second.version) == (
-                not page.changed_between(first.completed_at, second.completed_at)
+                not page_changed_between(page, first.completed_at, second.completed_at)
             )
 
     def test_batch_versions_match_scalar_fetches(self, small_web):
@@ -325,7 +272,7 @@ class TestSimulatedFetcher:
         for url, t, ok, version in zip(
             urls, times, batch.ok.tolist(), batch.versions.tolist()
         ):
-            result = scalar.fetch(url, at=t)
+            result = fetch(scalar, url, at=t)
             assert ok == result.ok
             if ok:
                 assert version == result.version
@@ -334,7 +281,7 @@ class TestSimulatedFetcher:
 
     def test_latency_charged(self, small_web):
         fetcher = SimulatedFetcher(small_web, latency_days=0.01)
-        result = fetcher.fetch(small_web.seed_urls()[0], at=1.0)
+        result = fetch(fetcher, small_web.seed_urls()[0], at=1.0)
         assert result.completed_at == pytest.approx(1.01)
 
     def test_politeness_applied(self, small_web):
@@ -343,20 +290,20 @@ class TestSimulatedFetcher:
         policy = PolitenessPolicy(min_delay_seconds=3600.0)
         fetcher = SimulatedFetcher(small_web, politeness=policy, latency_days=0.0)
         url = small_web.seed_urls()[0]
-        fetcher.fetch(url, at=1.0)
-        second = fetcher.fetch(url, at=1.0)
+        fetch(fetcher, url, at=1.0)
+        second = fetch(fetcher, url, at=1.0)
         assert second.completed_at >= 1.0 + 3600.0 / 86400.0 - 1e-9
 
     def test_fetch_count_increments(self, small_web):
         fetcher = SimulatedFetcher(small_web)
-        fetcher.fetch(small_web.seed_urls()[0], at=1.0)
-        fetcher.fetch(small_web.seed_urls()[1], at=1.0)
+        fetch(fetcher, small_web.seed_urls()[0], at=1.0)
+        fetch(fetcher, small_web.seed_urls()[1], at=1.0)
         assert fetcher.fetch_count == 2
 
     def test_outlinks_forwarded(self, small_web):
         fetcher = SimulatedFetcher(small_web)
         url = small_web.seed_urls()[0]
-        result = fetcher.fetch(url, at=1.0)
+        result = fetch(fetcher, url, at=1.0)
         assert tuple(result.outlinks) == tuple(small_web.page(url).outlinks)
 
     def test_invalid_latency(self, small_web):

