@@ -9,10 +9,10 @@ end-to-end benchmark workload at ``--smoke``. It then prints each function
 defined under ``src/repro`` that none of them called, with its line count,
 grouped by module, and the total.
 
-Worker processes (forked pool workers and spawned shard workers) are not
-profiled: a function only they run is listed as uncalled. Tests are not
-entry points, so a function only tests call is listed too. Stdlib only;
-takes a few minutes:
+A worker process an entry point forks (the pool that runs shards and
+matrix cells) inherits the profiler and writes what it called when it
+exits; those sets join the entry point's. Tests are not entry points, so
+a function only tests call is listed. Stdlib only; takes a few minutes:
 
     python scripts/product_reach.py
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import multiprocessing.process
 import os
 import runpy
 import subprocess
@@ -62,7 +63,11 @@ def entry_points() -> List[Tuple[str, List[str]]]:
 
 def _child(out_path: str, argv: List[str]):
     """Run one entry point in this process, dump what it called and return
-    the entry point's exit status (a ``SystemExit`` code)."""
+    the entry point's exit status (a ``SystemExit`` code).
+
+    A forked worker keeps the profiler and its copy of the called set, and
+    dumps that set beside this one (``out_path.<pid>``) as it exits.
+    """
     status = 0
     src_prefix = str(SRC) + os.sep
     called: Set[Tuple[str, int]] = set()
@@ -73,6 +78,16 @@ def _child(out_path: str, argv: List[str]):
             if code.co_filename.startswith(src_prefix):
                 called.add((code.co_filename, code.co_firstlineno))
 
+    bootstrap = multiprocessing.process.BaseProcess._bootstrap
+
+    def profiled_bootstrap(process, *args, **kwargs):
+        try:
+            return bootstrap(process, *args, **kwargs)
+        finally:
+            sys.setprofile(None)
+            Path(f"{out_path}.{os.getpid()}").write_text(json.dumps(sorted(called)))
+
+    multiprocessing.process.BaseProcess._bootstrap = profiled_bootstrap
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
@@ -145,7 +160,10 @@ def main() -> int:
             if not os.path.exists(out):
                 failures.append(f"{label} left no profile")
                 continue
-            called.update((path, line) for path, line in json.loads(Path(out).read_text()))
+            for profile in [out, *Path(scratch).glob(f"{index}.json.*")]:
+                called.update(
+                    (path, line) for path, line in json.loads(Path(profile).read_text())
+                )
     by_module: Dict[str, List[Tuple[str, int]]] = defaultdict(list)
     for (path, line), (name, length) in defined_functions().items():
         if (path, line) not in called:
@@ -158,8 +176,7 @@ def main() -> int:
             print(f"  {name:60s} {length:5d}")
             total += length
     count = sum(len(rows) for rows in by_module.values())
-    print(f"{count} functions, {total} lines no entry point calls "
-          "(worker processes not profiled)")
+    print(f"{count} functions, {total} lines no entry point calls")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:

@@ -116,10 +116,7 @@ class AllUrls:
         }
 
     def restore_snapshot(self, state: dict) -> None:
-        """Rebuild the registry exactly as captured by :meth:`snapshot`.
-
-        An ``"inlinks"`` column, which older checkpoints carry, is ignored.
-        """
+        """Rebuild the registry exactly as captured by :meth:`snapshot`."""
         self._urls = {
             url: UrlInfo(url, discovered_at, None if math.isnan(failed) else failed)
             for url, discovered_at, failed in zip(

@@ -28,7 +28,7 @@ import math
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.storage.checkpoint import pack_floats, unpack_floats
+from repro.storage.checkpoint import pack_floats, pack_ints, unpack_array, unpack_floats
 
 #: A queue entry as returned by :meth:`CollUrls.pop_due`:
 #: ``(scheduled_time, sequence, url)`` — the heap's native key layout, so
@@ -256,7 +256,7 @@ class CollUrls:
         entries = sorted(self._scheduled.values())
         return {
             "times": pack_floats([entry[0] for entry in entries]),
-            "sequences": [entry[1] for entry in entries],
+            "sequences": pack_ints([entry[1] for entry in entries]),
             "urls": [entry[2] for entry in entries],
             "next_sequence": self._counter,
             "next_front_sequence": self._front_counter,
@@ -269,7 +269,11 @@ class CollUrls:
         URL map, preserving the identity-based lazy-deletion invariant.
         """
         heap: List[QueueEntry] = list(
-            zip(unpack_floats(state["times"]), state["sequences"], state["urls"])
+            zip(
+                unpack_floats(state["times"]),
+                unpack_array(state["sequences"]).tolist(),
+                state["urls"],
+            )
         )
         scheduled = {entry[2]: entry for entry in heap}
         heapq.heapify(heap)

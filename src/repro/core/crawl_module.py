@@ -223,9 +223,6 @@ class CrawlModule:
         }
 
     def restore_snapshot(self, state: dict) -> None:
-        """Rebuild module state exactly as captured by :meth:`snapshot`.
-
-        An older checkpoint's ``"links_recorded"`` list is ignored.
-        """
+        """Rebuild module state exactly as captured by :meth:`snapshot`."""
         self.pages_fetched = int(state["pages_fetched"])
         self.pages_failed = int(state["pages_failed"])

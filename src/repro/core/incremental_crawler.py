@@ -56,6 +56,8 @@ from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
     CollectionJournal,
     CrawlCheckpointer,
+    index_urls,
+    resolve_urls,
 )
 from repro.storage.collection import InPlaceCollection
 from repro.storage.records import records_from_columns, records_to_columns
@@ -457,10 +459,11 @@ class IncrementalCrawler:
         here bit-identically. Every float travels exactly (per-URL columns as
         packed float64 bytes, the rest as JSON ``repr``) and dict insertion
         order — which feeds ordered float reductions in the UpdateModule —
-        survives serialization.
+        survives serialization. Each URL is written once: the modules'
+        URL columns become index columns into AllUrls' (:func:`index_urls`).
         """
         politeness = self._fetcher.politeness
-        return {
+        return index_urls({
             "format": CHECKPOINT_FORMAT,
             "start_time": start_time,
             "end_time": end_time,
@@ -483,7 +486,7 @@ class IncrementalCrawler:
                 "times": list(result.quality_times),
                 "values": list(result.quality),
             },
-        }
+        })
 
     def _restore_state(
         self,
@@ -496,8 +499,8 @@ class IncrementalCrawler:
         The crawler must be freshly constructed (as after a process kill):
         restoration *replays* collection stores in checkpoint order so the
         repository's insertion order — and with it every scan order
-        downstream — matches the uninterrupted run. A ``journal`` key,
-        which older builds wrote to count their event log, is ignored.
+        downstream — matches the uninterrupted run. A checkpoint of another
+        format is refused by name.
         """
         fmt = state.get("format")
         if fmt != CHECKPOINT_FORMAT:
@@ -512,6 +515,7 @@ class IncrementalCrawler:
                     f"got {getattr(self._spec, name)}"
                 )
 
+        state = resolve_urls(state)
         scheduler = StreamScheduler()
         scheduler.restore_snapshot(state["scheduler"])
         self._collurls.restore_snapshot(state["collurls"])

@@ -46,7 +46,7 @@ from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
-from repro.storage.checkpoint import pack_floats, unpack_floats
+from repro.storage.checkpoint import pack_floats, unpack_array
 from repro.storage.collection import Collection
 from repro.storage.records import PageRecord
 
@@ -222,26 +222,20 @@ class RankingModule:
         }
 
     def restore_snapshot(self, state: dict) -> None:
-        """Restore the state captured by :meth:`snapshot`.
-
-        A ``"graph_outlinks"`` table, which older checkpoints carry, is
-        ignored: the graph's source edges are the same table.
-        """
+        """Restore the state captured by :meth:`snapshot`."""
         self.scans_completed = int(state["scans_completed"])
         self.pages_replaced = int(state["pages_replaced"])
         self.pages_admitted = int(state["pages_admitted"])
-        graph_state = state.get("graph")
         self._graph = LinkGraph()
-        if graph_state is not None:
-            self._graph.restore_snapshot(graph_state)
+        self._graph.restore_snapshot(state["graph"])
         self._graph_outlinks = self._graph.outlinks_by_source()
         warm = {
-            name: None if packed is None else np.array(unpack_floats(packed))
-            for name, packed in state.get("warm", {}).items()
+            name: None if packed is None else unpack_array(packed, "<f8").copy()
+            for name, packed in state["warm"].items()
         }
-        self._warm_pagerank = warm.get("pagerank")
-        self._warm_hubs = warm.get("hubs")
-        self._warm_authorities = warm.get("authorities")
+        self._warm_pagerank = warm["pagerank"]
+        self._warm_hubs = warm["hubs"]
+        self._warm_authorities = warm["authorities"]
 
     # ------------------------------------------------------------------ #
     # Internals

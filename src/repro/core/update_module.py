@@ -35,7 +35,7 @@ from repro.faults import (
     STATUS_TIMEOUT,
     FailureTracker,
 )
-from repro.storage.checkpoint import pack_floats, unpack_floats
+from repro.storage.checkpoint import join_packed, pack_floats, unpack_floats
 
 
 #: Trailing window of change history kept per page (the paper suggests
@@ -654,8 +654,7 @@ class UpdateModule:
         self._histories = histories_from_columns(state["histories"])
         self._rate_estimates = _unpack_table(state["rate_estimates"])
         self._intervals = _unpack_table(state["intervals"])
-        if self._use_importance:  # older checkpoints carry it under any policy
-            self._importance = _unpack_table(state["importance"])
+        self._importance = _unpack_table(state["importance"])
         last = state["last_reallocation"]
         self._last_reallocation = None if last is None else float(last)
         self._estimator.load_state(state["estimator"])
@@ -678,9 +677,9 @@ def _unpack_table(columns: dict) -> Dict[str, float]:
 
 
 def _concat_columns(parts: Sequence[dict]) -> dict:
-    """Concatenate column documents key by key (packed columns are repacked)."""
+    """Concatenate column documents key by key (packed columns byte by byte)."""
     return {
-        key: pack_floats([v for part in parts for v in unpack_floats(part[key])])
+        key: join_packed([part[key] for part in parts])
         if isinstance(first, str)
         else [v for part in parts for v in part[key]]
         for key, first in parts[0].items()

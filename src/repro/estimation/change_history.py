@@ -23,7 +23,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.storage.checkpoint import pack_floats, unpack_floats
+import numpy as np
+
+from repro.storage.checkpoint import pack_floats, pack_ints, unpack_array, unpack_floats
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,10 @@ def histories_to_columns(histories: Dict[str, ChangeHistory]) -> dict:
     """Checkpoint columns for many histories, in dict order, every slot packed.
 
     Observations are concatenated (``counts`` splits them); ``None`` windows
-    pack as NaN. ``interval_sum`` travels verbatim: recomputing its left-fold
-    on restore could differ in the last ulp.
+    pack as NaN. Of the intervals only each page's first is kept (NaN for a
+    page without observations): every later one is its visit time minus the
+    previous visit's. ``interval_sum`` travels verbatim: recomputing its
+    left-fold on restore could differ in the last ulp.
     """
     values = list(histories.values())
     return {
@@ -215,32 +219,44 @@ def histories_to_columns(histories: Dict[str, ChangeHistory]) -> dict:
             [math.nan if h.window_days is None else h.window_days for h in values]
         ),
         "last_visit": pack_floats([h._last_visit for h in values]),
-        "n_changes": [h._n_changes for h in values],
+        "n_changes": pack_ints([h._n_changes for h in values]),
         "interval_sum": pack_floats([h._interval_sum for h in values]),
-        "counts": [len(h._times) for h in values],
+        "counts": pack_ints([len(h._times) for h in values]),
         "times": pack_floats([t for h in values for t in h._times]),
-        "changed": [c for h in values for c in h._changed],
-        "intervals": pack_floats([i for h in values for i in h._intervals]),
+        "changed": pack_ints([c for h in values for c in h._changed], "?"),
+        "first_interval": pack_floats(
+            [h._intervals[0] if h._intervals else math.nan for h in values]
+        ),
     }
 
 
 def histories_from_columns(columns: dict) -> Dict[str, ChangeHistory]:
-    """Rebuild the histories :func:`histories_to_columns` wrote, exactly."""
-    times = unpack_floats(columns["times"])
-    changed = columns["changed"]
-    intervals = unpack_floats(columns["intervals"])
+    """Rebuild the histories :func:`histories_to_columns` wrote, exactly.
+
+    Each interval but a page's first is rebuilt as ``time - previous time``,
+    the float subtraction :meth:`ChangeHistory.record_visit` made.
+    """
+    times = unpack_array(columns["times"], "<f8")
+    counts = unpack_array(columns["counts"])
+    starts = np.cumsum(counts) - counts
+    intervals = np.empty_like(times)
+    intervals[1:] = times[1:] - times[:-1]
+    observed = counts > 0
+    intervals[starts[observed]] = unpack_array(columns["first_interval"], "<f8")[observed]
+    times, intervals = times.tolist(), intervals.tolist()
+    changed = unpack_array(columns["changed"], "?").tolist()
     histories: Dict[str, ChangeHistory] = {}
-    end = 0
-    for url, first_visit, window_days, last_visit, n_changes, interval_sum, count in zip(
+    for url, first_visit, window_days, last_visit, n_changes, interval_sum, start, count in zip(
         columns["urls"],
         unpack_floats(columns["first_visit"]),
         unpack_floats(columns["window_days"]),
         unpack_floats(columns["last_visit"]),
-        columns["n_changes"],
+        unpack_array(columns["n_changes"]).tolist(),
         unpack_floats(columns["interval_sum"]),
-        columns["counts"],
+        starts.tolist(),
+        counts.tolist(),
     ):
-        start, end = end, end + count
+        end = start + count
         history = ChangeHistory(first_visit, None if math.isnan(window_days) else window_days)
         history._last_visit = last_visit
         history._times = deque(times[start:end])

@@ -46,6 +46,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse as _scipy_sparse
 
+from repro.storage.checkpoint import pack_ints, unpack_array
+
 Graph = Mapping[str, Sequence[str]]
 
 _INT = np.int64
@@ -312,35 +314,33 @@ class LinkGraph:
 
         The edge buffers are physically compacted first, so the snapshot
         carries only live edges — but the interning table, revision counters
-        and edge order travel verbatim, keeping the CSR the restored graph
-        builds (and therefore every float the kernels sum) bit-identical.
+        and edge order travel verbatim (the arrays packed straight from their
+        buffers), keeping the CSR the restored graph builds (and therefore
+        every float the kernels sum) bit-identical.
         """
         self._compact()
         n_nodes = len(self._urls)
         n_edges = self._n_edges
         return {
             "urls": list(self._urls),
-            "sources": np.flatnonzero(self._is_source[:n_nodes]).tolist(),
-            "node_rev": self._node_rev[:n_nodes].tolist(),
-            "out_count": self._out_count[:n_nodes].tolist(),
-            "edge_src": self._edge_src[:n_edges].tolist(),
-            "edge_dst": self._edge_dst[:n_edges].tolist(),
-            "edge_rev": self._edge_rev[:n_edges].tolist(),
+            "sources": pack_ints(np.flatnonzero(self._is_source[:n_nodes])),
+            "node_rev": pack_ints(self._node_rev[:n_nodes]),
+            "out_count": pack_ints(self._out_count[:n_nodes]),
+            "edge_src": pack_ints(self._edge_src[:n_edges]),
+            "edge_dst": pack_ints(self._edge_dst[:n_edges]),
+            "edge_rev": pack_ints(self._edge_rev[:n_edges]),
         }
 
     def restore_snapshot(self, state: dict) -> None:
         """Rebuild the graph exactly as captured by :meth:`snapshot`."""
-        urls = [str(url) for url in state["urls"]]
+        urls = list(state["urls"])
         self._urls = urls
         self._ids = {url: i for i, url in enumerate(urls)}
         n_nodes = len(urls)
         self._is_source = np.zeros(max(n_nodes, 1), dtype=bool)
-        self._is_source[np.asarray(state["sources"], dtype=_INT)] = True
-        self._node_rev = np.asarray(state["node_rev"], dtype=_INT).copy()
-        self._out_count = np.asarray(state["out_count"], dtype=_INT).copy()
-        self._edge_src = np.asarray(state["edge_src"], dtype=_INT).copy()
-        self._edge_dst = np.asarray(state["edge_dst"], dtype=_INT).copy()
-        self._edge_rev = np.asarray(state["edge_rev"], dtype=_INT).copy()
+        self._is_source[unpack_array(state["sources"])] = True
+        for name in ("node_rev", "out_count", "edge_src", "edge_dst", "edge_rev"):
+            setattr(self, "_" + name, unpack_array(state[name]).astype(_INT))
         self._n_edges = len(self._edge_src)
         self._n_stale = 0
         self._view = None

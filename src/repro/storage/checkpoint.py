@@ -18,6 +18,15 @@ once per commit, in the checkpoint, and at run end the collection's final
 image (:data:`COLLECTION_STATE_KEY`), which commits together with the
 run's result.
 
+A checkpoint document names each URL once. ``allurls.url`` is its URL
+table — AllUrls' own URLs, then any URL they lack (a shard's foreign-site
+link targets) — and every other URL column is a base64 ``<i4`` index
+column into it (:func:`index_urls` / :func:`resolve_urls`). Every other
+per-URL column is packed too: floats by :func:`pack_floats`, ints and bools
+by :func:`pack_ints`. Change histories keep each page's first interval and
+a restore rebuilds the rest from the visit times, by the subtraction the
+crawler made.
+
 One rule governs a checkpoint's bytes: the document is serialised **once**;
 ``integrity`` is the sha256 **of the stored bytes** that follow its
 fixed-width header; the previous slot receives the **last text this process
@@ -52,18 +61,16 @@ RESULT_STATE_KEY = "result"
 #: Backend state key under which a completed run's final collection image
 #: (:func:`~repro.storage.records.records_to_columns`) is stored.
 COLLECTION_STATE_KEY = "collection"
-#: Version stamp of the checkpoint document layout. Format 2 added the
-#: RankingModule's link-graph and warm-start state (sparse incremental
-#: ranking); format-1 checkpoints predate it and cannot resume here.
-#: Format 3 changed no key but redefined ``integrity`` as the sha256 of the
-#: stored bytes (format 2: of a canonical re-dump of the parsed document),
-#: so an older store cannot be verified and :meth:`CrawlCheckpointer.load`
-#: refuses it by name. Format 4 writes every per-URL float column through
-#: :func:`pack_floats`; a format-3 document still verifies (same integrity
-#: rule) but its float lists do not restore, so the crawler refuses it by name.
-#: Format 5 stores each record's content ``version`` in place of its body and
-#: checksum, and drops the crawl module's ``stored_versions`` map.
-CHECKPOINT_FORMAT = 5
+#: Dtype of a checkpoint's packed int columns, URL indices included.
+INT = "<i4"
+#: Version stamp of the checkpoint document layout. Format 6 names each URL
+#: once: ``allurls.url`` is the document's URL table, every other URL column
+#: is an index column into it, every int and bool column is packed, and the
+#: histories drop the intervals a restore rebuilds from their visit times.
+#: A document of any other format is refused by name: one without the
+#: integrity header (formats 1-2) at :meth:`CrawlCheckpointer.load`, one
+#: with it (formats 3-5) when the crawler restores it.
+CHECKPOINT_FORMAT = 6
 # A stored checkpoint is this header followed by the document's own JSON
 # text minus its opening brace; the digest covers "{" + that remainder.
 _HEADER = '{"integrity": "%s", '
@@ -98,7 +105,109 @@ def pack_floats(values: Sequence[float]) -> str:
 
 def unpack_floats(text: str) -> List[float]:
     """The column :func:`pack_floats` packed, as Python floats."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").tolist()
+    return unpack_array(text, "<f8").tolist()
+
+
+def pack_ints(values: Sequence[int], dtype: str = INT) -> str:
+    """An int or bool list or ndarray as base64 of its ``dtype`` bytes.
+
+    Raises ``ValueError`` when a value does not fit ``dtype``: a column is
+    never wrapped or truncated into another value.
+    """
+    array = np.array(values, dtype=np.int64)
+    packed = array.astype(dtype)
+    if not np.array_equal(packed, array):
+        raise ValueError(f"a checkpoint column holds a value that does not fit {dtype}")
+    return base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def unpack_array(text: str, dtype: str = INT) -> np.ndarray:
+    """A packed column as a read-only ndarray of ``dtype`` over its bytes."""
+    return np.frombuffer(base64.b64decode(text), dtype=dtype)
+
+
+def join_packed(columns: Sequence[str]) -> str:
+    """Packed columns of one dtype as one, concatenated in order."""
+    return base64.b64encode(b"".join(map(base64.b64decode, columns))).decode("ascii")
+
+
+#: Key paths of a crawler snapshot's URL columns besides ``allurls.url``.
+_URL_COLUMNS = (
+    ("collurls", "urls"),
+    ("collection", "url"),
+    ("update", "histories", "urls"),
+    ("update", "rate_estimates", "urls"),
+    ("update", "intervals", "urls"),
+    ("update", "importance", "urls"),
+    ("ranking", "graph", "urls"),
+)
+
+
+def index_urls(state: dict) -> dict:
+    """Swap a crawler snapshot's URL columns for index columns, in place.
+
+    The URL table that replaces ``allurls.url`` is AllUrls' own URLs, then
+    each URL of another column that they lack, in first-seen order;
+    ``allurls.strays`` counts those. Every column keeps its own order.
+    The collection's ``outlinks`` become one flat index column, split by
+    ``outlink_counts``. Returns ``state``.
+    """
+    allurls = state["allurls"]
+    ids = {url: i for i, url in enumerate(allurls["url"])}
+    registered = len(ids)
+
+    def index(urls: List[str]) -> str:
+        try:
+            return pack_ints(np.fromiter(map(ids.__getitem__, urls), np.int64, len(urls)))
+        except KeyError:  # a stray: give it the next id
+            return pack_ints([ids.setdefault(url, len(ids)) for url in urls])
+
+    for path in _URL_COLUMNS:
+        owner = _owner(state, path)
+        owner[path[-1]] = index(owner[path[-1]])
+    collection = state["collection"]
+    outlinks = collection["outlinks"]
+    collection["outlink_counts"] = pack_ints(list(map(len, outlinks)))
+    collection["outlinks"] = index([url for links in outlinks for url in links])
+    allurls["url"] = list(ids)
+    allurls["strays"] = len(ids) - registered
+    return state
+
+
+def resolve_urls(state: dict) -> dict:
+    """The snapshot :func:`index_urls` indexed, with its URL columns back.
+
+    Every dict on a rewritten column's path is copied; ``state`` itself is
+    left as it was.
+    """
+    state = dict(state)
+    table = state["allurls"]["url"]
+
+    def resolve(text: str) -> List[str]:
+        return list(map(table.__getitem__, unpack_array(text).tolist()))
+
+    for path in _URL_COLUMNS:
+        owner = _owner(state, path, copy=True)
+        owner[path[-1]] = resolve(owner[path[-1]])
+    collection = _owner(state, ("collection", "outlinks"), copy=True)
+    ends = np.cumsum(unpack_array(collection.pop("outlink_counts"))).tolist()
+    flat = resolve(collection["outlinks"])
+    collection["outlinks"] = [
+        tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)
+    ]
+    allurls = _owner(state, ("allurls", "url"), copy=True)
+    allurls["url"] = table[: len(table) - allurls.pop("strays")]
+    return state
+
+
+def _owner(state: dict, path: Tuple[str, ...], copy: bool = False) -> dict:
+    """The dict holding the column at ``path``, each dict on the way copied
+    into its parent first when ``copy`` is set."""
+    for key in path[:-1]:
+        if copy:
+            state[key] = dict(state[key])
+        state = state[key]
+    return state
 
 
 def _digest(text: str, start: int) -> str:

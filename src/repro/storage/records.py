@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
-from repro.storage.checkpoint import pack_floats, unpack_floats
+from repro.storage.checkpoint import INT, pack_floats, pack_ints, unpack_array, unpack_floats
 
 
 @dataclass
@@ -71,27 +71,33 @@ def record_to_dict(record: PageRecord) -> dict:
     }
 
 
-#: Every field in constructor order, and the ones a checkpoint packs as floats.
+#: Every field in constructor order, and the ones a checkpoint packs (the
+#: version as 64 bits: it plays the paper's page checksum).
 _FIELDS = tuple(f.name for f in fields(PageRecord))
 _FLOAT_FIELDS = ("fetched_at", "first_fetched_at", "importance")
+_INT_FIELDS = {"version": "<i8", "visit_count": INT, "change_count": INT}
 
 
 def records_to_columns(records: Sequence[PageRecord]) -> dict:
     """A checkpoint's collection image: one column per field, in record order.
 
-    The float fields are packed (:func:`~repro.storage.checkpoint.pack_floats`).
+    The float and int fields are packed
+    (:func:`~repro.storage.checkpoint.pack_floats`, ``pack_ints``).
     """
     columns = {name: [getattr(record, name) for record in records] for name in _FIELDS}
     for name in _FLOAT_FIELDS:
         columns[name] = pack_floats(columns[name])
+    for name, dtype in _INT_FIELDS.items():
+        columns[name] = pack_ints(columns[name], dtype)
     return columns
 
 
 def records_from_columns(columns: dict) -> List[PageRecord]:
     """Rebuild the records :func:`records_to_columns` wrote, in order."""
-    values = {
-        name: unpack_floats(columns[name]) if name in _FLOAT_FIELDS else columns[name]
-        for name in _FIELDS
-    }
-    values["outlinks"] = map(tuple, values["outlinks"])
-    return [PageRecord(*row) for row in zip(*values.values())]
+    values = dict(columns)
+    for name in _FLOAT_FIELDS:
+        values[name] = unpack_floats(columns[name])
+    for name, dtype in _INT_FIELDS.items():
+        values[name] = unpack_array(columns[name], dtype).tolist()
+    values["outlinks"] = map(tuple, columns["outlinks"])
+    return [PageRecord(*row) for row in zip(*(values[name] for name in _FIELDS))]

@@ -347,6 +347,8 @@ class TestSpecRoundTrip:
          "85313494173d7014a8777880ac869421cd3f2d4bbf92d05a0359ffc667a7fd41"),
         ("figure8_scenario.json",
          "b9603c89151ff4e9357dbdb09ac872ee6bd51692409630466a32a43d880461bb"),
+        ("hits_crawl.json",
+         "d82540bbacee9e8dc88f08725724fd7e9a44061fdbbf3edd40a2596f72a2fb18"),
         ("incremental_crawl.json",
          "2733ec3e1265cab9f769a692745528fd27067bb12f3919041bb97333c4188764"),
         ("matrix_sweep.json",

@@ -1,11 +1,14 @@
-"""The checkpoint float codec and the packed snapshots built on it.
+"""The checkpoint codec and the packed snapshots built on it.
 
 Every per-URL float column of a checkpoint is written by ``pack_floats``
-(base64 of little-endian float64 bytes) and read back by ``unpack_floats``.
-These tests hold the round trip bytes-exact for every 64-bit pattern, hold
-snapshots carrying non-finite or missing values ``==`` after a JSON round
-trip, and check without a stopwatch that no per-URL float is left in a
-checkpoint as JSON text.
+(base64 of little-endian float64 bytes), every int and bool column by
+``pack_ints``, and every URL column but ``allurls.url`` as an index column
+into that one URL table (``index_urls``). These tests hold the float round
+trip bytes-exact for every 64-bit pattern, refuse an int that does not fit,
+hold snapshots carrying non-finite or missing values ``==`` after a JSON
+round trip, rebuild windowed histories' intervals bit for bit, resume shard
+checkpoints whose URL table holds strays, and check without a stopwatch
+that no JSON token but ``allurls.url``'s grows with the collection.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -22,15 +27,25 @@ from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.incremental_crawler import IncrementalCrawler
+from repro.core.sharding import ShardView
 from repro.core.update_module import UpdateModule
-from repro.estimation.change_history import ChangeHistory
+from repro.estimation.change_history import (
+    ChangeHistory,
+    histories_from_columns,
+    histories_to_columns,
+)
 from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     CrawlCheckpointer,
     pack_floats,
+    pack_ints,
+    resolve_urls,
+    unpack_array,
     unpack_floats,
 )
+
+from test_checkpoint_resume import result_fingerprint
 
 #: Quiet and signalling NaNs with payloads, a negative NaN, ±0.0, ±inf, the
 #: smallest and largest subnormals, and the largest finite double.
@@ -92,7 +107,102 @@ def test_allurls_snapshot_with_a_never_failed_url_restores_equal():
     assert restored.info("http://b.com/") == registry.info("http://b.com/")
 
 
-def _float_tokens_and_size(web, capacity):
+@pytest.mark.parametrize("values, dtype", [
+    ([2**31], "<i4"), ([-(2**31) - 1], "<i4"), ([2], "?"), ([-1], "|u1"),
+])
+def test_an_int_that_does_not_fit_is_refused_not_wrapped(values, dtype):
+    with pytest.raises(ValueError, match=f"does not fit {dtype}"):
+        pack_ints(values, dtype)
+
+
+def test_ints_and_bools_round_trip():
+    ints = [0, -1, 2**31 - 1, -(2**31), 7]
+    assert unpack_array(pack_ints(ints)).tolist() == ints
+    assert unpack_array(pack_ints(np.array(ints, dtype=np.int64))).tolist() == ints
+    assert unpack_array(pack_ints([True, False], "?"), "?").tolist() == [True, False]
+    assert unpack_array(pack_ints([])).tolist() == []
+
+
+def _bits(value):
+    """A history slot with every float as its 64 bits."""
+    if isinstance(value, deque):
+        return [_bits(item) for item in value]
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+@given(
+    first_visit=st.floats(0.0, 1e4),
+    window_days=st.none() | st.floats(0.25, 40.0),
+    pages=st.lists(
+        st.lists(st.tuples(st.floats(0.0, 30.0), st.booleans()), max_size=24),
+        min_size=1, max_size=5,
+    ),
+)
+@example(first_visit=1.0 / 3.0, window_days=1.0, pages=[[(0.1, True)] * 20, []])
+def test_windowed_histories_restore_bit_identically(first_visit, window_days, pages):
+    """Only each page's first interval is stored; the rest are rebuilt from
+    the visit times by the crawler's own subtraction, trimmed or not."""
+    histories = {}
+    for index, visits in enumerate(pages):
+        history = ChangeHistory(first_visit, window_days)
+        time = first_visit
+        for step, changed in visits:
+            time += step
+            history.record_visit(time, changed)
+        histories[f"http://p{index}.com/"] = history
+    restored = histories_from_columns(json.loads(json.dumps(histories_to_columns(histories))))
+    assert list(restored) == list(histories)
+    for url, history in histories.items():
+        for slot in ChangeHistory.__slots__:
+            assert _bits(getattr(restored[url], slot)) == _bits(getattr(history, slot)), slot
+
+
+def test_a_two_shard_checkpoint_with_stray_urls_resumes_bit_identically(tiny_web):
+    """A shard's graph and out-links hold foreign-site URLs its AllUrls never
+    registers; they join the URL table as strays. Every shard resumes from
+    every checkpoint to the uninterrupted run and writes the same checkpoints."""
+    views = ShardView.split(tiny_web, 2, capacity=60, budget_per_day=200.0)
+    assert len(views) == 2
+    for view in views:
+        spec = CrawlerSpec(
+            collection_capacity=view.capacity,
+            crawl_budget_per_day=view.budget_per_day,
+            duration_days=30.0,
+            ranking_interval_days=5.0,
+            measurement_interval_days=1.0,
+            track_quality=True,
+        )
+
+        def crawl(resume_state=None):
+            crawler = IncrementalCrawler(tiny_web, spec, PolicySpec(), shard_view=view)
+            checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=7.0)
+            states = []
+            checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
+            outcome = crawler.run(checkpointer=checkpointer, resume_state=resume_state)
+            return result_fingerprint(crawler, outcome), states
+
+        expected, states = crawl()
+        assert len(states) >= 3
+        seen = {"graph": set(), "outlinks": set()}
+        for index, state in enumerate(states):
+            resolved = resolve_urls(state)
+            registered = set(resolved["allurls"]["url"])
+            strays = state["allurls"]["url"][len(registered):]
+            assert len(strays) == state["allurls"]["strays"]
+            graph = set(resolved["ranking"]["graph"]["urls"]) - registered
+            outlinks = {url for links in resolved["collection"]["outlinks"] for url in links}
+            outlinks -= registered
+            assert set(strays) == graph | outlinks
+            seen["graph"] |= graph
+            seen["outlinks"] |= outlinks
+            assert crawl(resume_state=state) == (expected, states[index + 1:])
+        assert seen["graph"] and seen["outlinks"]
+
+
+def _json_tokens(web, capacity):
+    """``(numbers, strings, collection size)`` of a crawl's last checkpoint:
+    every JSON number or constant token, and every string (object keys
+    included) outside ``allurls.url``."""
     backend = SqliteBackend()
     crawler = IncrementalCrawler(
         web,
@@ -106,24 +216,40 @@ def _float_tokens_and_size(web, capacity):
         PolicySpec(estimator="ep"),
     )
     crawler.run(checkpointer=CrawlCheckpointer(backend, every_days=7.0))
-    tokens = []
+    numbers = []
     state = json.loads(
         backend.load_state_text(CHECKPOINT_STATE_KEY),
-        parse_float=lambda token: tokens.append(token) or float(token),
+        parse_float=lambda token: numbers.append(token) or float(token),
+        parse_int=lambda token: numbers.append(token) or int(token),
+        parse_constant=lambda token: numbers.append(token) or float(token),
     )
-    return len(tokens), len(state["collection"]["url"])
+    size = len(resolve_urls(state)["collection"]["url"])
+    state["allurls"]["url"] = []
+    return len(numbers), _strings(state), size
 
 
-def test_no_per_url_float_is_left_as_json_text(tiny_web):
-    """Untimed guard: a checkpoint's JSON float count does not grow with the collection.
+def _strings(node):
+    if isinstance(node, str):
+        return 1
+    if isinstance(node, dict):
+        return sum(1 + _strings(value) for value in node.values())
+    if isinstance(node, list):
+        return sum(_strings(item) for item in node)
+    return 0
 
-    The crawls differ only in capacity, so every float still written as
-    JSON text (run bounds, scheduler heads, the freshness and quality
-    series) occurs equally often in both. The EB posteriors and the
-    failure tracker's state are still JSON and out of scope here: the
-    crawls use EP and inject no faults.
+
+def test_no_json_token_but_the_url_table_grows_with_the_collection(tiny_web):
+    """Untimed guard: a checkpoint's JSON number and string counts do not
+    grow with the collection; only ``allurls.url``, the URL table, does.
+
+    The crawls differ only in capacity, so every token still written as
+    JSON text (run bounds, scheduler heads, counters, the freshness and
+    quality series, the packed columns themselves) occurs equally often in
+    both. The EB posteriors and the failure tracker's state are still JSON
+    and out of scope here: the crawls use EP and inject no faults.
     """
-    small_floats, small_size = _float_tokens_and_size(tiny_web, 20)
-    large_floats, large_size = _float_tokens_and_size(tiny_web, 60)
+    small_numbers, small_strings, small_size = _json_tokens(tiny_web, 20)
+    large_numbers, large_strings, large_size = _json_tokens(tiny_web, 60)
     assert small_size < large_size
-    assert small_floats == large_floats
+    assert small_numbers == large_numbers
+    assert small_strings == large_strings

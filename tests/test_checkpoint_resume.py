@@ -12,11 +12,12 @@ from __future__ import annotations
 import copy
 import json
 import sqlite3
+from pathlib import Path
 
 import pytest
 
 from repro.api.registry import STORAGE_BACKENDS
-from repro.api.runner import run
+from repro.api.runner import build_web, run
 from repro.api.specs import (
     CrawlerSpec,
     ExperimentSpec,
@@ -28,7 +29,6 @@ from repro.api.specs import (
 )
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.sharded_crawler import shard_namespace, shard_store_path
-from repro.ranking.sparse import LinkGraph
 from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -39,7 +39,7 @@ from repro.storage.checkpoint import (
     CollectionJournal,
     CrawlCheckpointer,
     namespaced_state_key,
-    pack_floats,
+    resolve_urls,
 )
 from repro.storage.records import record_to_dict, records_from_columns
 
@@ -162,6 +162,26 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
         assert result_fingerprint(resumed, outcome) == expected
 
 
+def test_the_hits_example_resumes_from_every_checkpoint():
+    """``examples/specs/hits_crawl.json`` checkpoints the HITS warm vectors
+    (hubs and authorities, packed); each checkpoint resumes to the
+    uninterrupted run."""
+    path = Path(__file__).resolve().parent.parent / "examples" / "specs" / "hits_crawl.json"
+    spec = ExperimentSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    web = build_web(spec.web)
+    plain = IncrementalCrawler(web, spec.crawler, spec.policy)
+    expected = result_fingerprint(plain, plain.run())
+    checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=spec.crawler.checkpoint_every)
+    states = []
+    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
+    IncrementalCrawler(web, spec.crawler, spec.policy).run(checkpointer=checkpointer)
+    warm = states[-1]["ranking"]["warm"]
+    assert warm["pagerank"] is None and warm["hubs"] and warm["authorities"]
+    for state in states:
+        resumed = IncrementalCrawler(web, spec.crawler, spec.policy)
+        assert result_fingerprint(resumed, resumed.run(resume_state=state)) == expected
+
+
 #: A fault mix that makes the batched engine discard and re-admit pages,
 #: and revisit a URL within one batch after a retry.
 CHURN_FAULTS = FaultsSpec(
@@ -187,7 +207,7 @@ def test_every_checkpoint_and_the_final_image_hold_the_collection(tiny_web, faul
     def look(state):
         # What the store holds, against a copy of the live records (the
         # crawl keeps refreshing them in place).
-        stored = backend.load_state(CHECKPOINT_STATE_KEY)["collection"]
+        stored = resolve_urls(backend.load_state(CHECKPOINT_STATE_KEY))["collection"]
         images.append(
             (records_from_columns(stored), copy.deepcopy(crawler.collection.working_records()))
         )
@@ -354,79 +374,24 @@ def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):
     assert state["crawl"]["pages_fetched"] > 0
 
 
-def test_a_checkpoint_with_the_retired_age_column_still_resumes(tiny_web):
-    """Format-5 checkpoints written while the tracker kept an (always 0.0)
-    age column carry ``freshness["age"]``; they resume bit-identically."""
-    plain = build_crawler(tiny_web)
-    expected = result_fingerprint(plain, plain.run())
-    checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=7.0)
-    states = []
-    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
-    build_crawler(tiny_web).run(checkpointer=checkpointer)
-    state = states[1]
-    assert state["format"] == CHECKPOINT_FORMAT == 5
-    assert "age" not in state["freshness"]
-    state["freshness"]["age"] = [0.0] * len(state["freshness"]["times"])
-
-    backend = SqliteBackend()
-    CrawlCheckpointer(backend, every_days=7.0).save(state, state["checkpoint_at"])
-    loader = CrawlCheckpointer(backend, every_days=7.0)
-    resumed = build_crawler(tiny_web)
-    outcome = resumed.run(checkpointer=loader, resume_state=loader.load())
-    assert result_fingerprint(resumed, outcome) == expected
-
-
 @pytest.mark.parametrize("use_importance", [False, True])
-def test_a_checkpoint_with_the_retired_duplicate_tables_still_resumes(
-    tiny_web, use_importance
-):
-    """Format-5 checkpoints written while the crawler kept some facts twice
-    carry four more tables: AllUrls in-links, the crawl module's set of pages
-    whose links were forwarded, the ranking scan's synced out-links (the
-    graph's source edges again) and an importance table that only an
-    importance-weighted policy reads. They resume bit-identically."""
+def test_a_checkpoint_holds_each_fact_once(tiny_web, use_importance):
+    """No table repeats another: AllUrls keeps no in-links (the graph holds
+    them), the crawl module no set of forwarded pages, the ranking scan no
+    synced out-links (the graph's source edges), and the update module an
+    importance table only when the policy reads it."""
     policy = PolicySpec(revisit_policy="optimal", use_importance=use_importance)
-    plain = IncrementalCrawler(tiny_web, crawler_spec(), policy)
-    expected = result_fingerprint(plain, plain.run())
     checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=7.0)
     states = []
     checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
     IncrementalCrawler(tiny_web, crawler_spec(), policy).run(checkpointer=checkpointer)
-    state = states[1]
-    assert state["format"] == CHECKPOINT_FORMAT == 5
-    assert "inlinks" not in state["allurls"]
+    state = resolve_urls(states[-1])
+    assert set(state["allurls"]) == {"url", "discovered_at", "last_failed_at"}
     assert set(state["crawl"]) == {"pages_fetched", "pages_failed"}
-    assert "graph_outlinks" not in state["ranking"]
-    kept = state["update"]["importance"]["urls"]
-    assert bool(kept) == use_importance
-
-    # The four tables as they were written.
-    graph = LinkGraph()
-    graph.restore_snapshot(state["ranking"]["graph"])
-    outlinks = graph.outlinks_by_source()
-    inlinks = {}
-    for source, targets in outlinks.items():
-        for target in targets:
-            inlinks.setdefault(target, set()).add(source)
-    state["allurls"]["inlinks"] = [
-        sorted(inlinks.get(url, ())) for url in state["allurls"]["url"]
-    ]
-    state["crawl"]["links_recorded"] = sorted(state["collection"]["url"])
-    state["ranking"]["graph_outlinks"] = {
-        url: list(links) for url, links in outlinks.items()
+    assert set(state["ranking"]) == {
+        "scans_completed", "pages_replaced", "pages_admitted", "graph", "warm"
     }
-    if not use_importance:
-        scored = graph.active_urls()
-        state["update"]["importance"] = {
-            "urls": scored, "values": pack_floats([1.0 / len(scored)] * len(scored))
-        }
-
-    backend = SqliteBackend()
-    CrawlCheckpointer(backend, every_days=7.0).save(state, state["checkpoint_at"])
-    loader = CrawlCheckpointer(backend, every_days=7.0)
-    resumed = IncrementalCrawler(tiny_web, crawler_spec(), policy)
-    outcome = resumed.run(checkpointer=loader, resume_state=loader.load())
-    assert result_fingerprint(resumed, outcome) == expected
+    assert bool(state["update"]["importance"]["urls"]) == use_importance
 
 
 def test_resume_rejects_mismatched_run_shape(tiny_web):
@@ -568,6 +533,25 @@ def test_runner_resume_continues_interrupted_run(tmp_path):
     assert resumed.summary == uninterrupted.summary
 
 
+def test_a_stored_format_5_checkpoint_is_refused_by_name(tmp_path):
+    """A format-5 store (URL columns spelt out, intervals stored) verifies
+    under the same header rule, so the resume refuses it by its stamp."""
+    path = str(tmp_path / "format5.sqlite")
+    spec = ExperimentSpec(
+        name="f5", web=WEB_SPEC,
+        crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
+    )
+    old = resolve_urls(_kill_runner_store_after_second_save(path, spec))
+    old["format"] = 5
+    backend = SqliteBackend(path)
+    CrawlCheckpointer(backend, every_days=5.0, spec_hash=spec.spec_hash()).save(
+        old, old["checkpoint_at"]
+    )
+    backend.close()
+    with pytest.raises(ValueError, match="format 5 cannot be resumed.* format 6 only"):
+        run(spec, store=path, resume=True)
+
+
 def flip_latest_slot(conn):
     """Damage one character of the latest checkpoint slot's stored text."""
     (text,) = conn.execute(
@@ -591,20 +575,20 @@ def test_a_store_with_the_old_records_table_resumes_and_leaves_it_untouched(
         crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
     )
     uninterrupted = run(spec)
-    state = _kill_runner_store_after_second_save(path, spec)
+    collection = resolve_urls(_kill_runner_store_after_second_save(path, spec))["collection"]
     conn = sqlite3.connect(path)
     conn.execute(OLD_RECORDS_DDL["mirror"])
     conn.executemany("INSERT INTO records VALUES (?, ?, ?, ?, ?, ?, ?, ?)", [
         (r.url, r.version, r.fetched_at, r.first_fetched_at, json.dumps(list(r.outlinks)),
          r.importance, r.visit_count, r.change_count)
-        for r in records_from_columns(state["collection"])
+        for r in records_from_columns(collection)
     ])
     if slot == "fallback":
         flip_latest_slot(conn)
     conn.commit()
     conn.close()
     before = old_table(path, "records")
-    assert len(before[1]) == len(state["collection"]["url"]) > 0
+    assert len(before[1]) == len(collection["url"]) > 0
 
     resumed = run(spec, store=path, resume=True)
     assert resumed.series == uninterrupted.series
@@ -614,10 +598,9 @@ def test_a_store_with_the_old_records_table_resumes_and_leaves_it_untouched(
 
 @pytest.mark.parametrize("slot", ["latest", "fallback"])
 def test_a_store_with_the_old_event_log_resumes_and_leaves_it_untouched(tmp_path, slot):
-    """The previous build appended every fetch to an ``events`` table and
-    counted them in each checkpoint's ``journal`` key. Such a store resumes,
-    from either slot, to the uninterrupted result and final image, and the
-    table is neither read nor written."""
+    """An older build appended every fetch to an ``events`` table. A store
+    carrying one resumes, from either slot, to the uninterrupted result and
+    final image, and the table is neither read nor written."""
     path = str(tmp_path / "old.sqlite")
     spec = ExperimentSpec(
         name="old", web=WEB_SPEC,
@@ -626,19 +609,15 @@ def test_a_store_with_the_old_event_log_resumes_and_leaves_it_untouched(tmp_path
     uninterrupted = run(spec)
     _kill_runner_store_after_second_save(path, spec)
 
-    # Both slots as that build wrote them: the same checkpoints with the
-    # journal's event count, saved in order so the first is demoted.
+    # One event per fetch up to each slot's checkpoint.
     backend = SqliteBackend(path)
     slots = [backend.load_state(CHECKPOINT_PREV_STATE_KEY),
              backend.load_state(CHECKPOINT_STATE_KEY)]
-    writer = CrawlCheckpointer(backend, every_days=5.0, spec_hash=spec.spec_hash())
-    for state in slots:
-        crawled = state["crawl"]
-        state["journal"] = {"events_logged": crawled["pages_fetched"] + crawled["pages_failed"]}
-        writer.save(state, state["checkpoint_at"])
     backend.close()
-    logged = slots[-1]["journal"]["events_logged"]
-    urls = slots[-1]["collection"]["url"]
+    previous, logged = (
+        state["crawl"]["pages_fetched"] + state["crawl"]["pages_failed"] for state in slots
+    )
+    urls = resolve_urls(slots[-1])["collection"]["url"]
     conn = sqlite3.connect(path)
     conn.execute(OLD_EVENTS_DDL)
     conn.executemany("INSERT INTO events VALUES (?, ?, ?, ?, ?)", [
@@ -650,7 +629,7 @@ def test_a_store_with_the_old_event_log_resumes_and_leaves_it_untouched(tmp_path
     conn.commit()
     conn.close()
     before = old_table(path, "events")
-    assert len(before[1]) == logged > slots[0]["journal"]["events_logged"] > 0
+    assert len(before[1]) == logged > previous > 0
 
     resumed = run(spec, store=path, resume=True)
     assert resumed.series == uninterrupted.series

@@ -24,6 +24,7 @@ import pytest
 from repro.api.registry import STORAGE_BACKENDS
 from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
 from repro.storage import PageRecord, SqliteBackend, record_to_dict
+from repro.storage.checkpoint import unpack_array
 from repro.storage.records import records_from_columns, records_to_columns
 
 
@@ -504,7 +505,7 @@ def test_record_columns_hold_one_column_per_field():
         "url", "version", "fetched_at", "first_fetched_at", "outlinks",
         "importance", "visit_count", "change_count",
     ]
-    assert columns["version"] == [4, 9]
+    assert unpack_array(columns["version"], "<i8").tolist() == [4, 9]
 
 
 # --------------------------------------------------------------------- #
