@@ -111,8 +111,9 @@ def unpack_floats(text: str) -> List[float]:
 def pack_ints(values: Sequence[int], dtype: str = INT) -> str:
     """An int or bool list or ndarray as base64 of its ``dtype`` bytes.
 
-    Raises ``ValueError`` when a value does not fit ``dtype``: a column is
-    never wrapped or truncated into another value.
+    Raises ``ValueError`` when a value does not fit ``dtype``
+    (``OverflowError`` past 64 bits): a column is never wrapped or
+    truncated into another value.
     """
     array = np.array(values, dtype=np.int64)
     packed = array.astype(dtype)
