@@ -77,6 +77,7 @@ from repro.api.specs import (  # noqa: E402
     WebSpec,
 )
 from repro.core.incremental_crawler import IncrementalCrawler  # noqa: E402
+from repro.core import sharded_crawler  # noqa: E402
 from repro.core.sharded_crawler import ShardedCrawler  # noqa: E402
 from repro.freshness.metrics import collection_age, collection_freshness  # noqa: E402
 from repro.freshness.optimal_allocation import (  # noqa: E402
@@ -91,7 +92,7 @@ from repro.simweb.change_models import PoissonChangeProcess  # noqa: E402
 from repro.simweb.page import SimulatedPage  # noqa: E402
 from repro.simweb.site import SimulatedSite  # noqa: E402
 from repro.simweb.web import SimulatedWeb  # noqa: E402
-from repro.storage.records import PageRecord, record_to_dict  # noqa: E402
+from repro.storage.records import PageRecord  # noqa: E402
 
 from reference.crawl import ReferenceIncrementalCrawler  # noqa: E402
 from reference.kernels import (  # noqa: E402
@@ -341,19 +342,26 @@ def check_crawl_identity(
             crawler = crawler_class(web, spec, policy, seed_urls=seed_urls)
             result = crawler.run()
             failures = crawler.failure_counters()
-            records = [
-                record_to_dict(r) for r in crawler.collection.working_records()
-            ]
-            estimator = crawler.update_module.snapshot()
-            extras = {"queue": crawler.collurls.snapshot()}
         else:
+            # One shard runs inline: catch its crawler, whose collection and
+            # estimator state stay out of the sharded result.
+            inline = []
+
+            def catching(*args, **kwargs):
+                inline.append(IncrementalCrawler(*args, **kwargs))
+                return inline[-1]
+
             sharded = spec.replace(engine="sharded", shards=shards, workers=1)
-            result = ShardedCrawler(
-                web, sharded, policy, seed_urls=seed_urls
-            ).run()
-            failures, records = result.failures, result.records
-            estimator = dict(result.estimator_state)
-            extras = {}
+            sharded_crawler.IncrementalCrawler = catching
+            try:
+                result = ShardedCrawler(
+                    web, sharded, policy, seed_urls=seed_urls
+                ).run()
+            finally:
+                sharded_crawler.IncrementalCrawler = IncrementalCrawler
+            (crawler,) = inline
+            failures = result.failures
+        estimator = crawler.update_module.snapshot()
         # The tracker's own state is compared through its counters.
         estimator.pop("failures", None)
         return {
@@ -367,9 +375,9 @@ def check_crawl_identity(
             # Non-zero counters only, so "no tracker" and "a tracker that
             # never saw a failure" compare equal: that is the zero-rate claim.
             "failures": {k: v for k, v in (failures or {}).items() if v},
-            "records": records,
+            "records": crawler.collection.working_records(),
             "estimator": estimator,
-            **extras,
+            "queue": crawler.collurls.snapshot(),
         }
 
     polite = dict(

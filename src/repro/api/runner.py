@@ -336,7 +336,7 @@ def _run_sharded_crawl(
     summary = _crawl_summary(
         crawler_spec.kind,
         outcome,
-        len(outcome.records),
+        outcome.collection_size,
         None if outcome.failures is None else dict(outcome.failures),
         shards=outcome.shards,
         workers=outcome.workers,

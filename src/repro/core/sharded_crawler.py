@@ -12,8 +12,8 @@ the per-shard results deterministically.
 Determinism contract:
 
 * ``shards=1`` never starts a process — it degenerates to the plain
-  :class:`~repro.core.incremental_crawler.IncrementalCrawler`, so the
-  result is bit-identical to the unsharded crawler (series, counters,
+  :class:`~repro.core.incremental_crawler.IncrementalCrawler`, run inline,
+  so the run is bit-identical to the unsharded crawler (series, counters,
   estimator state, per-record fetch timestamps).
 * For ``shards=N`` the run is a pure function of ``(web, spec, shards)``:
   each shard's sub-crawl is sequential and self-contained (politeness
@@ -21,6 +21,11 @@ Determinism contract:
   site-affine boundary), and the merge folds shard results in shard-index
   order regardless of which worker finished first. Re-running with any
   ``workers`` count reproduces the same result bit for bit.
+
+A shard returns only what the merge reads: its series, counters, capacity,
+budget, attainable quality mass, fetch and failure counts, and the size of
+its final collection. Its collection and estimator state stay in the
+shard's own store (final image and checkpoints), written once there.
 
 Per-shard persistence lives in sibling stores (``{path}.shard00``, ...)
 with namespaced state keys, so a SIGKILLed sharded run resumes cleanly:
@@ -38,7 +43,6 @@ from repro.api.registry import STORAGE_BACKENDS
 from repro.api.specs import CrawlerSpec, PolicySpec
 from repro.core.incremental_crawler import CrawlRunResult, IncrementalCrawler
 from repro.core.sharding import ShardView
-from repro.core.update_module import UpdateModule
 from repro.core.worker_pool import Job, run_jobs
 from repro.simulation.freshness_tracker import FreshnessTimeSeries
 from repro.simweb.shared import SharedWeb
@@ -49,7 +53,6 @@ from repro.storage.checkpoint import (
     CrawlCheckpointer,
     namespaced_state_key,
 )
-from repro.storage.records import record_to_dict
 
 
 def shard_namespace(index: int) -> str:
@@ -101,20 +104,17 @@ class ShardRunSpec:
 class ShardedCrawlResult(CrawlRunResult):
     """A merged sharded run: the usual series/counters plus shard extras.
 
+    The shards' collections and estimator states are not merged: each
+    stays in its shard's store (final image and checkpoints).
+
     Attributes:
-        records: Final collection records of every shard (as dicts, in
-            shard-index order, each shard's records in its collection
-            order) — the merged collection image.
-        estimator_state: Merged :meth:`UpdateModule.snapshot` document
-            (see :meth:`UpdateModule.merge_snapshots`); for a single-shard
-            run this is the crawler's snapshot verbatim.
+        collection_size: Pages in the shards' final collections, summed.
         shards: Number of non-empty shards that ran.
         workers: Worker-process cap the run was launched with.
         per_shard: One summary dict per shard, in shard-index order.
     """
 
-    records: List[dict] = field(default_factory=list)
-    estimator_state: Optional[dict] = None
+    collection_size: int = 0
     shards: int = 1
     workers: int = 1
     per_shard: List[dict] = field(default_factory=list)
@@ -167,6 +167,12 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
                         f"{saved.get('n_shards')}-shard run, resuming a "
                         f"{job.view.n_shards}-shard one"
                     )
+                if "collection_size" not in saved:
+                    raise ValueError(
+                        f"shard {job.view.index} store holds a result written "
+                        "by an older build (with records and estimator state, "
+                        "without collection_size); start a fresh run"
+                    )
                 return saved
             resume_state = checkpointer.load()
             # Unlike an unsharded resume (``api.runner._run_crawl`` refuses
@@ -208,11 +214,7 @@ def _run_shard(job: ShardRunSpec, web: SimulatedWeb) -> dict:
                 "changes_detected": outcome.changes_detected,
                 "pages_replaced": outcome.pages_replaced,
             },
-            "update": crawler.update_module.snapshot(),
-            "records": [
-                record_to_dict(record)
-                for record in crawler.collection.working_records()
-            ],
+            "collection_size": len(crawler.collection.working_records()),
             "attainable": crawler.quality_attainable(),
             "fetch_count": crawler._fetcher.fetch_count,
             "failures": crawler.failure_counters(),
@@ -413,7 +415,7 @@ class ShardedCrawler:
             result.pages_failed += int(counters["pages_failed"])
             result.changes_detected += int(counters["changes_detected"])
             result.pages_replaced += int(counters["pages_replaced"])
-            result.records.extend(p["records"])
+            result.collection_size += int(p["collection_size"])
             per_shard = {
                 "shard": p["shard_index"],
                 "capacity": p["capacity"],
@@ -430,7 +432,4 @@ class ShardedCrawler:
                 for key, value in failures.items():
                     result.failures[key] = result.failures.get(key, 0) + int(value)
             result.per_shard.append(per_shard)
-        result.estimator_state = UpdateModule.merge_snapshots(
-            [p["update"] for p in payloads]
-        )
         return result

@@ -35,7 +35,7 @@ from repro.faults import (
     STATUS_TIMEOUT,
     FailureTracker,
 )
-from repro.storage.checkpoint import join_packed, pack_floats, unpack_floats
+from repro.storage.checkpoint import pack_floats, unpack_floats
 
 
 #: Trailing window of change history kept per page (the paper suggests
@@ -586,72 +586,9 @@ class UpdateModule:
             state["failures"] = self.failure_tracker.snapshot()
         return state
 
-    @classmethod
-    def merge_snapshots(cls, snapshots: Sequence[dict]) -> dict:
-        """Combine per-shard :meth:`snapshot` payloads into one document.
-
-        Shards own disjoint URL universes (site-affine partitioning), so
-        the URL-keyed tables union without collisions; the union iterates
-        ``snapshots`` in order, which makes the merged document a pure
-        function of the (deterministically ordered) shard results. The
-        module-level counters sum. Per-estimator internals are *not*
-        blended into one estimator state — each shard's estimator observed
-        only its own pages, so blending would fabricate a history no
-        crawler ever had; instead the merged document keeps every shard's
-        estimator state verbatim under ``"shards"`` and the scalar tables
-        a consumer actually reads (rates, intervals, importance) merged.
-
-        A single-shard merge returns that snapshot unchanged — this is
-        what makes ``shards=1`` bit-identical to the unsharded engine.
-        """
-        snapshots = list(snapshots)
-        if not snapshots:
-            raise ValueError("merge_snapshots needs at least one snapshot")
-        if len(snapshots) == 1:
-            return snapshots[0]
-        merged = {
-            table: _concat_columns([snapshot[table] for snapshot in snapshots])
-            for table in ("histories", "rate_estimates", "intervals")
-        }
-        for columns in merged.values():
-            seen = set()
-            for url in columns["urls"]:
-                if url in seen:
-                    raise ValueError(
-                        f"URL {url!r} appears in more than one shard "
-                        "snapshot; shard universes must be disjoint"
-                    )
-                seen.add(url)
-        # Importance is *derived* data — the ranking scan scores every
-        # link-graph node, including foreign-site link targets a shard
-        # discovered but never crawled, so scores for a foreign root can
-        # legitimately appear in several shards. First shard wins
-        # (shard-index order), which keeps the merge deterministic; the
-        # crawled-page tables above stay strictly disjoint.
-        importance: Dict[str, float] = {}
-        for snapshot in snapshots:
-            for url, score in _unpack_table(snapshot["importance"]).items():
-                importance.setdefault(url, score)
-        merged.update(importance=_pack_table(importance), last_reallocation=None,
-                      estimator=None, pages_processed=0, changes_detected=0, shards=[])
-        for snapshot in snapshots:
-            last = snapshot["last_reallocation"]
-            if last is not None and (
-                merged["last_reallocation"] is None
-                or last > merged["last_reallocation"]
-            ):
-                merged["last_reallocation"] = last
-            merged["pages_processed"] += int(snapshot["pages_processed"])
-            merged["changes_detected"] += int(snapshot["changes_detected"])
-            merged["shards"].append(snapshot["estimator"])
-        failure_states = [s["failures"] for s in snapshots if "failures" in s]
-        if failure_states:
-            merged["failures"] = FailureTracker.merge_snapshots(failure_states)
-        return merged
-
     def restore_snapshot(self, state: dict) -> None:
         """Rebuild module state exactly as captured by :meth:`snapshot`."""
-        self._histories = histories_from_columns(state["histories"])
+        self._histories = histories_from_columns(state["histories"], HISTORY_WINDOW_DAYS)
         self._rate_estimates = _unpack_table(state["rate_estimates"])
         self._intervals = _unpack_table(state["intervals"])
         self._importance = _unpack_table(state["importance"])
@@ -675,12 +612,3 @@ def _pack_table(table: Dict[str, float]) -> dict:
 def _unpack_table(columns: dict) -> Dict[str, float]:
     return dict(zip(columns["urls"], unpack_floats(columns["values"])))
 
-
-def _concat_columns(parts: Sequence[dict]) -> dict:
-    """Concatenate column documents key by key (packed columns byte by byte)."""
-    return {
-        key: join_packed([part[key] for part in parts])
-        if isinstance(first, str)
-        else [v for part in parts for v in part[key]]
-        for key, first in parts[0].items()
-    }

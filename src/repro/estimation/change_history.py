@@ -205,20 +205,18 @@ class ChangeHistory:
 def histories_to_columns(histories: Dict[str, ChangeHistory]) -> dict:
     """Checkpoint columns for many histories, in dict order, every slot packed.
 
-    Observations are concatenated (``counts`` splits them); ``None`` windows
-    pack as NaN. Of the intervals only each page's first is kept (NaN for a
-    page without observations): every later one is its visit time minus the
-    previous visit's. ``interval_sum`` travels verbatim: recomputing its
-    left-fold on restore could differ in the last ulp.
+    Observations are concatenated (``counts`` splits them). Of the
+    intervals only each page's first is kept (NaN for a page without
+    observations): every later one is its visit time minus the previous
+    visit's. A page's last visit is its last visit time, or its first visit
+    without one, and every history shares its owner's window, so neither is
+    stored. ``interval_sum`` travels verbatim: recomputing its left-fold on
+    restore could differ in the last ulp.
     """
     values = list(histories.values())
     return {
         "urls": list(histories),
         "first_visit": pack_floats([h.first_visit for h in values]),
-        "window_days": pack_floats(
-            [math.nan if h.window_days is None else h.window_days for h in values]
-        ),
-        "last_visit": pack_floats([h._last_visit for h in values]),
         "n_changes": pack_ints([h._n_changes for h in values]),
         "interval_sum": pack_floats([h._interval_sum for h in values]),
         "counts": pack_ints([len(h._times) for h in values]),
@@ -230,11 +228,14 @@ def histories_to_columns(histories: Dict[str, ChangeHistory]) -> dict:
     }
 
 
-def histories_from_columns(columns: dict) -> Dict[str, ChangeHistory]:
+def histories_from_columns(
+    columns: dict, window_days: Optional[float]
+) -> Dict[str, ChangeHistory]:
     """Rebuild the histories :func:`histories_to_columns` wrote, exactly.
 
-    Each interval but a page's first is rebuilt as ``time - previous time``,
-    the float subtraction :meth:`ChangeHistory.record_visit` made.
+    Every history gets ``window_days``, the window they were recorded
+    under. Each interval but a page's first is rebuilt as ``time - previous
+    time``, the float subtraction :meth:`ChangeHistory.record_visit` made.
     """
     times = unpack_array(columns["times"], "<f8")
     counts = unpack_array(columns["counts"])
@@ -246,19 +247,17 @@ def histories_from_columns(columns: dict) -> Dict[str, ChangeHistory]:
     times, intervals = times.tolist(), intervals.tolist()
     changed = unpack_array(columns["changed"], "?").tolist()
     histories: Dict[str, ChangeHistory] = {}
-    for url, first_visit, window_days, last_visit, n_changes, interval_sum, start, count in zip(
+    for url, first_visit, n_changes, interval_sum, start, count in zip(
         columns["urls"],
         unpack_floats(columns["first_visit"]),
-        unpack_floats(columns["window_days"]),
-        unpack_floats(columns["last_visit"]),
         unpack_array(columns["n_changes"]).tolist(),
         unpack_floats(columns["interval_sum"]),
         starts.tolist(),
         counts.tolist(),
     ):
         end = start + count
-        history = ChangeHistory(first_visit, None if math.isnan(window_days) else window_days)
-        history._last_visit = last_visit
+        history = ChangeHistory(first_visit, window_days)
+        history._last_visit = times[end - 1] if count else first_visit
         history._times = deque(times[start:end])
         history._changed = deque(changed[start:end])
         history._intervals = deque(intervals[start:end])

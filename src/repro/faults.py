@@ -23,8 +23,8 @@ Three layers live here:
   a :class:`~repro.api.specs.RetrySpec` — exponential backoff with seeded
   jitter, per-site retry budgets, and a per-site circuit breaker with
   decaying probe frequency.
-  The tracker is plain serializable state (snapshot/restore/merge) so it
-  rides in checkpoints and shard payloads.
+  The tracker is plain serializable state (snapshot/restore) so it rides
+  in checkpoints.
 """
 
 from __future__ import annotations
@@ -644,7 +644,7 @@ class FailureTracker:
         return completed + delay
 
     # -------------------------------------------------------------- #
-    # Checkpointing and shard merge
+    # Checkpointing
     # -------------------------------------------------------------- #
     def snapshot(self) -> dict:
         """JSON-serializable tracker state."""
@@ -675,32 +675,3 @@ class FailureTracker:
         self.counters = {name: 0 for name in _COUNTER_NAMES}
         for key, value in state["counters"].items():
             self.counters[str(key)] = int(value)
-
-    @staticmethod
-    def merge_snapshots(states: Sequence[dict]) -> dict:
-        """Merge per-shard tracker snapshots (site-affine, hence disjoint)."""
-        merged = {
-            "attempts": {},
-            "site_failures": {},
-            "site_retries": {},
-            "breaker_until": {},
-            "breaker_trips": {},
-            "counters": {name: 0 for name in _COUNTER_NAMES},
-        }
-        for state in states:
-            for table in (
-                "attempts",
-                "site_failures",
-                "site_retries",
-                "breaker_until",
-                "breaker_trips",
-            ):
-                for key, value in state[table].items():
-                    if key in merged[table]:
-                        raise ValueError(
-                            f"failure tracker merge collision in {table!r}: {key!r}"
-                        )
-                    merged[table][key] = value
-            for key, value in state["counters"].items():
-                merged["counters"][key] = merged["counters"].get(key, 0) + int(value)
-        return merged

@@ -22,14 +22,13 @@ This package provides:
   save commits the store.
 """
 
-from repro.storage.records import PageRecord, record_to_dict
+from repro.storage.records import PageRecord
 from repro.storage.collection import Collection, InPlaceCollection, ShadowCollection
 from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import CollectionJournal, CrawlCheckpointer
 
 __all__ = [
     "PageRecord",
-    "record_to_dict",
     "Collection",
     "InPlaceCollection",
     "ShadowCollection",

@@ -63,14 +63,15 @@ RESULT_STATE_KEY = "result"
 COLLECTION_STATE_KEY = "collection"
 #: Dtype of a checkpoint's packed int columns, URL indices included.
 INT = "<i4"
-#: Version stamp of the checkpoint document layout. Format 6 names each URL
+#: Version stamp of the checkpoint document layout. Format 7 names each URL
 #: once: ``allurls.url`` is the document's URL table, every other URL column
 #: is an index column into it, every int and bool column is packed, and the
-#: histories drop the intervals a restore rebuilds from their visit times.
+#: histories drop what a restore rebuilds: the intervals and last visits
+#: from their visit times, the window from the module's one constant.
 #: A document of any other format is refused by name: one without the
 #: integrity header (formats 1-2) at :meth:`CrawlCheckpointer.load`, one
-#: with it (formats 3-5) when the crawler restores it.
-CHECKPOINT_FORMAT = 6
+#: with it (formats 3-6) when the crawler restores it.
+CHECKPOINT_FORMAT = 7
 # A stored checkpoint is this header followed by the document's own JSON
 # text minus its opening brace; the digest covers "{" + that remainder.
 _HEADER = '{"integrity": "%s", '
@@ -125,11 +126,6 @@ def pack_ints(values: Sequence[int], dtype: str = INT) -> str:
 def unpack_array(text: str, dtype: str = INT) -> np.ndarray:
     """A packed column as a read-only ndarray of ``dtype`` over its bytes."""
     return np.frombuffer(base64.b64decode(text), dtype=dtype)
-
-
-def join_packed(columns: Sequence[str]) -> str:
-    """Packed columns of one dtype as one, concatenated in order."""
-    return base64.b64encode(b"".join(map(base64.b64decode, columns))).decode("ascii")
 
 
 #: Key paths of a crawler snapshot's URL columns besides ``allurls.url``.

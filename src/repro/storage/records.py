@@ -52,25 +52,6 @@ class PageRecord:
             raise ValueError("change_count must be between 0 and visit_count")
 
 
-def record_to_dict(record: PageRecord) -> dict:
-    """A JSON-serializable dict holding every field of ``record``.
-
-    Floats survive a JSON round trip bit-exactly (``json`` serialises with
-    ``repr``, the shortest round-tripping form), which the checkpoint/resume
-    parity guarantee relies on.
-    """
-    return {
-        "url": record.url,
-        "version": record.version,
-        "fetched_at": record.fetched_at,
-        "first_fetched_at": record.first_fetched_at,
-        "outlinks": list(record.outlinks),
-        "importance": record.importance,
-        "visit_count": record.visit_count,
-        "change_count": record.change_count,
-    }
-
-
 #: Every field in constructor order, and the ones a checkpoint packs (the
 #: version as 64 bits: it plays the paper's page checksum).
 _FIELDS = tuple(f.name for f in fields(PageRecord))

@@ -6,9 +6,10 @@ Every per-URL float column of a checkpoint is written by ``pack_floats``
 into that one URL table (``index_urls``). These tests hold the float round
 trip bytes-exact for every 64-bit pattern, refuse an int that does not fit,
 hold snapshots carrying non-finite or missing values ``==`` after a JSON
-round trip, rebuild windowed histories' intervals bit for bit, resume shard
-checkpoints whose URL table holds strays, and check without a stopwatch
-that no JSON token but ``allurls.url``'s grows with the collection.
+round trip, rebuild windowed histories' intervals and last visits bit for
+bit, resume shard checkpoints whose URL table holds strays, and check
+without a stopwatch that no JSON token but ``allurls.url``'s grows with the
+collection.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.sharding import ShardView
-from repro.core.update_module import UpdateModule
+from repro.core.update_module import HISTORY_WINDOW_DAYS, UpdateModule
 from repro.estimation.change_history import (
     ChangeHistory,
     histories_from_columns,
@@ -75,10 +76,11 @@ def _update_module() -> UpdateModule:
 
 def test_update_snapshot_with_an_infinite_interval_restores_equal():
     module = _update_module()
-    history = ChangeHistory(first_visit=0.0, window_days=180.0)
+    history = ChangeHistory(first_visit=0.0, window_days=HISTORY_WINDOW_DAYS)
     history.record_visit(2.5, changed=True)
     history.record_visit(4.0, changed=False)
-    module._histories = {"http://a.com/": history, "http://b.com/": ChangeHistory(1.0)}
+    unvisited = ChangeHistory(1.0, window_days=HISTORY_WINDOW_DAYS)
+    module._histories = {"http://a.com/": history, "http://b.com/": unvisited}
     module._rate_estimates = {"http://a.com/": 0.4}
     module._intervals = {"http://a.com/": math.inf, "http://b.com/": -0.0}
     module.set_importance({"http://b.com/": 5e-324})
@@ -89,7 +91,9 @@ def test_update_snapshot_with_an_infinite_interval_restores_equal():
     assert restored.snapshot() == snapshot
     assert restored._intervals == module._intervals
     assert restored.history("http://a.com/").observations == history.observations
-    assert restored.history("http://b.com/").window_days is None
+    assert restored.history("http://a.com/").last_visit == 4.0
+    assert restored.history("http://b.com/").last_visit == 1.0
+    assert restored.history("http://b.com/").window_days == HISTORY_WINDOW_DAYS
 
 
 def test_allurls_snapshot_with_a_never_failed_url_restores_equal():
@@ -141,7 +145,8 @@ def _bits(value):
 @example(first_visit=1.0 / 3.0, window_days=1.0, pages=[[(0.1, True)] * 20, []])
 def test_windowed_histories_restore_bit_identically(first_visit, window_days, pages):
     """Only each page's first interval is stored; the rest are rebuilt from
-    the visit times by the crawler's own subtraction, trimmed or not."""
+    the visit times by the crawler's own subtraction, trimmed or not, and
+    the last visit and the window without being stored at all."""
     histories = {}
     for index, visits in enumerate(pages):
         history = ChangeHistory(first_visit, window_days)
@@ -150,7 +155,9 @@ def test_windowed_histories_restore_bit_identically(first_visit, window_days, pa
             time += step
             history.record_visit(time, changed)
         histories[f"http://p{index}.com/"] = history
-    restored = histories_from_columns(json.loads(json.dumps(histories_to_columns(histories))))
+    columns = histories_to_columns(histories)
+    assert "window_days" not in columns and "last_visit" not in columns
+    restored = histories_from_columns(json.loads(json.dumps(columns)), window_days)
     assert list(restored) == list(histories)
     for url, history in histories.items():
         for slot in ChangeHistory.__slots__:

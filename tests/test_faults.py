@@ -379,19 +379,6 @@ class TestFailureTracker:
             "u4", "s1", STATUS_TIMEOUT, 4.0
         )
 
-    def test_merge_snapshots_sums_counters_and_rejects_collisions(self):
-        a = FailureTracker(RetrySpec(), seed=0)
-        a.on_failure("u1", "s1", STATUS_TIMEOUT, 1.0)
-        b = FailureTracker(RetrySpec(), seed=0)
-        b.on_failure("u2", "s2", STATUS_SERVER_ERROR, 1.0)
-        merged = FailureTracker.merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["counters"]["timeouts"] == 1
-        assert merged["counters"]["server_errors"] == 1
-        assert merged["counters"]["retries"] == 2
-        assert set(merged["attempts"]) == {"u1", "u2"}
-        with pytest.raises(ValueError, match="collision"):
-            FailureTracker.merge_snapshots([a.snapshot(), a.snapshot()])
-
 
 # --------------------------------------------------------------------------- #
 # Hypothesis properties

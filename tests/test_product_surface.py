@@ -89,6 +89,10 @@ RETIRED_NAMES = {
     "version_at", "changes_between", "changed_between", "next_change_after",
     "last_change_at_or_before", "observed_intervals", "_check_time", "cho_pagerank",
     "hits",
+    # A shard returns counts and series: its collection and estimator state
+    # stay in its own store, and no merged estimator document is built.
+    "merge_snapshots", "join_packed", "_concat_columns", "estimator_state",
+    "record_to_dict",
 }
 
 #: Entry points the benchmark's layer tracer names but no product path

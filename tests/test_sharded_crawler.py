@@ -5,7 +5,8 @@ The determinism contract under test:
 * ``shards=1`` (inline, no processes) is bit-identical to the plain
   batched :class:`~repro.core.incremental_crawler.IncrementalCrawler` —
   series, counters, estimator snapshot and per-record fetch timestamps.
-* For fixed ``(web, spec, shards)`` the merged result is reproducible
+* For fixed ``(web, spec, shards)`` the merged result and every shard
+  store's final collection image and checkpoints are reproducible
   regardless of the worker count: worker scheduling must never leak into
   results.
 * The same holds through the spec layer (``engine="sharded"``) and the
@@ -25,8 +26,13 @@ from repro.core.worker_pool import run_jobs
 from repro.simweb import web as web_module
 from repro.simweb.generator import generate_web
 from repro.storage.backends import SqliteBackend
-from repro.storage.checkpoint import RESULT_STATE_KEY
-from repro.storage.records import record_to_dict
+from repro.storage.checkpoint import (
+    CHECKPOINT_PREV_STATE_KEY,
+    CHECKPOINT_STATE_KEY,
+    COLLECTION_STATE_KEY,
+    RESULT_STATE_KEY,
+    namespaced_state_key,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,21 +76,47 @@ def _fingerprint(result):
         "pages_failed": result.pages_failed,
         "changes_detected": result.changes_detected,
         "pages_replaced": result.pages_replaced,
-        "records": result.records,
-        "estimator_state": result.estimator_state,
+        "collection_size": result.collection_size,
         "per_shard": result.per_shard,
     }
 
 
+def _shard_store_texts(base, n_shards):
+    """Each shard store's final collection image and both checkpoint
+    slots, as their stored text."""
+    texts = {}
+    for index in range(n_shards):
+        namespace = sharded_crawler.shard_namespace(index)
+        backend = SqliteBackend(sharded_crawler.shard_store_path(base, index))
+        try:
+            for key in (COLLECTION_STATE_KEY, CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY):
+                key = namespaced_state_key(namespace, key)
+                texts[key] = backend.load_state_text(key)
+                assert texts[key] is not None, key
+        finally:
+            backend.close()
+    return texts
+
+
 class TestSingleShardBitIdentity:
-    def test_matches_plain_batched_crawler(self, shard_web):
+    def test_matches_plain_batched_crawler(self, shard_web, monkeypatch):
         plain = IncrementalCrawler(shard_web, _spec(duration_days=6.0), PolicySpec())
         plain_result = plain.run()
 
+        # shards=1 runs inline: capture the shard's crawler to read its
+        # collection and estimator state, which the result does not carry.
+        inline = []
+
+        def capturing(*args, **kwargs):
+            inline.append(IncrementalCrawler(*args, **kwargs))
+            return inline[-1]
+
+        monkeypatch.setattr(sharded_crawler, "IncrementalCrawler", capturing)
         sharded = ShardedCrawler(
             shard_web, _sharded(shards=1, workers=1, duration_days=6.0), PolicySpec()
         )
         merged = sharded.run()
+        (shard,) = inline
 
         assert list(merged.freshness.times) == list(plain_result.freshness.times)
         assert list(merged.freshness.freshness) == list(
@@ -97,24 +129,25 @@ class TestSingleShardBitIdentity:
         assert merged.changes_detected == plain_result.changes_detected
         assert merged.pages_replaced == plain_result.pages_replaced
         # Per-record fetch timestamps (and every other stored field).
-        assert merged.records == [
-            record_to_dict(record)
-            for record in plain.collection.working_records()
-        ]
-        assert merged.estimator_state == plain.update_module.snapshot()
+        assert shard.collection.working_records() == plain.collection.working_records()
+        assert shard.update_module.snapshot() == plain.update_module.snapshot()
+        assert merged.collection_size == len(plain.collection.working_records())
         assert merged.shards == 1
 
 
 class TestMultiShardDeterminism:
-    def test_worker_count_never_changes_results(self, shard_web):
-        serial = ShardedCrawler(
-            shard_web, _sharded(shards=2, workers=1, duration_days=5.0), PolicySpec()
-        ).run()
-        parallel = ShardedCrawler(
-            shard_web, _sharded(shards=2, workers=2, duration_days=5.0), PolicySpec()
-        ).run()
-        assert _fingerprint(serial) == _fingerprint(parallel)
-        assert serial.shards == 2
+    def test_worker_count_never_changes_results(self, shard_web, tmp_path):
+        runs = {}
+        for workers in (1, 2):
+            store = str(tmp_path / f"w{workers}.sqlite")
+            spec = _sharded(
+                shards=2, workers=workers, duration_days=5.0,
+                storage="sqlite", checkpoint_every=1.0,
+            )
+            result = ShardedCrawler(shard_web, spec, PolicySpec(), store_path=store).run()
+            runs[workers] = (_fingerprint(result), _shard_store_texts(store, 2))
+        assert runs[1] == runs[2]
+        assert runs[1][0]["collection_size"] > 0
 
     def test_merge_shape(self, shard_web):
         result = ShardedCrawler(
@@ -128,9 +161,7 @@ class TestMultiShardDeterminism:
         )
         assert all(0.0 <= f <= 1.0 for f in result.freshness.freshness)
         assert all(0.0 <= q <= 1.0 for q in result.quality)
-        # The merged estimator document keeps every shard's estimator
-        # verbatim instead of fabricating a blended history.
-        assert len(result.estimator_state["shards"]) == 2
+        assert 0 < result.collection_size <= 120
 
 class TestGroundTruthBeforeFork:
     @staticmethod
@@ -262,12 +293,47 @@ class TestShardedResume:
         )
         crawler_kwargs = dict(store_path=store, spec_hash="f" * 64)
         first = ShardedCrawler(shard_web, spec, PolicySpec(), **crawler_kwargs).run()
+        stored = _shard_store_texts(store, 2)
         # Every shard persisted its result; a resume replays it from the
-        # store without crawling (and without worker processes diverging).
-        resumed = ShardedCrawler(shard_web, spec, PolicySpec(), **crawler_kwargs).run(
-            resume=True
-        )
+        # store without crawling (and without worker processes diverging),
+        # at any worker count, and leaves the shard stores as they were.
+        resumed = ShardedCrawler(
+            shard_web, spec.replace(workers=1), PolicySpec(), **crawler_kwargs
+        ).run(resume=True)
         assert _fingerprint(first) == _fingerprint(resumed)
+        assert _shard_store_texts(store, 2) == stored
+
+    def test_an_older_builds_shard_result_is_refused_by_name(self, shard_web, tmp_path):
+        """A completed shard store from before shards returned counts held
+        the shard's records and estimator state and no collection size."""
+        store = str(tmp_path / "old.sqlite")
+        backend = SqliteBackend(sharded_crawler.shard_store_path(store, 0))
+        backend.save_state(namespaced_state_key("shard00", RESULT_STATE_KEY), {
+            "shard_index": 0,
+            "n_shards": 1,
+            "spec_hash": "f" * 64,
+            "capacity": 120,
+            "budget_per_day": 400.0,
+            "freshness": {"times": [0.0], "freshness": [1.0]},
+            "quality": {"times": [], "values": []},
+            "counters": {
+                "pages_crawled": 1, "pages_failed": 0,
+                "changes_detected": 0, "pages_replaced": 0,
+            },
+            "update": {"pages_processed": 1, "changes_detected": 0},
+            "records": [{"url": "http://a.com/", "version": 0}],
+            "attainable": None,
+            "fetch_count": 1,
+            "failures": None,
+        })
+        backend.flush()
+        backend.close()
+        spec = _sharded(shards=1, storage="sqlite", checkpoint_every=1.0, duration_days=4.0)
+        crawler = ShardedCrawler(
+            shard_web, spec, PolicySpec(), store_path=store, spec_hash="f" * 64
+        )
+        with pytest.raises(ValueError, match="shard 0 store holds a result written by an older build"):
+            crawler.run(resume=True)
 
     def test_resume_requires_persistence(self, shard_web):
         with pytest.raises(ValueError, match="resume"):

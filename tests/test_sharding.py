@@ -1,27 +1,22 @@
-"""Sharding primitives: partitioner properties, shard views, snapshots.
+"""Sharding primitives: partitioner properties, shard views, state keys.
 
 The crawler-level guarantees (``shards=1`` bit-identity, N-shard
 determinism) live in ``test_sharded_crawler.py``; this module pins the
 building blocks they rest on — the deterministic site partitioner, the
-shard-view split arithmetic, queue partitioning, snapshot merging and state
-key namespacing.
+shard-view split arithmetic, seed routing and state key namespacing.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.collurls import CollUrls
 from repro.core.sharding import ShardView, SitePartitioner, _largest_remainder_split
-from repro.api.specs import CrawlerSpec, PolicySpec, WebSpec
-from repro.core.update_module import UpdateModule
-from repro.estimation.change_history import ChangeHistory
+from repro.api.specs import WebSpec
 from repro.simweb.generator import generate_web
 from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     RESULT_STATE_KEY,
     namespaced_state_key,
-    unpack_floats,
 )
 
 site_ids = st.text(
@@ -128,66 +123,6 @@ class TestShardViewSplit:
         views = ShardView.split(tiny_web, 4, capacity=40, budget_per_day=120.0)
         routed = [url for view in views for url in view.seed_urls]
         assert sorted(routed) == sorted(tiny_web.seed_urls())
-
-
-class TestMergeSnapshots:
-    @staticmethod
-    def _module():
-        # Only a policy that weights pages by importance keeps the scores.
-        return UpdateModule(
-            CollUrls(), None, CrawlerSpec(), PolicySpec(use_importance=True)
-        )
-
-    @classmethod
-    def _snapshot(cls, urls, importance, processed=5):
-        module = cls._module()
-        for url in urls:
-            history = ChangeHistory(first_visit=0.0, window_days=180.0)
-            history.record_visit(float(processed), changed=True)
-            module._histories[url] = history
-            module._rate_estimates[url] = 0.5
-            module._intervals[url] = 2.0
-        module.set_importance(importance)
-        module._last_reallocation = float(processed)
-        module.pages_processed = processed
-        module.changes_detected = processed // 2
-        return module.snapshot()
-
-    def test_single_snapshot_verbatim(self):
-        snap = self._snapshot(["http://a.com/"], {"http://a.com/": 1.0})
-        assert UpdateModule.merge_snapshots([snap]) is snap
-
-    def test_disjoint_union_and_counter_sums(self):
-        a = self._snapshot(["http://a.com/"], {"http://a.com/": 1.0}, processed=4)
-        b = self._snapshot(["http://b.com/"], {"http://b.com/": 2.0}, processed=6)
-        merged = UpdateModule.merge_snapshots([a, b])
-        assert merged["histories"]["urls"] == ["http://a.com/", "http://b.com/"]
-        restored = self._module()
-        restored.restore_snapshot(merged)
-        assert restored.history("http://b.com/").last_visit == 6.0
-        assert restored.history("http://a.com/").intervals() == [4.0]
-        assert restored.estimated_rates() == {"http://a.com/": 0.5, "http://b.com/": 0.5}
-        assert merged["pages_processed"] == 10
-        assert merged["changes_detected"] == 5
-        assert merged["last_reallocation"] == 6.0
-        assert merged["shards"] == [a["estimator"], b["estimator"]]
-        assert merged["estimator"] is None
-
-    def test_crawled_state_collision_rejected(self):
-        a = self._snapshot(["http://a.com/"], {})
-        b = self._snapshot(["http://a.com/"], {})
-        with pytest.raises(ValueError, match="disjoint"):
-            UpdateModule.merge_snapshots([a, b])
-
-    def test_importance_collision_first_wins(self):
-        # Importance is derived from the link graph, which scores foreign
-        # link targets — the same URL can carry a score in several shards.
-        a = self._snapshot(["http://a.com/"], {"http://x.com/": 1.0})
-        b = self._snapshot(["http://b.com/"], {"http://x.com/": 9.0})
-        merged = UpdateModule.merge_snapshots([a, b])
-        importance = merged["importance"]
-        assert importance["urls"] == ["http://x.com/"]
-        assert unpack_floats(importance["values"]) == [1.0]
 
 
 class TestNamespacedStateKeys:

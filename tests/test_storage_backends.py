@@ -23,7 +23,7 @@ import pytest
 
 from repro.api.registry import STORAGE_BACKENDS
 from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
-from repro.storage import PageRecord, SqliteBackend, record_to_dict
+from repro.storage import PageRecord, SqliteBackend
 from repro.storage.checkpoint import unpack_array
 from repro.storage.records import records_from_columns, records_to_columns
 
@@ -493,7 +493,7 @@ def test_record_columns_roundtrip_through_json():
     records = [make_record("u/x", fetched_at=1.0 / 7.0), make_record("u/y", outlinks=())]
     columns = json.loads(json.dumps(records_to_columns(records)))
     rebuilt = records_from_columns(columns)
-    assert [record_to_dict(r) for r in rebuilt] == [record_to_dict(r) for r in records]
+    assert rebuilt == records
     assert rebuilt[0].fetched_at == records[0].fetched_at
     assert [r.outlinks for r in rebuilt] == [r.outlinks for r in records]
 
