@@ -533,11 +533,9 @@ def test_runner_resume_continues_interrupted_run(tmp_path):
     assert resumed.summary == uninterrupted.summary
 
 
-@pytest.mark.parametrize("old_format", [5, 6])
-def test_a_stored_older_format_checkpoint_is_refused_by_name(tmp_path, old_format):
-    """A format-5 store (URL columns spelt out, intervals stored) or a
-    format-6 one (histories' windows and last visits stored) verifies under
-    the same header rule, so the resume refuses it by its stamp."""
+def _refuse_stored_checkpoint_of_format(tmp_path, old_format):
+    """Store a verified checkpoint stamped ``old_format`` and assert the
+    resume refuses it by that stamp."""
     path = str(tmp_path / f"format{old_format}.sqlite")
     spec = ExperimentSpec(
         name=f"f{old_format}", web=WEB_SPEC,
@@ -555,6 +553,18 @@ def test_a_stored_older_format_checkpoint_is_refused_by_name(tmp_path, old_forma
         match=f"format {old_format} cannot be resumed.* format {CHECKPOINT_FORMAT} only",
     ):
         run(spec, store=path, resume=True)
+
+
+def test_a_stored_format_5_checkpoint_is_refused_by_name(tmp_path):
+    """A format-5 store (URL columns spelt out, intervals stored) verifies
+    under the same header rule, so the resume refuses it by its stamp."""
+    _refuse_stored_checkpoint_of_format(tmp_path, 5)
+
+
+def test_a_stored_format_6_checkpoint_is_refused_by_name(tmp_path):
+    """A format-6 store (histories' windows and last visits stored) verifies
+    under the same header rule, so the resume refuses it by its stamp."""
+    _refuse_stored_checkpoint_of_format(tmp_path, 6)
 
 
 def flip_latest_slot(conn):

@@ -163,6 +163,82 @@ class TestMultiShardDeterminism:
         assert all(0.0 <= q <= 1.0 for q in result.quality)
         assert 0 < result.collection_size <= 120
 
+
+def _payload(index, capacity, freshness, quality, attainable, failures=None, **counters):
+    """A hand-made shard result: one row of what ``_run_shard`` returns."""
+    return {
+        "shard_index": index,
+        "capacity": capacity,
+        "budget_per_day": 10.0 * capacity,
+        "freshness": {"times": [0.0, 1.0], "freshness": freshness},
+        "quality": {"times": [1.0], "values": quality},
+        "counters": {
+            "pages_crawled": 0, "pages_failed": 0,
+            "changes_detected": 0, "pages_replaced": 0, **counters,
+        },
+        "collection_size": capacity - 1,
+        "attainable": attainable,
+        "fetch_count": 2 * capacity,
+        "failures": failures,
+    }
+
+
+class TestMergeFold:
+    """``_merge`` folds shard results into one, by their counts and series
+    alone: no shard's records or estimator state reach it."""
+
+    @staticmethod
+    def _merge(shard_web, payloads):
+        crawler = ShardedCrawler(shard_web, _sharded(shards=2, workers=1), PolicySpec())
+        return crawler._merge(payloads)
+
+    def test_counters_sizes_and_failures_sum_in_shard_index_order(self, shard_web):
+        a = _payload(0, 4, [1.0, 1.0], [1.0], 1.0, {"timeouts": 1, "retries": 2},
+                     pages_crawled=3, pages_failed=1, changes_detected=2, pages_replaced=0)
+        b = _payload(1, 6, [1.0, 1.0], [1.0], 1.0, {"timeouts": 0, "retries": 5},
+                     pages_crawled=7, pages_failed=0, changes_detected=1, pages_replaced=4)
+        merged = self._merge(shard_web, [b, a])
+        assert [row["shard"] for row in merged.per_shard] == [0, 1]
+        assert (merged.pages_crawled, merged.pages_failed) == (10, 1)
+        assert (merged.changes_detected, merged.pages_replaced) == (3, 4)
+        assert merged.collection_size == 3 + 5
+        assert merged.failures == {"timeouts": 1, "retries": 7}
+        assert merged.per_shard[1]["failures"] == {"timeouts": 0, "retries": 5}
+        assert merged.per_shard[1]["fetch_count"] == 12
+        assert merged.shards == 2
+
+    def test_freshness_is_weighted_by_capacity_and_quality_by_attainable_mass(
+        self, shard_web
+    ):
+        a = _payload(0, 1, [1.0, 0.5], [1.0], 3.0)
+        b = _payload(1, 3, [0.0, 0.5], [0.0], 1.0)
+        merged = self._merge(shard_web, [a, b])
+        assert list(merged.freshness.times) == [0.0, 1.0]
+        assert list(merged.freshness.freshness) == [0.25, 0.5]
+        assert merged.quality_times == [1.0]
+        assert merged.quality == [0.75]
+        assert merged.failures is None
+
+    def test_shards_sampled_at_different_instants_are_refused(self, shard_web):
+        a = _payload(0, 2, [1.0, 1.0], [1.0], 1.0)
+        b = _payload(1, 2, [1.0, 1.0], [1.0], 1.0)
+        b["freshness"]["times"] = [0.0, 2.0]
+        with pytest.raises(RuntimeError, match="freshness at different instants"):
+            self._merge(shard_web, [a, b])
+        b = _payload(1, 2, [1.0, 1.0], [1.0], 1.0)
+        b["quality"]["times"] = [2.0]
+        with pytest.raises(RuntimeError, match="quality at different instants"):
+            self._merge(shard_web, [a, b])
+
+    def test_quality_stays_empty_unless_every_shard_sampled_it(self, shard_web):
+        a = _payload(0, 2, [1.0, 1.0], [1.0], 1.0)
+        b = _payload(1, 2, [1.0, 1.0], [], None)
+        b["quality"]["times"] = []
+        merged = self._merge(shard_web, [a, b])
+        assert merged.quality == [] and merged.quality_times == []
+        assert merged.per_shard[1]["attainable"] is None
+
+
 class TestGroundTruthBeforeFork:
     @staticmethod
     def _kernel_calls_at_fork(monkeypatch, spec):
