@@ -361,7 +361,10 @@ def check_crawl_identity(
                 sharded_crawler.IncrementalCrawler = IncrementalCrawler
             (crawler,) = inline
             failures = result.failures
-        estimator = crawler.update_module.snapshot()
+        # Each snapshot with the URL table it built, so equal pairs mean
+        # equal URL-keyed snapshots.
+        estimator_ids, queue_ids = {}, {}
+        estimator = crawler.update_module.snapshot(estimator_ids)
         # The tracker's own state is compared through its counters.
         estimator.pop("failures", None)
         return {
@@ -376,8 +379,8 @@ def check_crawl_identity(
             # never saw a failure" compare equal: that is the zero-rate claim.
             "failures": {k: v for k, v in (failures or {}).items() if v},
             "records": crawler.collection.working_records(),
-            "estimator": estimator,
-            "queue": crawler.collurls.snapshot(),
+            "estimator": (estimator, list(estimator_ids)),
+            "queue": (crawler.collurls.snapshot(queue_ids), list(queue_ids)),
         }
 
     polite = dict(

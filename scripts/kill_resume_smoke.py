@@ -26,6 +26,12 @@ with it via PDEATHSIG), and the resume must replay completed shards from
 their stored results, resume interrupted ones from their namespaced
 checkpoints, and merge to the uninterrupted run's exact result.
 
+The dance repeats once more on ``examples/specs/durable_everything.json``
+(all five fault models with retries, politeness with the night window, the
+EB estimator, HITS refinement and quality tracking; its web and duration
+enlarged here so a kill window exists): plain, and at two shards killed
+at two workers and resumed at one.
+
 Two failure-injection phases then harden the story further:
 
 * **corrupted checkpoint** — a run is killed after its *second*
@@ -44,6 +50,9 @@ Two failure-injection phases then harden the story further:
 Run from the repository root:
 
     PYTHONPATH=src python scripts/kill_resume_smoke.py
+
+The work directory is removed after the last PASS and kept, with its path
+printed, when a phase fails.
 """
 
 from __future__ import annotations
@@ -58,7 +67,10 @@ import sys
 import tempfile
 import time
 
+from repro.storage.records import records_from_columns
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EVERYTHING_SPEC = os.path.join(REPO, "examples", "specs", "durable_everything.json")
 
 SPEC = {
     "name": "kill-resume-smoke",
@@ -212,10 +224,11 @@ def compare_stores(label: str, pairs: list) -> int:
                     f"FAIL: {label}: the stores hold different {what} "
                     f"({len(rows_a)} vs {len(rows_b)} rows)"
                 )
-    return sum(
-        len(json.loads(state_text(reference, prefix + "collection")[0][0])["url"])
+    images = (
+        json.loads(state_text(reference, prefix + "collection")[0][0])
         for reference, _, prefix in pairs
     )
+    return sum(len(records_from_columns(image, image["table"])) for image in images)
 
 
 def result_doc(path: str) -> dict:
@@ -225,6 +238,16 @@ def result_doc(path: str) -> dict:
 
 def main() -> int:
     tmp = tempfile.mkdtemp(prefix="kill-resume-smoke-")
+    try:
+        run_phases(tmp)
+    except BaseException:
+        say(f"work directory kept for inspection: {tmp}")
+        raise
+    shutil.rmtree(tmp)
+    return 0
+
+
+def run_phases(tmp: str) -> None:
     spec_path = os.path.join(tmp, "spec.json")
     with open(spec_path, "w", encoding="utf-8") as handle:
         json.dump(SPEC, handle)
@@ -292,9 +315,9 @@ def main() -> int:
     )
 
     sharded_phase(tmp)
+    everything_phase(tmp)
     corrupted_checkpoint_phase(tmp, out_a, store_a)
     worker_kill_phase(tmp)
-    return 0
 
 
 def shard_store_paths(base: str, n_shards: int) -> list:
@@ -396,6 +419,110 @@ def sharded_phase(tmp: str) -> None:
         f"run ({records} records in the final images and the latest checkpoints "
         f"across {n_shards} shard stores, mean freshness {c['summary']['mean_freshness']:.4f})"
     )
+
+
+def kill_when(phase: str, spec_path: str, store: str, out: str, ready, what: str) -> None:
+    """Run ``spec_path`` against ``store`` and SIGKILL it as soon as
+    ``ready(store)`` holds; the phase fails if the run finishes or writes
+    its result first."""
+    proc = start_spec(spec_path, "--store", store, "--out", out, "--compact")
+    deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
+    while time.monotonic() < deadline:
+        if proc.poll() is not None:
+            raise SystemExit(
+                f"FAIL: {phase}: the run finished before {what} could be "
+                "observed; enlarge the spec so the kill window exists"
+            )
+        if "result" in state_keys(store):
+            raise SystemExit(f"FAIL: {phase}: a result appeared before the kill")
+        if ready(store):
+            proc.send_signal(signal.SIGKILL)
+            wait(proc, phase)
+            break
+        time.sleep(POLL_SECONDS)
+    else:
+        proc.kill()
+        wait(proc, phase)
+        raise SystemExit(f"FAIL: {phase}: no {what} observed before the timeout")
+    if proc.returncode != -signal.SIGKILL or os.path.exists(out):
+        raise SystemExit(f"FAIL: {phase}: the run was not killed before its result")
+
+
+def everything_phase(tmp: str) -> None:
+    """Kill and resume the everything-on spec, plain and at two shards.
+
+    The two-shard run is killed at two workers and resumed at one: the
+    worker count changes no shard's work, so the resumed result, final
+    images and latest checkpoints must equal the uninterrupted two-worker
+    run's (the summary's ``workers`` and the spec hash aside).
+    """
+    with open(EVERYTHING_SPEC, "r", encoding="utf-8") as handle:
+        spec = json.load(handle)
+    spec["web"] = dict(SPEC["web"])
+    spec["crawler"].update(
+        collection_capacity=200, crawl_budget_per_day=2000.0, duration_days=60.0
+    )
+    sharded = {"engine": "sharded", "shards": 2}
+    variants = {
+        "plain": spec,
+        "sharded": {**spec, "crawler": {**spec["crawler"], **sharded, "workers": 2}},
+        "sharded_resume": {**spec, "crawler": {**spec["crawler"], **sharded, "workers": 1}},
+    }
+    paths = {}
+    for name, variant in variants.items():
+        paths[name] = os.path.join(tmp, f"everything_{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(variant, handle)
+
+    plain = (
+        "plain", "everything", paths["plain"], paths["plain"],
+        lambda store: "checkpoint" in state_keys(store),
+        lambda a, b: [(a, b, "")],
+    )
+    two_shards = (
+        "sharded", "everything, 2 shards, resumed at 1 worker",
+        paths["sharded"], paths["sharded_resume"],
+        lambda store: any_shard_checkpoint(store, 2),
+        lambda a, b: shard_pairs(a, b, 2),
+    )
+    for key, label, run_path, resume_path, ready, pairs_of in (plain, two_shards):
+        store_a = os.path.join(tmp, f"everything_{key}_uninterrupted.sqlite")
+        store_b = os.path.join(tmp, f"everything_{key}_killed.sqlite")
+        out_a = os.path.join(tmp, f"everything_{key}_a.json")
+        out_b = os.path.join(tmp, f"everything_{key}_b.json")
+
+        phase = f"[{label} 1/3] uninterrupted run"
+        say(f"{phase} ...")
+        run_spec(phase, run_path, "--store", store_a, "--out", out_a, "--compact")
+
+        phase = f"[{label} 2/3] run to the first checkpoint, then SIGKILL"
+        say(f"{phase} ...")
+        kill_when(phase, run_path, store_b, out_b, ready, "a checkpoint")
+        time.sleep(0.5)  # let a sharded run's workers die with their coordinator
+        for _, killed, prefix in pairs_of(store_a, store_b):
+            if os.path.exists(killed):
+                check_store_is_its_checkpoint(killed, prefix)
+
+        phase = f"[{label} 3/3] resume"
+        say(f"{phase} ...")
+        run_spec(phase, resume_path, "--store", store_b, "--resume", "--out", out_b, "--compact")
+
+        a, b = result_doc(out_a), result_doc(out_b)
+        for doc in (a, b):
+            doc["summary"].pop("workers", None)
+        for name in ("name", "kind", "summary", "series"):
+            if a[name] != b[name]:
+                raise SystemExit(f"FAIL: {label}: resumed run differs in {name!r}")
+        same_spec = run_path == resume_path
+        if same_spec and a["provenance"]["spec_hash"] != b["provenance"]["spec_hash"]:
+            raise SystemExit(f"FAIL: {label}: spec hash mismatch between runs")
+        records = compare_stores(label, pairs_of(store_a, store_b))
+        say(
+            f"PASS: {label}: resumed run is bit-identical to the uninterrupted run "
+            f"({records} records in the final images and the latest checkpoints, "
+            f"{a['summary']['failures']['retries']} retries, "
+            f"mean freshness {a['summary']['mean_freshness']:.4f})"
+        )
 
 
 def flipped(value: str) -> str:

@@ -4,10 +4,12 @@
 Runs every product entry point in its own subprocess under
 ``sys.setprofile`` and records each ``src/repro`` function that starts
 executing: the ``examples/*.py`` scripts, every ``examples/specs/*.json``
-through ``run-spec`` (``run-matrix`` for a file with ``axes``), and every
-end-to-end benchmark workload at ``--smoke``. It then prints each function
-defined under ``src/repro`` that none of them called, with its line count,
-grouped by module, and the total.
+through ``run-spec`` (``run-matrix`` for a file with ``axes``), every
+end-to-end benchmark workload at ``--smoke``, and ``durable_everything.json``
+cut after its first checkpoint and resumed in-process (the e2e ``resume``
+workload's cut), so the restore side of every module's snapshot is reached.
+It then prints each function defined under ``src/repro`` that none of them
+called, with its line count, grouped by module, and the total.
 
 A worker process an entry point forks (the pool that runs shards and
 matrix cells) inherits the profiler and writes what it called when it
@@ -45,7 +47,8 @@ WORKLOADS = ("plain", "polite", "chaos", "durable", "resume", "sharded")
 
 
 def entry_points() -> List[Tuple[str, List[str]]]:
-    """``(label, argv)`` per entry point; argv[0] is a script or ``-m``."""
+    """``(label, argv)`` per entry point; argv[0] is a script, ``-m`` or
+    ``--cut-and-resume``."""
     points = [
         (f"examples/{path.name}", [str(path)])
         for path in sorted((REPO / "examples").glob("*.py"))
@@ -58,7 +61,37 @@ def entry_points() -> List[Tuple[str, List[str]]]:
             f"e2e {workload} --smoke",
             [str(E2E_RUN), "--workload", workload, "--smoke"],
         ))
+    resumed = REPO / "examples" / "specs" / "durable_everything.json"
+    points.append((f"cut and resume {resumed.name}", ["--cut-and-resume", str(resumed)]))
     return points
+
+
+def _cut_and_resume(spec_path: str) -> None:
+    """Run the spec into a store, cut it after its first checkpoint as the
+    e2e ``resume`` workload's ``prepare_resume`` does, and resume it."""
+    from repro.api.runner import run
+    from repro.api.specs import ExperimentSpec
+    from repro.storage.checkpoint import CrawlCheckpointer
+
+    class Cut(Exception):
+        pass
+
+    def save_then_cut(checkpointer, state, at):
+        save(checkpointer, state, at)
+        raise Cut
+
+    spec = ExperimentSpec.from_dict(json.loads(Path(spec_path).read_text()))
+    save = CrawlCheckpointer.save
+    with tempfile.TemporaryDirectory() as scratch:
+        store = os.path.join(scratch, "crawl.db")
+        CrawlCheckpointer.save = save_then_cut
+        try:
+            run(spec, store=store)
+        except Cut:
+            pass
+        finally:
+            CrawlCheckpointer.save = save
+        run(spec, store=store, resume=True)
 
 
 def _child(out_path: str, argv: List[str]):
@@ -94,6 +127,8 @@ def _child(out_path: str, argv: List[str]):
         if argv[0] == "-m":
             sys.argv = [argv[1], *argv[2:]]
             runpy.run_module(argv[1], run_name="__main__", alter_sys=True)
+        elif argv[0] == "--cut-and-resume":
+            _cut_and_resume(argv[1])
         else:
             sys.argv = list(argv)
             sys.path.insert(0, str(Path(argv[0]).parent))

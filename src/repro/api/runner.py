@@ -329,9 +329,10 @@ def _run_sharded_crawl(
     the shards run.
     """
     crawler_spec = spec.crawler
-    crawler = ShardedCrawler(
-        web, crawler_spec, policy, store_path=store, spec_hash=spec.spec_hash()
-    )
+    # The shard stores are stamped with the spec minus its worker count,
+    # which changes no shard's work: a killed run resumes at any count.
+    shard_hash = spec.replace(crawler=crawler_spec.replace(workers=None)).spec_hash()
+    crawler = ShardedCrawler(web, crawler_spec, policy, store_path=store, spec_hash=shard_hash)
     outcome = crawler.run(resume=resume)
     summary = _crawl_summary(
         crawler_spec.kind,

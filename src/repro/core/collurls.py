@@ -28,7 +28,14 @@ import math
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.storage.checkpoint import pack_floats, pack_ints, unpack_array, unpack_floats
+from repro.storage.checkpoint import (
+    pack_floats,
+    pack_ints,
+    pack_urls,
+    unpack_array,
+    unpack_floats,
+    unpack_urls,
+)
 
 #: A queue entry as returned by :meth:`CollUrls.pop_due`:
 #: ``(scheduled_time, sequence, url)`` — the heap's native key layout, so
@@ -246,24 +253,27 @@ class CollUrls:
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
+    def snapshot(self, ids: Dict[str, int]) -> dict:
         """JSON-serializable queue state: live entries + both counters.
 
         Entries are emitted as columns in canonical ``(time, sequence)``
         order (not dict-insertion order) so the snapshot is a pure function
         of the queue contents, independent of the operational path taken.
+        The URLs are an index column through ``ids``
+        (:func:`~repro.storage.checkpoint.pack_urls`).
         """
         entries = sorted(self._scheduled.values())
         return {
             "times": pack_floats([entry[0] for entry in entries]),
             "sequences": pack_ints([entry[1] for entry in entries]),
-            "urls": [entry[2] for entry in entries],
+            "urls": pack_urls([entry[2] for entry in entries], ids),
             "next_sequence": self._counter,
             "next_front_sequence": self._front_counter,
         }
 
-    def restore_snapshot(self, state: dict) -> None:
-        """Rebuild the queue exactly as captured by :meth:`snapshot`.
+    def restore_snapshot(self, state: dict, table: Sequence[str]) -> None:
+        """Rebuild the queue exactly as captured by :meth:`snapshot`, its
+        URLs looked up in ``table``.
 
         Each entry tuple is built once and shared between the heap and the
         URL map, preserving the identity-based lazy-deletion invariant.
@@ -272,7 +282,7 @@ class CollUrls:
             zip(
                 unpack_floats(state["times"]),
                 unpack_array(state["sequences"]).tolist(),
-                state["urls"],
+                unpack_urls(state["urls"], table),
             )
         )
         scheduled = {entry[2]: entry for entry in heap}

@@ -56,8 +56,6 @@ from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
     CollectionJournal,
     CrawlCheckpointer,
-    index_urls,
-    resolve_urls,
 )
 from repro.storage.collection import InPlaceCollection
 from repro.storage.records import records_from_columns, records_to_columns
@@ -459,23 +457,28 @@ class IncrementalCrawler:
         here bit-identically. Every float travels exactly (per-URL columns as
         packed float64 bytes, the rest as JSON ``repr``) and dict insertion
         order — which feeds ordered float reductions in the UpdateModule —
-        survives serialization. Each URL is written once: the modules'
-        URL columns become index columns into AllUrls' (:func:`index_urls`).
+        survives serialization. Each URL is written once: every module packs
+        its URL columns through one URL → index dict seeded from AllUrls'
+        order, and ``allurls.url`` becomes that table — AllUrls' URLs, then
+        the strays another module holds (a shard's foreign-site link
+        targets), counted by ``allurls.strays``.
         """
         politeness = self._fetcher.politeness
-        return index_urls({
+        allurls = self._allurls.snapshot()
+        ids = {url: index for index, url in enumerate(allurls["url"])}
+        state = {
             "format": CHECKPOINT_FORMAT,
             "start_time": start_time,
             "end_time": end_time,
             "duration_days": result.duration_days,
             "checkpoint_at": at,
             "scheduler": scheduler.snapshot(),
-            "collurls": self._collurls.snapshot(),
-            "collection": records_to_columns(self._collection.working_records()),
-            "allurls": self._allurls.snapshot(),
-            "update": self._update_module.snapshot(),
+            "collurls": self._collurls.snapshot(ids),
+            "collection": records_to_columns(self._collection.working_records(), ids),
+            "allurls": allurls,
+            "update": self._update_module.snapshot(ids),
             "crawl": self._crawl_module.snapshot(),
-            "ranking": self._ranking_module.snapshot(),
+            "ranking": self._ranking_module.snapshot(ids),
             "fetch_count": self._fetcher.fetch_count,
             "politeness": politeness.snapshot() if politeness is not None else None,
             "freshness": {
@@ -486,7 +489,10 @@ class IncrementalCrawler:
                 "times": list(result.quality_times),
                 "values": list(result.quality),
             },
-        })
+        }
+        allurls["strays"] = len(ids) - len(allurls["url"])
+        allurls["url"] = list(ids)
+        return state
 
     def _restore_state(
         self,
@@ -515,16 +521,18 @@ class IncrementalCrawler:
                     f"got {getattr(self._spec, name)}"
                 )
 
-        state = resolve_urls(state)
+        allurls = dict(state["allurls"])
+        table = allurls["url"]
+        allurls["url"] = table[: len(table) - allurls.pop("strays")]
         scheduler = StreamScheduler()
         scheduler.restore_snapshot(state["scheduler"])
-        self._collurls.restore_snapshot(state["collurls"])
-        for record in records_from_columns(state["collection"]):
+        self._collurls.restore_snapshot(state["collurls"], table)
+        for record in records_from_columns(state["collection"], table):
             self._collection.store(record)
-        self._allurls.restore_snapshot(state["allurls"])
-        self._update_module.restore_snapshot(state["update"])
+        self._allurls.restore_snapshot(allurls)
+        self._update_module.restore_snapshot(state["update"], table)
         self._crawl_module.restore_snapshot(state["crawl"])
-        self._ranking_module.restore_snapshot(state["ranking"])
+        self._ranking_module.restore_snapshot(state["ranking"], table)
         self._fetcher.fetch_count = int(state["fetch_count"])
 
         politeness = self._fetcher.politeness

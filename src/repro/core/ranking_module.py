@@ -194,8 +194,9 @@ class RankingModule:
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """JSON-serializable module state.
+    def snapshot(self, ids: Dict[str, int]) -> dict:
+        """JSON-serializable module state, its URLs index columns through
+        ``ids`` (:func:`~repro.storage.checkpoint.pack_urls`).
 
         Beyond the counters this carries the live link graph (interning
         order, edge buffers) and the warm-start vectors: a resumed run must
@@ -210,7 +211,7 @@ class RankingModule:
             "scans_completed": self.scans_completed,
             "pages_replaced": self.pages_replaced,
             "pages_admitted": self.pages_admitted,
-            "graph": self._graph.snapshot(),
+            "graph": self._graph.snapshot(ids),
             "warm": {
                 name: None if vector is None else pack_floats(vector)
                 for name, vector in (
@@ -221,13 +222,14 @@ class RankingModule:
             },
         }
 
-    def restore_snapshot(self, state: dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
+    def restore_snapshot(self, state: dict, table: Sequence[str]) -> None:
+        """Restore the state captured by :meth:`snapshot`, its URLs looked up
+        in ``table``."""
         self.scans_completed = int(state["scans_completed"])
         self.pages_replaced = int(state["pages_replaced"])
         self.pages_admitted = int(state["pages_admitted"])
         self._graph = LinkGraph()
-        self._graph.restore_snapshot(state["graph"])
+        self._graph.restore_snapshot(state["graph"], table)
         self._graph_outlinks = self._graph.outlinks_by_source()
         warm = {
             name: None if packed is None else unpack_array(packed, "<f8").copy()

@@ -35,7 +35,7 @@ from repro.faults import (
     STATUS_TIMEOUT,
     FailureTracker,
 )
-from repro.storage.checkpoint import pack_floats, unpack_floats
+from repro.storage.checkpoint import pack_floats, pack_urls, unpack_floats, unpack_urls
 
 
 #: Trailing window of change history kept per page (the paper suggests
@@ -563,52 +563,53 @@ class UpdateModule:
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """JSON-serializable module state; URL-keyed tables become columns.
+    def snapshot(self, ids: Dict[str, int]) -> dict:
+        """JSON-serializable module state; URL-keyed tables become columns,
+        their URLs index columns through ``ids``
+        (:func:`~repro.storage.checkpoint.pack_urls`).
 
         Dict key order is semantic and survives as column order:
         ``rate_estimates`` insertion order feeds :meth:`_maybe_reallocate`'s
         float reductions, which are ulp-sensitive to summation order.
         """
         state = {
-            "histories": histories_to_columns(self._histories),
-            "rate_estimates": _pack_table(self._rate_estimates),
-            "intervals": _pack_table(self._intervals),
-            "importance": _pack_table(self._importance),
+            "histories": histories_to_columns(self._histories, ids),
+            "rate_estimates": _pack_table(self._rate_estimates, ids),
+            "intervals": _pack_table(self._intervals, ids),
+            "importance": _pack_table(self._importance, ids),
             "last_reallocation": self._last_reallocation,
-            "estimator": self._estimator.state_dict(),
+            "estimator": self._estimator.state_dict(ids),
             "pages_processed": self.pages_processed,
             "changes_detected": self.changes_detected,
         }
         if self.failure_tracker is not None:
-            # Key present only for failure-aware runs: fault-free snapshots
-            # stay byte-identical to the pre-fault format.
-            state["failures"] = self.failure_tracker.snapshot()
+            # Key present only for failure-aware runs.
+            state["failures"] = self.failure_tracker.snapshot(ids)
         return state
 
-    def restore_snapshot(self, state: dict) -> None:
-        """Rebuild module state exactly as captured by :meth:`snapshot`."""
-        self._histories = histories_from_columns(state["histories"], HISTORY_WINDOW_DAYS)
-        self._rate_estimates = _unpack_table(state["rate_estimates"])
-        self._intervals = _unpack_table(state["intervals"])
-        self._importance = _unpack_table(state["importance"])
+    def restore_snapshot(self, state: dict, table: Sequence[str]) -> None:
+        """Rebuild module state exactly as captured by :meth:`snapshot`, its
+        URLs looked up in ``table``."""
+        self._histories = histories_from_columns(state["histories"], table, HISTORY_WINDOW_DAYS)
+        self._rate_estimates = _unpack_table(state["rate_estimates"], table)
+        self._intervals = _unpack_table(state["intervals"], table)
+        self._importance = _unpack_table(state["importance"], table)
         last = state["last_reallocation"]
         self._last_reallocation = None if last is None else float(last)
-        self._estimator.load_state(state["estimator"])
+        self._estimator.load_state(state["estimator"], table)
         # Rebuildable cache over the web's oracle arrays; drop it so the
         # restored module lazily rebinds to the current web.
         self._existence_cache = None
         self.pages_processed = int(state["pages_processed"])
         self.changes_detected = int(state["changes_detected"])
         if self.failure_tracker is not None and "failures" in state:
-            self.failure_tracker.restore_snapshot(state["failures"])
+            self.failure_tracker.restore_snapshot(state["failures"], table)
 
 
-def _pack_table(table: Dict[str, float]) -> dict:
+def _pack_table(table: Dict[str, float], ids: Dict[str, int]) -> dict:
     """A URL-keyed float table as two columns, in dict insertion order."""
-    return {"urls": list(table), "values": pack_floats(list(table.values()))}
+    return {"urls": pack_urls(list(table), ids), "values": pack_floats(list(table.values()))}
 
 
-def _unpack_table(columns: dict) -> Dict[str, float]:
-    return dict(zip(columns["urls"], unpack_floats(columns["values"])))
-
+def _unpack_table(columns: dict, table: Sequence[str]) -> Dict[str, float]:
+    return dict(zip(unpack_urls(columns["urls"], table), unpack_floats(columns["values"])))

@@ -21,11 +21,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.storage.checkpoint import pack_floats, pack_ints, unpack_array, unpack_floats
+from repro.storage.checkpoint import (
+    pack_floats,
+    pack_ints,
+    pack_urls,
+    unpack_array,
+    unpack_floats,
+    unpack_urls,
+)
 
 
 @dataclass(frozen=True)
@@ -202,8 +209,9 @@ class ChangeHistory:
         return self.observation_time / changes
 
 
-def histories_to_columns(histories: Dict[str, ChangeHistory]) -> dict:
-    """Checkpoint columns for many histories, in dict order, every slot packed.
+def histories_to_columns(histories: Dict[str, ChangeHistory], ids: Dict[str, int]) -> dict:
+    """Checkpoint columns for many histories, in dict order, every slot packed
+    (the URLs through ``ids``, :func:`~repro.storage.checkpoint.pack_urls`).
 
     Observations are concatenated (``counts`` splits them). Of the
     intervals only each page's first is kept (NaN for a page without
@@ -215,7 +223,7 @@ def histories_to_columns(histories: Dict[str, ChangeHistory]) -> dict:
     """
     values = list(histories.values())
     return {
-        "urls": list(histories),
+        "urls": pack_urls(list(histories), ids),
         "first_visit": pack_floats([h.first_visit for h in values]),
         "n_changes": pack_ints([h._n_changes for h in values]),
         "interval_sum": pack_floats([h._interval_sum for h in values]),
@@ -229,9 +237,10 @@ def histories_to_columns(histories: Dict[str, ChangeHistory]) -> dict:
 
 
 def histories_from_columns(
-    columns: dict, window_days: Optional[float]
+    columns: dict, table: Sequence[str], window_days: Optional[float]
 ) -> Dict[str, ChangeHistory]:
-    """Rebuild the histories :func:`histories_to_columns` wrote, exactly.
+    """Rebuild the histories :func:`histories_to_columns` wrote, exactly, their
+    URLs looked up in ``table``.
 
     Every history gets ``window_days``, the window they were recorded
     under. Each interval but a page's first is rebuilt as ``time - previous
@@ -248,7 +257,7 @@ def histories_from_columns(
     changed = unpack_array(columns["changed"], "?").tolist()
     histories: Dict[str, ChangeHistory] = {}
     for url, first_visit, n_changes, interval_sum, start, count in zip(
-        columns["urls"],
+        unpack_urls(columns["urls"], table),
         unpack_floats(columns["first_visit"]),
         unpack_array(columns["n_changes"]).tolist(),
         unpack_floats(columns["interval_sum"]),

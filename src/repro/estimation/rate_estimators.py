@@ -18,9 +18,10 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Sequence
 
 from repro.api.registry import register_estimator
-from repro.estimation.bayesian_estimator import BayesianClassEstimator
+from repro.estimation.bayesian_estimator import DEFAULT_CLASSES, BayesianClassEstimator
 from repro.estimation.change_history import ChangeHistory
 from repro.estimation.poisson_estimator import PoissonRateEstimator
+from repro.storage.checkpoint import pack_floats, pack_urls, unpack_array, unpack_urls
 
 
 class ChangeRateEstimator(ABC):
@@ -75,16 +76,19 @@ class ChangeRateEstimator(ABC):
         """
         return [self.update(url, history) for url, history in zip(urls, histories)]
 
-    def state_dict(self) -> dict:
-        """JSON-serializable per-page estimation state (for checkpoints).
+    def state_dict(self, ids: Dict[str, int]) -> dict:
+        """JSON-serializable per-page estimation state (for checkpoints), its
+        URLs index columns through ``ids``
+        (:func:`~repro.storage.checkpoint.pack_urls`).
 
         Stateless strategies (EP) return an empty dict; stateful ones (EB)
         override this together with :meth:`load_state`.
         """
         return {}
 
-    def load_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict` (no-op by default)."""
+    def load_state(self, state: dict, table: Sequence[str]) -> None:
+        """Restore state captured by :meth:`state_dict`, its URLs looked up
+        in ``table`` (no-op by default)."""
 
 
 @register_estimator("ep")
@@ -177,21 +181,22 @@ class BayesianClassStrategy(ChangeRateEstimator):
         """The page's underlying Bayesian estimator (posterior inspection)."""
         return self._per_page.setdefault(url, BayesianClassEstimator())
 
-    def state_dict(self) -> dict:
-        """Per-page posterior weights, keyed by URL."""
+    def state_dict(self, ids: Dict[str, int]) -> dict:
+        """Every page's posterior weights, page after page, and their URLs."""
         return {
-            "posteriors": {
-                url: estimator.posterior_weights()
-                for url, estimator in self._per_page.items()
-            }
+            "urls": pack_urls(list(self._per_page), ids),
+            "posteriors": pack_floats(
+                [weight for page in self._per_page.values() for weight in page.posterior_weights()]
+            ),
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, table: Sequence[str]) -> None:
         """Rebuild every page's posterior exactly as checkpointed."""
+        weights = unpack_array(state["posteriors"], "<f8").reshape(-1, len(DEFAULT_CLASSES))
         self._per_page = {}
-        for url, weights in state.get("posteriors", {}).items():
+        for url, page_weights in zip(unpack_urls(state["urls"], table), weights.tolist()):
             estimator = BayesianClassEstimator()
-            estimator.set_posterior_weights(weights)
+            estimator.set_posterior_weights(page_weights)
             self._per_page[url] = estimator
 
 

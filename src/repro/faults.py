@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.registry import register_fault_model
+from repro.storage.checkpoint import pack_ints, pack_urls, unpack_array, unpack_urls
 
 if TYPE_CHECKING:  # pragma: no cover - the spec layer imports this module
     from repro.api.specs import RetrySpec
@@ -646,10 +647,14 @@ class FailureTracker:
     # -------------------------------------------------------------- #
     # Checkpointing
     # -------------------------------------------------------------- #
-    def snapshot(self) -> dict:
-        """JSON-serializable tracker state."""
+    def snapshot(self, ids: Dict[str, int]) -> dict:
+        """JSON-serializable tracker state: the retry attempts as URL index
+        (``pack_urls`` through ``ids``) and count columns, the rest by site."""
         return {
-            "attempts": dict(self._attempts),
+            "attempts": {
+                "urls": pack_urls(list(self._attempts), ids),
+                "counts": pack_ints(list(self._attempts.values())),
+            },
             "site_failures": dict(self._site_failures),
             "site_retries": dict(self._site_retries),
             "breaker_until": dict(self._breaker_until),
@@ -657,21 +662,15 @@ class FailureTracker:
             "counters": dict(self.counters),
         }
 
-    def restore_snapshot(self, state: dict) -> None:
-        """Rebuild tracker state exactly as captured by :meth:`snapshot`."""
-        self._attempts = {str(k): int(v) for k, v in state["attempts"].items()}
-        self._site_failures = {
-            str(k): int(v) for k, v in state["site_failures"].items()
-        }
-        self._site_retries = {
-            str(k): int(v) for k, v in state["site_retries"].items()
-        }
-        self._breaker_until = {
-            str(k): float(v) for k, v in state["breaker_until"].items()
-        }
-        self._breaker_trips = {
-            str(k): int(v) for k, v in state["breaker_trips"].items()
-        }
-        self.counters = {name: 0 for name in _COUNTER_NAMES}
-        for key, value in state["counters"].items():
-            self.counters[str(key)] = int(value)
+    def restore_snapshot(self, state: dict, table: Sequence[str]) -> None:
+        """Rebuild tracker state exactly as captured by :meth:`snapshot`, its
+        URLs looked up in ``table``."""
+        attempts = state["attempts"]
+        self._attempts = dict(zip(
+            unpack_urls(attempts["urls"], table), unpack_array(attempts["counts"]).tolist()
+        ))
+        self._site_failures = dict(state["site_failures"])
+        self._site_retries = dict(state["site_retries"])
+        self._breaker_until = dict(state["breaker_until"])
+        self._breaker_trips = dict(state["breaker_trips"])
+        self.counters = {**dict.fromkeys(_COUNTER_NAMES, 0), **state["counters"]}

@@ -170,9 +170,7 @@ class PolitenessPolicy:
 
     def restore_snapshot(self, state: dict) -> None:
         """Rebuild the last-request map exactly as checkpointed."""
-        self._last_request = {
-            str(site): float(time) for site, time in state["last_request"].items()
-        }
+        self._last_request = dict(state["last_request"])
 
     def max_requests_per_day(self) -> float:
         """Upper bound on requests per site per virtual day under this policy.

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse as _scipy_sparse
 
-from repro.storage.checkpoint import pack_ints, unpack_array
+from repro.storage.checkpoint import pack_ints, pack_urls, unpack_array, unpack_urls
 
 Graph = Mapping[str, Sequence[str]]
 
@@ -309,20 +309,21 @@ class LinkGraph:
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
+    def snapshot(self, ids: Dict[str, int]) -> dict:
         """JSON-serializable graph state (interning order preserved).
 
         The edge buffers are physically compacted first, so the snapshot
-        carries only live edges — but the interning table, revision counters
-        and edge order travel verbatim (the arrays packed straight from their
-        buffers), keeping the CSR the restored graph builds (and therefore
-        every float the kernels sum) bit-identical.
+        carries only live edges — but the interning table (an index column
+        through ``ids``, :func:`~repro.storage.checkpoint.pack_urls`),
+        revision counters and edge order travel verbatim (the arrays packed
+        straight from their buffers), keeping the CSR the restored graph
+        builds (and therefore every float the kernels sum) bit-identical.
         """
         self._compact()
         n_nodes = len(self._urls)
         n_edges = self._n_edges
         return {
-            "urls": list(self._urls),
+            "urls": pack_urls(self._urls, ids),
             "sources": pack_ints(np.flatnonzero(self._is_source[:n_nodes])),
             "node_rev": pack_ints(self._node_rev[:n_nodes]),
             "out_count": pack_ints(self._out_count[:n_nodes]),
@@ -331,10 +332,10 @@ class LinkGraph:
             "edge_rev": pack_ints(self._edge_rev[:n_edges]),
         }
 
-    def restore_snapshot(self, state: dict) -> None:
-        """Rebuild the graph exactly as captured by :meth:`snapshot`."""
-        urls = list(state["urls"])
-        self._urls = urls
+    def restore_snapshot(self, state: dict, table: Sequence[str]) -> None:
+        """Rebuild the graph exactly as captured by :meth:`snapshot`, its
+        URLs looked up in ``table``."""
+        self._urls = urls = unpack_urls(state["urls"], table)
         self._ids = {url: i for i, url in enumerate(urls)}
         n_nodes = len(urls)
         self._is_source = np.zeros(max(n_nodes, 1), dtype=bool)

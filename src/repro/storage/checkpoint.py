@@ -21,11 +21,13 @@ run's result.
 A checkpoint document names each URL once. ``allurls.url`` is its URL
 table — AllUrls' own URLs, then any URL they lack (a shard's foreign-site
 link targets) — and every other URL column is a base64 ``<i4`` index
-column into it (:func:`index_urls` / :func:`resolve_urls`). Every other
-per-URL column is packed too: floats by :func:`pack_floats`, ints and bools
-by :func:`pack_ints`. Change histories keep each page's first interval and
-a restore rebuilds the rest from the visit times, by the subtraction the
-crawler made.
+column into it. Each module packs and unpacks its own URL columns
+(:func:`pack_urls` through the URL → index dict the crawler seeds from
+AllUrls, :func:`unpack_urls` through the table), as it packs its floats
+(:func:`pack_floats`) and its ints and bools (:func:`pack_ints`). The final
+collection image carries its own table, ``table``. Change histories keep
+each page's first interval and a restore rebuilds the rest from the visit
+times, by the subtraction the crawler made.
 
 One rule governs a checkpoint's bytes: the document is serialised **once**;
 ``integrity`` is the sha256 **of the stored bytes** that follow its
@@ -42,7 +44,7 @@ import base64
 import hashlib
 import json
 import re
-from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -63,15 +65,16 @@ RESULT_STATE_KEY = "result"
 COLLECTION_STATE_KEY = "collection"
 #: Dtype of a checkpoint's packed int columns, URL indices included.
 INT = "<i4"
-#: Version stamp of the checkpoint document layout. Format 7 names each URL
-#: once: ``allurls.url`` is the document's URL table, every other URL column
-#: is an index column into it, every int and bool column is packed, and the
-#: histories drop what a restore rebuilds: the intervals and last visits
-#: from their visit times, the window from the module's one constant.
-#: A document of any other format is refused by name: one without the
-#: integrity header (formats 1-2) at :meth:`CrawlCheckpointer.load`, one
-#: with it (formats 3-6) when the crawler restores it.
-CHECKPOINT_FORMAT = 7
+#: Version stamp of the checkpoint document layout. Format 8 names each URL
+#: once: ``allurls.url`` is the document's URL table and every other URL
+#: column, the EB posteriors' and the failure tracker's retry attempts
+#: included, is an index column into it; every int and bool column is
+#: packed, and the histories drop what a restore rebuilds: the intervals
+#: and last visits from their visit times, the window from the module's one
+#: constant. A document of any other format is refused by name: one without
+#: the integrity header (formats 1-2) at :meth:`CrawlCheckpointer.load`, one
+#: with it (formats 3-7) when the crawler restores it.
+CHECKPOINT_FORMAT = 8
 # A stored checkpoint is this header followed by the document's own JSON
 # text minus its opening brace; the digest covers "{" + that remainder.
 _HEADER = '{"integrity": "%s", '
@@ -84,9 +87,7 @@ def namespaced_state_key(namespace: Optional[str], key: str) -> str:
     A sharded crawl stores several independent state streams (one per
     shard) and must never let them collide with each other or with a
     plain run's keys; ``namespaced_state_key("shard00", "checkpoint")``
-    yields ``"shard00/checkpoint"``. ``None`` returns ``key`` unchanged,
-    which is what keeps single-crawler storage layouts byte-identical to
-    the pre-shard format.
+    yields ``"shard00/checkpoint"``. ``None`` returns ``key`` unchanged.
     """
     if namespace is None:
         return key
@@ -128,83 +129,21 @@ def unpack_array(text: str, dtype: str = INT) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text), dtype=dtype)
 
 
-#: Key paths of a crawler snapshot's URL columns besides ``allurls.url``.
-_URL_COLUMNS = (
-    ("collurls", "urls"),
-    ("collection", "url"),
-    ("update", "histories", "urls"),
-    ("update", "rate_estimates", "urls"),
-    ("update", "intervals", "urls"),
-    ("update", "importance", "urls"),
-    ("ranking", "graph", "urls"),
-)
+def pack_urls(urls: Sequence[str], ids: Dict[str, int]) -> str:
+    """A URL column as an :data:`INT` index column into ``ids`` (URL → index).
 
-
-def index_urls(state: dict) -> dict:
-    """Swap a crawler snapshot's URL columns for index columns, in place.
-
-    The URL table that replaces ``allurls.url`` is AllUrls' own URLs, then
-    each URL of another column that they lack, in first-seen order;
-    ``allurls.strays`` counts those. Every column keeps its own order.
-    The collection's ``outlinks`` become one flat index column, split by
-    ``outlink_counts``. Returns ``state``.
+    A URL ``ids`` lacks (a stray) gets the next index, so afterwards
+    ``list(ids)`` is the URL table every column packed through it indexes.
     """
-    allurls = state["allurls"]
-    ids = {url: i for i, url in enumerate(allurls["url"])}
-    registered = len(ids)
-
-    def index(urls: List[str]) -> str:
-        try:
-            return pack_ints(np.fromiter(map(ids.__getitem__, urls), np.int64, len(urls)))
-        except KeyError:  # a stray: give it the next id
-            return pack_ints([ids.setdefault(url, len(ids)) for url in urls])
-
-    for path in _URL_COLUMNS:
-        owner = _owner(state, path)
-        owner[path[-1]] = index(owner[path[-1]])
-    collection = state["collection"]
-    outlinks = collection["outlinks"]
-    collection["outlink_counts"] = pack_ints(list(map(len, outlinks)))
-    collection["outlinks"] = index([url for links in outlinks for url in links])
-    allurls["url"] = list(ids)
-    allurls["strays"] = len(ids) - registered
-    return state
+    try:
+        return pack_ints(np.fromiter(map(ids.__getitem__, urls), np.int64, len(urls)))
+    except KeyError:
+        return pack_ints([ids.setdefault(url, len(ids)) for url in urls])
 
 
-def resolve_urls(state: dict) -> dict:
-    """The snapshot :func:`index_urls` indexed, with its URL columns back.
-
-    Every dict on a rewritten column's path is copied; ``state`` itself is
-    left as it was.
-    """
-    state = dict(state)
-    table = state["allurls"]["url"]
-
-    def resolve(text: str) -> List[str]:
-        return list(map(table.__getitem__, unpack_array(text).tolist()))
-
-    for path in _URL_COLUMNS:
-        owner = _owner(state, path, copy=True)
-        owner[path[-1]] = resolve(owner[path[-1]])
-    collection = _owner(state, ("collection", "outlinks"), copy=True)
-    ends = np.cumsum(unpack_array(collection.pop("outlink_counts"))).tolist()
-    flat = resolve(collection["outlinks"])
-    collection["outlinks"] = [
-        tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)
-    ]
-    allurls = _owner(state, ("allurls", "url"), copy=True)
-    allurls["url"] = table[: len(table) - allurls.pop("strays")]
-    return state
-
-
-def _owner(state: dict, path: Tuple[str, ...], copy: bool = False) -> dict:
-    """The dict holding the column at ``path``, each dict on the way copied
-    into its parent first when ``copy`` is set."""
-    for key in path[:-1]:
-        if copy:
-            state[key] = dict(state[key])
-        state = state[key]
-    return state
+def unpack_urls(text: str, table: Sequence[str]) -> List[str]:
+    """The URL column :func:`pack_urls` packed, looked up in its ``table``."""
+    return list(map(table.__getitem__, unpack_array(text).tolist()))
 
 
 def _digest(text: str, start: int) -> str:
@@ -257,12 +196,17 @@ class CollectionJournal:
 
     def finish(self, collection: "Collection") -> None:
         """Write the final collection image into the open transaction; the
-        run's result commits it. A completed store thus holds its collection."""
+        run's result commits it. A completed store thus holds its collection.
+
+        The image is the checkpoint's ``collection`` columns with its own
+        URL table, ``table``: ``records_from_columns(image, image["table"])``
+        reads it back."""
         from repro.storage.records import records_to_columns  # records imports this module
 
-        self.backend.save_state(
-            self._image_key, records_to_columns(collection.working_records())
-        )
+        ids: Dict[str, int] = {}
+        image = records_to_columns(collection.working_records(), ids)
+        image["table"] = list(ids)
+        self.backend.save_state(self._image_key, image)
 
 
 class CrawlCheckpointer:

@@ -11,9 +11,18 @@ has visited and seen the page change (for the frequency estimators).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import Dict, List, Sequence
 
-from repro.storage.checkpoint import INT, pack_floats, pack_ints, unpack_array, unpack_floats
+from repro.storage.checkpoint import (
+    INT,
+    pack_floats,
+    pack_ints,
+    pack_urls,
+    unpack_array,
+    unpack_floats,
+    unpack_urls,
+)
 
 
 @dataclass
@@ -59,26 +68,37 @@ _FLOAT_FIELDS = ("fetched_at", "first_fetched_at", "importance")
 _INT_FIELDS = {"version": "<i8", "visit_count": INT, "change_count": INT}
 
 
-def records_to_columns(records: Sequence[PageRecord]) -> dict:
-    """A checkpoint's collection image: one column per field, in record order.
+def records_to_columns(records: Sequence[PageRecord], ids: Dict[str, int]) -> dict:
+    """A collection image: one column per field, in record order.
 
     The float and int fields are packed
-    (:func:`~repro.storage.checkpoint.pack_floats`, ``pack_ints``).
+    (:func:`~repro.storage.checkpoint.pack_floats`, ``pack_ints``), the
+    URLs as index columns through ``ids``
+    (:func:`~repro.storage.checkpoint.pack_urls`): ``url``, and every
+    out-link back to back in ``outlinks``, split by ``outlink_counts``.
     """
     columns = {name: [getattr(record, name) for record in records] for name in _FIELDS}
     for name in _FLOAT_FIELDS:
         columns[name] = pack_floats(columns[name])
     for name, dtype in _INT_FIELDS.items():
         columns[name] = pack_ints(columns[name], dtype)
+    columns["url"] = pack_urls(columns["url"], ids)
+    outlinks = columns["outlinks"]
+    columns["outlinks"] = pack_urls([url for links in outlinks for url in links], ids)
+    columns["outlink_counts"] = pack_ints(list(map(len, outlinks)))
     return columns
 
 
-def records_from_columns(columns: dict) -> List[PageRecord]:
-    """Rebuild the records :func:`records_to_columns` wrote, in order."""
+def records_from_columns(columns: dict, table: Sequence[str]) -> List[PageRecord]:
+    """Rebuild the records :func:`records_to_columns` wrote, in order, their
+    URLs looked up in ``table``."""
     values = dict(columns)
     for name in _FLOAT_FIELDS:
         values[name] = unpack_floats(columns[name])
     for name, dtype in _INT_FIELDS.items():
         values[name] = unpack_array(columns[name], dtype).tolist()
-    values["outlinks"] = map(tuple, columns["outlinks"])
+    values["url"] = unpack_urls(columns["url"], table)
+    links = iter(unpack_urls(columns["outlinks"], table))
+    counts = unpack_array(columns["outlink_counts"]).tolist()
+    values["outlinks"] = [tuple(islice(links, count)) for count in counts]
     return [PageRecord(*row) for row in zip(*(values[name] for name in _FIELDS))]

@@ -343,6 +343,8 @@ class TestSpecRoundTrip:
          "6c57813252efec11e032083d412f5260eb6ade243d28fbd0c08f5056e4fbec80"),
         ("chaos_sweep.json",
          "08316d6d4df6b4028dd29e9d50d3c073f22b9a87fa45591008f165d5950b6d21"),
+        ("durable_everything.json",
+         "995d223cb6e7b57e5d437277325335f6be743b5aff0598d91f7bd08ba7122a82"),
         ("figure7_scenario.json",
          "85313494173d7014a8777880ac869421cd3f2d4bbf92d05a0359ffc667a7fd41"),
         ("figure8_scenario.json",

@@ -3,13 +3,13 @@
 Every per-URL float column of a checkpoint is written by ``pack_floats``
 (base64 of little-endian float64 bytes), every int and bool column by
 ``pack_ints``, and every URL column but ``allurls.url`` as an index column
-into that one URL table (``index_urls``). These tests hold the float round
+into that one URL table (``pack_urls``). These tests hold the float round
 trip bytes-exact for every 64-bit pattern, refuse an int that does not fit,
 hold snapshots carrying non-finite or missing values ``==`` after a JSON
 round trip, rebuild windowed histories' intervals and last visits bit for
-bit, resume shard checkpoints whose URL table holds strays, and check
-without a stopwatch that no JSON token but ``allurls.url``'s grows with the
-collection.
+bit, resume shard checkpoints whose URL table holds strays, check without
+a stopwatch that no JSON token but ``allurls.url``'s grows with the
+collection, and that a checkpoint and a final image spell each URL once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.api.specs import CrawlerSpec, PolicySpec
+from repro.api.specs import CrawlerSpec, FaultModelSpec, FaultsSpec, PolicySpec, RetrySpec
 from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.incremental_crawler import IncrementalCrawler
@@ -38,15 +38,17 @@ from repro.estimation.change_history import (
 from repro.storage.backends import SqliteBackend
 from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
+    COLLECTION_STATE_KEY,
+    CollectionJournal,
     CrawlCheckpointer,
     pack_floats,
     pack_ints,
-    resolve_urls,
     unpack_array,
     unpack_floats,
+    unpack_urls,
 )
 
-from test_checkpoint_resume import result_fingerprint
+from test_checkpoint_resume import result_fingerprint, snapshot_with_table
 
 #: Quiet and signalling NaNs with payloads, a negative NaN, ±0.0, ±inf, the
 #: smallest and largest subnormals, and the largest finite double.
@@ -84,11 +86,11 @@ def test_update_snapshot_with_an_infinite_interval_restores_equal():
     module._rate_estimates = {"http://a.com/": 0.4}
     module._intervals = {"http://a.com/": math.inf, "http://b.com/": -0.0}
     module.set_importance({"http://b.com/": 5e-324})
-    snapshot = module.snapshot()
+    snapshot, table = snapshot_with_table(module)
 
     restored = _update_module()
-    restored.restore_snapshot(json.loads(json.dumps(snapshot)))
-    assert restored.snapshot() == snapshot
+    restored.restore_snapshot(json.loads(json.dumps(snapshot)), table)
+    assert snapshot_with_table(restored) == (snapshot, table)
     assert restored._intervals == module._intervals
     assert restored.history("http://a.com/").observations == history.observations
     assert restored.history("http://a.com/").last_visit == 4.0
@@ -155,9 +157,10 @@ def test_windowed_histories_restore_bit_identically(first_visit, window_days, pa
             time += step
             history.record_visit(time, changed)
         histories[f"http://p{index}.com/"] = history
-    columns = histories_to_columns(histories)
+    ids = {}
+    columns = histories_to_columns(histories, ids)
     assert "window_days" not in columns and "last_visit" not in columns
-    restored = histories_from_columns(json.loads(json.dumps(columns)), window_days)
+    restored = histories_from_columns(json.loads(json.dumps(columns)), list(ids), window_days)
     assert list(restored) == list(histories)
     for url, history in histories.items():
         for slot in ChangeHistory.__slots__:
@@ -192,13 +195,12 @@ def test_a_two_shard_checkpoint_with_stray_urls_resumes_bit_identically(tiny_web
         assert len(states) >= 3
         seen = {"graph": set(), "outlinks": set()}
         for index, state in enumerate(states):
-            resolved = resolve_urls(state)
-            registered = set(resolved["allurls"]["url"])
-            strays = state["allurls"]["url"][len(registered):]
-            assert len(strays) == state["allurls"]["strays"]
-            graph = set(resolved["ranking"]["graph"]["urls"]) - registered
-            outlinks = {url for links in resolved["collection"]["outlinks"] for url in links}
-            outlinks -= registered
+            table = state["allurls"]["url"]
+            registered = set(table[: len(table) - state["allurls"]["strays"]])
+            strays = table[len(registered):]
+            assert len(registered) == len(unpack_floats(state["allurls"]["discovered_at"]))
+            graph = set(unpack_urls(state["ranking"]["graph"]["urls"], table)) - registered
+            outlinks = set(unpack_urls(state["collection"]["outlinks"], table)) - registered
             assert set(strays) == graph | outlinks
             seen["graph"] |= graph
             seen["outlinks"] |= outlinks
@@ -220,7 +222,7 @@ def _json_tokens(web, capacity):
             ranking_interval_days=5.0,
             measurement_interval_days=1.0,
         ),
-        PolicySpec(estimator="ep"),
+        PolicySpec(estimator="eb"),
     )
     crawler.run(checkpointer=CrawlCheckpointer(backend, every_days=7.0))
     numbers = []
@@ -230,7 +232,7 @@ def _json_tokens(web, capacity):
         parse_int=lambda token: numbers.append(token) or int(token),
         parse_constant=lambda token: numbers.append(token) or float(token),
     )
-    size = len(resolve_urls(state)["collection"]["url"])
+    size = len(unpack_array(state["collection"]["url"]))
     state["allurls"]["url"] = []
     return len(numbers), _strings(state), size
 
@@ -251,12 +253,70 @@ def test_no_json_token_but_the_url_table_grows_with_the_collection(tiny_web):
 
     The crawls differ only in capacity, so every token still written as
     JSON text (run bounds, scheduler heads, counters, the freshness and
-    quality series, the packed columns themselves) occurs equally often in
-    both. The EB posteriors and the failure tracker's state are still JSON
-    and out of scope here: the crawls use EP and inject no faults.
+    quality series, the packed columns themselves, the EB posteriors among
+    them) occurs equally often in both. The failure tracker's site-keyed
+    state is JSON and grows with the sites a crawl reaches, so these crawls
+    inject no faults; the test below holds a faulty crawl's URLs to one
+    spelling each.
     """
     small_numbers, small_strings, small_size = _json_tokens(tiny_web, 20)
     large_numbers, large_strings, large_size = _json_tokens(tiny_web, 60)
     assert small_size < large_size
     assert small_numbers == large_numbers
     assert small_strings == large_strings
+
+
+def test_a_checkpoint_and_the_final_image_spell_each_url_once(tiny_web):
+    """On an EB crawl with faults, retries and politeness, every web URL is
+    written exactly once in the stored checkpoint text (in ``allurls.url``)
+    and once in the final image (in its ``table``), and neither document
+    keys a JSON object by URL: every other URL column is an index column."""
+    backend = SqliteBackend()
+    spec = CrawlerSpec(
+        collection_capacity=60,
+        crawl_budget_per_day=200.0,
+        duration_days=30.0,
+        ranking_interval_days=5.0,
+        measurement_interval_days=1.0,
+        track_quality=True,
+        use_politeness=True,
+        politeness_night_window=True,
+        faults=FaultsSpec(seed=5, models=(
+            FaultModelSpec("transient", {"rate": 0.1}),
+            FaultModelSpec("site_outage", {"rate": 0.2, "period_days": 7.0, "duration_days": 0.5}),
+            FaultModelSpec("rate_limit", {"rate": 0.05, "retry_after_days": 0.25}),
+            FaultModelSpec("soft_404", {"rate": 0.05}),
+        )),
+        retry=RetrySpec(max_attempts=3, breaker_threshold=4),
+    )
+    crawler = IncrementalCrawler(tiny_web, spec, PolicySpec(estimator="eb"))
+    crawler.run(journal=CollectionJournal(backend), checkpointer=CrawlCheckpointer(backend, 7.0))
+    failures = crawler.failure_counters()
+    assert failures["retries"] > 0
+
+    checkpoint = backend.load_state_text(CHECKPOINT_STATE_KEY)
+    image = backend.load_state_text(COLLECTION_STATE_KEY)
+    state, stored_image = json.loads(checkpoint), json.loads(image)
+    for text, document, table in (
+        (checkpoint, state, state["allurls"]["url"]),
+        (image, stored_image, stored_image["table"]),
+    ):
+        assert len(set(table)) == len(table)
+        for url in tiny_web.urls():
+            assert text.count(json.dumps(url)) == (url in table)
+        assert _url_strings(document, table) == 0
+    assert len(state["allurls"]["url"]) > spec.collection_capacity
+    assert unpack_array(state["update"]["failures"]["attempts"]["urls"]).size
+    assert unpack_array(state["update"]["estimator"]["urls"]).size
+
+
+def _url_strings(node, table):
+    """Strings of ``node`` that look like URLs, outside the list ``table``."""
+    if isinstance(node, str):
+        return node.startswith("http")
+    if isinstance(node, dict):
+        return sum(_url_strings(key, table) + _url_strings(value, table)
+                   for key, value in node.items())
+    if isinstance(node, list) and node is not table:
+        return sum(_url_strings(item, table) for item in node)
+    return 0

@@ -39,7 +39,7 @@ from repro.storage.checkpoint import (
     CollectionJournal,
     CrawlCheckpointer,
     namespaced_state_key,
-    resolve_urls,
+    unpack_urls,
 )
 from repro.storage.records import records_from_columns
 
@@ -92,8 +92,21 @@ def result_fingerprint(crawler, result):
 
 def final_image(backend, namespace=None):
     """The collection image a completed journal wrote, as records."""
-    key = namespaced_state_key(namespace, COLLECTION_STATE_KEY)
-    return records_from_columns(backend.load_state(key))
+    image = backend.load_state(namespaced_state_key(namespace, COLLECTION_STATE_KEY))
+    return records_from_columns(image, image["table"])
+
+
+def checkpoint_records(state):
+    """The collection a checkpoint document holds, as records."""
+    return records_from_columns(state["collection"], state["allurls"]["url"])
+
+
+def snapshot_with_table(module):
+    """``module.snapshot`` through a fresh URL → index dict, and the URL
+    table it built. Two such pairs are equal exactly when the modules'
+    URL-keyed snapshots are."""
+    ids = {}
+    return module.snapshot(ids), list(ids)
 
 
 # --------------------------------------------------------------------- #
@@ -207,10 +220,8 @@ def test_every_checkpoint_and_the_final_image_hold_the_collection(tiny_web, faul
     def look(state):
         # What the store holds, against a copy of the live records (the
         # crawl keeps refreshing them in place).
-        stored = resolve_urls(backend.load_state(CHECKPOINT_STATE_KEY))["collection"]
-        images.append(
-            (records_from_columns(stored), copy.deepcopy(crawler.collection.working_records()))
-        )
+        stored = checkpoint_records(backend.load_state(CHECKPOINT_STATE_KEY))
+        images.append((stored, copy.deepcopy(crawler.collection.working_records())))
 
     checkpointer.on_save = look
     outcome = crawler.run(journal=journal, checkpointer=checkpointer)
@@ -385,8 +396,8 @@ def test_a_checkpoint_holds_each_fact_once(tiny_web, use_importance):
     states = []
     checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
     IncrementalCrawler(tiny_web, crawler_spec(), policy).run(checkpointer=checkpointer)
-    state = resolve_urls(states[-1])
-    assert set(state["allurls"]) == {"url", "discovered_at", "last_failed_at"}
+    state = states[-1]
+    assert set(state["allurls"]) == {"url", "strays", "discovered_at", "last_failed_at"}
     assert set(state["crawl"]) == {"pages_fetched", "pages_failed"}
     assert set(state["ranking"]) == {
         "scans_completed", "pages_replaced", "pages_admitted", "graph", "warm"
@@ -541,7 +552,7 @@ def _refuse_stored_checkpoint_of_format(tmp_path, old_format):
         name=f"f{old_format}", web=WEB_SPEC,
         crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
     )
-    old = resolve_urls(_kill_runner_store_after_second_save(path, spec))
+    old = _kill_runner_store_after_second_save(path, spec)
     old["format"] = old_format
     backend = SqliteBackend(path)
     CrawlCheckpointer(backend, every_days=5.0, spec_hash=spec.spec_hash()).save(
@@ -567,6 +578,13 @@ def test_a_stored_format_6_checkpoint_is_refused_by_name(tmp_path):
     _refuse_stored_checkpoint_of_format(tmp_path, 6)
 
 
+def test_a_stored_format_7_checkpoint_is_refused_by_name(tmp_path):
+    """A format-7 store (EB posteriors and retry attempts keyed by URL)
+    verifies under the same header rule, so the resume refuses it by its
+    stamp."""
+    _refuse_stored_checkpoint_of_format(tmp_path, 7)
+
+
 def flip_latest_slot(conn):
     """Damage one character of the latest checkpoint slot's stored text."""
     (text,) = conn.execute(
@@ -590,20 +608,20 @@ def test_a_store_with_the_old_records_table_resumes_and_leaves_it_untouched(
         crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
     )
     uninterrupted = run(spec)
-    collection = resolve_urls(_kill_runner_store_after_second_save(path, spec))["collection"]
+    collection = checkpoint_records(_kill_runner_store_after_second_save(path, spec))
     conn = sqlite3.connect(path)
     conn.execute(OLD_RECORDS_DDL["mirror"])
     conn.executemany("INSERT INTO records VALUES (?, ?, ?, ?, ?, ?, ?, ?)", [
         (r.url, r.version, r.fetched_at, r.first_fetched_at, json.dumps(list(r.outlinks)),
          r.importance, r.visit_count, r.change_count)
-        for r in records_from_columns(collection)
+        for r in collection
     ])
     if slot == "fallback":
         flip_latest_slot(conn)
     conn.commit()
     conn.close()
     before = old_table(path, "records")
-    assert len(before[1]) == len(collection["url"]) > 0
+    assert len(before[1]) == len(collection) > 0
 
     resumed = run(spec, store=path, resume=True)
     assert resumed.series == uninterrupted.series
@@ -632,7 +650,7 @@ def test_a_store_with_the_old_event_log_resumes_and_leaves_it_untouched(tmp_path
     previous, logged = (
         state["crawl"]["pages_fetched"] + state["crawl"]["pages_failed"] for state in slots
     )
-    urls = resolve_urls(slots[-1])["collection"]["url"]
+    urls = unpack_urls(slots[-1]["collection"]["url"], slots[-1]["allurls"]["url"])
     conn = sqlite3.connect(path)
     conn.execute(OLD_EVENTS_DDL)
     conn.executemany("INSERT INTO events VALUES (?, ?, ?, ?, ?)", [
@@ -690,6 +708,44 @@ def test_a_completed_store_holds_its_final_collection(tmp_path, engine):
         assert saved["collection_size"] == len(image)
         collected += len(image)
     assert collected == result.summary["collection_size"] > 0
+
+
+def test_a_killed_sharded_store_resumes_at_another_worker_count(tmp_path):
+    """The shard stores are stamped with the spec minus its worker count,
+    which changes no shard's work: a two-shard run killed after its last
+    checkpoints at two workers resumes at one to the uninterrupted result
+    and final images."""
+    path = str(tmp_path / "sharded.sqlite")
+    spec = ExperimentSpec(
+        name="sharded", web=WEB_SPEC,
+        crawler=CRAWLER_SPEC.replace(
+            storage="sqlite", checkpoint_every=5.0, engine="sharded", shards=2, workers=2
+        ),
+    )
+    uninterrupted = run(spec, store=path)
+    images = []
+    # Drop what only a completed run commits: each store is then a kill's.
+    for index in range(2):
+        backend = SqliteBackend(shard_store_path(path, index))
+        image_key = namespaced_state_key(shard_namespace(index), COLLECTION_STATE_KEY)
+        images.append(backend.load_state_text(image_key))
+        backend.delete_state(image_key)
+        backend.delete_state(namespaced_state_key(shard_namespace(index), RESULT_STATE_KEY))
+        backend.flush()
+        backend.close()
+    backend = SqliteBackend(path)
+    backend.delete_state(RESULT_STATE_KEY)
+    backend.flush()
+    backend.close()
+
+    resumed = run(spec.replace(crawler=spec.crawler.replace(workers=1)), store=path, resume=True)
+    assert resumed.series == uninterrupted.series
+    assert {**resumed.summary, "workers": 2} == uninterrupted.summary
+    for index, image in enumerate(images):
+        backend = SqliteBackend(shard_store_path(path, index))
+        image_key = namespaced_state_key(shard_namespace(index), COLLECTION_STATE_KEY)
+        assert backend.load_state_text(image_key) == image
+        backend.close()
 
 
 def test_a_store_without_checkpoints_holds_its_result_and_one_image(tmp_path):

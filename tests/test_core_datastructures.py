@@ -9,6 +9,7 @@ from repro.core.collurls import CollUrls
 from repro.core.quality import CollectionQualityCache
 
 from reference.crawl import pop, schedule
+from test_checkpoint_resume import snapshot_with_table
 
 
 class TestAllUrls:
@@ -128,7 +129,7 @@ class TestCollUrls:
         bulk.schedule_front_many(urls, now)
         for url in urls:
             sequential.schedule_front(url, now)
-        assert bulk.snapshot() == sequential.snapshot()
+        assert snapshot_with_table(bulk) == snapshot_with_table(sequential)
         assert bulk.urls() == sequential.urls()
         assert [pop(bulk) for _ in range(8)] == [pop(sequential) for _ in range(8)]
 

@@ -25,6 +25,7 @@ from reference.crawl import (
     pop,
     schedule,
 )
+from test_checkpoint_resume import snapshot_with_table
 
 WEB_SPEC = WebSpec(
     site_scale=0.04,
@@ -174,7 +175,7 @@ class TestPolitenessEngineParity:
             assert record.version == other.version
             assert record.visit_count == other.visit_count
             assert record.change_count == other.change_count
-        assert crawler_b.collurls.snapshot() == crawler_r.collurls.snapshot()
+        assert snapshot_with_table(crawler_b.collurls) == snapshot_with_table(crawler_r.collurls)
 
     def test_polite_rate_estimates_identical(self):
         _, crawler_b = _run_incremental_polite("batched", "optimal", "ep", "both")

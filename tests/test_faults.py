@@ -61,6 +61,7 @@ from repro.storage.checkpoint import (
 
 from reference.crawl import ReferenceIncrementalCrawler
 from reference.kernels import _keyed, _mix, fault_resolve_reference
+from test_checkpoint_resume import snapshot_with_table
 
 WEB_SPEC = WebSpec(
     site_scale=0.03,
@@ -370,10 +371,10 @@ class TestFailureTracker:
         tracker.on_failure("u1", "s1", STATUS_TIMEOUT, 1.0)
         tracker.on_failure("u2", "s1", STATUS_SOFT_404, 2.0)
         tracker.on_failure("u3", "s2", STATUS_RATE_LIMITED, 3.0, retry_after=1.0)
-        state = tracker.snapshot()
+        state, table = snapshot_with_table(tracker)
         other = FailureTracker(RetrySpec(breaker_threshold=2), seed=9)
-        other.restore_snapshot(state)
-        assert other.snapshot() == state
+        other.restore_snapshot(state, table)
+        assert snapshot_with_table(other) == (state, table)
         # Restored trackers continue identically.
         assert other.on_failure("u4", "s1", STATUS_TIMEOUT, 4.0) == tracker.on_failure(
             "u4", "s1", STATUS_TIMEOUT, 4.0
@@ -693,7 +694,7 @@ def _assert_engines_agree(batched, crawler_b, reference, crawler_r):
     fetched_b = {r.url: r.fetched_at for r in crawler_b.collection.current_records()}
     fetched_r = {r.url: r.fetched_at for r in crawler_r.collection.current_records()}
     assert fetched_b == fetched_r
-    assert crawler_b.collurls.snapshot() == crawler_r.collurls.snapshot()
+    assert snapshot_with_table(crawler_b.collurls) == snapshot_with_table(crawler_r.collurls)
     assert crawler_b.allurls.snapshot() == crawler_r.allurls.snapshot()
 
 

@@ -93,6 +93,9 @@ RETIRED_NAMES = {
     # stay in its own store, and no merged estimator document is built.
     "merge_snapshots", "join_packed", "_concat_columns", "estimator_state",
     "record_to_dict",
+    # Each module packs its own URL columns (pack_urls / unpack_urls): no
+    # path walk over a crawler snapshot rewrites them afterwards.
+    "index_urls", "resolve_urls", "_URL_COLUMNS",
 }
 
 #: Entry points the benchmark's layer tracer names but no product path

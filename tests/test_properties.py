@@ -323,4 +323,6 @@ class TestPageRecordProperties:
             )
             for i, (version, fetched_at, importance) in enumerate(rows)
         ]
-        assert records_from_columns(records_to_columns(records)) == records
+        ids = {}
+        columns = records_to_columns(records, ids)
+        assert records_from_columns(columns, list(ids)) == records

@@ -34,6 +34,7 @@ from repro.storage.collection import InPlaceCollection
 from repro.storage.records import PageRecord
 
 from reference.crawl import crawl, pop, schedule
+from test_checkpoint_resume import snapshot_with_table
 
 
 def _full_sort_decision(
@@ -268,7 +269,8 @@ def test_restore_rebuilds_the_synced_outlinks_from_the_graph():
     assert live.graph.outlinks_by_source() == synced
 
     restored = ranking()
-    restored.restore_snapshot(json.loads(json.dumps(live.snapshot())))
+    snapshot, table = snapshot_with_table(live)
+    restored.restore_snapshot(json.loads(json.dumps(snapshot)), table)
     assert restored._graph_outlinks == synced
     assert restored.refine(3.0).importance == live.refine(3.0).importance
     assert restored._graph_outlinks == live._graph_outlinks == {

@@ -491,8 +491,9 @@ def test_sqlite_adds_its_tables_to_a_file_with_other_tables(tmp_path):
 # --------------------------------------------------------------------- #
 def test_record_columns_roundtrip_through_json():
     records = [make_record("u/x", fetched_at=1.0 / 7.0), make_record("u/y", outlinks=())]
-    columns = json.loads(json.dumps(records_to_columns(records)))
-    rebuilt = records_from_columns(columns)
+    ids = {}
+    columns = json.loads(json.dumps(records_to_columns(records, ids)))
+    rebuilt = records_from_columns(columns, list(ids))
     assert rebuilt == records
     assert rebuilt[0].fetched_at == records[0].fetched_at
     assert [r.outlinks for r in rebuilt] == [r.outlinks for r in records]
@@ -500,10 +501,10 @@ def test_record_columns_roundtrip_through_json():
 
 def test_record_columns_hold_one_column_per_field():
     records = [make_record("u/x", version=4), make_record("u/y", version=9)]
-    columns = records_to_columns(records)
+    columns = records_to_columns(records, {})
     assert list(columns) == [
         "url", "version", "fetched_at", "first_fetched_at", "outlinks",
-        "importance", "visit_count", "change_count",
+        "importance", "visit_count", "change_count", "outlink_counts",
     ]
     assert unpack_array(columns["version"], "<i8").tolist() == [4, 9]
 
