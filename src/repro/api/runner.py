@@ -192,18 +192,27 @@ def run(
         A structured :class:`ExperimentResult` with provenance.
     """
     started = time.perf_counter()
+    # A store is stamped with the spec minus its worker count, which changes
+    # no shard's work: a sharded run, killed or completed, resumes at any
+    # count. (Only the sharded engine takes a worker count.)
+    stamp = spec.spec_hash() if spec.crawler is None else spec.replace(
+        crawler=spec.crawler.replace(workers=None)
+    ).spec_hash()
     backend = _open_backend(spec, store, resume)
     try:
         if backend is not None and resume:
             saved = backend.load_state(RESULT_STATE_KEY)
             if saved is not None:
-                if saved.get("spec_hash") != spec.spec_hash():
+                if saved.get("spec_hash") != stamp:
                     raise ValueError(
                         "the store holds a result for a different spec "
                         f"(stored {str(saved.get('spec_hash'))[:12]}..., expected "
-                        f"{spec.spec_hash()[:12]}...)"
+                        f"{stamp[:12]}...)"
                     )
-                return _result_from_document(saved, time.perf_counter() - started)
+                return _result_from_document(
+                    {**saved, "spec_hash": spec.spec_hash()},
+                    time.perf_counter() - started,
+                )
         closed_for_fork = backend is not None and spec.crawler.engine == "sharded"
         if closed_for_fork:
             # The shards run in forked workers, and SQLite forbids carrying
@@ -213,7 +222,7 @@ def run(
             backend = None
         if spec.kind == "crawl":
             payload = _run_crawl(
-                spec, web, backend=backend, resume=resume, store=store
+                spec, web, stamp, backend=backend, resume=resume, store=store
             )
         elif spec.kind == "monitor":
             payload = _run_monitor(spec, web)
@@ -225,7 +234,9 @@ def run(
         if closed_for_fork:
             backend = _open_backend(spec, store, resume)
         if backend is not None:
-            backend.save_state(RESULT_STATE_KEY, _result_document(result))
+            backend.save_state(
+                RESULT_STATE_KEY, {**_result_document(result), "spec_hash": stamp}
+            )
             backend.flush()
         return result
     finally:
@@ -318,6 +329,7 @@ def _run_sharded_crawl(
     spec: ExperimentSpec,
     web: SimulatedWeb,
     policy: PolicySpec,
+    stamp: str,
     store: Optional[str],
     resume: bool,
 ) -> _RunPayload:
@@ -329,10 +341,7 @@ def _run_sharded_crawl(
     the shards run.
     """
     crawler_spec = spec.crawler
-    # The shard stores are stamped with the spec minus its worker count,
-    # which changes no shard's work: a killed run resumes at any count.
-    shard_hash = spec.replace(crawler=crawler_spec.replace(workers=None)).spec_hash()
-    crawler = ShardedCrawler(web, crawler_spec, policy, store_path=store, spec_hash=shard_hash)
+    crawler = ShardedCrawler(web, crawler_spec, policy, store_path=store, spec_hash=stamp)
     outcome = crawler.run(resume=resume)
     summary = _crawl_summary(
         crawler_spec.kind,
@@ -392,6 +401,7 @@ def _crawl_summary(
 def _run_crawl(
     spec: ExperimentSpec,
     web: Optional[SimulatedWeb],
+    stamp: str,
     backend: Optional[SqliteBackend] = None,
     resume: bool = False,
     store: Optional[str] = None,
@@ -402,7 +412,7 @@ def _run_crawl(
     crawler_spec = spec.crawler
     policy = spec.policy if spec.policy is not None else PolicySpec()
     if crawler_spec.engine == "sharded":
-        return _run_sharded_crawl(spec, web, policy, store, resume)
+        return _run_sharded_crawl(spec, web, policy, stamp, store, resume)
     if crawler_spec.kind == "incremental":
         crawler = IncrementalCrawler(web, crawler_spec, policy)
     else:
@@ -414,7 +424,7 @@ def _run_crawl(
         journal = CollectionJournal(backend)
         if crawler_spec.checkpoint_every is not None:
             checkpointer = CrawlCheckpointer(
-                backend, crawler_spec.checkpoint_every, spec_hash=spec.spec_hash()
+                backend, crawler_spec.checkpoint_every, spec_hash=stamp
             )
         if resume:
             if checkpointer is None:

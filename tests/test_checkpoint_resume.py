@@ -444,7 +444,7 @@ def test_checkpointer_validates_spacing():
 def test_checkpointer_spec_hash_guard():
     backend = SqliteBackend()
     writer = CrawlCheckpointer(backend, every_days=1.0, spec_hash="a" * 64)
-    writer.save({"format": 1}, at=0.0)
+    writer.save({"format": CHECKPOINT_FORMAT}, at=0.0)
     reader = CrawlCheckpointer(backend, every_days=1.0, spec_hash="b" * 64)
     with pytest.raises(ValueError, match="different spec"):
         reader.load()
@@ -710,11 +710,13 @@ def test_a_completed_store_holds_its_final_collection(tmp_path, engine):
     assert collected == result.summary["collection_size"] > 0
 
 
-def test_a_killed_sharded_store_resumes_at_another_worker_count(tmp_path):
-    """The shard stores are stamped with the spec minus its worker count,
-    which changes no shard's work: a two-shard run killed after its last
-    checkpoints at two workers resumes at one to the uninterrupted result
-    and final images."""
+@pytest.mark.parametrize("killed", [True, False], ids=["killed", "completed"])
+def test_a_sharded_store_resumes_at_another_worker_count(tmp_path, killed):
+    """A store is stamped with the spec minus its worker count, which
+    changes no shard's work: a two-shard run at two workers, killed after
+    its last checkpoints or completed, resumes at one to the uninterrupted
+    result and final images (a completed store returns its stored result,
+    which names the two workers that ran it)."""
     path = str(tmp_path / "sharded.sqlite")
     spec = ExperimentSpec(
         name="sharded", web=WEB_SPEC,
@@ -724,28 +726,49 @@ def test_a_killed_sharded_store_resumes_at_another_worker_count(tmp_path):
     )
     uninterrupted = run(spec, store=path)
     images = []
-    # Drop what only a completed run commits: each store is then a kill's.
     for index in range(2):
         backend = SqliteBackend(shard_store_path(path, index))
         image_key = namespaced_state_key(shard_namespace(index), COLLECTION_STATE_KEY)
         images.append(backend.load_state_text(image_key))
-        backend.delete_state(image_key)
-        backend.delete_state(namespaced_state_key(shard_namespace(index), RESULT_STATE_KEY))
+        if killed:
+            # Drop what only a completed run commits: each store is then a kill's.
+            backend.delete_state(image_key)
+            backend.delete_state(namespaced_state_key(shard_namespace(index), RESULT_STATE_KEY))
+            backend.flush()
+        backend.close()
+    if killed:
+        backend = SqliteBackend(path)
+        backend.delete_state(RESULT_STATE_KEY)
         backend.flush()
         backend.close()
-    backend = SqliteBackend(path)
-    backend.delete_state(RESULT_STATE_KEY)
-    backend.flush()
-    backend.close()
 
-    resumed = run(spec.replace(crawler=spec.crawler.replace(workers=1)), store=path, resume=True)
+    at_one = spec.replace(crawler=spec.crawler.replace(workers=1))
+    resumed = run(at_one, store=path, resume=True)
+    assert resumed.spec_hash == at_one.spec_hash()
     assert resumed.series == uninterrupted.series
     assert {**resumed.summary, "workers": 2} == uninterrupted.summary
+    assert resumed.summary["workers"] == (1 if killed else 2)
     for index, image in enumerate(images):
         backend = SqliteBackend(shard_store_path(path, index))
         image_key = namespaced_state_key(shard_namespace(index), COLLECTION_STATE_KEY)
         assert backend.load_state_text(image_key) == image
         backend.close()
+
+
+def test_an_older_format_is_refused_by_name_not_by_its_spec_hash(tiny_web):
+    """An older build's checkpoint may carry a hash this build no longer
+    stamps (shard stores once included the worker count): the resume names
+    its format rather than calling it another spec's."""
+    backend = SqliteBackend()
+    CrawlCheckpointer(backend, every_days=1.0, spec_hash="a" * 64).save(
+        {"format": CHECKPOINT_FORMAT - 1}, at=0.0
+    )
+    state = CrawlCheckpointer(backend, every_days=1.0, spec_hash="b" * 64).load()
+    with pytest.raises(
+        ValueError,
+        match=f"format {CHECKPOINT_FORMAT - 1} cannot be resumed.* format {CHECKPOINT_FORMAT} only",
+    ):
+        build_crawler(tiny_web).run(resume_state=state)
 
 
 def test_a_store_without_checkpoints_holds_its_result_and_one_image(tmp_path):

@@ -1031,6 +1031,6 @@ class TestCheckpointIntegrity:
     def test_spec_hash_guard_still_applies_after_fallback(self):
         backend = SqliteBackend()
         saver = _checkpointer(backend, spec_hash="a" * 64)
-        saver.save({"tick": 1}, at=1.0)
+        saver.save({"format": CHECKPOINT_FORMAT, "tick": 1}, at=1.0)
         with pytest.raises(ValueError, match="different spec"):
             _checkpointer(backend, spec_hash="b" * 64).load()
