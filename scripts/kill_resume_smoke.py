@@ -247,77 +247,33 @@ def main() -> int:
     return 0
 
 
+def write_spec(tmp: str, key: str, spec: dict) -> str:
+    path = os.path.join(tmp, f"{key}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(spec, handle)
+    return path
+
+
 def run_phases(tmp: str) -> None:
-    spec_path = os.path.join(tmp, "spec.json")
-    with open(spec_path, "w", encoding="utf-8") as handle:
-        json.dump(SPEC, handle)
-    store_a = os.path.join(tmp, "uninterrupted.sqlite")
-    store_b = os.path.join(tmp, "killed.sqlite")
-    out_a = os.path.join(tmp, "a.json")
-    out_b = os.path.join(tmp, "b.json")
-
-    phase = "[1/3] uninterrupted run"
-    say(f"{phase} ...")
-    run_spec(phase, spec_path, "--store", store_a, "--out", out_a, "--compact")
-
-    phase = "[2/3] run to first checkpoint, then SIGKILL"
-    say(f"{phase} ...")
-    proc = start_spec(spec_path, "--store", store_b, "--out", out_b, "--compact")
-    deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
-    killed = False
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise SystemExit(
-                "FAIL: the run finished before its first checkpoint could be "
-                "observed; enlarge the spec so the kill window exists"
-            )
-        keys = state_keys(store_b)
-        if "result" in keys:
-            raise SystemExit(
-                "FAIL: result row appeared before the kill; the run was "
-                "too fast for this machine"
-            )
-        if "checkpoint" in keys:
-            proc.send_signal(signal.SIGKILL)
-            wait(proc, phase)
-            killed = True
-            break
-        time.sleep(POLL_SECONDS)
-    if not killed:
-        proc.kill()
-        wait(proc, phase)
-        raise SystemExit("FAIL: no checkpoint observed before the timeout")
-    assert proc.returncode == -signal.SIGKILL, proc.returncode
-    keys_after_kill = state_keys(store_b)
-    assert "checkpoint" in keys_after_kill and "result" not in keys_after_kill
-    assert not os.path.exists(out_b), "killed run must not have written a result"
-    check_store_is_its_checkpoint(store_b)
-    say(f"      killed mid-run (returncode {proc.returncode}); store holds its "
-        "checkpoint and nothing past it")
-
-    phase = "[3/3] resume from the checkpoint"
-    say(f"{phase} ...")
-    run_spec(phase, spec_path, "--store", store_b, "--resume", "--out", out_b, "--compact")
-
-    a = result_doc(out_a)
-    b = result_doc(out_b)
-    for key in ("name", "kind", "summary", "series"):
-        if a[key] != b[key]:
-            raise SystemExit(f"FAIL: resumed run differs from uninterrupted in {key!r}")
-    if a["provenance"]["spec_hash"] != b["provenance"]["spec_hash"]:
-        raise SystemExit("FAIL: spec hash mismatch between runs")
-
-    records = compare_stores("resume", [(store_a, store_b, "")])
-    say(
-        f"PASS: resumed run is bit-identical to the uninterrupted run "
-        f"({records} records in the final image and the latest checkpoint, "
-        f"mean freshness {a['summary']['mean_freshness']:.4f})"
+    n_shards = SHARDED_SPEC["crawler"]["shards"]
+    plain_spec = write_spec(tmp, "plain", SPEC)
+    sharded_spec = write_spec(tmp, "sharded", SHARDED_SPEC)
+    plain = kill_resume_phase(
+        tmp, "plain", "resume", plain_spec, plain_spec,
+        has_checkpoint, lambda a, b: [(a, b, "")],
     )
-
-    sharded_phase(tmp)
+    sharded = kill_resume_phase(
+        tmp, "sharded", "sharded resume", sharded_spec, sharded_spec,
+        lambda store: any_shard_checkpoint(store, n_shards),
+        lambda a, b: shard_pairs(a, b, n_shards),
+    )
     everything_phase(tmp)
-    corrupted_checkpoint_phase(tmp, out_a, store_a)
-    worker_kill_phase(tmp)
+    corrupted_checkpoint_phase(tmp, plain_spec, *plain)
+    worker_kill_phase(tmp, sharded_spec, *sharded)
+
+
+def has_checkpoint(store: str) -> bool:
+    return "checkpoint" in state_keys(store)
 
 
 def shard_store_paths(base: str, n_shards: int) -> list:
@@ -341,87 +297,7 @@ def shard_pairs(reference: str, interrupted: str, n_shards: int) -> list:
     ]
 
 
-def check_shard_stores(base: str, n_shards: int) -> None:
-    for k, path in enumerate(shard_store_paths(base, n_shards)):
-        if os.path.exists(path):
-            check_store_is_its_checkpoint(path, f"shard{k:02d}/")
-
-
-def sharded_phase(tmp: str) -> None:
-    """SIGKILL a two-shard, two-worker run and resume it bit-identically."""
-    n_shards = SHARDED_SPEC["crawler"]["shards"]
-    spec_path = os.path.join(tmp, "sharded_spec.json")
-    with open(spec_path, "w", encoding="utf-8") as handle:
-        json.dump(SHARDED_SPEC, handle)
-    store_c = os.path.join(tmp, "sharded_uninterrupted.sqlite")
-    store_d = os.path.join(tmp, "sharded_killed.sqlite")
-    out_c = os.path.join(tmp, "c.json")
-    out_d = os.path.join(tmp, "d.json")
-
-    phase = "[1/3] uninterrupted sharded run"
-    say(f"{phase} ...")
-    run_spec(phase, spec_path, "--store", store_c, "--out", out_c, "--compact")
-
-    phase = "[2/3] sharded run to a shard checkpoint, then SIGKILL the coordinator"
-    say(f"{phase} ...")
-    proc = start_spec(spec_path, "--store", store_d, "--out", out_d, "--compact")
-    deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
-    killed = False
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise SystemExit(
-                "FAIL: the sharded run finished before any shard checkpoint "
-                "could be observed; enlarge the spec so the kill window exists"
-            )
-        if "result" in state_keys(store_d):
-            raise SystemExit(
-                "FAIL: merged result appeared before the kill; the run was "
-                "too fast for this machine"
-            )
-        if any_shard_checkpoint(store_d, n_shards):
-            proc.send_signal(signal.SIGKILL)
-            wait(proc, phase)
-            killed = True
-            break
-        time.sleep(POLL_SECONDS)
-    if not killed:
-        proc.kill()
-        wait(proc, phase)
-        raise SystemExit("FAIL: no shard checkpoint observed before the timeout")
-    assert proc.returncode == -signal.SIGKILL, proc.returncode
-    assert "result" not in state_keys(store_d)
-    assert not os.path.exists(out_d), "killed run must not have written a result"
-    # The workers carry PR_SET_PDEATHSIG: killing the coordinator reaps
-    # them, so the resumed run never races orphans for the shard stores.
-    # Give the kernel a moment to deliver the signal before resuming.
-    time.sleep(0.5)
-    check_shard_stores(store_d, n_shards)
-    say(f"      killed mid-run (returncode {proc.returncode}); each shard store "
-        "holds its checkpoint and nothing past it")
-
-    phase = "[3/3] resume the sharded run from the per-shard stores"
-    say(f"{phase} ...")
-    run_spec(phase, spec_path, "--store", store_d, "--resume", "--out", out_d, "--compact")
-
-    c = result_doc(out_c)
-    d = result_doc(out_d)
-    for key in ("name", "kind", "summary", "series"):
-        if c[key] != d[key]:
-            raise SystemExit(
-                f"FAIL: resumed sharded run differs from uninterrupted in {key!r}"
-            )
-    if c["provenance"]["spec_hash"] != d["provenance"]["spec_hash"]:
-        raise SystemExit("FAIL: spec hash mismatch between sharded runs")
-
-    records = compare_stores("sharded resume", shard_pairs(store_c, store_d, n_shards))
-    say(
-        f"PASS: resumed sharded run is bit-identical to the uninterrupted "
-        f"run ({records} records in the final images and the latest checkpoints "
-        f"across {n_shards} shard stores, mean freshness {c['summary']['mean_freshness']:.4f})"
-    )
-
-
-def kill_when(phase: str, spec_path: str, store: str, out: str, ready, what: str) -> None:
+def kill_when(phase: str, spec_path: str, store: str, out: str, ready) -> None:
     """Run ``spec_path`` against ``store`` and SIGKILL it as soon as
     ``ready(store)`` holds; the phase fails if the run finishes or writes
     its result first."""
@@ -430,8 +306,8 @@ def kill_when(phase: str, spec_path: str, store: str, out: str, ready, what: str
     while time.monotonic() < deadline:
         if proc.poll() is not None:
             raise SystemExit(
-                f"FAIL: {phase}: the run finished before {what} could be "
-                "observed; enlarge the spec so the kill window exists"
+                f"FAIL: {phase}: the run finished before the kill; enlarge "
+                "the spec so the kill window exists"
             )
         if "result" in state_keys(store):
             raise SystemExit(f"FAIL: {phase}: a result appeared before the kill")
@@ -443,9 +319,70 @@ def kill_when(phase: str, spec_path: str, store: str, out: str, ready, what: str
     else:
         proc.kill()
         wait(proc, phase)
-        raise SystemExit(f"FAIL: {phase}: no {what} observed before the timeout")
+        raise SystemExit(f"FAIL: {phase}: the store was not ready before the timeout")
     if proc.returncode != -signal.SIGKILL or os.path.exists(out):
         raise SystemExit(f"FAIL: {phase}: the run was not killed before its result")
+    # A sharded run's workers carry PR_SET_PDEATHSIG: killing the
+    # coordinator reaps them. Give the kernel a moment to deliver the
+    # signal, so nothing that follows races orphans for the shard stores.
+    time.sleep(0.5)
+
+
+def kill_resume_phase(
+    tmp: str, key: str, label: str, run_path: str, resume_path: str, ready, pairs_of
+) -> tuple:
+    """Run ``run_path`` uninterrupted, and again killed once ``ready``
+    holds on its store, then resume the killed store with ``resume_path``.
+
+    Each killed store (the base one and those ``pairs_of(reference,
+    killed)`` names, as (reference, killed, state-key prefix) triples) must
+    hold its checkpoint and nothing past it; the resumed result, final
+    images and latest checkpoints must equal the uninterrupted run's. When
+    ``resume_path`` is another spec (a different worker count), the summary's
+    ``workers`` and the spec hash are not compared. Returns the
+    uninterrupted run's store and result file.
+    """
+    store_a = os.path.join(tmp, f"{key}_uninterrupted.sqlite")
+    store_b = os.path.join(tmp, f"{key}_killed.sqlite")
+    out_a = os.path.join(tmp, f"{key}_a.json")
+    out_b = os.path.join(tmp, f"{key}_b.json")
+
+    phase = f"[{label} 1/3] uninterrupted run"
+    say(f"{phase} ...")
+    run_spec(phase, run_path, "--store", store_a, "--out", out_a, "--compact")
+
+    phase = f"[{label} 2/3] run to the first checkpoint, then SIGKILL"
+    say(f"{phase} ...")
+    kill_when(phase, run_path, store_b, out_b, ready)
+    killed = {(store_b, "")} | {(b, prefix) for _, b, prefix in pairs_of(store_a, store_b)}
+    for store, prefix in sorted(killed):
+        if os.path.exists(store):
+            check_store_is_its_checkpoint(store, prefix)
+    say("      killed mid-run; each store holds its checkpoint and nothing past it")
+
+    phase = f"[{label} 3/3] resume"
+    say(f"{phase} ...")
+    run_spec(phase, resume_path, "--store", store_b, "--resume", "--out", out_b, "--compact")
+
+    a, b = result_doc(out_a), result_doc(out_b)
+    same_spec = run_path == resume_path
+    if not same_spec:
+        for doc in (a, b):
+            doc["summary"].pop("workers", None)
+    for name in ("name", "kind", "summary", "series"):
+        if a[name] != b[name]:
+            raise SystemExit(f"FAIL: {label}: resumed run differs in {name!r}")
+    if same_spec and a["provenance"]["spec_hash"] != b["provenance"]["spec_hash"]:
+        raise SystemExit(f"FAIL: {label}: spec hash mismatch between runs")
+    records = compare_stores(label, pairs_of(store_a, store_b))
+    failures = a["summary"].get("failures")
+    retries = "" if failures is None else f"{failures['retries']} retries, "
+    say(
+        f"PASS: {label}: resumed run is bit-identical to the uninterrupted run "
+        f"({records} records in the final images and the latest checkpoints, "
+        f"{retries}mean freshness {a['summary']['mean_freshness']:.4f})"
+    )
+    return store_a, out_a
 
 
 def everything_phase(tmp: str) -> None:
@@ -462,67 +399,24 @@ def everything_phase(tmp: str) -> None:
     spec["crawler"].update(
         collection_capacity=200, crawl_budget_per_day=2000.0, duration_days=60.0
     )
-    sharded = {"engine": "sharded", "shards": 2}
-    variants = {
-        "plain": spec,
-        "sharded": {**spec, "crawler": {**spec["crawler"], **sharded, "workers": 2}},
-        "sharded_resume": {**spec, "crawler": {**spec["crawler"], **sharded, "workers": 1}},
-    }
-    paths = {}
-    for name, variant in variants.items():
-        paths[name] = os.path.join(tmp, f"everything_{name}.json")
-        with open(paths[name], "w", encoding="utf-8") as handle:
-            json.dump(variant, handle)
-
-    plain = (
-        "plain", "everything", paths["plain"], paths["plain"],
-        lambda store: "checkpoint" in state_keys(store),
-        lambda a, b: [(a, b, "")],
+    plain = write_spec(tmp, "everything_plain", spec)
+    kill_resume_phase(
+        tmp, "everything_plain", "everything", plain, plain,
+        has_checkpoint, lambda a, b: [(a, b, "")],
     )
-    two_shards = (
-        "sharded", "everything, 2 shards, resumed at 1 worker",
-        paths["sharded"], paths["sharded_resume"],
+    sharded = {**spec["crawler"], "engine": "sharded", "shards": 2}
+    at_two = write_spec(
+        tmp, "everything_sharded", {**spec, "crawler": {**sharded, "workers": 2}}
+    )
+    at_one = write_spec(
+        tmp, "everything_sharded_at_one", {**spec, "crawler": {**sharded, "workers": 1}}
+    )
+    kill_resume_phase(
+        tmp, "everything_sharded", "everything, 2 shards, resumed at 1 worker",
+        at_two, at_one,
         lambda store: any_shard_checkpoint(store, 2),
         lambda a, b: shard_pairs(a, b, 2),
     )
-    for key, label, run_path, resume_path, ready, pairs_of in (plain, two_shards):
-        store_a = os.path.join(tmp, f"everything_{key}_uninterrupted.sqlite")
-        store_b = os.path.join(tmp, f"everything_{key}_killed.sqlite")
-        out_a = os.path.join(tmp, f"everything_{key}_a.json")
-        out_b = os.path.join(tmp, f"everything_{key}_b.json")
-
-        phase = f"[{label} 1/3] uninterrupted run"
-        say(f"{phase} ...")
-        run_spec(phase, run_path, "--store", store_a, "--out", out_a, "--compact")
-
-        phase = f"[{label} 2/3] run to the first checkpoint, then SIGKILL"
-        say(f"{phase} ...")
-        kill_when(phase, run_path, store_b, out_b, ready, "a checkpoint")
-        time.sleep(0.5)  # let a sharded run's workers die with their coordinator
-        for _, killed, prefix in pairs_of(store_a, store_b):
-            if os.path.exists(killed):
-                check_store_is_its_checkpoint(killed, prefix)
-
-        phase = f"[{label} 3/3] resume"
-        say(f"{phase} ...")
-        run_spec(phase, resume_path, "--store", store_b, "--resume", "--out", out_b, "--compact")
-
-        a, b = result_doc(out_a), result_doc(out_b)
-        for doc in (a, b):
-            doc["summary"].pop("workers", None)
-        for name in ("name", "kind", "summary", "series"):
-            if a[name] != b[name]:
-                raise SystemExit(f"FAIL: {label}: resumed run differs in {name!r}")
-        same_spec = run_path == resume_path
-        if same_spec and a["provenance"]["spec_hash"] != b["provenance"]["spec_hash"]:
-            raise SystemExit(f"FAIL: {label}: spec hash mismatch between runs")
-        records = compare_stores(label, pairs_of(store_a, store_b))
-        say(
-            f"PASS: {label}: resumed run is bit-identical to the uninterrupted run "
-            f"({records} records in the final images and the latest checkpoints, "
-            f"{a['summary']['failures']['retries']} retries, "
-            f"mean freshness {a['summary']['mean_freshness']:.4f})"
-        )
 
 
 def flipped(value: str) -> str:
@@ -559,7 +453,9 @@ def copy_store(store: str, copy: str) -> None:
             shutil.copyfile(store + suffix, copy + suffix)
 
 
-def corrupted_checkpoint_phase(tmp: str, out_reference: str, store_reference: str) -> None:
+def corrupted_checkpoint_phase(
+    tmp: str, spec_path: str, store_reference: str, out_reference: str
+) -> None:
     """Corrupt the latest checkpoint; the resume must use the previous one.
 
     The run is killed only after ``checkpoint_prev`` exists (the second
@@ -569,34 +465,12 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str, store_reference: st
     previous snapshot — bit-identical to having crashed one checkpoint
     earlier, hence to the uninterrupted run.
     """
-    spec_path = os.path.join(tmp, "spec.json")  # written by main()
     store = os.path.join(tmp, "corrupted.sqlite")
     out = os.path.join(tmp, "corrupted.json")
 
     phase = "[corrupt 1/3] run to the second checkpoint, then SIGKILL"
     say(f"{phase} ...")
-    proc = start_spec(spec_path, "--store", store, "--out", out, "--compact")
-    deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
-    killed = False
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise SystemExit(
-                "FAIL: the run finished before its second checkpoint could "
-                "be observed; enlarge the spec so the kill window exists"
-            )
-        keys = state_keys(store)
-        if "result" in keys:
-            raise SystemExit("FAIL: result row appeared before the kill")
-        if "checkpoint_prev" in keys:
-            proc.send_signal(signal.SIGKILL)
-            wait(proc, phase)
-            killed = True
-            break
-        time.sleep(POLL_SECONDS)
-    if not killed:
-        proc.kill()
-        wait(proc, phase)
-        raise SystemExit("FAIL: no second checkpoint observed before the timeout")
+    kill_when(phase, spec_path, store, out, lambda s: "checkpoint_prev" in state_keys(s))
 
     check_store_is_its_checkpoint(store)
     a = result_doc(out_reference)
@@ -645,7 +519,9 @@ def worker_pids(coordinator_pid: int) -> list:
     return pids
 
 
-def worker_kill_phase(tmp: str) -> None:
+def worker_kill_phase(
+    tmp: str, spec_path: str, store_reference: str, out_reference: str
+) -> None:
     """SIGKILL one shard *worker*; the coordinator must recover in-flight.
 
     Unlike the coordinator-kill phase there is no resume invocation: the
@@ -654,8 +530,6 @@ def worker_kill_phase(tmp: str) -> None:
     still equal the uninterrupted sharded run bit for bit.
     """
     n_shards = SHARDED_SPEC["crawler"]["shards"]
-    spec_path = os.path.join(tmp, "sharded_spec.json")  # written by sharded_phase
-    out_reference = os.path.join(tmp, "c.json")
     store = os.path.join(tmp, "worker_killed.sqlite")
     out = os.path.join(tmp, "worker_killed.json")
 
@@ -703,9 +577,9 @@ def worker_kill_phase(tmp: str) -> None:
                 "FAIL: worker-kill recovery differs from the uninterrupted "
                 f"sharded run in {key!r}"
             )
-    records = compare_stores("worker-kill recovery", shard_pairs(
-        os.path.join(tmp, "sharded_uninterrupted.sqlite"), store, n_shards
-    ))
+    records = compare_stores(
+        "worker-kill recovery", shard_pairs(store_reference, store, n_shards)
+    )
     say(
         "PASS: coordinator recovered the SIGKILLed worker bit-identically "
         f"({records} records in the final images and the latest checkpoints, "

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.api.registry import SCENARIOS, STORAGE_BACKENDS
-from repro.api.specs import ExperimentSpec, PolicySpec, WebSpec
+from repro.api.specs import CrawlerSpec, ExperimentSpec, PolicySpec, WebSpec
 from repro.api import scenarios as _scenarios  # noqa: F401  (registration side effect)
 from repro.core.incremental_crawler import IncrementalCrawler
 from repro.core.periodic_crawler import PeriodicCrawler
@@ -192,12 +192,9 @@ def run(
         A structured :class:`ExperimentResult` with provenance.
     """
     started = time.perf_counter()
-    # A store is stamped with the spec minus its worker count, which changes
-    # no shard's work: a sharded run, killed or completed, resumes at any
-    # count. (Only the sharded engine takes a worker count.)
-    stamp = spec.spec_hash() if spec.crawler is None else spec.replace(
-        crawler=spec.crawler.replace(workers=None)
-    ).spec_hash()
+    # A store is stamped with the spec minus its worker count, which changes no
+    # shard's work: a sharded run, killed or completed, resumes at any count.
+    stamp = spec.replace(crawler=spec.crawler and spec.crawler.replace(workers=None)).spec_hash()
     backend = _open_backend(spec, store, resume)
     try:
         if backend is not None and resume:
@@ -209,10 +206,8 @@ def run(
                         f"(stored {str(saved.get('spec_hash'))[:12]}..., expected "
                         f"{stamp[:12]}...)"
                     )
-                return _result_from_document(
-                    {**saved, "spec_hash": spec.spec_hash()},
-                    time.perf_counter() - started,
-                )
+                saved["spec_hash"] = spec.spec_hash()
+                return _result_from_document(saved, time.perf_counter() - started)
         closed_for_fork = backend is not None and spec.crawler.engine == "sharded"
         if closed_for_fork:
             # The shards run in forked workers, and SQLite forbids carrying
@@ -234,9 +229,7 @@ def run(
         if closed_for_fork:
             backend = _open_backend(spec, store, resume)
         if backend is not None:
-            backend.save_state(
-                RESULT_STATE_KEY, {**_result_document(result), "spec_hash": stamp}
-            )
+            backend.save_state(RESULT_STATE_KEY, {**_result_document(result), "spec_hash": stamp})
             backend.flush()
         return result
     finally:
@@ -326,7 +319,7 @@ _RunPayload = Tuple[Dict[str, List[float]], Dict[str, Any], Dict[str, Any], Dict
 
 
 def _run_sharded_crawl(
-    spec: ExperimentSpec,
+    crawler_spec: CrawlerSpec,
     web: SimulatedWeb,
     policy: PolicySpec,
     stamp: str,
@@ -340,7 +333,6 @@ def _run_sharded_crawl(
     :func:`run` only holds the merged result document, and is closed while
     the shards run.
     """
-    crawler_spec = spec.crawler
     crawler = ShardedCrawler(web, crawler_spec, policy, store_path=store, spec_hash=stamp)
     outcome = crawler.run(resume=resume)
     summary = _crawl_summary(
@@ -412,7 +404,7 @@ def _run_crawl(
     crawler_spec = spec.crawler
     policy = spec.policy if spec.policy is not None else PolicySpec()
     if crawler_spec.engine == "sharded":
-        return _run_sharded_crawl(spec, web, policy, stamp, store, resume)
+        return _run_sharded_crawl(crawler_spec, web, policy, stamp, store, resume)
     if crawler_spec.kind == "incremental":
         crawler = IncrementalCrawler(web, crawler_spec, policy)
     else:
@@ -437,12 +429,10 @@ def _run_crawl(
                     "the store holds no checkpoint to resume from; run the "
                     "spec without resume first"
                 )
-    if journal is not None or checkpointer is not None:
-        outcome = crawler.run(
-            journal=journal, checkpointer=checkpointer, resume_state=resume_state
-        )
-    else:
-        outcome = crawler.run()
+    # A store implies the incremental crawler (the spec refuses a periodic one).
+    outcome = crawler.run() if journal is None else crawler.run(
+        journal=journal, checkpointer=checkpointer, resume_state=resume_state
+    )
 
     summary = _crawl_summary(
         crawler_spec.kind,

@@ -347,8 +347,7 @@ class CrawlCheckpointer:
         if text is None:
             return None
         state = json.loads(text)
-        # A document of another format is refused by name when it is
-        # restored: the hash an older build stamped need not be this one's.
+        # Another format is refused by name at restore, whatever hash it bears.
         if self.spec_hash is not None and state.get("format") == CHECKPOINT_FORMAT:
             stored_hash = state.get("spec_hash")
             if stored_hash is not None and stored_hash != self.spec_hash:
