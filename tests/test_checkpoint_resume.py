@@ -545,8 +545,10 @@ def test_runner_resume_continues_interrupted_run(tmp_path):
 
 
 def _refuse_stored_checkpoint_of_format(tmp_path, old_format):
-    """Store a verified checkpoint stamped ``old_format`` and assert the
-    resume refuses it by that stamp."""
+    """Store a verified checkpoint stamped ``old_format`` under another
+    spec hash and assert the resume refuses it by its format stamp: an older
+    build's hash need not be this one's (shard stores once included the
+    worker count), and the refusal must name the format, not another spec."""
     path = str(tmp_path / f"format{old_format}.sqlite")
     spec = ExperimentSpec(
         name=f"f{old_format}", web=WEB_SPEC,
@@ -555,7 +557,7 @@ def _refuse_stored_checkpoint_of_format(tmp_path, old_format):
     old = _kill_runner_store_after_second_save(path, spec)
     old["format"] = old_format
     backend = SqliteBackend(path)
-    CrawlCheckpointer(backend, every_days=5.0, spec_hash=spec.spec_hash()).save(
+    CrawlCheckpointer(backend, every_days=5.0, spec_hash="f" * 64).save(
         old, old["checkpoint_at"]
     )
     backend.close()
@@ -753,22 +755,6 @@ def test_a_sharded_store_resumes_at_another_worker_count(tmp_path, killed):
         image_key = namespaced_state_key(shard_namespace(index), COLLECTION_STATE_KEY)
         assert backend.load_state_text(image_key) == image
         backend.close()
-
-
-def test_an_older_format_is_refused_by_name_not_by_its_spec_hash(tiny_web):
-    """An older build's checkpoint may carry a hash this build no longer
-    stamps (shard stores once included the worker count): the resume names
-    its format rather than calling it another spec's."""
-    backend = SqliteBackend()
-    CrawlCheckpointer(backend, every_days=1.0, spec_hash="a" * 64).save(
-        {"format": CHECKPOINT_FORMAT - 1}, at=0.0
-    )
-    state = CrawlCheckpointer(backend, every_days=1.0, spec_hash="b" * 64).load()
-    with pytest.raises(
-        ValueError,
-        match=f"format {CHECKPOINT_FORMAT - 1} cannot be resumed.* format {CHECKPOINT_FORMAT} only",
-    ):
-        build_crawler(tiny_web).run(resume_state=state)
 
 
 def test_a_store_without_checkpoints_holds_its_result_and_one_image(tmp_path):
