@@ -12,10 +12,10 @@ The store commits only with a checkpoint, so before each resume the
 killed store must hold nothing past its last one: no final collection
 image and no result. The resumed run must reproduce the uninterrupted
 run's result exactly — summary, series, spec hash — and the two stores
-must hold the same text for their final collection image (every record,
-fetch timestamps included) and the same text for their latest checkpoint:
-what a resume rebuilds instead of reading from the checkpoint must come
-back whole, or a later checkpoint would differ.
+must hold the same header text and the same column bytes for their final
+collection image (every record, fetch timestamps included) and for their
+latest checkpoint: what a resume rebuilds instead of reading from the
+checkpoint must come back whole, or a later checkpoint would differ.
 This is the paper's "incremental crawler you can stop and restart"
 property, end to end.
 
@@ -35,12 +35,13 @@ at two workers and resumed at one.
 Two failure-injection phases then harden the story further:
 
 * **corrupted checkpoint** — a run is killed after its *second*
-  checkpoint and the latest checkpoint's stored text is damaged two ways,
-  each on its own copy of the killed store: one character *flipped*
-  mid-value, and the value *torn* to half its length (a write that never
-  finished). The integrity checksum is the sha256 of the stored bytes, so
-  either way the resume must detect the damage, fall back to the demoted
-  previous snapshot, and still reproduce the uninterrupted result exactly;
+  checkpoint and the latest checkpoint is damaged four ways, each on its
+  own copy of the killed store: its header or its column bytes, one
+  character or byte *flipped* mid-value, or the value *torn* to half its
+  length (a write that never finished). The integrity checksum is the
+  sha256 of the stored header body and column bytes, so every way the
+  resume must detect the damage, fall back to the demoted previous
+  snapshot, and still reproduce the uninterrupted result exactly;
 * **worker SIGKILL** — a sharded run loses one of its *worker
   processes* (not the coordinator) to SIGKILL mid-crawl; the coordinator
   must detect the silent death, re-run the shard from its store, and
@@ -67,6 +68,7 @@ import sys
 import tempfile
 import time
 
+from repro.storage.checkpoint import columns_key, decode
 from repro.storage.records import records_from_columns
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -187,20 +189,25 @@ def query(store: str, sql: str, params: tuple = ()) -> list:
         conn.close()
 
 
-def state_text(store: str, key: str) -> list:
-    """The stored text of state ``key``, as a one-row list."""
-    rows = query(store, "SELECT value FROM state WHERE key = ?", (key,))
-    if not rows:
-        raise SystemExit(f"FAIL: {os.path.basename(store)} holds no {key!r}")
-    return rows
+def stored_rows(store: str, key: str) -> tuple:
+    """The header stored at ``key`` and its column bytes."""
+    values = []
+    for row_key in (key, columns_key(key)):
+        rows = query(store, "SELECT value FROM state WHERE key = ?", (row_key,))
+        if not rows:
+            raise SystemExit(f"FAIL: {os.path.basename(store)} holds no {row_key!r}")
+        values.append(rows[0][0])
+    return tuple(values)
 
 
 def check_store_is_its_checkpoint(store: str, prefix: str = "") -> None:
     """A killed store holds nothing past its last commit: neither a final
-    collection image nor a result, which only a completed run commits."""
+    collection image (header or column bytes) nor a result, which only a
+    completed run commits."""
+    image = prefix + "collection"
     past = [
         key for (key,) in query(store, "SELECT key FROM state")
-        if key in (prefix + "collection", prefix + "result")
+        if key in (image, columns_key(image), prefix + "result")
     ]
     if past:
         raise SystemExit(
@@ -210,23 +217,25 @@ def check_store_is_its_checkpoint(store: str, prefix: str = "") -> None:
 
 
 def compare_stores(label: str, pairs: list) -> int:
-    """Final collection images and the latest checkpoint's text of each
-    (uninterrupted, interrupted, state-key namespace) store triple; the
-    number of records the reference images hold."""
+    """Final collection images and the latest checkpoint (header text and
+    column bytes) of each (uninterrupted, interrupted, state-key namespace)
+    store triple; the number of records the reference images hold."""
     for reference, interrupted, prefix in pairs:
-        for what, read in (
-            ("final collection images", lambda store: state_text(store, prefix + "collection")),
-            ("latest checkpoints", lambda store: state_text(store, prefix + "checkpoint")),
+        for what, key in (
+            ("final collection images", prefix + "collection"),
+            ("latest checkpoints", prefix + "checkpoint"),
         ):
-            rows_a, rows_b = read(reference), read(interrupted)
-            if rows_a != rows_b:
-                raise SystemExit(
-                    f"FAIL: {label}: the stores hold different {what} "
-                    f"({len(rows_a)} vs {len(rows_b)} rows)"
-                )
+            for part, a, b in zip(
+                ("headers", "column bytes"),
+                stored_rows(reference, key), stored_rows(interrupted, key),
+            ):
+                if a != b:
+                    raise SystemExit(
+                        f"FAIL: {label}: the stores hold different {what} "
+                        f"({part}: {len(a)} vs {len(b)})"
+                    )
     images = (
-        json.loads(state_text(reference, prefix + "collection")[0][0])
-        for reference, _, prefix in pairs
+        decode(*stored_rows(reference, prefix + "collection")) for reference, _, prefix in pairs
     )
     return sum(len(records_from_columns(image, image["table"])) for image in images)
 
@@ -419,19 +428,21 @@ def everything_phase(tmp: str) -> None:
     )
 
 
-def flipped(value: str) -> str:
-    """``value`` with one character in its middle changed."""
+def flipped(value):
+    """``value`` (a text or bytes) with one character or byte in its middle changed."""
     mid = len(value) // 2
+    if isinstance(value, bytes):
+        return value[:mid] + bytes([value[mid] ^ 0xFF]) + value[mid + 1:]
     return value[:mid] + ("0" if value[mid] != "0" else "1") + value[mid + 1:]
 
 
-def torn(value: str) -> str:
+def torn(value):
     """``value`` cut to half its length: a write that never finished."""
     return value[: len(value) // 2]
 
 
 def damage_state_value(store: str, key: str, damage) -> None:
-    """Rewrite a stored state document as ``damage(its text)``."""
+    """Rewrite a stored state value as ``damage(value)``."""
     conn = sqlite3.connect(store)
     try:
         row = conn.execute(
@@ -459,11 +470,11 @@ def corrupted_checkpoint_phase(
     """Corrupt the latest checkpoint; the resume must use the previous one.
 
     The run is killed only after ``checkpoint_prev`` exists (the second
-    save demotes the first), then the *current* checkpoint's stored text
-    is flipped in one copy of the store and torn in another. The integrity
-    checksum must catch either damage and the resume fall back to the
-    previous snapshot — bit-identical to having crashed one checkpoint
-    earlier, hence to the uninterrupted run.
+    save demotes the first), then the *current* checkpoint's header, and
+    then its column bytes, is flipped in one copy of the store and torn in
+    another. The integrity checksum must catch each damage and the resume
+    fall back to the previous snapshot — bit-identical to having crashed one
+    checkpoint earlier, hence to the uninterrupted run.
     """
     store = os.path.join(tmp, "corrupted.sqlite")
     out = os.path.join(tmp, "corrupted.json")
@@ -474,30 +485,35 @@ def corrupted_checkpoint_phase(
 
     check_store_is_its_checkpoint(store)
     a = result_doc(out_reference)
-    for damage in (flipped, torn):
-        label = damage.__name__
-        damaged_store = os.path.join(tmp, f"corrupted_{label}.sqlite")
+    cases = [
+        (part, key, damage)
+        for part, key in (("header", "checkpoint"), ("column bytes", columns_key("checkpoint")))
+        for damage in (flipped, torn)
+    ]
+    for part, key, damage in cases:
+        label = f"{damage.__name__} {part}"
+        damaged_store = os.path.join(tmp, f"corrupted_{damage.__name__}_{key}.sqlite")
         copy_store(store, damaged_store)
-        say(f"[corrupt 2/3] latest checkpoint {label} ...")
-        damage_state_value(damaged_store, "checkpoint", damage)
+        say(f"[corrupt 2/3] latest checkpoint's {label} ...")
+        damage_state_value(damaged_store, key, damage)
 
-        phase = f"[corrupt 3/3] resume after a {label} checkpoint"
+        phase = f"[corrupt 3/3] resume after a {label}"
         say(f"{phase}; must fall back to the previous snapshot ...")
         run_spec(phase, spec_path, "--store", damaged_store, "--resume", "--out", out, "--compact")
 
         b = result_doc(out)
-        for key in ("name", "kind", "summary", "series"):
-            if a[key] != b[key]:
+        for name in ("name", "kind", "summary", "series"):
+            if a[name] != b[name]:
                 raise SystemExit(
-                    f"FAIL: resume after a {label} checkpoint differs from the "
-                    f"uninterrupted run in {key!r}"
+                    f"FAIL: resume after a {label} differs from the "
+                    f"uninterrupted run in {name!r}"
                 )
         # Resumed from the previous slot, the store still ends as the
         # uninterrupted run's.
         compare_stores(f"{label} fallback", [(store_reference, damaged_store, "")])
         say(
-            f"PASS: {label} checkpoint detected, previous snapshot resumed "
-            f"bit-identically (mean freshness {b['summary']['mean_freshness']:.4f})"
+            f"PASS: {label} of the latest checkpoint detected, previous snapshot "
+            f"resumed bit-identically (mean freshness {b['summary']['mean_freshness']:.4f})"
         )
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Container, Dict, Iterable, Iterator, List, Optional
 
-from repro.storage.checkpoint import pack_floats, unpack_floats
+from repro.storage.checkpoint import pack_floats
 
 
 @dataclass
@@ -99,7 +99,7 @@ class AllUrls:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
-        """JSON-serializable registry columns in dict-insertion order.
+        """Checkpoint registry columns in dict-insertion order.
 
         Insertion order is preserved (``candidates`` iterates it). Times
         are packed, ``last_failed_at`` with NaN for ``None``: a virtual time
@@ -121,7 +121,7 @@ class AllUrls:
             url: UrlInfo(url, discovered_at, None if math.isnan(failed) else failed)
             for url, discovered_at, failed in zip(
                 state["url"],
-                unpack_floats(state["discovered_at"]),
-                unpack_floats(state["last_failed_at"]),
+                state["discovered_at"].tolist(),
+                state["last_failed_at"].tolist(),
             )
         }

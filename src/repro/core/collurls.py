@@ -28,14 +28,7 @@ import math
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.storage.checkpoint import (
-    pack_floats,
-    pack_ints,
-    pack_urls,
-    unpack_array,
-    unpack_floats,
-    unpack_urls,
-)
+from repro.storage.checkpoint import pack_floats, pack_ints, pack_urls, unpack_urls
 
 #: A queue entry as returned by :meth:`CollUrls.pop_due`:
 #: ``(scheduled_time, sequence, url)`` — the heap's native key layout, so
@@ -254,7 +247,7 @@ class CollUrls:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self, ids: Dict[str, int]) -> dict:
-        """JSON-serializable queue state: live entries + both counters.
+        """Checkpoint queue state: live entries + both counters.
 
         Entries are emitted as columns in canonical ``(time, sequence)``
         order (not dict-insertion order) so the snapshot is a pure function
@@ -278,13 +271,9 @@ class CollUrls:
         Each entry tuple is built once and shared between the heap and the
         URL map, preserving the identity-based lazy-deletion invariant.
         """
-        heap: List[QueueEntry] = list(
-            zip(
-                unpack_floats(state["times"]),
-                unpack_array(state["sequences"]).tolist(),
-                unpack_urls(state["urls"], table),
-            )
-        )
+        heap: List[QueueEntry] = list(zip(
+            state["times"].tolist(), state["sequences"].tolist(), unpack_urls(state["urls"], table)
+        ))
         scheduled = {entry[2]: entry for entry in heap}
         heapq.heapify(heap)
         self._heap = heap

@@ -450,12 +450,13 @@ class IncrementalCrawler:
         tracker: FreshnessTracker,
         result: CrawlRunResult,
     ) -> dict:
-        """Assemble a JSON-serializable snapshot of the full crawler state.
+        """Assemble a snapshot of the full crawler state, for
+        :func:`~repro.storage.checkpoint.encode`.
 
         Taken with the head event still pending on the scheduler: restoring
         this state into a freshly constructed crawler replays the run from
         here bit-identically. Every float travels exactly (per-URL columns as
-        packed float64 bytes, the rest as JSON ``repr``) and dict insertion
+        float64 ndarrays, the rest as JSON ``repr``) and dict insertion
         order — which feeds ordered float reductions in the UpdateModule —
         survives serialization. Each URL is written once: every module packs
         its URL columns through one URL → index dict seeded from AllUrls'

@@ -46,7 +46,7 @@ from repro.core.allurls import AllUrls
 from repro.core.collurls import CollUrls
 from repro.core.crawl_module import CrawlModule
 from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
-from repro.storage.checkpoint import pack_floats, unpack_array
+from repro.storage.checkpoint import pack_floats
 from repro.storage.collection import Collection
 from repro.storage.records import PageRecord
 
@@ -195,7 +195,7 @@ class RankingModule:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self, ids: Dict[str, int]) -> dict:
-        """JSON-serializable module state, its URLs index columns through
+        """Checkpoint module state, its URLs index columns through
         ``ids`` (:func:`~repro.storage.checkpoint.pack_urls`).
 
         Beyond the counters this carries the live link graph (interning
@@ -232,7 +232,7 @@ class RankingModule:
         self._graph.restore_snapshot(state["graph"], table)
         self._graph_outlinks = self._graph.outlinks_by_source()
         warm = {
-            name: None if packed is None else unpack_array(packed, "<f8").copy()
+            name: None if packed is None else packed.copy()
             for name, packed in state["warm"].items()
         }
         self._warm_pagerank = warm["pagerank"]

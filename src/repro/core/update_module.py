@@ -35,7 +35,7 @@ from repro.faults import (
     STATUS_TIMEOUT,
     FailureTracker,
 )
-from repro.storage.checkpoint import pack_floats, pack_urls, unpack_floats, unpack_urls
+from repro.storage.checkpoint import pack_floats, pack_urls, unpack_urls
 
 
 #: Trailing window of change history kept per page (the paper suggests
@@ -564,7 +564,7 @@ class UpdateModule:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self, ids: Dict[str, int]) -> dict:
-        """JSON-serializable module state; URL-keyed tables become columns,
+        """Checkpoint module state; URL-keyed tables become columns,
         their URLs index columns through ``ids``
         (:func:`~repro.storage.checkpoint.pack_urls`).
 
@@ -612,4 +612,4 @@ def _pack_table(table: Dict[str, float], ids: Dict[str, int]) -> dict:
 
 
 def _unpack_table(columns: dict, table: Sequence[str]) -> Dict[str, float]:
-    return dict(zip(unpack_urls(columns["urls"], table), unpack_floats(columns["values"])))
+    return dict(zip(unpack_urls(columns["urls"], table), columns["values"].tolist()))

@@ -25,14 +25,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.storage.checkpoint import (
-    pack_floats,
-    pack_ints,
-    pack_urls,
-    unpack_array,
-    unpack_floats,
-    unpack_urls,
-)
+from repro.storage.checkpoint import pack_floats, pack_ints, pack_urls, unpack_urls
 
 
 @dataclass(frozen=True)
@@ -246,21 +239,20 @@ def histories_from_columns(
     under. Each interval but a page's first is rebuilt as ``time - previous
     time``, the float subtraction :meth:`ChangeHistory.record_visit` made.
     """
-    times = unpack_array(columns["times"], "<f8")
-    counts = unpack_array(columns["counts"])
+    times, counts = columns["times"], columns["counts"]
     starts = np.cumsum(counts) - counts
     intervals = np.empty_like(times)
     intervals[1:] = times[1:] - times[:-1]
     observed = counts > 0
-    intervals[starts[observed]] = unpack_array(columns["first_interval"], "<f8")[observed]
+    intervals[starts[observed]] = columns["first_interval"][observed]
     times, intervals = times.tolist(), intervals.tolist()
-    changed = unpack_array(columns["changed"], "?").tolist()
+    changed = columns["changed"].tolist()
     histories: Dict[str, ChangeHistory] = {}
     for url, first_visit, n_changes, interval_sum, start, count in zip(
         unpack_urls(columns["urls"], table),
-        unpack_floats(columns["first_visit"]),
-        unpack_array(columns["n_changes"]).tolist(),
-        unpack_floats(columns["interval_sum"]),
+        columns["first_visit"].tolist(),
+        columns["n_changes"].tolist(),
+        columns["interval_sum"].tolist(),
         starts.tolist(),
         counts.tolist(),
     ):

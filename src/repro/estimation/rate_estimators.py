@@ -21,7 +21,7 @@ from repro.api.registry import register_estimator
 from repro.estimation.bayesian_estimator import DEFAULT_CLASSES, BayesianClassEstimator
 from repro.estimation.change_history import ChangeHistory
 from repro.estimation.poisson_estimator import PoissonRateEstimator
-from repro.storage.checkpoint import pack_floats, pack_urls, unpack_array, unpack_urls
+from repro.storage.checkpoint import pack_floats, pack_urls, unpack_urls
 
 
 class ChangeRateEstimator(ABC):
@@ -77,7 +77,7 @@ class ChangeRateEstimator(ABC):
         return [self.update(url, history) for url, history in zip(urls, histories)]
 
     def state_dict(self, ids: Dict[str, int]) -> dict:
-        """JSON-serializable per-page estimation state (for checkpoints), its
+        """Per-page estimation state for checkpoints, its
         URLs index columns through ``ids``
         (:func:`~repro.storage.checkpoint.pack_urls`).
 
@@ -192,7 +192,7 @@ class BayesianClassStrategy(ChangeRateEstimator):
 
     def load_state(self, state: dict, table: Sequence[str]) -> None:
         """Rebuild every page's posterior exactly as checkpointed."""
-        weights = unpack_array(state["posteriors"], "<f8").reshape(-1, len(DEFAULT_CLASSES))
+        weights = state["posteriors"].reshape(-1, len(DEFAULT_CLASSES))
         self._per_page = {}
         for url, page_weights in zip(unpack_urls(state["urls"], table), weights.tolist()):
             estimator = BayesianClassEstimator()

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.registry import register_fault_model
-from repro.storage.checkpoint import pack_ints, pack_urls, unpack_array, unpack_urls
+from repro.storage.checkpoint import pack_ints, pack_urls, unpack_urls
 
 if TYPE_CHECKING:  # pragma: no cover - the spec layer imports this module
     from repro.api.specs import RetrySpec
@@ -648,7 +648,7 @@ class FailureTracker:
     # Checkpointing
     # -------------------------------------------------------------- #
     def snapshot(self, ids: Dict[str, int]) -> dict:
-        """JSON-serializable tracker state: the retry attempts as URL index
+        """Checkpoint tracker state: the retry attempts as URL index
         (``pack_urls`` through ``ids``) and count columns, the rest by site."""
         return {
             "attempts": {
@@ -667,7 +667,7 @@ class FailureTracker:
         URLs looked up in ``table``."""
         attempts = state["attempts"]
         self._attempts = dict(zip(
-            unpack_urls(attempts["urls"], table), unpack_array(attempts["counts"]).tolist()
+            unpack_urls(attempts["urls"], table), attempts["counts"].tolist()
         ))
         self._site_failures = dict(state["site_failures"])
         self._site_retries = dict(state["site_retries"])

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse as _scipy_sparse
 
-from repro.storage.checkpoint import pack_ints, pack_urls, unpack_array, unpack_urls
+from repro.storage.checkpoint import pack_ints, pack_urls, unpack_urls
 
 Graph = Mapping[str, Sequence[str]]
 
@@ -310,7 +310,7 @@ class LinkGraph:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self, ids: Dict[str, int]) -> dict:
-        """JSON-serializable graph state (interning order preserved).
+        """Checkpoint graph state (interning order preserved).
 
         The edge buffers are physically compacted first, so the snapshot
         carries only live edges — but the interning table (an index column
@@ -339,9 +339,9 @@ class LinkGraph:
         self._ids = {url: i for i, url in enumerate(urls)}
         n_nodes = len(urls)
         self._is_source = np.zeros(max(n_nodes, 1), dtype=bool)
-        self._is_source[unpack_array(state["sources"])] = True
+        self._is_source[state["sources"]] = True
         for name in ("node_rev", "out_count", "edge_src", "edge_dst", "edge_rev"):
-            setattr(self, "_" + name, unpack_array(state[name]).astype(_INT))
+            setattr(self, "_" + name, state[name].astype(_INT))
         self._n_edges = len(self._edge_src)
         self._n_stale = 0
         self._view = None

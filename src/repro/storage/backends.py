@@ -1,10 +1,11 @@
 """The collection store: one SQLite database per crawl.
 
 The paper's WebBase crawler maintains a *long-lived* collection. A
-:class:`SqliteBackend` persists it as **named state texts** — JSON documents
-stored as the text that was written: the two checkpoint slots (full crawler
-snapshots, see :mod:`repro.storage.checkpoint`), a completed run's result and
-its final collection image.
+:class:`SqliteBackend` persists it as **named state values**, each stored
+as it was written: JSON texts, and beside a checkpoint's or an image's JSON
+header its raw column bytes as a BLOB. The values are the two checkpoint
+slots (full crawler snapshots, see :mod:`repro.storage.checkpoint`), a
+completed run's result and its final collection image.
 
 The collection is stored once: as the ``collection`` columns of each
 checkpoint, and at run end as the final image. Each page's observations
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Optional
+from typing import Optional, Union
 
 from repro.api.registry import register_storage_backend
 
@@ -36,13 +37,13 @@ from repro.api.registry import register_storage_backend
 class SqliteBackend:
     """SQLite collection store: in memory without a path, durable WAL with one.
 
-    The contract is state texts (save, load, delete, plus the JSON pair),
+    The contract is state values (save, load, delete, plus the JSON pair),
     :meth:`flush` as the only commit, and :meth:`close`.
 
     A path that cannot be opened as a database, or whose write lock another
     connection holds past SQLite's busy timeout, is refused with a
-    ``ValueError`` naming the path; so is a write or a commit SQLite fails
-    (a full disk among them).
+    ``ValueError`` naming the path; so is a read, a write or a commit SQLite
+    fails (a damaged page or a full disk among them).
     """
 
     _SCHEMA = """
@@ -73,21 +74,24 @@ class SqliteBackend:
         """The database file path (``None`` for in-memory)."""
         return self._path
 
-    def save_state_text(self, key: str, text: str) -> None:
-        """Store ``text`` verbatim under ``key`` (overwrites)."""
+    def save_state_text(self, key: str, value: Union[str, bytes]) -> None:
+        """Store ``value`` verbatim under ``key`` (overwrites): a text, or
+        bytes, which SQLite keeps as a BLOB."""
         try:
             self._conn.execute(
                 "INSERT INTO state (key, value) VALUES (?, ?)"
                 " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (key, text),
+                (key, value),
             )
         except sqlite3.Error as error:
             raise ValueError(f"cannot write store {self._path!r}: {error}") from error
 
-    def load_state_text(self, key: str) -> Optional[str]:
-        row = self._conn.execute(
-            "SELECT value FROM state WHERE key = ?", (key,)
-        ).fetchone()
+    def load_state_text(self, key: str) -> Optional[Union[str, bytes]]:
+        """The value stored under ``key`` as it was written, or ``None``."""
+        try:
+            row = self._conn.execute("SELECT value FROM state WHERE key = ?", (key,)).fetchone()
+        except sqlite3.Error as error:
+            raise ValueError(f"cannot read store {self._path!r}: {error}") from error
         return None if row is None else row[0]
 
     def delete_state(self, key: str) -> bool:

@@ -9,30 +9,29 @@ Two cooperating pieces sit between the crawler and a
 * :class:`CrawlCheckpointer` periodically persists a full crawler state
   snapshot (queue order, estimator sums and change histories, politeness
   map, and the collection itself as ``collection`` columns — assembled by
-  ``IncrementalCrawler``) as a named state text, from which a killed run
-  resumes bit-identically. Its ``backend.flush()`` is the store's commit,
-  so a killed run's store *is* its last committed checkpoint.
+  ``IncrementalCrawler``), from which a killed run resumes bit-identically.
+  Its ``backend.flush()`` is the store's commit, so a killed run's store
+  *is* its last committed checkpoint.
 
 The store therefore holds the collection and each page's observations
 once per commit, in the checkpoint, and at run end the collection's final
 image (:data:`COLLECTION_STATE_KEY`), which commits together with the
 run's result.
 
-A checkpoint document names each URL once. ``allurls.url`` is its URL
-table — AllUrls' own URLs, then any URL they lack (a shard's foreign-site
-link targets) — and every other URL column is a base64 ``<i4`` index
-column into it. Each module packs and unpacks its own URL columns
-(:func:`pack_urls` through the URL → index dict the crawler seeds from
-AllUrls, :func:`unpack_urls` through the table), as it packs its floats
-(:func:`pack_floats`) and its ints and bools (:func:`pack_ints`). The final
-collection image carries its own table, ``table``. Change histories keep
-each page's first interval and a restore rebuilds the rest from the visit
-times, by the subtraction the crawler made.
+One codec, :func:`encode` / :func:`decode`, stores a checkpoint or a final
+image in two rows written in one transaction: a JSON header (the scalars,
+the URL table, and each column's dtype, byte offset and length) at the
+slot's key, and the raw little-endian column bytes beside it
+(:func:`columns_key`). Each module packs its own columns as typed ndarrays
+(:func:`pack_floats`, :func:`pack_ints`, and :func:`pack_urls` for URLs as
+index columns into ``allurls.url``, the URL table; a final image carries
+its own, ``table``) and reads back read-only views over the stored bytes.
 
 One rule governs a checkpoint's bytes: the document is serialised **once**;
-``integrity`` is the sha256 **of the stored bytes** that follow its
-fixed-width header; the previous slot receives the **last text this process
-wrote or verified**, never a second dump; a load re-hashes before it parses.
+``integrity`` is the sha256 of the stored header body that follows its
+fixed-width prefix **plus the column bytes**; the previous slot receives
+the **last header and columns this process wrote or verified**, never a
+second dump; a load re-hashes before it parses.
 
 A resume writes nothing to the store before its first checkpoint, from
 whichever slot it loaded: the resumed run rewrites both slots as it goes.
@@ -40,7 +39,6 @@ whichever slot it loaded: the resumed run rewrites both slots as it goes.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import re
@@ -65,20 +63,16 @@ RESULT_STATE_KEY = "result"
 COLLECTION_STATE_KEY = "collection"
 #: Dtype of a checkpoint's packed int columns, URL indices included.
 INT = "<i4"
-#: Version stamp of the checkpoint document layout. Format 8 names each URL
-#: once: ``allurls.url`` is the document's URL table and every other URL
-#: column, the EB posteriors' and the failure tracker's retry attempts
-#: included, is an index column into it; every int and bool column is
-#: packed, and the histories drop what a restore rebuilds: the intervals
-#: and last visits from their visit times, the window from the module's one
-#: constant. A document of any other format is refused by name: one without
-#: the integrity header (formats 1-2) at :meth:`CrawlCheckpointer.load`, one
-#: with it (formats 3-7) when the crawler restores it.
-CHECKPOINT_FORMAT = 8
-# A stored checkpoint is this header followed by the document's own JSON
-# text minus its opening brace; the digest covers "{" + that remainder.
-_HEADER = '{"integrity": "%s", '
-_HEADER_RE = re.compile(re.escape(_HEADER) % "([0-9a-f]{64})")
+#: Version stamp of the checkpoint layout: format 9 is a JSON header beside
+#: raw column bytes. A stored checkpoint of an older format (no
+#: ``column_bytes`` in its prefix) is refused by name at
+#: :meth:`CrawlCheckpointer.load`, before any hash is compared; a state of
+#: another format handed to the crawler is refused when it restores it.
+CHECKPOINT_FORMAT = 9
+# A stored header is this prefix, then the encoded header minus its opening
+# brace; the digest covers that remainder, then the column bytes.
+_HEADER = '{"integrity":"%s","column_bytes":%d,'
+_HEADER_RE = re.compile(r'\{"integrity":"([0-9a-f]{64})","column_bytes":(\d+),')
 
 
 def namespaced_state_key(namespace: Optional[str], key: str) -> str:
@@ -96,22 +90,19 @@ def namespaced_state_key(namespace: Optional[str], key: str) -> str:
     return f"{namespace}/{key}"
 
 
-def pack_floats(values: Sequence[float]) -> str:
-    """A float list or ndarray as base64 of its little-endian float64 bytes.
-
-    Exact for every double (NaN payloads, ±inf, −0.0, subnormals) and ~20×
-    cheaper to write than ``json.dumps``'s per-float ``repr``.
-    """
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def columns_key(key: str) -> str:
+    """The state key of the column bytes beside the header stored at ``key``."""
+    return key + ".columns"
 
 
-def unpack_floats(text: str) -> List[float]:
-    """The column :func:`pack_floats` packed, as Python floats."""
-    return unpack_array(text, "<f8").tolist()
+def pack_floats(values: Sequence[float]) -> np.ndarray:
+    """A float list or ndarray as a new ``<f8`` column: exact for every
+    double (NaN payloads, ±inf, −0.0, subnormals)."""
+    return np.array(values, dtype="<f8")
 
 
-def pack_ints(values: Sequence[int], dtype: str = INT) -> str:
-    """An int or bool list or ndarray as base64 of its ``dtype`` bytes.
+def pack_ints(values: Sequence[int], dtype: str = INT) -> np.ndarray:
+    """An int or bool list or ndarray as a new ``dtype`` column.
 
     Raises ``ValueError`` when a value does not fit ``dtype``
     (``OverflowError`` past 64 bits): a column is never wrapped or
@@ -121,15 +112,10 @@ def pack_ints(values: Sequence[int], dtype: str = INT) -> str:
     packed = array.astype(dtype)
     if not np.array_equal(packed, array):
         raise ValueError(f"a checkpoint column holds a value that does not fit {dtype}")
-    return base64.b64encode(packed.tobytes()).decode("ascii")
+    return packed
 
 
-def unpack_array(text: str, dtype: str = INT) -> np.ndarray:
-    """A packed column as a read-only ndarray of ``dtype`` over its bytes."""
-    return np.frombuffer(base64.b64decode(text), dtype=dtype)
-
-
-def pack_urls(urls: Sequence[str], ids: Dict[str, int]) -> str:
+def pack_urls(urls: Sequence[str], ids: Dict[str, int]) -> np.ndarray:
     """A URL column as an :data:`INT` index column into ``ids`` (URL → index).
 
     A URL ``ids`` lacks (a stray) gets the next index, so afterwards
@@ -141,24 +127,61 @@ def pack_urls(urls: Sequence[str], ids: Dict[str, int]) -> str:
         return pack_ints([ids.setdefault(url, len(ids)) for url in urls])
 
 
-def unpack_urls(text: str, table: Sequence[str]) -> List[str]:
+def unpack_urls(column: np.ndarray, table: Sequence[str]) -> List[str]:
     """The URL column :func:`pack_urls` packed, looked up in its ``table``."""
-    return list(map(table.__getitem__, unpack_array(text).tolist()))
+    return list(map(table.__getitem__, column.tolist()))
 
 
-def _digest(text: str, start: int) -> str:
-    """sha256 of ``"{" + text[start:]``, the body a checkpoint's header vouches for.
+def encode(document: dict) -> Tuple[str, bytes]:
+    """``document`` as its JSON header and its column bytes, in one pass.
 
-    Hashed in 1 MB slices so no second whole copy of an ~8 MB document is
-    ever resident (``json.dumps`` emits pure ASCII, so a character slice is
-    a byte slice). A damaged text may decode to anything, lone surrogates
-    included; ``surrogatepass`` lets those hash to a mismatch instead of
-    raising out of :meth:`CrawlCheckpointer.load` past its fallback.
+    Every ndarray in ``document`` (a packed column) is written into the
+    header as ``{"column": [dtype, byte offset, length]}``, a one-key object
+    no document holds otherwise, and its bytes into the column bytes at an
+    8-byte boundary, so every view over them is aligned; everything else is
+    compact JSON.
     """
-    digest = hashlib.sha256(b"{")
-    for offset in range(start, len(text), 1 << 20):
-        digest.update(text[offset:offset + (1 << 20)].encode("utf-8", "surrogatepass"))
+    parts: List[object] = []
+    size = 0
+
+    def column(value):
+        nonlocal size
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        pad = -size % 8
+        parts.extend((bytes(pad), value))
+        reference = {"column": [value.dtype.str, size + pad, value.size]}
+        size += pad + value.nbytes
+        return reference
+
+    header = json.dumps(document, separators=(",", ":"), default=column)
+    return header, b"".join(parts)
+
+
+def decode(header: str, columns: bytes) -> dict:
+    """The document :func:`encode` split, each column a read-only
+    ``np.frombuffer`` view over ``columns``."""
+
+    def column(node: dict):
+        if len(node) != 1 or "column" not in node:
+            return node
+        dtype, offset, length = node["column"]
+        return np.frombuffer(columns, dtype, length, offset)
+
+    return json.loads(header, object_hook=column)
+
+
+def _digest(body: str, columns: bytes) -> str:
+    """sha256 of a header body and its column bytes: what a prefix vouches for."""
+    digest = hashlib.sha256(body.encode())
+    digest.update(columns)
     return digest.hexdigest()
+
+
+def _save_rows(backend: SqliteBackend, key: str, rows: Tuple[str, bytes]) -> None:
+    """Write a header at ``key`` and its column bytes beside it."""
+    backend.save_state_text(key, rows[0])
+    backend.save_state_text(columns_key(key), rows[1])
 
 
 class CollectionJournal:
@@ -200,13 +223,13 @@ class CollectionJournal:
 
         The image is the checkpoint's ``collection`` columns with its own
         URL table, ``table``: ``records_from_columns(image, image["table"])``
-        reads it back."""
+        reads back ``image = decode(header, column bytes)``."""
         from repro.storage.records import records_to_columns  # records imports this module
 
         ids: Dict[str, int] = {}
         image = records_to_columns(collection.working_records(), ids)
         image["table"] = list(ids)
-        self.backend.save_state(self._image_key, image)
+        _save_rows(self.backend, self._image_key, encode(image))
 
 
 class CrawlCheckpointer:
@@ -240,8 +263,8 @@ class CrawlCheckpointer:
         self._prev_key = namespaced_state_key(namespace, CHECKPOINT_PREV_STATE_KEY)
         self.saves = 0
         self._last_saved: Optional[float] = None
-        # Text of the last checkpoint written or verified; the next save demotes it.
-        self._last_text: Optional[str] = None
+        # Rows of the last checkpoint written or verified; the next save demotes them.
+        self._last: Optional[Tuple[str, bytes]] = None
         #: Optional test/observer hook called with each saved state dict.
         self.on_save: Optional[Callable[[dict], None]] = None
 
@@ -259,94 +282,95 @@ class CrawlCheckpointer:
         The save is read-only with respect to the crawler: the state dict
         was assembled from snapshots, and flushing the backend has no effect
         on in-memory crawl structures — which is why checkpointing cannot
-        perturb the run. That flush is the store's commit: both slots
-        become durable together, or (killed first) not at all.
+        perturb the run. That flush is the store's commit: both slots, each
+        a header and its column bytes, become durable together, or (killed
+        first) not at all.
 
-        The document is serialised exactly once. ``state["integrity"]``
-        becomes the sha256 of those bytes, and the text written is the same
-        bytes behind a fixed-width integrity header — so what a load
-        re-hashes is what this save hashed, with no canonical re-dump on
-        either side. The previous slot receives the text the last save (or
-        load) produced and verified, not a second dump of a dict.
+        The document is encoded exactly once. ``state["integrity"]`` becomes
+        the sha256 of the header body and the column bytes, written behind a
+        fixed-width prefix naming it and the bytes' length, so a load
+        re-hashes what this save hashed. The previous slot receives the rows
+        the last save (or load) produced and verified, not a second dump.
         """
         if self.spec_hash is not None:
             state["spec_hash"] = self.spec_hash
         state.pop("integrity", None)
-        if self._last_text is not None:
-            # Demote the last good text before overwriting the current
-            # slot: whatever instant a crash hits, at least one of the two
-            # slots holds a complete checkpoint this process wrote or
-            # verified. The text is released before the new one is built, so
-            # two whole documents are never resident at once (peak RSS).
-            self.backend.save_state_text(self._prev_key, self._last_text)
-            self._last_text = None
-        body = json.dumps(state)
-        state["integrity"] = _digest(body, 1)
-        text = body.replace("{", _HEADER % state["integrity"], 1)
-        del body
-        self.backend.save_state_text(self._state_key, text)
+        if self._last is not None:
+            # Demote the last good slot before overwriting the current one:
+            # whatever instant a crash hits, at least one of the two slots
+            # holds a complete checkpoint this process wrote or verified. It
+            # is released before the new one is built, so two whole
+            # checkpoints are never resident at once (peak RSS).
+            _save_rows(self.backend, self._prev_key, self._last)
+            self._last = None
+        header, columns = encode(state)
+        state["integrity"] = _digest(header[1:], columns)
+        self._last = (_HEADER % (state["integrity"], len(columns)) + header[1:], columns)
+        _save_rows(self.backend, self._state_key, self._last)
         self.backend.flush()
-        self._last_text = text
         self._last_saved = at
         self.saves += 1
         if self.on_save is not None:
             self.on_save(state)
 
-    def _load_verified(self, key: str) -> Tuple[Optional[str], Optional[str]]:
-        """Read one checkpoint slot's text and verify it by re-hashing.
+    def _load_verified(self, key: str) -> Tuple[Optional[Tuple[str, bytes]], Optional[str]]:
+        """Read one checkpoint slot's header and column bytes and verify
+        them by re-hashing.
 
-        Returns ``(text, None)`` for a good checkpoint, ``(None, None)``
+        Returns ``(rows, None)`` for a good checkpoint, ``(None, None)``
         for an empty slot, and ``(None, reason)`` for a damaged one
-        (unreadable bytes, a torn write, or any altered character — the
-        digest covers the bytes, so even whitespace a parser ignores counts).
+        (unreadable rows, a torn or missing column row, or any altered
+        byte — even whitespace a parser ignores).
 
-        A text with no integrity header that still parses as a JSON object
-        of another format is an older build's checkpoint. It cannot be
-        verified under this build's rule, and its previous slot is just as
-        old, so it raises a ``ValueError`` naming both formats rather than
-        being resumed from, called corrupt, or falling back.
+        A header without this format's prefix that parses as a JSON object
+        of another format is an older build's checkpoint, and its previous
+        slot is just as old: it raises a ``ValueError`` naming both formats,
+        before any hash is compared, rather than falling back.
         """
         try:
             text = self.backend.load_state_text(key)
-        except Exception as error:
+            columns = self.backend.load_state_text(columns_key(key))
+        except ValueError as error:
             return None, f"unreadable checkpoint state: {error}"
         if text is None:
             return None, None
         header = _HEADER_RE.match(text)
-        if header is not None:
-            good = _digest(text, header.end()) == header.group(1)
-            return (text, None) if good else (None, "integrity checksum mismatch")
-        try:
-            stored_format = json.loads(text).get("format", "none")
-        except (ValueError, AttributeError):  # not JSON, or not an object
-            stored_format = CHECKPOINT_FORMAT
-        if stored_format != CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"checkpoint was written in format {stored_format} by an older build; "
-                f"this build reads and writes format {CHECKPOINT_FORMAT} only"
-            )
-        return None, "integrity header is damaged"
+        if header is None:
+            try:
+                stored_format = json.loads(text).get("format", "none")
+            except (ValueError, AttributeError):  # not JSON, or not an object
+                stored_format = CHECKPOINT_FORMAT
+            if stored_format != CHECKPOINT_FORMAT:
+                raise ValueError(
+                    f"checkpoint was written in format {stored_format} by an older build; "
+                    f"this build reads and writes format {CHECKPOINT_FORMAT} only"
+                )
+            return None, "integrity header is damaged"
+        if not isinstance(columns, bytes) or len(columns) != int(header.group(2)):
+            return None, "column bytes are missing or torn"
+        if _digest(text[header.end():], columns) != header.group(1):
+            return None, "integrity checksum mismatch"
+        return (text, columns), None
 
     def load(self) -> Optional[dict]:
         """The most recent *good* checkpoint, or ``None`` when none exists.
 
-        The current slot's stored text is re-hashed against its integrity
-        header and parsed only once verified (never re-serialised); on
-        damage the load falls back to the previous good snapshot
-        (resuming from it is bit-identical to having crashed one
-        checkpoint earlier). Only when both slots are damaged does the load raise. A
-        store written by an older format is refused by name.
+        The current slot's rows are re-hashed and decoded only once verified;
+        on damage the load falls back to the previous good snapshot (resuming
+        from it is bit-identical to having crashed one checkpoint earlier).
+        Only when both slots are damaged does the load raise. A store
+        written by an older format is refused by name.
         """
-        text, error = self._load_verified(self._state_key)
+        slot, error = self._load_verified(self._state_key)
         if error is not None:
-            text, fallback_error = self._load_verified(self._prev_key)
-            if text is None:
+            slot, fallback_error = self._load_verified(self._prev_key)
+            if slot is None:
                 detail = f"previous snapshot: {fallback_error}" if fallback_error \
                     else "no previous snapshot is available"
                 raise ValueError(f"checkpoint is corrupt ({error}); {detail}")
-        if text is None:
+        if slot is None:
             return None
-        state = json.loads(text)
+        state = decode(*slot)
         # Another format is refused by name at restore, whatever hash it bears.
         if self.spec_hash is not None and state.get("format") == CHECKPOINT_FORMAT:
             stored_hash = state.get("spec_hash")
@@ -355,5 +379,5 @@ class CrawlCheckpointer:
                     "checkpoint was written by a different spec "
                     f"(stored {stored_hash[:12]}..., expected {self.spec_hash[:12]}...)"
                 )
-        self._last_text = text
+        self._last = slot
         return state

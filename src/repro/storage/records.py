@@ -14,15 +14,7 @@ from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Dict, List, Sequence
 
-from repro.storage.checkpoint import (
-    INT,
-    pack_floats,
-    pack_ints,
-    pack_urls,
-    unpack_array,
-    unpack_floats,
-    unpack_urls,
-)
+from repro.storage.checkpoint import INT, pack_floats, pack_ints, pack_urls, unpack_urls
 
 
 @dataclass
@@ -93,12 +85,10 @@ def records_from_columns(columns: dict, table: Sequence[str]) -> List[PageRecord
     """Rebuild the records :func:`records_to_columns` wrote, in order, their
     URLs looked up in ``table``."""
     values = dict(columns)
-    for name in _FLOAT_FIELDS:
-        values[name] = unpack_floats(columns[name])
-    for name, dtype in _INT_FIELDS.items():
-        values[name] = unpack_array(columns[name], dtype).tolist()
+    for name in (*_FLOAT_FIELDS, *_INT_FIELDS):
+        values[name] = columns[name].tolist()
     values["url"] = unpack_urls(columns["url"], table)
     links = iter(unpack_urls(columns["outlinks"], table))
-    counts = unpack_array(columns["outlink_counts"]).tolist()
+    counts = columns["outlink_counts"].tolist()
     values["outlinks"] = [tuple(islice(links, count)) for count in counts]
     return [PageRecord(*row) for row in zip(*(values[name] for name in _FIELDS))]

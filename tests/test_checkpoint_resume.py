@@ -10,6 +10,7 @@ backend at all.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import sqlite3
 from pathlib import Path
@@ -38,6 +39,9 @@ from repro.storage.checkpoint import (
     RESULT_STATE_KEY,
     CollectionJournal,
     CrawlCheckpointer,
+    columns_key,
+    decode,
+    encode,
     namespaced_state_key,
     unpack_urls,
 )
@@ -90,9 +94,19 @@ def result_fingerprint(crawler, result):
     }
 
 
+def stored_rows(backend, key):
+    """The header and column bytes stored at ``key``."""
+    return backend.load_state_text(key), backend.load_state_text(columns_key(key))
+
+
+def stored_document(backend, key):
+    """The document the codec stored at ``key``, decoded."""
+    return decode(*stored_rows(backend, key))
+
+
 def final_image(backend, namespace=None):
     """The collection image a completed journal wrote, as records."""
-    image = backend.load_state(namespaced_state_key(namespace, COLLECTION_STATE_KEY))
+    image = stored_document(backend, namespaced_state_key(namespace, COLLECTION_STATE_KEY))
     return records_from_columns(image, image["table"])
 
 
@@ -102,11 +116,12 @@ def checkpoint_records(state):
 
 
 def snapshot_with_table(module):
-    """``module.snapshot`` through a fresh URL → index dict, and the URL
-    table it built. Two such pairs are equal exactly when the modules'
-    URL-keyed snapshots are."""
+    """``module.snapshot`` through a fresh URL → index dict, as the codec
+    stores it (header and column bytes), and the URL table it built. Two
+    such pairs are equal exactly when the modules' URL-keyed snapshots are;
+    ``decode(*stored)`` is what a restore reads."""
     ids = {}
-    return module.snapshot(ids), list(ids)
+    return encode(module.snapshot(ids)), list(ids)
 
 
 # --------------------------------------------------------------------- #
@@ -156,8 +171,8 @@ def test_resume_from_every_checkpoint_is_bit_identical(tiny_web, use_politeness)
     backend = SqliteBackend()
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
     states = []
-    # Deep-copy through JSON: exactly what a persistent backend stores.
-    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
+    # Copy through the codec: exactly what a persistent backend stores.
+    checkpointer.on_save = lambda state: states.append(decode(*encode(state)))
     full = build_crawler(tiny_web, use_politeness=use_politeness)
     full_outcome = full.run(
         journal=CollectionJournal(backend), checkpointer=checkpointer
@@ -186,10 +201,10 @@ def test_the_hits_example_resumes_from_every_checkpoint():
     expected = result_fingerprint(plain, plain.run())
     checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=spec.crawler.checkpoint_every)
     states = []
-    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
+    checkpointer.on_save = lambda state: states.append(decode(*encode(state)))
     IncrementalCrawler(web, spec.crawler, spec.policy).run(checkpointer=checkpointer)
     warm = states[-1]["ranking"]["warm"]
-    assert warm["pagerank"] is None and warm["hubs"] and warm["authorities"]
+    assert warm["pagerank"] is None and warm["hubs"].size and warm["authorities"].size
     for state in states:
         resumed = IncrementalCrawler(web, spec.crawler, spec.policy)
         assert result_fingerprint(resumed, resumed.run(resume_state=state)) == expected
@@ -220,7 +235,7 @@ def test_every_checkpoint_and_the_final_image_hold_the_collection(tiny_web, faul
     def look(state):
         # What the store holds, against a copy of the live records (the
         # crawl keeps refreshing them in place).
-        stored = checkpoint_records(backend.load_state(CHECKPOINT_STATE_KEY))
+        stored = checkpoint_records(stored_document(backend, CHECKPOINT_STATE_KEY))
         images.append((stored, copy.deepcopy(crawler.collection.working_records())))
 
     checkpointer.on_save = look
@@ -246,10 +261,13 @@ def test_the_journal_writes_one_image_at_run_end(tiny_web):
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
     build_crawler(tiny_web).run(journal=CollectionJournal(backend), checkpointer=checkpointer)
     assert checkpointer.saves >= 3
-    # Checkpoint slots only, then the final image, written once and last.
-    assert writes[-1] == COLLECTION_STATE_KEY
-    assert set(writes[:-1]) == {CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY}
-    assert len(writes) == 2 * checkpointer.saves
+    # Checkpoint slots only, then the final image, written once and last;
+    # each as a header and its column bytes.
+    image = [COLLECTION_STATE_KEY, columns_key(COLLECTION_STATE_KEY)]
+    assert writes[-2:] == image
+    slots = {CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY}
+    assert set(writes[:-2]) == slots | set(map(columns_key, slots))
+    assert len(writes) == 4 * checkpointer.saves
 
 
 def _run_killed_after_second_save(tiny_web, backend):
@@ -258,7 +276,7 @@ def _run_killed_after_second_save(tiny_web, backend):
     states = []
 
     def kill_after_second(state):
-        states.append(json.loads(json.dumps(state)))
+        states.append(decode(*encode(state)))
         if checkpointer.saves == 2:
             raise KeyboardInterrupt
 
@@ -271,11 +289,11 @@ def _run_killed_after_second_save(tiny_web, backend):
 
 
 def store_texts(backend):
-    """Every state text a single-crawler store can hold, by key."""
+    """Every state value a single-crawler store can hold, by key."""
+    keys = (CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY, COLLECTION_STATE_KEY)
     return {
         key: backend.load_state_text(key)
-        for key in (CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY,
-                    COLLECTION_STATE_KEY, RESULT_STATE_KEY)
+        for key in (*keys, *map(columns_key, keys), RESULT_STATE_KEY)
     }
 
 
@@ -298,7 +316,7 @@ def test_a_fallback_resume_ends_as_the_uninterrupted_store(tiny_web):
 
     Nothing is written before the resumed run's first checkpoint, and the
     run ends holding what an uninterrupted run's store holds: the same final
-    image and the same latest checkpoint text.
+    image and the same latest checkpoint header and column bytes.
     """
     plain = build_crawler(tiny_web)
     expected = result_fingerprint(plain, plain.run())
@@ -326,8 +344,8 @@ def test_a_fallback_resume_ends_as_the_uninterrupted_store(tiny_web):
     assert result_fingerprint(resumed, outcome) == expected
     assert final_image(backend) == resumed.collection.working_records()
     assert final_image(backend) == final_image(reference)
-    assert backend.load_state_text(CHECKPOINT_STATE_KEY) == reference.load_state_text(
-        CHECKPOINT_STATE_KEY
+    assert stored_rows(backend, CHECKPOINT_STATE_KEY) == stored_rows(
+        reference, CHECKPOINT_STATE_KEY
     )
 
 
@@ -367,16 +385,18 @@ def test_a_save_serialises_once_and_a_load_never(tiny_web, monkeypatch):
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
 
     def after_save(state):
-        # One whole-document dump and one write per slot touched, per save.
+        # One whole-document dump per save, and two writes (the header and
+        # the column bytes) per slot touched.
         assert calls["dumps"] == checkpointer.saves
-        assert len(calls["writes"]) == 2 * checkpointer.saves - 1
+        assert len(calls["writes"]) == 2 * (2 * checkpointer.saves - 1)
 
     checkpointer.on_save = after_save
     monkeypatch.setattr(json, "dumps", counting_dumps)
     build_crawler(tiny_web).run(checkpointer=checkpointer)
     assert checkpointer.saves >= 3
-    assert calls["writes"][:3] == [
-        CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY, CHECKPOINT_STATE_KEY
+    assert calls["writes"][:6] == [
+        key for slot in (CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY, CHECKPOINT_STATE_KEY)
+        for key in (slot, columns_key(slot))
     ]
 
     dumps_before = calls["dumps"]
@@ -394,7 +414,7 @@ def test_a_checkpoint_holds_each_fact_once(tiny_web, use_importance):
     policy = PolicySpec(revisit_policy="optimal", use_importance=use_importance)
     checkpointer = CrawlCheckpointer(SqliteBackend(), every_days=7.0)
     states = []
-    checkpointer.on_save = lambda state: states.append(json.loads(json.dumps(state)))
+    checkpointer.on_save = lambda state: states.append(decode(*encode(state)))
     IncrementalCrawler(tiny_web, crawler_spec(), policy).run(checkpointer=checkpointer)
     state = states[-1]
     assert set(state["allurls"]) == {"url", "strays", "discovered_at", "last_failed_at"}
@@ -402,7 +422,7 @@ def test_a_checkpoint_holds_each_fact_once(tiny_web, use_importance):
     assert set(state["ranking"]) == {
         "scans_completed", "pages_replaced", "pages_admitted", "graph", "warm"
     }
-    assert bool(state["update"]["importance"]["urls"]) == use_importance
+    assert bool(state["update"]["importance"]["urls"].size) == use_importance
 
 
 def test_resume_rejects_mismatched_run_shape(tiny_web):
@@ -410,8 +430,7 @@ def test_resume_rejects_mismatched_run_shape(tiny_web):
     checkpointer = CrawlCheckpointer(backend, every_days=7.0)
     crawler = build_crawler(tiny_web)
     crawler.run(checkpointer=checkpointer)
-    state = backend.load_state(CHECKPOINT_STATE_KEY)
-    assert state is not None
+    state = stored_document(backend, CHECKPOINT_STATE_KEY)
 
     with pytest.raises(ValueError, match="duration_days"):
         build_crawler(tiny_web, duration_days=DURATION + 5.0).run(
@@ -545,46 +564,62 @@ def test_runner_resume_continues_interrupted_run(tmp_path):
 
 
 def _refuse_stored_checkpoint_of_format(tmp_path, old_format):
-    """Store a verified checkpoint stamped ``old_format`` under another
-    spec hash and assert the resume refuses it by its format stamp: an older
-    build's hash need not be this one's (shard stores once included the
-    worker count), and the refusal must name the format, not another spec."""
+    """Rewrite a killed store's two slots as formats 3-8 stored them — one
+    JSON text behind the integrity prefix, its digest over that text, and
+    no column row — stamped ``old_format`` and another spec hash, and assert
+    the resume refuses it by its format stamp: an older build's hash need
+    not be this one's (shard stores once included the worker count), and
+    the refusal must name the format, not another spec or a corrupt
+    checkpoint."""
     path = str(tmp_path / f"format{old_format}.sqlite")
     spec = ExperimentSpec(
         name=f"f{old_format}", web=WEB_SPEC,
         crawler=CRAWLER_SPEC.replace(storage="sqlite", checkpoint_every=5.0),
     )
-    old = _kill_runner_store_after_second_save(path, spec)
-    old["format"] = old_format
-    backend = SqliteBackend(path)
-    CrawlCheckpointer(backend, every_days=5.0, spec_hash="f" * 64).save(
-        old, old["checkpoint_at"]
-    )
-    backend.close()
+    _kill_runner_store_after_second_save(path, spec)
+    conn = sqlite3.connect(path)
+    for key in (CHECKPOINT_PREV_STATE_KEY, CHECKPOINT_STATE_KEY):
+        (header,) = conn.execute("SELECT value FROM state WHERE key = ?", (key,)).fetchone()
+        old = json.loads(header)
+        del old["integrity"], old["column_bytes"]
+        old.update(format=old_format, spec_hash="f" * 64)
+        body = json.dumps(old)[1:]
+        digest = hashlib.sha256(("{" + body).encode()).hexdigest()
+        conn.execute("UPDATE state SET value = ? WHERE key = ?",
+                     ('{"integrity": "%s", ' % digest + body, key))
+        conn.execute("DELETE FROM state WHERE key = ?", (columns_key(key),))
+    conn.commit()
+    conn.close()
     with pytest.raises(
-        ValueError,
-        match=f"format {old_format} cannot be resumed.* format {CHECKPOINT_FORMAT} only",
-    ):
+        ValueError, match=f"format {old_format} .*format {CHECKPOINT_FORMAT} only"
+    ) as refusal:
         run(spec, store=path, resume=True)
+    assert "corrupt" not in str(refusal.value)
 
 
 def test_a_stored_format_5_checkpoint_is_refused_by_name(tmp_path):
-    """A format-5 store (URL columns spelt out, intervals stored) verifies
-    under the same header rule, so the resume refuses it by its stamp."""
+    """A format-5 store (URL columns spelt out, intervals stored) is refused
+    by its stamp."""
     _refuse_stored_checkpoint_of_format(tmp_path, 5)
 
 
 def test_a_stored_format_6_checkpoint_is_refused_by_name(tmp_path):
-    """A format-6 store (histories' windows and last visits stored) verifies
-    under the same header rule, so the resume refuses it by its stamp."""
+    """A format-6 store (histories' windows and last visits stored) is
+    refused by its stamp."""
     _refuse_stored_checkpoint_of_format(tmp_path, 6)
 
 
 def test_a_stored_format_7_checkpoint_is_refused_by_name(tmp_path):
-    """A format-7 store (EB posteriors and retry attempts keyed by URL)
-    verifies under the same header rule, so the resume refuses it by its
-    stamp."""
+    """A format-7 store (EB posteriors and retry attempts keyed by URL) is
+    refused by its stamp."""
     _refuse_stored_checkpoint_of_format(tmp_path, 7)
+
+
+def test_a_stored_format_8_checkpoint_is_refused_by_name(tmp_path):
+    """A format-8 store (base64 columns inside one JSON text) has no column
+    row, so a loader that hashed first would call it corrupt: it is refused
+    by its stamp."""
+    _refuse_stored_checkpoint_of_format(tmp_path, 8)
 
 
 def flip_latest_slot(conn):
@@ -646,8 +681,8 @@ def test_a_store_with_the_old_event_log_resumes_and_leaves_it_untouched(tmp_path
 
     # One event per fetch up to each slot's checkpoint.
     backend = SqliteBackend(path)
-    slots = [backend.load_state(CHECKPOINT_PREV_STATE_KEY),
-             backend.load_state(CHECKPOINT_STATE_KEY)]
+    slots = [stored_document(backend, CHECKPOINT_PREV_STATE_KEY),
+             stored_document(backend, CHECKPOINT_STATE_KEY)]
     backend.close()
     previous, logged = (
         state["crawl"]["pages_fetched"] + state["crawl"]["pages_failed"] for state in slots
@@ -731,10 +766,11 @@ def test_a_sharded_store_resumes_at_another_worker_count(tmp_path, killed):
     for index in range(2):
         backend = SqliteBackend(shard_store_path(path, index))
         image_key = namespaced_state_key(shard_namespace(index), COLLECTION_STATE_KEY)
-        images.append(backend.load_state_text(image_key))
+        images.append(stored_rows(backend, image_key))
         if killed:
             # Drop what only a completed run commits: each store is then a kill's.
             backend.delete_state(image_key)
+            backend.delete_state(columns_key(image_key))
             backend.delete_state(namespaced_state_key(shard_namespace(index), RESULT_STATE_KEY))
             backend.flush()
         backend.close()
@@ -753,7 +789,7 @@ def test_a_sharded_store_resumes_at_another_worker_count(tmp_path, killed):
     for index, image in enumerate(images):
         backend = SqliteBackend(shard_store_path(path, index))
         image_key = namespaced_state_key(shard_namespace(index), COLLECTION_STATE_KEY)
-        assert backend.load_state_text(image_key) == image
+        assert stored_rows(backend, image_key) == image
         backend.close()
 
 
@@ -768,7 +804,7 @@ def test_a_store_without_checkpoints_holds_its_result_and_one_image(tmp_path):
         keys = {key for (key,) in conn.execute("SELECT key FROM state")}
     finally:
         conn.close()
-    assert keys == {RESULT_STATE_KEY, COLLECTION_STATE_KEY}
+    assert keys == {RESULT_STATE_KEY, COLLECTION_STATE_KEY, columns_key(COLLECTION_STATE_KEY)}
     assert tables_of(path) == {"state"}
     backend = SqliteBackend(path)
     try:

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.storage.backends import SqliteBackend
 
 EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
@@ -149,6 +150,33 @@ class TestCommands:
             f"experiment failed: cannot write store {str(store)!r}: database or disk is full"
             in captured.err
         )
+
+    def test_run_spec_on_a_damaged_store_fails_cleanly(self, tmp_path, capsys):
+        # One page under the completed run's result can no longer be read:
+        # the store names itself, and the resume exits 2 without a traceback.
+        spec, store = self._stored_spec(tmp_path), tmp_path / "damaged.sqlite"
+        assert main(["run-spec", spec, "--store", str(store)]) == 0
+        capsys.readouterr()
+        conn = sqlite3.connect(store)
+        (result,) = conn.execute("SELECT value FROM state WHERE key = 'result'").fetchone()
+        conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        (page_size,) = conn.execute("PRAGMA page_size").fetchone()
+        conn.close()
+        data = bytearray(store.read_bytes())
+        page = data.index(result.encode()) // page_size * page_size
+        assert page > 0  # the schema page stays readable: the store opens
+        data[page:page + page_size] = b"\xff" * page_size
+        store.write_bytes(bytes(data))
+        backend = SqliteBackend(str(store))
+        try:
+            with pytest.raises(ValueError, match=f"cannot read store {str(store)!r}"):
+                backend.load_state_text("result")
+        finally:
+            backend.close()
+        assert main(["run-spec", spec, "--store", str(store), "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"experiment failed: cannot read store {str(store)!r}" in captured.err
 
     @pytest.mark.parametrize("command", ["run-spec", "run-matrix"])
     def test_an_unreadable_input_file_fails_cleanly(self, tmp_path, capsys, command):

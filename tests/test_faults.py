@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import sqlite3
+import struct
 
 import numpy as np
 import pytest
@@ -57,11 +58,16 @@ from repro.storage.checkpoint import (
     CHECKPOINT_PREV_STATE_KEY,
     CHECKPOINT_STATE_KEY,
     CrawlCheckpointer,
+    columns_key,
+    decode,
+    encode,
+    pack_floats,
+    pack_ints,
 )
 
 from reference.crawl import ReferenceIncrementalCrawler
 from reference.kernels import _keyed, _mix, fault_resolve_reference
-from test_checkpoint_resume import snapshot_with_table
+from test_checkpoint_resume import snapshot_with_table, stored_rows
 
 WEB_SPEC = WebSpec(
     site_scale=0.03,
@@ -373,7 +379,7 @@ class TestFailureTracker:
         tracker.on_failure("u3", "s2", STATUS_RATE_LIMITED, 3.0, retry_after=1.0)
         state, table = snapshot_with_table(tracker)
         other = FailureTracker(RetrySpec(breaker_threshold=2), seed=9)
-        other.restore_snapshot(state, table)
+        other.restore_snapshot(decode(*state), table)
         assert snapshot_with_table(other) == (state, table)
         # Restored trackers continue identically.
         assert other.on_failure("u4", "s1", STATUS_TIMEOUT, 4.0) == tracker.on_failure(
@@ -695,7 +701,7 @@ def _assert_engines_agree(batched, crawler_b, reference, crawler_r):
     fetched_r = {r.url: r.fetched_at for r in crawler_r.collection.current_records()}
     assert fetched_b == fetched_r
     assert snapshot_with_table(crawler_b.collurls) == snapshot_with_table(crawler_r.collurls)
-    assert crawler_b.allurls.snapshot() == crawler_r.allurls.snapshot()
+    assert encode(crawler_b.allurls.snapshot()) == encode(crawler_r.allurls.snapshot())
 
 
 @pytest.mark.usefixtures("collection_stays_queued")
@@ -845,32 +851,54 @@ def _checkpointer(backend, **kwargs):
     return CrawlCheckpointer(backend, every_days=1.0, **kwargs)
 
 
-#: ``{"integrity": "<64 hex>", `` — the fixed-width header of a stored checkpoint.
-HEADER_LEN = len('{"integrity": "", ') + 64
+#: ``{"integrity":"<64 hex>","column_bytes":`` — the fixed-width start of a
+#: stored checkpoint header; the column bytes' length and a comma follow.
+PREFIX_LEN = len('{"integrity":"","column_bytes":') + 64
+COLUMNS_KEY = columns_key(CHECKPOINT_STATE_KEY)
 
 
-def _stored_digest(text):
-    """The integrity rule, restated: sha256 of the bytes after the header."""
-    return hashlib.sha256(("{" + text[HEADER_LEN:]).encode("utf-8")).hexdigest()
+def _stored_digest(backend, key=CHECKPOINT_STATE_KEY):
+    """The integrity rule, restated: sha256 of the header after its prefix,
+    then the column bytes."""
+    text = backend.load_state_text(key)
+    body = text[text.index(",", PREFIX_LEN) + 1:]
+    return hashlib.sha256(body.encode() + backend.load_state_text(columns_key(key))).hexdigest()
 
 
 def _two_saves(backend, payload=(0.1, "two", 2.5)):
-    """Two checkpoints of realistic shape; returns the first one's stored text."""
+    """Two checkpoints of realistic shape, JSON values and a packed column
+    each; returns the first one's stored header and column bytes."""
     saver = _checkpointer(backend)
-    saver.save({"format": CHECKPOINT_FORMAT, "tick": 1, "payload": list(payload)}, at=1.0)
-    first = backend.load_state_text(CHECKPOINT_STATE_KEY)
-    saver.save({"format": CHECKPOINT_FORMAT, "tick": 2, "payload": list(payload)}, at=2.0)
+    floats = [value for value in payload if isinstance(value, float)] + [0.25]
+    for tick in (1, 2):
+        saver.save({
+            "format": CHECKPOINT_FORMAT, "tick": tick, "payload": list(payload),
+            "flags": pack_ints([True, False, True], "?"), "floats": pack_floats(floats),
+        }, at=float(tick))
+        if tick == 1:
+            first = stored_rows(backend, CHECKPOINT_STATE_KEY)
     return first
+
+
+def _rewrite_header(backend, key, **changes):
+    """Store ``key``'s header again with ``changes``, keeping its prefix's
+    spelling: the damage a digest, not the prefix, must catch."""
+    header = dict(backend.load_state(key), **changes)
+    backend.save_state_text(key, json.dumps(header, separators=(",", ":")))
 
 
 class TestCheckpointIntegrity:
     def test_checksum_covers_the_stored_bytes_and_excludes_itself(self):
         backend = SqliteBackend()
-        state = {"a": 1, "b": [1.5, 2.5]}
+        state = {"a": 1, "b": [1.5, 2.5], "c": pack_floats([0.5])}
         _checkpointer(backend).save(state, at=1.0)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
-        assert text == '{"integrity": "%s", "a": 1, "b": [1.5, 2.5]}' % state["integrity"]
-        assert _stored_digest(text) == state["integrity"]
+        assert text == (
+            '{"integrity":"%s","column_bytes":8,"a":1,"b":[1.5,2.5],'
+            '"c":{"column":["<f8",0,1]}}' % state["integrity"]
+        )
+        assert backend.load_state_text(COLUMNS_KEY) == struct.pack("<d", 0.5)
+        assert _stored_digest(backend) == state["integrity"]
         # Saving a document that already carries a digest hashes the same bytes.
         again = dict(state, integrity="stale")
         _checkpointer(SqliteBackend()).save(again, at=1.0)
@@ -879,68 +907,85 @@ class TestCheckpointIntegrity:
     def test_save_stamps_and_load_verifies(self):
         backend = SqliteBackend()
         saver = _checkpointer(backend)
-        saver.save({"tick": 1}, at=1.0)
+        saver.save({"tick": 1, "ids": pack_ints([3, 4])}, at=1.0)
         state = _checkpointer(backend).load()
         assert state["tick"] == 1
-        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
-        assert state["integrity"] == _stored_digest(text)
-        assert backend.load_state(CHECKPOINT_STATE_KEY) == state
+        assert state["ids"].tolist() == [3, 4]
+        assert state["integrity"] == _stored_digest(backend)
 
-    def test_previous_slot_is_the_last_stored_text_byte_for_byte(self):
+    def test_previous_slot_is_the_last_stored_header_and_columns_byte_for_byte(self):
         backend = SqliteBackend()
         first = _two_saves(backend)
-        assert backend.load_state_text(CHECKPOINT_PREV_STATE_KEY) == first
-        # A loaded (verified) text is demoted the same way, not re-dumped.
-        second = backend.load_state_text(CHECKPOINT_STATE_KEY)
+        assert stored_rows(backend, CHECKPOINT_PREV_STATE_KEY) == first
+        # A loaded (verified) slot is demoted the same way, not re-dumped.
+        second = stored_rows(backend, CHECKPOINT_STATE_KEY)
         resumed = _checkpointer(backend)
         resumed.load()
         resumed.save({"format": CHECKPOINT_FORMAT, "tick": 3}, at=3.0)
-        assert backend.load_state_text(CHECKPOINT_PREV_STATE_KEY) == second
+        assert stored_rows(backend, CHECKPOINT_PREV_STATE_KEY) == second
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_any_one_changed_character_falls_back(self, data):
+    def test_any_one_changed_byte_falls_back(self, data):
+        """One changed character of the header, or one changed byte of the
+        column bytes, and the load resumes the previous slot."""
         backend = SqliteBackend()
         payload = data.draw(
             st.lists(st.floats(allow_nan=False) | st.text(max_size=8), max_size=6),
             label="payload",
         )
         first = _two_saves(backend, payload)
-        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
-        position = data.draw(st.integers(0, len(text) - 1), label="position")
-        assert len(first) == len(text)  # the two saves differ in one digit and the digest
-        char = data.draw(
-            st.sampled_from('0a"{}[],: \tx').filter(
-                lambda c: c not in (text[position], first[position])
-            ),
-            label="char",
-        )
-        damaged = text[:position] + char + text[position + 1:]
-        backend.save_state_text(CHECKPOINT_STATE_KEY, damaged)
+        text, columns = stored_rows(backend, CHECKPOINT_STATE_KEY)
+        assert len(first[0]) == len(text)  # the two saves differ in one digit and the digest
+        if data.draw(st.booleans(), label="in the column bytes"):
+            position = data.draw(st.integers(0, len(columns) - 1), label="position")
+            flip = data.draw(st.integers(1, 255), label="xor")
+
+            def damage(value):
+                return value[:position] + bytes([value[position] ^ flip]) + value[position + 1:]
+
+            key, prev_key, slot, prev_slot = (
+                COLUMNS_KEY, columns_key(CHECKPOINT_PREV_STATE_KEY), columns, first[1]
+            )
+        else:
+            position = data.draw(st.integers(0, len(text) - 1), label="position")
+            char = data.draw(
+                st.sampled_from('0a"{}[],: \tx').filter(
+                    lambda c: c not in (text[position], first[0][position])
+                ),
+                label="char",
+            )
+
+            def damage(value):
+                return value[:position] + char + value[position + 1:]
+
+            key, prev_key, slot, prev_slot = (
+                CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY, text, first[0]
+            )
+        backend.save_state_text(key, damage(slot))
         assert _checkpointer(backend).load()["tick"] == 1
         # ... and with the other slot damaged the same way nothing is resumed.
-        backend.save_state_text(
-            CHECKPOINT_PREV_STATE_KEY, first[:position] + char + first[position + 1:]
-        )
+        backend.save_state_text(prev_key, damage(prev_slot))
         with pytest.raises(ValueError, match="corrupt"):
             _checkpointer(backend).load()
 
-    def test_whitespace_change_a_parser_cannot_see_falls_back(self):
+    def test_whitespace_a_parser_cannot_see_falls_back(self):
         backend = SqliteBackend()
         _two_saves(backend)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
-        spaces = [at for at, char in enumerate(text) if char == " "]
-        assert spaces[0] < HEADER_LEN < spaces[-1]  # header and body both covered
-        for at in spaces:
-            swapped = text[:at] + "\t" + text[at + 1:]
-            assert json.loads(swapped) == json.loads(text)
-            backend.save_state_text(CHECKPOINT_STATE_KEY, swapped)
+        separators = [at for at, char in enumerate(text) if char in ",:"]
+        assert separators[0] < PREFIX_LEN < separators[-1]  # prefix and body both covered
+        for at in separators:
+            spaced = text[:at + 1] + " " + text[at + 1:]
+            assert json.loads(spaced) == json.loads(text)
+            backend.save_state_text(CHECKPOINT_STATE_KEY, spaced)
             assert _checkpointer(backend).load()["tick"] == 1
 
-    @pytest.mark.parametrize("position", [20, -5])  # inside the header, inside the body
+    @pytest.mark.parametrize("position", [20, -5])  # inside the prefix, inside the body
     def test_unencodable_character_falls_back_instead_of_raising(self, position, tmp_path):
         # Damaged bytes may not decode as UTF-8 (here: an encoded lone
-        # surrogate); the unreadable slot must fall back, not escape load().
+        # surrogate); the store names the unreadable value, and the slot
+        # falls back instead of escaping load().
         path = str(tmp_path / "store.sqlite")
         backend = SqliteBackend(path)
         _two_saves(backend)
@@ -956,17 +1001,25 @@ class TestCheckpointIntegrity:
         conn.commit()
         conn.close()
         backend = SqliteBackend(path)
-        with pytest.raises(sqlite3.OperationalError):
+        with pytest.raises(ValueError, match=f"cannot read store {path!r}"):
             backend.load_state_text(CHECKPOINT_STATE_KEY)
         assert _checkpointer(backend).load()["tick"] == 1
         backend.close()
 
+    @pytest.mark.parametrize("key", [CHECKPOINT_STATE_KEY, COLUMNS_KEY])
     @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99])
-    def test_torn_current_slot_falls_back_to_previous(self, keep):
+    def test_torn_current_slot_falls_back_to_previous(self, keep, key):
+        # The header or the column row, cut short by a write that never finished.
         backend = SqliteBackend()
         _two_saves(backend)
-        text = backend.load_state_text(CHECKPOINT_STATE_KEY)
-        backend.save_state_text(CHECKPOINT_STATE_KEY, text[: int(len(text) * keep)])
+        value = backend.load_state_text(key)
+        backend.save_state_text(key, value[: int(len(value) * keep)])
+        assert _checkpointer(backend).load()["tick"] == 1
+
+    def test_missing_column_row_falls_back_to_previous(self):
+        backend = SqliteBackend()
+        _two_saves(backend)
+        assert backend.delete_state(COLUMNS_KEY)
         assert _checkpointer(backend).load()["tick"] == 1
 
     def test_corrupt_current_slot_falls_back_to_previous(self):
@@ -975,9 +1028,7 @@ class TestCheckpointIntegrity:
         saver.save({"tick": 1}, at=1.0)
         saver.save({"tick": 2}, at=2.0)
         # Damage the current slot the way a torn write would.
-        damaged = dict(backend.load_state(CHECKPOINT_STATE_KEY))
-        damaged["tick"] = 999
-        backend.save_state(CHECKPOINT_STATE_KEY, damaged)
+        _rewrite_header(backend, CHECKPOINT_STATE_KEY, tick=999)
         state = _checkpointer(backend).load()
         assert state["tick"] == 1  # the demoted previous snapshot
 
@@ -987,9 +1038,7 @@ class TestCheckpointIntegrity:
         saver.save({"tick": 1}, at=1.0)
         saver.save({"tick": 2}, at=2.0)
         for key in (CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY):
-            damaged = dict(backend.load_state(key))
-            damaged["tick"] = 999
-            backend.save_state(key, damaged)
+            _rewrite_header(backend, key, tick=999)
         with pytest.raises(ValueError, match="corrupt"):
             _checkpointer(backend).load()
 
@@ -997,9 +1046,7 @@ class TestCheckpointIntegrity:
         backend = SqliteBackend()
         saver = _checkpointer(backend)
         saver.save({"tick": 1}, at=1.0)
-        damaged = dict(backend.load_state(CHECKPOINT_STATE_KEY))
-        damaged["tick"] = 999
-        backend.save_state(CHECKPOINT_STATE_KEY, damaged)
+        _rewrite_header(backend, CHECKPOINT_STATE_KEY, tick=999)
         with pytest.raises(ValueError, match="no previous snapshot"):
             _checkpointer(backend).load()
 

@@ -13,7 +13,6 @@ append, per-admission push or per-node URL lookup comes back.
 from __future__ import annotations
 
 import heapq
-import json
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from repro.core.ranking_module import REPLACEMENT_MARGIN, RankingModule, _select
 from repro.fetch.fetcher import SimulatedFetcher
 from repro.ranking.sparse import LinkGraph
 from repro.simweb.generator import generate_web
+from repro.storage.checkpoint import decode
 from repro.storage.collection import InPlaceCollection
 from repro.storage.records import PageRecord
 
@@ -270,7 +270,7 @@ def test_restore_rebuilds_the_synced_outlinks_from_the_graph():
 
     restored = ranking()
     snapshot, table = snapshot_with_table(live)
-    restored.restore_snapshot(json.loads(json.dumps(snapshot)), table)
+    restored.restore_snapshot(decode(*snapshot), table)
     assert restored._graph_outlinks == synced
     assert restored.refine(3.0).importance == live.refine(3.0).importance
     assert restored._graph_outlinks == live._graph_outlinks == {

@@ -29,6 +29,7 @@ from repro.core.ranking_module import RankingModule
 from repro.ranking.pagerank import pagerank
 from repro.ranking.sparse import LinkGraph, hits_scores, pagerank_scores
 from repro.simweb.generator import generate_web
+from repro.storage.checkpoint import decode
 
 from reference.kernels import (
     compute_importance_reference,
@@ -218,7 +219,8 @@ class TestLinkGraphProperties:
     def test_snapshot_roundtrip_is_bit_identical(self, graph):
         original = LinkGraph.from_graph(graph)
         restored = LinkGraph()
-        restored.restore_snapshot(*snapshot_with_table(original))
+        stored, table = snapshot_with_table(original)
+        restored.restore_snapshot(decode(*stored), table)
         ids_a, scores_a = pagerank_scores(original)
         ids_b, scores_b = pagerank_scores(restored)
         assert np.array_equal(ids_a, ids_b)

@@ -31,6 +31,7 @@ from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     COLLECTION_STATE_KEY,
     RESULT_STATE_KEY,
+    columns_key,
     namespaced_state_key,
 )
 
@@ -85,7 +86,7 @@ def _fingerprint(result):
 
 def _shard_store_texts(base, n_shards):
     """Each shard store's final collection image and both checkpoint
-    slots, as their stored text."""
+    slots, as their stored headers and column bytes."""
     texts = {}
     for index in range(n_shards):
         namespace = sharded_crawler.shard_namespace(index)
@@ -93,8 +94,9 @@ def _shard_store_texts(base, n_shards):
         try:
             for key in (COLLECTION_STATE_KEY, CHECKPOINT_STATE_KEY, CHECKPOINT_PREV_STATE_KEY):
                 key = namespaced_state_key(namespace, key)
-                texts[key] = backend.load_state_text(key)
-                assert texts[key] is not None, key
+                for key in (key, columns_key(key)):
+                    texts[key] = backend.load_state_text(key)
+                    assert texts[key] is not None, key
         finally:
             backend.close()
     return texts

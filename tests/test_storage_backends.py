@@ -1,18 +1,18 @@
 """Contract tests for the SQLite collection store.
 
-The store honours one contract in both its forms — state texts (JSON
-documents among them) that round-trip floats bit-exactly — so the contract
+The store honours one contract in both its forms — state values (JSON
+texts that round-trip floats bit-exactly, and bytes) — so the contract
 tests run on an in-memory store and on a WAL file. The file form adds two
 rules: ``flush`` is its only commit, and ``close`` without it drops the
 unflushed writes; and the store holds SQLite's write lock from open to
-close, so a store another connection holds is refused at open. A write or
-a commit SQLite fails, a full disk among them, is refused naming the store.
+close, so a store another connection holds is refused at open. A read, a
+write or a commit SQLite fails, a full disk among them, is refused naming
+the store.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import sqlite3
@@ -24,7 +24,7 @@ import pytest
 from repro.api.registry import STORAGE_BACKENDS
 from repro.api.specs import CrawlerSpec, ExperimentSpec, WebSpec
 from repro.storage import PageRecord, SqliteBackend
-from repro.storage.checkpoint import unpack_array
+from repro.storage.checkpoint import decode, encode
 from repro.storage.records import records_from_columns, records_to_columns
 
 
@@ -146,6 +146,9 @@ def test_state_is_stored_as_the_text_written(backend):
     assert backend.load_state_text("k") == '{"b":\t1}'
     assert backend.load_state("k") == {"b": 1}
     assert backend.load_state_text("missing") is None
+    # Bytes are kept as they were written too, as a BLOB.
+    backend.save_state_text("columns", b"\x00\xff\xed\xa0\x80")
+    assert backend.load_state_text("columns") == b"\x00\xff\xed\xa0\x80"
 
 
 def test_non_serialisable_state_fails_loudly_in_save_state(backend):
@@ -492,7 +495,7 @@ def test_sqlite_adds_its_tables_to_a_file_with_other_tables(tmp_path):
 def test_record_columns_roundtrip_through_json():
     records = [make_record("u/x", fetched_at=1.0 / 7.0), make_record("u/y", outlinks=())]
     ids = {}
-    columns = json.loads(json.dumps(records_to_columns(records, ids)))
+    columns = decode(*encode(records_to_columns(records, ids)))
     rebuilt = records_from_columns(columns, list(ids))
     assert rebuilt == records
     assert rebuilt[0].fetched_at == records[0].fetched_at
@@ -506,7 +509,8 @@ def test_record_columns_hold_one_column_per_field():
         "url", "version", "fetched_at", "first_fetched_at", "outlinks",
         "importance", "visit_count", "change_count", "outlink_counts",
     ]
-    assert unpack_array(columns["version"], "<i8").tolist() == [4, 9]
+    assert columns["version"].dtype == "<i8"
+    assert columns["version"].tolist() == [4, 9]
 
 
 # --------------------------------------------------------------------- #

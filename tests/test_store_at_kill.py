@@ -3,9 +3,9 @@
 A file-backed store commits only with a checkpoint (or with the final
 result and collection image), so whenever a crawl process dies the store
 must be *exactly* one checkpoint an uninterrupted run commits: the
-checkpoint slot byte for byte (the collection is its ``collection``
-columns), the previous slot one checkpoint behind it, and no final image or
-result — nothing written past the commit. A completed store holds the
+checkpoint slot's header and column bytes byte for byte (the collection is
+its ``collection`` columns), the previous slot one checkpoint behind it,
+and no final image or result — nothing written past the commit. A completed store holds the
 uninterrupted run's final image. The uninterrupted run is itself checked at
 every commit, so a commit that lands between checkpoints (a final image
 without its result) fails even where no random kill falls.
@@ -36,6 +36,7 @@ from repro.storage.checkpoint import (
     CHECKPOINT_STATE_KEY,
     COLLECTION_STATE_KEY,
     RESULT_STATE_KEY,
+    columns_key,
 )
 
 SPEC = {
@@ -59,12 +60,19 @@ MAX_DELAY_S = 0.6
 TIMEOUT_S = 60.0
 
 
+def rows(backend, key):
+    """The header stored at ``key`` and its column bytes; ``None`` for neither."""
+    header, columns = backend.load_state_text(key), backend.load_state_text(columns_key(key))
+    assert (header is None) == (columns is None), f"{key}: a header without its columns"
+    return None if header is None else (header, columns)
+
+
 def committed_checkpoints(monkeypatch, path):
     """Run the spec uninterrupted, looking at its store after every commit.
 
     Each commit but the last must leave a new checkpoint and no final image
-    or result; the last leaves both. Returns ``{checkpoint text: index}``
-    and the completed store's final collection image.
+    or result; the last leaves both. Returns ``{checkpoint rows: index}``
+    and the completed store's final collection image rows.
     """
     seen = {}
     original = SqliteBackend.flush
@@ -73,9 +81,9 @@ def committed_checkpoints(monkeypatch, path):
         original(backend)
         # Right after a commit, what the writer sees is what it committed.
         if backend.load_state_text(RESULT_STATE_KEY) is None:
-            assert backend.load_state_text(COLLECTION_STATE_KEY) is None, \
+            assert rows(backend, COLLECTION_STATE_KEY) is None, \
                 "a commit left a final image without its result"
-            text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+            text = rows(backend, CHECKPOINT_STATE_KEY)
             assert text not in seen, "a commit between checkpoints"
             seen[text] = len(seen)
 
@@ -84,7 +92,7 @@ def committed_checkpoints(monkeypatch, path):
         run(ExperimentSpec.from_dict(SPEC), store=path)
     backend = SqliteBackend(path)
     try:
-        final = backend.load_state_text(COLLECTION_STATE_KEY)
+        final = rows(backend, COLLECTION_STATE_KEY)
     finally:
         backend.close()
     assert final is not None
@@ -131,25 +139,25 @@ def test_a_killed_crawl_leaves_its_last_committed_checkpoint(tmp_path, monkeypat
 
         backend = SqliteBackend(store)
         try:
-            text = backend.load_state_text(CHECKPOINT_STATE_KEY)
+            text = rows(backend, CHECKPOINT_STATE_KEY)
             if backend.load_state_text(RESULT_STATE_KEY) is not None:
                 # Finished before the kill: the store is the completed run's.
                 assert returncode in (0, -signal.SIGKILL)
-                assert backend.load_state_text(COLLECTION_STATE_KEY) == final_image
+                assert rows(backend, COLLECTION_STATE_KEY) == final_image
                 done = True
             elif text is None:
                 # Killed before the first checkpoint: nothing was committed.
-                assert backend.load_state_text(COLLECTION_STATE_KEY) is None
-                assert backend.load_state_text(CHECKPOINT_PREV_STATE_KEY) is None
+                assert rows(backend, COLLECTION_STATE_KEY) is None
+                assert rows(backend, CHECKPOINT_PREV_STATE_KEY) is None
                 done = False
             else:
                 assert text in checkpoints, "the store holds a checkpoint no run committed"
                 index = checkpoints[text]
                 # Nothing past the commit: no final image (the result is
                 # absent by this branch).
-                assert backend.load_state_text(COLLECTION_STATE_KEY) is None
+                assert rows(backend, COLLECTION_STATE_KEY) is None
                 if index > 0:
-                    previous = backend.load_state_text(CHECKPOINT_PREV_STATE_KEY)
+                    previous = rows(backend, CHECKPOINT_PREV_STATE_KEY)
                     assert checkpoints[previous] == index - 1
                 assert index >= reached, "a kill lost a committed checkpoint"
                 reached = index
