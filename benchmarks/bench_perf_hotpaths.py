@@ -92,6 +92,7 @@ from repro.simweb.change_models import PoissonChangeProcess  # noqa: E402
 from repro.simweb.page import SimulatedPage  # noqa: E402
 from repro.simweb.site import SimulatedSite  # noqa: E402
 from repro.simweb.web import SimulatedWeb  # noqa: E402
+from repro.storage.checkpoint import encode  # noqa: E402
 from repro.storage.records import PageRecord  # noqa: E402
 
 from reference.crawl import ReferenceIncrementalCrawler  # noqa: E402
@@ -361,8 +362,9 @@ def check_crawl_identity(
                 sharded_crawler.IncrementalCrawler = IncrementalCrawler
             (crawler,) = inline
             failures = result.failures
-        # Each snapshot with the URL table it built, so equal pairs mean
-        # equal URL-keyed snapshots.
+        # Each snapshot as the codec stores it (header text and column
+        # bytes) with the URL table it built, so equal pairs mean equal
+        # URL-keyed snapshots.
         estimator_ids, queue_ids = {}, {}
         estimator = crawler.update_module.snapshot(estimator_ids)
         # The tracker's own state is compared through its counters.
@@ -379,8 +381,8 @@ def check_crawl_identity(
             # never saw a failure" compare equal: that is the zero-rate claim.
             "failures": {k: v for k, v in (failures or {}).items() if v},
             "records": crawler.collection.working_records(),
-            "estimator": (estimator, list(estimator_ids)),
-            "queue": (crawler.collurls.snapshot(queue_ids), list(queue_ids)),
+            "estimator": (encode(estimator), list(estimator_ids)),
+            "queue": (encode(crawler.collurls.snapshot(queue_ids)), list(queue_ids)),
         }
 
     polite = dict(

@@ -64,15 +64,15 @@ COLLECTION_STATE_KEY = "collection"
 #: Dtype of a checkpoint's packed int columns, URL indices included.
 INT = "<i4"
 #: Version stamp of the checkpoint layout: format 9 is a JSON header beside
-#: raw column bytes. A stored checkpoint of an older format (no
-#: ``column_bytes`` in its prefix) is refused by name at
+#: raw column bytes. A stored checkpoint of an older format (its prefix
+#: spelt ``{"integrity": "``, with spaces) is refused by name at
 #: :meth:`CrawlCheckpointer.load`, before any hash is compared; a state of
 #: another format handed to the crawler is refused when it restores it.
 CHECKPOINT_FORMAT = 9
 # A stored header is this prefix, then the encoded header minus its opening
 # brace; the digest covers that remainder, then the column bytes.
-_HEADER = '{"integrity":"%s","column_bytes":%d,'
-_HEADER_RE = re.compile(r'\{"integrity":"([0-9a-f]{64})","column_bytes":(\d+),')
+_HEADER = '{"integrity":"%s",'
+_HEADER_RE = re.compile(r'\{"integrity":"([0-9a-f]{64})",')
 
 
 def namespaced_state_key(namespace: Optional[str], key: str) -> str:
@@ -288,9 +288,9 @@ class CrawlCheckpointer:
 
         The document is encoded exactly once. ``state["integrity"]`` becomes
         the sha256 of the header body and the column bytes, written behind a
-        fixed-width prefix naming it and the bytes' length, so a load
-        re-hashes what this save hashed. The previous slot receives the rows
-        the last save (or load) produced and verified, not a second dump.
+        fixed-width prefix naming it, so a load re-hashes what this save
+        hashed. The previous slot receives the rows the last save (or load)
+        produced and verified, not a second dump.
         """
         if self.spec_hash is not None:
             state["spec_hash"] = self.spec_hash
@@ -305,7 +305,7 @@ class CrawlCheckpointer:
             self._last = None
         header, columns = encode(state)
         state["integrity"] = _digest(header[1:], columns)
-        self._last = (_HEADER % (state["integrity"], len(columns)) + header[1:], columns)
+        self._last = (_HEADER % state["integrity"] + header[1:], columns)
         _save_rows(self.backend, self._state_key, self._last)
         self.backend.flush()
         self._last_saved = at
@@ -346,8 +346,8 @@ class CrawlCheckpointer:
                     f"this build reads and writes format {CHECKPOINT_FORMAT} only"
                 )
             return None, "integrity header is damaged"
-        if not isinstance(columns, bytes) or len(columns) != int(header.group(2)):
-            return None, "column bytes are missing or torn"
+        if not isinstance(columns, bytes):
+            return None, "column bytes are missing"
         if _digest(text[header.end():], columns) != header.group(1):
             return None, "integrity checksum mismatch"
         return (text, columns), None

@@ -581,7 +581,7 @@ def _refuse_stored_checkpoint_of_format(tmp_path, old_format):
     for key in (CHECKPOINT_PREV_STATE_KEY, CHECKPOINT_STATE_KEY):
         (header,) = conn.execute("SELECT value FROM state WHERE key = ?", (key,)).fetchone()
         old = json.loads(header)
-        del old["integrity"], old["column_bytes"]
+        del old["integrity"]
         old.update(format=old_format, spec_hash="f" * 64)
         body = json.dumps(old)[1:]
         digest = hashlib.sha256(("{" + body).encode()).hexdigest()

@@ -851,9 +851,9 @@ def _checkpointer(backend, **kwargs):
     return CrawlCheckpointer(backend, every_days=1.0, **kwargs)
 
 
-#: ``{"integrity":"<64 hex>","column_bytes":`` — the fixed-width start of a
-#: stored checkpoint header; the column bytes' length and a comma follow.
-PREFIX_LEN = len('{"integrity":"","column_bytes":') + 64
+#: ``{"integrity":"<64 hex>",`` — the fixed-width start of a stored
+#: checkpoint header; the header body follows.
+PREFIX_LEN = len('{"integrity":"",') + 64
 COLUMNS_KEY = columns_key(CHECKPOINT_STATE_KEY)
 
 
@@ -861,7 +861,7 @@ def _stored_digest(backend, key=CHECKPOINT_STATE_KEY):
     """The integrity rule, restated: sha256 of the header after its prefix,
     then the column bytes."""
     text = backend.load_state_text(key)
-    body = text[text.index(",", PREFIX_LEN) + 1:]
+    body = text[PREFIX_LEN:]
     return hashlib.sha256(body.encode() + backend.load_state_text(columns_key(key))).hexdigest()
 
 
@@ -894,7 +894,7 @@ class TestCheckpointIntegrity:
         _checkpointer(backend).save(state, at=1.0)
         text = backend.load_state_text(CHECKPOINT_STATE_KEY)
         assert text == (
-            '{"integrity":"%s","column_bytes":8,"a":1,"b":[1.5,2.5],'
+            '{"integrity":"%s","a":1,"b":[1.5,2.5],'
             '"c":{"column":["<f8",0,1]}}' % state["integrity"]
         )
         assert backend.load_state_text(COLUMNS_KEY) == struct.pack("<d", 0.5)
